@@ -129,16 +129,18 @@ def assess_slot(
     return EnergyContext(own=own, virtual=virtual, network=network)
 
 
-def compute_budget(context: EnergyContext, store: EnergyStore, harvested: float) -> float:
+def compute_budget(
+    context: EnergyContext, store: EnergyStore, harvested: float, floor: float
+) -> float:
     """Spendable energy this slot.
 
     Available energy minus a virtual-level reserve minus the survivability
-    floor, clamped at zero. The network level never shrinks the budget; it
-    gates network-class policies in plan_slot instead.
+    ``floor`` (the same one settlement enforces), clamped at zero. The
+    network level never shrinks the budget; it gates network-class policies
+    in plan_slot instead.
     """
     e_a = available_energy(store, harvested)
     reserve = RESERVE_FRACTIONS[context.virtual] * e_a
-    floor = store.thresholds.t1 * store.capacity
     return max(e_a - reserve - floor, 0.0)
 
 
@@ -148,7 +150,7 @@ class BacklogEntry:
     policy: str
     priority: int
     enqueued_slot: int
-    packet_id: int | None = None
+    packet_id: str | None = None
 
 
 @dataclass

@@ -162,21 +162,18 @@ class PreambleTrain:
 
     count: int
     packet_ms: float
-    receiver: str = ""
 
     @property
     def duration_ms(self) -> float:
         return self.count * self.packet_ms
 
 
-def preamble_train(
-    receiver_sleep_ms: float, config: MacConfig = MacConfig(), receiver: str = ""
-) -> PreambleTrain:
+def preamble_train(receiver_sleep_ms: float, config: MacConfig = MacConfig()) -> PreambleTrain:
     """Size a train to span the receiver's sleep; always at least one packet."""
     if receiver_sleep_ms < 0 or math.isinf(receiver_sleep_ms):
         raise ValueError(f"receiver sleep invalid: {receiver_sleep_ms}")
     count = max(1, math.ceil(receiver_sleep_ms / config.preamble_packet_ms))
-    return PreambleTrain(count=count, packet_ms=config.preamble_packet_ms, receiver=receiver)
+    return PreambleTrain(count=count, packet_ms=config.preamble_packet_ms)
 
 
 def cca(sampled_power_dbm: float, config: MacConfig = MacConfig()) -> bool:

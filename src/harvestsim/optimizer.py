@@ -8,20 +8,19 @@ The per-slot planning problem is a linear program over morphing factors
                 0 <= alpha_i <= 1,   0 <= delta <= 1
 
 where ``X`` is the slot's energy budget and ``V`` the residual energy the
-node wants left over. Because there is exactly one equality constraint and
-every variable is box-bounded, the simplex basis is a single variable: all
-other variables sit at 0 or 1 and the basic one absorbs the remainder of the
-budget. Bounds are handled natively (no slack rows, no variable splitting).
+node wants left over. With one equality constraint and box bounds this is a
+fractional knapsack, so a closed form is optimal (Dantzig 1957): fill the
+variables in descending utility-per-microjoule order, each to 1 while it
+fits, and let the first one that does not fit absorb the rest of the spend.
+Every other variable sits at 0. Ties in that ratio fund the lower index
+first.
 
-``parametric_sweep`` traces the optimal value as ``V`` grows: within one
-basis the optimum moves linearly, and the basis change points are found by
-ratio tests on the perturbed right-hand side followed by a dual-simplex
-pivot, yielding the piecewise-linear, concave trade-off curve without
-re-solving from scratch.
+``parametric_sweep`` traces the optimal value as ``V`` grows. The same fill
+order holds for every ``V``, so the curve is piecewise linear and concave,
+and its breakpoints lie where the spend ``X - V`` equals a cumulative cost
+of that order.
 
-``greedy_oracle`` is an independent check: for this structure the fractional
-knapsack fill (descending utility-per-microjoule) is provably optimal. It is
-used by the test suite only and shares no code with the simplex path.
+The test suite checks both against an independent bounded-simplex solver.
 """
 
 from __future__ import annotations
@@ -31,9 +30,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 FEAS_TOL = 1e-9
-
-AT_LOWER = 0
-AT_UPPER = 1
 
 
 class OptimizerError(Exception):
@@ -50,10 +46,6 @@ class NonPositiveCost(OptimizerError):
 
 class Infeasible(OptimizerError):
     """The requested spend exceeds what the variables can absorb."""
-
-
-class PrimalInfeasible(OptimizerError):
-    """Dual-simplex found no entering column: the V interval is infeasible."""
 
 
 class OutOfDomain(OptimizerError):
@@ -154,63 +146,6 @@ class OptResult:
     status: str = "optimal"
 
 
-@dataclass
-class Tableau:
-    """Bounded-variable simplex state for the single-constraint LP.
-
-    ``basic`` is the index of the one basic variable; every other variable
-    is pinned at a bound per ``status``. ``rhs`` holds the current budget
-    and ``rhs_dir`` its derivative with respect to the swept parameter V
-    (-1: raising the residual target shrinks the spend).
-    """
-
-    a: tuple[float, ...]
-    c: tuple[float, ...]
-    upper: tuple[float, ...]
-    rhs: float
-    basic: int
-    status: list[int]
-    rhs_dir: float = -1.0
-
-    def nonbasic_spend(self) -> float:
-        return sum(
-            self.a[j] * self.upper[j]
-            for j in range(len(self.a))
-            if j != self.basic and self.status[j] == AT_UPPER
-        )
-
-    def basic_value(self) -> float:
-        return (self.rhs - self.nonbasic_spend()) / self.a[self.basic]
-
-    def values(self) -> list[float]:
-        xs = [
-            self.upper[j] if self.status[j] == AT_UPPER else 0.0
-            for j in range(len(self.a))
-        ]
-        xs[self.basic] = self.basic_value()
-        return xs
-
-    def utility(self) -> float:
-        return sum(cj * xj for cj, xj in zip(self.c, self.values()))
-
-    def dual(self) -> float:
-        return self.c[self.basic] / self.a[self.basic]
-
-    def reduced_cost(self, j: int) -> float:
-        return self.c[j] - self.dual() * self.a[j]
-
-    def is_dual_feasible(self, tol: float = FEAS_TOL) -> bool:
-        for j in range(len(self.a)):
-            if j == self.basic:
-                continue
-            d = self.reduced_cost(j)
-            if self.status[j] == AT_LOWER and d > tol:
-                return False
-            if self.status[j] == AT_UPPER and d < -tol:
-                return False
-        return True
-
-
 def _snap(x: float, upper: float) -> float:
     """Pull values that strayed marginally outside the box back onto a bound.
 
@@ -226,97 +161,10 @@ def _snap(x: float, upper: float) -> float:
     return x
 
 
-def _phase1(lp: PolicyLp, budget: float) -> Tableau:
-    """Deterministic index-order fill producing a primal-feasible tableau."""
-    a = lp.row
-    n = lp.n_vars
-    status = [AT_LOWER] * n
-    remaining = budget
-    basic = 0
-    for j in range(n):
-        if remaining <= FEAS_TOL:
-            basic = j if j < n else n - 1
-            break
-        step = a[j] * 1.0
-        if step <= remaining + FEAS_TOL and j < n - 1:
-            status[j] = AT_UPPER
-            remaining -= step
-            basic = j + 1
-        else:
-            basic = j
-            remaining = 0.0
-            break
-    t = Tableau(a=a, c=lp.objective, upper=(1.0,) * n, rhs=budget, basic=basic, status=status)
-    t.status[basic] = AT_LOWER  # placeholder; basic entry ignored
-    _snap(t.basic_value(), 1.0)
-    return t
-
-
-def _phase2(t: Tableau) -> Tableau:
-    """Primal simplex to optimality with Bland's rule (lowest eligible index)."""
-    n = len(t.a)
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 4 * n * n + 16:
-            raise ArithmeticError("simplex failed to terminate")
-        entering = -1
-        sigma = 0
-        for j in range(n):
-            if j == t.basic:
-                continue
-            d = t.reduced_cost(j)
-            if t.status[j] == AT_LOWER and d > FEAS_TOL:
-                entering, sigma = j, +1
-                break
-            if t.status[j] == AT_UPPER and d < -FEAS_TOL:
-                entering, sigma = j, -1
-                break
-        if entering < 0:
-            return t
-        coef = t.a[entering] / t.a[t.basic]
-        drift = -sigma * coef  # d(basic)/d(step in entering direction)
-        x_b = t.basic_value()
-        t_enter = t.upper[entering]
-        if drift < 0:
-            t_basic = x_b / (-drift)
-        else:
-            t_basic = (t.upper[t.basic] - x_b) / drift
-        if t_basic < t_enter - FEAS_TOL:
-            # Basic variable leaves at the bound it hit; entering becomes basic.
-            leave_to = AT_LOWER if drift < 0 else AT_UPPER
-            old_basic = t.basic
-            t.status[old_basic] = leave_to
-            t.basic = entering
-            t.status[entering] = AT_LOWER
-            _snap(t.basic_value(), t.upper[entering])
-        else:
-            # Bound flip: entering crosses to its other bound, basis unchanged.
-            t.status[entering] = AT_UPPER if sigma > 0 else AT_LOWER
-            _snap(t.basic_value(), t.upper[t.basic])
-
-
-def _solve_tableau(lp: PolicyLp, v: float) -> Tableau:
-    if not (-FEAS_TOL <= v <= lp.budget_base + FEAS_TOL):
-        raise ValueError(
-            f"residual target {v} outside [0, {lp.budget_base}]"
-        )
-    budget = lp.budget_base - v
-    if budget > lp.max_spend + FEAS_TOL:
-        raise Infeasible(
-            f"budget {budget} exceeds the instance's maximum spend {lp.max_spend}"
-        )
-    return _phase2(_phase1(lp, budget))
-
-
-def _extract(lp: PolicyLp, t: Tableau) -> OptResult:
-    xs = t.values()
-    xs[t.basic] = _snap(xs[t.basic], t.upper[t.basic])
-    return OptResult(
-        utility=sum(c * x for c, x in zip(t.c, xs)),
-        alphas=tuple(xs[: lp.n_policies]),
-        delta=xs[lp.n_policies],
-    )
+def _fill_order(lp: PolicyLp) -> list[int]:
+    """Variable indices by descending utility per microjoule, lowest index first on ties."""
+    c, a = lp.objective, lp.row
+    return sorted(range(lp.n_vars), key=lambda j: (-(c[j] / a[j]), j))
 
 
 def solve_for_v(lp: PolicyLp, v: float) -> OptResult:
@@ -326,60 +174,36 @@ def solve_for_v(lp: PolicyLp, v: float) -> OptResult:
     instance's total absorbing capacity (too much energy to burn), rather
     than clamping silently.
     """
-    return _extract(lp, _solve_tableau(lp, v))
-
-
-def _dual_pivot(t: Tableau, violated_low: bool) -> None:
-    """One dual-simplex basis exchange.
-
-    The basic variable leaves at the bound it hit; the entering column comes
-    from the dual ratio test, which for this structure is the bound-pinned
-    variable with the extreme utility-per-cost (smallest among upper-pinned
-    when the rhs shrank, largest among lower-pinned when it grew), lowest
-    index on ties.
-    """
-    best = -1
-    best_ratio = math.inf
-    for j in range(len(t.a)):
-        if j == t.basic:
-            continue
-        # A decreasing rhs must be absorbed by a variable stepping down
-        # from its upper bound (and symmetrically for increases).
-        eligible = t.status[j] == (AT_UPPER if violated_low else AT_LOWER)
-        if not eligible:
-            continue
-        ratio = t.c[j] / t.a[j]
-        key = ratio if violated_low else -ratio
-        if key < best_ratio - FEAS_TOL:
-            best, best_ratio = j, key
-    if best < 0:
-        raise PrimalInfeasible("no entering column: rhs unreachable from this basis")
-    old = t.basic
-    t.status[old] = AT_LOWER if violated_low else AT_UPPER
-    t.basic = best
-    t.status[best] = AT_LOWER
-
-
-def dual_simplex_reoptimize(t: Tableau, lambda_hat: float) -> Tableau:
-    """Advance the tableau's rhs by ``lambda_hat`` along V and repair the basis.
-
-    Precondition: ``t`` is optimal (dual-feasible) for its current rhs. The
-    perturbation moves the budget by ``lambda_hat * rhs_dir``; any basic
-    variable pushed past a bound leaves the basis via :func:`_dual_pivot`.
-    Returns ``t`` unchanged when no basic variable is displaced.
-    """
-    if lambda_hat < 0:
-        raise ValueError("perturbation must be non-negative")
-    t.rhs += lambda_hat * t.rhs_dir
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 4 * len(t.a) + 16:
-            raise ArithmeticError("dual simplex failed to terminate")
-        x_b = t.basic_value()
-        if -FEAS_TOL <= x_b <= t.upper[t.basic] + FEAS_TOL:
-            return t
-        _dual_pivot(t, violated_low=x_b < -FEAS_TOL)
+    if not (-FEAS_TOL <= v <= lp.budget_base + FEAS_TOL):
+        raise ValueError(
+            f"residual target {v} outside [0, {lp.budget_base}]"
+        )
+    budget = lp.budget_base - v
+    if budget > lp.max_spend + FEAS_TOL:
+        raise Infeasible(
+            f"budget {budget} exceeds the instance's maximum spend {lp.max_spend}"
+        )
+    a = lp.row
+    order = _fill_order(lp)
+    xs = [0.0] * lp.n_vars
+    remaining = budget
+    basic = order[-1]
+    for j in order[:-1]:
+        if a[j] > remaining + FEAS_TOL:
+            basic = j
+            break
+        xs[j] = 1.0
+        remaining -= a[j]
+    # Recompute the basic value from the budget, summing the full variables
+    # in index order rather than reusing ``remaining``: that fixes the
+    # rounding, so the result equals the test oracle's bit for bit.
+    full_spend = sum(a[j] for j in range(lp.n_vars) if xs[j])
+    xs[basic] = _snap((budget - full_spend) / a[basic], 1.0)
+    return OptResult(
+        utility=sum(c * x for c, x in zip(lp.objective, xs)),
+        alphas=tuple(xs[: lp.n_policies]),
+        delta=xs[lp.n_policies],
+    )
 
 
 @dataclass(frozen=True)
@@ -388,7 +212,7 @@ class TradeoffCurve:
 
     ``breakpoints`` hold ascending (V, U) pairs; ``controls[i]`` are the
     (alphas, delta) realizing breakpoint i; ``intervals`` lists the V span
-    of each optimal basis between consecutive breakpoints.
+    of each linear piece between consecutive breakpoints.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -415,62 +239,31 @@ class TradeoffCurve:
 def parametric_sweep(lp: PolicyLp, v_lo: float, v_hi: float) -> TradeoffCurve:
     """Trace the optimal curve over residual targets ``[v_lo, v_hi]``.
 
-    Starts from the optimum at ``v_lo`` and repeatedly finds the largest
-    perturbation the current basis survives, emitting a breakpoint and
-    performing a dual-simplex update at each basis change.
+    The slope changes only where the spend ``X - V`` crosses a cumulative
+    cost of the fill order. Those ``V`` inside the range, with its two ends,
+    are the breakpoints; the controls at each come from :func:`solve_for_v`.
     """
     if not (-FEAS_TOL <= v_lo <= v_hi <= lp.budget_base + FEAS_TOL):
         raise ValueError(
             f"sweep range [{v_lo}, {v_hi}] invalid for budget base {lp.budget_base}"
         )
-    t = _solve_tableau(lp, v_lo)
-    bps: list[tuple[float, float]] = []
-    controls: list[tuple[tuple[float, ...], float]] = []
-    intervals: list[tuple[float, float]] = []
-
-    def emit(v: float) -> None:
-        res = _extract(lp, t)
-        if bps and abs(bps[-1][0] - v) <= FEAS_TOL:
-            return
-        bps.append((v, res.utility))
-        controls.append((res.alphas, res.delta))
-
-    emit(v_lo)
-    cur_v = v_lo
-    guard = 0
-    while cur_v < v_hi - FEAS_TOL:
-        guard += 1
-        if guard > 8 * lp.n_vars + 32:
-            raise ArithmeticError("parametric sweep failed to terminate")
-        drift = t.rhs_dir / t.a[t.basic]  # d(basic)/dV
-        x_b = t.basic_value()
-        if drift < -FEAS_TOL:
-            lam = x_b / (-drift)
-        elif drift > FEAS_TOL:
-            lam = (t.upper[t.basic] - x_b) / drift
-        else:
-            lam = math.inf
-        if cur_v + lam >= v_hi - FEAS_TOL:
-            # Current basis survives to the end of the range.
-            t.rhs += (v_hi - cur_v) * t.rhs_dir
-            intervals.append((cur_v, v_hi))
-            cur_v = v_hi
-            emit(v_hi)
-            break
-        next_v = cur_v + lam
-        t.rhs += lam * t.rhs_dir
-        if lam > FEAS_TOL:
-            intervals.append((cur_v, next_v))
-        emit(next_v)
-        # The basis interval ends here: exchange the pinned basic variable
-        # even though the boundary point itself is still feasible.
-        try:
-            _dual_pivot(t, violated_low=drift < 0)
-        except PrimalInfeasible as exc:
-            raise Infeasible(f"sweep infeasible beyond V={next_v}: {exc}") from exc
-        cur_v = next_v
+    a = lp.row
+    cuts = []
+    spent = 0.0
+    for j in _fill_order(lp):
+        spent += a[j]
+        cuts.append(lp.budget_base - spent)
+    vs = [v_lo]
+    for v in reversed(cuts):
+        if vs[-1] + FEAS_TOL < v < v_hi - FEAS_TOL:
+            vs.append(v)
+    if v_lo < v_hi - FEAS_TOL:
+        vs.append(v_hi)
+    results = [solve_for_v(lp, v) for v in vs]
     return TradeoffCurve(
-        breakpoints=tuple(bps), controls=tuple(controls), intervals=tuple(intervals)
+        breakpoints=tuple((v, r.utility) for v, r in zip(vs, results)),
+        controls=tuple((r.alphas, r.delta) for r in results),
+        intervals=tuple(zip(vs, vs[1:])),
     )
 
 
@@ -492,34 +285,3 @@ def evaluate_curve(curve: TradeoffCurve, v: float) -> float:
     w = (v - v0) / (v1 - v0)
     return u0 + w * (u1 - u0)
 
-
-def greedy_oracle(lp: PolicyLp, v: float) -> OptResult:
-    """Independent optimum via fractional-knapsack fill (tests only).
-
-    Variables are filled in descending utility-per-microjoule order until
-    the spend ``X - v`` is exhausted; an exchange argument shows this is
-    optimal for the single-constraint box-bounded structure.
-    """
-    if not (-FEAS_TOL <= v <= lp.budget_base + FEAS_TOL):
-        raise ValueError(f"residual target {v} outside [0, {lp.budget_base}]")
-    budget = lp.budget_base - v
-    costs = lp.row
-    gains = lp.objective
-    if budget > lp.max_spend + FEAS_TOL:
-        raise Infeasible(
-            f"budget {budget} exceeds the instance's maximum spend {lp.max_spend}"
-        )
-    order = sorted(range(len(costs)), key=lambda j: (-(gains[j] / costs[j]), j))
-    xs = [0.0] * len(costs)
-    remaining = budget
-    for j in order:
-        if remaining <= 0:
-            break
-        take = min(1.0, remaining / costs[j])
-        xs[j] = take
-        remaining -= take * costs[j]
-    return OptResult(
-        utility=sum(g * x for g, x in zip(gains, xs)),
-        alphas=tuple(xs[: lp.n_policies]),
-        delta=xs[lp.n_policies],
-    )

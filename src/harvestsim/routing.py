@@ -175,7 +175,6 @@ class RoutingState:
     forwarded: set[tuple[str, int]] = field(default_factory=set)
     answered: dict[str, int] = field(default_factory=dict)
     references: dict[str, RssiReference] = field(default_factory=dict)
-    neighbor_levels: dict[str, EnergyLevel] = field(default_factory=dict)
     seq_counter: int = 0
 
     def next_seq(self) -> int:

@@ -19,6 +19,7 @@ import jsonschema
 import yaml
 
 from .energy import HarvestTrace
+from .mac import MacConfig
 
 
 class ScenarioError(Exception):
@@ -270,22 +271,9 @@ class RoutingSettings:
 
 
 @dataclass(frozen=True)
-class MacSettings:
-    schedule_mode: str = "formula"
-    wake_window_ms: float = 5.0
-    preamble_packet_ms: float = 1.0
-    cca_threshold_dbm: float = -77.0
-    backoff_initial_ms: float = 1.25
-    backoff_max_attempts: int = 5
-    arq_retries: int = 3
-    rts_cts: bool = False
-    data_packet_ms: float = 4.096
-    ack_ms: float = 0.35
-    control_packet_ms: float = 1.0
-
-
-@dataclass(frozen=True)
 class ChannelSettings:
+    """Log-distance path loss anchored at the beacon calibration point."""
+
     path_loss_exponent: float = 2.7
     reference_loss_db: float = 65.0
     reference_distance_m: float = 8.0
@@ -346,7 +334,7 @@ class ScenarioConfig:
     predictor: PredictorSettings = PredictorSettings()
     optimizer: OptimizerSettings = OptimizerSettings()
     routing: RoutingSettings = RoutingSettings()
-    mac: MacSettings = MacSettings()
+    mac: MacConfig = MacConfig()
     channel: ChannelSettings = ChannelSettings()
     traffic: TrafficSettings = TrafficSettings()
     costs: dict = field(default_factory=dict)
@@ -462,7 +450,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         predictor=build(PredictorSettings, "predictor"),
         optimizer=build(OptimizerSettings, "optimizer"),
         routing=RoutingSettings(**routing_raw),
-        mac=build(MacSettings, "mac"),
+        mac=build(MacConfig, "mac"),
         channel=build(ChannelSettings, "channel"),
         traffic=build(TrafficSettings, "traffic"),
         costs=costs,

@@ -44,7 +44,7 @@ from .energy import (
     harvest_in_slot,
     withdraw,
 )
-from .scenario import ScenarioConfig, build_profile_trace
+from .scenario import ChannelSettings, PolicySpec, ScenarioConfig, build_profile_trace
 
 PROCESSING_DELAY_S = 0.005
 RREQ_JITTER_MS = 20.0
@@ -53,20 +53,7 @@ MAX_PACKET_RETRIES = 3
 PENDING_QUEUE_CAP = 64
 
 
-@dataclass(frozen=True)
-class Channel:
-    """Log-distance path loss anchored at the beacon calibration point."""
-
-    path_loss_exponent: float = 2.7
-    reference_loss_db: float = 65.0
-    reference_distance_m: float = 8.0
-    shadowing_sigma_db: float = 0.0
-    sensitivity_dbm: float = -95.0
-    loss_margin_db: float = 10.0
-    loss_prob_at_zero: float = 0.5
-
-
-def rssi_at(tx_dbm: float, distance_m: float, channel: Channel, rng=None) -> float:
+def rssi_at(tx_dbm: float, distance_m: float, channel: ChannelSettings, rng=None) -> float:
     """Received power over one link; optional lognormal shadowing draw."""
     if distance_m <= 0:
         raise ValueError("distance must be positive")
@@ -81,7 +68,7 @@ def rssi_at(tx_dbm: float, distance_m: float, channel: Channel, rng=None) -> flo
     return rssi
 
 
-def loss_probability(rssi_dbm: float, channel: Channel) -> float:
+def loss_probability(rssi_dbm: float, channel: ChannelSettings) -> float:
     """Frame loss probability from the link margin (linear ramp near the floor)."""
     margin = rssi_dbm - channel.sensitivity_dbm
     if margin < 0:
@@ -91,7 +78,7 @@ def loss_probability(rssi_dbm: float, channel: Channel) -> float:
     return channel.loss_prob_at_zero * (1.0 - margin / channel.loss_margin_db)
 
 
-def deliver(rssi_dbm: float, channel: Channel, rng) -> bool:
+def deliver(rssi_dbm: float, channel: ChannelSettings, rng) -> bool:
     """Bernoulli frame delivery at the given received power."""
     p = loss_probability(rssi_dbm, channel)
     if p >= 1.0:
@@ -122,6 +109,7 @@ class NodeRuntime:
     backlog: app.Backlog
     wake_phase_ms: float
     rng_mac: random.Random
+    policy_specs: tuple[PolicySpec, ...]
     predictor_state: object | None = None
     next_prediction: float | None = None
     level: EnergyLevel = EnergyLevel.E0
@@ -215,30 +203,6 @@ class World:
         self.seed = cfg.seed if seed is None else seed
         self.mode = mode or cfg.routing.mode
         self.collect_mac_trace = collect_mac_trace
-        ch = cfg.channel
-        self.channel = Channel(
-            path_loss_exponent=ch.path_loss_exponent,
-            reference_loss_db=ch.reference_loss_db,
-            reference_distance_m=ch.reference_distance_m,
-            shadowing_sigma_db=ch.shadowing_sigma_db,
-            sensitivity_dbm=ch.sensitivity_dbm,
-            loss_margin_db=ch.loss_margin_db,
-            loss_prob_at_zero=ch.loss_prob_at_zero,
-        )
-        m = cfg.mac
-        self.mac_cfg = mac.MacConfig(
-            cca_threshold_dbm=m.cca_threshold_dbm,
-            backoff_initial_ms=m.backoff_initial_ms,
-            backoff_max_attempts=m.backoff_max_attempts,
-            arq_retries=m.arq_retries,
-            rts_cts=m.rts_cts,
-            preamble_packet_ms=m.preamble_packet_ms,
-            wake_window_ms=m.wake_window_ms,
-            schedule_mode=m.schedule_mode,
-            data_packet_ms=m.data_packet_ms,
-            ack_ms=m.ack_ms,
-            control_packet_ms=m.control_packet_ms,
-        )
         self.radio = mac.RadioEnergyModel()
         costs = dict(cfg.costs)
         tx_costs = costs.pop("tx128", None)
@@ -262,7 +226,6 @@ class World:
         self._events: list = []
         self.flood_candidates: dict[tuple[str, int], list[routing.Rreq]] = {}
         self.active_sink_route: dict[str, routing.RouteEntry] = {}
-        self._packet_counter = 0
 
         sinks = [n for n in cfg.nodes if n.role == "sink"]
         if len(sinks) != 1:
@@ -304,12 +267,13 @@ class World:
                     0.0, 100.0
                 ),
                 rng_mac=random.Random(f"{self.seed}:{spec.id}:mac"),
+                policy_specs=cfg.policies_for(spec),
             )
             if spec.role == "sink":
                 rt.level = EnergyLevel.E3
                 rt.tx_power = routing.REFERENCE_TX_POWER_DBM
                 rt.delta_op = 1.0
-                rt.schedule = mac.DutySchedule(wake_ms=self.mac_cfg.wake_window_ms, sleep_ms=0.0)
+                rt.schedule = mac.DutySchedule(wake_ms=self.cfg.mac.wake_window_ms, sleep_ms=0.0)
             self.nodes[spec.id] = rt
 
     # ------------------------------------------------------------------
@@ -341,8 +305,8 @@ class World:
         return math.hypot(x2 - x1, y2 - y1)
 
     def _link_rssi(self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float) -> float:
-        rng = self.rng_channel if self.channel.shadowing_sigma_db > 0 else None
-        return rssi_at(tx_dbm, self._distance(sender, receiver), self.channel, rng)
+        rng = self.rng_channel if self.cfg.channel.shadowing_sigma_db > 0 else None
+        return rssi_at(tx_dbm, self._distance(sender, receiver), self.cfg.channel, rng)
 
     def _hear(
         self, receiver: NodeRuntime, sender_id: str, rssi: float, is_beacon: bool
@@ -375,12 +339,12 @@ class World:
         level = seen[0] if seen else EnergyLevel.E1  # conservative default
         if level == EnergyLevel.E0:
             level = EnergyLevel.E1
-        sched = mac.schedule_from_delta(mac.DELTA_BY_LEVEL[level], self.mac_cfg)
+        sched = mac.schedule_from_delta(mac.DELTA_BY_LEVEL[level], self.cfg.mac)
         return sched.sleep_ms
 
     def _worst_case_sleep_ms(self) -> float:
         return mac.schedule_from_delta(
-            mac.DELTA_BY_LEVEL[EnergyLevel.E1], self.mac_cfg
+            mac.DELTA_BY_LEVEL[EnergyLevel.E1], self.cfg.mac
         ).sleep_ms
 
     # ------------------------------------------------------------------
@@ -398,14 +362,14 @@ class World:
         tx_dbm = sender.tx_power
         rssi = self._link_rssi(sender, receiver, tx_dbm)
         believed_sleep = self._believed_sleep_ms(sender, receiver.node_id)
-        cfg = replace(self.mac_cfg, data_packet_ms=frame_ms)
+        cfg = replace(self.cfg.mac, data_packet_ms=frame_ms)
         t_ms = t * 1000.0
 
         def channel_power(at_ms: float) -> float:
             return 0.0 if at_ms / 1000.0 < self.busy_until else -120.0
 
         def attempt_delivers(_round: int) -> bool:
-            if not deliver(rssi, self.channel, self.rng_channel):
+            if not deliver(rssi, self.cfg.channel, self.rng_channel):
                 return False
             return True
 
@@ -474,7 +438,7 @@ class World:
             return
         cost = mac.radio_energy(
             self.radio,
-            tx_ms=self.mac_cfg.control_packet_ms,
+            tx_ms=self.cfg.mac.control_packet_ms,
             tx_power_dbm=routing.REFERENCE_TX_POWER_DBM,
         )
         if not self._charge(rt, "mac:beacon-tx", cost):
@@ -484,13 +448,13 @@ class World:
             if other.node_id == node_id:
                 continue
             rssi = self._link_rssi(rt, other, routing.REFERENCE_TX_POWER_DBM)
-            if rssi < self.channel.sensitivity_dbm:
+            if rssi < self.cfg.channel.sensitivity_dbm:
                 continue
             if not other.awake_at(t * 1000.0):
                 continue
-            if not deliver(rssi, self.channel, self.rng_channel):
+            if not deliver(rssi, self.cfg.channel, self.rng_channel):
                 continue
-            rx = mac.radio_energy(self.radio, rx_ms=self.mac_cfg.control_packet_ms)
+            rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
             if self._charge(other, "mac:beacon-rx", rx):
                 self._hear(other, node_id, rssi, is_beacon=True)
 
@@ -510,7 +474,7 @@ class World:
     def _broadcast_rreq(self, t: float, rt: NodeRuntime, rreq: routing.Rreq) -> None:
         if rt.tx_power is None and not rt.is_sink:
             return
-        span_ms = self._worst_case_sleep_ms() + self.mac_cfg.control_packet_ms
+        span_ms = self._worst_case_sleep_ms() + self.cfg.mac.control_packet_ms
         cost = mac.radio_energy(self.radio, tx_ms=span_ms, tx_power_dbm=rreq.tx_power_dbm)
         if not self._charge(rt, "mac:rreq-tx", cost):
             return
@@ -523,11 +487,11 @@ class World:
             if not other.is_sink and other.schedule.radio_off:
                 continue
             rssi = self._link_rssi(rt, other, rreq.tx_power_dbm)
-            if rssi < self.channel.sensitivity_dbm:
+            if rssi < self.cfg.channel.sensitivity_dbm:
                 continue
-            if not deliver(rssi, self.channel, self.rng_channel):
+            if not deliver(rssi, self.cfg.channel, self.rng_channel):
                 continue
-            rx = mac.radio_energy(self.radio, rx_ms=self.mac_cfg.control_packet_ms)
+            rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
             if not self._charge(other, "mac:rreq-rx", rx):
                 continue
             self._push(arrival, "rreq_rx", other.node_id, rreq, rssi)
@@ -608,7 +572,7 @@ class World:
         if sender.tx_power is None and not sender.is_sink:
             return
         delivered, elapsed, _ = self._unicast(
-            t, sender, receiver, self.mac_cfg.control_packet_ms, "rrep"
+            t, sender, receiver, self.cfg.mac.control_packet_ms, "rrep"
         )
         if not delivered:
             self.metrics.route_log.append(
@@ -680,7 +644,7 @@ class World:
             return
         receiver = self.nodes[entry.next_hop]
         # Worst-case single-round overhead must be affordable before keying up.
-        est_ms = self._believed_sleep_ms(rt, entry.next_hop) + self.mac_cfg.data_packet_ms
+        est_ms = self._believed_sleep_ms(rt, entry.next_hop) + self.cfg.mac.data_packet_ms
         est = mac.radio_energy(self.radio, tx_ms=est_ms, tx_power_dbm=rt.tx_power)
         if not rt.is_sink and rt.store.stored - est < self.floor:
             if rt.role == "source":
@@ -689,7 +653,7 @@ class World:
                 self.metrics.drops.append((self.slot, pkt.pid, node_id, "no-energy"))
             return
         delivered, elapsed, _ = self._unicast(
-            t, rt, receiver, self.mac_cfg.data_packet_ms, "data"
+            t, rt, receiver, self.cfg.mac.data_packet_ms, "data"
         )
         if delivered:
             self._push(t + elapsed, "arrive", receiver.node_id, pkt)
@@ -724,15 +688,10 @@ class World:
     # ------------------------------------------------------------------
     # slot phases
 
-    def _policy_specs(self, rt: NodeRuntime):
-        if rt.node_id in self.cfg.policies:
-            return self.cfg.policies[rt.node_id]
-        return self.cfg.policies.get(rt.role, ())
-
     def _materialize_policies(self, rt: NodeRuntime) -> list[app.Policy]:
         tx_power = rt.tx_power if rt.tx_power is not None else -10
         policies = []
-        for spec in self._policy_specs(rt):
+        for spec in rt.policy_specs:
             ops = []
             for _ in range(spec.repeat):
                 for kind in spec.ops:
@@ -785,9 +744,9 @@ class World:
         except routing.NodeDormant:
             rt.tx_power = None
         rt.delta_op = mac.DELTA_BY_LEVEL[context.own]
-        rt.schedule = mac.schedule_from_delta(rt.delta_op, self.mac_cfg)
+        rt.schedule = mac.schedule_from_delta(rt.delta_op, self.cfg.mac)
 
-        rt.budget = app.compute_budget(context, rt.store, 0.0)
+        rt.budget = app.compute_budget(context, rt.store, 0.0, self.floor)
         policies = self._materialize_policies(rt)
         rt.plan = app.plan_slot(
             context,
@@ -813,7 +772,6 @@ class World:
         n_gen = int(round(self.cfg.slot_duration_s / period))
         fresh = []
         for i in range(n_gen):
-            self._packet_counter += 1
             fresh.append(Packet(pid=f"{rt.node_id}-{slot}-{i}", origin=rt.node_id, created_slot=slot))
         self.metrics.generated += n_gen
 
@@ -988,12 +946,6 @@ def predict_horizon_for(state, horizon: int) -> list[float]:
         mean = sum(state.history) / max(len(state.history), 1)
         return [mean] * horizon
     return forecast.predict_horizon(state, horizon)
-
-
-def step_slot(world: World) -> World:
-    """Advance one slot (planning, event drain, settlement); returns the world."""
-    world.step_slot()
-    return world
 
 
 def run(world: World, n_slots: int) -> Metrics:

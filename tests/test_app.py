@@ -71,21 +71,21 @@ class TestAssess:
 class TestBudget:
     def test_zero_reserve_at_high_virtual(self):
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
-        assert compute_budget(ctx, store_at(50_000.0), 0.0) == pytest.approx(40_000.0)
+        assert compute_budget(ctx, store_at(50_000.0), 0.0, FLOOR) == pytest.approx(40_000.0)
 
     def test_forty_percent_reserve_at_low_virtual(self):
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E0, EnergyLevel.E3)
-        assert compute_budget(ctx, store_at(50_000.0), 0.0) == pytest.approx(20_000.0)
+        assert compute_budget(ctx, store_at(50_000.0), 0.0, FLOOR) == pytest.approx(20_000.0)
 
     def test_nothing_spendable_at_floor(self):
         ctx = EnergyContext(EnergyLevel.E1, EnergyLevel.E3, EnergyLevel.E3)
-        assert compute_budget(ctx, store_at(FLOOR), 0.0) == 0.0
+        assert compute_budget(ctx, store_at(FLOOR), 0.0, FLOOR) == 0.0
 
     def test_network_level_does_not_change_budget(self):
         hi = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
         lo = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E0)
         s = store_at(50_000.0)
-        assert compute_budget(hi, s, 0.0) == compute_budget(lo, s, 0.0)
+        assert compute_budget(hi, s, 0.0, FLOOR) == compute_budget(lo, s, 0.0, FLOOR)
 
 
 class TestSelectSubset:
@@ -166,8 +166,8 @@ class TestPlanSlot:
         store = store_at(CAP)
         hi = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
         lo = EnergyContext(EnergyLevel.E3, EnergyLevel.E0, EnergyLevel.E3)
-        p_hi = plan(hi, budget=compute_budget(hi, store, 0.0) / 60.0)
-        p_lo = plan(lo, budget=compute_budget(lo, store, 0.0) / 60.0)
+        p_hi = plan(hi, budget=compute_budget(hi, store, 0.0, FLOOR) / 60.0)
+        p_lo = plan(lo, budget=compute_budget(lo, store, 0.0, FLOOR) / 60.0)
         assert len(p_hi.run_ops) == 9
         assert len(p_lo.run_ops) < len(p_hi.run_ops)
 
@@ -189,7 +189,7 @@ class TestPlanSlot:
         counts = []
         for virt in (EnergyLevel.E3, EnergyLevel.E2, EnergyLevel.E1, EnergyLevel.E0):
             ctx = EnergyContext(EnergyLevel.E3, virt, EnergyLevel.E3)
-            budget = compute_budget(ctx, store, 0.0)
+            budget = compute_budget(ctx, store, 0.0, FLOOR)
             counts.append(len(plan(ctx, budget=budget / 20.0).run_ops))
         assert counts == sorted(counts, reverse=True)
 

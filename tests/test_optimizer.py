@@ -3,22 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harvestsim.optimizer import (
-    AT_LOWER,
     DimensionMismatch,
     Infeasible,
     NonPositiveCost,
     OutOfDomain,
-    PrimalInfeasible,
-    _dual_pivot,
-    _solve_tableau,
     build_opt,
     default_duty_weight,
-    dual_simplex_reoptimize,
     evaluate_curve,
-    greedy_oracle,
     parametric_sweep,
     solve_for_v,
 )
+from simplex_oracle import simplex_solve
 
 
 @pytest.fixture
@@ -100,48 +95,23 @@ class TestSolveForV:
             for x in res.alphas + (res.delta,):
                 assert 0.0 <= x <= 1.0
 
+    def test_alpha_1_basic_past_first_breakpoint(self, fixture_lp):
+        # At V=12 (budget 28) alpha_2 and delta sit at 0 and alpha_1 absorbs
+        # the spend; any solution using alpha_2 or delta instead scores lower.
+        res = solve_for_v(fixture_lp, 12.0)
+        assert res.alphas == pytest.approx((28.0 / 30.0, 0.0))
+        assert res.delta == 0.0
+        assert res.utility == pytest.approx(5.6)
 
-class TestDualSimplex:
-    def test_no_displacement_returns_unchanged(self, fixture_lp):
-        t = _solve_tableau(fixture_lp, 0.0)
-        basic_before = t.basic
-        out = dual_simplex_reoptimize(t, 4.0)  # within the first basis interval
-        assert out.basic == basic_before
-        assert out.is_dual_feasible()
-
-    def test_basis_change_at_first_breakpoint(self, fixture_lp):
-        t = _solve_tableau(fixture_lp, 0.0)
-        assert t.basic == 1  # alpha_2 is the marginal variable at full budget
-        out = dual_simplex_reoptimize(t, 12.0)  # past V=10
-        assert out.basic == 0  # alpha_1 takes over
-        assert out.is_dual_feasible()
-        # enumeration: at V=12 (budget 28) the only feasible basic solutions
-        # with alpha_2, delta pinned at 0 and alpha_1 basic give U = 5.6,
-        # and any solution using alpha_2 or delta instead scores lower.
-        xs = out.values()
-        assert xs[0] == pytest.approx(28.0 / 30.0)
-        assert out.utility() == pytest.approx(5.6)
-
-    def test_degenerate_tie_takes_lowest_index(self):
-        # Two identical-ratio variables at their upper bound: the entering
-        # choice on the pivot must be the lower index.
+    def test_ratio_tie_funds_lower_index_first(self):
+        # Both alphas have ratio 0.2 and the budget covers only one of them:
+        # the lower index is filled, the higher one left at zero.
         lp = build_opt((2.0, 2.0), (10.0, 10.0), 5.0, 0.0, 25.0)
-        t = _solve_tableau(lp, 0.0)  # budget 25: both alphas at 1, delta basic
-        assert t.basic == 2
-        _dual_pivot(t, violated_low=True)
-        assert t.basic == 0
-        assert t.status[2] == AT_LOWER
-
-    def test_primal_infeasible_when_nothing_can_leave(self):
-        lp = build_opt((1.0,), (10.0,), 5.0, 0.1, 15.0)
-        t = _solve_tableau(lp, 15.0)  # budget 0, everything at lower bound
-        with pytest.raises(PrimalInfeasible):
-            _dual_pivot(t, violated_low=True)
-
-    def test_negative_perturbation_rejected(self, fixture_lp):
-        t = _solve_tableau(fixture_lp, 0.0)
-        with pytest.raises(ValueError):
-            dual_simplex_reoptimize(t, -1.0)
+        res = solve_for_v(lp, 15.0)
+        assert res.alphas == (1.0, 0.0)
+        assert res.delta == 0.0
+        res = solve_for_v(lp, 20.0)
+        assert res.alphas == (0.5, 0.0)
 
 
 class TestParametricSweep:
@@ -185,6 +155,12 @@ class TestParametricSweep:
         ]
         assert all(s0 >= s1 - 1e-9 for s0, s1 in zip(spends, spends[1:]))
 
+    def test_csv_rows_header(self, fixture_lp):
+        curve = parametric_sweep(fixture_lp, 0.0, 40.0)
+        rows = curve.csv_rows()
+        assert rows[0] == ["v_microjoules", "u", "alpha_1", "alpha_2", "delta"]
+        assert len(rows) == 1 + len(curve.breakpoints)
+
 
 class TestEvaluateCurve:
     def test_breakpoint_exact(self, fixture_lp):
@@ -205,19 +181,19 @@ class TestEvaluateCurve:
             evaluate_curve(curve, -0.5)
 
 
-class TestGreedyOracle:
+class TestSimplexOracle:
     def test_zero_budget_zeros(self, fixture_lp):
-        res = greedy_oracle(fixture_lp, 40.0)
+        res = simplex_solve(fixture_lp, 40.0)
         assert res.alphas == (0.0, 0.0) and res.delta == 0.0
 
     def test_full_budget(self, fixture_lp):
-        assert greedy_oracle(fixture_lp, 0.0).utility == pytest.approx(7.0)
+        assert simplex_solve(fixture_lp, 0.0).utility == pytest.approx(7.0)
 
     def test_ratio_tie_same_utility(self):
         lp = build_opt((3.0, 6.0), (10.0, 20.0), 5.0, 0.0, 20.0)
         # both orderings of the tied items spend the same budget for the
         # same utility; assert U only
-        res = greedy_oracle(lp, 0.0)
+        res = simplex_solve(lp, 0.0)
         alt = solve_for_v(lp, 0.0)
         assert res.utility == pytest.approx(alt.utility)
 
@@ -240,17 +216,30 @@ instances = st.builds(
 
 
 class TestOracleEquivalence:
-    @given(inst=instances, v_frac=st.floats(min_value=0, max_value=1))
+    @given(
+        inst=instances,
+        v_frac=st.floats(min_value=0, max_value=1),
+        tie=st.booleans(),
+    )
     @settings(max_examples=300, deadline=None)
-    def test_simplex_matches_greedy(self, inst, v_frac):
+    def test_simplex_matches_greedy(self, inst, v_frac, tie):
         ws, cs, edc, wd, x_frac = inst
+        if tie and len(ws) >= 2:
+            # Doubling both is exact, so policy 1 ties policy 0's ratio.
+            ws = (ws[0], 2 * ws[0]) + ws[2:]
+            cs = (cs[0], 2 * cs[0]) + cs[2:]
         max_spend = sum(cs) + edc
         x = x_frac * max_spend
         lp = build_opt(ws, cs, edc, wd, x)
         v = v_frac * x
         a = solve_for_v(lp, v)
-        b = greedy_oracle(lp, v)
-        assert abs(a.utility - b.utility) <= 1e-9 * max(1.0, abs(b.utility))
+        b = simplex_solve(lp, v)
+        ratios = [w / c for w, c in zip(lp.objective, lp.row)]
+        if len(set(ratios)) == len(ratios):
+            assert (a.alphas, a.delta, a.utility) == (b.alphas, b.delta, b.utility)
+        else:
+            # On a tie the simplex may stop at another optimal vertex.
+            assert abs(a.utility - b.utility) <= 1e-9 * max(1.0, abs(b.utility))
         spend = sum(al * c for al, c in zip(a.alphas, cs)) + a.delta * edc
         assert spend == pytest.approx(x - v, rel=1e-9, abs=1e-6)
         for val in a.alphas + (a.delta,):
@@ -283,18 +272,3 @@ class TestOracleEquivalence:
         direct = solve_for_v(lp, v).utility
         interp = evaluate_curve(curve, v)
         assert abs(direct - interp) <= 1e-9 * max(1.0, abs(direct))
-
-
-class TestTableauInvariants:
-    def test_dual_feasibility_after_passes(self, fixture_lp):
-        t = _solve_tableau(fixture_lp, 0.0)
-        assert t.is_dual_feasible()
-        for lam in (3.0, 8.0, 15.0):
-            t = dual_simplex_reoptimize(t, lam)
-            assert t.is_dual_feasible()
-
-    def test_csv_rows_header(self, fixture_lp):
-        curve = parametric_sweep(fixture_lp, 0.0, 40.0)
-        rows = curve.csv_rows()
-        assert rows[0] == ["v_microjoules", "u", "alpha_1", "alpha_2", "delta"]
-        assert len(rows) == 1 + len(curve.breakpoints)

@@ -1,12 +1,14 @@
+import dataclasses
 import random
 from collections import defaultdict
+from importlib import resources
 
 import pytest
 
 from harvestsim import simcore
 from harvestsim.energy import EnergyLevel, HarvestTrace, OperationCostTable
-from harvestsim.scenario import parse_scenario
-from harvestsim.simcore import Channel, World, deliver, loss_probability, rssi_at
+from harvestsim.scenario import ChannelSettings, parse_scenario
+from harvestsim.simcore import World, deliver, loss_probability, rssi_at
 
 TREE_YAML = """
 name: test-tree
@@ -43,38 +45,38 @@ def tree_cfg():
 
 class TestChannel:
     def test_reference_point(self):
-        assert rssi_at(0.0, 8.0, Channel()) == pytest.approx(-65.0)
+        assert rssi_at(0.0, 8.0, ChannelSettings()) == pytest.approx(-65.0)
 
     def test_decade_distance(self):
-        assert rssi_at(0.0, 80.0, Channel()) == pytest.approx(-92.0)
+        assert rssi_at(0.0, 80.0, ChannelSettings()) == pytest.approx(-92.0)
 
     def test_linear_in_tx_power(self):
-        assert rssi_at(-10.0, 8.0, Channel()) == pytest.approx(-75.0)
+        assert rssi_at(-10.0, 8.0, ChannelSettings()) == pytest.approx(-75.0)
 
     def test_monotone_decreasing_in_distance(self):
-        ch = Channel()
+        ch = ChannelSettings()
         values = [rssi_at(0.0, d, ch) for d in (5, 10, 20, 40, 80)]
         assert values == sorted(values, reverse=True)
 
     def test_deliver_above_margin(self):
-        assert deliver(-60.0, Channel(), random.Random(1))
+        assert deliver(-60.0, ChannelSettings(), random.Random(1))
 
     def test_deliver_below_sensitivity(self):
-        assert not deliver(-96.0, Channel(), random.Random(1))
+        assert not deliver(-96.0, ChannelSettings(), random.Random(1))
 
     def test_loss_probability_midpoint(self):
         # 5 dB margin on the default curve: p = 0.25
-        assert loss_probability(-90.0, Channel()) == pytest.approx(0.25)
+        assert loss_probability(-90.0, ChannelSettings()) == pytest.approx(0.25)
 
     def test_deliver_frequency_matches_probability(self):
         rng = random.Random(42)
-        ch = Channel()
+        ch = ChannelSettings()
         n = 10_000
         lost = sum(0 if deliver(-90.0, ch, rng) else 1 for _ in range(n))
         assert abs(lost / n - 0.25) <= 0.02
 
     def test_shadowing_requires_rng(self):
-        ch = Channel(shadowing_sigma_db=4.0)
+        ch = ChannelSettings(shadowing_sigma_db=4.0)
         with pytest.raises(ValueError):
             rssi_at(0.0, 8.0, ch)
         assert isinstance(rssi_at(0.0, 8.0, ch, random.Random(1)), float)
@@ -111,6 +113,21 @@ class TestConservation:
         m = simcore.run(World(tree_cfg, seed=7), 60)
         floor = 0.10 * 300_000.0
         assert min(row[6] for row in m.ledger) >= floor - 1e-9
+
+    def test_plan_respects_settlement_floor(self):
+        # With the floor above the E0/E1 threshold, a budget planned against
+        # the threshold schedules operations that settlement then refuses.
+        cfg = parse_scenario(
+            resources.files("harvestsim")
+            .joinpath("scenarios/four_node_tree.yaml")
+            .read_text()
+        )
+        cfg = dataclasses.replace(
+            cfg, energy=dataclasses.replace(cfg.energy, floor_fraction=0.30)
+        )
+        m = simcore.run(World(cfg), 100)
+        assert not any(r.aborted for r in m.slot_reports)
+        assert not any(reason == "aborted-op" for *_, reason in m.drops)
 
     def test_table_charges_exact(self, tree_cfg):
         m = simcore.run(World(tree_cfg, seed=7), 30)
