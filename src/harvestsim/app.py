@@ -11,61 +11,58 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .energy import (
     EnergyLevel,
     EnergyStore,
     InsufficientEnergy,
     OperationCostTable,
-    available_energy,
     classify_level,
     op_cost,
     withdraw,
 )
 from .optimizer import Infeasible, build_opt, solve_for_v
 
-
-class OpClass(Enum):
-    NODE = "node"
-    NETWORK = "network"
-
-
-@dataclass(frozen=True)
-class Operation:
-    """One executable step of a policy; transmit kinds carry a power level."""
-
-    kind: str
-    op_class: OpClass = OpClass.NODE
-    tx_power_dbm: int | None = None
+# Operation kinds that use the radio; every other kind is node-local work.
+NETWORK_OPS = frozenset({"tx128", "rx128"})
 
 
 @dataclass(frozen=True)
 class Policy:
-    """Named, ordered operation sequence with a priority rank (1 = highest).
+    """Named operation-kind sequence, run ``repeat`` times, with a priority
+    rank (1 = highest).
 
     ``weight`` scales the policy's utility contribution (base: one unit per
-    operation).
+    executed step); it lets a scenario value reporting work above cheap
+    housekeeping despite the cost asymmetry.
     """
 
     name: str
-    ops: tuple[Operation, ...]
+    ops: tuple[str, ...]
     priority: int = 1
+    repeat: int = 1
     weight: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.ops:
             raise ValueError(f"policy {self.name!r} has no operations")
+        if self.repeat < 1:
+            raise ValueError(f"policy {self.name!r} repeat must be >= 1")
         if self.weight <= 0:
             raise ValueError(f"policy {self.name!r} weight must be positive")
 
     @property
+    def steps(self) -> tuple[str, ...]:
+        """The executable sequence: ``ops`` repeated ``repeat`` times."""
+        return self.ops * self.repeat
+
+    @property
     def is_network(self) -> bool:
-        return any(op.op_class is OpClass.NETWORK for op in self.ops)
+        return any(kind in NETWORK_OPS for kind in self.ops)
 
     @property
     def utility(self) -> float:
-        return self.weight * len(self.ops)
+        return self.weight * len(self.steps)
 
 
 @dataclass(frozen=True)
@@ -81,7 +78,7 @@ class EnergyContext:
 # but not paralyzing.
 DEFAULT_NETWORK_LEVEL = EnergyLevel.E1
 
-# Spendable fraction of stored+harvested withheld per *virtual* level: the
+# Spendable fraction of stored energy withheld per *virtual* level: the
 # gloomier the forecast, the more is reserved.
 RESERVE_FRACTIONS = {
     EnergyLevel.E3: 0.0,
@@ -103,7 +100,6 @@ RESIDUAL_FRACTIONS = {
 
 def assess_slot(
     store: EnergyStore,
-    harvested: float,
     forecasts: list[float],
     neighbor_levels: dict[str, EnergyLevel] | list[EnergyLevel],
 ) -> EnergyContext:
@@ -114,9 +110,7 @@ def assess_slot(
     """
     if len(forecasts) < 2:
         raise ValueError("forecast horizon must cover at least 2 slots")
-    own = classify_level(
-        available_energy(store, harvested), store.capacity, store.thresholds
-    )
+    own = store.level
     virtual = classify_level(
         max(min(forecasts), 0.0), store.capacity, store.thresholds
     )
@@ -129,24 +123,22 @@ def assess_slot(
     return EnergyContext(own=own, virtual=virtual, network=network)
 
 
-def compute_budget(
-    context: EnergyContext, store: EnergyStore, harvested: float, floor: float
-) -> float:
+def compute_budget(context: EnergyContext, store: EnergyStore, floor: float) -> float:
     """Spendable energy this slot.
 
-    Available energy minus a virtual-level reserve minus the survivability
+    Stored energy minus a virtual-level reserve minus the survivability
     ``floor`` (the same one settlement enforces), clamped at zero. The
     network level never shrinks the budget; it gates network-class policies
     in plan_slot instead.
     """
-    e_a = available_energy(store, harvested)
+    e_a = store.stored
     reserve = RESERVE_FRACTIONS[context.virtual] * e_a
     return max(e_a - reserve - floor, 0.0)
 
 
 @dataclass(frozen=True)
 class BacklogEntry:
-    op: Operation
+    kind: str
     policy: str
     priority: int
     enqueued_slot: int
@@ -186,17 +178,15 @@ class Backlog:
 
 @dataclass
 class ExecutionPlan:
-    """One slot's commitment: ops to run now, controls, and deferrals."""
+    """One slot's commitment: (policy, kind) steps to run now, controls,
+    deferrals, and the transmit power every ``tx128`` is charged at."""
 
-    run_ops: list[tuple[str, Operation]]
+    run_ops: list[tuple[str, str]]
     backlog_run: list[BacklogEntry]
     alphas: dict[str, float]
     delta: float
-    enqueue: list[tuple[str, Operation]]
-    planned_cost: float
-    budget: float
-    residual_target: float
-    infeasible: bool = False
+    enqueue: list[tuple[str, str]]
+    tx_power_dbm: int | None
 
 
 @dataclass
@@ -217,24 +207,25 @@ class SlotReport:
     aborted: bool = False
 
 
-def select_subset(policies: list[Policy], alphas: dict[str, float]) -> list[tuple[str, Operation]]:
-    """Deterministic prefix rule: run the first floor(alpha * len) ops of each policy.
+def select_subset(policies: list[Policy], alphas: dict[str, float]) -> list[tuple[str, str]]:
+    """Deterministic prefix rule: run the first floor(alpha * len) steps of each policy.
 
     Policies are visited in priority order so higher-ranked work lands first
     in the slot.
     """
-    chosen: list[tuple[str, Operation]] = []
+    chosen: list[tuple[str, str]] = []
     for pol in sorted(policies, key=lambda p: (p.priority, p.name)):
         alpha = alphas.get(pol.name, 0.0)
         if not (0.0 <= alpha <= 1.0):
             raise ValueError(f"alpha for {pol.name!r} outside [0,1]: {alpha}")
-        count = math.floor(alpha * len(pol.ops) + 1e-12)
-        chosen.extend((pol.name, op) for op in pol.ops[:count])
+        steps = pol.steps
+        count = math.floor(alpha * len(steps) + 1e-12)
+        chosen.extend((pol.name, kind) for kind in steps[:count])
     return chosen
 
 
-def policy_cost(policy: Policy, table: OperationCostTable) -> float:
-    return sum(op_cost(table, op.kind, op.tx_power_dbm) for op in policy.ops)
+def policy_cost(policy: Policy, table: OperationCostTable, tx_power_dbm: int | None) -> float:
+    return sum(op_cost(table, kind, tx_power_dbm) for kind in policy.steps)
 
 
 def plan_slot(
@@ -244,9 +235,9 @@ def plan_slot(
     budget: float,
     table: OperationCostTable,
     *,
+    tx_power_dbm: int | None,
     duty_energy: float,
     duty_weight: float | None = None,
-    slot: int = 0,
 ) -> ExecutionPlan:
     """Choose this slot's operation subset from the energy context.
 
@@ -255,7 +246,8 @@ def plan_slot(
     the budget, raised just enough to keep the spend within what the
     variables can absorb; the optimizer then yields the morphing factors.
     When both own and virtual levels are high the backlog is drained before
-    fresh policy work is planned.
+    fresh policy work is planned. Every ``tx128``, drained or fresh, is
+    costed at ``tx_power_dbm``, the power this slot transmits at.
     """
     eligible = [
         p
@@ -267,10 +259,10 @@ def plan_slot(
     ]
     eligible_names = {p.name for p in eligible}
     gated = [
-        (p.name, op)
+        (p.name, kind)
         for p in policies
         if p.name not in eligible_names
-        for op in p.ops
+        for kind in p.steps
     ]
 
     v_target = RESIDUAL_FRACTIONS[context.own] * budget
@@ -285,7 +277,7 @@ def plan_slot(
     ):
         kept: list[BacklogEntry] = []
         for entry in backlog.drain():
-            cost = op_cost(table, entry.op.kind, entry.op.tx_power_dbm)
+            cost = op_cost(table, entry.kind, tx_power_dbm)
             if drained_cost + cost <= spend_cap:
                 backlog_run.append(entry)
                 drained_cost += cost
@@ -294,7 +286,7 @@ def plan_slot(
         backlog.entries = kept
 
     weights = tuple(p.utility for p in eligible)
-    costs = tuple(policy_cost(p, table) for p in eligible)
+    costs = tuple(policy_cost(p, table, tx_power_dbm) for p in eligible)
     lp = build_opt(weights, costs, duty_energy, duty_weight, budget)
     # Clamp the residual up so the LP spend never exceeds total capacity:
     # abundant slots simply saturate every variable instead of failing.
@@ -303,17 +295,14 @@ def plan_slot(
     try:
         result = solve_for_v(lp, v_eff)
     except Infeasible:
-        enqueue = [(p.name, op) for p in eligible for op in p.ops] + gated
+        enqueue = [(p.name, kind) for p in eligible for kind in p.steps] + gated
         return ExecutionPlan(
             run_ops=[],
             backlog_run=[],
             alphas={p.name: 0.0 for p in policies},
             delta=0.0,
             enqueue=enqueue,
-            planned_cost=0.0,
-            budget=budget,
-            residual_target=v_target,
-            infeasible=True,
+            tx_power_dbm=tx_power_dbm,
         )
 
     alphas = {p.name: a for p, a in zip(eligible, result.alphas)}
@@ -322,13 +311,10 @@ def plan_slot(
     for name, _ in run_ops:
         executed_counts[name] = executed_counts.get(name, 0) + 1
     enqueue = [
-        (p.name, op)
+        (p.name, kind)
         for p in eligible
-        for op in p.ops[executed_counts.get(p.name, 0) :]
+        for kind in p.steps[executed_counts.get(p.name, 0) :]
     ] + gated
-    planned = drained_cost + sum(
-        op_cost(table, op.kind, op.tx_power_dbm) for _, op in run_ops
-    )
     full_alphas = {p.name: alphas.get(p.name, 0.0) for p in policies}
     return ExecutionPlan(
         run_ops=run_ops,
@@ -336,9 +322,7 @@ def plan_slot(
         alphas=full_alphas,
         delta=result.delta,
         enqueue=enqueue,
-        planned_cost=planned,
-        budget=budget,
-        residual_target=v_target,
+        tx_power_dbm=tx_power_dbm,
     )
 
 
@@ -353,7 +337,7 @@ def execute_plan(
     node: str = "",
     context: EnergyContext | None = None,
     charge_log: list | None = None,
-) -> tuple[SlotReport, EnergyStore, list[tuple[str, Operation]]]:
+) -> tuple[SlotReport, EnergyStore, list[tuple[str, str]]]:
     """Charge the store for the plan's operations, in order.
 
     Backlogged work runs first, then the fresh subset. A withdrawal refused
@@ -368,12 +352,10 @@ def execute_plan(
     ops_node = 0
     ops_network = 0
     aborted = False
-    skipped: list[tuple[str, Operation]] = []
-    sequence: list[tuple[str, Operation]] = [
-        (e.policy, e.op) for e in plan.backlog_run
-    ] + plan.run_ops
-    for i, (pol_name, op) in enumerate(sequence):
-        cost = op_cost(table, op.kind, op.tx_power_dbm)
+    skipped: list[tuple[str, str]] = []
+    sequence = [(e.policy, e.kind) for e in plan.backlog_run] + plan.run_ops
+    for i, (_, kind) in enumerate(sequence):
+        cost = op_cost(table, kind, plan.tx_power_dbm)
         try:
             store = withdraw(store, cost, floor)
         except InsufficientEnergy:
@@ -382,8 +364,8 @@ def execute_plan(
             break
         consumed += cost
         if charge_log is not None:
-            charge_log.append((slot, node, f"op:{op.kind}", cost))
-        if op.op_class is OpClass.NETWORK:
+            charge_log.append((slot, node, f"op:{kind}", cost))
+        if kind in NETWORK_OPS:
             ops_network += 1
         else:
             ops_node += 1

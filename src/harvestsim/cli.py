@@ -25,10 +25,10 @@ from .optimizer import OptimizerError, build_opt, parametric_sweep
 from .routing import RoutingError
 from .scenario import (
     ParseError,
+    ProfileSpec,
     ScenarioConfig,
     ScenarioError,
     SchemaError,
-    SyntheticTraceSpec,
     config_hash,
     parse_scenario,
     serialize_scenario,
@@ -202,7 +202,7 @@ def forecast_compare_cmd(
     else:
         hw_params = (0.906, 0.1, 0.650)
         ewma_eps = 0.5
-    spec = SyntheticTraceSpec(
+    spec = ProfileSpec(
         amplitude_w=amplitude,
         period_slots=period,
         switch_probability=switch_prob,

@@ -136,12 +136,6 @@ def withdraw(store: EnergyStore, e: float, floor: float) -> EnergyStore:
     return EnergyStore(remaining, store.capacity, store.thresholds)
 
 
-def available_energy(store: EnergyStore, harvested: float) -> float:
-    """Energy usable this slot: stored plus fresh harvest, clamped at capacity."""
-    check_amount(harvested, "harvested")
-    return min(store.stored + harvested, store.capacity)
-
-
 @dataclass(frozen=True)
 class HarvestTrace:
     """Per-slot harvested power samples (watts), with a lazy scale factor.
@@ -153,7 +147,6 @@ class HarvestTrace:
 
     powers: tuple[float, ...]
     start_slot: int = 0
-    kind: str = "synthetic"
     scale: float = 1.0
 
     def __post_init__(self) -> None:

@@ -100,7 +100,6 @@ class DutySchedule:
 
     wake_ms: float
     sleep_ms: float
-    mode: str = "formula"
 
     @property
     def period_ms(self) -> float:
@@ -128,18 +127,14 @@ def schedule_from_delta(delta: float, config: MacConfig = MacConfig()) -> DutySc
     if not (0.0 <= delta <= 1.0):
         raise ValueError(f"duty factor outside [0,1]: {delta}")
     if delta == 0.0:
-        return DutySchedule(wake_ms=0.0, sleep_ms=math.inf, mode=config.schedule_mode)
+        return DutySchedule(wake_ms=0.0, sleep_ms=math.inf)
     if delta == 1.0:
-        return DutySchedule(wake_ms=config.wake_window_ms, sleep_ms=0.0, mode=config.schedule_mode)
+        return DutySchedule(wake_ms=config.wake_window_ms, sleep_ms=0.0)
     if config.schedule_mode == "paper-table":
         anchor = min(PAPER_TABLE_SLEEP_MS, key=lambda d: (abs(d - delta), d))
-        return DutySchedule(
-            wake_ms=config.wake_window_ms,
-            sleep_ms=PAPER_TABLE_SLEEP_MS[anchor],
-            mode="paper-table",
-        )
+        return DutySchedule(wake_ms=config.wake_window_ms, sleep_ms=PAPER_TABLE_SLEEP_MS[anchor])
     w = config.wake_window_ms
-    return DutySchedule(wake_ms=w, sleep_ms=w * (1.0 - delta) / delta, mode="formula")
+    return DutySchedule(wake_ms=w, sleep_ms=w * (1.0 - delta) / delta)
 
 
 def measure_duty(schedule: DutySchedule, cycles: int) -> float:

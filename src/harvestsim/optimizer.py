@@ -143,7 +143,6 @@ class OptResult:
     utility: float
     alphas: tuple[float, ...]
     delta: float
-    status: str = "optimal"
 
 
 def _snap(x: float, upper: float) -> float:

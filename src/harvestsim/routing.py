@@ -55,14 +55,11 @@ REFERENCE_TX_POWER_DBM = 0
 REFERENCE_SMOOTHING = 0.2
 
 
-def map_level_to_txpower(
-    level: EnergyLevel, mapping: dict[EnergyLevel, int] | None = None
-) -> int:
+def map_level_to_txpower(level: EnergyLevel) -> int:
     """Transmit power (dBm) for an energy level; E0 nodes stay silent."""
-    mapping = mapping or TX_POWER_BY_LEVEL
     if level == EnergyLevel.E0:
         raise NodeDormant("no energy for communication at E0")
-    return mapping[level]
+    return TX_POWER_BY_LEVEL[level]
 
 
 @dataclass(frozen=True)
@@ -70,24 +67,17 @@ class RssiReference:
     """Smoothed RSSI observed from a neighbour's fixed-power beacons."""
 
     rssi_dbm: float
-    updated_at: float = 0.0
 
 
-def calibrate_reference(
-    existing: RssiReference | None, observed_dbm: float, now: float = 0.0
-) -> RssiReference:
+def calibrate_reference(existing: RssiReference | None, observed_dbm: float) -> RssiReference:
     """Fold a new beacon observation into the reference (seeded by the first)."""
     if existing is None:
-        return RssiReference(rssi_dbm=float(observed_dbm), updated_at=now)
+        return RssiReference(rssi_dbm=float(observed_dbm))
     smoothed = existing.rssi_dbm + REFERENCE_SMOOTHING * (observed_dbm - existing.rssi_dbm)
-    return RssiReference(rssi_dbm=smoothed, updated_at=now)
+    return RssiReference(rssi_dbm=smoothed)
 
 
-def infer_neighbor_level(
-    observed_rssi: float,
-    reference: RssiReference | None,
-    mapping: dict[EnergyLevel, int] | None = None,
-) -> EnergyLevel:
+def infer_neighbor_level(observed_rssi: float, reference: RssiReference | None) -> EnergyLevel:
     """Decode a neighbour's energy level from its received signal strength.
 
     The attenuation below the beacon reference is matched to the nearest
@@ -95,12 +85,11 @@ def infer_neighbor_level(
     """
     if reference is None:
         raise Uncalibrated("no beacon reference for this neighbour")
-    mapping = mapping or TX_POWER_BY_LEVEL
     delta = reference.rssi_dbm - observed_rssi
     best_level = None
     best_err = None
-    for level in sorted(mapping):  # ascending: lower level wins ties
-        step = REFERENCE_TX_POWER_DBM - mapping[level]
+    for level in sorted(TX_POWER_BY_LEVEL):  # ascending: lower level wins ties
+        step = REFERENCE_TX_POWER_DBM - TX_POWER_BY_LEVEL[level]
         err = abs(delta - step)
         if best_err is None or err < best_err:
             best_level, best_err = level, err
@@ -160,7 +149,6 @@ class RouteEntry:
     next_hop: str
     cost: float
     seq: int
-    installed_at: float = 0.0
 
 
 @dataclass
@@ -294,9 +282,7 @@ def reroute_on_better(
     )
 
 
-def install_route(
-    state: RoutingState, dest: str, next_hop: str, cost: float, seq: int, now: float = 0.0
-) -> bool:
+def install_route(state: RoutingState, dest: str, next_hop: str, cost: float, seq: int) -> bool:
     """Install or replace a route entry.
 
     Replacement requires a strictly newer sequence number or, at the same
@@ -308,9 +294,7 @@ def install_route(
             return False
         if seq == entry.seq and cost >= entry.cost:
             return False
-    state.table[dest] = RouteEntry(
-        dest=dest, next_hop=next_hop, cost=cost, seq=seq, installed_at=now
-    )
+    state.table[dest] = RouteEntry(dest=dest, next_hop=next_hop, cost=cost, seq=seq)
     return True
 
 

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 import jsonschema
 import yaml
 
+from .app import Policy
 from .energy import HarvestTrace
 from .mac import MacConfig
 
@@ -291,6 +292,10 @@ class TrafficSettings:
 
 @dataclass(frozen=True)
 class ProfileSpec:
+    """A node's harvest source: a constant power, a CSV trace, or a synthetic
+    diurnal trace (half-sine days with weather switching, see
+    :func:`synth_trace`)."""
+
     kind: str = "synthetic"
     path: str | None = None
     scale: float = 1.0
@@ -313,17 +318,6 @@ class NodeSpec:
 
 
 @dataclass(frozen=True)
-class PolicySpec:
-    name: str
-    ops: tuple[str, ...]
-    priority: int = 1
-    repeat: int = 1
-    # Utility multiplier on the op count; lets a scenario value reporting
-    # work above cheap housekeeping despite the cost asymmetry.
-    weight: float = 1.0
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     name: str
     nodes: tuple[NodeSpec, ...]
@@ -341,7 +335,7 @@ class ScenarioConfig:
     profiles: dict = field(default_factory=dict)
     policies: dict = field(default_factory=dict)
 
-    def policies_for(self, node: NodeSpec) -> tuple[PolicySpec, ...]:
+    def policies_for(self, node: NodeSpec) -> tuple[Policy, ...]:
         """Node-specific policy list, falling back to the node's role."""
         if node.id in self.policies:
             return self.policies[node.id]
@@ -429,7 +423,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     )
     policies = {
         key: tuple(
-            PolicySpec(
+            Policy(
                 name=p["name"],
                 ops=tuple(p["ops"]),
                 priority=p.get("priority", 1),
@@ -518,7 +512,7 @@ def config_hash(cfg: ScenarioConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def load_trace(text: str, scale: float = 1.0, kind: str = "synthetic") -> HarvestTrace:
+def load_trace(text: str, scale: float = 1.0) -> HarvestTrace:
     """Parse a ``slot,power_watts`` CSV into a trace.
 
     Slots must be contiguous and ascending; powers non-negative. Errors name
@@ -556,9 +550,7 @@ def load_trace(text: str, scale: float = 1.0, kind: str = "synthetic") -> Harves
             )
         expected += 1
         powers.append(power)
-    return HarvestTrace(
-        powers=tuple(powers), start_slot=start_slot, kind=kind, scale=scale
-    )
+    return HarvestTrace(powers=tuple(powers), start_slot=start_slot, scale=scale)
 
 
 def trace_to_csv(trace: HarvestTrace) -> str:
@@ -568,37 +560,13 @@ def trace_to_csv(trace: HarvestTrace) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class SyntheticTraceSpec:
-    """Stand-in for measured solar data: half-sine days with weather switching."""
-
-    amplitude_w: float = 0.0003
-    period_slots: int = 24
-    day_fraction: float = 0.5
-    cloudy_attenuation: float = 0.35
-    switch_probability: float = 0.3
-    trend_per_day: float = 0.0
-    seed: int = 0
-
-    @classmethod
-    def from_profile(cls, prof: ProfileSpec) -> "SyntheticTraceSpec":
-        return cls(
-            amplitude_w=prof.amplitude_w,
-            period_slots=prof.period_slots,
-            day_fraction=prof.day_fraction,
-            cloudy_attenuation=prof.cloudy_attenuation,
-            switch_probability=prof.switch_probability,
-            trend_per_day=prof.trend_per_day,
-            seed=prof.seed,
-        )
-
-
-def synth_trace(spec: SyntheticTraceSpec, n_slots: int, kind: str = "synthetic") -> HarvestTrace:
-    """Generate a deterministic diurnal trace.
+def synth_trace(spec: ProfileSpec, n_slots: int) -> HarvestTrace:
+    """Generate a deterministic diurnal trace, a stand-in for measured solar data.
 
     Each day is a half-sine of ``amplitude_w`` over the daylight fraction of
     the period, attenuated on (independently drawn) cloudy days and drifted
-    by the per-day trend; clipped at zero.
+    by the per-day trend; clipped at zero. The profile's ``scale`` is carried
+    on the trace.
     """
     if n_slots < 1:
         raise ValueError("need at least one slot")
@@ -616,7 +584,7 @@ def synth_trace(spec: SyntheticTraceSpec, n_slots: int, kind: str = "synthetic")
         level = base * (spec.cloudy_attenuation if cloudy[day] else 1.0)
         level *= 1.0 + spec.trend_per_day * day
         powers.append(max(level, 0.0))
-    return HarvestTrace(powers=tuple(powers), kind=kind)
+    return HarvestTrace(powers=tuple(powers), scale=spec.scale)
 
 
 def build_profile_trace(
@@ -624,22 +592,14 @@ def build_profile_trace(
 ) -> HarvestTrace:
     """Materialize a profile into a trace covering ``n_slots`` slots."""
     if prof.kind == "constant":
-        return HarvestTrace(
-            powers=(prof.power_w,) * n_slots, kind=name, scale=prof.scale
-        )
+        return HarvestTrace(powers=(prof.power_w,) * n_slots, scale=prof.scale)
     if prof.kind == "csv":
         if read_file is None:
             read_file = lambda p: open(p, encoding="utf-8").read()
-        trace = load_trace(read_file(prof.path), scale=prof.scale, kind=name)
+        trace = load_trace(read_file(prof.path), scale=prof.scale)
         if len(trace) < n_slots:
             raise ParseError(
                 f"profile {name}: trace has {len(trace)} slots, run needs {n_slots}"
             )
         return trace
-    spec = SyntheticTraceSpec.from_profile(prof)
-    trace = synth_trace(spec, n_slots, kind=name)
-    if prof.scale != 1.0:
-        trace = HarvestTrace(
-            powers=trace.powers, start_slot=trace.start_slot, kind=name, scale=prof.scale
-        )
-    return trace
+    return synth_trace(prof, n_slots)

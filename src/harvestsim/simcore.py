@@ -44,7 +44,7 @@ from .energy import (
     harvest_in_slot,
     withdraw,
 )
-from .scenario import ChannelSettings, PolicySpec, ScenarioConfig, build_profile_trace
+from .scenario import ChannelSettings, ScenarioConfig, build_profile_trace
 
 PROCESSING_DELAY_S = 0.005
 RREQ_JITTER_MS = 20.0
@@ -91,8 +91,6 @@ def deliver(rssi_dbm: float, channel: ChannelSettings, rng) -> bool:
 @dataclass
 class Packet:
     pid: str
-    origin: str
-    created_slot: int
     retries: int = 0
 
 
@@ -109,7 +107,7 @@ class NodeRuntime:
     backlog: app.Backlog
     wake_phase_ms: float
     rng_mac: random.Random
-    policy_specs: tuple[PolicySpec, ...]
+    policies: tuple[app.Policy, ...]
     predictor_state: object | None = None
     next_prediction: float | None = None
     level: EnergyLevel = EnergyLevel.E0
@@ -118,7 +116,6 @@ class NodeRuntime:
     schedule: mac.DutySchedule = mac.DutySchedule(wake_ms=0.0, sleep_ms=math.inf)
     context: app.EnergyContext | None = None
     plan: app.ExecutionPlan | None = None
-    budget: float = 0.0
     available: float = 0.0
     forwards_left: int = 0
     pending: list[Packet] = field(default_factory=list)
@@ -267,7 +264,7 @@ class World:
                     0.0, 100.0
                 ),
                 rng_mac=random.Random(f"{self.seed}:{spec.id}:mac"),
-                policy_specs=cfg.policies_for(spec),
+                policies=cfg.policies_for(spec),
             )
             if spec.role == "sink":
                 rt.level = EnergyLevel.E3
@@ -317,7 +314,7 @@ class World:
             # per-neighbour reference and prove liveness, but carry no level
             # information of their own.
             state.references[sender_id] = routing.calibrate_reference(
-                state.references.get(sender_id), rssi, now=self.now
+                state.references.get(sender_id), rssi
             )
             if sender_id == self.sink_id:
                 level = EnergyLevel.E3
@@ -369,27 +366,22 @@ class World:
             return 0.0 if at_ms / 1000.0 < self.busy_until else -120.0
 
         def attempt_delivers(_round: int) -> bool:
-            if not deliver(rssi, self.cfg.channel, self.rng_channel):
-                return False
-            return True
+            return deliver(rssi, self.cfg.channel, self.rng_channel)
 
         # The train is sized by the sender's belief about the receiver's
         # level; rendezvous happens on the receiver's real schedule. An
         # undersized train simply misses that round and retries.
-        real_sched = receiver.schedule if not receiver.is_sink else mac.DutySchedule(
-            wake_ms=cfg.wake_window_ms, sleep_ms=0.0
-        )
         try:
             result = mac.csma_send(
                 purpose,
-                real_sched,
+                receiver.schedule,
                 cfg,
                 sender.rng_mac,
                 receiver_phase_ms=receiver.wake_phase_ms,
                 start_ms=t_ms,
                 channel_power_dbm=channel_power,
                 attempt_delivers=attempt_delivers,
-                train_sleep_ms=None if receiver.is_sink else believed_sleep,
+                train_sleep_ms=believed_sleep,
             )
             delivered = True
         except (mac.ChannelSaturated, mac.NoAck) as exc:
@@ -408,13 +400,14 @@ class World:
             rx_ms=cfg.ack_ms,
         )
         self._charge(sender, f"mac:{purpose}-tx", overhead)
-        self._trace_mac(
-            t,
-            sender.node_id,
-            f"{purpose}-tx",
-            f"to={receiver.node_id} rssi={rssi:.1f} delivered={delivered} "
-            f"attempts={result.attempts} preambles={result.preambles_sent}",
-        )
+        if self.collect_mac_trace:
+            self.metrics.mac_trace.append((
+                t,
+                sender.node_id,
+                f"{purpose}-tx",
+                f"to={receiver.node_id} rssi={rssi:.1f} delivered={delivered} "
+                f"attempts={result.attempts} preambles={result.preambles_sent}",
+            ))
         if delivered:
             rx_ms = cfg.preamble_packet_ms + (0.0 if purpose == "data" else frame_ms)
             rx_cost = mac.radio_energy(self.radio, rx_ms=rx_ms) + mac.radio_energy(
@@ -560,7 +553,6 @@ class World:
             next_hop=rrep.path[1] if len(rrep.path) > 1 else rrep.origin,
             cost=rrep.cost,
             seq=rrep.seq,
-            installed_at=self.now,
         )
 
     def _send_rrep(self, t: float, rrep: routing.Rrep) -> None:
@@ -585,7 +577,6 @@ class World:
             next_hop=sender.node_id,
             cost=rrep.cost,
             seq=rrep.seq,
-            now=t + elapsed,
         )
         if changed:
             self.metrics.route_log.append(
@@ -688,31 +679,6 @@ class World:
     # ------------------------------------------------------------------
     # slot phases
 
-    def _materialize_policies(self, rt: NodeRuntime) -> list[app.Policy]:
-        tx_power = rt.tx_power if rt.tx_power is not None else -10
-        policies = []
-        for spec in rt.policy_specs:
-            ops = []
-            for _ in range(spec.repeat):
-                for kind in spec.ops:
-                    if kind == "tx128":
-                        ops.append(
-                            app.Operation(kind, app.OpClass.NETWORK, tx_power_dbm=tx_power)
-                        )
-                    elif kind == "rx128":
-                        ops.append(app.Operation(kind, app.OpClass.NETWORK))
-                    else:
-                        ops.append(app.Operation(kind))
-            policies.append(
-                app.Policy(
-                    name=spec.name,
-                    ops=tuple(ops),
-                    priority=spec.priority,
-                    weight=spec.weight,
-                )
-            )
-        return policies
-
     def _plan_node(self, rt: NodeRuntime, slot: int, t0: float) -> None:
         harvested = harvest_in_slot(rt.trace, slot, self.cfg.slot_duration_s)
         stored_start = rt.store.stored
@@ -735,7 +701,7 @@ class World:
             for n, (lvl, seen) in rt.neighbor_seen.items()
             if slot - seen <= NEIGHBOR_TTL_SLOTS
         }
-        context = app.assess_slot(rt.store, 0.0, forecasts, neighbor_levels)
+        context = app.assess_slot(rt.store, forecasts, neighbor_levels)
         rt.context = context
         rt.level = context.own
         rt.available = e_a
@@ -746,21 +712,19 @@ class World:
         rt.delta_op = mac.DELTA_BY_LEVEL[context.own]
         rt.schedule = mac.schedule_from_delta(rt.delta_op, self.cfg.mac)
 
-        rt.budget = app.compute_budget(context, rt.store, 0.0, self.floor)
-        policies = self._materialize_policies(rt)
         rt.plan = app.plan_slot(
             context,
-            policies,
+            rt.policies,
             rt.backlog,
-            rt.budget,
+            app.compute_budget(context, rt.store, self.floor),
             self.table,
+            tx_power_dbm=rt.tx_power,
             duty_energy=self.cfg.energy.duty_energy_uj,
             duty_weight=self.cfg.optimizer.duty_weight,
-            slot=slot,
         )
 
-        tx_quota = sum(1 for _, op in rt.plan.run_ops if op.kind == "tx128")
-        rx_quota = sum(1 for _, op in rt.plan.run_ops if op.kind == "rx128")
+        tx_quota = sum(1 for _, kind in rt.plan.run_ops if kind == "tx128")
+        rx_quota = sum(1 for _, kind in rt.plan.run_ops if kind == "rx128")
         rt.forwards_left = min(tx_quota, rx_quota) if rt.role == "relay" else 0
 
         if rt.role == "source":
@@ -770,33 +734,13 @@ class World:
     def _schedule_traffic(self, rt: NodeRuntime, slot: int, t0: float, tx_quota: int) -> None:
         period = self.cfg.traffic.packet_period_s
         n_gen = int(round(self.cfg.slot_duration_s / period))
-        fresh = []
-        for i in range(n_gen):
-            fresh.append(Packet(pid=f"{rt.node_id}-{slot}-{i}", origin=rt.node_id, created_slot=slot))
+        fresh = [Packet(pid=f"{rt.node_id}-{slot}-{i}") for i in range(n_gen)]
         self.metrics.generated += n_gen
 
-        drained = [
-            Packet(pid=e.packet_id, origin=rt.node_id, created_slot=e.enqueued_slot)
-            for e in rt.plan.backlog_run
-            if e.packet_id is not None
-        ]
+        drained = [Packet(pid=e.packet_id) for e in rt.plan.backlog_run if e.packet_id is not None]
         sendable = fresh[:tx_quota]
-        for i, pkt in enumerate(fresh[tx_quota:]):
-            victim = rt.backlog.push(
-                app.BacklogEntry(
-                    op=app.Operation("tx128", app.OpClass.NETWORK, tx_power_dbm=rt.tx_power or -10),
-                    policy="deferred-tx",
-                    priority=1,
-                    enqueued_slot=slot,
-                    packet_id=pkt.pid,
-                )
-            )
-            if victim is not None:
-                self.metrics.evictions.append((slot, rt.node_id, victim.packet_id or victim.op.kind))
-                if victim.packet_id is not None:
-                    self.metrics.drops.append(
-                        (slot, victim.packet_id, rt.node_id, "backlog-evicted")
-                    )
+        for pkt in fresh[tx_quota:]:
+            self._defer(rt, app.BacklogEntry("tx128", "deferred-tx", 1, slot, packet_id=pkt.pid))
 
         to_send = rt.pending + drained + sendable
         rt.pending = []
@@ -828,6 +772,15 @@ class World:
             self._push(max(t_b + offset, t0), "beacon", rt.node_id)
             t_b += period
 
+    def _defer(self, rt: NodeRuntime, entry: app.BacklogEntry) -> None:
+        """Backlog an entry, recording any eviction (and dropping an evicted packet)."""
+        victim = rt.backlog.push(entry)
+        if victim is None:
+            return
+        self.metrics.evictions.append((self.slot, rt.node_id, victim.packet_id or victim.kind))
+        if victim.packet_id is not None:
+            self.metrics.drops.append((self.slot, victim.packet_id, rt.node_id, "backlog-evicted"))
+
     def _settle_node(self, rt: NodeRuntime, slot: int) -> None:
         stored_start, harvested, wasted = rt.slot_ledger
         report, rt.store, skipped = app.execute_plan(
@@ -857,25 +810,11 @@ class World:
         # Node-class deferrals enter the backlog; network-class deferrals are
         # already represented as queued/deferred packets (source) or arrival
         # drops (relay), so re-backlogging the ops would double-count them.
-        deferred = [
-            (n, o)
-            for n, o in rt.plan.enqueue + skipped
-            if o.op_class is app.OpClass.NODE
-        ]
-        for name, op in deferred:
-            victim = rt.backlog.push(
-                app.BacklogEntry(op=op, policy=name, priority=1, enqueued_slot=slot)
-            )
-            if victim is not None:
-                self.metrics.evictions.append(
-                    (slot, rt.node_id, victim.packet_id or victim.op.kind)
-                )
-                if victim.packet_id is not None:
-                    self.metrics.drops.append(
-                        (slot, victim.packet_id, rt.node_id, "backlog-evicted")
-                    )
-        for name, op in skipped:
-            if op.op_class is app.OpClass.NETWORK:
+        for name, kind in rt.plan.enqueue + skipped:
+            if kind not in app.NETWORK_OPS:
+                self._defer(rt, app.BacklogEntry(kind, name, 1, slot))
+        for _, kind in skipped:
+            if kind in app.NETWORK_OPS:
                 self.metrics.drops.append((slot, "-", rt.node_id, "aborted-op"))
 
         self.metrics.slot_reports.append(report)
@@ -949,9 +888,18 @@ def predict_horizon_for(state, horizon: int) -> list[float]:
 
 
 def run(world: World, n_slots: int) -> Metrics:
-    """Advance the world ``n_slots`` slots and return the metrics."""
+    """Advance the world ``n_slots`` slots and return the metrics.
+
+    Raises :class:`SlotOutOfRange` before the first step when some node's
+    harvest trace does not cover every requested slot.
+    """
     if n_slots < 1:
         raise ValueError("need at least one slot")
+    for rt in world.nodes.values():
+        if rt.trace is not None:
+            # Traces are contiguous, so covering both ends covers every slot.
+            rt.trace.power_at(world.slot)
+            rt.trace.power_at(world.slot + n_slots - 1)
     for _ in range(n_slots):
         world.step_slot()
     return world.metrics

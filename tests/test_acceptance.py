@@ -22,7 +22,7 @@ from harvestsim.optimizer import (
     parametric_sweep,
     solve_for_v,
 )
-from harvestsim.scenario import SyntheticTraceSpec, parse_scenario, synth_trace
+from harvestsim.scenario import ProfileSpec, parse_scenario, synth_trace
 from simplex_oracle import simplex_solve
 
 TREE_YAML = (
@@ -93,7 +93,7 @@ def test_criterion_2_curve_linearity_per_basis_interval():
 def test_criterion_3_forecasting_error_targets():
     t0 = time.perf_counter()
     period = 24
-    spec = SyntheticTraceSpec(
+    spec = ProfileSpec(
         amplitude_w=0.003,
         period_slots=period,
         switch_probability=0.3,

@@ -4,8 +4,6 @@ from harvestsim.app import (
     Backlog,
     BacklogEntry,
     EnergyContext,
-    OpClass,
-    Operation,
     Policy,
     assess_slot,
     compute_budget,
@@ -24,17 +22,17 @@ def store_at(stored):
     return EnergyStore(stored=stored, capacity=CAP)
 
 
-SENSE = Operation("sense")
-AVG = Operation("average50")
-WRITE = Operation("flash_write")
-TX = Operation("tx128", OpClass.NETWORK, tx_power_dbm=0)
-RX = Operation("rx128", OpClass.NETWORK)
+SENSE = "sense"
+AVG = "average50"
+WRITE = "flash_write"
+TX = "tx128"
+RX = "rx128"
 
 
 class TestAssess:
     def test_all_high(self):
         ctx = assess_slot(
-            store_at(CAP), 0.0, [90_000.0, 95_000.0], [EnergyLevel.E3, EnergyLevel.E3]
+            store_at(CAP), [90_000.0, 95_000.0], [EnergyLevel.E3, EnergyLevel.E3]
         )
         assert (ctx.own, ctx.virtual, ctx.network) == (
             EnergyLevel.E3,
@@ -45,7 +43,6 @@ class TestAssess:
     def test_mixed_levels(self):
         ctx = assess_slot(
             store_at(25_000.0),
-            0.0,
             [5_000.0, 30_000.0],
             [EnergyLevel.E2, EnergyLevel.E1],
         )
@@ -56,36 +53,48 @@ class TestAssess:
         )
 
     def test_no_neighbors_defaults_e1(self):
-        ctx = assess_slot(store_at(CAP), 0.0, [CAP, CAP], [])
+        ctx = assess_slot(store_at(CAP), [CAP, CAP], [])
         assert ctx.network is EnergyLevel.E1
 
     def test_short_horizon_rejected(self):
         with pytest.raises(ValueError):
-            assess_slot(store_at(CAP), 0.0, [CAP], [])
+            assess_slot(store_at(CAP), [CAP], [])
 
     def test_virtual_uses_worst_forecast(self):
-        ctx = assess_slot(store_at(CAP), 0.0, [80_000.0, 5_000.0], [])
+        ctx = assess_slot(store_at(CAP), [80_000.0, 5_000.0], [])
         assert ctx.virtual is EnergyLevel.E0
 
 
 class TestBudget:
     def test_zero_reserve_at_high_virtual(self):
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
-        assert compute_budget(ctx, store_at(50_000.0), 0.0, FLOOR) == pytest.approx(40_000.0)
+        assert compute_budget(ctx, store_at(50_000.0), FLOOR) == pytest.approx(40_000.0)
 
     def test_forty_percent_reserve_at_low_virtual(self):
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E0, EnergyLevel.E3)
-        assert compute_budget(ctx, store_at(50_000.0), 0.0, FLOOR) == pytest.approx(20_000.0)
+        assert compute_budget(ctx, store_at(50_000.0), FLOOR) == pytest.approx(20_000.0)
 
     def test_nothing_spendable_at_floor(self):
         ctx = EnergyContext(EnergyLevel.E1, EnergyLevel.E3, EnergyLevel.E3)
-        assert compute_budget(ctx, store_at(FLOOR), 0.0, FLOOR) == 0.0
+        assert compute_budget(ctx, store_at(FLOOR), FLOOR) == 0.0
 
     def test_network_level_does_not_change_budget(self):
         hi = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
         lo = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E0)
         s = store_at(50_000.0)
-        assert compute_budget(hi, s, 0.0, FLOOR) == compute_budget(lo, s, 0.0, FLOOR)
+        assert compute_budget(hi, s, FLOOR) == compute_budget(lo, s, FLOOR)
+
+
+class TestPolicy:
+    def test_repeat_expands_in_order_and_scales_utility(self):
+        pol = Policy("p", (SENSE, TX), repeat=3, weight=2.0)
+        assert pol.steps == (SENSE, TX, SENSE, TX, SENSE, TX)
+        assert pol.utility == 12.0
+        assert [kind for _, kind in select_subset([pol], {"p": 0.5})] == [SENSE, TX, SENSE]
+
+    def test_repeat_zero_rejected(self):
+        with pytest.raises(ValueError):
+            Policy("p", (SENSE,), repeat=0)
 
 
 class TestSelectSubset:
@@ -120,7 +129,7 @@ def make_policies():
     return [report, log]
 
 
-def plan(ctx, policies=None, budget=None, backlog=None, table=None):
+def plan(ctx, policies=None, budget=None, backlog=None, table=None, tx_power_dbm=0):
     policies = policies or make_policies()
     table = table or OperationCostTable()
     if budget is None:
@@ -131,6 +140,7 @@ def plan(ctx, policies=None, budget=None, backlog=None, table=None):
         backlog if backlog is not None else Backlog(),
         budget,
         table,
+        tx_power_dbm=tx_power_dbm,
         duty_energy=10_000.0,
     )
 
@@ -166,8 +176,8 @@ class TestPlanSlot:
         store = store_at(CAP)
         hi = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
         lo = EnergyContext(EnergyLevel.E3, EnergyLevel.E0, EnergyLevel.E3)
-        p_hi = plan(hi, budget=compute_budget(hi, store, 0.0, FLOOR) / 60.0)
-        p_lo = plan(lo, budget=compute_budget(lo, store, 0.0, FLOOR) / 60.0)
+        p_hi = plan(hi, budget=compute_budget(hi, store, FLOOR) / 60.0)
+        p_lo = plan(lo, budget=compute_budget(lo, store, FLOOR) / 60.0)
         assert len(p_hi.run_ops) == 9
         assert len(p_lo.run_ops) < len(p_hi.run_ops)
 
@@ -189,7 +199,7 @@ class TestPlanSlot:
         counts = []
         for virt in (EnergyLevel.E3, EnergyLevel.E2, EnergyLevel.E1, EnergyLevel.E0):
             ctx = EnergyContext(EnergyLevel.E3, virt, EnergyLevel.E3)
-            budget = compute_budget(ctx, store, 0.0, FLOOR)
+            budget = compute_budget(ctx, store, FLOOR)
             counts.append(len(plan(ctx, budget=budget / 20.0).run_ops))
         assert counts == sorted(counts, reverse=True)
 
@@ -243,6 +253,26 @@ class TestExecutePlan:
         assert report.ops_node == 1 and report.ops_network == 1
         assert store.stored == pytest.approx(50_000.0 - 361.30)
 
+    def test_fresh_transmit_charged_at_plan_power(self):
+        ctx = EnergyContext(EnergyLevel.E1, EnergyLevel.E3, EnergyLevel.E3)
+        p = plan(ctx, policies=[Policy("one", (TX,))], tx_power_dbm=-10)
+        log = []
+        execute_plan(p, store_at(50_000.0), OperationCostTable(), FLOOR, charge_log=log)
+        assert [amount for *_, amount in log] == [271.0]
+
+    def test_drained_backlog_transmit_charged_at_slot_power(self):
+        # A packet deferred while the node sent at -10 dBm is sent, once
+        # drained, at the draining slot's power (0 dBm at own level E3).
+        table = OperationCostTable()
+        backlog = Backlog()
+        backlog.push(BacklogEntry(TX, "deferred-tx", 1, enqueued_slot=0, packet_id="D-0-0"))
+        ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
+        p = plan(ctx, policies=[Policy("log", (SENSE,))], backlog=backlog, tx_power_dbm=0)
+        assert [e.packet_id for e in p.backlog_run] == ["D-0-0"]
+        log = []
+        execute_plan(p, store_at(50_000.0), table, FLOOR, charge_log=log)
+        assert log[0][2:] == ("op:tx128", table.tx_costs[0])
+
     def test_mid_slot_abort_backlogs_rest(self):
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
         pol = Policy("one", (TX, TX, TX))
@@ -284,7 +314,7 @@ class TestPolicyCost:
     def test_sum_of_op_costs(self):
         table = OperationCostTable()
         pol = Policy("p", (SENSE, TX, AVG))
-        assert policy_cost(pol, table) == pytest.approx(20.30 + 341.0 + 7.056)
+        assert policy_cost(pol, table, 0) == pytest.approx(20.30 + 341.0 + 7.056)
 
     def test_network_flag(self):
         assert Policy("p", (SENSE, TX)).is_network

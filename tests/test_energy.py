@@ -12,7 +12,6 @@ from harvestsim.energy import (
     OperationCostTable,
     SlotOutOfRange,
     UnknownOperation,
-    available_energy,
     classify_level,
     deposit,
     harvest_in_slot,
@@ -77,19 +76,6 @@ class TestWithdraw:
 
     def test_subtraction_above_floor(self):
         assert withdraw(make_store(50.0), 30.0, 10.0).stored == pytest.approx(20.0)
-
-
-class TestAvailable:
-    def test_sum_below_clamp(self):
-        store = make_store(5_000.0, capacity=100_000.0)
-        assert available_energy(store, 3_000.0) == pytest.approx(8_000.0)
-
-    def test_zero(self):
-        assert available_energy(make_store(0.0), 0.0) == 0.0
-
-    def test_clamp(self):
-        store = make_store(99_000.0, capacity=100_000.0)
-        assert available_energy(store, 5_000.0) == 100_000.0
 
 
 class TestClassify:

@@ -4,8 +4,8 @@ from harvestsim.energy import SlotOutOfRange
 from harvestsim.scenario import (
     NegativePower,
     ParseError,
+    ProfileSpec,
     SchemaError,
-    SyntheticTraceSpec,
     config_hash,
     load_trace,
     parse_scenario,
@@ -156,12 +156,12 @@ class TestLoadTrace:
 
 class TestSynthTrace:
     def test_zero_amplitude_all_zero(self):
-        spec = SyntheticTraceSpec(amplitude_w=0.0)
+        spec = ProfileSpec(amplitude_w=0.0)
         trace = synth_trace(spec, 100)
         assert all(p == 0.0 for p in trace.powers)
 
     def test_exact_periodicity_without_switching(self):
-        spec = SyntheticTraceSpec(
+        spec = ProfileSpec(
             amplitude_w=0.001, period_slots=24, switch_probability=0.0, trend_per_day=0.0
         )
         trace = synth_trace(spec, 24 * 5)
@@ -169,14 +169,14 @@ class TestSynthTrace:
             assert trace.powers[t] == pytest.approx(trace.powers[t - 24])
 
     def test_deterministic_per_seed(self):
-        spec = SyntheticTraceSpec(switch_probability=0.5, seed=9)
+        spec = ProfileSpec(switch_probability=0.5, seed=9)
         assert synth_trace(spec, 200).powers == synth_trace(spec, 200).powers
 
     def test_cloudy_fraction_matches_probability(self):
         # mean cloudy-day fraction over 100 seeds ~ switch probability
         fractions = []
         for seed in range(100):
-            spec = SyntheticTraceSpec(
+            spec = ProfileSpec(
                 amplitude_w=0.001, period_slots=24, switch_probability=0.3, seed=seed
             )
             trace = synth_trace(spec, 24 * 30)
@@ -190,19 +190,19 @@ class TestSynthTrace:
         assert abs(mean - 0.3) <= 0.05
 
     def test_nights_are_dark(self):
-        spec = SyntheticTraceSpec(amplitude_w=0.001, period_slots=24, day_fraction=0.5)
+        spec = ProfileSpec(amplitude_w=0.001, period_slots=24, day_fraction=0.5)
         trace = synth_trace(spec, 48)
         assert all(p == 0.0 for p in trace.powers[12:24])
 
     def test_powers_never_negative_with_negative_trend(self):
-        spec = SyntheticTraceSpec(
+        spec = ProfileSpec(
             amplitude_w=0.001, period_slots=24, trend_per_day=-0.2, switch_probability=0.0
         )
         trace = synth_trace(spec, 24 * 10)
         assert all(p >= 0.0 for p in trace.powers)
 
     def test_slot_bound(self):
-        spec = SyntheticTraceSpec()
+        spec = ProfileSpec()
         trace = synth_trace(spec, 10)
         with pytest.raises(SlotOutOfRange):
             trace.power_at(10)

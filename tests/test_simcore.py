@@ -6,7 +6,8 @@ from importlib import resources
 import pytest
 
 from harvestsim import simcore
-from harvestsim.energy import EnergyLevel, HarvestTrace, OperationCostTable
+from harvestsim.energy import EnergyLevel, HarvestTrace, OperationCostTable, SlotOutOfRange
+from harvestsim.routing import TX_POWER_BY_LEVEL
 from harvestsim.scenario import ChannelSettings, parse_scenario
 from harvestsim.simcore import World, deliver, loss_probability, rssi_at
 
@@ -193,10 +194,39 @@ class TestStarvation:
         assert all(r.ops_node + r.ops_network == full for r in d_reports)
 
 
+class TestDrainedBacklog:
+    def test_every_transmit_op_pays_its_slots_power(self, tree_cfg):
+        # Twenty dark slots make D defer packets at low power; once rich it
+        # reaches E3/E3, drains them and sends them at 0 dBm, so that is
+        # what they cost.
+        d = HarvestTrace(powers=(0.0,) * 20 + (0.004,) * 20)
+        world = World(tree_cfg, seed=1, traces={"D": d})
+        drained = 0
+        for _ in range(40):
+            world.step_slot()
+            drained += sum(1 for e in world.nodes["D"].plan.backlog_run if e.packet_id)
+        assert drained > 0
+        own = {(r.slot, r.node): r.own_level for r in world.metrics.slot_reports}
+        tx_charges = [c for c in world.metrics.charges if c[2] == "op:tx128"]
+        assert tx_charges
+        for slot, node, _, amount in tx_charges:
+            assert amount == world.table.tx_costs[TX_POWER_BY_LEVEL[own[slot, node]]]
+
+
 class TestRunContract:
     def test_zero_slots_rejected(self, tree_cfg):
         with pytest.raises(ValueError):
             simcore.run(World(tree_cfg, seed=1), 0)
+
+    def test_run_past_trace_horizon_fails_before_first_slot(self, tree_cfg):
+        world = World(tree_cfg, seed=1)  # traces cover the config's 60 slots
+        with pytest.raises(SlotOutOfRange):
+            simcore.run(world, 80)
+        assert world.metrics.slots_run == 0
+        simcore.run(world, 60)
+        with pytest.raises(SlotOutOfRange):
+            simcore.run(world, 1)
+        assert world.metrics.slots_run == 60
 
     def test_slots_run_counted(self, tree_cfg):
         m = simcore.run(World(tree_cfg, seed=1), 7)
