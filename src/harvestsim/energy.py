@@ -39,6 +39,8 @@ class EnergyLevel(IntEnum):
 
 def check_amount(value: float, what: str = "energy") -> float:
     """Validate a microjoule amount: finite and non-negative."""
+    if 0.0 <= value < math.inf:
+        return float(value)
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
     if value < 0:

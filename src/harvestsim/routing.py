@@ -53,6 +53,10 @@ TX_POWER_BY_LEVEL = {
 }
 REFERENCE_TX_POWER_DBM = 0
 REFERENCE_SMOOTHING = 0.2
+# (level, attenuation below the reference power), ascending by level.
+_LEVEL_STEPS = tuple(
+    (level, REFERENCE_TX_POWER_DBM - TX_POWER_BY_LEVEL[level]) for level in sorted(TX_POWER_BY_LEVEL)
+)
 
 
 def map_level_to_txpower(level: EnergyLevel) -> int:
@@ -88,8 +92,7 @@ def infer_neighbor_level(observed_rssi: float, reference: RssiReference | None) 
     delta = reference.rssi_dbm - observed_rssi
     best_level = None
     best_err = None
-    for level in sorted(TX_POWER_BY_LEVEL):  # ascending: lower level wins ties
-        step = REFERENCE_TX_POWER_DBM - TX_POWER_BY_LEVEL[level]
+    for level, step in _LEVEL_STEPS:  # ascending: lower level wins ties
         err = abs(delta - step)
         if best_err is None or err < best_err:
             best_level, best_err = level, err

@@ -20,6 +20,17 @@ the already-planned operations; settlement then aborts mid-plan (the
 forecast-error path) and the unexecuted tail is deferred or dropped with an
 eviction record.
 
+Link table: node positions never move, so the mean received power of a link
+at a given transmit power (path loss without shadowing) is computed once per
+(sender, receiver, power) on first use and memoised, and each broadcast walks
+a per-(sender, power) fan-out list of ``(receiver, mean)`` pairs in node-id
+order, also built on first use. A link is left out of a fan-out only when it
+can never draw from the channel stream: without shadowing a link below
+sensitivity was always skipped before its delivery draw, so it is dropped;
+with shadowing every link keeps its per-reception draw, which can still lift
+it above sensitivity, so every link stays. Either way the channel stream is
+consumed in the same order as a full scan over all nodes.
+
 Determinism: all randomness flows from named streams derived from the global
 seed, and the event queue orders ties by insertion sequence, so identical
 (config, seed) pairs reproduce runs bit-for-bit.
@@ -123,10 +134,10 @@ class NodeRuntime:
     need_route: bool = False
     flood_initiated_slot: int = -1
     slot_ledger: tuple = (0.0, 0.0, 0.0)
+    is_sink: bool = field(init=False)
 
-    @property
-    def is_sink(self) -> bool:
-        return self.role == "sink"
+    def __post_init__(self) -> None:
+        self.is_sink = self.role == "sink"
 
     def awake_at(self, t_ms: float) -> bool:
         if self.is_sink:
@@ -213,6 +224,15 @@ class World:
         self.table = OperationCostTable(**table_kwargs)
         self.thresholds = LevelThresholds(*cfg.energy.thresholds)
         self.floor = cfg.energy.floor_fraction * cfg.energy.capacity_uj
+        # Unicasts carry data frames (cfg.mac) or control-length frames (rrep).
+        self._control_mac = replace(cfg.mac, data_packet_ms=cfg.mac.control_packet_ms)
+        self._sleep_ms_by_level = {
+            level: mac.schedule_from_delta(delta, cfg.mac).sleep_ms
+            for level, delta in mac.DELTA_BY_LEVEL.items()
+        }
+        self._mean_channel = replace(cfg.channel, shadowing_sigma_db=0.0)
+        self._link_means: dict[tuple[str, str, float], float] = {}
+        self._fanouts: dict[tuple[str, float], tuple[tuple[NodeRuntime, float], ...]] = {}
 
         self.rng_channel = random.Random(f"{self.seed}:channel")
         self.metrics = Metrics()
@@ -301,9 +321,42 @@ class World:
         (x1, y1), (x2, y2) = a.position, b.position
         return math.hypot(x2 - x1, y2 - y1)
 
+    def _link_mean(self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float) -> float:
+        """Received power without shadowing, memoised per (sender, receiver, power)."""
+        key = (sender.node_id, receiver.node_id, tx_dbm)
+        mean = self._link_means.get(key)
+        if mean is None:
+            mean = rssi_at(tx_dbm, self._distance(sender, receiver), self._mean_channel)
+            self._link_means[key] = mean
+        return mean
+
+    def _fanout(self, sender: NodeRuntime, tx_dbm: float) -> tuple[tuple[NodeRuntime, float], ...]:
+        """Every ``(receiver, mean)`` a broadcast can reach, in node-id order.
+
+        Without shadowing, links below sensitivity never reach a delivery
+        draw and are left out; with shadowing every link is kept.
+        """
+        key = (sender.node_id, tx_dbm)
+        fan = self._fanouts.get(key)
+        if fan is None:
+            keep_all = self.cfg.channel.shadowing_sigma_db > 0.0
+            sensitivity = self.cfg.channel.sensitivity_dbm
+            links = (
+                (other, self._link_mean(sender, other, tx_dbm))
+                for other in self.nodes.values()
+                if other is not sender
+            )
+            fan = tuple((other, mean) for other, mean in links if keep_all or mean >= sensitivity)
+            self._fanouts[key] = fan
+        return fan
+
+    def _shadow(self, mean: float) -> float:
+        """One reception at a link mean: adds the shadowing draw when it is on."""
+        sigma = self.cfg.channel.shadowing_sigma_db
+        return mean + self.rng_channel.gauss(0.0, sigma) if sigma > 0.0 else mean
+
     def _link_rssi(self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float) -> float:
-        rng = self.rng_channel if self.cfg.channel.shadowing_sigma_db > 0 else None
-        return rssi_at(tx_dbm, self._distance(sender, receiver), self.cfg.channel, rng)
+        return self._shadow(self._link_mean(sender, receiver, tx_dbm))
 
     def _hear(
         self, receiver: NodeRuntime, sender_id: str, rssi: float, is_beacon: bool
@@ -336,13 +389,7 @@ class World:
         level = seen[0] if seen else EnergyLevel.E1  # conservative default
         if level == EnergyLevel.E0:
             level = EnergyLevel.E1
-        sched = mac.schedule_from_delta(mac.DELTA_BY_LEVEL[level], self.cfg.mac)
-        return sched.sleep_ms
-
-    def _worst_case_sleep_ms(self) -> float:
-        return mac.schedule_from_delta(
-            mac.DELTA_BY_LEVEL[EnergyLevel.E1], self.cfg.mac
-        ).sleep_ms
+        return self._sleep_ms_by_level[level]
 
     # ------------------------------------------------------------------
     # unicast exchange
@@ -352,14 +399,14 @@ class World:
         t: float,
         sender: NodeRuntime,
         receiver: NodeRuntime,
-        frame_ms: float,
         purpose: str,
     ):
         """One LPL exchange; returns (delivered, elapsed_s, result)."""
         tx_dbm = sender.tx_power
         rssi = self._link_rssi(sender, receiver, tx_dbm)
         believed_sleep = self._believed_sleep_ms(sender, receiver.node_id)
-        cfg = replace(self.cfg.mac, data_packet_ms=frame_ms)
+        cfg = self.cfg.mac if purpose == "data" else self._control_mac
+        frame_ms = cfg.data_packet_ms
         t_ms = t * 1000.0
 
         def channel_power(at_ms: float) -> float:
@@ -437,17 +484,17 @@ class World:
         if not self._charge(rt, "mac:beacon-tx", cost):
             return
         self._trace_mac(t, node_id, "beacon-tx")
-        for other in self.nodes.values():
-            if other.node_id == node_id:
+        rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
+        sensitivity = self.cfg.channel.sensitivity_dbm
+        t_ms = t * 1000.0
+        for other, mean in self._fanout(rt, routing.REFERENCE_TX_POWER_DBM):
+            rssi = self._shadow(mean)
+            if rssi < sensitivity:
                 continue
-            rssi = self._link_rssi(rt, other, routing.REFERENCE_TX_POWER_DBM)
-            if rssi < self.cfg.channel.sensitivity_dbm:
-                continue
-            if not other.awake_at(t * 1000.0):
+            if not other.awake_at(t_ms):
                 continue
             if not deliver(rssi, self.cfg.channel, self.rng_channel):
                 continue
-            rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
             if self._charge(other, "mac:beacon-rx", rx):
                 self._hear(other, node_id, rssi, is_beacon=True)
 
@@ -467,31 +514,33 @@ class World:
     def _broadcast_rreq(self, t: float, rt: NodeRuntime, rreq: routing.Rreq) -> None:
         if rt.tx_power is None and not rt.is_sink:
             return
-        span_ms = self._worst_case_sleep_ms() + self.cfg.mac.control_packet_ms
+        # The train spans the longest sleep a live receiver can have (E1).
+        span_ms = self._sleep_ms_by_level[EnergyLevel.E1] + self.cfg.mac.control_packet_ms
         cost = mac.radio_energy(self.radio, tx_ms=span_ms, tx_power_dbm=rreq.tx_power_dbm)
         if not self._charge(rt, "mac:rreq-tx", cost):
             return
         self._trace_mac(t, rt.node_id, "rreq-tx", f"seq={rreq.seq}")
         arrival = t + span_ms / 1000.0
         self.busy_until = max(self.busy_until, arrival)
-        for other in self.nodes.values():
-            if other.node_id == rt.node_id:
-                continue
+        rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
+        sensitivity = self.cfg.channel.sensitivity_dbm
+        for other, mean in self._fanout(rt, rreq.tx_power_dbm):
+            # Radio-off receivers are skipped before their shadowing draw.
             if not other.is_sink and other.schedule.radio_off:
                 continue
-            rssi = self._link_rssi(rt, other, rreq.tx_power_dbm)
-            if rssi < self.cfg.channel.sensitivity_dbm:
+            rssi = self._shadow(mean)
+            if rssi < sensitivity:
                 continue
             if not deliver(rssi, self.cfg.channel, self.rng_channel):
                 continue
-            rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
             if not self._charge(other, "mac:rreq-rx", rx):
                 continue
             self._push(arrival, "rreq_rx", other.node_id, rreq, rssi)
 
     def _on_rreq_rx(self, t: float, node_id: str, rreq: routing.Rreq, rssi: float) -> None:
         rt = self.nodes[node_id]
-        self._hear(rt, (rreq.hops() or [rreq.origin])[-1], rssi, is_beacon=False)
+        last_hop = rreq.path[-1][0] if rreq.path else rreq.origin
+        self._hear(rt, last_hop, rssi, is_beacon=False)
         if rt.is_sink:
             self._sink_handle_rreq(t, rt, rreq, rssi)
             return
@@ -563,9 +612,7 @@ class World:
         receiver = self.nodes[rrep.path[idx + 1]]
         if sender.tx_power is None and not sender.is_sink:
             return
-        delivered, elapsed, _ = self._unicast(
-            t, sender, receiver, self.cfg.mac.control_packet_ms, "rrep"
-        )
+        delivered, elapsed, _ = self._unicast(t, sender, receiver, "rrep")
         if not delivered:
             self.metrics.route_log.append(
                 (t, sender.node_id, rrep.origin, "-", rrep.cost, rrep.seq, "rrep-lost")
@@ -643,9 +690,7 @@ class World:
             else:
                 self.metrics.drops.append((self.slot, pkt.pid, node_id, "no-energy"))
             return
-        delivered, elapsed, _ = self._unicast(
-            t, rt, receiver, self.cfg.mac.data_packet_ms, "data"
-        )
+        delivered, elapsed, _ = self._unicast(t, rt, receiver, "data")
         if delivered:
             self._push(t + elapsed, "arrive", receiver.node_id, pkt)
             return

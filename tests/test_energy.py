@@ -12,6 +12,7 @@ from harvestsim.energy import (
     OperationCostTable,
     SlotOutOfRange,
     UnknownOperation,
+    check_amount,
     classify_level,
     deposit,
     harvest_in_slot,
@@ -175,3 +176,18 @@ class TestLedgerProperties:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             make_store(math.nan)
+
+
+class TestCheckAmount:
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, 1, 2.5, 1e300])
+    def test_finite_non_negative_returned_as_float(self, value):
+        out = check_amount(value)
+        assert type(out) is float and out == value
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"), (-1e-12, ">= 0"), (-3, ">= 0")],
+    )
+    def test_rejected_with_reason(self, value, message):
+        with pytest.raises(ValueError, match=f"withdrawal must be {message}"):
+            check_amount(value, "withdrawal")

@@ -1,13 +1,16 @@
 import dataclasses
+import math
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from importlib import resources
 
 import pytest
+import yaml
 
-from harvestsim import simcore
+from harvestsim import mac, simcore
+from harvestsim.cli import main
 from harvestsim.energy import EnergyLevel, HarvestTrace, OperationCostTable, SlotOutOfRange
-from harvestsim.routing import TX_POWER_BY_LEVEL
+from harvestsim.routing import REFERENCE_TX_POWER_DBM, TX_POWER_BY_LEVEL
 from harvestsim.scenario import ChannelSettings, parse_scenario
 from harvestsim.simcore import World, deliver, loss_probability, rssi_at
 
@@ -261,3 +264,214 @@ class TestForecastMetrics:
         assert nodes == {"B", "C", "D"}
         for slot, node, predicted, actual in m.forecast_rows:
             assert predicted >= 0.0 and actual >= 0.0
+
+
+def lattice_yaml(*, sigma_db: float, predictor: str, slots: int) -> str:
+    """A 3x4 lattice at a 30 m pitch, sink at the (0, 0) corner.
+
+    Every third non-sink node is a source, the rest relay, and the harvest
+    profiles cycle; energy, MAC, routing, traffic, profile and policy
+    settings are the shipped four-node tree's.
+    """
+    doc = yaml.safe_load(
+        resources.files("harvestsim").joinpath("scenarios/four_node_tree.yaml").read_text()
+    )
+    profiles = ("direct", "reflected", "diffused")
+    nodes = [{"id": "N00", "role": "sink", "position": [0.0, 0.0]}]
+    for k in range(1, 12):
+        r, c = divmod(k, 4)
+        nodes.append({
+            "id": f"N{k:02d}",
+            "role": "source" if (k - 1) % 3 == 2 else "relay",
+            "position": [30.0 * c, 30.0 * r],
+            "profile": profiles[(k - 1) % 3],
+        })
+    doc.update(name="lattice-3x4", slots=slots, nodes=nodes)
+    doc["channel"] = {"shadowing_sigma_db": sigma_db}
+    doc["predictor"]["kind"] = predictor
+    return yaml.safe_dump(doc, sort_keys=True)
+
+
+class _FullScanWorld(World):
+    """The engine before the link table: every reception recomputes its path
+    loss, and every broadcast scans every other node in id order."""
+
+    def _link_rssi(self, sender, receiver, tx_dbm):
+        rng = self.rng_channel if self.cfg.channel.shadowing_sigma_db > 0 else None
+        return rssi_at(tx_dbm, self._distance(sender, receiver), self.cfg.channel, rng)
+
+    def _on_beacon(self, t, node_id):
+        rt = self.nodes[node_id]
+        if not rt.is_sink and (rt.tx_power is None or rt.schedule.radio_off):
+            return
+        cost = mac.radio_energy(
+            self.radio, tx_ms=self.cfg.mac.control_packet_ms, tx_power_dbm=REFERENCE_TX_POWER_DBM
+        )
+        if not self._charge(rt, "mac:beacon-tx", cost):
+            return
+        for other in self.nodes.values():
+            if other.node_id == node_id:
+                continue
+            rssi = self._link_rssi(rt, other, REFERENCE_TX_POWER_DBM)
+            if rssi < self.cfg.channel.sensitivity_dbm:
+                continue
+            if not other.awake_at(t * 1000.0):
+                continue
+            if not deliver(rssi, self.cfg.channel, self.rng_channel):
+                continue
+            rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
+            if self._charge(other, "mac:beacon-rx", rx):
+                self._hear(other, node_id, rssi, is_beacon=True)
+
+    def _broadcast_rreq(self, t, rt, rreq):
+        if rt.tx_power is None and not rt.is_sink:
+            return
+        span_ms = (
+            mac.schedule_from_delta(mac.DELTA_BY_LEVEL[EnergyLevel.E1], self.cfg.mac).sleep_ms
+            + self.cfg.mac.control_packet_ms
+        )
+        cost = mac.radio_energy(self.radio, tx_ms=span_ms, tx_power_dbm=rreq.tx_power_dbm)
+        if not self._charge(rt, "mac:rreq-tx", cost):
+            return
+        arrival = t + span_ms / 1000.0
+        self.busy_until = max(self.busy_until, arrival)
+        for other in self.nodes.values():
+            if other.node_id == rt.node_id:
+                continue
+            if not other.is_sink and other.schedule.radio_off:
+                continue
+            rssi = self._link_rssi(rt, other, rreq.tx_power_dbm)
+            if rssi < self.cfg.channel.sensitivity_dbm:
+                continue
+            if not deliver(rssi, self.cfg.channel, self.rng_channel):
+                continue
+            rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
+            if not self._charge(other, "mac:rreq-rx", rx):
+                continue
+            self._push(arrival, "rreq_rx", other.node_id, rreq, rssi)
+
+
+def _outputs(m: simcore.Metrics) -> tuple:
+    return (m.ledger, m.charges, m.slot_reports, m.route_log, m.drops, m.evictions,
+            m.delivered_ids, m.generated)
+
+
+class TestLinkTable:
+    POWERS = sorted(set(TX_POWER_BY_LEVEL.values()) | {REFERENCE_TX_POWER_DBM})
+
+    def test_fanout_equals_brute_force_filter(self):
+        cfg = parse_scenario(lattice_yaml(sigma_db=0.0, predictor="ewma", slots=10))
+        world = World(cfg)
+        ids = sorted(world.nodes)
+        dropped = 0
+        for sender_id in ids:
+            sender = world.nodes[sender_id]
+            for tx in self.POWERS:
+                expected = []
+                for other_id in ids:
+                    if other_id == sender_id:
+                        continue
+                    (x1, y1), (x2, y2) = sender.position, world.nodes[other_id].position
+                    rssi = rssi_at(tx, math.hypot(x2 - x1, y2 - y1), cfg.channel)
+                    if rssi >= cfg.channel.sensitivity_dbm:
+                        expected.append((other_id, rssi))
+                    else:
+                        dropped += 1
+                got = [(other.node_id, mean) for other, mean in world._fanout(sender, tx)]
+                assert got == expected
+        assert dropped > 0  # the lattice has links below sensitivity at every power
+
+    def test_rssi_at_called_once_per_link_and_power(self, monkeypatch):
+        cfg = parse_scenario(lattice_yaml(sigma_db=0.0, predictor="ewma", slots=20))
+        links = []
+        last_pair = []
+        real_distance, real_rssi_at = World._distance, simcore.rssi_at
+
+        def distance(self, a, b):
+            last_pair[:] = [(a.node_id, b.node_id)]
+            return real_distance(self, a, b)
+
+        def counting_rssi_at(tx_dbm, distance_m, channel, rng=None):
+            links.append((*last_pair[0], tx_dbm))
+            return real_rssi_at(tx_dbm, distance_m, channel, rng)
+
+        monkeypatch.setattr(World, "_distance", distance)
+        monkeypatch.setattr(simcore, "rssi_at", counting_rssi_at)
+        world = World(cfg, collect_mac_trace=True)
+        assert links == []  # the table is built on first use, not at set-up
+        m = simcore.run(world, 20)
+        broadcasts = sum(1 for row in m.mac_trace if row[2] in ("beacon-tx", "rreq-tx"))
+        assert broadcasts > len(world.nodes) * len(self.POWERS)
+        repeated = {link: n for link, n in Counter(links).items() if n > 1}
+        assert links and not repeated
+
+    def test_shadowed_link_rssi_follows_the_channel_stream(self, tree_cfg):
+        channel = ChannelSettings(shadowing_sigma_db=4.0)
+        cfg = dataclasses.replace(tree_cfg, channel=channel)
+        world = World(cfg, seed=23)
+        twin = random.Random("23:channel")
+        a, b, c, d = (world.nodes[n] for n in "ABCD")
+        for sender, receiver, tx in [(a, b, 0), (b, d, -5), (a, b, 0), (d, c, -10), (b, d, -5)]:
+            distance = world._distance(sender, receiver)
+            expected = rssi_at(tx, distance, channel, twin)
+            assert world._link_rssi(sender, receiver, tx) == expected
+
+    @pytest.mark.parametrize("sigma_db", [0.0, 4.0])
+    def test_run_equals_full_scan(self, sigma_db):
+        # A floor below the E0 threshold and four dark nodes put radios off
+        # mid-run, so floods pass receivers that must be skipped before
+        # their shadowing draw.
+        cfg = parse_scenario(lattice_yaml(sigma_db=sigma_db, predictor="ewma", slots=30))
+        cfg = dataclasses.replace(cfg, energy=dataclasses.replace(cfg.energy, floor_fraction=0.02))
+        dark = HarvestTrace(powers=(0.0,) * 30)
+        traces = {n: dark for n in ("N02", "N05", "N07", "N10")}
+        table = World(cfg, seed=5, traces=traces)
+        radio_off = 0
+        for _ in range(30):
+            table.step_slot()
+            radio_off += sum(1 for rt in table.nodes.values() if rt.schedule.radio_off)
+        scan = simcore.run(_FullScanWorld(cfg, seed=5, traces=traces), 30)
+        assert radio_off > 0 and table.metrics.delivered > 0
+        assert _outputs(table.metrics) == _outputs(scan)
+
+
+class TestGridInvariants:
+    SLOTS = 60  # Holt-Winters leaves its warm-up after 2 x 24 slots
+
+    @pytest.mark.parametrize("sigma_db", [0.0, 4.0])
+    @pytest.mark.parametrize("predictor", ["ewma", "hw"])
+    def test_invariants_hold(self, sigma_db, predictor):
+        cfg = parse_scenario(lattice_yaml(sigma_db=sigma_db, predictor=predictor, slots=self.SLOTS))
+        world = World(cfg)
+        m = simcore.run(world, self.SLOTS)
+        if predictor == "hw":
+            assert not any(
+                isinstance(rt.predictor_state, simcore._HwWarmup)
+                for rt in world.nodes.values()
+                if not rt.is_sink
+            )
+        floor = cfg.energy.floor_fraction * cfg.energy.capacity_uj
+        powered = sorted(n.id for n in cfg.nodes if n.role != "sink")
+        rows = [(s, n) for s, n, *_ in m.ledger]
+        assert sorted(rows) == [(s, n) for s in range(self.SLOTS) for n in powered]
+        charge_sum = defaultdict(float)
+        for s, n, _, amount in m.charges:
+            charge_sum[(s, n)] += amount
+        for s, n, start, harvested, wasted, consumed, end in m.ledger:
+            scale = max(1.0, start + harvested)
+            assert abs(consumed - charge_sum[(s, n)]) / scale < 1e-9
+            assert abs((start + harvested - wasted - consumed) - end) / scale < 1e-9
+            assert end >= floor - 1e-9
+        assert 0 < m.delivered <= m.generated
+
+    def test_cli_runs_byte_identical(self, tmp_path):
+        config = tmp_path / "lattice.yaml"
+        config.write_text(lattice_yaml(sigma_db=4.0, predictor="hw", slots=self.SLOTS))
+        outs = [tmp_path / "o1", tmp_path / "o2"]
+        for out in outs:
+            assert main(["run", "--config", str(config), "--seed", "8", "--out", str(out)]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert "ledger.csv" in names and "summary.json" in names
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
