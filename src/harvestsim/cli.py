@@ -239,32 +239,23 @@ def compare_predictors(series, period, ewma_eps, hw_params) -> dict:
     Percentage errors are undefined at zero (night slots), so the mean skips
     actuals below 5% of the series peak.
     """
-    warm = 2 * period
-    if len(series) <= warm + 1:
-        raise ForecastError("series too short for the warm-up window")
-    ew = forecast.ewma_init(series[0], ewma_eps)
-    ew_pred = ew.prediction
-    ewma_preds = [None] * len(series)
-    for t in range(1, len(series)):
-        ewma_preds[t] = ew_pred
-        ew_pred, ew = forecast.ewma_step(ew, series[t])
-
-    hw = forecast.hw_init(series[:warm], period, *hw_params)
-    hw_pred = forecast.predict_horizon(hw, 1)[0]
-    hw_preds = [None] * len(series)
-    for t in range(warm, len(series)):
-        hw_preds[t] = hw_pred
-        hw_pred, hw = forecast.hw_step(hw, series[t])
-
-    peak = max(series)
-    thresh = 0.05 * peak
+    ewma = forecast.PredictorSettings(kind="ewma", epsilon=ewma_eps)
+    seasonal = forecast.PredictorSettings("hw", *hw_params, period)
+    ew = hw = None
     rows = []
     ew_errs, hw_errs = [], []
-    for t in range(warm, len(series)):
-        rows.append((t, series[t], ewma_preds[t], hw_preds[t]))
-        if series[t] > thresh:
-            ew_errs.append(abs(ewma_preds[t] - series[t]) / series[t])
-            hw_errs.append(abs(hw_preds[t] - series[t]) / series[t])
+    thresh = 0.05 * max(series, default=0.0)
+    for t, y in enumerate(series):
+        # Score from the first slot the seasonal model itself predicts.
+        if isinstance(hw, forecast.HwState):
+            rows.append((t, y, ew_pred, hw_pred))
+            if y > thresh:
+                ew_errs.append(abs(ew_pred - y) / y)
+                hw_errs.append(abs(hw_pred - y) / y)
+        ew_pred, ew = forecast.step(ewma, ew, y)
+        hw_pred, hw = forecast.step(seasonal, hw, y)
+    if len(rows) < 2:
+        raise ForecastError("series too short for the warm-up window")
     return {
         "rows": rows,
         "ewma_mape": sum(ew_errs) / len(ew_errs),
@@ -288,7 +279,7 @@ def route_compare_cmd(config_path, seeds, slots, outdir) -> None:
     for i in range(seeds):
         seed = cfg.seed + i
         for mode in ("modified", "baseline"):
-            world = simcore.World(cfg, mode=mode, seed=seed)
+            world = simcore.World(_effective_config(cfg, seed, None, mode))
             metrics = simcore.run(world, cfg.slots)
             rows.append(
                 (seed, mode, metrics.pdr(), metrics.delivered, metrics.generated)

@@ -10,6 +10,11 @@ Two one-step-ahead predictors over per-slot energy series:
 
 Both are pure functions over explicit state values: a step returns the next
 prediction together with the successor state, leaving its input untouched.
+:func:`step` is the one online predictor that a scenario's
+:class:`PredictorSettings` drive, and :func:`lmse` scores its predictions.
+The EWMA seeds on its first sample and predicts it. The seasonal model warms
+up first: a :class:`Warmup` state predicts the mean of the samples so far,
+and at ``2 * period`` samples :func:`hw_init` bootstraps the model from them.
 
 Zero measurements (night slots) freeze the seasonal-model state: updating the
 level against a zero sample would geometrically collapse it within a handful
@@ -42,6 +47,19 @@ class EmptyInput(ForecastError):
 
 class DivisionDegenerate(ForecastError):
     """A level or seasonal index underflowed the epsilon floor before division."""
+
+
+@dataclass(frozen=True)
+class PredictorSettings:
+    """A scenario's predictor: ``kind`` is ``ewma`` or ``hw`` (seasonal),
+    ``horizon`` the number of slots planning looks ahead."""
+
+    kind: str = "hw"
+    epsilon: float = 0.906
+    beta: float = 0.1
+    gamma: float = 0.650
+    period: int = 24
+    horizon: int = 2
 
 
 def _check_weight(value: float, name: str, allow_zero: bool = False) -> float:
@@ -184,16 +202,58 @@ def hw_step(state: HwState, measured: float) -> tuple[float, HwState]:
     return (level_new + trend_new) * seasonal[next_pos], new
 
 
-def predict_horizon(state: EwmaState | HwState, h: int) -> list[float]:
+@dataclass(frozen=True)
+class Warmup:
+    """Seasonal warm-up: the samples seen before two full periods."""
+
+    history: tuple[float, ...]
+
+    @property
+    def mean(self) -> float:
+        return sum(self.history) / len(self.history)
+
+
+def _warmup_samples(settings: PredictorSettings) -> int:
+    """Samples consumed before the model's own first prediction."""
+    return 1 if settings.kind == "ewma" else 2 * settings.period
+
+
+def step(
+    settings: PredictorSettings, state: EwmaState | Warmup | HwState | None, measured: float
+) -> tuple[float, EwmaState | Warmup | HwState]:
+    """Consume one measurement; return the next-slot prediction and new state.
+
+    ``state`` is ``None`` before the first sample. Errors of the seasonal
+    model (:class:`DivisionDegenerate`) propagate to the caller.
+    """
+    if settings.kind == "ewma":
+        if state is None:
+            state = ewma_init(measured, settings.epsilon)
+            return state.prediction, state
+        return ewma_step(state, measured)
+    if state is None or isinstance(state, Warmup):
+        history = (state.history if state else ()) + (measured,)
+        if len(history) < _warmup_samples(settings):
+            warm = Warmup(history)
+            return warm.mean, warm
+        hw = hw_init(history, settings.period, settings.epsilon, settings.beta, settings.gamma)
+        return predict_horizon(hw, 1)[0], hw
+    return hw_step(state, measured)
+
+
+def predict_horizon(state: EwmaState | Warmup | HwState, h: int) -> list[float]:
     """Forecast the next ``h`` slots without mutating state.
 
-    The EWMA has no trend or season, so it repeats its single prediction;
-    the seasonal model extrapolates ``(level + k*trend) * index(position+k)``.
+    The EWMA has no trend or season, so it repeats its single prediction, as
+    a warm-up repeats its mean; the seasonal model extrapolates
+    ``(level + k*trend) * index(position+k)``.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
     if isinstance(state, EwmaState):
         return [state.prediction] * h
+    if isinstance(state, Warmup):
+        return [state.mean] * h
     l = state.period
     return [
         (state.level + k * state.trend) * state.seasonal[(state.position + k - 1) % l]
@@ -209,43 +269,28 @@ class FitResult:
     lmse: float
 
 
-def ewma_lmse(series: list[float], epsilon: float) -> float:
-    """Mean squared one-step-ahead error of the EWMA over a series."""
-    if len(series) < 2:
-        raise EmptyInput("need at least two samples to score one-step errors")
-    state = ewma_init(series[0], epsilon)
-    total = 0.0
-    pred = state.prediction
-    for y in series[1:]:
-        err = pred - y
-        total += err * err
-        pred = epsilon * y + (1.0 - epsilon) * pred
-    return total / (len(series) - 1)
+def lmse(settings: PredictorSettings, series: list[float]) -> float:
+    """Mean squared one-step error of :func:`step`'s predictions over a series.
 
-
-def hw_lmse(series: list[float], period: int, epsilon: float, beta: float, gamma: float) -> float:
-    """Mean squared one-step error after a two-period warm start.
-
-    Returns ``inf`` when the parameter combination degenerates on this
-    series, so grid searches can skip it.
+    Scoring starts once the predictor is running: at the second sample for
+    the EWMA, after the ``2 * period`` warm-up samples for the seasonal
+    model. Returns ``inf`` when the parameters degenerate on this series, so
+    grid searches can skip them.
     """
-    if len(series) < 2 * period + 1:
-        raise EmptyInput(
-            f"need more than {2 * period} samples for period {period}"
-        )
+    start = _warmup_samples(settings)
+    if len(series) <= start:
+        raise EmptyInput(f"need more than {start} samples to score one-step errors")
+    state = None
+    total = 0.0
     try:
-        state = hw_init(series[: 2 * period], period, epsilon, beta, gamma)
-        pred = predict_horizon(state, 1)[0]
-        total = 0.0
-        n = 0
-        for y in series[2 * period :]:
-            err = pred - y
-            total += err * err
-            n += 1
-            pred, state = hw_step(state, y)
+        for t, y in enumerate(series):
+            if t >= start:
+                err = pred - y
+                total += err * err
+            pred, state = step(settings, state, y)
     except DivisionDegenerate:
         return math.inf
-    return total / n
+    return total / (len(series) - start)
 
 
 def default_grid(model: str, step: float = 0.05) -> list[tuple[float, ...]]:
@@ -290,15 +335,16 @@ def fit_lmse(
         if model == "ewma":
             if len(params) != 1:
                 raise ValueError("ewma grid entries must be 1-tuples")
-            err = ewma_lmse(series, params[0])
+            settings = PredictorSettings(kind="ewma", epsilon=params[0])
         elif model == "hw":
             if period is None:
                 raise ValueError("period is required for the seasonal model")
             if len(params) != 3:
                 raise ValueError("hw grid entries must be (epsilon, beta, gamma)")
-            err = hw_lmse(series, period, *params)
+            settings = PredictorSettings("hw", *params, period)
         else:
             raise ValueError(f"unknown model {model!r}")
+        err = lmse(settings, series)
         if err < best_err:
             best, best_err = params, err
     if best is None or math.isinf(best_err):

@@ -256,7 +256,7 @@ def parametric_sweep(lp: PolicyLp, v_lo: float, v_hi: float) -> TradeoffCurve:
     for v in reversed(cuts):
         if vs[-1] + FEAS_TOL < v < v_hi - FEAS_TOL:
             vs.append(v)
-    if v_lo < v_hi - FEAS_TOL:
+    if v_lo < v_hi:
         vs.append(v_hi)
     results = [solve_for_v(lp, v) for v in vs]
     return TradeoffCurve(

@@ -59,6 +59,20 @@ _LEVEL_STEPS = tuple(
 )
 
 
+@dataclass(frozen=True)
+class RoutingSettings:
+    """A scenario's routing: the sink's route choice (``mode``, ``cost_mode``
+    and per-hop weights ``mu``) and the beacon, flood-refresh and collection
+    timing."""
+
+    mode: str = "modified"  # or "baseline"
+    cost_mode: str = "magnitude"  # or "raw" (maximize weighted RSSI)
+    mu: tuple[float, ...] | None = None
+    beacon_period_s: float = 30.0
+    rreq_refresh_slots: int = 10
+    collection_window_ms: float = 200.0
+
+
 def map_level_to_txpower(level: EnergyLevel) -> int:
     """Transmit power (dBm) for an energy level; E0 nodes stay silent."""
     if level == EnergyLevel.E0:
@@ -159,9 +173,6 @@ class RoutingState:
     """Per-node protocol state, mutated only by the owning simulator."""
 
     node_id: str
-    mode: str = "modified"  # or "baseline"
-    mu_weights: list[float] | None = None
-    cost_mode: str = "magnitude"  # or "raw" (maximize weighted RSSI)
     table: dict[str, RouteEntry] = field(default_factory=dict)
     forwarded: set[tuple[str, int]] = field(default_factory=set)
     answered: dict[str, int] = field(default_factory=dict)
@@ -173,12 +184,12 @@ class RoutingState:
         return self.seq_counter
 
 
-def candidate_cost(state: RoutingState, rreq: Rreq) -> float:
+def candidate_cost(settings: RoutingSettings, rreq: Rreq) -> float:
     rssis = rreq.rssi_values()
-    weights = state.mu_weights
+    weights = settings.mu
     if weights is not None and len(weights) != len(rssis):
         weights = None  # per-hop weights only apply to matching path lengths
-    if state.cost_mode == "raw":
+    if settings.cost_mode == "raw":
         if weights is None:
             weights = [1.0 / len(rssis)] * len(rssis)
         # Maximizing the weighted (negative-dBm) sum equals minimizing its
@@ -231,7 +242,7 @@ def _reverse_path(rreq: Rreq) -> tuple[str, ...]:
     return tuple(reversed(rreq.hops())) + (rreq.origin,)
 
 
-def sink_decide(state: RoutingState, candidates: list[Rreq]) -> Rrep:
+def sink_decide(state: RoutingState, settings: RoutingSettings, candidates: list[Rreq]) -> Rrep:
     """Pick the flood's winning route and build the reply.
 
     Candidates must be completed via :func:`sink_observe`. Modified mode
@@ -240,16 +251,16 @@ def sink_decide(state: RoutingState, candidates: list[Rreq]) -> Rrep:
     """
     if not candidates:
         raise NoCandidates("collection window closed without any request")
-    if state.mode == "baseline":
+    if settings.mode == "baseline":
         chosen = candidates[0]
     else:
         best_cost = None
         chosen = candidates[0]
         for cand in candidates:
-            cost = candidate_cost(state, cand)
+            cost = candidate_cost(settings, cand)
             if best_cost is None or cost < best_cost:
                 best_cost, chosen = cost, cand
-    cost = candidate_cost(state, chosen)
+    cost = candidate_cost(settings, chosen)
     state.answered[chosen.origin] = max(
         state.answered.get(chosen.origin, 0), chosen.seq
     )
@@ -263,7 +274,7 @@ def sink_decide(state: RoutingState, candidates: list[Rreq]) -> Rrep:
 
 
 def reroute_on_better(
-    state: RoutingState, current: RouteEntry, late: Rreq
+    state: RoutingState, settings: RoutingSettings, current: RouteEntry, late: Rreq
 ) -> Rrep | None:
     """Mid-transfer improvement: answer a late request only if strictly cheaper.
 
@@ -272,7 +283,7 @@ def reroute_on_better(
     """
     if late.seq < state.answered.get(late.origin, 0):
         return None
-    cost = candidate_cost(state, late)
+    cost = candidate_cost(settings, late)
     if cost >= current.cost:
         return None
     state.answered[late.origin] = max(state.answered.get(late.origin, 0), late.seq)

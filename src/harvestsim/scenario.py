@@ -20,7 +20,9 @@ import yaml
 
 from .app import Policy
 from .energy import HarvestTrace
+from .forecast import PredictorSettings
 from .mac import MacConfig
+from .routing import RoutingSettings
 
 
 class ScenarioError(Exception):
@@ -247,28 +249,8 @@ class EnergySettings:
 
 
 @dataclass(frozen=True)
-class PredictorSettings:
-    kind: str = "hw"
-    epsilon: float = 0.906
-    beta: float = 0.1
-    gamma: float = 0.650
-    period: int = 24
-    horizon: int = 2
-
-
-@dataclass(frozen=True)
 class OptimizerSettings:
     duty_weight: float | None = None
-
-
-@dataclass(frozen=True)
-class RoutingSettings:
-    mode: str = "modified"
-    cost_mode: str = "magnitude"
-    mu: tuple[float, ...] | None = None
-    beacon_period_s: float = 30.0
-    rreq_refresh_slots: int = 10
-    collection_window_ms: float = 200.0
 
 
 @dataclass(frozen=True)
@@ -353,6 +335,15 @@ def _semantic_violations(doc: dict) -> list[str]:
     ids = [n.get("id") for n in nodes]
     if len(ids) != len(set(ids)):
         problems.append(f"nodes: duplicate ids in {ids}")
+    # Path loss needs a positive distance, so no two nodes may share a spot.
+    at_position: dict[tuple, list] = {}
+    for n in nodes:
+        pos = n.get("position", [0.0, 0.0])
+        if isinstance(pos, list) and all(isinstance(c, (int, float)) for c in pos):
+            at_position.setdefault(tuple(pos), []).append(n.get("id"))
+    for pos, shared in at_position.items():
+        if len(shared) > 1:
+            problems.append(f"nodes: {shared} share position {list(pos)}")
     profiles = doc.get("profiles", {})
     for n in nodes:
         prof = n.get("profile")

@@ -20,6 +20,12 @@ the already-planned operations; settlement then aborts mid-plan (the
 forecast-error path) and the unexecuted tail is deferred or dropped with an
 eviction record.
 
+Forecasting: each node feeds its slot's harvest to :func:`forecast.step`
+under the scenario's predictor settings. When the seasonal model degenerates
+on a node's samples (:class:`forecast.DivisionDegenerate`: a warm-up with no
+harvest at all, or a level that underflows after dawn moves), that node
+restarts its warm-up from the current sample instead of aborting the run.
+
 Link table: node positions never move, so the mean received power of a link
 at a given transmit power (path loss without shadowing) is computed once per
 (sender, receiver, power) on first use and memoised, and each broadcast walks
@@ -140,8 +146,6 @@ class NodeRuntime:
         self.is_sink = self.role == "sink"
 
     def awake_at(self, t_ms: float) -> bool:
-        if self.is_sink:
-            return True
         if self.schedule.radio_off:
             return False
         if self.schedule.sleep_ms == 0.0:
@@ -202,14 +206,9 @@ class World:
         cfg: ScenarioConfig,
         *,
         traces: dict[str, HarvestTrace] | None = None,
-        mode: str | None = None,
-        seed: int | None = None,
         collect_mac_trace: bool = False,
-        horizon_slots: int | None = None,
     ):
         self.cfg = cfg
-        self.seed = cfg.seed if seed is None else seed
-        self.mode = mode or cfg.routing.mode
         self.collect_mac_trace = collect_mac_trace
         self.radio = mac.RadioEnergyModel()
         costs = dict(cfg.costs)
@@ -234,7 +233,7 @@ class World:
         self._link_means: dict[tuple[str, str, float], float] = {}
         self._fanouts: dict[tuple[str, float], tuple[tuple[NodeRuntime, float], ...]] = {}
 
-        self.rng_channel = random.Random(f"{self.seed}:channel")
+        self.rng_channel = random.Random(f"{cfg.seed}:channel")
         self.metrics = Metrics()
         self.now = 0.0
         self.slot = 0
@@ -250,7 +249,6 @@ class World:
         self.sink_id = sinks[0].id
 
         traces = traces or {}
-        horizon = max(cfg.slots, horizon_slots or 0)
         self.nodes: dict[str, NodeRuntime] = {}
         for spec in sorted(cfg.nodes, key=lambda n: n.id):
             trace = None
@@ -260,7 +258,7 @@ class World:
                     trace = traces[spec.id]
                 else:
                     trace = build_profile_trace(
-                        cfg.profiles[spec.profile], horizon, spec.profile
+                        cfg.profiles[spec.profile], cfg.slots, spec.profile
                     )
                 store = EnergyStore(
                     stored=0.5 * cfg.energy.capacity_uj,
@@ -273,17 +271,12 @@ class World:
                 position=spec.position,
                 store=store,
                 trace=trace,
-                routing=routing.RoutingState(
-                    node_id=spec.id,
-                    mode=self.mode,
-                    mu_weights=list(cfg.routing.mu) if cfg.routing.mu else None,
-                    cost_mode=cfg.routing.cost_mode,
-                ),
+                routing=routing.RoutingState(node_id=spec.id),
                 backlog=app.Backlog(),
-                wake_phase_ms=random.Random(f"{self.seed}:{spec.id}:phase").uniform(
+                wake_phase_ms=random.Random(f"{cfg.seed}:{spec.id}:phase").uniform(
                     0.0, 100.0
                 ),
-                rng_mac=random.Random(f"{self.seed}:{spec.id}:mac"),
+                rng_mac=random.Random(f"{cfg.seed}:{spec.id}:mac"),
                 policies=cfg.policies_for(spec),
             )
             if spec.role == "sink":
@@ -474,7 +467,7 @@ class World:
 
     def _on_beacon(self, t: float, node_id: str) -> None:
         rt = self.nodes[node_id]
-        if not rt.is_sink and (rt.tx_power is None or rt.schedule.radio_off):
+        if rt.tx_power is None:
             return
         cost = mac.radio_energy(
             self.radio,
@@ -512,7 +505,7 @@ class World:
         self._broadcast_rreq(t, self.nodes[node_id], rreq)
 
     def _broadcast_rreq(self, t: float, rt: NodeRuntime, rreq: routing.Rreq) -> None:
-        if rt.tx_power is None and not rt.is_sink:
+        if rt.tx_power is None:
             return
         # The train spans the longest sleep a live receiver can have (E1).
         span_ms = self._sleep_ms_by_level[EnergyLevel.E1] + self.cfg.mac.control_packet_ms
@@ -526,7 +519,7 @@ class World:
         sensitivity = self.cfg.channel.sensitivity_dbm
         for other, mean in self._fanout(rt, rreq.tx_power_dbm):
             # Radio-off receivers are skipped before their shadowing draw.
-            if not other.is_sink and other.schedule.radio_off:
+            if other.tx_power is None:
                 continue
             rssi = self._shadow(mean)
             if rssi < sensitivity:
@@ -561,10 +554,10 @@ class World:
         answered = state.answered.get(rreq.origin, 0)
         if rreq.seq < answered:
             return
-        if self.mode == "baseline":
+        if self.cfg.routing.mode == "baseline":
             if rreq.seq == answered:
                 return  # first copy already answered this flood
-            rrep = routing.sink_decide(state, [candidate])
+            rrep = routing.sink_decide(state, self.cfg.routing, [candidate])
             self._install_sink_route(rrep)
             self._send_rrep(t + PROCESSING_DELAY_S, rrep)
             return
@@ -575,7 +568,7 @@ class World:
             # Window already closed for this flood: honour late requests that
             # strictly beat the installed route, even mid-transfer.
             rrep = routing.reroute_on_better(
-                state, self.active_sink_route[rreq.origin], candidate
+                state, self.cfg.routing, self.active_sink_route[rreq.origin], candidate
             )
             if rrep is not None:
                 self._install_sink_route(rrep)
@@ -592,7 +585,7 @@ class World:
         sink = self.nodes[self.sink_id]
         if seq < sink.routing.answered.get(origin, 0):
             return
-        rrep = routing.sink_decide(sink.routing, candidates)
+        rrep = routing.sink_decide(sink.routing, self.cfg.routing, candidates)
         self._install_sink_route(rrep)
         self._send_rrep(t, rrep)
 
@@ -610,7 +603,7 @@ class World:
     def _on_rrep_hop(self, t: float, rrep: routing.Rrep, idx: int) -> None:
         sender = self.nodes[rrep.path[idx]]
         receiver = self.nodes[rrep.path[idx + 1]]
-        if sender.tx_power is None and not sender.is_sink:
+        if sender.tx_power is None:
             return
         delivered, elapsed, _ = self._unicast(t, sender, receiver, "rrep")
         if not delivered:
@@ -667,7 +660,7 @@ class World:
     def _on_send(self, t: float, node_id: str, pkt: Packet) -> None:
         rt = self.nodes[node_id]
         entry = rt.routing.table.get(self.sink_id)
-        if rt.tx_power is None or rt.schedule.radio_off:
+        if rt.tx_power is None:
             if rt.role == "source":
                 self._queue_packet(rt, pkt, "dormant")
             else:
@@ -735,11 +728,14 @@ class World:
             self.metrics.forecast_rows.append(
                 (slot, rt.node_id, rt.next_prediction, harvested)
             )
-        pred, rt.predictor_state = _predictor_step(
-            self.cfg.predictor, rt.predictor_state, harvested
-        )
+        settings = self.cfg.predictor
+        try:
+            pred, rt.predictor_state = forecast.step(settings, rt.predictor_state, harvested)
+        except forecast.DivisionDegenerate:
+            # The seasonal model broke down on this node's samples: warm up afresh.
+            pred, rt.predictor_state = forecast.step(settings, None, harvested)
         rt.next_prediction = pred
-        forecasts = predict_horizon_for(rt.predictor_state, self.cfg.predictor.horizon)
+        forecasts = forecast.predict_horizon(rt.predictor_state, settings.horizon)
 
         neighbor_levels = {
             n: lvl
@@ -889,47 +885,6 @@ class World:
                 self._settle_node(rt, slot)
         self.metrics.slots_run += 1
         self.slot += 1
-
-
-def _predictor_step(settings, state, measured: float):
-    """Advance whichever predictor the scenario configured."""
-    if settings.kind == "ewma":
-        if state is None:
-            state = forecast.ewma_init(measured, settings.epsilon)
-            return state.prediction, state
-        return forecast.ewma_step(state, measured)
-    if state is None:
-        state = _HwWarmup(period=settings.period, settings=settings)
-    if isinstance(state, _HwWarmup):
-        state.history.append(measured)
-        if len(state.history) >= 2 * state.period:
-            hw = forecast.hw_init(
-                state.history,
-                state.period,
-                epsilon=state.settings.epsilon,
-                beta=state.settings.beta,
-                gamma=state.settings.gamma,
-            )
-            return forecast.predict_horizon(hw, 1)[0], hw
-        mean = sum(state.history) / len(state.history)
-        return mean, state
-    return forecast.hw_step(state, measured)
-
-
-@dataclass
-class _HwWarmup:
-    """Collects two periods of history before the seasonal model starts."""
-
-    period: int
-    settings: object
-    history: list[float] = field(default_factory=list)
-
-
-def predict_horizon_for(state, horizon: int) -> list[float]:
-    if isinstance(state, _HwWarmup):
-        mean = sum(state.history) / max(len(state.history), 1)
-        return [mean] * horizon
-    return forecast.predict_horizon(state, horizon)
 
 
 def run(world: World, n_slots: int) -> Metrics:

@@ -5,6 +5,7 @@ One test per criterion; each prints a single PASS line on success (run with
 runtime budgets are asserted, not just reported.
 """
 
+import dataclasses
 import json
 import random
 import time
@@ -143,7 +144,10 @@ def route_compare_runs():
     for i in range(10):
         seed = cfg.seed + i
         for mode in ("modified", "baseline"):
-            world = simcore.World(cfg, mode=mode, seed=seed)
+            run_cfg = dataclasses.replace(
+                cfg, seed=seed, routing=dataclasses.replace(cfg.routing, mode=mode)
+            )
+            world = simcore.World(run_cfg)
             metrics = simcore.run(world, 2000)
             results[mode].append(metrics.pdr())
             if i == 0 and mode == "modified":

@@ -11,15 +11,17 @@ from harvestsim.forecast import (
     FitResult,
     HistoryTooShort,
     HwState,
+    PredictorSettings,
+    Warmup,
     default_grid,
     ewma_init,
-    ewma_lmse,
     ewma_step,
     fit_lmse,
     hw_init,
-    hw_lmse,
     hw_step,
+    lmse,
     predict_horizon,
+    step,
 )
 
 
@@ -140,6 +142,63 @@ class TestPredictHorizon:
             predict_horizon(EwmaState(prediction=1.0), 0)
 
 
+class TestStep:
+    SEASONAL = PredictorSettings(kind="hw", epsilon=0.5, beta=0.2, gamma=0.3, period=3)
+
+    def test_ewma_seeds_on_first_sample_then_smooths(self):
+        settings = PredictorSettings(kind="ewma", epsilon=0.3)
+        pred, state = step(settings, None, 7.0)
+        assert pred == 7.0 and state == ewma_init(7.0, 0.3)
+        assert step(settings, state, 17.0) == ewma_step(state, 17.0)
+
+    def test_seasonal_warmup_predicts_mean_then_bootstraps(self):
+        series = [4.0, 8.0, 6.0, 5.0, 9.0, 7.0, 6.0]
+        state = None
+        for t, y in enumerate(series[:5]):
+            pred, state = step(self.SEASONAL, state, y)
+            assert state == Warmup(tuple(series[: t + 1]))
+            assert pred == sum(series[: t + 1]) / (t + 1)
+            assert predict_horizon(state, 2) == [pred, pred]
+        pred, state = step(self.SEASONAL, state, series[5])
+        expected = hw_init(series[:6], 3, epsilon=0.5, beta=0.2, gamma=0.3)
+        assert state == expected
+        assert pred == predict_horizon(expected, 1)[0]
+        assert step(self.SEASONAL, state, series[6]) == hw_step(expected, series[6])
+
+    def test_dark_warmup_raises(self):
+        state = None
+        for _ in range(5):
+            _, state = step(self.SEASONAL, state, 0.0)
+        with pytest.raises(DivisionDegenerate):
+            step(self.SEASONAL, state, 0.0)
+
+
+class TestLmse:
+    def test_seasonal_matches_two_period_warm_start(self):
+        # Independent form: bootstrap from the first two periods, then score
+        # hw_step's one-step predictions over the rest.
+        rng = random.Random(5)
+        l = 4
+        series = [rng.uniform(0.0, 10.0) for _ in range(7 * l)]
+        state = hw_init(series[: 2 * l], l, 0.6, 0.2, 0.4)
+        pred = predict_horizon(state, 1)[0]
+        total = 0.0
+        for y in series[2 * l :]:
+            total += (pred - y) * (pred - y)
+            pred, state = hw_step(state, y)
+        got = lmse(PredictorSettings("hw", 0.6, 0.2, 0.4, l), series)
+        assert got == total / (len(series) - 2 * l)
+
+    def test_too_short_series_rejected(self):
+        with pytest.raises(EmptyInput):
+            lmse(PredictorSettings(kind="ewma"), [1.0])
+        with pytest.raises(EmptyInput):
+            lmse(PredictorSettings(kind="hw", period=3), [1.0] * 6)
+
+    def test_degenerate_parameters_score_infinite(self):
+        assert lmse(PredictorSettings(kind="hw", period=3), [0.0] * 8) == math.inf
+
+
 class TestReductionToEwma:
     def test_hw_equals_ewma_when_trend_and_season_off(self):
         # gamma = beta = 0 with unit seasonals and zero trend reduces the
@@ -210,7 +269,8 @@ class TestFit:
         grid = default_grid("ewma", step=0.1)
         res = fit_lmse("ewma", series, grid)
         oracle = min(
-            ((ewma_lmse(series, g[0]), g) for g in grid), key=lambda t: (t[0], t[1])
+            ((lmse(PredictorSettings(kind="ewma", epsilon=g[0]), series), g) for g in grid),
+            key=lambda t: (t[0], t[1]),
         )
         assert res.parameters == oracle[1]
         assert res.lmse == pytest.approx(oracle[0])
@@ -221,7 +281,7 @@ class TestFit:
         series = [(30 + 0.5 * t) * s[t % l] for t in range(6 * l)]
         grid = [(e, b, g) for e in (0.2, 0.8) for b in (0.2, 0.8) for g in (0.2, 0.8)]
         res = fit_lmse("hw", series, grid, period=l)
-        worst = max(hw_lmse(series, l, *g) for g in grid)
+        worst = max(lmse(PredictorSettings("hw", *g, l), series) for g in grid)
         assert res.lmse <= worst
 
     def test_empty_inputs(self):

@@ -1,5 +1,6 @@
 """Cross-module runs exercising configuration variants and closure invariants."""
 
+import dataclasses
 import random
 from collections import defaultdict
 
@@ -40,8 +41,12 @@ policies:
 """
 
 
-def run_world(yaml_text=BASE_YAML, slots=40, **world_kwargs):
+def run_world(yaml_text=BASE_YAML, slots=40, *, seed=None, mode=None, **world_kwargs):
     cfg = parse_scenario(yaml_text)
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=seed)
+    if mode is not None:
+        cfg = dataclasses.replace(cfg, routing=dataclasses.replace(cfg.routing, mode=mode))
     world = World(cfg, **world_kwargs)
     metrics = simcore.run(world, slots)
     return world, metrics
@@ -218,12 +223,12 @@ policies:
 """
             cfg = parse_scenario(text)
             n = rng.randint(5, 40)
-            metrics = simcore.run(World(cfg, horizon_slots=n), n)
+            metrics = simcore.run(World(cfg), n)  # traces cover the config's 100 slots
             assert metrics.delivered <= metrics.generated
 
     def test_horizon_extends_trace_materialization(self):
         cfg = parse_scenario(BASE_YAML)  # slots: 40 in the config
-        metrics = simcore.run(World(cfg, horizon_slots=60), 60)
+        metrics = simcore.run(World(dataclasses.replace(cfg, slots=60)), 60)
         assert metrics.slots_run == 60
 
 

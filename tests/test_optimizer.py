@@ -146,6 +146,15 @@ class TestParametricSweep:
         assert len(curve.breakpoints) == 1
         assert evaluate_curve(curve, 7.0) == pytest.approx(6.3)
 
+    def test_range_narrower_than_tolerance_keeps_both_ends(self):
+        # Spending the whole 6.3e-11 uJ budget is worth 1.0e-9 of utility,
+        # so a curve that kept only its lower end was off by that at the top.
+        x = 3.934775993059803e-12 * 16.0
+        lp = build_opt((1.0, 16.0), (1.0, 1.0), 14.0, None, x)
+        curve = parametric_sweep(lp, 0.0, x)
+        assert [v for v, _ in curve.breakpoints] == [0.0, x]
+        assert evaluate_curve(curve, x) == solve_for_v(lp, x).utility == 0.0
+
     def test_monotone_spend_along_sweep(self, fixture_lp):
         curve = parametric_sweep(fixture_lp, 0.0, 40.0)
         spends = [

@@ -7,6 +7,7 @@ from harvestsim.routing import (
     NoCandidates,
     NodeDormant,
     RouteEntry,
+    RoutingSettings,
     RoutingState,
     Rreq,
     RssiReference,
@@ -21,6 +22,8 @@ from harvestsim.routing import (
     sink_decide,
     sink_route_cost,
 )
+
+MODIFIED = RoutingSettings(mode="modified")
 
 
 class TestTxPowerMapping:
@@ -107,12 +110,17 @@ class TestRouteCost:
         assert sink_route_cost(weaker) > sink_route_cost(rssis)
 
     def test_raw_mode_matches_magnitude_for_negative_rssi(self):
-        state_mag = RoutingState("A", cost_mode="magnitude")
-        state_raw = RoutingState("A", cost_mode="raw")
+        magnitude = RoutingSettings(cost_mode="magnitude")
+        raw = RoutingSettings(cost_mode="raw")
         rreq = Rreq("D", "A", 1, path=(("B", -61.0), ("A", -70.5)))
-        assert candidate_cost(state_mag, rreq) == pytest.approx(
-            candidate_cost(state_raw, rreq)
-        )
+        assert candidate_cost(magnitude, rreq) == pytest.approx(candidate_cost(raw, rreq))
+
+    def test_mu_weights_apply_only_to_matching_path_lengths(self):
+        weighted = RoutingSettings(mu=(0.9, 0.1))
+        two_hops = Rreq("D", "A", 1, path=(("B", -61.0), ("A", -70.5)))
+        one_hop = Rreq("D", "A", 1, path=(("A", -80.0),))
+        assert candidate_cost(weighted, two_hops) == pytest.approx(0.9 * 61.0 + 0.1 * 70.5)
+        assert candidate_cost(weighted, one_hop) == pytest.approx(80.0)
 
 
 def rreq_via(origin="D", seq=1, *hops):
@@ -163,35 +171,35 @@ class TestProcessRreq:
 
 class TestSinkDecide:
     def test_single_candidate_wins(self):
-        sink = RoutingState("A", mode="modified")
-        rrep = sink_decide(sink, [rreq_via("D", 1, ("B", -70.0), ("A", -72.0))])
+        sink = RoutingState("A")
+        rrep = sink_decide(sink, MODIFIED, [rreq_via("D", 1, ("B", -70.0), ("A", -72.0))])
         assert rrep.path == ("A", "B", "D")
         assert rrep.cost == pytest.approx(71.0)
 
     def test_cheapest_candidate_chosen(self):
-        sink = RoutingState("A", mode="modified")
+        sink = RoutingState("A")
         good = rreq_via("D", 1, ("B", -65.0), ("A", -70.0))  # cost 67.5
         bad = rreq_via("D", 1, ("C", -68.4), ("A", -72.0))  # cost 70.2
-        rrep = sink_decide(sink, [bad, good])
+        rrep = sink_decide(sink, MODIFIED, [bad, good])
         assert rrep.cost == pytest.approx(67.5)
         assert rrep.path == ("A", "B", "D")
 
     def test_baseline_takes_first_arrival(self):
-        sink = RoutingState("A", mode="baseline")
+        sink = RoutingState("A")
         first = rreq_via("D", 1, ("C", -68.4), ("A", -72.0))
         better = rreq_via("D", 1, ("B", -65.0), ("A", -70.0))
-        rrep = sink_decide(sink, [first, better])
+        rrep = sink_decide(sink, RoutingSettings(mode="baseline"), [first, better])
         assert rrep.path == ("A", "C", "D")
 
     def test_no_candidates(self):
         with pytest.raises(NoCandidates):
-            sink_decide(RoutingState("A"), [])
+            sink_decide(RoutingState("A"), MODIFIED, [])
 
     def test_equal_costs_keep_first(self):
-        sink = RoutingState("A", mode="modified")
+        sink = RoutingState("A")
         one = rreq_via("D", 1, ("B", -65.0), ("A", -70.0))
         two = rreq_via("D", 1, ("C", -70.0), ("A", -65.0))
-        rrep = sink_decide(sink, [one, two])
+        rrep = sink_decide(sink, MODIFIED, [one, two])
         assert rrep.path == ("A", "B", "D")
 
 
@@ -202,25 +210,25 @@ class TestReroute:
     def test_higher_cost_ignored(self):
         sink = RoutingState("A")
         late = rreq_via("D", 1, ("C", -70.0), ("A", -72.0))  # cost 71
-        assert reroute_on_better(sink, self.current(), late) is None
+        assert reroute_on_better(sink, MODIFIED, self.current(), late) is None
 
     def test_strict_improvement_replaces(self):
         sink = RoutingState("A")
         late = rreq_via("D", 1, ("C", -58.0), ("A", -62.0))  # cost 60
-        rrep = reroute_on_better(sink, self.current(), late)
+        rrep = reroute_on_better(sink, MODIFIED, self.current(), late)
         assert rrep is not None
         assert rrep.cost == pytest.approx(60.0)
 
     def test_equal_cost_no_reply(self):
         sink = RoutingState("A")
         late = rreq_via("D", 1, ("C", -65.0), ("A", -70.0))  # cost 67.5 again
-        assert reroute_on_better(sink, self.current(), late) is None
+        assert reroute_on_better(sink, MODIFIED, self.current(), late) is None
 
     def test_stale_sequence_never_answered(self):
         sink = RoutingState("A")
         sink.answered["D"] = 5
         late = rreq_via("D", 4, ("C", -50.0), ("A", -50.0))  # very cheap but old
-        assert reroute_on_better(sink, self.current(), late) is None
+        assert reroute_on_better(sink, MODIFIED, self.current(), late) is None
 
 
 class TestRouteTable:

@@ -19,8 +19,8 @@ name: two-node
 profiles:
   sun: {kind: constant, power_w: 0.001}
 nodes:
-  - {id: A, role: sink}
-  - {id: D, role: source, profile: sun}
+  - {id: A, role: sink, position: [0.0, 0.0]}
+  - {id: D, role: source, position: [10.0, 0.0], profile: sun}
 policies:
   source:
     - {name: report, ops: [sense, tx128]}
@@ -61,6 +61,16 @@ nodes:
         assert "duplicate" in v
         assert "missing" in v
         assert len(err.value.violations) >= 4
+
+    def test_co_located_nodes_rejected_with_both_ids(self):
+        # Path loss is undefined at distance zero; a missing position means
+        # (0, 0), the sink's spot here.
+        text = MINIMAL.replace(", position: [10.0, 0.0]", "")
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(text)
+        assert [v for v in err.value.violations if "position" in v] == [
+            "nodes: ['A', 'D'] share position [0.0, 0.0]"
+        ]
 
     def test_unknown_keys_rejected(self):
         text = MINIMAL + "\ntypo_key: 1\n"

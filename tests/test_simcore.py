@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 import yaml
 
-from harvestsim import mac, simcore
+from harvestsim import forecast, mac, simcore
 from harvestsim.cli import main
 from harvestsim.energy import EnergyLevel, HarvestTrace, OperationCostTable, SlotOutOfRange
 from harvestsim.routing import REFERENCE_TX_POWER_DBM, TX_POWER_BY_LEVEL
@@ -88,8 +88,8 @@ class TestChannel:
 
 class TestDeterminism:
     def test_same_seed_identical_metrics(self, tree_cfg):
-        m1 = simcore.run(World(tree_cfg, seed=5), 40)
-        m2 = simcore.run(World(tree_cfg, seed=5), 40)
+        m1 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5)), 40)
+        m2 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5)), 40)
         assert m1.ledger == m2.ledger
         assert m1.charges == m2.charges
         assert m1.slot_reports == m2.slot_reports
@@ -97,14 +97,14 @@ class TestDeterminism:
         assert m1.route_log == m2.route_log
 
     def test_different_seed_differs(self, tree_cfg):
-        m1 = simcore.run(World(tree_cfg, seed=5), 40)
-        m2 = simcore.run(World(tree_cfg, seed=6), 40)
+        m1 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5)), 40)
+        m2 = simcore.run(World(dataclasses.replace(tree_cfg, seed=6)), 40)
         assert m1.charges != m2.charges
 
 
 class TestConservation:
     def test_ledger_closes_against_charge_log(self, tree_cfg):
-        m = simcore.run(World(tree_cfg, seed=7), 60)
+        m = simcore.run(World(dataclasses.replace(tree_cfg, seed=7)), 60)
         charge_sum = defaultdict(float)
         for s, n, _, amount in m.charges:
             charge_sum[(s, n)] += amount
@@ -114,7 +114,7 @@ class TestConservation:
             assert abs((start + harvested - wasted - consumed) - end) / scale < 1e-6
 
     def test_floor_never_breached(self, tree_cfg):
-        m = simcore.run(World(tree_cfg, seed=7), 60)
+        m = simcore.run(World(dataclasses.replace(tree_cfg, seed=7)), 60)
         floor = 0.10 * 300_000.0
         assert min(row[6] for row in m.ledger) >= floor - 1e-9
 
@@ -134,7 +134,7 @@ class TestConservation:
         assert not any(reason == "aborted-op" for *_, reason in m.drops)
 
     def test_table_charges_exact(self, tree_cfg):
-        m = simcore.run(World(tree_cfg, seed=7), 30)
+        m = simcore.run(World(dataclasses.replace(tree_cfg, seed=7)), 30)
         table = OperationCostTable()
         op_charges = [c for c in m.charges if c[2].startswith("op:")]
         assert op_charges
@@ -148,31 +148,84 @@ class TestConservation:
 
 class TestRadioDormancy:
     def test_e0_nodes_send_nothing(self, tree_cfg):
-        world = World(tree_cfg, seed=7, collect_mac_trace=True)
+        # With the floor at the E0 threshold no store can reach E0, so the
+        # floor goes below it and relay B gets no harvest at all.
+        cfg = dataclasses.replace(
+            tree_cfg, seed=7, energy=dataclasses.replace(tree_cfg.energy, floor_fraction=0.02)
+        )
+        dark = HarvestTrace(powers=(0.0,) * 60)
+        world = World(cfg, traces={"B": dark}, collect_mac_trace=True)
         m = simcore.run(world, 60)
-        level = {(r.slot, r.node): r.own_level for r in m.slot_reports}
+        e0 = {(r.slot, r.node) for r in m.slot_reports if r.own_level == EnergyLevel.E0}
+        assert e0
         slot_s = tree_cfg.slot_duration_s
-        for t, node, event, _ in m.mac_trace:
-            if "tx" in event and node != "A":
-                s = int(t // slot_s)
-                if (s, node) in level:
-                    assert level[(s, node)] != EnergyLevel.E0
+        sent = [(int(t // slot_s), node) for t, node, event, _ in m.mac_trace if event.endswith("-tx")]
+        assert sent
+        assert not e0.intersection(sent)
+
+
+class TestSeasonalRestart:
+    """The seasonal predictor restarts its warm-up instead of aborting the run."""
+
+    @staticmethod
+    def shipped_tree_hw(slots):
+        doc = yaml.safe_load(
+            resources.files("harvestsim").joinpath("scenarios/four_node_tree.yaml").read_text()
+        )
+        doc.update(slots=slots, predictor={"kind": "hw"})
+        return parse_scenario(yaml.safe_dump(doc))
+
+    def test_dark_node_keeps_warming_up(self):
+        # Two dark periods leave no mean to take seasonal ratios against.
+        cfg = self.shipped_tree_hw(120)
+        world = World(cfg, traces={"D": HarvestTrace(powers=(0.0,) * 120)})
+        m = simcore.run(world, 120)
+        assert m.slots_run == 120
+        # Restarts at slots 47 and 94: the warm-up holds slots 94 to 119.
+        assert world.nodes["D"].predictor_state == forecast.Warmup((0.0,) * 26)
+        assert isinstance(world.nodes["B"].predictor_state, forecast.HwState)
+
+    def test_dawn_shift_restarts_and_model_recovers(self):
+        # Daylight covers 12 of 24 slots from phase 7; after day 3 dawn comes
+        # one slot earlier, and the level underflows at slot 81 on a ring
+        # trained on the old dawn.
+        powers = []
+        for slot in range(140):
+            day, phase = divmod(slot, 24)
+            k = phase - (7 if day < 3 else 6)
+            powers.append(0.0028 * math.sin(math.pi * k / 12) if 0 <= k < 12 else 0.0)
+        world = World(self.shipped_tree_hw(140), traces={"D": HarvestTrace(powers=tuple(powers))})
+        states = []
+        for _ in range(140):
+            world.step_slot()
+            states.append(world.nodes["D"].predictor_state)
+        assert isinstance(states[80], forecast.HwState)
+        harvested = {slot: h for slot, node, _, h, *_ in world.metrics.ledger if node == "D"}
+        assert states[81] == forecast.Warmup((harvested[81],)) and harvested[81] > 0.0
+        # Two periods after the restart the model bootstraps on the new dawn.
+        assert isinstance(states[81 + 47], forecast.HwState)
+        assert isinstance(states[-1], forecast.HwState)
 
 
 class TestDelivery:
     def test_delivered_never_exceeds_generated(self, tree_cfg):
-        m = simcore.run(World(tree_cfg, seed=9), 50)
+        m = simcore.run(World(dataclasses.replace(tree_cfg, seed=9)), 50)
         assert m.delivered <= m.generated
         assert 0.0 <= m.pdr() <= 1.0
 
     def test_packets_flow_to_sink(self, tree_cfg):
-        m = simcore.run(World(tree_cfg, seed=9), 50)
+        m = simcore.run(World(dataclasses.replace(tree_cfg, seed=9)), 50)
         assert m.delivered > 0
         assert all(pid.startswith("D-") for pid in m.delivered_ids)
 
     def test_mode_changes_outcomes(self, tree_cfg):
-        m_mod = simcore.run(World(tree_cfg, mode="modified", seed=3), 60)
-        m_base = simcore.run(World(tree_cfg, mode="baseline", seed=3), 60)
+        def at_mode(mode):
+            return dataclasses.replace(
+                tree_cfg, seed=3, routing=dataclasses.replace(tree_cfg.routing, mode=mode)
+            )
+
+        m_mod = simcore.run(World(at_mode("modified")), 60)
+        m_base = simcore.run(World(at_mode("baseline")), 60)
         assert m_mod.pdr() >= m_base.pdr()
 
 
@@ -180,7 +233,7 @@ class TestStarvation:
     def test_zero_harvest_everywhere_produces_no_operations(self, tree_cfg):
         dark = HarvestTrace(powers=(0.0,) * 60)
         world = World(
-            tree_cfg, seed=1, traces={"B": dark, "C": dark, "D": dark}
+            dataclasses.replace(tree_cfg, seed=1), traces={"B": dark, "C": dark, "D": dark}
         )
         # Stores start at 50%: drain until the floor gates everything.
         m = simcore.run(world, 60)
@@ -190,7 +243,9 @@ class TestStarvation:
 
     def test_constant_rich_harvest_runs_full_policy(self, tree_cfg):
         rich = HarvestTrace(powers=(0.004,) * 60)  # 240 mJ per slot
-        world = World(tree_cfg, seed=1, traces={"B": rich, "C": rich, "D": rich})
+        world = World(
+            dataclasses.replace(tree_cfg, seed=1), traces={"B": rich, "C": rich, "D": rich}
+        )
         m = simcore.run(world, 60)
         d_reports = [r for r in m.slot_reports if r.node == "D" and r.slot >= 2]
         full = 6 * 2 + 2 * 3
@@ -203,7 +258,7 @@ class TestDrainedBacklog:
         # reaches E3/E3, drains them and sends them at 0 dBm, so that is
         # what they cost.
         d = HarvestTrace(powers=(0.0,) * 20 + (0.004,) * 20)
-        world = World(tree_cfg, seed=1, traces={"D": d})
+        world = World(dataclasses.replace(tree_cfg, seed=1), traces={"D": d})
         drained = 0
         for _ in range(40):
             world.step_slot()
@@ -219,10 +274,10 @@ class TestDrainedBacklog:
 class TestRunContract:
     def test_zero_slots_rejected(self, tree_cfg):
         with pytest.raises(ValueError):
-            simcore.run(World(tree_cfg, seed=1), 0)
+            simcore.run(World(dataclasses.replace(tree_cfg, seed=1)), 0)
 
     def test_run_past_trace_horizon_fails_before_first_slot(self, tree_cfg):
-        world = World(tree_cfg, seed=1)  # traces cover the config's 60 slots
+        world = World(dataclasses.replace(tree_cfg, seed=1))  # traces cover the config's 60 slots
         with pytest.raises(SlotOutOfRange):
             simcore.run(world, 80)
         assert world.metrics.slots_run == 0
@@ -232,12 +287,12 @@ class TestRunContract:
         assert world.metrics.slots_run == 60
 
     def test_slots_run_counted(self, tree_cfg):
-        m = simcore.run(World(tree_cfg, seed=1), 7)
+        m = simcore.run(World(dataclasses.replace(tree_cfg, seed=1)), 7)
         assert m.slots_run == 7
         assert len({r.slot for r in m.slot_reports}) == 7
 
     def test_causality_event_times_monotone(self, tree_cfg):
-        world = World(tree_cfg, seed=2, collect_mac_trace=True)
+        world = World(dataclasses.replace(tree_cfg, seed=2), collect_mac_trace=True)
         m = simcore.run(world, 30)
         times = [t for t, *_ in m.mac_trace]
         assert times == sorted(times)
@@ -258,7 +313,7 @@ class TestRunContract:
 
 class TestForecastMetrics:
     def test_prediction_rows_recorded(self, tree_cfg):
-        m = simcore.run(World(tree_cfg, seed=4), 20)
+        m = simcore.run(World(dataclasses.replace(tree_cfg, seed=4)), 20)
         assert m.forecast_rows
         nodes = {n for _, n, _, _ in m.forecast_rows}
         assert nodes == {"B", "C", "D"}
@@ -408,7 +463,7 @@ class TestLinkTable:
     def test_shadowed_link_rssi_follows_the_channel_stream(self, tree_cfg):
         channel = ChannelSettings(shadowing_sigma_db=4.0)
         cfg = dataclasses.replace(tree_cfg, channel=channel)
-        world = World(cfg, seed=23)
+        world = World(dataclasses.replace(cfg, seed=23))
         twin = random.Random("23:channel")
         a, b, c, d = (world.nodes[n] for n in "ABCD")
         for sender, receiver, tx in [(a, b, 0), (b, d, -5), (a, b, 0), (d, c, -10), (b, d, -5)]:
@@ -425,12 +480,13 @@ class TestLinkTable:
         cfg = dataclasses.replace(cfg, energy=dataclasses.replace(cfg.energy, floor_fraction=0.02))
         dark = HarvestTrace(powers=(0.0,) * 30)
         traces = {n: dark for n in ("N02", "N05", "N07", "N10")}
-        table = World(cfg, seed=5, traces=traces)
+        cfg = dataclasses.replace(cfg, seed=5)
+        table = World(cfg, traces=traces)
         radio_off = 0
         for _ in range(30):
             table.step_slot()
             radio_off += sum(1 for rt in table.nodes.values() if rt.schedule.radio_off)
-        scan = simcore.run(_FullScanWorld(cfg, seed=5, traces=traces), 30)
+        scan = simcore.run(_FullScanWorld(cfg, traces=traces), 30)
         assert radio_off > 0 and table.metrics.delivered > 0
         assert _outputs(table.metrics) == _outputs(scan)
 
@@ -446,7 +502,7 @@ class TestGridInvariants:
         m = simcore.run(world, self.SLOTS)
         if predictor == "hw":
             assert not any(
-                isinstance(rt.predictor_state, simcore._HwWarmup)
+                isinstance(rt.predictor_state, forecast.Warmup)
                 for rt in world.nodes.values()
                 if not rt.is_sink
             )
