@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+
+from .bounds import FRACTION, enum, int_min
 
 EPS_FLOOR = 1e-9
 
@@ -54,12 +56,12 @@ class PredictorSettings:
     """A scenario's predictor: ``kind`` is ``ewma`` or ``hw`` (seasonal),
     ``horizon`` the number of slots planning looks ahead."""
 
-    kind: str = "hw"
-    epsilon: float = 0.906
-    beta: float = 0.1
-    gamma: float = 0.650
-    period: int = 24
-    horizon: int = 2
+    kind: str = field(default="hw", metadata=enum("ewma", "hw"))
+    epsilon: float = field(default=0.906, metadata=FRACTION)
+    beta: float = field(default=0.1, metadata=FRACTION)
+    gamma: float = field(default=0.650, metadata=FRACTION)
+    period: int = field(default=24, metadata=int_min(2))
+    horizon: int = field(default=2, metadata=int_min(2))
 
 
 def _check_weight(value: float, name: str, allow_zero: bool = False) -> float:

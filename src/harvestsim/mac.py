@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .bounds import NUM, POS, enum, int_min
 from .energy import EnergyLevel
 
 
@@ -58,17 +59,19 @@ PAPER_TABLE_SLEEP_MS = {0.05: 100.0, 0.15: 35.0, 0.25: 20.0}
 
 @dataclass(frozen=True)
 class MacConfig:
-    cca_threshold_dbm: float = -77.0
-    backoff_initial_ms: float = 1.25
-    backoff_max_attempts: int = 5
-    arq_retries: int = 3
-    rts_cts: bool = False
-    preamble_packet_ms: float = 1.0
-    wake_window_ms: float = 5.0
-    schedule_mode: str = "formula"  # or "paper-table"
-    data_packet_ms: float = 4.096  # 128 B at 250 kb/s
-    ack_ms: float = 0.35
-    control_packet_ms: float = 1.0  # beacon / rts / cts / rreq / rrep frames
+    cca_threshold_dbm: float = field(default=-77.0, metadata=NUM)
+    backoff_initial_ms: float = field(default=1.25, metadata=POS)
+    backoff_max_attempts: int = field(default=5, metadata=int_min(1))
+    arq_retries: int = field(default=3, metadata=int_min(0))
+    rts_cts: bool = field(default=False, metadata={"type": "boolean"})
+    preamble_packet_ms: float = field(default=1.0, metadata=POS)
+    wake_window_ms: float = field(default=5.0, metadata=POS)
+    schedule_mode: str = field(default="formula", metadata=enum("formula", "paper-table"))
+    # 128 B at 250 kb/s.
+    data_packet_ms: float = field(default=4.096, metadata=POS)
+    ack_ms: float = field(default=0.35, metadata=POS)
+    # Beacon, rts, cts, rreq and rrep frames.
+    control_packet_ms: float = field(default=1.0, metadata=POS)
 
     def __post_init__(self) -> None:
         if self.backoff_max_attempts < 1 or self.arq_retries < 0:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from .bounds import POS, enum, int_min
 from .energy import EnergyLevel
 
 
@@ -65,12 +66,19 @@ class RoutingSettings:
     and per-hop weights ``mu``) and the beacon, flood-refresh and collection
     timing."""
 
-    mode: str = "modified"  # or "baseline"
-    cost_mode: str = "magnitude"  # or "raw" (maximize weighted RSSI)
-    mu: tuple[float, ...] | None = None
-    beacon_period_s: float = 30.0
-    rreq_refresh_slots: int = 10
-    collection_window_ms: float = 200.0
+    mode: str = field(default="modified", metadata=enum("modified", "baseline"))
+    # "raw" maximizes the weighted RSSI sum.
+    cost_mode: str = field(default="magnitude", metadata=enum("magnitude", "raw"))
+    mu: tuple[float, ...] | None = field(
+        default=None,
+        metadata={
+            "type": ["array", "null"],
+            "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        },
+    )
+    beacon_period_s: float = field(default=30.0, metadata=POS)
+    rreq_refresh_slots: int = field(default=10, metadata=int_min(1))
+    collection_window_ms: float = field(default=200.0, metadata=POS)
 
 
 def map_level_to_txpower(level: EnergyLevel) -> int:

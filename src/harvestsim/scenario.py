@@ -4,6 +4,14 @@ Scenarios are YAML documents validated against a published JSON schema.
 Validation collects *every* violation (schema and semantic) before failing,
 and unknown keys are rejected rather than silently absorbed. Parsed configs
 round-trip: ``parse(serialize(cfg)) == cfg``.
+
+Each setting is declared once, as a field of the dataclass that owns it
+(``EnergySettings`` here, ``forecast.PredictorSettings``,
+``routing.RoutingSettings``, ``mac.MacConfig`` ...), with its default and its
+schema bound as field metadata. ``SCENARIO_SCHEMA`` is built from those
+fields, and parsing builds every section from the keys it is given, so adding
+a setting is one field line. Only the ``nodes``, ``costs`` and ``policies``
+schemas are written out by hand.
 """
 
 from __future__ import annotations
@@ -13,13 +21,15 @@ import io
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field
+import re
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import jsonschema
 import yaml
 
 from .app import Policy
-from .energy import HarvestTrace
+from .bounds import FRACTION, NONNEG, NUM, POS, PROBABILITY, enum, int_min, section
+from .energy import TX_OP_KIND, HarvestTrace
 from .forecast import PredictorSettings
 from .mac import MacConfig
 from .routing import RoutingSettings
@@ -45,231 +55,41 @@ class NegativePower(ScenarioError):
     """Trace CSV contains a negative power sample."""
 
 
-_NUM = {"type": "number"}
-_POS = {"type": "number", "exclusiveMinimum": 0}
-_NONNEG = {"type": "number", "minimum": 0}
-_FRACTION = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
-
-SCENARIO_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["name", "nodes"],
-    "properties": {
-        "name": {"type": "string"},
-        "seed": {"type": "integer"},
-        "slots": {"type": "integer", "minimum": 1},
-        "slot_duration_s": _POS,
-        "energy": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "capacity_uj": _POS,
-                "thresholds": {
-                    "type": "array",
-                    "items": _FRACTION,
-                    "minItems": 3,
-                    "maxItems": 3,
-                },
-                "floor_fraction": _FRACTION,
-                "duty_energy_uj": _POS,
-                "leakage_uj_per_slot": _NONNEG,
-            },
-        },
-        "predictor": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["ewma", "hw"]},
-                "epsilon": _FRACTION,
-                "beta": _FRACTION,
-                "gamma": _FRACTION,
-                "period": {"type": "integer", "minimum": 2},
-                "horizon": {"type": "integer", "minimum": 2},
-            },
-        },
-        "optimizer": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"duty_weight": {"type": ["number", "null"], "minimum": 0}},
-        },
-        "routing": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": ["modified", "baseline"]},
-                "cost_mode": {"enum": ["magnitude", "raw"]},
-                "mu": {
-                    "type": ["array", "null"],
-                    "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-                },
-                "beacon_period_s": _POS,
-                "rreq_refresh_slots": {"type": "integer", "minimum": 1},
-                "collection_window_ms": _POS,
-            },
-        },
-        "mac": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "schedule_mode": {"enum": ["formula", "paper-table"]},
-                "wake_window_ms": _POS,
-                "preamble_packet_ms": _POS,
-                "cca_threshold_dbm": _NUM,
-                "backoff_initial_ms": _POS,
-                "backoff_max_attempts": {"type": "integer", "minimum": 1},
-                "arq_retries": {"type": "integer", "minimum": 0},
-                "rts_cts": {"type": "boolean"},
-                "data_packet_ms": _POS,
-                "ack_ms": _POS,
-                "control_packet_ms": _POS,
-            },
-        },
-        "channel": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "path_loss_exponent": _POS,
-                "reference_loss_db": _POS,
-                "reference_distance_m": _POS,
-                "shadowing_sigma_db": _NONNEG,
-                "sensitivity_dbm": _NUM,
-                "loss_margin_db": _POS,
-                "loss_prob_at_zero": {"type": "number", "minimum": 0, "maximum": 1},
-            },
-        },
-        "traffic": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "packet_period_s": _POS,
-                "payload_bytes": {"type": "integer", "minimum": 1},
-            },
-        },
-        "costs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "sense": _POS,
-                "average50": _POS,
-                "peak50": _POS,
-                "flash_write": _POS,
-                "flash_read": _POS,
-                "rx128": _POS,
-                "tx128": {
-                    "type": "object",
-                    "additionalProperties": _POS,
-                },
-            },
-        },
-        "profiles": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["kind"],
-                "properties": {
-                    "kind": {"enum": ["synthetic", "csv", "constant"]},
-                    "path": {"type": "string"},
-                    "scale": _POS,
-                    "power_w": _NONNEG,
-                    "amplitude_w": _NONNEG,
-                    "period_slots": {"type": "integer", "minimum": 2},
-                    "day_fraction": _FRACTION,
-                    "cloudy_attenuation": {"type": "number", "minimum": 0, "maximum": 1},
-                    "switch_probability": {"type": "number", "minimum": 0, "maximum": 1},
-                    "trend_per_day": _NUM,
-                    "seed": {"type": "integer"},
-                },
-            },
-        },
-        "nodes": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["id", "role"],
-                "properties": {
-                    "id": {"type": "string"},
-                    "role": {"enum": ["source", "relay", "sink"]},
-                    "position": {
-                        "type": "array",
-                        "items": _NUM,
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                    "profile": {"type": ["string", "null"]},
-                },
-            },
-        },
-        "policies": {
-            "type": "object",
-            "additionalProperties": {
-                "type": "array",
-                "items": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["name", "ops"],
-                    "properties": {
-                        "name": {"type": "string"},
-                        "priority": {"type": "integer", "minimum": 1},
-                        "ops": {
-                            "type": "array",
-                            "minItems": 1,
-                            "items": {
-                                "enum": [
-                                    "sense",
-                                    "average50",
-                                    "peak50",
-                                    "flash_write",
-                                    "flash_read",
-                                    "tx128",
-                                    "rx128",
-                                ]
-                            },
-                        },
-                        "repeat": {"type": "integer", "minimum": 1},
-                        "weight": _POS,
-                    },
-                },
-            },
-        },
-    },
-}
-
-
 @dataclass(frozen=True)
 class EnergySettings:
-    capacity_uj: float = 100_000.0
-    thresholds: tuple[float, float, float] = (0.10, 0.40, 0.70)
-    floor_fraction: float = 0.10
-    duty_energy_uj: float = 10_000.0
-    leakage_uj_per_slot: float = 0.0
+    capacity_uj: float = field(default=100_000.0, metadata=POS)
+    thresholds: tuple[float, float, float] = field(
+        default=(0.10, 0.40, 0.70),
+        metadata={"type": "array", "items": FRACTION, "minItems": 3, "maxItems": 3},
+    )
+    floor_fraction: float = field(default=0.10, metadata=FRACTION)
+    duty_energy_uj: float = field(default=10_000.0, metadata=POS)
+    leakage_uj_per_slot: float = field(default=0.0, metadata=NONNEG)
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    duty_weight: float | None = None
+    duty_weight: float | None = field(
+        default=None, metadata={"type": ["number", "null"], "minimum": 0}
+    )
 
 
 @dataclass(frozen=True)
 class ChannelSettings:
     """Log-distance path loss anchored at the beacon calibration point."""
 
-    path_loss_exponent: float = 2.7
-    reference_loss_db: float = 65.0
-    reference_distance_m: float = 8.0
-    shadowing_sigma_db: float = 0.0
-    sensitivity_dbm: float = -95.0
-    loss_margin_db: float = 10.0
-    loss_prob_at_zero: float = 0.5
+    path_loss_exponent: float = field(default=2.7, metadata=POS)
+    reference_loss_db: float = field(default=65.0, metadata=POS)
+    reference_distance_m: float = field(default=8.0, metadata=POS)
+    shadowing_sigma_db: float = field(default=0.0, metadata=NONNEG)
+    sensitivity_dbm: float = field(default=-95.0, metadata=NUM)
+    loss_margin_db: float = field(default=10.0, metadata=POS)
+    loss_prob_at_zero: float = field(default=0.5, metadata=PROBABILITY)
 
 
 @dataclass(frozen=True)
 class TrafficSettings:
-    packet_period_s: float = 2.0
-    payload_bytes: int = 22
+    packet_period_s: float = field(default=2.0, metadata=POS)
 
 
 @dataclass(frozen=True)
@@ -278,17 +98,17 @@ class ProfileSpec:
     diurnal trace (half-sine days with weather switching, see
     :func:`synth_trace`)."""
 
-    kind: str = "synthetic"
-    path: str | None = None
-    scale: float = 1.0
-    power_w: float = 0.0
-    amplitude_w: float = 0.0003
-    period_slots: int = 24
-    day_fraction: float = 0.5
-    cloudy_attenuation: float = 0.35
-    switch_probability: float = 0.3
-    trend_per_day: float = 0.0
-    seed: int = 0
+    kind: str = field(default="synthetic", metadata=enum("synthetic", "csv", "constant"))
+    path: str | None = field(default=None, metadata={"type": "string"})
+    scale: float = field(default=1.0, metadata=POS)
+    power_w: float = field(default=0.0, metadata=NONNEG)
+    amplitude_w: float = field(default=0.0003, metadata=NONNEG)
+    period_slots: int = field(default=24, metadata=int_min(2))
+    day_fraction: float = field(default=0.5, metadata=FRACTION)
+    cloudy_attenuation: float = field(default=0.35, metadata=PROBABILITY)
+    switch_probability: float = field(default=0.3, metadata=PROBABILITY)
+    trend_per_day: float = field(default=0.0, metadata=NUM)
+    seed: int = field(default=0, metadata={"type": "integer"})
 
 
 @dataclass(frozen=True)
@@ -299,13 +119,75 @@ class NodeSpec:
     profile: str | None = None
 
 
+_NODES_SCHEMA = {
+    "type": "array",
+    "minItems": 1,
+    "items": {
+        "type": "object",
+        "additionalProperties": False,
+        "required": ["id", "role"],
+        "properties": {
+            "id": {"type": "string"},
+            "role": enum("source", "relay", "sink"),
+            "position": {"type": "array", "items": NUM, "minItems": 2, "maxItems": 2},
+            "profile": {"type": ["string", "null"]},
+        },
+    },
+}
+
+_COSTS_SCHEMA = {
+    "type": "object",
+    "additionalProperties": False,
+    "properties": {
+        "sense": POS,
+        "average50": POS,
+        "peak50": POS,
+        "flash_write": POS,
+        "flash_read": POS,
+        "rx128": POS,
+        "tx128": {"type": "object", "additionalProperties": POS},
+    },
+}
+
+_PROFILES_SCHEMA = {
+    "type": "object",
+    "additionalProperties": section(ProfileSpec, required=["kind"]),
+}
+
+_POLICIES_SCHEMA = {
+    "type": "object",
+    "additionalProperties": {
+        "type": "array",
+        "items": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["name", "ops"],
+            "properties": {
+                "name": {"type": "string"},
+                "priority": int_min(1),
+                "ops": {
+                    "type": "array",
+                    "minItems": 1,
+                    "items": enum(
+                        "sense", "average50", "peak50", "flash_write", "flash_read",
+                        "tx128", "rx128",
+                    ),
+                },
+                "repeat": int_min(1),
+                "weight": POS,
+            },
+        },
+    },
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
-    nodes: tuple[NodeSpec, ...]
-    seed: int = 1
-    slots: int = 100
-    slot_duration_s: float = 60.0
+    name: str = field(metadata={"type": "string"})
+    nodes: tuple[NodeSpec, ...] = field(metadata=_NODES_SCHEMA)
+    seed: int = field(default=1, metadata={"type": "integer"})
+    slots: int = field(default=100, metadata=int_min(1))
+    slot_duration_s: float = field(default=60.0, metadata=POS)
     energy: EnergySettings = EnergySettings()
     predictor: PredictorSettings = PredictorSettings()
     optimizer: OptimizerSettings = OptimizerSettings()
@@ -313,15 +195,33 @@ class ScenarioConfig:
     mac: MacConfig = MacConfig()
     channel: ChannelSettings = ChannelSettings()
     traffic: TrafficSettings = TrafficSettings()
-    costs: dict = field(default_factory=dict)
-    profiles: dict = field(default_factory=dict)
-    policies: dict = field(default_factory=dict)
+    costs: dict = field(default_factory=dict, metadata=_COSTS_SCHEMA)
+    profiles: dict = field(default_factory=dict, metadata=_PROFILES_SCHEMA)
+    policies: dict = field(default_factory=dict, metadata=_POLICIES_SCHEMA)
 
     def policies_for(self, node: NodeSpec) -> tuple[Policy, ...]:
         """Node-specific policy list, falling back to the node's role."""
         if node.id in self.policies:
             return self.policies[node.id]
         return self.policies.get(node.role, ())
+
+
+SCENARIO_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    **section(ScenarioConfig, required=["name", "nodes"]),
+}
+_VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
+# The settings sections, by key: each field whose default is a settings dataclass.
+_SECTIONS = {f.name: type(f.default) for f in fields(ScenarioConfig) if is_dataclass(f.default)}
+
+_DBM_KEY = re.compile(r"[+-]?\d+")
+
+
+def _setting(doc: dict, section_name: str, key: str):
+    """``doc[section_name][key]``, or None where the document lacks that shape."""
+    values = doc.get(section_name)
+    return values.get(key) if isinstance(values, dict) else None
 
 
 def _semantic_violations(doc: dict) -> list[str]:
@@ -338,8 +238,8 @@ def _semantic_violations(doc: dict) -> list[str]:
     # Path loss needs a positive distance, so no two nodes may share a spot.
     at_position: dict[tuple, list] = {}
     for n in nodes:
-        pos = n.get("position", [0.0, 0.0])
-        if isinstance(pos, list) and all(isinstance(c, (int, float)) for c in pos):
+        pos = n.get("position", NodeSpec.position)
+        if isinstance(pos, (list, tuple)) and all(isinstance(c, (int, float)) for c in pos):
             at_position.setdefault(tuple(pos), []).append(n.get("id"))
     for pos, shared in at_position.items():
         if len(shared) > 1:
@@ -358,7 +258,26 @@ def _semantic_violations(doc: dict) -> list[str]:
     for prof_name, prof in profiles.items():
         if prof.get("kind") == "csv" and not prof.get("path"):
             problems.append(f"profiles[{prof_name}]: csv profiles need a path")
+    # Only well-formed threshold lists are compared; the schema reports the rest.
+    t = _setting(doc, "energy", "thresholds")
+    if (
+        isinstance(t, list)
+        and len(t) == 3
+        and all(isinstance(x, (int, float)) for x in t)
+        and not t[0] < t[1] < t[2]
+    ):
+        problems.append("energy/thresholds: must be strictly ascending")
+    tx_costs = _setting(doc, "costs", TX_OP_KIND)
+    if isinstance(tx_costs, dict):
+        for power in tx_costs:
+            if not _DBM_KEY.fullmatch(str(power)):
+                problems.append(f"costs/{TX_OP_KIND}: power {power!r} is not an integer dBm")
     return problems
+
+
+def _build(cls, data: dict):
+    """``cls`` from the keys ``data`` has, lists as tuples; the rest keep their defaults."""
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -370,122 +289,49 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise SchemaError(["document must be a mapping"])
 
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
     violations = [
         f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
-        for err in sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+        for err in sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
     ]
     violations += _semantic_violations(doc)
     if violations:
         raise SchemaError(violations)
 
-    def build(cls, section):
-        data = dict(doc.get(section, {}))
-        return cls(**data)
-
-    energy_raw = dict(doc.get("energy", {}))
-    if "thresholds" in energy_raw:
-        t = energy_raw["thresholds"]
-        if not (t[0] < t[1] < t[2]):
-            raise SchemaError(["energy/thresholds: must be strictly ascending"])
-        energy_raw["thresholds"] = tuple(t)
-    routing_raw = dict(doc.get("routing", {}))
-    if routing_raw.get("mu") is not None:
-        routing_raw["mu"] = tuple(routing_raw["mu"])
-
-    costs = {}
-    for kind, value in doc.get("costs", {}).items():
-        if kind == "tx128":
-            costs["tx128"] = {int(k): float(v) for k, v in value.items()}
-        else:
-            costs[kind] = float(value)
-
-    profiles = {
-        name: ProfileSpec(**spec) for name, spec in doc.get("profiles", {}).items()
-    }
-    nodes = tuple(
-        NodeSpec(
-            id=n["id"],
-            role=n["role"],
-            position=tuple(n.get("position", (0.0, 0.0))),
-            profile=n.get("profile"),
-        )
-        for n in doc["nodes"]
-    )
-    policies = {
-        key: tuple(
-            Policy(
-                name=p["name"],
-                ops=tuple(p["ops"]),
-                priority=p.get("priority", 1),
-                repeat=p.get("repeat", 1),
-                weight=p.get("weight", 1.0),
-            )
-            for p in plist
-        )
-        for key, plist in doc.get("policies", {}).items()
-    }
-    return ScenarioConfig(
-        name=doc["name"],
-        nodes=nodes,
-        seed=doc.get("seed", 1),
-        slots=doc.get("slots", 100),
-        slot_duration_s=doc.get("slot_duration_s", 60.0),
-        energy=EnergySettings(**energy_raw),
-        predictor=build(PredictorSettings, "predictor"),
-        optimizer=build(OptimizerSettings, "optimizer"),
-        routing=RoutingSettings(**routing_raw),
-        mac=build(MacConfig, "mac"),
-        channel=build(ChannelSettings, "channel"),
-        traffic=build(TrafficSettings, "traffic"),
-        costs=costs,
-        profiles=profiles,
-        policies=policies,
+    return _build(
+        ScenarioConfig,
+        {
+            **doc,
+            **{name: _build(cls, doc[name]) for name, cls in _SECTIONS.items() if name in doc},
+            "nodes": [_build(NodeSpec, n) for n in doc["nodes"]],
+            "costs": {
+                kind: (
+                    {int(power): float(c) for power, c in value.items()}
+                    if kind == TX_OP_KIND
+                    else float(value)
+                )
+                for kind, value in doc.get("costs", {}).items()
+            },
+            "profiles": {
+                name: _build(ProfileSpec, spec) for name, spec in doc.get("profiles", {}).items()
+            },
+            "policies": {
+                key: tuple(_build(Policy, p) for p in plist)
+                for key, plist in doc.get("policies", {}).items()
+            },
+        },
     )
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    """Plain-dict form of a config, suitable for YAML dumping."""
-    doc = {
-        "name": cfg.name,
-        "seed": cfg.seed,
-        "slots": cfg.slots,
-        "slot_duration_s": cfg.slot_duration_s,
-        "energy": asdict(cfg.energy),
-        "predictor": asdict(cfg.predictor),
-        "optimizer": asdict(cfg.optimizer),
-        "routing": asdict(cfg.routing),
-        "mac": asdict(cfg.mac),
-        "channel": asdict(cfg.channel),
-        "traffic": asdict(cfg.traffic),
-        "costs": {
-            k: (dict(sorted(v.items())) if isinstance(v, dict) else v)
-            for k, v in sorted(cfg.costs.items())
-        },
-        "profiles": {name: asdict(p) for name, p in sorted(cfg.profiles.items())},
-        "nodes": [
-            {
-                "id": n.id,
-                "role": n.role,
-                "position": list(n.position),
-                "profile": n.profile,
-            }
-            for n in cfg.nodes
-        ],
-        "policies": {
-            key: [asdict(p) for p in plist]
-            for key, plist in sorted(cfg.policies.items())
-        },
-    }
-    doc["energy"]["thresholds"] = list(doc["energy"]["thresholds"])
-    if doc["routing"]["mu"] is not None:
-        doc["routing"]["mu"] = list(doc["routing"]["mu"])
+    """Plain-dict form of a config, suitable for YAML dumping.
+
+    Tuples stay tuples (both dumpers write them as lists); an unset profile
+    ``path`` or node ``profile`` is left out.
+    """
+    doc = asdict(cfg)
     for prof in doc["profiles"].values():
         if prof["path"] is None:
             del prof["path"]
-    for plist in doc["policies"].values():
-        for p in plist:
-            p["ops"] = list(p["ops"])
     for node in doc["nodes"]:
         if node["profile"] is None:
             del node["profile"]

@@ -51,6 +51,9 @@ from dataclasses import dataclass, field, replace
 
 from . import app, forecast, mac, routing
 from .energy import (
+    DEFAULT_OP_COSTS,
+    DEFAULT_TX_COSTS,
+    TX_OP_KIND,
     EnergyLevel,
     EnergyStore,
     HarvestTrace,
@@ -212,15 +215,11 @@ class World:
         self.collect_mac_trace = collect_mac_trace
         self.radio = mac.RadioEnergyModel()
         costs = dict(cfg.costs)
-        tx_costs = costs.pop("tx128", None)
-        table_kwargs = {}
-        if costs:
-            base = dict(OperationCostTable().costs)
-            base.update(costs)
-            table_kwargs["costs"] = base
-        if tx_costs:
-            table_kwargs["tx_costs"] = dict(tx_costs)
-        self.table = OperationCostTable(**table_kwargs)
+        tx_costs = costs.pop(TX_OP_KIND, {})
+        # Configured costs override the published ones entry by entry.
+        self.table = OperationCostTable(
+            {**DEFAULT_OP_COSTS, **costs}, {**DEFAULT_TX_COSTS, **tx_costs}
+        )
         self.thresholds = LevelThresholds(*cfg.energy.thresholds)
         self.floor = cfg.energy.floor_fraction * cfg.energy.capacity_uj
         # Unicasts carry data frames (cfg.mac) or control-length frames (rrep).

@@ -53,6 +53,12 @@ class TestRunCommand:
         code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_bad_tx_cost_power_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(TREE + "costs: {tx128: {high: 300}}\n")
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+
     def test_mac_trace_flag(self, tree_path, tmp_path):
         out = tmp_path / "out"
         main(["run", "--config", tree_path, "--slots", "5", "--out", str(out),

@@ -1,7 +1,12 @@
+import json
+from pathlib import Path
+
+import jsonschema
 import pytest
 
 from harvestsim.energy import SlotOutOfRange
 from harvestsim.scenario import (
+    SCENARIO_SCHEMA,
     NegativePower,
     ParseError,
     ProfileSpec,
@@ -72,6 +77,30 @@ nodes:
             "nodes: ['A', 'D'] share position [0.0, 0.0]"
         ]
 
+    def test_threshold_order_reported_with_other_violations(self):
+        text = MINIMAL + "energy: {thresholds: [0.70, 0.40, 0.10]}\nrouting: {mode: sideways}\n"
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(text)
+        v = err.value.violations
+        assert "energy/thresholds: must be strictly ascending" in v
+        assert any(x.startswith("routing/mode:") for x in v)
+
+    @pytest.mark.parametrize("thresholds", ["[0.7, 0.4]", "[0.7, x, 0.1]", "{a: 1}"])
+    def test_malformed_thresholds_left_to_the_schema(self, thresholds):
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(MINIMAL + f"energy: {{thresholds: {thresholds}}}\n")
+        v = err.value.violations
+        assert v and all(x.startswith("energy/thresholds") for x in v)
+        assert "energy/thresholds: must be strictly ascending" not in v
+
+    def test_tx_cost_power_must_be_an_integer(self):
+        text = MINIMAL + "costs: {tx128: {high: 300, -5: 304.0, '0': 341.0}}\n"
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(text)
+        assert err.value.violations == ["costs/tx128: power 'high' is not an integer dBm"]
+        cfg = parse_scenario(text.replace("high: 300, ", ""))
+        assert cfg.costs == {"tx128": {-5: 304.0, 0: 341.0}}
+
     def test_unknown_keys_rejected(self):
         text = MINIMAL + "\ntypo_key: 1\n"
         with pytest.raises(SchemaError) as err:
@@ -99,6 +128,15 @@ nodes:
     def test_not_yaml(self):
         with pytest.raises(SchemaError):
             parse_scenario("{{{{")
+
+
+class TestSchema:
+    def test_generated_schema_is_pinned_and_valid(self):
+        # Built from the settings dataclasses' field metadata; the frozen copy
+        # is the hand-written schema it replaced.
+        frozen = json.loads((Path(__file__).parent / "scenario_schema.json").read_text())
+        assert SCENARIO_SCHEMA == frozen
+        jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
 
 
 class TestRoundTrip:

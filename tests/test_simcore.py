@@ -7,9 +7,15 @@ from importlib import resources
 import pytest
 import yaml
 
-from harvestsim import forecast, mac, simcore
+from harvestsim import forecast, mac, routing, simcore
 from harvestsim.cli import main
-from harvestsim.energy import EnergyLevel, HarvestTrace, OperationCostTable, SlotOutOfRange
+from harvestsim.energy import (
+    DEFAULT_TX_COSTS,
+    EnergyLevel,
+    HarvestTrace,
+    OperationCostTable,
+    SlotOutOfRange,
+)
 from harvestsim.routing import REFERENCE_TX_POWER_DBM, TX_POWER_BY_LEVEL
 from harvestsim.scenario import ChannelSettings, parse_scenario
 from harvestsim.simcore import World, deliver, loss_probability, rssi_at
@@ -164,6 +170,44 @@ class TestRadioDormancy:
         assert not e0.intersection(sent)
 
 
+    @staticmethod
+    def _relay_b_dormant_from_slot_2(tree_cfg):
+        """A tree world after slots 0 and 1 whose unharvested relay B enters
+        slot 2 below the E0 threshold (0.10) but above the floor (0.02)."""
+        cfg = dataclasses.replace(
+            tree_cfg, energy=dataclasses.replace(tree_cfg.energy, floor_fraction=0.02)
+        )
+        dark = HarvestTrace(powers=(0.0,) * 60)
+        world = World(cfg, traces={"B": dark}, collect_mac_trace=True)
+        simcore.run(world, 2)
+        b = world.nodes["B"]
+        assert b.tx_power is not None
+        b.store = dataclasses.replace(b.store, stored=0.05 * b.store.capacity)
+        return world, b
+
+    def test_forward_due_after_dropping_to_e0_is_not_sent(self, tree_cfg):
+        # Forwarded late in slot 1, due in slot 2 at the power B had then.
+        world, b = self._relay_b_dormant_from_slot_2(tree_cfg)
+        t = 2 * tree_cfg.slot_duration_s + 0.01
+        fwd = routing.Rreq(
+            origin="D", dest="A", seq=99, path=(("B", -70.0),), tx_power_dbm=b.tx_power
+        )
+        world._push(t, "rreq_tx", "B", fwd)
+        world.step_slot()
+        assert b.level == EnergyLevel.E0
+        assert (t, "B", "rreq-tx", "seq=99") not in world.metrics.mac_trace
+        radio = [c for c in world.metrics.charges if c[:2] == (2, "B") and c[2].startswith("mac:")]
+        assert radio == []
+
+    def test_send_due_after_dropping_to_e0_is_dropped_dormant(self, tree_cfg):
+        # Relayed late in slot 1, due in slot 2.
+        world, b = self._relay_b_dormant_from_slot_2(tree_cfg)
+        world._push(2 * tree_cfg.slot_duration_s + 0.01, "send", "B", simcore.Packet("D-1-9"))
+        world.step_slot()
+        assert b.level == EnergyLevel.E0
+        assert (2, "D-1-9", "B", "dormant") in world.metrics.drops
+
+
 class TestSeasonalRestart:
     """The seasonal predictor restarts its warm-up instead of aborting the run."""
 
@@ -269,6 +313,15 @@ class TestDrainedBacklog:
         assert tx_charges
         for slot, node, _, amount in tx_charges:
             assert amount == world.table.tx_costs[TX_POWER_BY_LEVEL[own[slot, node]]]
+
+
+class TestCostTable:
+    def test_partial_tx_table_merges_over_published_costs(self, tree_cfg):
+        cfg = dataclasses.replace(tree_cfg, costs={"tx128": {0: 300.0}})
+        world = World(cfg)
+        assert world.table.tx_costs == {**DEFAULT_TX_COSTS, 0: 300.0}
+        # Lower energy levels transmit at -5 and -10 dBm from slot 0 on.
+        assert simcore.run(world, 3).slots_run == 3
 
 
 class TestRunContract:
