@@ -158,7 +158,7 @@ def cli() -> None:
 @cli.command("run")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", type=int, default=None)
-@click.option("--slots", type=int, default=None)
+@click.option("--slots", type=click.IntRange(min=1), default=None)
 @click.option("--mode", type=click.Choice(["modified", "baseline"]), default=None)
 @click.option("--out", "outdir", required=True, type=click.Path())
 @click.option("--mac-trace", is_flag=True, default=False)
@@ -266,8 +266,8 @@ def compare_predictors(series, period, ewma_eps, hw_params) -> dict:
 
 @cli.command("route-compare")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--seeds", type=int, default=10)
-@click.option("--slots", type=int, default=None)
+@click.option("--seeds", type=click.IntRange(min=1), default=10)
+@click.option("--slots", type=click.IntRange(min=1), default=None)
 @click.option("--out", "outdir", required=True, type=click.Path())
 def route_compare_cmd(config_path, seeds, slots, outdir) -> None:
     """PDR of modified versus baseline routing over a batch of seeds."""

@@ -219,7 +219,6 @@ class SendResult:
     preambles_sent: int
     elapsed_ms: float
     sender_tx_ms: float
-    trace: list[tuple[float, str]] = field(default_factory=list)
 
 
 def _first_wake_at(
@@ -241,7 +240,6 @@ def _first_wake_at(
 
 
 def csma_send(
-    packet: str,
     receiver_schedule: DutySchedule,
     config: MacConfig,
     rng,
@@ -274,7 +272,6 @@ def csma_send(
         )
     train = preamble_train(train_sleep_ms, config)
     now = start_ms
-    trace: list[tuple[float, str]] = []
     attempts = 0
     preambles_total = 0
     tx_ms_total = 0.0
@@ -288,18 +285,14 @@ def csma_send(
             attempts += 1
             if not cca(sample(now), config):
                 cleared = True
-                trace.append((now, "cca-idle"))
                 break
-            trace.append((now, "cca-busy"))
             now += rng.uniform(0.0, backoff_window_ms(attempt, config))
         if not cleared:
             saturated += 1
             continue
         if config.rts_cts:
-            trace.append((now, "rts"))
-            now += config.control_packet_ms
-            trace.append((now, "cts"))
-            now += config.control_packet_ms
+            now += config.control_packet_ms  # rts
+            now += config.control_packet_ms  # cts
             tx_ms_total += config.control_packet_ms
         # Preamble until the receiver's wake lands inside the train.
         wake_at = _first_wake_at(receiver_schedule, receiver_phase_ms, now)
@@ -308,20 +301,16 @@ def csma_send(
             sent = train.count
             preambles_total += sent
             tx_ms_total += sent * train.packet_ms
-            trace.append((now, f"preamble x{sent} missed"))
             now = train_end
             continue
         sent = max(1, math.ceil(max(wake_at - now, 0.0) / train.packet_ms))
         sent = min(sent, train.count)
         preambles_total += sent
         tx_ms_total += sent * train.packet_ms
-        trace.append((now, f"preamble x{sent}"))
         now = max(wake_at, now + sent * train.packet_ms)
-        trace.append((now, "data"))
         now += config.data_packet_ms
         tx_ms_total += config.data_packet_ms
         if decide(round_no):
-            trace.append((now, "ack"))
             now += config.ack_ms
             return SendResult(
                 delivered=True,
@@ -329,9 +318,7 @@ def csma_send(
                 preambles_sent=preambles_total,
                 elapsed_ms=now - start_ms,
                 sender_tx_ms=tx_ms_total,
-                trace=trace,
             )
-        trace.append((now, "no-ack"))
         now += config.ack_ms
 
     result = SendResult(
@@ -340,7 +327,6 @@ def csma_send(
         preambles_sent=preambles_total,
         elapsed_ms=now - start_ms,
         sender_tx_ms=tx_ms_total,
-        trace=trace,
     )
     if saturated == deliveries_allowed:
         raise ChannelSaturated(

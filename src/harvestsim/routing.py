@@ -7,8 +7,14 @@ reverse path. Two sink behaviours are supported:
 * ``baseline``: the first request of a flood wins (classic reduced-AODV);
 * ``modified``: the sink collects candidates for a short window, scores each
   path by a weighted sum of per-hop link qualities and answers the cheapest;
-  late requests that beat the installed route trigger a fresh reply even
+  late requests that beat the answered route trigger a fresh reply even
   mid-transfer.
+
+The sink's route choice lives here whole: :func:`sink_receive` takes each
+request copy and :func:`sink_close_window` answers a closed collection
+window; the sink's :class:`RoutingState` holds its open windows and each
+origin's answered flood and cost. The engine only schedules the window close
+and the replies these two ask for.
 
 Nodes signal their energy level implicitly through transmit power. Every
 node periodically beacons at a fixed reference power; listeners smooth those
@@ -39,10 +45,6 @@ class Uncalibrated(RoutingError):
 
 class DimensionMismatch(RoutingError):
     """Path RSSI list and weight list differ in length."""
-
-
-class NoCandidates(RoutingError):
-    """The sink's collection window closed with no route request."""
 
 
 # Three discrete transmit powers for the three live energy levels; the
@@ -88,22 +90,15 @@ def map_level_to_txpower(level: EnergyLevel) -> int:
     return TX_POWER_BY_LEVEL[level]
 
 
-@dataclass(frozen=True)
-class RssiReference:
-    """Smoothed RSSI observed from a neighbour's fixed-power beacons."""
-
-    rssi_dbm: float
-
-
-def calibrate_reference(existing: RssiReference | None, observed_dbm: float) -> RssiReference:
-    """Fold a new beacon observation into the reference (seeded by the first)."""
+def calibrate_reference(existing: float | None, observed_dbm: float) -> float:
+    """Fold a new beacon observation into the smoothed reference RSSI (dBm),
+    seeded by the first."""
     if existing is None:
-        return RssiReference(rssi_dbm=float(observed_dbm))
-    smoothed = existing.rssi_dbm + REFERENCE_SMOOTHING * (observed_dbm - existing.rssi_dbm)
-    return RssiReference(rssi_dbm=smoothed)
+        return float(observed_dbm)
+    return existing + REFERENCE_SMOOTHING * (observed_dbm - existing)
 
 
-def infer_neighbor_level(observed_rssi: float, reference: RssiReference | None) -> EnergyLevel:
+def infer_neighbor_level(observed_rssi: float, reference: float | None) -> EnergyLevel:
     """Decode a neighbour's energy level from its received signal strength.
 
     The attenuation below the beacon reference is matched to the nearest
@@ -111,7 +106,7 @@ def infer_neighbor_level(observed_rssi: float, reference: RssiReference | None) 
     """
     if reference is None:
         raise Uncalibrated("no beacon reference for this neighbour")
-    delta = reference.rssi_dbm - observed_rssi
+    delta = reference - observed_rssi
     best_level = None
     best_err = None
     for level, step in _LEVEL_STEPS:  # ascending: lower level wins ties
@@ -178,13 +173,20 @@ class RouteEntry:
 
 @dataclass
 class RoutingState:
-    """Per-node protocol state, mutated only by the owning simulator."""
+    """Per-node protocol state, mutated only by the owning simulator.
+
+    ``answered`` and ``answered_cost`` hold, per origin, the newest flood the
+    sink answered and that answer's cost; ``windows`` holds the candidates of
+    each open collection window by (origin, seq). Only the sink fills them.
+    """
 
     node_id: str
     table: dict[str, RouteEntry] = field(default_factory=dict)
     forwarded: set[tuple[str, int]] = field(default_factory=set)
     answered: dict[str, int] = field(default_factory=dict)
-    references: dict[str, RssiReference] = field(default_factory=dict)
+    answered_cost: dict[str, float] = field(default_factory=dict)
+    windows: dict[tuple[str, int], list[Rreq]] = field(default_factory=dict)
+    references: dict[str, float] = field(default_factory=dict)
     seq_counter: int = 0
 
     def next_seq(self) -> int:
@@ -208,27 +210,23 @@ def candidate_cost(settings: RoutingSettings, rreq: Rreq) -> float:
 
 
 def process_rreq(
-    state: RoutingState,
-    rreq: Rreq,
-    observed_rssi: float,
-    own_level: EnergyLevel,
-    own_tx_power: int | None = None,
+    state: RoutingState, rreq: Rreq, observed_rssi: float, own_tx_power: int | None
 ) -> Rreq | None:
-    """Relay handling of a request: dedupe, append own observation, re-send.
+    """Relay handling of a request: dedupe, append own observation, re-send
+    at the relay's transmit power.
 
     Returns the forwarded request, or ``None`` when the flood was already
-    served, the node is dormant, or forwarding would loop.
+    served, the node is dormant (``own_tx_power is None``), or forwarding
+    would loop.
     """
     key = (rreq.origin, rreq.seq)
     if key in state.forwarded:
         return None
-    if own_level == EnergyLevel.E0:
+    if own_tx_power is None:
         return None
     if state.node_id == rreq.origin or state.node_id in rreq.hops():
         return None
     state.forwarded.add(key)
-    if own_tx_power is None:
-        own_tx_power = map_level_to_txpower(own_level)
     return replace(
         rreq,
         path=rreq.path + ((state.node_id, observed_rssi),),
@@ -236,72 +234,73 @@ def process_rreq(
     )
 
 
-def sink_observe(rreq: Rreq, sink_id: str, observed_rssi: float) -> Rreq:
-    """Complete a candidate at the sink: append the final-hop observation.
+def _answer(state: RoutingState, candidate: Rreq, cost: float) -> Rrep:
+    """Record ``candidate`` as its origin's answered flood and build the reply.
 
-    After this the path record holds one (node, RSSI) pair per link of the
-    route, ending with the sink itself.
+    Callers answer only floods no older than the origin's last answered one.
     """
-    return replace(rreq, path=rreq.path + ((sink_id, observed_rssi),))
+    state.answered[candidate.origin] = candidate.seq
+    state.answered_cost[candidate.origin] = cost
+    # The path record ends at the sink; the reply walks it back to the origin.
+    return Rrep(
+        origin=candidate.origin,
+        dest=state.node_id,
+        seq=candidate.seq,
+        path=tuple(reversed(candidate.hops())) + (candidate.origin,),
+        cost=cost,
+    )
 
 
-def _reverse_path(rreq: Rreq) -> tuple[str, ...]:
-    # Path record ends at the sink; the reply walks it backwards to the origin.
-    return tuple(reversed(rreq.hops())) + (rreq.origin,)
+def sink_receive(
+    state: RoutingState, settings: RoutingSettings, rreq: Rreq, observed_rssi: float
+) -> tuple[Rrep | None, bool]:
+    """The sink's handling of one request copy: ``(reply, opens_window)``.
 
-
-def sink_decide(state: RoutingState, settings: RoutingSettings, candidates: list[Rreq]) -> Rrep:
-    """Pick the flood's winning route and build the reply.
-
-    Candidates must be completed via :func:`sink_observe`. Modified mode
-    takes the cheapest one (first arrival on ties); baseline mode takes the
-    first arrival regardless of cost.
+    The final-hop observation completes the candidate's path record. Copies
+    of floods older than the origin's last answered one are ignored. Baseline
+    mode answers the first copy of each flood at once. Modified mode opens a
+    collection window with a flood's first copy (``opens_window``; the caller
+    closes it with :func:`sink_close_window`), adds later copies to it while
+    it is open, and after it closed answers a late copy only when it is
+    strictly cheaper than the answered route, even mid-transfer.
     """
-    if not candidates:
-        raise NoCandidates("collection window closed without any request")
+    candidate = replace(rreq, path=rreq.path + ((state.node_id, observed_rssi),))
+    answered = state.answered.get(rreq.origin, 0)
+    if rreq.seq < answered:
+        return None, False
     if settings.mode == "baseline":
-        chosen = candidates[0]
-    else:
-        best_cost = None
-        chosen = candidates[0]
-        for cand in candidates:
-            cost = candidate_cost(settings, cand)
-            if best_cost is None or cost < best_cost:
-                best_cost, chosen = cost, cand
-    cost = candidate_cost(settings, chosen)
-    state.answered[chosen.origin] = max(
-        state.answered.get(chosen.origin, 0), chosen.seq
-    )
-    return Rrep(
-        origin=chosen.origin,
-        dest=state.node_id,
-        seq=chosen.seq,
-        path=_reverse_path(chosen),
-        cost=cost,
-    )
+        if rreq.seq == answered:
+            return None, False  # first copy already answered this flood
+        return _answer(state, candidate, candidate_cost(settings, candidate)), False
+    key = (rreq.origin, rreq.seq)
+    if key in state.windows:
+        state.windows[key].append(candidate)
+        return None, False
+    if rreq.seq == answered and rreq.origin in state.answered_cost:
+        cost = candidate_cost(settings, candidate)
+        if cost < state.answered_cost[rreq.origin]:
+            return _answer(state, candidate, cost), False
+        return None, False
+    state.windows[key] = [candidate]
+    return None, True
 
 
-def reroute_on_better(
-    state: RoutingState, settings: RoutingSettings, current: RouteEntry, late: Rreq
+def sink_close_window(
+    state: RoutingState, settings: RoutingSettings, origin: str, seq: int
 ) -> Rrep | None:
-    """Mid-transfer improvement: answer a late request only if strictly cheaper.
-
-    Requests older than the last answered flood for that origin are ignored
-    entirely.
-    """
-    if late.seq < state.answered.get(late.origin, 0):
+    """Close the (origin, seq) collection window and answer its cheapest
+    candidate (first arrival on ties); ``None`` when no such window is open or
+    a newer flood from that origin has been answered since it opened."""
+    candidates = state.windows.pop((origin, seq), None)
+    if candidates is None or seq < state.answered.get(origin, 0):
         return None
-    cost = candidate_cost(settings, late)
-    if cost >= current.cost:
-        return None
-    state.answered[late.origin] = max(state.answered.get(late.origin, 0), late.seq)
-    return Rrep(
-        origin=late.origin,
-        dest=state.node_id,
-        seq=late.seq,
-        path=_reverse_path(late),
-        cost=cost,
-    )
+    best = candidates[0]
+    best_cost = candidate_cost(settings, best)
+    for cand in candidates[1:]:
+        cost = candidate_cost(settings, cand)
+        if cost < best_cost:
+            best, best_cost = cand, cost
+    return _answer(state, best, best_cost)
 
 
 def install_route(state: RoutingState, dest: str, next_hop: str, cost: float, seq: int) -> bool:

@@ -224,37 +224,33 @@ def _setting(doc: dict, section_name: str, key: str):
     return values.get(key) if isinstance(values, dict) else None
 
 
-def _semantic_violations(doc: dict) -> list[str]:
+def _semantic_violations(doc: dict, rejected: set) -> list[str]:
+    """Cross-field checks the schema cannot express; a section in ``rejected``
+    already failed the schema and is not checked again."""
     problems = []
-    nodes = doc.get("nodes", [])
-    sinks = [n.get("id") for n in nodes if n.get("role") == "sink"]
-    if len(sinks) != 1:
-        problems.append(
-            f"nodes: exactly one sink required, found {len(sinks)} ({sinks})"
-        )
-    ids = [n.get("id") for n in nodes]
-    if len(ids) != len(set(ids)):
-        problems.append(f"nodes: duplicate ids in {ids}")
-    # Path loss needs a positive distance, so no two nodes may share a spot.
-    at_position: dict[tuple, list] = {}
-    for n in nodes:
-        pos = n.get("position", NodeSpec.position)
-        if isinstance(pos, (list, tuple)) and all(isinstance(c, (int, float)) for c in pos):
-            at_position.setdefault(tuple(pos), []).append(n.get("id"))
-    for pos, shared in at_position.items():
-        if len(shared) > 1:
-            problems.append(f"nodes: {shared} share position {list(pos)}")
-    profiles = doc.get("profiles", {})
-    for n in nodes:
-        prof = n.get("profile")
-        if prof is not None and prof not in profiles:
-            problems.append(
-                f"nodes[{n.get('id')}].profile: {prof!r} not defined in profiles"
-            )
-        if n.get("role") != "sink" and prof is None:
-            problems.append(
-                f"nodes[{n.get('id')}]: non-sink nodes need an energy profile"
-            )
+    profiles = {} if "profiles" in rejected else doc.get("profiles", {})
+    if "nodes" not in rejected:
+        nodes = doc.get("nodes", [])
+        sinks = [n.get("id") for n in nodes if n.get("role") == "sink"]
+        if len(sinks) != 1:
+            problems.append(f"nodes: exactly one sink required, found {len(sinks)} ({sinks})")
+        ids = [n.get("id") for n in nodes]
+        if len(ids) != len(set(ids)):
+            problems.append(f"nodes: duplicate ids in {ids}")
+        # Path loss needs a positive distance, so no two nodes may share a spot.
+        at_position: dict[tuple, list] = {}
+        for n in nodes:
+            pos = tuple(n.get("position", NodeSpec.position))
+            at_position.setdefault(pos, []).append(n.get("id"))
+        for pos, shared in at_position.items():
+            if len(shared) > 1:
+                problems.append(f"nodes: {shared} share position {list(pos)}")
+        for n in nodes:
+            prof = n.get("profile")
+            if prof is not None and "profiles" not in rejected and prof not in profiles:
+                problems.append(f"nodes[{n.get('id')}].profile: {prof!r} not defined in profiles")
+            if n.get("role") != "sink" and prof is None:
+                problems.append(f"nodes[{n.get('id')}]: non-sink nodes need an energy profile")
     for prof_name, prof in profiles.items():
         if prof.get("kind") == "csv" and not prof.get("path"):
             problems.append(f"profiles[{prof_name}]: csv profiles need a path")
@@ -289,11 +285,13 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise SchemaError(["document must be a mapping"])
 
+    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
     violations = [
         f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
-        for err in sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
+        for err in errors
     ]
-    violations += _semantic_violations(doc)
+    rejected = {err.absolute_path[0] for err in errors if err.absolute_path}
+    violations += _semantic_violations(doc, rejected)
     if violations:
         raise SchemaError(violations)
 

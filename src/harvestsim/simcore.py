@@ -130,7 +130,6 @@ class NodeRuntime:
     policies: tuple[app.Policy, ...]
     predictor_state: object | None = None
     next_prediction: float | None = None
-    level: EnergyLevel = EnergyLevel.E0
     tx_power: int | None = None
     delta_op: float = 0.0
     schedule: mac.DutySchedule = mac.DutySchedule(wake_ms=0.0, sleep_ms=math.inf)
@@ -239,8 +238,6 @@ class World:
         self.busy_until = 0.0
         self._event_seq = 0
         self._events: list = []
-        self.flood_candidates: dict[tuple[str, int], list[routing.Rreq]] = {}
-        self.active_sink_route: dict[str, routing.RouteEntry] = {}
 
         sinks = [n for n in cfg.nodes if n.role == "sink"]
         if len(sinks) != 1:
@@ -279,7 +276,6 @@ class World:
                 policies=cfg.policies_for(spec),
             )
             if spec.role == "sink":
-                rt.level = EnergyLevel.E3
                 rt.tx_power = routing.REFERENCE_TX_POWER_DBM
                 rt.delta_op = 1.0
                 rt.schedule = mac.DutySchedule(wake_ms=self.cfg.mac.wake_window_ms, sleep_ms=0.0)
@@ -412,7 +408,6 @@ class World:
         # undersized train simply misses that round and retries.
         try:
             result = mac.csma_send(
-                purpose,
                 receiver.schedule,
                 cfg,
                 sender.rng_mac,
@@ -534,70 +529,26 @@ class World:
         last_hop = rreq.path[-1][0] if rreq.path else rreq.origin
         self._hear(rt, last_hop, rssi, is_beacon=False)
         if rt.is_sink:
-            self._sink_handle_rreq(t, rt, rreq, rssi)
+            rrep, opens_window = routing.sink_receive(rt.routing, self.cfg.routing, rreq, rssi)
+            if rrep is not None:
+                self._push(t + PROCESSING_DELAY_S, "rrep_hop", rrep, 0)
+            elif opens_window:
+                window = self.cfg.routing.collection_window_ms / 1000.0
+                self._push(t + window, "rreq_window", rreq.origin, rreq.seq)
             return
         if rt.role != "relay":
             return
-        fwd = routing.process_rreq(rt.routing, rreq, rssi, rt.level, rt.tx_power)
+        fwd = routing.process_rreq(rt.routing, rreq, rssi, rt.tx_power)
         if fwd is None:
             return
         jitter = rt.rng_mac.uniform(0.0, RREQ_JITTER_MS) / 1000.0
         self._push(t + PROCESSING_DELAY_S + jitter, "rreq_tx", node_id, fwd)
 
-    def _sink_handle_rreq(
-        self, t: float, sink: NodeRuntime, rreq: routing.Rreq, rssi: float
-    ) -> None:
-        state = sink.routing
-        candidate = routing.sink_observe(rreq, sink.node_id, rssi)
-        key = (rreq.origin, rreq.seq)
-        answered = state.answered.get(rreq.origin, 0)
-        if rreq.seq < answered:
-            return
-        if self.cfg.routing.mode == "baseline":
-            if rreq.seq == answered:
-                return  # first copy already answered this flood
-            rrep = routing.sink_decide(state, self.cfg.routing, [candidate])
-            self._install_sink_route(rrep)
-            self._send_rrep(t + PROCESSING_DELAY_S, rrep)
-            return
-        if key in self.flood_candidates:
-            self.flood_candidates[key].append(candidate)
-            return
-        if rreq.seq == answered and rreq.origin in self.active_sink_route:
-            # Window already closed for this flood: honour late requests that
-            # strictly beat the installed route, even mid-transfer.
-            rrep = routing.reroute_on_better(
-                state, self.cfg.routing, self.active_sink_route[rreq.origin], candidate
-            )
-            if rrep is not None:
-                self._install_sink_route(rrep)
-                self._send_rrep(t + PROCESSING_DELAY_S, rrep)
-            return
-        self.flood_candidates[key] = [candidate]
-        window = self.cfg.routing.collection_window_ms / 1000.0
-        self._push(t + window, "rreq_window", rreq.origin, rreq.seq)
-
     def _on_rreq_window(self, t: float, origin: str, seq: int) -> None:
-        candidates = self.flood_candidates.pop((origin, seq), [])
-        if not candidates:
-            return
         sink = self.nodes[self.sink_id]
-        if seq < sink.routing.answered.get(origin, 0):
-            return
-        rrep = routing.sink_decide(sink.routing, self.cfg.routing, candidates)
-        self._install_sink_route(rrep)
-        self._send_rrep(t, rrep)
-
-    def _install_sink_route(self, rrep: routing.Rrep) -> None:
-        self.active_sink_route[rrep.origin] = routing.RouteEntry(
-            dest=rrep.origin,
-            next_hop=rrep.path[1] if len(rrep.path) > 1 else rrep.origin,
-            cost=rrep.cost,
-            seq=rrep.seq,
-        )
-
-    def _send_rrep(self, t: float, rrep: routing.Rrep) -> None:
-        self._push(t, "rrep_hop", rrep, 0)
+        rrep = routing.sink_close_window(sink.routing, self.cfg.routing, origin, seq)
+        if rrep is not None:
+            self._push(t, "rrep_hop", rrep, 0)
 
     def _on_rrep_hop(self, t: float, rrep: routing.Rrep, idx: int) -> None:
         sender = self.nodes[rrep.path[idx]]
@@ -743,7 +694,6 @@ class World:
         }
         context = app.assess_slot(rt.store, forecasts, neighbor_levels)
         rt.context = context
-        rt.level = context.own
         rt.available = e_a
         try:
             rt.tx_power = routing.map_level_to_txpower(context.own)

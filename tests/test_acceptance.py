@@ -194,7 +194,7 @@ def test_criterion_7_virtual_energy_transfer():
         sched = mac.schedule_from_delta(delta, cfg)
         # Worst-phase receiver: the train must span the whole sleep.
         res = mac.csma_send(
-            "payload", sched, cfg, random.Random(1),
+            sched, cfg, random.Random(1),
             receiver_phase_ms=sched.sleep_ms - 1e-6,
         )
         assert res.delivered

@@ -53,6 +53,19 @@ class TestRunCommand:
         code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_malformed_nodes_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("name: x\nnodes: [1]\n")
+        code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "nodes/0: 1 is not of type 'object'" in capsys.readouterr().err
+
+    def test_zero_slots_is_a_usage_error(self, tree_path, tmp_path):
+        out = tmp_path / "o"
+        code = main(["run", "--config", tree_path, "--slots", "0", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
     def test_bad_tx_cost_power_exit_code(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text(TREE + "costs: {tx128: {high: 300}}\n")
@@ -121,6 +134,15 @@ class TestRouteCompareCommand:
         lines = (out / "pdr.csv").read_text().splitlines()
         assert lines[0] == "seed,mode,pdr,delivered,generated"
         assert len(lines) == 1 + 2 * 2
+
+    @pytest.mark.parametrize(
+        "args", [["--seeds", "0"], ["--seeds", "-2"], ["--slots", "0"]], ids=" ".join
+    )
+    def test_out_of_range_counts_are_usage_errors(self, tree_path, tmp_path, args):
+        out = tmp_path / "o"
+        code = main(["route-compare", "--config", tree_path, *args, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
 
 class TestDutyCommand:

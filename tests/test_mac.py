@@ -127,7 +127,7 @@ def awake_schedule():
 
 class TestCsmaSend:
     def test_idle_channel_awake_receiver_first_attempt(self):
-        res = csma_send("pkt", awake_schedule(), MacConfig(), random.Random(1))
+        res = csma_send(awake_schedule(), MacConfig(), random.Random(1))
         assert res.delivered
         assert res.attempts == 1
         assert res.preambles_sent == 1
@@ -135,7 +135,6 @@ class TestCsmaSend:
     def test_saturated_channel(self):
         with pytest.raises(ChannelSaturated):
             csma_send(
-                "pkt",
                 awake_schedule(),
                 MacConfig(),
                 random.Random(1),
@@ -146,7 +145,6 @@ class TestCsmaSend:
         cfg = MacConfig(arq_retries=3)
         with pytest.raises(NoAck) as err:
             csma_send(
-                "pkt",
                 awake_schedule(),
                 cfg,
                 random.Random(1),
@@ -160,7 +158,6 @@ class TestCsmaSend:
         sched = schedule_from_delta(0.05)
         for phase in [0.0, 13.7, 42.0, 60.0, 94.9]:
             res = csma_send(
-                "pkt",
                 sched,
                 MacConfig(),
                 random.Random(2),
@@ -174,10 +171,10 @@ class TestCsmaSend:
         fast = schedule_from_delta(0.25, cfg)  # sleep 20 -> up to 20 packets
         # Phase far enough out that the train runs its full span.
         res_slow = csma_send(
-            "p", slow, cfg, random.Random(3), receiver_phase_ms=99.9
+            slow, cfg, random.Random(3), receiver_phase_ms=99.9
         )
         res_fast = csma_send(
-            "p", fast, cfg, random.Random(3), receiver_phase_ms=19.9
+            fast, cfg, random.Random(3), receiver_phase_ms=19.9
         )
         assert res_slow.delivered and res_fast.delivered
         assert res_slow.sender_tx_ms > res_fast.sender_tx_ms
@@ -188,7 +185,6 @@ class TestCsmaSend:
         for delta in (0.05, 0.15, 0.25):
             sched = schedule_from_delta(delta)
             res = csma_send(
-                "p",
                 sched,
                 MacConfig(),
                 random.Random(4),
@@ -200,21 +196,17 @@ class TestCsmaSend:
     def test_dormant_receiver_never_acks(self):
         sched = schedule_from_delta(0.0)
         with pytest.raises(NoAck):
-            csma_send("p", sched, MacConfig(), random.Random(5))
+            csma_send(sched, MacConfig(), random.Random(5))
 
     def test_rts_cts_precedes_data(self):
+        # RTS and CTS each take one control frame before the data; the
+        # sender keys up only for the RTS.
         cfg = MacConfig(rts_cts=True)
-        res = csma_send("p", awake_schedule(), cfg, random.Random(6))
-        kinds = [k for _, k in res.trace]
-        assert kinds.index("rts") < kinds.index("cts") < kinds.index("data")
-
-    def test_trace_times_monotone(self):
-        res = csma_send(
-            "p", schedule_from_delta(0.15), MacConfig(), random.Random(7),
-            receiver_phase_ms=11.0,
-        )
-        times = [t for t, _ in res.trace]
-        assert times == sorted(times)
+        base = csma_send(awake_schedule(), MacConfig(), random.Random(6))
+        res = csma_send(awake_schedule(), cfg, random.Random(6))
+        assert res.delivered and base.delivered
+        assert res.elapsed_ms == pytest.approx(base.elapsed_ms + 2 * cfg.control_packet_ms)
+        assert res.sender_tx_ms == pytest.approx(base.sender_tx_ms + cfg.control_packet_ms)
 
     def test_busy_then_clear_backs_off(self):
         calls = {"n": 0}
@@ -224,7 +216,7 @@ class TestCsmaSend:
             return -10.0 if calls["n"] == 1 else -120.0
 
         res = csma_send(
-            "p", awake_schedule(), MacConfig(), random.Random(8),
+            awake_schedule(), MacConfig(), random.Random(8),
             channel_power_dbm=channel,
         )
         assert res.delivered

@@ -4,13 +4,10 @@ from hypothesis import given, strategies as st
 from harvestsim.energy import EnergyLevel
 from harvestsim.routing import (
     DimensionMismatch,
-    NoCandidates,
     NodeDormant,
-    RouteEntry,
     RoutingSettings,
     RoutingState,
     Rreq,
-    RssiReference,
     Uncalibrated,
     calibrate_reference,
     candidate_cost,
@@ -18,12 +15,14 @@ from harvestsim.routing import (
     install_route,
     map_level_to_txpower,
     process_rreq,
-    reroute_on_better,
-    sink_decide,
+    sink_close_window,
+    sink_receive,
     sink_route_cost,
 )
 
 MODIFIED = RoutingSettings(mode="modified")
+BASELINE = RoutingSettings(mode="baseline")
+FULL_POWER = map_level_to_txpower(EnergyLevel.E3)
 
 
 class TestTxPowerMapping:
@@ -50,20 +49,20 @@ class TestTxPowerMapping:
 
 class TestInference:
     def test_calibration_point_is_high(self):
-        ref = RssiReference(-65.0)
+        ref = -65.0
         assert infer_neighbor_level(-65.0, ref) is EnergyLevel.E3
 
     def test_ten_db_down_is_minimum(self):
-        ref = RssiReference(-65.0)
+        ref = -65.0
         assert infer_neighbor_level(-75.0, ref) is EnergyLevel.E1
 
     def test_nearest_step_wins(self):
-        ref = RssiReference(-65.0)
+        ref = -65.0
         # delta 7.4: |7.4-5| = 2.4 beats |7.4-10| = 2.6
         assert infer_neighbor_level(-72.4, ref) is EnergyLevel.E2
 
     def test_tie_takes_lower_level(self):
-        ref = RssiReference(-65.0)
+        ref = -65.0
         # delta 7.5 is equidistant from steps 5 and 10
         assert infer_neighbor_level(-72.5, ref) is EnergyLevel.E1
 
@@ -74,18 +73,16 @@ class TestInference:
 
 class TestCalibration:
     def test_first_beacon_seeds(self):
-        ref = calibrate_reference(None, -65.0)
-        assert ref.rssi_dbm == -65.0
+        assert calibrate_reference(None, -65.0) == -65.0
 
     def test_smoothing(self):
-        ref = calibrate_reference(RssiReference(-65.0), -70.0)
-        assert ref.rssi_dbm == pytest.approx(-66.0)
+        assert calibrate_reference(-65.0, -70.0) == pytest.approx(-66.0)
 
     def test_converges_to_steady_observation(self):
-        ref = RssiReference(-80.0)
+        ref = -80.0
         for _ in range(60):
             ref = calibrate_reference(ref, -65.0)
-        assert ref.rssi_dbm == pytest.approx(-65.0, abs=0.01)
+        assert ref == pytest.approx(-65.0, abs=0.01)
 
 
 class TestRouteCost:
@@ -131,31 +128,31 @@ class TestProcessRreq:
     def test_duplicate_dropped(self):
         state = RoutingState("B")
         r = rreq_via("D", 1)
-        assert process_rreq(state, r, -70.0, EnergyLevel.E3) is not None
-        assert process_rreq(state, r, -70.0, EnergyLevel.E3) is None
+        assert process_rreq(state, r, -70.0, FULL_POWER) is not None
+        assert process_rreq(state, r, -70.0, FULL_POWER) is None
 
     def test_fresh_rreq_appends_observation(self):
         state = RoutingState("B")
-        fwd = process_rreq(state, rreq_via("D", 1), -70.0, EnergyLevel.E3)
+        fwd = process_rreq(state, rreq_via("D", 1), -70.0, FULL_POWER)
         assert fwd.path == (("B", -70.0),)
         assert fwd.tx_power_dbm == 0
 
     def test_dormant_relay_drops(self):
         state = RoutingState("B")
-        assert process_rreq(state, rreq_via("D", 1), -70.0, EnergyLevel.E0) is None
+        assert process_rreq(state, rreq_via("D", 1), -70.0, None) is None
 
     def test_loop_blocked(self):
         state = RoutingState("B")
         looped = rreq_via("D", 1, ("B", -70.0))
-        assert process_rreq(state, looped, -70.0, EnergyLevel.E3) is None
+        assert process_rreq(state, looped, -70.0, FULL_POWER) is None
 
     def test_origin_does_not_forward_own(self):
         state = RoutingState("D")
-        assert process_rreq(state, rreq_via("D", 1), -70.0, EnergyLevel.E3) is None
+        assert process_rreq(state, rreq_via("D", 1), -70.0, FULL_POWER) is None
 
     def test_power_follows_level(self):
         state = RoutingState("B")
-        fwd = process_rreq(state, rreq_via("D", 1), -70.0, EnergyLevel.E1)
+        fwd = process_rreq(state, rreq_via("D", 1), -70.0, map_level_to_txpower(EnergyLevel.E1))
         assert fwd.tx_power_dbm == -10
 
     def test_flood_forwards_at_most_once_per_relay(self):
@@ -164,71 +161,107 @@ class TestProcessRreq:
         state = RoutingState("B")
         copies = [rreq_via("D", 7), rreq_via("D", 7, ("C", -72.0))]
         forwarded = [
-            process_rreq(state, c, -70.0, EnergyLevel.E3) for c in copies
+            process_rreq(state, c, -70.0, FULL_POWER) for c in copies
         ]
         assert sum(f is not None for f in forwarded) == 1
 
 
+def collect(settings, *copies):
+    """A fresh sink "A" receives each (request, final-hop RSSI) copy; returns
+    the sink and the replies its receive calls asked for, in order, with the
+    first copy's window closed afterwards if it opened one."""
+    sink = RoutingState("A")
+    replies = []
+    opened = None
+    for rreq, rssi in copies:
+        rrep, opens_window = sink_receive(sink, settings, rreq, rssi)
+        if rrep is not None:
+            replies.append(rrep)
+        if opens_window:
+            assert opened is None
+            opened = (rreq.origin, rreq.seq)
+    if opened is not None:
+        replies.append(sink_close_window(sink, settings, *opened))
+    return sink, replies
+
+
 class TestSinkDecide:
     def test_single_candidate_wins(self):
-        sink = RoutingState("A")
-        rrep = sink_decide(sink, MODIFIED, [rreq_via("D", 1, ("B", -70.0), ("A", -72.0))])
+        _, [rrep] = collect(MODIFIED, (rreq_via("D", 1, ("B", -70.0)), -72.0))
         assert rrep.path == ("A", "B", "D")
         assert rrep.cost == pytest.approx(71.0)
 
     def test_cheapest_candidate_chosen(self):
-        sink = RoutingState("A")
-        good = rreq_via("D", 1, ("B", -65.0), ("A", -70.0))  # cost 67.5
-        bad = rreq_via("D", 1, ("C", -68.4), ("A", -72.0))  # cost 70.2
-        rrep = sink_decide(sink, MODIFIED, [bad, good])
+        good = rreq_via("D", 1, ("B", -65.0))  # cost 67.5 with the final -70
+        bad = rreq_via("D", 1, ("C", -68.4))  # cost 70.2 with the final -72
+        _, [rrep] = collect(MODIFIED, (bad, -72.0), (good, -70.0))
         assert rrep.cost == pytest.approx(67.5)
         assert rrep.path == ("A", "B", "D")
 
     def test_baseline_takes_first_arrival(self):
-        sink = RoutingState("A")
-        first = rreq_via("D", 1, ("C", -68.4), ("A", -72.0))
-        better = rreq_via("D", 1, ("B", -65.0), ("A", -70.0))
-        rrep = sink_decide(sink, RoutingSettings(mode="baseline"), [first, better])
+        first = rreq_via("D", 1, ("C", -68.4))
+        better = rreq_via("D", 1, ("B", -65.0))
+        sink, [rrep] = collect(BASELINE, (first, -72.0), (better, -70.0))
         assert rrep.path == ("A", "C", "D")
-
-    def test_no_candidates(self):
-        with pytest.raises(NoCandidates):
-            sink_decide(RoutingState("A"), MODIFIED, [])
+        assert sink.windows == {}
 
     def test_equal_costs_keep_first(self):
-        sink = RoutingState("A")
-        one = rreq_via("D", 1, ("B", -65.0), ("A", -70.0))
-        two = rreq_via("D", 1, ("C", -70.0), ("A", -65.0))
-        rrep = sink_decide(sink, MODIFIED, [one, two])
+        one = rreq_via("D", 1, ("B", -65.0))
+        two = rreq_via("D", 1, ("C", -70.0))
+        _, [rrep] = collect(MODIFIED, (one, -70.0), (two, -65.0))
         assert rrep.path == ("A", "B", "D")
+
+    def test_window_closes_once(self):
+        sink, _ = collect(MODIFIED, (rreq_via("D", 1, ("B", -70.0)), -72.0))
+        assert sink_close_window(sink, MODIFIED, "D", 1) is None
+
+    def test_window_superseded_by_newer_answer_not_answered(self):
+        sink = RoutingState("A")
+        assert sink_receive(sink, MODIFIED, rreq_via("D", 1, ("B", -70.0)), -72.0) == (None, True)
+        sink.answered["D"] = 2
+        assert sink_close_window(sink, MODIFIED, "D", 1) is None
 
 
 class TestReroute:
-    def current(self):
-        return RouteEntry(dest="A", next_hop="B", cost=67.5, seq=1)
+    @staticmethod
+    def answered(seq=1):
+        """A sink that answered flood ``seq`` from D at cost 67.5."""
+        sink, [rrep] = collect(MODIFIED, (rreq_via("D", seq, ("B", -65.0)), -70.0))
+        assert rrep.cost == pytest.approx(67.5)
+        return sink
 
     def test_higher_cost_ignored(self):
-        sink = RoutingState("A")
-        late = rreq_via("D", 1, ("C", -70.0), ("A", -72.0))  # cost 71
-        assert reroute_on_better(sink, MODIFIED, self.current(), late) is None
+        sink = self.answered()
+        late = rreq_via("D", 1, ("C", -70.0))  # cost 71 with the final -72
+        assert sink_receive(sink, MODIFIED, late, -72.0) == (None, False)
 
     def test_strict_improvement_replaces(self):
-        sink = RoutingState("A")
-        late = rreq_via("D", 1, ("C", -58.0), ("A", -62.0))  # cost 60
-        rrep = reroute_on_better(sink, MODIFIED, self.current(), late)
-        assert rrep is not None
+        sink = self.answered()
+        late = rreq_via("D", 1, ("C", -58.0))  # cost 60 with the final -62
+        rrep, opens_window = sink_receive(sink, MODIFIED, late, -62.0)
+        assert rrep is not None and not opens_window
         assert rrep.cost == pytest.approx(60.0)
+        assert rrep.path == ("A", "C", "D")
+        assert sink.answered_cost["D"] == pytest.approx(60.0)
 
     def test_equal_cost_no_reply(self):
-        sink = RoutingState("A")
-        late = rreq_via("D", 1, ("C", -65.0), ("A", -70.0))  # cost 67.5 again
-        assert reroute_on_better(sink, MODIFIED, self.current(), late) is None
+        sink = self.answered()
+        late = rreq_via("D", 1, ("C", -65.0))  # cost 67.5 again
+        assert sink_receive(sink, MODIFIED, late, -70.0) == (None, False)
 
     def test_stale_sequence_never_answered(self):
-        sink = RoutingState("A")
-        sink.answered["D"] = 5
-        late = rreq_via("D", 4, ("C", -50.0), ("A", -50.0))  # very cheap but old
-        assert reroute_on_better(sink, MODIFIED, self.current(), late) is None
+        sink = self.answered(seq=5)
+        late = rreq_via("D", 4, ("C", -50.0))  # very cheap but old
+        for settings in (MODIFIED, BASELINE):
+            assert sink_receive(sink, settings, late, -50.0) == (None, False)
+        assert sink.windows == {}
+
+    def test_baseline_answers_each_flood_once(self):
+        sink, [rrep] = collect(BASELINE, (rreq_via("D", 1, ("B", -65.0)), -70.0))
+        cheaper = rreq_via("D", 1, ("C", -50.0))
+        assert sink_receive(sink, BASELINE, cheaper, -50.0) == (None, False)
+        newer, _ = sink_receive(sink, BASELINE, rreq_via("D", 2, ("B", -65.0)), -70.0)
+        assert newer.seq == 2
 
 
 class TestRouteTable:
@@ -260,7 +293,7 @@ class TestLoopFreedom:
         rreq = Rreq(origin="S", dest="A", seq=1)
         states = [RoutingState(f"R{i}") for i in range(n_relays)]
         for st_ in states:
-            fwd = process_rreq(st_, rreq, -70.0, EnergyLevel.E3)
+            fwd = process_rreq(st_, rreq, -70.0, FULL_POWER)
             assert fwd is not None
             rreq = fwd
         hops = rreq.hops()

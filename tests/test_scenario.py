@@ -101,6 +101,25 @@ nodes:
         cfg = parse_scenario(text.replace("high: 300, ", ""))
         assert cfg.costs == {"tx128": {-5: 304.0, 0: 341.0}}
 
+    SUN_PROFILES = "profiles:\n  sun: {kind: constant, power_w: 0.001}"
+
+    @pytest.mark.parametrize(
+        "text, section",
+        [
+            ("name: x\nnodes: [1]\n", "nodes"),
+            ("name: x\nnodes: 5\n", "nodes"),
+            (MINIMAL.replace(SUN_PROFILES, "profiles: 3"), "profiles"),
+            (MINIMAL.replace(SUN_PROFILES, "profiles: {sun: 3}"), "profiles"),
+        ],
+        ids=["node-not-a-mapping", "nodes-not-a-list", "profiles-not-a-mapping",
+             "profile-not-a-mapping"],
+    )
+    def test_sections_the_schema_rejects_are_not_checked_again(self, text, section):
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(text)
+        v = err.value.violations
+        assert v and all(x.startswith(section) for x in v)
+
     def test_unknown_keys_rejected(self):
         text = MINIMAL + "\ntypo_key: 1\n"
         with pytest.raises(SchemaError) as err:

@@ -194,7 +194,7 @@ class TestRadioDormancy:
         )
         world._push(t, "rreq_tx", "B", fwd)
         world.step_slot()
-        assert b.level == EnergyLevel.E0
+        assert b.context.own == EnergyLevel.E0
         assert (t, "B", "rreq-tx", "seq=99") not in world.metrics.mac_trace
         radio = [c for c in world.metrics.charges if c[:2] == (2, "B") and c[2].startswith("mac:")]
         assert radio == []
@@ -204,7 +204,7 @@ class TestRadioDormancy:
         world, b = self._relay_b_dormant_from_slot_2(tree_cfg)
         world._push(2 * tree_cfg.slot_duration_s + 0.01, "send", "B", simcore.Packet("D-1-9"))
         world.step_slot()
-        assert b.level == EnergyLevel.E0
+        assert b.context.own == EnergyLevel.E0
         assert (2, "D-1-9", "B", "dormant") in world.metrics.drops
 
 
@@ -459,6 +459,103 @@ class _FullScanWorld(World):
             self._push(arrival, "rreq_rx", other.node_id, rreq, rssi)
 
 
+def _sink_decide(state, settings, candidates):
+    """Winning route of a flood: first arrival in baseline mode, else the
+    cheapest (first arrival on ties)."""
+    chosen = candidates[0]
+    if settings.mode != "baseline":
+        best_cost = None
+        for cand in candidates:
+            cost = routing.candidate_cost(settings, cand)
+            if best_cost is None or cost < best_cost:
+                best_cost, chosen = cost, cand
+    return _reply(state, chosen, routing.candidate_cost(settings, chosen))
+
+
+def _reroute_on_better(state, settings, current, late):
+    """Answer a late request only when it is strictly cheaper than ``current``."""
+    if late.seq < state.answered.get(late.origin, 0):
+        return None
+    cost = routing.candidate_cost(settings, late)
+    if cost >= current.cost:
+        return None
+    return _reply(state, late, cost)
+
+
+def _reply(state, chosen, cost):
+    state.answered[chosen.origin] = max(state.answered.get(chosen.origin, 0), chosen.seq)
+    path = tuple(reversed(chosen.hops())) + (chosen.origin,)
+    return routing.Rrep(chosen.origin, state.node_id, chosen.seq, path, cost)
+
+
+class _EngineSinkWorld(World):
+    """The engine while it held the sink's route choice: it kept the open
+    collection windows and the installed route per origin itself and branched
+    on the routing mode. Counts the late copies it re-answered."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.flood_candidates = {}
+        self.active_sink_route = {}
+        self.reanswers = 0
+
+    def _on_rreq_rx(self, t, node_id, rreq, rssi):
+        rt = self.nodes[node_id]
+        if not rt.is_sink:
+            return super()._on_rreq_rx(t, node_id, rreq, rssi)
+        self._hear(rt, rreq.path[-1][0] if rreq.path else rreq.origin, rssi, is_beacon=False)
+        self._sink_handle_rreq(t, rt, rreq, rssi)
+
+    def _sink_handle_rreq(self, t, sink, rreq, rssi):
+        state = sink.routing
+        candidate = dataclasses.replace(rreq, path=rreq.path + ((sink.node_id, rssi),))
+        key = (rreq.origin, rreq.seq)
+        answered = state.answered.get(rreq.origin, 0)
+        if rreq.seq < answered:
+            return
+        if self.cfg.routing.mode == "baseline":
+            if rreq.seq == answered:
+                return  # first copy already answered this flood
+            rrep = _sink_decide(state, self.cfg.routing, [candidate])
+            self._install_sink_route(rrep)
+            self._push(t + simcore.PROCESSING_DELAY_S, "rrep_hop", rrep, 0)
+            return
+        if key in self.flood_candidates:
+            self.flood_candidates[key].append(candidate)
+            return
+        if rreq.seq == answered and rreq.origin in self.active_sink_route:
+            rrep = _reroute_on_better(
+                state, self.cfg.routing, self.active_sink_route[rreq.origin], candidate
+            )
+            if rrep is not None:
+                self.reanswers += 1
+                self._install_sink_route(rrep)
+                self._push(t + simcore.PROCESSING_DELAY_S, "rrep_hop", rrep, 0)
+            return
+        self.flood_candidates[key] = [candidate]
+        window = self.cfg.routing.collection_window_ms / 1000.0
+        self._push(t + window, "rreq_window", rreq.origin, rreq.seq)
+
+    def _on_rreq_window(self, t, origin, seq):
+        candidates = self.flood_candidates.pop((origin, seq), [])
+        if not candidates:
+            return
+        sink = self.nodes[self.sink_id]
+        if seq < sink.routing.answered.get(origin, 0):
+            return
+        rrep = _sink_decide(sink.routing, self.cfg.routing, candidates)
+        self._install_sink_route(rrep)
+        self._push(t, "rrep_hop", rrep, 0)
+
+    def _install_sink_route(self, rrep):
+        self.active_sink_route[rrep.origin] = routing.RouteEntry(
+            dest=rrep.origin,
+            next_hop=rrep.path[1] if len(rrep.path) > 1 else rrep.origin,
+            cost=rrep.cost,
+            seq=rrep.seq,
+        )
+
+
 def _outputs(m: simcore.Metrics) -> tuple:
     return (m.ledger, m.charges, m.slot_reports, m.route_log, m.drops, m.evictions,
             m.delivered_ids, m.generated)
@@ -542,6 +639,31 @@ class TestLinkTable:
         scan = simcore.run(_FullScanWorld(cfg, traces=traces), 30)
         assert radio_off > 0 and table.metrics.delivered > 0
         assert _outputs(table.metrics) == _outputs(scan)
+
+
+class TestSinkRouteChoice:
+    """``routing``'s sink entry points reproduce the engine-held route choice."""
+
+    @staticmethod
+    def both(cfg, slots, mode):
+        cfg = dataclasses.replace(cfg, routing=dataclasses.replace(cfg.routing, mode=mode))
+        reference = _EngineSinkWorld(cfg)
+        expected = simcore.run(reference, slots)
+        assert _outputs(simcore.run(World(cfg), slots)) == _outputs(expected)
+        return reference
+
+    @pytest.mark.parametrize("mode", ["modified", "baseline"])
+    @pytest.mark.parametrize("sigma_db", [0.0, 4.0])
+    def test_lattice_equals_engine_held_choice(self, sigma_db, mode):
+        # The lattice reaches the late re-answer path (the tree does not), and
+        # at seed 1 without shadowing two late copies tie the answered cost.
+        cfg = parse_scenario(lattice_yaml(sigma_db=sigma_db, predictor="ewma", slots=60))
+        reference = self.both(dataclasses.replace(cfg, seed=1), 60, mode)
+        assert (reference.reanswers > 0) == (mode == "modified")
+
+    @pytest.mark.parametrize("mode", ["modified", "baseline"])
+    def test_tree_equals_engine_held_choice(self, tree_cfg, mode):
+        self.both(tree_cfg, 60, mode)
 
 
 class TestGridInvariants:
