@@ -178,8 +178,8 @@ def run_cmd(config_path, seed, slots, mode, outdir, mac_trace) -> None:
 
 @cli.command("forecast-compare")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-@click.option("--days", type=int, default=60)
-@click.option("--period", type=int, default=24)
+@click.option("--days", type=click.IntRange(min=3), default=60)
+@click.option("--period", type=click.IntRange(min=2), default=24)
 @click.option("--amplitude", type=float, default=0.003)
 @click.option("--switch-prob", type=float, default=0.3)
 @click.option("--attenuation", type=float, default=0.35)
@@ -191,27 +191,24 @@ def forecast_compare_cmd(
     slot_duration, outdir,
 ) -> None:
     """One-step prediction error of both predictors on a synthetic trace."""
+    pred = forecast.PredictorSettings(kind="hw", period=period)
     if config_path is not None:
         cfg = _load_config(config_path)
-        pred = cfg.predictor
-        period = pred.period
-        seed = cfg.seed
-        slot_duration = cfg.slot_duration_s
-        hw_params = (pred.epsilon, pred.beta, pred.gamma)
-        ewma_eps = pred.epsilon if pred.kind == "ewma" else 0.5
-    else:
-        hw_params = (0.906, 0.1, 0.650)
-        ewma_eps = 0.5
+        pred, seed, slot_duration = cfg.predictor, cfg.seed, cfg.slot_duration_s
+    seasonal = dataclasses.replace(pred, kind="hw")
+    ewma = dataclasses.replace(
+        pred, kind="ewma", epsilon=pred.epsilon if pred.kind == "ewma" else 0.5
+    )
     spec = ProfileSpec(
         amplitude_w=amplitude,
-        period_slots=period,
+        period_slots=seasonal.period,
         switch_probability=switch_prob,
         cloudy_attenuation=attenuation,
         seed=seed,
     )
-    trace = synth_trace(spec, days * period)
+    trace = synth_trace(spec, days * seasonal.period)
     series = [p * slot_duration * 1e6 for p in trace.powers]
-    result = compare_predictors(series, period, ewma_eps, hw_params)
+    result = compare_predictors(series, ewma, seasonal)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_csv(
@@ -224,8 +221,8 @@ def forecast_compare_cmd(
         {
             "command": "forecast-compare",
             "seed": seed,
-            "ewma_epsilon": ewma_eps,
-            "hw_parameters": list(hw_params),
+            "ewma_epsilon": ewma.epsilon,
+            "hw_parameters": [seasonal.epsilon, seasonal.beta, seasonal.gamma],
             "ewma_mape": result["ewma_mape"],
             "hw_mape": result["hw_mape"],
             "masked_slots": result["masked_slots"],
@@ -233,14 +230,13 @@ def forecast_compare_cmd(
     )
 
 
-def compare_predictors(series, period, ewma_eps, hw_params) -> dict:
-    """Run both predictors over a series; MAPE masked to meaningful actuals.
+def compare_predictors(series, ewma, seasonal) -> dict:
+    """Run the ``ewma`` and ``seasonal`` predictor settings over a series;
+    MAPE masked to meaningful actuals.
 
     Percentage errors are undefined at zero (night slots), so the mean skips
     actuals below 5% of the series peak.
     """
-    ewma = forecast.PredictorSettings(kind="ewma", epsilon=ewma_eps)
-    seasonal = forecast.PredictorSettings("hw", *hw_params, period)
     ew = hw = None
     rows = []
     ew_errs, hw_errs = [], []
@@ -340,7 +336,7 @@ def tradeoff_cmd(weights, costs, duty_energy, duty_weight, budget, outdir) -> No
 
 
 @cli.command("duty")
-@click.option("--cycles", type=int, default=1000)
+@click.option("--cycles", type=click.IntRange(min=1), default=1000)
 @click.option("--out", "outdir", required=True, type=click.Path())
 def duty_cmd(cycles, outdir) -> None:
     """Duty-factor realization table for both schedule modes."""

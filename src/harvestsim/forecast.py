@@ -10,8 +10,12 @@ Two one-step-ahead predictors over per-slot energy series:
 
 Both are pure functions over explicit state values: a step returns the next
 prediction together with the successor state, leaving its input untouched.
-:func:`step` is the one online predictor that a scenario's
-:class:`PredictorSettings` drive, and :func:`lmse` scores its predictions.
+The weights live only in :class:`PredictorSettings`, which checks their
+bounds once; a state holds just the values that evolve (the EWMA's
+prediction; the seasonal level, trend, index ring and ring position), and
+the kernels :func:`ewma_step` and :func:`hw_step` take the settings first.
+:func:`step` is the one online predictor that a scenario's settings drive,
+and :func:`lmse` scores its predictions.
 The EWMA seeds on its first sample and predicts it. The seasonal model warms
 up first: a :class:`Warmup` state predicts the mean of the samples so far,
 and at ``2 * period`` samples :func:`hw_init` bootstraps the model from them.
@@ -54,7 +58,12 @@ class DivisionDegenerate(ForecastError):
 @dataclass(frozen=True)
 class PredictorSettings:
     """A scenario's predictor: ``kind`` is ``ewma`` or ``hw`` (seasonal),
-    ``horizon`` the number of slots planning looks ahead."""
+    ``horizon`` the number of slots planning looks ahead.
+
+    ``epsilon`` smooths the EWMA and the seasonal level, ``beta`` the
+    seasonal indices (0 freezes the ring) and ``gamma`` the trend (0 freezes
+    the trend); the predictor states carry none of these weights.
+    """
 
     kind: str = field(default="hw", metadata=enum("ewma", "hw"))
     epsilon: float = field(default=0.906, metadata=FRACTION)
@@ -63,35 +72,32 @@ class PredictorSettings:
     period: int = field(default=24, metadata=int_min(2))
     horizon: int = field(default=2, metadata=int_min(2))
 
+    def __post_init__(self) -> None:
+        _check_weight(self.epsilon, "epsilon")
+        _check_weight(self.beta, "beta", allow_zero=True)
+        _check_weight(self.gamma, "gamma", allow_zero=True)
 
-def _check_weight(value: float, name: str, allow_zero: bool = False) -> float:
+
+def _check_weight(value: float, name: str, allow_zero: bool = False) -> None:
     lo_ok = value >= 0.0 if allow_zero else value > 0.0
     if not (lo_ok and value < 1.0):
         bounds = "[0,1)" if allow_zero else "(0,1)"
         raise ValueError(f"{name} must lie in {bounds}, got {value}")
-    return float(value)
 
 
 @dataclass(frozen=True)
 class EwmaState:
-    """Scalar smoothing state: current one-step prediction and weight."""
+    """Scalar smoothing state: the current one-step prediction."""
 
     prediction: float
-    epsilon: float = 0.5
-
-    def __post_init__(self) -> None:
-        _check_weight(self.epsilon, "epsilon")
 
 
-def ewma_init(first_measurement: float, epsilon: float = 0.5) -> EwmaState:
-    """Seed the smoother with the first observed value."""
-    return EwmaState(prediction=float(first_measurement), epsilon=epsilon)
-
-
-def ewma_step(state: EwmaState, measured: float) -> tuple[float, EwmaState]:
+def ewma_step(
+    settings: PredictorSettings, state: EwmaState, measured: float
+) -> tuple[float, EwmaState]:
     """Consume one measurement; return the next-slot prediction and new state."""
-    pred = state.epsilon * measured + (1.0 - state.epsilon) * state.prediction
-    return pred, replace(state, prediction=pred)
+    pred = settings.epsilon * measured + (1.0 - settings.epsilon) * state.prediction
+    return pred, EwmaState(pred)
 
 
 @dataclass(frozen=True)
@@ -105,15 +111,9 @@ class HwState:
     level: float
     trend: float
     seasonal: tuple[float, ...]
-    epsilon: float = 0.906
-    beta: float = 0.1  # seasonal-index smoothing; 0 freezes the ring
-    gamma: float = 0.650  # trend smoothing; 0 freezes the trend
     position: int = 0
 
     def __post_init__(self) -> None:
-        _check_weight(self.epsilon, "epsilon")
-        _check_weight(self.beta, "beta", allow_zero=True)
-        _check_weight(self.gamma, "gamma", allow_zero=True)
         if len(self.seasonal) < 2:
             raise ValueError("seasonal ring needs length >= 2")
         if any(i <= 0 for i in self.seasonal):
@@ -126,13 +126,7 @@ class HwState:
         return len(self.seasonal)
 
 
-def hw_init(
-    history: list[float] | tuple[float, ...],
-    period: int,
-    epsilon: float = 0.906,
-    beta: float = 0.1,
-    gamma: float = 0.650,
-) -> HwState:
+def hw_init(history: list[float] | tuple[float, ...], period: int) -> HwState:
     """Bootstrap the state from at least two full periods of history.
 
     Level is the first-period mean, trend the per-slot drift between the
@@ -161,14 +155,13 @@ def hw_init(
         level=first,
         trend=(second - first) / period,
         seasonal=seasonal,
-        epsilon=epsilon,
-        beta=beta,
-        gamma=gamma,
         position=len(history) % period,
     )
 
 
-def hw_step(state: HwState, measured: float) -> tuple[float, HwState]:
+def hw_step(
+    settings: PredictorSettings, state: HwState, measured: float
+) -> tuple[float, HwState]:
     """Consume one measurement and return (next prediction, new state).
 
     The measurement belongs to ring slot ``state.position``. Zero (or
@@ -182,25 +175,18 @@ def hw_step(state: HwState, measured: float) -> tuple[float, HwState]:
         new = replace(state, position=next_pos)
         return (new.level + new.trend) * new.seasonal[next_pos], new
 
+    eps, beta, gamma = settings.epsilon, settings.beta, settings.gamma
     idx_old = state.seasonal[pos]
     if idx_old < EPS_FLOOR:
         raise DivisionDegenerate(f"seasonal index at position {pos} underflowed")
-    level_new = state.epsilon * (measured / idx_old) + (1.0 - state.epsilon) * (
-        state.level + state.trend
-    )
-    trend_new = state.gamma * (level_new - state.level) + (1.0 - state.gamma) * state.trend
+    level_new = eps * (measured / idx_old) + (1.0 - eps) * (state.level + state.trend)
+    trend_new = gamma * (level_new - state.level) + (1.0 - gamma) * state.trend
     if level_new < EPS_FLOOR:
         raise DivisionDegenerate("level underflowed before seasonal update")
-    idx_new = state.beta * (measured / level_new) + (1.0 - state.beta) * idx_old
+    idx_new = beta * (measured / level_new) + (1.0 - beta) * idx_old
     seasonal = list(state.seasonal)
     seasonal[pos] = idx_new
-    new = replace(
-        state,
-        level=level_new,
-        trend=trend_new,
-        seasonal=tuple(seasonal),
-        position=next_pos,
-    )
+    new = HwState(level_new, trend_new, tuple(seasonal), next_pos)
     return (level_new + trend_new) * seasonal[next_pos], new
 
 
@@ -230,17 +216,17 @@ def step(
     """
     if settings.kind == "ewma":
         if state is None:
-            state = ewma_init(measured, settings.epsilon)
+            state = EwmaState(float(measured))
             return state.prediction, state
-        return ewma_step(state, measured)
+        return ewma_step(settings, state, measured)
     if state is None or isinstance(state, Warmup):
         history = (state.history if state else ()) + (measured,)
         if len(history) < _warmup_samples(settings):
             warm = Warmup(history)
             return warm.mean, warm
-        hw = hw_init(history, settings.period, settings.epsilon, settings.beta, settings.gamma)
+        hw = hw_init(history, settings.period)
         return predict_horizon(hw, 1)[0], hw
-    return hw_step(state, measured)
+    return hw_step(settings, state, measured)
 
 
 def predict_horizon(state: EwmaState | Warmup | HwState, h: int) -> list[float]:

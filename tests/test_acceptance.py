@@ -103,7 +103,11 @@ def test_criterion_3_forecasting_error_targets():
     )
     trace = synth_trace(spec, 60 * period)  # 60 days, day-type switching
     series = [p * 60.0 * 1e6 for p in trace.powers]
-    result = compare_predictors(series, period, 0.5, (0.906, 0.1, 0.650))
+    result = compare_predictors(
+        series,
+        forecast.PredictorSettings(kind="ewma", epsilon=0.5),
+        forecast.PredictorSettings("hw", 0.906, 0.1, 0.650, period),
+    )
     elapsed = time.perf_counter() - t0
     assert result["hw_mape"] < result["ewma_mape"]
     assert result["hw_mape"] < 0.15
@@ -120,15 +124,14 @@ def test_criterion_4_hw_reduces_to_ewma():
     rng = random.Random(99)
     eps = 0.41
     series = [rng.uniform(0.5, 500.0) for _ in range(10_000)]
-    hw = forecast.HwState(
-        level=series[0], trend=0.0, seasonal=(1.0, 1.0), epsilon=eps,
-        beta=0.0, gamma=0.0,
-    )
-    ew = forecast.ewma_init(series[0], eps)
+    hw_settings = forecast.PredictorSettings(kind="hw", epsilon=eps, beta=0.0, gamma=0.0)
+    ew_settings = forecast.PredictorSettings(kind="ewma", epsilon=eps)
+    hw = forecast.HwState(level=series[0], trend=0.0, seasonal=(1.0, 1.0))
+    ew = forecast.EwmaState(series[0])
     worst = 0.0
     for y in series[1:]:
-        p_hw, hw = forecast.hw_step(hw, y)
-        p_ew, ew = forecast.ewma_step(ew, y)
+        p_hw, hw = forecast.hw_step(hw_settings, hw, y)
+        p_ew, ew = forecast.ewma_step(ew_settings, ew, y)
         err = abs(p_hw - p_ew)
         assert err <= 1e-12 * max(1.0, abs(p_ew))
         worst = max(worst, err)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from harvestsim.cli import main
+from harvestsim.scenario import parse_scenario
 
 TREE = (
     resources.files("harvestsim").joinpath("scenarios/four_node_tree.yaml").read_text()
@@ -120,6 +121,52 @@ class TestForecastCompareCommand:
         summary = read_json(out / "summary.json")
         assert summary["hw_mape"] < summary["ewma_mape"]
 
+    # The tree file's predictor is an EWMA with epsilon 0.5; the edited
+    # copies give it a seasonal kind (the EWMA then falls back to 0.5) and
+    # another EWMA weight (the EWMA then uses it).
+    @pytest.mark.parametrize(
+        "predictor, ewma_epsilon",
+        [
+            ("  kind: ewma\n  epsilon: 0.5\n", 0.5),
+            ("  kind: hw\n  epsilon: 0.7\n", 0.5),
+            ("  kind: ewma\n  epsilon: 0.3\n", 0.3),
+        ],
+        ids=["tree", "hw", "ewma-0.3"],
+    )
+    def test_config_supplies_weights_period_and_seed(self, tmp_path, predictor, ewma_epsilon):
+        text = TREE.replace("  kind: ewma\n  epsilon: 0.5\n", predictor)
+        assert predictor in text
+        config = tmp_path / "scenario.yaml"
+        config.write_text(text)
+        cfg = parse_scenario(text)
+        pred = cfg.predictor
+        out = tmp_path / "fc"
+        code = main(["forecast-compare", "--config", str(config), "--out", str(out)])
+        assert code == 0
+        summary = read_json(out / "summary.json")
+        assert summary["hw_parameters"] == [pred.epsilon, pred.beta, pred.gamma]
+        assert summary["ewma_epsilon"] == ewma_epsilon
+        assert summary["seed"] == cfg.seed
+        rows = (out / "forecast_compare.csv").read_text().splitlines()[1:]
+        # Scoring starts after the seasonal model's two-period warm-up.
+        assert int(rows[0].split(",")[0]) == 2 * pred.period
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--period", "0"], ["--period", "1"], ["--days", "0"], ["--days", "2"]],
+        ids=" ".join,
+    )
+    def test_out_of_range_counts_are_usage_errors(self, tmp_path, args):
+        out = tmp_path / "o"
+        assert main(["forecast-compare", *args, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_three_days_score_the_third(self, tmp_path):
+        out = tmp_path / "o"
+        code = main(["forecast-compare", "--period", "3", "--days", "3", "--out", str(out)])
+        assert code == 0
+        assert len((out / "forecast_compare.csv").read_text().splitlines()) == 1 + 3
+
 
 class TestRouteCompareCommand:
     def test_summary_orders_modes(self, tree_path, tmp_path):
@@ -154,3 +201,8 @@ class TestDutyCommand:
         table_rows = [line.split(",") for line in lines[1:] if "paper-table" in line]
         sleeps = {float(r[0]): float(r[3]) for r in table_rows}
         assert sleeps == {0.05: 100.0, 0.15: 35.0, 0.25: 20.0}
+
+    def test_zero_cycles_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "duty"
+        assert main(["duty", "--cycles", "0", "--out", str(out)]) == 2
+        assert not out.exists()

@@ -14,7 +14,6 @@ from harvestsim.forecast import (
     PredictorSettings,
     Warmup,
     default_grid,
-    ewma_init,
     ewma_step,
     fit_lmse,
     hw_init,
@@ -25,43 +24,56 @@ from harvestsim.forecast import (
 )
 
 
+def ewma(eps):
+    return PredictorSettings(kind="ewma", epsilon=eps)
+
+
+def seasonal(eps, beta, gamma):
+    return PredictorSettings(kind="hw", epsilon=eps, beta=beta, gamma=gamma)
+
+
 class TestEwma:
     def test_half_weight_midpoint(self):
-        pred, _ = ewma_step(EwmaState(prediction=10.0, epsilon=0.5), 20.0)
+        pred, _ = ewma_step(ewma(0.5), EwmaState(prediction=10.0), 20.0)
         assert pred == pytest.approx(15.0)
 
     def test_constant_series_fixed_point(self):
-        state = ewma_init(7.0, epsilon=0.3)
+        settings = ewma(0.3)
+        _, state = step(settings, None, 7.0)
         for _ in range(50):
-            pred, state = ewma_step(state, 7.0)
+            pred, state = ewma_step(settings, state, 7.0)
             assert pred == pytest.approx(7.0)
 
-    def test_default_weight_is_half(self):
-        assert EwmaState(prediction=1.0).epsilon == 0.5
-
     def test_weight_bounds(self):
-        with pytest.raises(ValueError):
-            EwmaState(prediction=1.0, epsilon=1.0)
-        with pytest.raises(ValueError):
-            EwmaState(prediction=1.0, epsilon=0.0)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0,1\)"):
+            PredictorSettings(kind="ewma", epsilon=1.0)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0,1\)"):
+            PredictorSettings(kind="ewma", epsilon=0.0)
+        # The seasonal weights may be 0 (freezing the ring or the trend) but not 1.
+        zero = seasonal(0.5, 0.0, 0.0)
+        assert (zero.beta, zero.gamma) == (0.0, 0.0)
+        with pytest.raises(ValueError, match=r"beta must lie in \[0,1\)"):
+            PredictorSettings(kind="hw", beta=1.0)
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0,1\)"):
+            PredictorSettings(kind="hw", gamma=1.0)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=1, max_size=60),
         st.floats(min_value=0.01, max_value=0.99),
     )
     def test_prediction_stays_within_series_range(self, series, eps):
-        state = ewma_init(series[0], eps)
+        settings = ewma(eps)
+        _, state = step(settings, None, series[0])
         lo, hi = min(series), max(series)
         for y in series[1:]:
-            pred, state = ewma_step(state, y)
+            pred, state = ewma_step(settings, state, y)
             assert lo - 1e-9 <= pred <= hi + 1e-9
 
 
 class TestHwStep:
     def test_fixed_point(self):
-        state = HwState(level=10.0, trend=0.0, seasonal=(1.0, 1.0),
-                        epsilon=0.5, beta=0.1, gamma=0.1)
-        pred, new = hw_step(state, 10.0)
+        state = HwState(level=10.0, trend=0.0, seasonal=(1.0, 1.0))
+        pred, new = hw_step(seasonal(0.5, 0.1, 0.1), state, 10.0)
         assert pred == pytest.approx(10.0)
         assert new.level == pytest.approx(10.0)
         assert new.trend == pytest.approx(0.0)
@@ -71,18 +83,16 @@ class TestHwStep:
         # gamma = beta ~ 0 freeze trend and seasonals; feeding the value that
         # keeps the level at 10 yields the (level + trend) prediction of 11.
         eps = 0.5
-        state = HwState(level=10.0, trend=1.0, seasonal=(1.0, 1.0),
-                        epsilon=eps, beta=1e-12, gamma=1e-12)
+        state = HwState(level=10.0, trend=1.0, seasonal=(1.0, 1.0))
         y = (10.0 - (1.0 - eps) * 11.0) / eps
-        pred, new = hw_step(state, y)
+        pred, new = hw_step(seasonal(eps, 1e-12, 1e-12), state, y)
         assert new.level == pytest.approx(10.0)
         assert new.trend == pytest.approx(1.0)
         assert pred == pytest.approx(11.0)
 
     def test_zero_measurement_freezes_state(self):
-        state = HwState(level=40.0, trend=2.0, seasonal=(1.5, 0.5, 1.0),
-                        epsilon=0.9, beta=0.2, gamma=0.3, position=1)
-        pred, new = hw_step(state, 0.0)
+        state = HwState(level=40.0, trend=2.0, seasonal=(1.5, 0.5, 1.0), position=1)
+        pred, new = hw_step(seasonal(0.9, 0.2, 0.3), state, 0.0)
         assert new.level == state.level
         assert new.trend == state.trend
         assert new.seasonal == state.seasonal
@@ -90,10 +100,9 @@ class TestHwStep:
         assert pred == pytest.approx((40.0 + 2.0) * 1.0)
 
     def test_division_degenerate_on_tiny_index(self):
-        state = HwState(level=10.0, trend=0.0, seasonal=(1e-10, 1.0),
-                        epsilon=0.5, beta=0.1, gamma=0.1)
+        state = HwState(level=10.0, trend=0.0, seasonal=(1e-10, 1.0))
         with pytest.raises(DivisionDegenerate):
-            hw_step(state, 5.0)
+            hw_step(seasonal(0.5, 0.1, 0.1), state, 5.0)
 
 
 class TestHwInit:
@@ -120,21 +129,18 @@ class TestHwInit:
 
 class TestPredictHorizon:
     def test_single_step_matches_definition(self):
-        state = HwState(level=10.0, trend=1.0, seasonal=(1.0, 1.0, 1.0),
-                        epsilon=0.5, beta=0.1, gamma=0.1)
+        state = HwState(level=10.0, trend=1.0, seasonal=(1.0, 1.0, 1.0))
         assert predict_horizon(state, 1) == [pytest.approx(11.0)]
 
     def test_trend_extrapolation(self):
-        state = HwState(level=10.0, trend=1.0, seasonal=(1.0, 1.0, 1.0),
-                        epsilon=0.5, beta=0.1, gamma=0.1)
+        state = HwState(level=10.0, trend=1.0, seasonal=(1.0, 1.0, 1.0))
         assert predict_horizon(state, 3) == pytest.approx([11.0, 12.0, 13.0])
 
     def test_ewma_repeats(self):
         assert predict_horizon(EwmaState(prediction=15.0), 2) == [15.0, 15.0]
 
     def test_seasonal_wraps(self):
-        state = HwState(level=10.0, trend=0.0, seasonal=(2.0, 0.5),
-                        epsilon=0.5, beta=0.1, gamma=0.1, position=0)
+        state = HwState(level=10.0, trend=0.0, seasonal=(2.0, 0.5), position=0)
         assert predict_horizon(state, 4) == pytest.approx([20.0, 5.0, 20.0, 5.0])
 
     def test_bad_horizon(self):
@@ -146,10 +152,10 @@ class TestStep:
     SEASONAL = PredictorSettings(kind="hw", epsilon=0.5, beta=0.2, gamma=0.3, period=3)
 
     def test_ewma_seeds_on_first_sample_then_smooths(self):
-        settings = PredictorSettings(kind="ewma", epsilon=0.3)
+        settings = ewma(0.3)
         pred, state = step(settings, None, 7.0)
-        assert pred == 7.0 and state == ewma_init(7.0, 0.3)
-        assert step(settings, state, 17.0) == ewma_step(state, 17.0)
+        assert pred == 7.0 and state == EwmaState(7.0)
+        assert step(settings, state, 17.0) == ewma_step(settings, state, 17.0)
 
     def test_seasonal_warmup_predicts_mean_then_bootstraps(self):
         series = [4.0, 8.0, 6.0, 5.0, 9.0, 7.0, 6.0]
@@ -160,10 +166,10 @@ class TestStep:
             assert pred == sum(series[: t + 1]) / (t + 1)
             assert predict_horizon(state, 2) == [pred, pred]
         pred, state = step(self.SEASONAL, state, series[5])
-        expected = hw_init(series[:6], 3, epsilon=0.5, beta=0.2, gamma=0.3)
+        expected = hw_init(series[:6], 3)
         assert state == expected
         assert pred == predict_horizon(expected, 1)[0]
-        assert step(self.SEASONAL, state, series[6]) == hw_step(expected, series[6])
+        assert step(self.SEASONAL, state, series[6]) == hw_step(self.SEASONAL, expected, series[6])
 
     def test_dark_warmup_raises(self):
         state = None
@@ -180,13 +186,14 @@ class TestLmse:
         rng = random.Random(5)
         l = 4
         series = [rng.uniform(0.0, 10.0) for _ in range(7 * l)]
-        state = hw_init(series[: 2 * l], l, 0.6, 0.2, 0.4)
+        settings = PredictorSettings("hw", 0.6, 0.2, 0.4, l)
+        state = hw_init(series[: 2 * l], l)
         pred = predict_horizon(state, 1)[0]
         total = 0.0
         for y in series[2 * l :]:
             total += (pred - y) * (pred - y)
-            pred, state = hw_step(state, y)
-        got = lmse(PredictorSettings("hw", 0.6, 0.2, 0.4, l), series)
+            pred, state = hw_step(settings, state, y)
+        got = lmse(settings, series)
         assert got == total / (len(series) - 2 * l)
 
     def test_too_short_series_rejected(self):
@@ -206,12 +213,11 @@ class TestReductionToEwma:
         rng = random.Random(42)
         eps = 0.37
         series = [rng.uniform(1.0, 100.0) for _ in range(10_000)]
-        hw = HwState(level=series[0], trend=0.0, seasonal=(1.0, 1.0),
-                     epsilon=eps, beta=0.0, gamma=0.0)
-        ew = ewma_init(series[0], eps)
+        hw = HwState(level=series[0], trend=0.0, seasonal=(1.0, 1.0))
+        ew = EwmaState(series[0])
         for y in series[1:]:
-            p_hw, hw = hw_step(hw, y)
-            p_ew, ew = ewma_step(ew, y)
+            p_hw, hw = hw_step(seasonal(eps, 0.0, 0.0), hw, y)
+            p_ew, ew = ewma_step(ewma(eps), ew, y)
             assert abs(p_hw - p_ew) <= 1e-12 * max(1.0, abs(p_ew))
 
     def test_hw_converges_on_trend_seasonal_series_where_ewma_does_not(self):
@@ -224,8 +230,8 @@ class TestReductionToEwma:
         series = [(a + b * t) * s[t % l] for t in range(8 * l)]
         # Each seasonal slot refreshes once per period, so convergence needs
         # a strong index weight; these settings reach <1% in three periods.
-        hw = hw_init(series[: 2 * l], l, epsilon=0.3, beta=0.5, gamma=0.3)
-        ew = ewma_init(series[2 * l - 1], 0.5)
+        hw = hw_init(series[: 2 * l], l)
+        ew = EwmaState(series[2 * l - 1])
         hw_errs, ew_errs = [], []
         p_hw = predict_horizon(hw, 1)[0]
         p_ew = predict_horizon(ew, 1)[0]
@@ -233,8 +239,8 @@ class TestReductionToEwma:
             y = series[t]
             hw_errs.append(abs(p_hw - y) / y)
             ew_errs.append(abs(p_ew - y) / y)
-            p_hw, hw = hw_step(hw, y)
-            p_ew, ew = ewma_step(ew, y)
+            p_hw, hw = hw_step(seasonal(0.3, 0.5, 0.3), hw, y)
+            p_ew, ew = ewma_step(ewma(0.5), ew, y)
         settled = 3 * l
         assert max(hw_errs[settled:]) < 0.01
         assert max(ew_errs[settled:]) > 0.01
