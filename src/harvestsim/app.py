@@ -3,16 +3,19 @@
 Each slot the application classifies its own, predicted ("virtual") and
 neighbourhood energy into the four discrete levels, derives a spendable
 budget, and asks the optimizer how far to morph each policy (the alpha
-prefix rule) and how much duty cycle to afford. Operations that do not fit
-are backlogged; abundant slots drain the backlog first.
+prefix rule) and how much duty cycle to afford. Abundant slots drain the
+backlog first; :func:`deferrals` alone decides what enters it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .energy import (
+    TX_OP_KIND,
     EnergyLevel,
     EnergyStore,
     InsufficientEnergy,
@@ -21,7 +24,7 @@ from .energy import (
     op_cost,
     withdraw,
 )
-from .optimizer import Infeasible, build_opt, solve_for_v
+from .optimizer import build_opt, solve_for_v
 
 # Operation kinds that use the radio; every other kind is node-local work.
 NETWORK_OPS = frozenset({"tx128", "rx128"})
@@ -176,16 +179,44 @@ class Backlog:
         return out
 
 
+def deferrals(
+    policies: Iterable[Policy], steps: Iterable[tuple[str, str]], slot: int
+) -> list[BacklogEntry]:
+    """Backlog entries, stamped with ``slot``, for unrun ``(policy, kind)`` steps.
+
+    Only node-class policies' steps wait, each at its own policy's priority.
+    A network policy's steps never do: the engine queues, defers or drops
+    the packets they carry.
+    """
+    priority = {p.name: p.priority for p in policies if not p.is_network}
+    return [BacklogEntry(k, name, priority[name], slot) for name, k in steps if name in priority]
+
+
+def aborted_tail(
+    policies: Iterable[Policy], skipped: list[tuple[str, str]], slot: int
+) -> tuple[list[BacklogEntry], int]:
+    """The :func:`deferrals` of an aborted plan's unrun tail, and how many
+    network operations it lost."""
+    return deferrals(policies, skipped, slot), sum(k in NETWORK_OPS for _, k in skipped)
+
+
+def deferred_packet(packet_id: str, slot: int) -> BacklogEntry:
+    """A fresh packet the slot cannot send waits at the top priority."""
+    return BacklogEntry(TX_OP_KIND, "deferred-tx", 1, slot, packet_id=packet_id)
+
+
 @dataclass
 class ExecutionPlan:
-    """One slot's commitment: (policy, kind) steps to run now, controls,
-    deferrals, and the transmit power every ``tx128`` is charged at."""
+    """One slot's commitment: the levels it was planned at, (policy, kind)
+    steps to run now, controls, the backlog entries it defers, and the
+    transmit power every ``tx128`` is charged at."""
 
+    context: EnergyContext
     run_ops: list[tuple[str, str]]
     backlog_run: list[BacklogEntry]
     alphas: dict[str, float]
     delta: float
-    enqueue: list[tuple[str, str]]
+    deferred: list[BacklogEntry]
     tx_power_dbm: int | None
 
 
@@ -235,6 +266,7 @@ def plan_slot(
     budget: float,
     table: OperationCostTable,
     *,
+    slot: int,
     tx_power_dbm: int | None,
     duty_energy: float,
     duty_weight: float | None = None,
@@ -247,23 +279,11 @@ def plan_slot(
     variables can absorb; the optimizer then yields the morphing factors.
     When both own and virtual levels are high the backlog is drained before
     fresh policy work is planned. Every ``tx128``, drained or fresh, is
-    costed at ``tx_power_dbm``, the power this slot transmits at.
+    costed at ``tx_power_dbm``, the power this slot transmits at. The plan
+    defers the :func:`deferrals` of every step it leaves unrun.
     """
-    eligible = [
-        p
-        for p in policies
-        if not (
-            p.is_network
-            and (context.network == EnergyLevel.E0 or context.own == EnergyLevel.E0)
-        )
-    ]
-    eligible_names = {p.name for p in eligible}
-    gated = [
-        (p.name, kind)
-        for p in policies
-        if p.name not in eligible_names
-        for kind in p.steps
-    ]
+    radio_dark = EnergyLevel.E0 in (context.network, context.own)
+    eligible = [p for p in policies if not (p.is_network and radio_dark)]
 
     v_target = RESIDUAL_FRACTIONS[context.own] * budget
     spend_cap = budget - v_target
@@ -289,39 +309,23 @@ def plan_slot(
     costs = tuple(policy_cost(p, table, tx_power_dbm) for p in eligible)
     lp = build_opt(weights, costs, duty_energy, duty_weight, budget)
     # Clamp the residual up so the LP spend never exceeds total capacity:
-    # abundant slots simply saturate every variable instead of failing.
+    # abundant slots simply saturate every variable instead of failing. The
+    # clamp keeps the solve feasible, since ``budget - v_eff <= max_spend``.
     v_eff = max(v_target + drained_cost, budget - lp.max_spend)
     v_eff = min(v_eff, budget)
-    try:
-        result = solve_for_v(lp, v_eff)
-    except Infeasible:
-        enqueue = [(p.name, kind) for p in eligible for kind in p.steps] + gated
-        return ExecutionPlan(
-            run_ops=[],
-            backlog_run=[],
-            alphas={p.name: 0.0 for p in policies},
-            delta=0.0,
-            enqueue=enqueue,
-            tx_power_dbm=tx_power_dbm,
-        )
+    result = solve_for_v(lp, v_eff)
 
     alphas = {p.name: a for p, a in zip(eligible, result.alphas)}
     run_ops = select_subset(eligible, alphas)
-    executed_counts: dict[str, int] = {}
-    for name, _ in run_ops:
-        executed_counts[name] = executed_counts.get(name, 0) + 1
-    enqueue = [
-        (p.name, kind)
-        for p in eligible
-        for kind in p.steps[executed_counts.get(p.name, 0) :]
-    ] + gated
-    full_alphas = {p.name: alphas.get(p.name, 0.0) for p in policies}
+    ran = Counter(name for name, _ in run_ops)
+    unrun = [(p.name, kind) for p in policies for kind in p.steps[ran[p.name] :]]
     return ExecutionPlan(
+        context=context,
         run_ops=run_ops,
         backlog_run=backlog_run,
-        alphas=full_alphas,
+        alphas={p.name: alphas.get(p.name, 0.0) for p in policies},
         delta=result.delta,
-        enqueue=enqueue,
+        deferred=deferrals(policies, unrun, slot),
         tx_power_dbm=tx_power_dbm,
     )
 
@@ -335,23 +339,21 @@ def execute_plan(
     available: float | None = None,
     slot: int = 0,
     node: str = "",
-    context: EnergyContext | None = None,
     charge_log: list | None = None,
 ) -> tuple[SlotReport, EnergyStore, list[tuple[str, str]]]:
     """Charge the store for the plan's operations, in order.
 
     Backlogged work runs first, then the fresh subset. A withdrawal refused
     by the floor aborts the remainder (the harvest-forecast-error path); the
-    unexecuted tail is returned for re-backlogging. The report's residual is
-    measured against ``available`` (defaults to the store's balance at
-    entry).
+    unexecuted tail is returned whole, for :func:`aborted_tail` to settle.
+    The report's residual is measured against ``available`` (defaults to
+    the store's balance at entry).
     """
     if available is None:
         available = store.stored
     consumed = 0.0
     ops_node = 0
     ops_network = 0
-    aborted = False
     skipped: list[tuple[str, str]] = []
     sequence = [(e.policy, e.kind) for e in plan.backlog_run] + plan.run_ops
     for i, (_, kind) in enumerate(sequence):
@@ -359,7 +361,6 @@ def execute_plan(
         try:
             store = withdraw(store, cost, floor)
         except InsufficientEnergy:
-            aborted = True
             skipped = sequence[i:]
             break
         consumed += cost
@@ -370,21 +371,18 @@ def execute_plan(
         else:
             ops_node += 1
     alphas = list(plan.alphas.values())
-    levels = context or EnergyContext(
-        EnergyLevel.E0, EnergyLevel.E0, EnergyLevel.E0
-    )
     report = SlotReport(
         slot=slot,
         node=node,
-        own_level=levels.own,
-        virtual_level=levels.virtual,
-        network_level=levels.network,
+        own_level=plan.context.own,
+        virtual_level=plan.context.virtual,
+        network_level=plan.context.network,
         alpha_mean=sum(alphas) / len(alphas) if alphas else 0.0,
         delta=plan.delta,
         ops_node=ops_node,
         ops_network=ops_network,
         consumed_uj=consumed,
         residual_uj=available - consumed,
-        aborted=aborted,
+        aborted=bool(skipped),
     )
     return report, store, skipped

@@ -179,7 +179,7 @@ def run_cmd(config_path, seed, slots, mode, outdir, mac_trace) -> None:
 @cli.command("forecast-compare")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--days", type=click.IntRange(min=3), default=60)
-@click.option("--period", type=click.IntRange(min=2), default=24)
+@click.option("--period", type=click.IntRange(min=3), default=24)
 @click.option("--amplitude", type=float, default=0.003)
 @click.option("--switch-prob", type=float, default=0.3)
 @click.option("--attenuation", type=float, default=0.35)
@@ -193,6 +193,12 @@ def forecast_compare_cmd(
     """One-step prediction error of both predictors on a synthetic trace."""
     pred = forecast.PredictorSettings(kind="hw", period=period)
     if config_path is not None:
+        source = click.get_current_context().get_parameter_source
+        given = [f"--{n}" for n in ("seed", "period", "slot-duration")
+                 if source(n.replace("-", "_")) is not click.core.ParameterSource.DEFAULT]
+        if given:
+            raise click.UsageError(f"--config sets the seed, period and slot duration; "
+                                   f"drop {' '.join(given)}")
         cfg = _load_config(config_path)
         pred, seed, slot_duration = cfg.predictor, cfg.seed, cfg.slot_duration_s
     seasonal = dataclasses.replace(pred, kind="hw")
@@ -252,6 +258,8 @@ def compare_predictors(series, ewma, seasonal) -> dict:
         hw_pred, hw = forecast.step(seasonal, hw, y)
     if len(rows) < 2:
         raise ForecastError("series too short for the warm-up window")
+    if not ew_errs:
+        raise ForecastError("no scored slot above 5% of the series peak")
     return {
         "rows": rows,
         "ewma_mape": sum(ew_errs) / len(ew_errs),

@@ -3,9 +3,11 @@
 Receivers sleep most of the time and wake briefly on a fixed cycle; a sender
 therefore precedes each data frame with a train of short addressed packets
 long enough to span the receiver's sleep interval, so any wake phase lands
-inside the train. The duty factor comes from the per-slot optimizer: nodes
-high on energy wake more often, shortening the trains their peers must send
-("virtual energy transfer").
+inside the train. The engine runs the duty factor anchored to a node's own
+energy level (``DELTA_BY_LEVEL``): nodes high on energy wake more often,
+shortening the trains their peers must send ("virtual energy transfer"). The
+per-slot optimizer's duty factor is reported (the ``delta`` column of the
+slot log) but does not set the schedule.
 
 Two schedule realizations exist. Formula mode keeps a fixed wake window and
 derives sleep as ``w * (1 - delta) / delta``, so the on-fraction equals the
@@ -88,13 +90,7 @@ class RadioEnergyModel:
         default_factory=lambda: {0: 25.8, -5: 23.0, -10: 20.5}
     )
     rx_ma: float = 18.5
-    idle_ma: float = 22.3
-    sleep_ma: float = 0.001
     supply_v: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.sleep_ma * 100 > self.idle_ma:
-            raise ValueError("sleep current must be far below idle current")
 
 
 @dataclass(frozen=True)
@@ -192,22 +188,15 @@ def radio_energy(
     tx_ms: float = 0.0,
     tx_power_dbm: int = 0,
     rx_ms: float = 0.0,
-    idle_ms: float = 0.0,
-    sleep_ms: float = 0.0,
 ) -> float:
     """Energy (uJ) of radio activity: sum of duration x current x voltage."""
-    for name, d in (("tx", tx_ms), ("rx", rx_ms), ("idle", idle_ms), ("sleep", sleep_ms)):
+    for name, d in (("tx", tx_ms), ("rx", rx_ms)):
         if d < 0:
             raise ValueError(f"{name} duration must be >= 0")
     if tx_ms and tx_power_dbm not in model.tx_ma:
         raise ValueError(f"no tx current for {tx_power_dbm} dBm")
     tx_current = model.tx_ma.get(tx_power_dbm, 0.0)
-    return model.supply_v * (
-        tx_ms * tx_current
-        + rx_ms * model.rx_ma
-        + idle_ms * model.idle_ma
-        + sleep_ms * model.sleep_ma
-    )
+    return model.supply_v * (tx_ms * tx_current + rx_ms * model.rx_ma)
 
 
 @dataclass

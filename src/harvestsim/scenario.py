@@ -252,8 +252,12 @@ def _semantic_violations(doc: dict, rejected: set) -> list[str]:
             if n.get("role") != "sink" and prof is None:
                 problems.append(f"nodes[{n.get('id')}]: non-sink nodes need an energy profile")
     for prof_name, prof in profiles.items():
-        if prof.get("kind") == "csv" and not prof.get("path"):
+        spec = _build(ProfileSpec, prof)
+        if spec.kind == "csv" and not spec.path:
             problems.append(f"profiles[{prof_name}]: csv profiles need a path")
+        if spec.kind == "synthetic" and spec.period_slots * spec.day_fraction <= 1:
+            # At most one daylight slot: the half-sine is sampled only at sunrise.
+            problems.append(f"profiles[{prof_name}]: period_slots x day_fraction must exceed 1")
     # Only well-formed threshold lists are compared; the schema reports the rest.
     t = _setting(doc, "energy", "thresholds")
     if (
@@ -405,11 +409,14 @@ def synth_trace(spec: ProfileSpec, n_slots: int) -> HarvestTrace:
     """
     if n_slots < 1:
         raise ValueError("need at least one slot")
+    day_slots = spec.period_slots * spec.day_fraction
+    if day_slots <= 1:
+        # The half-sine would be sampled only at sunrise, where it is zero.
+        raise ValueError(f"daylight spans {day_slots} slots; a synthetic day needs more than 1")
     rng = random.Random(f"synth:{spec.seed}")
     n_days = n_slots // spec.period_slots + 2
     cloudy = [rng.random() < spec.switch_probability for _ in range(n_days)]
     powers = []
-    day_slots = spec.period_slots * spec.day_fraction
     for slot in range(n_slots):
         day, phase = divmod(slot, spec.period_slots)
         if phase < day_slots:

@@ -8,7 +8,8 @@ Each slot runs three phases, nodes visited in ascending id order:
    forwarding) advances to the slot boundary;
 3. settlement: the plan's operations are charged against the store at the
    published per-operation costs, the duty-cycle baseline and leakage are
-   drawn, deferred work enters the backlog, and metrics rows are emitted.
+   drawn, the entries ``app`` defers enter the backlog, and metrics rows are
+   emitted.
 
 Energy accounting is split in two: application operations (sense, compute,
 storage, packet transmissions/receptions) are settled through the plan at
@@ -17,8 +18,8 @@ retries, beacons, flood frames) is charged per event from the radio current
 model. Every draw lands in one charge log, so the per-slot ledger closes
 exactly. Rarely, a slot's radio overhead can leave the store unable to cover
 the already-planned operations; settlement then aborts mid-plan (the
-forecast-error path) and the unexecuted tail is deferred or dropped with an
-eviction record.
+forecast-error path): ``app`` defers the tail's node-class steps, and each
+lost network operation is recorded as an ``aborted-op`` drop.
 
 Forecasting: each node feeds its slot's harvest to :func:`forecast.step`
 under the scenario's predictor settings. When the seasonal model degenerates
@@ -73,19 +74,14 @@ MAX_PACKET_RETRIES = 3
 PENDING_QUEUE_CAP = 64
 
 
-def rssi_at(tx_dbm: float, distance_m: float, channel: ChannelSettings, rng=None) -> float:
-    """Received power over one link; optional lognormal shadowing draw."""
+def rssi_at(tx_dbm: float, distance_m: float, channel: ChannelSettings) -> float:
+    """Mean received power over one link: log-distance path loss, no shadowing."""
     if distance_m <= 0:
         raise ValueError("distance must be positive")
     loss = channel.reference_loss_db + 10.0 * channel.path_loss_exponent * math.log10(
         distance_m / channel.reference_distance_m
     )
-    rssi = tx_dbm - loss
-    if channel.shadowing_sigma_db > 0.0:
-        if rng is None:
-            raise ValueError("shadowing requires an rng")
-        rssi += rng.gauss(0.0, channel.shadowing_sigma_db)
-    return rssi
+    return tx_dbm - loss
 
 
 def loss_probability(rssi_dbm: float, channel: ChannelSettings) -> float:
@@ -133,7 +129,6 @@ class NodeRuntime:
     tx_power: int | None = None
     delta_op: float = 0.0
     schedule: mac.DutySchedule = mac.DutySchedule(wake_ms=0.0, sleep_ms=math.inf)
-    context: app.EnergyContext | None = None
     plan: app.ExecutionPlan | None = None
     available: float = 0.0
     forwards_left: int = 0
@@ -227,7 +222,6 @@ class World:
             level: mac.schedule_from_delta(delta, cfg.mac).sleep_ms
             for level, delta in mac.DELTA_BY_LEVEL.items()
         }
-        self._mean_channel = replace(cfg.channel, shadowing_sigma_db=0.0)
         self._link_means: dict[tuple[str, str, float], float] = {}
         self._fanouts: dict[tuple[str, float], tuple[tuple[NodeRuntime, float], ...]] = {}
 
@@ -277,7 +271,6 @@ class World:
             )
             if spec.role == "sink":
                 rt.tx_power = routing.REFERENCE_TX_POWER_DBM
-                rt.delta_op = 1.0
                 rt.schedule = mac.DutySchedule(wake_ms=self.cfg.mac.wake_window_ms, sleep_ms=0.0)
             self.nodes[spec.id] = rt
 
@@ -314,7 +307,7 @@ class World:
         key = (sender.node_id, receiver.node_id, tx_dbm)
         mean = self._link_means.get(key)
         if mean is None:
-            mean = rssi_at(tx_dbm, self._distance(sender, receiver), self._mean_channel)
+            mean = rssi_at(tx_dbm, self._distance(sender, receiver), self.cfg.channel)
             self._link_means[key] = mean
         return mean
 
@@ -627,7 +620,7 @@ class World:
         # Worst-case single-round overhead must be affordable before keying up.
         est_ms = self._believed_sleep_ms(rt, entry.next_hop) + self.cfg.mac.data_packet_ms
         est = mac.radio_energy(self.radio, tx_ms=est_ms, tx_power_dbm=rt.tx_power)
-        if not rt.is_sink and rt.store.stored - est < self.floor:
+        if rt.store.stored - est < self.floor:
             if rt.role == "source":
                 self._queue_packet(rt, pkt, "no-energy")
             else:
@@ -693,7 +686,6 @@ class World:
             if slot - seen <= NEIGHBOR_TTL_SLOTS
         }
         context = app.assess_slot(rt.store, forecasts, neighbor_levels)
-        rt.context = context
         rt.available = e_a
         try:
             rt.tx_power = routing.map_level_to_txpower(context.own)
@@ -708,6 +700,7 @@ class World:
             rt.backlog,
             app.compute_budget(context, rt.store, self.floor),
             self.table,
+            slot=slot,
             tx_power_dbm=rt.tx_power,
             duty_energy=self.cfg.energy.duty_energy_uj,
             duty_weight=self.cfg.optimizer.duty_weight,
@@ -730,7 +723,7 @@ class World:
         drained = [Packet(pid=e.packet_id) for e in rt.plan.backlog_run if e.packet_id is not None]
         sendable = fresh[:tx_quota]
         for pkt in fresh[tx_quota:]:
-            self._defer(rt, app.BacklogEntry("tx128", "deferred-tx", 1, slot, packet_id=pkt.pid))
+            self._defer(rt, app.deferred_packet(pkt.pid, slot))
 
         to_send = rt.pending + drained + sendable
         rt.pending = []
@@ -781,7 +774,6 @@ class World:
             available=rt.available,
             slot=slot,
             node=rt.node_id,
-            context=rt.context,
             charge_log=self.metrics.charges,
         )
         # Duty-cycle baseline for the level-anchored schedule actually run.
@@ -797,15 +789,10 @@ class World:
         if leak > 0.0 and rt.store.stored > self.floor:
             self._charge(rt, "leakage", min(leak, rt.store.stored - self.floor))
 
-        # Node-class deferrals enter the backlog; network-class deferrals are
-        # already represented as queued/deferred packets (source) or arrival
-        # drops (relay), so re-backlogging the ops would double-count them.
-        for name, kind in rt.plan.enqueue + skipped:
-            if kind not in app.NETWORK_OPS:
-                self._defer(rt, app.BacklogEntry(kind, name, 1, slot))
-        for _, kind in skipped:
-            if kind in app.NETWORK_OPS:
-                self.metrics.drops.append((slot, "-", rt.node_id, "aborted-op"))
+        requeued, lost = app.aborted_tail(rt.policies, skipped, slot)
+        for entry in rt.plan.deferred + requeued:
+            self._defer(rt, entry)
+        self.metrics.drops.extend([(slot, "-", rt.node_id, "aborted-op")] * lost)
 
         self.metrics.slot_reports.append(report)
         consumed = stored_start + harvested - wasted - rt.store.stored

@@ -5,8 +5,10 @@ from harvestsim.app import (
     BacklogEntry,
     EnergyContext,
     Policy,
+    aborted_tail,
     assess_slot,
     compute_budget,
+    deferrals,
     execute_plan,
     plan_slot,
     policy_cost,
@@ -129,6 +131,9 @@ def make_policies():
     return [report, log]
 
 
+SLOT = 7
+
+
 def plan(ctx, policies=None, budget=None, backlog=None, table=None, tx_power_dbm=0):
     policies = policies or make_policies()
     table = table or OperationCostTable()
@@ -140,6 +145,7 @@ def plan(ctx, policies=None, budget=None, backlog=None, table=None, tx_power_dbm
         backlog if backlog is not None else Backlog(),
         budget,
         table,
+        slot=SLOT,
         tx_power_dbm=tx_power_dbm,
         duty_energy=10_000.0,
     )
@@ -151,7 +157,7 @@ class TestPlanSlot:
         p = plan(ctx)
         assert all(a == pytest.approx(1.0) for a in p.alphas.values())
         assert len(p.run_ops) == 9
-        assert p.enqueue == []
+        assert p.deferred == []
 
     def test_backlog_drained_when_both_levels_high(self):
         backlog = Backlog()
@@ -182,17 +188,21 @@ class TestPlanSlot:
         assert len(p_lo.run_ops) < len(p_hi.run_ops)
 
     def test_zero_budget_defers_everything(self):
+        # Everything that can wait: the node-class policy's steps, at its
+        # priority. The network policy's packets are the engine's to keep.
         ctx = EnergyContext(EnergyLevel.E0, EnergyLevel.E0, EnergyLevel.E1)
         p = plan(ctx, budget=0.0)
         assert p.run_ops == []
-        assert len(p.enqueue) == 9
+        assert p.deferred == [
+            BacklogEntry(kind, "log", 2, SLOT) for kind in (SENSE, AVG, WRITE)
+        ]
 
     def test_network_e0_gates_network_policies(self):
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E0)
         p = plan(ctx)
         assert all(name == "log" for name, _ in p.run_ops)
-        gated = [name for name, _ in p.enqueue if name == "report"]
-        assert len(gated) == 6
+        assert p.run_ops
+        assert not any(e.policy == "report" for e in p.deferred)
 
     def test_morphing_monotone_in_virtual_level(self):
         store = store_at(60_000.0)
@@ -202,6 +212,46 @@ class TestPlanSlot:
             budget = compute_budget(ctx, store, FLOOR)
             counts.append(len(plan(ctx, budget=budget / 20.0).run_ops))
         assert counts == sorted(counts, reverse=True)
+
+
+class TestDeferrals:
+    def test_node_class_steps_at_their_policy_priority(self):
+        report, log = make_policies()
+        steps = [("report", SENSE), ("log", AVG), ("report", TX), ("log", WRITE)]
+        assert deferrals([report, log], steps, 4) == [
+            BacklogEntry(AVG, "log", 2, 4),
+            BacklogEntry(WRITE, "log", 2, 4),
+        ]
+
+    def test_partial_morph_defers_the_unrun_suffix(self):
+        # A quarter of the policy's cost runs a prefix of its six steps;
+        # the rest wait.
+        log = Policy("log", (SENSE, AVG, WRITE), priority=3, repeat=2)
+        ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
+        cost = policy_cost(log, OperationCostTable(), 0)
+        p = plan(ctx, policies=[log], budget=cost / 4)
+        ran = len(p.run_ops)
+        assert 0 < ran < 6
+        assert p.deferred == [BacklogEntry(k, "log", 3, SLOT) for k in log.steps[ran:]]
+
+    def test_aborted_tail_requeues_node_steps_and_counts_lost_network_ops(self):
+        backlog = Backlog()
+        backlog.push(BacklogEntry(TX, "deferred-tx", 1, enqueued_slot=0, packet_id="D-0-0"))
+        backlog.push(BacklogEntry(AVG, "log", 2, enqueued_slot=1))
+        ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
+        policies = make_policies()
+        p = plan(ctx, policies=policies, backlog=backlog)
+        assert len(p.backlog_run) == 2
+        # The store covers nothing above the floor: the whole plan aborts.
+        _, _, skipped = execute_plan(
+            p, store_at(FLOOR), OperationCostTable(), FLOOR
+        )
+        assert len(skipped) == 2 + 9
+        requeued, lost = aborted_tail(policies, skipped, 9)
+        assert requeued == [
+            BacklogEntry(kind, "log", 2, 9) for kind in (AVG, SENSE, AVG, WRITE)
+        ]
+        assert lost == 1 + 3  # the drained packet and the report's transmissions
 
 
 class TestBacklog:

@@ -153,12 +153,40 @@ class TestForecastCompareCommand:
 
     @pytest.mark.parametrize(
         "args",
-        [["--period", "0"], ["--period", "1"], ["--days", "0"], ["--days", "2"]],
+        [["--period", "0"], ["--period", "1"], ["--period", "2"], ["--days", "0"],
+         ["--days", "2"]],
         ids=" ".join,
     )
     def test_out_of_range_counts_are_usage_errors(self, tmp_path, args):
         out = tmp_path / "o"
         assert main(["forecast-compare", *args, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--seed", "5"], ["--period", "12"], ["--slot-duration", "30"],
+         ["--seed", "7", "--period", "24"]],
+        ids=" ".join,
+    )
+    def test_config_with_its_own_settings_is_a_usage_error(self, tree_path, tmp_path,
+                                                           capsys, args):
+        out = tmp_path / "o"
+        code = main(["forecast-compare", "--config", tree_path, *args, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        for flag in args[::2]:
+            assert flag in err
+
+    @pytest.mark.parametrize("seed", ["3", "5"])
+    def test_no_scored_daylight_is_a_runtime_error(self, tmp_path, capsys, seed):
+        # Fully attenuated cloudy days on every scored day leave no actual
+        # above 5% of the peak to take a percentage error against.
+        out = tmp_path / "o"
+        code = main(["forecast-compare", "--period", "4", "--days", "3", "--attenuation",
+                     "0.0", "--switch-prob", "0.5", "--seed", seed, "--out", str(out)])
+        assert code == 3
+        assert "no scored slot" in capsys.readouterr().err
         assert not out.exists()
 
     def test_three_days_score_the_third(self, tmp_path):

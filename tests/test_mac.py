@@ -116,10 +116,6 @@ class TestRadioEnergy:
         assert e == pytest.approx(317.03, abs=0.01)
         assert abs(e - 341.0) / 341.0 < 0.1
 
-    def test_sleep_far_below_idle(self):
-        with pytest.raises(ValueError):
-            RadioEnergyModel(sleep_ma=10.0)
-
 
 def awake_schedule():
     return DutySchedule(wake_ms=5.0, sleep_ms=0.0)

@@ -120,6 +120,20 @@ nodes:
         v = err.value.violations
         assert v and all(x.startswith(section) for x in v)
 
+    @pytest.mark.parametrize(
+        "profile", ["period_slots: 2", "period_slots: 24, day_fraction: 0.04"]
+    )
+    def test_synthetic_day_without_daylight_rejected(self, profile):
+        text = MINIMAL.replace(
+            self.SUN_PROFILES, f"profiles:\n  sun: {{kind: synthetic, {profile}}}"
+        )
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(text)
+        assert [v.split(":")[0] for v in err.value.violations] == ["profiles[sun]"]
+        # Just past the bound, the profile parses.
+        parse_scenario(text.replace("period_slots: 2", "period_slots: 3").replace(
+            "day_fraction: 0.04", "day_fraction: 0.05"))
+
     def test_unknown_keys_rejected(self):
         text = MINIMAL + "\ntypo_key: 1\n"
         with pytest.raises(SchemaError) as err:
@@ -267,6 +281,17 @@ class TestSynthTrace:
         )
         trace = synth_trace(spec, 24 * 10)
         assert all(p >= 0.0 for p in trace.powers)
+
+    @pytest.mark.parametrize("period, fraction", [(2, 0.5), (24, 0.04), (10, 0.1)])
+    def test_at_most_one_daylight_slot_rejected(self, period, fraction):
+        # The half-sine would be sampled only at sunrise: an all-zero trace.
+        spec = ProfileSpec(amplitude_w=0.001, period_slots=period, day_fraction=fraction)
+        with pytest.raises(ValueError):
+            synth_trace(spec, 4 * period)
+
+    def test_three_slot_day_has_daylight(self):
+        spec = ProfileSpec(amplitude_w=0.001, period_slots=3, switch_probability=0.0)
+        assert synth_trace(spec, 3).powers[1] > 0.0
 
     def test_slot_bound(self):
         spec = ProfileSpec()

@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 import yaml
 
-from harvestsim import forecast, mac, routing, simcore
+from harvestsim import app, forecast, mac, routing, simcore
 from harvestsim.cli import main
 from harvestsim.energy import (
     DEFAULT_TX_COSTS,
@@ -84,12 +84,6 @@ class TestChannel:
         n = 10_000
         lost = sum(0 if deliver(-90.0, ch, rng) else 1 for _ in range(n))
         assert abs(lost / n - 0.25) <= 0.02
-
-    def test_shadowing_requires_rng(self):
-        ch = ChannelSettings(shadowing_sigma_db=4.0)
-        with pytest.raises(ValueError):
-            rssi_at(0.0, 8.0, ch)
-        assert isinstance(rssi_at(0.0, 8.0, ch, random.Random(1)), float)
 
 
 class TestDeterminism:
@@ -194,7 +188,7 @@ class TestRadioDormancy:
         )
         world._push(t, "rreq_tx", "B", fwd)
         world.step_slot()
-        assert b.context.own == EnergyLevel.E0
+        assert b.plan.context.own == EnergyLevel.E0
         assert (t, "B", "rreq-tx", "seq=99") not in world.metrics.mac_trace
         radio = [c for c in world.metrics.charges if c[:2] == (2, "B") and c[2].startswith("mac:")]
         assert radio == []
@@ -204,8 +198,43 @@ class TestRadioDormancy:
         world, b = self._relay_b_dormant_from_slot_2(tree_cfg)
         world._push(2 * tree_cfg.slot_duration_s + 0.01, "send", "B", simcore.Packet("D-1-9"))
         world.step_slot()
-        assert b.context.own == EnergyLevel.E0
+        assert b.plan.context.own == EnergyLevel.E0
         assert (2, "D-1-9", "B", "dormant") in world.metrics.drops
+
+
+class TestDeferral:
+    """``app`` decides what a slot defers, and at which priority."""
+
+    def test_dark_source_backlogs_only_node_class_steps(self, tree_cfg):
+        # D starts at the floor without harvest: nothing fits its budget.
+        world = World(dataclasses.replace(tree_cfg, seed=3), traces={"D": HarvestTrace((0.0,) * 60)})
+        d = world.nodes["D"]
+        d.store = dataclasses.replace(d.store, stored=world.floor)
+        simcore.run(world, 8)
+        priority = {p.name: p.priority for p in d.policies}
+        entries = d.backlog.entries
+        assert {e.policy for e in entries} == {"log", "deferred-tx"}
+        for e in entries:
+            # Packets the slot could not send wait at the top priority.
+            assert e.priority == (1 if e.packet_id else priority[e.policy])
+
+    def test_lower_priority_entries_are_evicted_first(self, tree_cfg):
+        # Relay B runs two node-class policies on disjoint op kinds, so each
+        # eviction record names its policy. At the floor without harvest it
+        # defers both every slot, and the backlog fills after 16 slots.
+        audit = app.Policy("audit", ("sense",), priority=1, repeat=2)
+        chores = app.Policy("chores", ("flash_read", "average50"), priority=2)
+        cfg = dataclasses.replace(
+            tree_cfg, seed=3, policies={**tree_cfg.policies, "B": (audit, chores)}
+        )
+        world = World(cfg, traces={"B": HarvestTrace((0.0,) * 60)})
+        b = world.nodes["B"]
+        b.store = dataclasses.replace(b.store, stored=world.floor)
+        m = simcore.run(world, 30)
+        evicted = Counter(kind for _, node, kind in m.evictions if node == "B")
+        assert sum(evicted.values()) == 30 * 4 - b.backlog.capacity
+        assert set(evicted) == {"flash_read", "average50"}
+        assert [e.policy for e in b.backlog.entries].count("audit") == 30 * 2
 
 
 class TestSeasonalRestart:
@@ -405,8 +434,9 @@ class _FullScanWorld(World):
     loss, and every broadcast scans every other node in id order."""
 
     def _link_rssi(self, sender, receiver, tx_dbm):
-        rng = self.rng_channel if self.cfg.channel.shadowing_sigma_db > 0 else None
-        return rssi_at(tx_dbm, self._distance(sender, receiver), self.cfg.channel, rng)
+        rssi = rssi_at(tx_dbm, self._distance(sender, receiver), self.cfg.channel)
+        sigma = self.cfg.channel.shadowing_sigma_db
+        return rssi + self.rng_channel.gauss(0.0, sigma) if sigma > 0 else rssi
 
     def _on_beacon(self, t, node_id):
         rt = self.nodes[node_id]
@@ -596,9 +626,9 @@ class TestLinkTable:
             last_pair[:] = [(a.node_id, b.node_id)]
             return real_distance(self, a, b)
 
-        def counting_rssi_at(tx_dbm, distance_m, channel, rng=None):
+        def counting_rssi_at(tx_dbm, distance_m, channel):
             links.append((*last_pair[0], tx_dbm))
-            return real_rssi_at(tx_dbm, distance_m, channel, rng)
+            return real_rssi_at(tx_dbm, distance_m, channel)
 
         monkeypatch.setattr(World, "_distance", distance)
         monkeypatch.setattr(simcore, "rssi_at", counting_rssi_at)
@@ -618,7 +648,7 @@ class TestLinkTable:
         a, b, c, d = (world.nodes[n] for n in "ABCD")
         for sender, receiver, tx in [(a, b, 0), (b, d, -5), (a, b, 0), (d, c, -10), (b, d, -5)]:
             distance = world._distance(sender, receiver)
-            expected = rssi_at(tx, distance, channel, twin)
+            expected = rssi_at(tx, distance, channel) + twin.gauss(0.0, 4.0)
             assert world._link_rssi(sender, receiver, tx) == expected
 
     @pytest.mark.parametrize("sigma_db", [0.0, 4.0])
