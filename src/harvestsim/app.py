@@ -14,7 +14,10 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from .bounds import POS, enum, int_min
 from .energy import (
+    OP_KINDS,
+    RADIO_OPS,
     TX_OP_KIND,
     EnergyLevel,
     EnergyStore,
@@ -25,9 +28,6 @@ from .energy import (
     withdraw,
 )
 from .optimizer import build_opt, solve_for_v
-
-# Operation kinds that use the radio; every other kind is node-local work.
-NETWORK_OPS = frozenset({"tx128", "rx128"})
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,13 @@ class Policy:
     housekeeping despite the cost asymmetry.
     """
 
-    name: str
-    ops: tuple[str, ...]
-    priority: int = 1
-    repeat: int = 1
-    weight: float = 1.0
+    name: str = field(metadata={"type": "string"})
+    ops: tuple[str, ...] = field(
+        metadata={"type": "array", "minItems": 1, "items": enum(*OP_KINDS)}
+    )
+    priority: int = field(default=1, metadata=int_min(1))
+    repeat: int = field(default=1, metadata=int_min(1))
+    weight: float = field(default=1.0, metadata=POS)
 
     def __post_init__(self) -> None:
         if not self.ops:
@@ -61,7 +63,7 @@ class Policy:
 
     @property
     def is_network(self) -> bool:
-        return any(kind in NETWORK_OPS for kind in self.ops)
+        return any(kind in RADIO_OPS for kind in self.ops)
 
     @property
     def utility(self) -> float:
@@ -197,7 +199,7 @@ def aborted_tail(
 ) -> tuple[list[BacklogEntry], int]:
     """The :func:`deferrals` of an aborted plan's unrun tail, and how many
     network operations it lost."""
-    return deferrals(policies, skipped, slot), sum(k in NETWORK_OPS for _, k in skipped)
+    return deferrals(policies, skipped, slot), sum(k in RADIO_OPS for _, k in skipped)
 
 
 def deferred_packet(packet_id: str, slot: int) -> BacklogEntry:
@@ -366,7 +368,7 @@ def execute_plan(
         consumed += cost
         if charge_log is not None:
             charge_log.append((slot, node, f"op:{kind}", cost))
-        if kind in NETWORK_OPS:
+        if kind in RADIO_OPS:
             ops_network += 1
         else:
             ops_node += 1

@@ -14,6 +14,7 @@ NUM = {"type": "number"}
 POS = {"type": "number", "exclusiveMinimum": 0}
 NONNEG = {"type": "number", "minimum": 0}
 FRACTION = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+FRACTION_OR_ZERO = {"type": "number", "minimum": 0, "exclusiveMaximum": 1}
 PROBABILITY = {"type": "number", "minimum": 0, "maximum": 1}
 
 

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import click
+import jsonschema
 
 from . import forecast, mac, simcore
 from .energy import EnergyError
@@ -57,6 +58,22 @@ def write_json(path: Path, payload: dict) -> None:
     path.write_text(
         json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
+
+
+class _Bounded(click.ParamType):
+    """A number checked against the bound settings field ``cls.name`` declares."""
+
+    name = "number"
+
+    def __init__(self, cls, name: str):
+        bound = next(f.metadata for f in dataclasses.fields(cls) if f.name == name)
+        self.validator = jsonschema.Draft202012Validator(bound)
+
+    def convert(self, value, param, ctx):
+        value = click.FLOAT.convert(value, param, ctx)
+        for err in self.validator.iter_errors(value):
+            self.fail(err.message, param, ctx)
+        return value
 
 
 def _load_config(config_path: str) -> ScenarioConfig:
@@ -180,11 +197,11 @@ def run_cmd(config_path, seed, slots, mode, outdir, mac_trace) -> None:
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--days", type=click.IntRange(min=3), default=60)
 @click.option("--period", type=click.IntRange(min=3), default=24)
-@click.option("--amplitude", type=float, default=0.003)
-@click.option("--switch-prob", type=float, default=0.3)
-@click.option("--attenuation", type=float, default=0.35)
+@click.option("--amplitude", type=_Bounded(ProfileSpec, "amplitude_w"), default=0.003)
+@click.option("--switch-prob", type=_Bounded(ProfileSpec, "switch_probability"), default=0.3)
+@click.option("--attenuation", type=_Bounded(ProfileSpec, "cloudy_attenuation"), default=0.35)
 @click.option("--seed", type=int, default=7)
-@click.option("--slot-duration", type=float, default=60.0)
+@click.option("--slot-duration", type=_Bounded(ScenarioConfig, "slot_duration_s"), default=60.0)
 @click.option("--out", "outdir", required=True, type=click.Path())
 def forecast_compare_cmd(
     config_path, days, period, amplitude, switch_prob, attenuation, seed,
@@ -212,6 +229,11 @@ def forecast_compare_cmd(
         cloudy_attenuation=attenuation,
         seed=seed,
     )
+    if not spec.has_daylight:
+        raise click.UsageError(
+            f"predictor.period {seasonal.period}: the synthetic day needs more than one "
+            f"daylight slot"
+        )
     trace = synth_trace(spec, days * seasonal.period)
     series = [p * slot_duration * 1e6 for p in trace.powers]
     result = compare_predictors(series, ewma, seasonal)
@@ -321,9 +343,14 @@ def route_compare_cmd(config_path, seeds, slots, outdir) -> None:
 @click.option("--out", "outdir", required=True, type=click.Path())
 def tradeoff_cmd(weights, costs, duty_energy, duty_weight, budget, outdir) -> None:
     """Export the optimal utility / residual-energy curve."""
-    w = tuple(float(x) for x in weights.split(",")) if weights else ()
-    c = tuple(float(x) for x in costs.split(",")) if costs else ()
-    lp = build_opt(w, c, duty_energy, duty_weight, budget)
+    # Every input of the LP comes from the command line, so whatever
+    # build_opt rejects is a usage error.
+    try:
+        w = tuple(float(x) for x in weights.split(",")) if weights else ()
+        c = tuple(float(x) for x in costs.split(",")) if costs else ()
+        lp = build_opt(w, c, duty_energy, duty_weight, budget)
+    except (OptimizerError, ValueError) as exc:
+        raise click.UsageError(f"tradeoff: {exc}") from exc
     curve = parametric_sweep(lp, 0.0, budget)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -380,7 +407,7 @@ def main(argv=None) -> int:
             click.echo(f"  - {violation}", err=True)
         return EXIT_SCHEMA
     except click.UsageError as exc:
-        click.echo(str(exc), err=True)
+        click.echo(exc.format_message(), err=True)
         return EXIT_SCHEMA
     except (
         OptimizerError,

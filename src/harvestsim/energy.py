@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
+from typing import NamedTuple
 
 
 class EnergyError(Exception):
@@ -180,20 +181,32 @@ def harvest_in_slot(trace: HarvestTrace, slot: int, slot_duration_s: float) -> f
     return power_w * slot_duration_s * trace.scale * 1e6
 
 
-# Measured per-operation costs for the reference mote, in uJ. Transmit cost
-# depends on the radio power level; the sub-0dBm entries are scaled by the
-# transmit-current ratio of the radio (only the 0 dBm cost was measured).
-DEFAULT_OP_COSTS = {
-    "average50": 7.056,
-    "peak50": 7.392,
-    "sense": 20.30,
-    "flash_write": 1.23,
-    "flash_read": 0.30,
-    "rx128": 400.0,
-}
-DEFAULT_TX_COSTS = {0: 341.0, -5: 304.0, -10: 271.0}
+class OpKind(NamedTuple):
+    """One measured operation of the reference mote."""
+
+    cost_uj: float | None  # None: priced per transmit power (DEFAULT_TX_COSTS)
+    radio: bool = False
+
 
 TX_OP_KIND = "tx128"
+RX_OP_KIND = "rx128"
+
+# The operation vocabulary, in the order scenarios list it, with the costs
+# measured on the reference mote in uJ. Transmit cost depends on the radio
+# power level; the sub-0dBm entries are scaled by the transmit-current ratio
+# of the radio (only the 0 dBm cost was measured).
+OP_KINDS = {
+    "sense": OpKind(20.30),
+    "average50": OpKind(7.056),
+    "peak50": OpKind(7.392),
+    "flash_write": OpKind(1.23),
+    "flash_read": OpKind(0.30),
+    TX_OP_KIND: OpKind(None, radio=True),
+    RX_OP_KIND: OpKind(400.0, radio=True),
+}
+DEFAULT_TX_COSTS = {0: 341.0, -5: 304.0, -10: 271.0}
+DEFAULT_OP_COSTS = {kind: op.cost_uj for kind, op in OP_KINDS.items() if kind != TX_OP_KIND}
+RADIO_OPS = frozenset(kind for kind, op in OP_KINDS.items() if op.radio)
 
 
 @dataclass(frozen=True)

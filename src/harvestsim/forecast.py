@@ -34,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-from .bounds import FRACTION, enum, int_min
+from .bounds import FRACTION, FRACTION_OR_ZERO, enum, int_min
 
 EPS_FLOOR = 1e-9
 
@@ -67,8 +67,8 @@ class PredictorSettings:
 
     kind: str = field(default="hw", metadata=enum("ewma", "hw"))
     epsilon: float = field(default=0.906, metadata=FRACTION)
-    beta: float = field(default=0.1, metadata=FRACTION)
-    gamma: float = field(default=0.650, metadata=FRACTION)
+    beta: float = field(default=0.1, metadata=FRACTION_OR_ZERO)
+    gamma: float = field(default=0.650, metadata=FRACTION_OR_ZERO)
     period: int = field(default=24, metadata=int_min(2))
     horizon: int = field(default=2, metadata=int_min(2))
 

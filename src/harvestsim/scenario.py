@@ -7,11 +7,12 @@ round-trip: ``parse(serialize(cfg)) == cfg``.
 
 Each setting is declared once, as a field of the dataclass that owns it
 (``EnergySettings`` here, ``forecast.PredictorSettings``,
-``routing.RoutingSettings``, ``mac.MacConfig`` ...), with its default and its
-schema bound as field metadata. ``SCENARIO_SCHEMA`` is built from those
-fields, and parsing builds every section from the keys it is given, so adding
-a setting is one field line. Only the ``nodes``, ``costs`` and ``policies``
-schemas are written out by hand.
+``routing.RoutingSettings``, ``mac.MacConfig``, ``NodeSpec``, ``app.Policy``
+...), with its default and its schema bound as field metadata.
+``SCENARIO_SCHEMA`` is built from those fields, and parsing builds every
+section from the keys it is given, so adding a setting is one field line.
+The operation kinds that ``costs`` and a policy's ``ops`` accept are
+``energy.OP_KINDS``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import yaml
 
 from .app import Policy
 from .bounds import FRACTION, NONNEG, NUM, POS, PROBABILITY, enum, int_min, section
-from .energy import TX_OP_KIND, HarvestTrace
+from .energy import DEFAULT_OP_COSTS, TX_OP_KIND, HarvestTrace
 from .forecast import PredictorSettings
 from .mac import MacConfig
 from .routing import RoutingSettings
@@ -110,81 +111,40 @@ class ProfileSpec:
     trend_per_day: float = field(default=0.0, metadata=NUM)
     seed: int = field(default=0, metadata={"type": "integer"})
 
+    @property
+    def has_daylight(self) -> bool:
+        """A synthetic day needs more than one daylight slot: with at most one,
+        the half-sine is sampled only at sunrise, where it is zero."""
+        return self.period_slots * self.day_fraction > 1
+
 
 @dataclass(frozen=True)
 class NodeSpec:
-    id: str
-    role: str
-    position: tuple[float, float] = (0.0, 0.0)
-    profile: str | None = None
+    id: str = field(metadata={"type": "string"})
+    role: str = field(metadata=enum("source", "relay", "sink"))
+    position: tuple[float, float] = field(
+        default=(0.0, 0.0),
+        metadata={"type": "array", "items": NUM, "minItems": 2, "maxItems": 2},
+    )
+    profile: str | None = field(default=None, metadata={"type": ["string", "null"]})
 
-
-_NODES_SCHEMA = {
-    "type": "array",
-    "minItems": 1,
-    "items": {
-        "type": "object",
-        "additionalProperties": False,
-        "required": ["id", "role"],
-        "properties": {
-            "id": {"type": "string"},
-            "role": enum("source", "relay", "sink"),
-            "position": {"type": "array", "items": NUM, "minItems": 2, "maxItems": 2},
-            "profile": {"type": ["string", "null"]},
-        },
-    },
-}
-
-_COSTS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "sense": POS,
-        "average50": POS,
-        "peak50": POS,
-        "flash_write": POS,
-        "flash_read": POS,
-        "rx128": POS,
-        "tx128": {"type": "object", "additionalProperties": POS},
-    },
-}
 
 _PROFILES_SCHEMA = {
     "type": "object",
     "additionalProperties": section(ProfileSpec, required=["kind"]),
 }
 
-_POLICIES_SCHEMA = {
-    "type": "object",
-    "additionalProperties": {
-        "type": "array",
-        "items": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name", "ops"],
-            "properties": {
-                "name": {"type": "string"},
-                "priority": int_min(1),
-                "ops": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": enum(
-                        "sense", "average50", "peak50", "flash_write", "flash_read",
-                        "tx128", "rx128",
-                    ),
-                },
-                "repeat": int_min(1),
-                "weight": POS,
-            },
-        },
-    },
-}
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     name: str = field(metadata={"type": "string"})
-    nodes: tuple[NodeSpec, ...] = field(metadata=_NODES_SCHEMA)
+    nodes: tuple[NodeSpec, ...] = field(
+        metadata={
+            "type": "array",
+            "minItems": 1,
+            "items": section(NodeSpec, required=["id", "role"]),
+        }
+    )
     seed: int = field(default=1, metadata={"type": "integer"})
     slots: int = field(default=100, metadata=int_min(1))
     slot_duration_s: float = field(default=60.0, metadata=POS)
@@ -195,9 +155,28 @@ class ScenarioConfig:
     mac: MacConfig = MacConfig()
     channel: ChannelSettings = ChannelSettings()
     traffic: TrafficSettings = TrafficSettings()
-    costs: dict = field(default_factory=dict, metadata=_COSTS_SCHEMA)
+    costs: dict = field(
+        default_factory=dict,
+        metadata={
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                **{kind: POS for kind in DEFAULT_OP_COSTS},
+                TX_OP_KIND: {"type": "object", "additionalProperties": POS},
+            },
+        },
+    )
     profiles: dict = field(default_factory=dict, metadata=_PROFILES_SCHEMA)
-    policies: dict = field(default_factory=dict, metadata=_POLICIES_SCHEMA)
+    policies: dict = field(
+        default_factory=dict,
+        metadata={
+            "type": "object",
+            "additionalProperties": {
+                "type": "array",
+                "items": section(Policy, required=["name", "ops"]),
+            },
+        },
+    )
 
     def policies_for(self, node: NodeSpec) -> tuple[Policy, ...]:
         """Node-specific policy list, falling back to the node's role."""
@@ -255,8 +234,7 @@ def _semantic_violations(doc: dict, rejected: set) -> list[str]:
         spec = _build(ProfileSpec, prof)
         if spec.kind == "csv" and not spec.path:
             problems.append(f"profiles[{prof_name}]: csv profiles need a path")
-        if spec.kind == "synthetic" and spec.period_slots * spec.day_fraction <= 1:
-            # At most one daylight slot: the half-sine is sampled only at sunrise.
+        if spec.kind == "synthetic" and not spec.has_daylight:
             problems.append(f"profiles[{prof_name}]: period_slots x day_fraction must exceed 1")
     # Only well-formed threshold lists are compared; the schema reports the rest.
     t = _setting(doc, "energy", "thresholds")
@@ -409,10 +387,9 @@ def synth_trace(spec: ProfileSpec, n_slots: int) -> HarvestTrace:
     """
     if n_slots < 1:
         raise ValueError("need at least one slot")
+    if not spec.has_daylight:
+        raise ValueError("period_slots x day_fraction must exceed 1 for a synthetic day")
     day_slots = spec.period_slots * spec.day_fraction
-    if day_slots <= 1:
-        # The half-sine would be sampled only at sunrise, where it is zero.
-        raise ValueError(f"daylight spans {day_slots} slots; a synthetic day needs more than 1")
     rng = random.Random(f"synth:{spec.seed}")
     n_days = n_slots // spec.period_slots + 2
     cloudy = [rng.random() < spec.switch_probability for _ in range(n_days)]

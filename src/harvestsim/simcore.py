@@ -54,6 +54,7 @@ from . import app, forecast, mac, routing
 from .energy import (
     DEFAULT_OP_COSTS,
     DEFAULT_TX_COSTS,
+    RX_OP_KIND,
     TX_OP_KIND,
     EnergyLevel,
     EnergyStore,
@@ -592,7 +593,14 @@ class World:
             else:
                 self._push(at, "send", rt.node_id, pkt)
 
-    def _queue_packet(self, rt: NodeRuntime, pkt: Packet, reason: str) -> None:
+    def _hold(self, rt: NodeRuntime, pkt: Packet, reason: str) -> None:
+        """A packet ``rt`` cannot send now, for ``reason``: a source queues it
+        (asking for a route when it has none), a relay drops it."""
+        if rt.role != "source":
+            self.metrics.drops.append((self.slot, pkt.pid, rt.node_id, reason))
+            return
+        if reason == "no-route":
+            rt.need_route = True
         rt.pending.append(pkt)
         if len(rt.pending) > PENDING_QUEUE_CAP:
             victim = rt.pending.pop(0)
@@ -604,27 +612,17 @@ class World:
         rt = self.nodes[node_id]
         entry = rt.routing.table.get(self.sink_id)
         if rt.tx_power is None:
-            if rt.role == "source":
-                self._queue_packet(rt, pkt, "dormant")
-            else:
-                self.metrics.drops.append((self.slot, pkt.pid, node_id, "dormant"))
+            self._hold(rt, pkt, "dormant")
             return
         if entry is None:
-            if rt.role == "source":
-                rt.need_route = True
-                self._queue_packet(rt, pkt, "no-route")
-            else:
-                self.metrics.drops.append((self.slot, pkt.pid, node_id, "no-route"))
+            self._hold(rt, pkt, "no-route")
             return
         receiver = self.nodes[entry.next_hop]
         # Worst-case single-round overhead must be affordable before keying up.
         est_ms = self._believed_sleep_ms(rt, entry.next_hop) + self.cfg.mac.data_packet_ms
         est = mac.radio_energy(self.radio, tx_ms=est_ms, tx_power_dbm=rt.tx_power)
         if rt.store.stored - est < self.floor:
-            if rt.role == "source":
-                self._queue_packet(rt, pkt, "no-energy")
-            else:
-                self.metrics.drops.append((self.slot, pkt.pid, node_id, "no-energy"))
+            self._hold(rt, pkt, "no-energy")
             return
         delivered, elapsed, _ = self._unicast(t, rt, receiver, "data")
         if delivered:
@@ -639,10 +637,8 @@ class World:
             rt.need_route = True
             if pkt.retries > MAX_PACKET_RETRIES:
                 self.metrics.drops.append((self.slot, pkt.pid, node_id, "retries"))
-            else:
-                self._queue_packet(rt, pkt, "mac-fail")
-        else:
-            self.metrics.drops.append((self.slot, pkt.pid, node_id, "mac-fail"))
+                return
+        self._hold(rt, pkt, "mac-fail")
 
     def _on_arrive(self, t: float, node_id: str, pkt: Packet) -> None:
         rt = self.nodes[node_id]
@@ -706,8 +702,8 @@ class World:
             duty_weight=self.cfg.optimizer.duty_weight,
         )
 
-        tx_quota = sum(1 for _, kind in rt.plan.run_ops if kind == "tx128")
-        rx_quota = sum(1 for _, kind in rt.plan.run_ops if kind == "rx128")
+        tx_quota = sum(1 for _, kind in rt.plan.run_ops if kind == TX_OP_KIND)
+        rx_quota = sum(1 for _, kind in rt.plan.run_ops if kind == RX_OP_KIND)
         rt.forwards_left = min(tx_quota, rx_quota) if rt.role == "relay" else 0
 
         if rt.role == "source":
@@ -727,14 +723,9 @@ class World:
 
         to_send = rt.pending + drained + sendable
         rt.pending = []
-        have_route = self.sink_id in rt.routing.table
-        if rt.tx_power is None:
-            rt.pending = to_send
-        elif not have_route:
+        if rt.tx_power is None or self.sink_id not in rt.routing.table:
             for pkt in to_send:
-                self._queue_packet(rt, pkt, "no-route")
-            if to_send:
-                rt.need_route = True
+                self._hold(rt, pkt, "dormant" if rt.tx_power is None else "no-route")
         else:
             for i, pkt in enumerate(to_send):
                 self._push(t0 + 0.2 + i * period, "send", rt.node_id, pkt)

@@ -100,6 +100,19 @@ class TestTradeoffCommand:
         assert code == 3
 
 
+    @pytest.mark.parametrize(
+        "args",
+        [["--weights", "a,b"], ["--weights", ","], ["--weights", "6,2", "--costs", "30"],
+         ["--costs", "0,20"], ["--duty-energy", "0"], ["--budget", "-1"], ["--budget", "nan"],
+         ["--duty-weight", "-1"]],
+        ids=" ".join,
+    )
+    def test_bad_inputs_are_usage_errors(self, tmp_path, args):
+        out = tmp_path / "o"
+        assert main(["tradeoff", *args, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestForecastCompareCommand:
     def test_flat_trace_zero_error(self, tmp_path):
         # No day-type switching and no trend: both predictors converge on
@@ -177,6 +190,30 @@ class TestForecastCompareCommand:
         err = capsys.readouterr().err
         for flag in args[::2]:
             assert flag in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--switch-prob", "2"], ["--attenuation", "5"], ["--amplitude", "-1"],
+         ["--slot-duration", "0"], ["--slot-duration", "-60"]],
+        ids=" ".join,
+    )
+    def test_out_of_bound_settings_are_usage_errors(self, tmp_path, capsys, args):
+        # Bounded as the profile and scenario fields they stand for.
+        out = tmp_path / "o"
+        assert main(["forecast-compare", *args, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert args[0] in capsys.readouterr().err
+
+    def test_config_period_without_daylight_is_a_usage_error(self, tmp_path, capsys):
+        # The schema allows a predictor period of 2, but its synthetic day
+        # (half of it daylight) holds no more than one daylight slot.
+        config = tmp_path / "scenario.yaml"
+        config.write_text(TREE.replace("  period: 24\n", "  period: 2\n"))
+        assert parse_scenario(config.read_text()).predictor.period == 2
+        out = tmp_path / "o"
+        assert main(["forecast-compare", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "predictor.period" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", ["3", "5"])
     def test_no_scored_daylight_is_a_runtime_error(self, tmp_path, capsys, seed):

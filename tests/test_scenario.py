@@ -134,6 +134,16 @@ nodes:
         parse_scenario(text.replace("period_slots: 2", "period_slots: 3").replace(
             "day_fraction: 0.04", "day_fraction: 0.05"))
 
+    def test_frozen_seasonal_weights_parse(self):
+        # PredictorSettings takes beta = gamma = 0 (a frozen ring and trend).
+        cfg = parse_scenario(MINIMAL + "predictor: {beta: 0, gamma: 0}\n")
+        assert (cfg.predictor.beta, cfg.predictor.gamma) == (0, 0)
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(MINIMAL + "predictor: {beta: 1, gamma: 1}\n")
+        assert [v.split(":")[0] for v in err.value.violations] == [
+            "predictor/beta", "predictor/gamma"
+        ]
+
     def test_unknown_keys_rejected(self):
         text = MINIMAL + "\ntypo_key: 1\n"
         with pytest.raises(SchemaError) as err:
