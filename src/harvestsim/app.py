@@ -19,6 +19,7 @@ from .energy import (
     OP_KINDS,
     RADIO_OPS,
     TX_OP_KIND,
+    ChargeBook,
     EnergyLevel,
     EnergyStore,
     InsufficientEnergy,
@@ -202,6 +203,10 @@ def aborted_tail(
     return deferrals(policies, skipped, slot), sum(k in RADIO_OPS for _, k in skipped)
 
 
+# The charge label of each operation kind.
+OP_LABELS = {kind: f"op:{kind}" for kind in OP_KINDS}
+
+
 def deferred_packet(packet_id: str, slot: int) -> BacklogEntry:
     """A fresh packet the slot cannot send waits at the top priority."""
     return BacklogEntry(TX_OP_KIND, "deferred-tx", 1, slot, packet_id=packet_id)
@@ -341,9 +346,10 @@ def execute_plan(
     available: float | None = None,
     slot: int = 0,
     node: str = "",
-    charge_log: list | None = None,
+    charges: ChargeBook | None = None,
 ) -> tuple[SlotReport, EnergyStore, list[tuple[str, str]]]:
-    """Charge the store for the plan's operations, in order.
+    """Charge the store for the plan's operations, in order, and enter each
+    paid operation in ``charges`` under its :data:`OP_LABELS` label.
 
     Backlogged work runs first, then the fresh subset. A withdrawal refused
     by the floor aborts the remainder (the harvest-forecast-error path); the
@@ -366,8 +372,8 @@ def execute_plan(
             skipped = sequence[i:]
             break
         consumed += cost
-        if charge_log is not None:
-            charge_log.append((slot, node, f"op:{kind}", cost))
+        if charges is not None:
+            charges.add(slot, node, OP_LABELS[kind], cost)
         if kind in RADIO_OPS:
             ops_network += 1
         else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,7 +62,8 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 class _Bounded(click.ParamType):
-    """A number checked against the bound settings field ``cls.name`` declares."""
+    """A finite number checked against the bound settings field ``cls.name``
+    declares (a JSON-schema bound alone admits NaN and infinities)."""
 
     name = "number"
 
@@ -71,6 +73,8 @@ class _Bounded(click.ParamType):
 
     def convert(self, value, param, ctx):
         value = click.FLOAT.convert(value, param, ctx)
+        if not math.isfinite(value):
+            self.fail(f"{value!r} is not a finite number", param, ctx)
         for err in self.validator.iter_errors(value):
             self.fail(err.message, param, ctx)
         return value

@@ -1,8 +1,9 @@
 """Per-node energy ledger: harvest intake, capacitor storage, operation costs.
 
-All energy amounts are plain floats in microjoules (uJ). Stores are immutable
-values; deposit/withdraw return updated copies so a slot can be replayed or
-rolled back without aliasing surprises.
+All energy amounts are plain floats in microjoules (uJ). A store is checked
+when it is built and on every draw: deposit/withdraw validate the amount
+first, then update the store in place and return it, so a refused or invalid
+draw leaves it untouched. :class:`ChargeBook` streams every draw into totals.
 """
 
 from __future__ import annotations
@@ -88,9 +89,12 @@ def classify_level(e: float, capacity: float, thresholds: LevelThresholds = DEFA
     return EnergyLevel.E3
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EnergyStore:
-    """Supercapacitor ledger: stored amount, capacity clamp, level thresholds."""
+    """Supercapacitor ledger: stored amount, capacity clamp, level thresholds.
+
+    Only :func:`deposit` and :func:`withdraw` change ``stored``.
+    """
 
     stored: float
     capacity: float
@@ -112,23 +116,23 @@ class EnergyStore:
 
 
 def deposit(store: EnergyStore, e: float) -> tuple[EnergyStore, float]:
-    """Add harvested energy, clamping at capacity.
+    """Add harvested energy in place, clamping at capacity.
 
-    Returns the updated store and the overflow that could not be banked
+    Returns the same store and the overflow that could not be banked
     (wasted harvest).
     """
     check_amount(e, "deposit")
     total = store.stored + e
     if total > store.capacity:
-        return (
-            EnergyStore(store.capacity, store.capacity, store.thresholds),
-            total - store.capacity,
-        )
-    return EnergyStore(total, store.capacity, store.thresholds), 0.0
+        store.stored = store.capacity
+        return store, total - store.capacity
+    store.stored = total
+    return store, 0.0
 
 
 def withdraw(store: EnergyStore, e: float, floor: float) -> EnergyStore:
-    """Spend energy, refusing any draw that would breach the survivability floor."""
+    """Spend energy in place, refusing any draw that would breach the
+    survivability floor; returns the same store."""
     check_amount(e, "withdrawal")
     check_amount(floor, "floor")
     remaining = store.stored - e
@@ -136,7 +140,32 @@ def withdraw(store: EnergyStore, e: float, floor: float) -> EnergyStore:
         raise InsufficientEnergy(
             f"withdraw {e} from {store.stored} would leave {remaining} < floor {floor}"
         )
-    return EnergyStore(remaining, store.capacity, store.thresholds)
+    store.stored = remaining
+    return store
+
+
+@dataclass
+class ChargeBook:
+    """Every draw a run makes, summed as it is made.
+
+    ``by_slot`` sums the draws per ``(slot, node)``, which is what each
+    ledger row's consumption must equal; ``by_label`` totals them per
+    ``(node, label)``. The per-draw rows ``(slot, node, label, amount)`` are
+    kept, in draw order, only with ``keep_rows``.
+    """
+
+    keep_rows: bool = False
+    by_slot: dict[tuple[int, str], float] = field(default_factory=dict)
+    by_label: dict[tuple[str, str], float] = field(default_factory=dict)
+    rows: list[tuple[int, str, str, float]] = field(default_factory=list)
+
+    def add(self, slot: int, node: str, label: str, amount: float) -> None:
+        key = (slot, node)
+        self.by_slot[key] = self.by_slot.get(key, 0.0) + amount
+        key = (node, label)
+        self.by_label[key] = self.by_label.get(key, 0.0) + amount
+        if self.keep_rows:
+            self.rows.append((slot, node, label, amount))
 
 
 @dataclass(frozen=True)

@@ -125,8 +125,8 @@ def build_opt(
         raise ValueError(f"budget base must be >= 0, got {x_k}")
     if w_delta is None:
         w_delta = default_duty_weight(weights, costs, e_dc)
-    elif w_delta < 0:
-        raise ValueError(f"duty weight must be >= 0, got {w_delta}")
+    elif w_delta < 0 or not math.isfinite(w_delta):
+        raise ValueError(f"duty weight must be finite and >= 0, got {w_delta}")
     return PolicyLp(
         weights=weights,
         costs=costs,

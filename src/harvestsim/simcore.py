@@ -15,11 +15,15 @@ Energy accounting is split in two: application operations (sense, compute,
 storage, packet transmissions/receptions) are settled through the plan at
 exact cost-table values, while MAC-layer overhead (preamble trains, acks,
 retries, beacons, flood frames) is charged per event from the radio current
-model. Every draw lands in one charge log, so the per-slot ledger closes
-exactly. Rarely, a slot's radio overhead can leave the store unable to cover
-the already-planned operations; settlement then aborts mid-plan (the
-forecast-error path): ``app`` defers the tail's node-class steps, and each
-lost network operation is recorded as an ``aborted-op`` drop.
+model. Every draw is streamed into two tables as it is made (an
+:class:`energy.ChargeBook`): sums per (slot, node), against which each
+per-slot ledger row closes, and totals per (node, label). Per-draw rows are
+kept only when asked for (``collect_charges``). The radio energies of
+fixed-length frames are computed once per world. Rarely, a slot's radio
+overhead can leave the store unable to cover the already-planned
+operations; settlement then aborts mid-plan (the forecast-error path):
+``app`` defers the tail's node-class steps, and each lost network operation
+is recorded as an ``aborted-op`` drop.
 
 Forecasting: each node feeds its slot's harvest to :func:`forecast.step`
 under the scenario's predictor settings. When the seasonal model degenerates
@@ -56,6 +60,7 @@ from .energy import (
     DEFAULT_TX_COSTS,
     RX_OP_KIND,
     TX_OP_KIND,
+    ChargeBook,
     EnergyLevel,
     EnergyStore,
     HarvestTrace,
@@ -158,7 +163,7 @@ class Metrics:
 
     slot_reports: list[app.SlotReport] = field(default_factory=list)
     ledger: list[tuple] = field(default_factory=list)
-    charges: list[tuple] = field(default_factory=list)
+    book: ChargeBook = field(default_factory=ChargeBook)
     forecast_rows: list[tuple] = field(default_factory=list)
     route_log: list[tuple] = field(default_factory=list)
     mac_trace: list[tuple] = field(default_factory=list)
@@ -168,6 +173,11 @@ class Metrics:
     delivered_ids: set = field(default_factory=set)
     duty_sum: dict[str, float] = field(default_factory=dict)
     slots_run: int = 0
+
+    @property
+    def charges(self) -> list[tuple]:
+        """The per-draw rows; empty unless the world collects them."""
+        return self.book.rows
 
     @property
     def delivered(self) -> int:
@@ -197,7 +207,11 @@ class Metrics:
 
 
 class World:
-    """One simulation instance; deterministic under a fixed (config, seed)."""
+    """One simulation instance; deterministic under a fixed (config, seed).
+
+    ``collect_mac_trace`` and ``collect_charges`` keep the per-event MAC
+    rows and the per-draw charge rows in the metrics.
+    """
 
     def __init__(
         self,
@@ -205,10 +219,11 @@ class World:
         *,
         traces: dict[str, HarvestTrace] | None = None,
         collect_mac_trace: bool = False,
+        collect_charges: bool = False,
     ):
         self.cfg = cfg
         self.collect_mac_trace = collect_mac_trace
-        self.radio = mac.RadioEnergyModel()
+        self.radio = radio = mac.RadioEnergyModel()
         costs = dict(cfg.costs)
         tx_costs = costs.pop(TX_OP_KIND, {})
         # Configured costs override the published ones entry by entry.
@@ -223,11 +238,44 @@ class World:
             level: mac.schedule_from_delta(delta, cfg.mac).sleep_ms
             for level, delta in mac.DELTA_BY_LEVEL.items()
         }
+        # The radio energy of every fixed-length frame, computed once.
+        control_ms = cfg.mac.control_packet_ms
+        self._beacon_tx_uj = mac.radio_energy(
+            radio, tx_ms=control_ms, tx_power_dbm=routing.REFERENCE_TX_POWER_DBM
+        )
+        self._control_rx_uj = mac.radio_energy(radio, rx_ms=control_ms)
+        # A delivered unicast's receiver hears the preamble, plus the frame
+        # for rrep (the plan pays a data frame's rx128), and acks at 0 dBm.
+        preamble_ms = cfg.mac.preamble_packet_ms
+        ack_uj = mac.radio_energy(radio, tx_ms=cfg.mac.ack_ms, tx_power_dbm=0)
+        self._unicast_rx_uj = {
+            "data": mac.radio_energy(radio, rx_ms=preamble_ms) + ack_uj,
+            "rrep": mac.radio_energy(radio, rx_ms=preamble_ms + control_ms) + ack_uj,
+        }
+        # An RREQ train spans the longest sleep a live receiver can have (E1).
+        self._rreq_span_ms = self._sleep_ms_by_level[EnergyLevel.E1] + control_ms
+        self._rreq_tx_uj = {
+            power: mac.radio_energy(radio, tx_ms=self._rreq_span_ms, tx_power_dbm=power)
+            for power in radio.tx_ma
+        }
+        # _on_send's worst-case single round, per (believed sleep, power);
+        # the always-on sink is believed to sleep 0 ms.
+        believed_sleeps = [0.0] + [
+            self._sleep_ms_by_level[level]
+            for level in (EnergyLevel.E1, EnergyLevel.E2, EnergyLevel.E3)
+        ]
+        self._send_estimate_uj = {
+            (sleep, power): mac.radio_energy(
+                radio, tx_ms=sleep + cfg.mac.data_packet_ms, tx_power_dbm=power
+            )
+            for sleep in believed_sleeps
+            for power in radio.tx_ma
+        }
         self._link_means: dict[tuple[str, str, float], float] = {}
         self._fanouts: dict[tuple[str, float], tuple[tuple[NodeRuntime, float], ...]] = {}
 
         self.rng_channel = random.Random(f"{cfg.seed}:channel")
-        self.metrics = Metrics()
+        self.metrics = Metrics(book=ChargeBook(keep_rows=collect_charges))
         self.now = 0.0
         self.slot = 0
         self.busy_until = 0.0
@@ -289,10 +337,10 @@ class World:
         if rt.is_sink or amount <= 0.0:
             return True
         try:
-            rt.store = withdraw(rt.store, amount, self.floor)
+            withdraw(rt.store, amount, self.floor)
         except InsufficientEnergy:
             return False
-        self.metrics.charges.append((self.slot, rt.node_id, label, amount))
+        self.metrics.book.add(self.slot, rt.node_id, label, amount)
         return True
 
     def _trace_mac(self, t: float, node: str, event: str, detail: str = "") -> None:
@@ -437,11 +485,7 @@ class World:
                 f"attempts={result.attempts} preambles={result.preambles_sent}",
             ))
         if delivered:
-            rx_ms = cfg.preamble_packet_ms + (0.0 if purpose == "data" else frame_ms)
-            rx_cost = mac.radio_energy(self.radio, rx_ms=rx_ms) + mac.radio_energy(
-                self.radio, tx_ms=cfg.ack_ms, tx_power_dbm=0
-            )
-            self._charge(receiver, f"mac:{purpose}-rx", rx_cost)
+            self._charge(receiver, f"mac:{purpose}-rx", self._unicast_rx_uj[purpose])
             self._hear(receiver, sender.node_id, rssi, is_beacon=False)
         return delivered, elapsed_s, result
 
@@ -457,15 +501,10 @@ class World:
         rt = self.nodes[node_id]
         if rt.tx_power is None:
             return
-        cost = mac.radio_energy(
-            self.radio,
-            tx_ms=self.cfg.mac.control_packet_ms,
-            tx_power_dbm=routing.REFERENCE_TX_POWER_DBM,
-        )
-        if not self._charge(rt, "mac:beacon-tx", cost):
+        if not self._charge(rt, "mac:beacon-tx", self._beacon_tx_uj):
             return
         self._trace_mac(t, node_id, "beacon-tx")
-        rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
+        rx = self._control_rx_uj
         sensitivity = self.cfg.channel.sensitivity_dbm
         t_ms = t * 1000.0
         for other, mean in self._fanout(rt, routing.REFERENCE_TX_POWER_DBM):
@@ -495,15 +534,12 @@ class World:
     def _broadcast_rreq(self, t: float, rt: NodeRuntime, rreq: routing.Rreq) -> None:
         if rt.tx_power is None:
             return
-        # The train spans the longest sleep a live receiver can have (E1).
-        span_ms = self._sleep_ms_by_level[EnergyLevel.E1] + self.cfg.mac.control_packet_ms
-        cost = mac.radio_energy(self.radio, tx_ms=span_ms, tx_power_dbm=rreq.tx_power_dbm)
-        if not self._charge(rt, "mac:rreq-tx", cost):
+        if not self._charge(rt, "mac:rreq-tx", self._rreq_tx_uj[rreq.tx_power_dbm]):
             return
         self._trace_mac(t, rt.node_id, "rreq-tx", f"seq={rreq.seq}")
-        arrival = t + span_ms / 1000.0
+        arrival = t + self._rreq_span_ms / 1000.0
         self.busy_until = max(self.busy_until, arrival)
-        rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
+        rx = self._control_rx_uj
         sensitivity = self.cfg.channel.sensitivity_dbm
         for other, mean in self._fanout(rt, rreq.tx_power_dbm):
             # Radio-off receivers are skipped before their shadowing draw.
@@ -619,8 +655,7 @@ class World:
             return
         receiver = self.nodes[entry.next_hop]
         # Worst-case single-round overhead must be affordable before keying up.
-        est_ms = self._believed_sleep_ms(rt, entry.next_hop) + self.cfg.mac.data_packet_ms
-        est = mac.radio_energy(self.radio, tx_ms=est_ms, tx_power_dbm=rt.tx_power)
+        est = self._send_estimate_uj[self._believed_sleep_ms(rt, entry.next_hop), rt.tx_power]
         if rt.store.stored - est < self.floor:
             self._hold(rt, pkt, "no-energy")
             return
@@ -659,7 +694,7 @@ class World:
     def _plan_node(self, rt: NodeRuntime, slot: int, t0: float) -> None:
         harvested = harvest_in_slot(rt.trace, slot, self.cfg.slot_duration_s)
         stored_start = rt.store.stored
-        rt.store, wasted = deposit(rt.store, harvested)
+        _, wasted = deposit(rt.store, harvested)
         e_a = rt.store.stored
         rt.slot_ledger = (stored_start, harvested, wasted)
 
@@ -765,7 +800,7 @@ class World:
             available=rt.available,
             slot=slot,
             node=rt.node_id,
-            charge_log=self.metrics.charges,
+            charges=self.metrics.book,
         )
         # Duty-cycle baseline for the level-anchored schedule actually run.
         if rt.delta_op > 0.0:

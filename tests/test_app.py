@@ -14,7 +14,7 @@ from harvestsim.app import (
     policy_cost,
     select_subset,
 )
-from harvestsim.energy import EnergyLevel, EnergyStore, OperationCostTable
+from harvestsim.energy import ChargeBook, EnergyLevel, EnergyStore, OperationCostTable
 
 CAP = 100_000.0  # 100 mJ
 FLOOR = 10_000.0  # E0/E1 boundary
@@ -306,9 +306,9 @@ class TestExecutePlan:
     def test_fresh_transmit_charged_at_plan_power(self):
         ctx = EnergyContext(EnergyLevel.E1, EnergyLevel.E3, EnergyLevel.E3)
         p = plan(ctx, policies=[Policy("one", (TX,))], tx_power_dbm=-10)
-        log = []
-        execute_plan(p, store_at(50_000.0), OperationCostTable(), FLOOR, charge_log=log)
-        assert [amount for *_, amount in log] == [271.0]
+        log = ChargeBook(keep_rows=True)
+        execute_plan(p, store_at(50_000.0), OperationCostTable(), FLOOR, charges=log)
+        assert [amount for *_, amount in log.rows] == [271.0]
 
     def test_drained_backlog_transmit_charged_at_slot_power(self):
         # A packet deferred while the node sent at -10 dBm is sent, once
@@ -319,9 +319,9 @@ class TestExecutePlan:
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
         p = plan(ctx, policies=[Policy("log", (SENSE,))], backlog=backlog, tx_power_dbm=0)
         assert [e.packet_id for e in p.backlog_run] == ["D-0-0"]
-        log = []
-        execute_plan(p, store_at(50_000.0), table, FLOOR, charge_log=log)
-        assert log[0][2:] == ("op:tx128", table.tx_costs[0])
+        log = ChargeBook(keep_rows=True)
+        execute_plan(p, store_at(50_000.0), table, FLOOR, charges=log)
+        assert log.rows[0][2:] == ("op:tx128", table.tx_costs[0])
 
     def test_mid_slot_abort_backlogs_rest(self):
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
@@ -348,10 +348,10 @@ class TestExecutePlan:
         table = OperationCostTable()
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
         p = plan(ctx, budget=50_000.0)
-        log = []
-        execute_plan(p, store_at(CAP), table, FLOOR, charge_log=log, slot=3, node="D")
-        assert log
-        for slot, node, label, amount in log:
+        log = ChargeBook(keep_rows=True)
+        execute_plan(p, store_at(CAP), table, FLOOR, charges=log, slot=3, node="D")
+        assert log.rows
+        for slot, node, label, amount in log.rows:
             assert (slot, node) == (3, "D")
             kind = label.removeprefix("op:")
             expected = (

@@ -104,7 +104,7 @@ class TestTradeoffCommand:
         "args",
         [["--weights", "a,b"], ["--weights", ","], ["--weights", "6,2", "--costs", "30"],
          ["--costs", "0,20"], ["--duty-energy", "0"], ["--budget", "-1"], ["--budget", "nan"],
-         ["--duty-weight", "-1"]],
+         ["--duty-weight", "-1"], ["--duty-weight", "nan"], ["--duty-weight", "inf"]],
         ids=" ".join,
     )
     def test_bad_inputs_are_usage_errors(self, tmp_path, args):
@@ -194,7 +194,10 @@ class TestForecastCompareCommand:
     @pytest.mark.parametrize(
         "args",
         [["--switch-prob", "2"], ["--attenuation", "5"], ["--amplitude", "-1"],
-         ["--slot-duration", "0"], ["--slot-duration", "-60"]],
+         ["--slot-duration", "0"], ["--slot-duration", "-60"],
+         # A JSON-schema bound alone admits NaN and infinities.
+         ["--amplitude", "inf"], ["--amplitude", "nan"], ["--switch-prob", "nan"],
+         ["--attenuation", "nan"], ["--slot-duration", "inf"]],
         ids=" ".join,
     )
     def test_out_of_bound_settings_are_usage_errors(self, tmp_path, capsys, args):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from harvestsim.energy import (
+    ChargeBook,
     EnergyLevel,
     EnergyStore,
     HarvestTrace,
@@ -77,6 +78,59 @@ class TestWithdraw:
 
     def test_subtraction_above_floor(self):
         assert withdraw(make_store(50.0), 30.0, 10.0).stored == pytest.approx(20.0)
+
+
+class TestInPlace:
+    def test_draw_updates_the_same_store(self):
+        store = make_store(50.0)
+        assert withdraw(store, 30.0, 10.0) is store
+        assert store.stored == pytest.approx(20.0)
+
+    def test_refused_draw_changes_nothing(self):
+        store = make_store(50.0)
+        with pytest.raises(InsufficientEnergy):
+            withdraw(store, 45.0, 10.0)
+        assert store.stored == 50.0
+
+    @pytest.mark.parametrize(
+        "amount, floor", [(math.nan, 10.0), (-1.0, 10.0), (math.inf, 10.0), (1.0, math.nan)]
+    )
+    def test_invalid_draw_changes_nothing(self, amount, floor):
+        store = make_store(50.0)
+        with pytest.raises(ValueError):
+            withdraw(store, amount, floor)
+        assert store.stored == 50.0
+
+    @pytest.mark.parametrize("amount", [math.nan, -1.0])
+    def test_invalid_deposit_changes_nothing(self, amount):
+        store = make_store(50.0)
+        with pytest.raises(ValueError):
+            deposit(store, amount)
+        assert store.stored == 50.0
+
+    def test_deposit_clamp_fills_the_same_store(self):
+        store = make_store(90.0)
+        after, wasted = deposit(store, 25.0)
+        assert after is store and store.stored == store.capacity
+        assert wasted == pytest.approx(15.0)
+
+
+class TestChargeBook:
+    def test_streams_sums_without_rows(self):
+        book = ChargeBook()
+        for slot, node, label, amount in [
+            (0, "B", "duty", 2.0), (0, "B", "op:sense", 1.0), (1, "B", "duty", 4.0), (0, "C", "duty", 8.0),
+        ]:
+            book.add(slot, node, label, amount)
+        assert book.rows == []
+        assert book.by_slot == {(0, "B"): 3.0, (1, "B"): 4.0, (0, "C"): 8.0}
+        assert book.by_label == {("B", "duty"): 6.0, ("B", "op:sense"): 1.0, ("C", "duty"): 8.0}
+
+    def test_keeps_rows_in_draw_order_when_asked(self):
+        book = ChargeBook(keep_rows=True)
+        book.add(3, "D", "leakage", 0.5)
+        book.add(2, "B", "duty", 1.5)
+        assert book.rows == [(3, "D", "leakage", 0.5), (2, "B", "duty", 1.5)]
 
 
 class TestClassify:

@@ -129,8 +129,8 @@ class TestConfigVariants:
             "traffic: {packet_period_s: 10.0}",
             "traffic: {packet_period_s: 10.0}\nchannel: {shadowing_sigma_db: 4.0}",
         )
-        _, m1 = run_world(text, slots=20, seed=9)
-        _, m2 = run_world(text, slots=20, seed=9)
+        _, m1 = run_world(text, slots=20, seed=9, collect_charges=True)
+        _, m2 = run_world(text, slots=20, seed=9, collect_charges=True)
         assert m1.charges == m2.charges
         assert m1.delivered_ids == m2.delivered_ids
 
@@ -141,13 +141,11 @@ class TestConfigVariants:
             "leakage_uj_per_slot: 500.0}",
         )
         _, metrics = run_world(text, slots=30)
-        assert any(label == "leakage" for _, _, label, _ in metrics.charges)
-        charge_sum = defaultdict(float)
-        for s, n, _, amount in metrics.charges:
-            charge_sum[(s, n)] += amount
+        assert any(label == "leakage" for _, label in metrics.book.by_label)
+        charge_sum = metrics.book.by_slot
         for s, n, start, harvested, wasted, consumed, end in metrics.ledger:
             scale = max(1.0, start + harvested)
-            assert abs(consumed - charge_sum[(s, n)]) / scale < 1e-6
+            assert abs(consumed - charge_sum.get((s, n), 0.0)) / scale < 1e-6
 
     def test_node_specific_policy_override(self):
         text = BASE_YAML + """  D:

@@ -1,3 +1,4 @@
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,6 +33,17 @@ class TestBuild:
             build_opt((1.0,), (0.0,), 5.0, 0.1, 20.0)
         with pytest.raises(NonPositiveCost):
             build_opt((1.0,), (10.0,), -1.0, 0.1, 20.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", ["weight", "cost", "duty_energy", "w_delta", "budget"])
+    def test_non_finite_inputs_rejected(self, position, bad):
+        args = {"weight": 1.0, "cost": 10.0, "duty_energy": 5.0, "w_delta": 0.1, "budget": 20.0}
+        args[position] = bad
+        with pytest.raises((NonPositiveCost, ValueError)):
+            build_opt(
+                (args["weight"],), (args["cost"],), args["duty_energy"], args["w_delta"],
+                args["budget"],
+            )
 
     def test_single_policy_closed_form(self):
         lp = build_opt((1.0,), (10.0,), 5.0, 0.0, 10.0)

@@ -11,6 +11,7 @@ from harvestsim import app, forecast, mac, routing, simcore
 from harvestsim.cli import main
 from harvestsim.energy import (
     DEFAULT_TX_COSTS,
+    ChargeBook,
     EnergyLevel,
     HarvestTrace,
     OperationCostTable,
@@ -88,8 +89,8 @@ class TestChannel:
 
 class TestDeterminism:
     def test_same_seed_identical_metrics(self, tree_cfg):
-        m1 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5)), 40)
-        m2 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5)), 40)
+        m1 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5), collect_charges=True), 40)
+        m2 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5), collect_charges=True), 40)
         assert m1.ledger == m2.ledger
         assert m1.charges == m2.charges
         assert m1.slot_reports == m2.slot_reports
@@ -97,20 +98,19 @@ class TestDeterminism:
         assert m1.route_log == m2.route_log
 
     def test_different_seed_differs(self, tree_cfg):
-        m1 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5)), 40)
-        m2 = simcore.run(World(dataclasses.replace(tree_cfg, seed=6)), 40)
+        m1 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5), collect_charges=True), 40)
+        m2 = simcore.run(World(dataclasses.replace(tree_cfg, seed=6), collect_charges=True), 40)
         assert m1.charges != m2.charges
 
 
 class TestConservation:
     def test_ledger_closes_against_charge_log(self, tree_cfg):
         m = simcore.run(World(dataclasses.replace(tree_cfg, seed=7)), 60)
-        charge_sum = defaultdict(float)
-        for s, n, _, amount in m.charges:
-            charge_sum[(s, n)] += amount
+        assert m.charges == []  # rows are opt-in; the sums are always streamed
+        charge_sum = m.book.by_slot
         for s, n, start, harvested, wasted, consumed, end in m.ledger:
             scale = max(1.0, start + harvested)
-            assert abs(consumed - charge_sum[(s, n)]) / scale < 1e-6
+            assert abs(consumed - charge_sum.get((s, n), 0.0)) / scale < 1e-6
             assert abs((start + harvested - wasted - consumed) - end) / scale < 1e-6
 
     def test_floor_never_breached(self, tree_cfg):
@@ -134,7 +134,7 @@ class TestConservation:
         assert not any(reason == "aborted-op" for *_, reason in m.drops)
 
     def test_table_charges_exact(self, tree_cfg):
-        m = simcore.run(World(dataclasses.replace(tree_cfg, seed=7)), 30)
+        m = simcore.run(World(dataclasses.replace(tree_cfg, seed=7), collect_charges=True), 30)
         table = OperationCostTable()
         op_charges = [c for c in m.charges if c[2].startswith("op:")]
         assert op_charges
@@ -172,7 +172,7 @@ class TestRadioDormancy:
             tree_cfg, energy=dataclasses.replace(tree_cfg.energy, floor_fraction=0.02)
         )
         dark = HarvestTrace(powers=(0.0,) * 60)
-        world = World(cfg, traces={"B": dark}, collect_mac_trace=True)
+        world = World(cfg, traces={"B": dark}, collect_mac_trace=True, collect_charges=True)
         simcore.run(world, 2)
         b = world.nodes["B"]
         assert b.tx_power is not None
@@ -331,7 +331,7 @@ class TestDrainedBacklog:
         # reaches E3/E3, drains them and sends them at 0 dBm, so that is
         # what they cost.
         d = HarvestTrace(powers=(0.0,) * 20 + (0.004,) * 20)
-        world = World(dataclasses.replace(tree_cfg, seed=1), traces={"D": d})
+        world = World(dataclasses.replace(tree_cfg, seed=1), traces={"D": d}, collect_charges=True)
         drained = 0
         for _ in range(40):
             world.step_slot()
@@ -587,7 +587,7 @@ class _EngineSinkWorld(World):
 
 
 def _outputs(m: simcore.Metrics) -> tuple:
-    return (m.ledger, m.charges, m.slot_reports, m.route_log, m.drops, m.evictions,
+    return (m.ledger, m.book, m.slot_reports, m.route_log, m.drops, m.evictions,
             m.delivered_ids, m.generated)
 
 
@@ -661,12 +661,12 @@ class TestLinkTable:
         dark = HarvestTrace(powers=(0.0,) * 30)
         traces = {n: dark for n in ("N02", "N05", "N07", "N10")}
         cfg = dataclasses.replace(cfg, seed=5)
-        table = World(cfg, traces=traces)
+        table = World(cfg, traces=traces, collect_charges=True)
         radio_off = 0
         for _ in range(30):
             table.step_slot()
             radio_off += sum(1 for rt in table.nodes.values() if rt.schedule.radio_off)
-        scan = simcore.run(_FullScanWorld(cfg, traces=traces), 30)
+        scan = simcore.run(_FullScanWorld(cfg, traces=traces, collect_charges=True), 30)
         assert radio_off > 0 and table.metrics.delivered > 0
         assert _outputs(table.metrics) == _outputs(scan)
 
@@ -677,9 +677,9 @@ class TestSinkRouteChoice:
     @staticmethod
     def both(cfg, slots, mode):
         cfg = dataclasses.replace(cfg, routing=dataclasses.replace(cfg.routing, mode=mode))
-        reference = _EngineSinkWorld(cfg)
+        reference = _EngineSinkWorld(cfg, collect_charges=True)
         expected = simcore.run(reference, slots)
-        assert _outputs(simcore.run(World(cfg), slots)) == _outputs(expected)
+        assert _outputs(simcore.run(World(cfg, collect_charges=True), slots)) == _outputs(expected)
         return reference
 
     @pytest.mark.parametrize("mode", ["modified", "baseline"])
@@ -694,6 +694,33 @@ class TestSinkRouteChoice:
     @pytest.mark.parametrize("mode", ["modified", "baseline"])
     def test_tree_equals_engine_held_choice(self, tree_cfg, mode):
         self.both(tree_cfg, 60, mode)
+
+
+class TestStreamedCharges:
+    """The streamed totals are the sums of the per-draw rows, which are
+    opt-in and change nothing else."""
+
+    @pytest.mark.parametrize("shape", ["tree", "lattice"])
+    def test_totals_equal_row_sums(self, tree_cfg, shape):
+        if shape == "tree":
+            cfg, slots = tree_cfg, 60
+        else:
+            cfg, slots = parse_scenario(lattice_yaml(sigma_db=4.0, predictor="ewma", slots=30)), 30
+        m = simcore.run(World(cfg, collect_charges=True), slots)
+        by_slot, by_label = defaultdict(float), defaultdict(float)
+        for s, n, label, amount in m.charges:
+            by_slot[s, n] += amount
+            by_label[n, label] += amount
+        for streamed, summed in ((m.book.by_slot, by_slot), (m.book.by_label, by_label)):
+            assert streamed.keys() == summed.keys()
+            for key, total in summed.items():
+                assert streamed[key] == pytest.approx(total, rel=1e-9, abs=0.0)
+        families = {label.split(":")[0] for _, label in m.book.by_label}
+        assert families == {"op", "mac", "duty"}
+
+        plain = simcore.run(World(cfg), slots)
+        assert plain.book == ChargeBook(by_slot=m.book.by_slot, by_label=m.book.by_label)
+        assert plain.ledger == m.ledger and _outputs(plain)[2:] == _outputs(m)[2:]
 
 
 class TestGridInvariants:
@@ -715,12 +742,10 @@ class TestGridInvariants:
         powered = sorted(n.id for n in cfg.nodes if n.role != "sink")
         rows = [(s, n) for s, n, *_ in m.ledger]
         assert sorted(rows) == [(s, n) for s in range(self.SLOTS) for n in powered]
-        charge_sum = defaultdict(float)
-        for s, n, _, amount in m.charges:
-            charge_sum[(s, n)] += amount
+        charge_sum = m.book.by_slot
         for s, n, start, harvested, wasted, consumed, end in m.ledger:
             scale = max(1.0, start + harvested)
-            assert abs(consumed - charge_sum[(s, n)]) / scale < 1e-9
+            assert abs(consumed - charge_sum.get((s, n), 0.0)) / scale < 1e-9
             assert abs((start + harvested - wasted - consumed) - end) / scale < 1e-9
             assert end >= floor - 1e-9
         assert 0 < m.delivered <= m.generated
