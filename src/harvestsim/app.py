@@ -10,9 +10,9 @@ backlog first; :func:`deferrals` alone decides what enters it.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bounds import POS, enum, int_min
 from .energy import (
@@ -22,11 +22,10 @@ from .energy import (
     ChargeBook,
     EnergyLevel,
     EnergyStore,
-    InsufficientEnergy,
     OperationCostTable,
     classify_level,
     op_cost,
-    withdraw,
+    withdraw_prefix,
 )
 from .optimizer import build_opt, solve_for_v
 
@@ -57,16 +56,23 @@ class Policy:
         if self.weight <= 0:
             raise ValueError(f"policy {self.name!r} weight must be positive")
 
-    @property
+    # A policy never changes, so what is derived from it is computed once.
+
+    @cached_property
     def steps(self) -> tuple[str, ...]:
         """The executable sequence: ``ops`` repeated ``repeat`` times."""
         return self.ops * self.repeat
 
-    @property
+    @cached_property
+    def plan_steps(self) -> tuple[tuple[str, str], ...]:
+        """The ``(policy, kind)`` pairs a plan lists for :attr:`steps`."""
+        return tuple((self.name, kind) for kind in self.steps)
+
+    @cached_property
     def is_network(self) -> bool:
         return any(kind in RADIO_OPS for kind in self.ops)
 
-    @property
+    @cached_property
     def utility(self) -> float:
         return self.weight * len(self.steps)
 
@@ -245,25 +251,72 @@ class SlotReport:
     aborted: bool = False
 
 
+def _rank(policy: Policy) -> tuple[int, str]:
+    return policy.priority, policy.name
+
+
+def _prefixes(
+    ranked: Iterable[Policy], alphas: dict[str, float]
+) -> tuple[list[tuple[str, str]], dict[str, int]]:
+    """The prefix rule over policies already in priority order: the chosen
+    steps, and how many steps of each policy they hold."""
+    chosen: list[tuple[str, str]] = []
+    ran: dict[str, int] = {}
+    for pol in ranked:
+        alpha = alphas.get(pol.name, 0.0)
+        if not (0.0 <= alpha <= 1.0):
+            raise ValueError(f"alpha for {pol.name!r} outside [0,1]: {alpha}")
+        steps = pol.plan_steps
+        count = math.floor(alpha * len(steps) + 1e-12)
+        chosen += steps[:count]
+        ran[pol.name] = ran.get(pol.name, 0) + count
+    return chosen, ran
+
+
 def select_subset(policies: list[Policy], alphas: dict[str, float]) -> list[tuple[str, str]]:
     """Deterministic prefix rule: run the first floor(alpha * len) steps of each policy.
 
     Policies are visited in priority order so higher-ranked work lands first
     in the slot.
     """
-    chosen: list[tuple[str, str]] = []
-    for pol in sorted(policies, key=lambda p: (p.priority, p.name)):
-        alpha = alphas.get(pol.name, 0.0)
-        if not (0.0 <= alpha <= 1.0):
-            raise ValueError(f"alpha for {pol.name!r} outside [0,1]: {alpha}")
-        steps = pol.steps
-        count = math.floor(alpha * len(steps) + 1e-12)
-        chosen.extend((pol.name, kind) for kind in steps[:count])
-    return chosen
+    return _prefixes(sorted(policies, key=_rank), alphas)[0]
 
 
 def policy_cost(policy: Policy, table: OperationCostTable, tx_power_dbm: int | None) -> float:
     return sum(op_cost(table, kind, tx_power_dbm) for kind in policy.steps)
+
+
+@dataclass(frozen=True)
+class PlanTerms:
+    """What planning needs of a node's policies at one transmit power, with
+    the radio dark or not: the policies that may run, the LP's weight and
+    cost of each, and the same policies in priority order.
+
+    The terms depend only on the policies, the cost table and that pair, so
+    a run computes them once per pair (see :func:`plan_slot`'s ``cache``).
+    """
+
+    eligible: tuple[Policy, ...]
+    weights: tuple[float, ...]
+    costs: tuple[float, ...]
+    ranked: tuple[Policy, ...]
+
+
+def plan_terms(
+    policies: Iterable[Policy],
+    table: OperationCostTable,
+    tx_power_dbm: int | None,
+    radio_dark: bool,
+) -> PlanTerms:
+    """The :class:`PlanTerms` of ``policies``; a dark radio drops the network
+    policies."""
+    eligible = tuple(p for p in policies if not (p.is_network and radio_dark))
+    return PlanTerms(
+        eligible=eligible,
+        weights=tuple(p.utility for p in eligible),
+        costs=tuple(policy_cost(p, table, tx_power_dbm) for p in eligible),
+        ranked=tuple(sorted(eligible, key=_rank)),
+    )
 
 
 def plan_slot(
@@ -277,6 +330,7 @@ def plan_slot(
     tx_power_dbm: int | None,
     duty_energy: float,
     duty_weight: float | None = None,
+    cache: dict[tuple[int | None, bool], PlanTerms],
 ) -> ExecutionPlan:
     """Choose this slot's operation subset from the energy context.
 
@@ -288,9 +342,18 @@ def plan_slot(
     fresh policy work is planned. Every ``tx128``, drained or fresh, is
     costed at ``tx_power_dbm``, the power this slot transmits at. The plan
     defers the :func:`deferrals` of every step it leaves unrun.
+
+    ``cache`` is the caller's store of :func:`plan_terms` for exactly these
+    ``policies`` and ``table``, keyed by ``(tx_power_dbm, radio_dark)``: a
+    missing entry is computed and kept there, so a caller that plans again
+    with the same store reuses it, and one that passes a fresh store plans
+    from terms computed afresh.
     """
     radio_dark = EnergyLevel.E0 in (context.network, context.own)
-    eligible = [p for p in policies if not (p.is_network and radio_dark)]
+    key = (tx_power_dbm, radio_dark)
+    terms = cache.get(key)
+    if terms is None:
+        terms = cache[key] = plan_terms(policies, table, tx_power_dbm, radio_dark)
 
     v_target = RESIDUAL_FRACTIONS[context.own] * budget
     spend_cap = budget - v_target
@@ -312,9 +375,7 @@ def plan_slot(
                 kept.append(entry)
         backlog.entries = kept
 
-    weights = tuple(p.utility for p in eligible)
-    costs = tuple(policy_cost(p, table, tx_power_dbm) for p in eligible)
-    lp = build_opt(weights, costs, duty_energy, duty_weight, budget)
+    lp = build_opt(terms.weights, terms.costs, duty_energy, duty_weight, budget)
     # Clamp the residual up so the LP spend never exceeds total capacity:
     # abundant slots simply saturate every variable instead of failing. The
     # clamp keeps the solve feasible, since ``budget - v_eff <= max_spend``.
@@ -322,10 +383,9 @@ def plan_slot(
     v_eff = min(v_eff, budget)
     result = solve_for_v(lp, v_eff)
 
-    alphas = {p.name: a for p, a in zip(eligible, result.alphas)}
-    run_ops = select_subset(eligible, alphas)
-    ran = Counter(name for name, _ in run_ops)
-    unrun = [(p.name, kind) for p in policies for kind in p.steps[ran[p.name] :]]
+    alphas = {p.name: a for p, a in zip(terms.eligible, result.alphas)}
+    run_ops, ran = _prefixes(terms.ranked, alphas)
+    unrun = [step for p in policies for step in p.plan_steps[ran.get(p.name, 0) :]]
     return ExecutionPlan(
         context=context,
         run_ops=run_ops,
@@ -348,36 +408,30 @@ def execute_plan(
     node: str = "",
     charges: ChargeBook | None = None,
 ) -> tuple[SlotReport, EnergyStore, list[tuple[str, str]]]:
-    """Charge the store for the plan's operations, in order, and enter each
-    paid operation in ``charges`` under its :data:`OP_LABELS` label.
+    """Charge the store for the plan's operations, in order, and enter the
+    paid ones in ``charges`` under their :data:`OP_LABELS` labels.
 
-    Backlogged work runs first, then the fresh subset. A withdrawal refused
-    by the floor aborts the remainder (the harvest-forecast-error path); the
-    unexecuted tail is returned whole, for :func:`aborted_tail` to settle.
-    The report's residual is measured against ``available`` (defaults to
-    the store's balance at entry).
+    Backlogged work runs first, then the fresh subset. Each operation kind
+    is priced once, and :func:`energy.withdraw_prefix` pays the sequence in
+    one pass; a withdrawal refused by the floor aborts the remainder (the
+    harvest-forecast-error path). The unexecuted tail is returned whole, for
+    :func:`aborted_tail` to settle. The report's residual is measured
+    against ``available`` (defaults to the store's balance at entry).
     """
     if available is None:
         available = store.stored
-    consumed = 0.0
-    ops_node = 0
-    ops_network = 0
-    skipped: list[tuple[str, str]] = []
     sequence = [(e.policy, e.kind) for e in plan.backlog_run] + plan.run_ops
-    for i, (_, kind) in enumerate(sequence):
-        cost = op_cost(table, kind, plan.tx_power_dbm)
-        try:
-            store = withdraw(store, cost, floor)
-        except InsufficientEnergy:
-            skipped = sequence[i:]
-            break
-        consumed += cost
-        if charges is not None:
-            charges.add(slot, node, OP_LABELS[kind], cost)
-        if kind in RADIO_OPS:
-            ops_network += 1
-        else:
-            ops_node += 1
+    kinds = [kind for _, kind in sequence]
+    price = {kind: op_cost(table, kind, plan.tx_power_dbm) for kind in dict.fromkeys(kinds)}
+    paid = withdraw_prefix(store, [price[kind] for kind in kinds], floor)
+    ran = kinds[:paid]
+    consumed = 0.0
+    ops_network = 0
+    for kind in ran:
+        consumed += price[kind]
+        ops_network += kind in RADIO_OPS
+    if charges is not None:
+        charges.add_draws(slot, node, ran, price, OP_LABELS)
     alphas = list(plan.alphas.values())
     report = SlotReport(
         slot=slot,
@@ -387,10 +441,10 @@ def execute_plan(
         network_level=plan.context.network,
         alpha_mean=sum(alphas) / len(alphas) if alphas else 0.0,
         delta=plan.delta,
-        ops_node=ops_node,
+        ops_node=paid - ops_network,
         ops_network=ops_network,
         consumed_uj=consumed,
         residual_uj=available - consumed,
-        aborted=bool(skipped),
+        aborted=paid < len(sequence),
     )
-    return report, store, skipped
+    return report, store, sequence[paid:]

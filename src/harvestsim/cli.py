@@ -42,16 +42,12 @@ EXIT_SCHEMA = 2
 EXIT_RUNTIME = 3
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
+    """One line per row, each value as ``str`` gives it (for a float that is
+    its ``repr``, the shortest text that reads back to the same float)."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(str, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -3,12 +3,16 @@
 All energy amounts are plain floats in microjoules (uJ). A store is checked
 when it is built and on every draw: deposit/withdraw validate the amount
 first, then update the store in place and return it, so a refused or invalid
-draw leaves it untouched. :class:`ChargeBook` streams every draw into totals.
+draw leaves it untouched. :func:`withdraw_prefix` pays a sequence of draws in
+one pass, with the same floor rule as :func:`withdraw`, which is built on it.
+:class:`ChargeBook` streams every draw into totals.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
@@ -130,17 +134,35 @@ def deposit(store: EnergyStore, e: float) -> tuple[EnergyStore, float]:
     return store, 0.0
 
 
+def withdraw_prefix(store: EnergyStore, amounts: Sequence[float], floor: float) -> int:
+    """Spend ``amounts`` in order, in place, up to the first one that would
+    breach the survivability floor; returns how many were paid.
+
+    Each draw subtracts from what the previous ones left. An invalid amount
+    or floor raises and leaves the store untouched.
+    """
+    check_amount(floor, "floor")
+    stored = store.stored
+    paid = 0
+    for e in amounts:
+        if not 0.0 <= e < math.inf:
+            check_amount(e, "withdrawal")  # raises, naming the fault
+        remaining = stored - e
+        if remaining < floor:
+            break
+        stored = remaining
+        paid += 1
+    store.stored = stored
+    return paid
+
+
 def withdraw(store: EnergyStore, e: float, floor: float) -> EnergyStore:
     """Spend energy in place, refusing any draw that would breach the
     survivability floor; returns the same store."""
-    check_amount(e, "withdrawal")
-    check_amount(floor, "floor")
-    remaining = store.stored - e
-    if remaining < floor:
+    if not withdraw_prefix(store, (e,), floor):
         raise InsufficientEnergy(
-            f"withdraw {e} from {store.stored} would leave {remaining} < floor {floor}"
+            f"withdraw {e} from {store.stored} would leave {store.stored - e} < floor {floor}"
         )
-    store.stored = remaining
     return store
 
 
@@ -160,12 +182,34 @@ class ChargeBook:
     rows: list[tuple[int, str, str, float]] = field(default_factory=list)
 
     def add(self, slot: int, node: str, label: str, amount: float) -> None:
+        self._total(slot, node, label, amount)
+        if self.keep_rows:
+            self.rows.append((slot, node, label, amount))
+
+    def add_draws(
+        self,
+        slot: int,
+        node: str,
+        keys: Sequence[str],
+        price: Mapping[str, float],
+        labels: Mapping[str, str],
+    ) -> None:
+        """One draw of ``price[key]`` under ``labels[key]`` per entry of
+        ``keys``, made in that order.
+
+        The totals take each distinct key once, at its price times its
+        count; the rows, when kept, stay one per draw, in draw order.
+        """
+        for key, n in Counter(keys).items():
+            self._total(slot, node, labels[key], price[key] * n)
+        if self.keep_rows:
+            self.rows.extend([(slot, node, labels[key], price[key]) for key in keys])
+
+    def _total(self, slot: int, node: str, label: str, amount: float) -> None:
         key = (slot, node)
         self.by_slot[key] = self.by_slot.get(key, 0.0) + amount
         key = (node, label)
         self.by_label[key] = self.by_label.get(key, 0.0) + amount
-        if self.keep_rows:
-            self.rows.append((slot, node, label, amount))
 
 
 @dataclass(frozen=True)

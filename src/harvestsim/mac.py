@@ -237,14 +237,14 @@ def csma_send(
     start_ms: float = 0.0,
     channel_power_dbm=None,
     attempt_delivers=None,
-    train_sleep_ms: float | None = None,
+    train: PreambleTrain | None = None,
 ) -> SendResult:
     """One unicast exchange: CCA, backoff, preamble train, data, ack, retries.
 
     ``channel_power_dbm`` samples the medium at a given time (default: always
     idle); ``attempt_delivers`` decides whether a given attempt's data frame
-    survives the link (default: always). ``train_sleep_ms`` overrides the
-    sleep span the train is sized for (the sender's *belief* about the
+    survives the link (default: always). ``train`` overrides the train sized
+    for the receiver's sleep (a sender sizes it from its *belief* about the
     receiver, which may be stale); rendezvous always follows the receiver's
     real schedule, so an undersized train misses and the round is retried.
     Raises :class:`ChannelSaturated` when every attempt finds the channel
@@ -253,13 +253,13 @@ def csma_send(
     """
     sample = channel_power_dbm or (lambda t: -120.0)
     decide = attempt_delivers or (lambda attempt: True)
-    if train_sleep_ms is None:
-        train_sleep_ms = (
+    if train is None:
+        sleep_ms = (
             0.0
             if receiver_schedule.radio_off or math.isinf(receiver_schedule.sleep_ms)
             else receiver_schedule.sleep_ms
         )
-    train = preamble_train(train_sleep_ms, config)
+        train = preamble_train(sleep_ms, config)
     now = start_ms
     attempts = 0
     preambles_total = 0

@@ -253,6 +253,22 @@ def _semantic_violations(doc: dict, rejected: set) -> list[str]:
     return problems
 
 
+def _non_finite(container, path: tuple = ()):
+    """``(path, value)`` of every NaN or infinite number in a parsed document
+    (a mapping or list), in document order.
+
+    A JSON-schema ``number`` admits them, and YAML spells them ``.nan`` and
+    ``.inf``; no setting can use one.
+    """
+    items = container.items() if isinstance(container, dict) else enumerate(container)
+    for key, item in items:
+        if isinstance(item, float):
+            if not math.isfinite(item):
+                yield (*path, key), item
+        elif isinstance(item, (dict, list)):
+            yield from _non_finite(item, (*path, key))
+
+
 def _build(cls, data: dict):
     """``cls`` from the keys ``data`` has, lists as tuples; the rest keep their defaults."""
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
@@ -273,6 +289,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
         for err in errors
     ]
     rejected = {err.absolute_path[0] for err in errors if err.absolute_path}
+    for path, value in _non_finite(doc):
+        violations.append(f"{'/'.join(map(str, path))}: {value!r} is not a finite number")
+        rejected.add(path[0])
     violations += _semantic_violations(doc, rejected)
     if violations:
         raise SchemaError(violations)

@@ -3,13 +3,23 @@
 Each slot runs three phases, nodes visited in ascending id order:
 
 1. planning: harvest intake, forecast update, level assessment, budgeting,
-   the LP plan, and scheduling of the slot's traffic/beacon/flood events;
+   the LP plan (from the node's planning terms, which ``app.plan_slot``
+   computes once per transmit power and radio state and keeps in the node's
+   ``plan_terms``), and scheduling of the slot's traffic/beacon/flood events;
 2. event drain: the continuous-time queue (CSMA exchanges, floods, replies,
-   forwarding) advances to the slot boundary;
+   forwarding) advances to the slot boundary, each event going to its
+   kind's ``_on_<kind>`` handler;
 3. settlement: the plan's operations are charged against the store at the
-   published per-operation costs, the duty-cycle baseline and leakage are
-   drawn, the entries ``app`` defers enter the backlog, and metrics rows are
-   emitted.
+   published per-operation costs (each kind priced once, the plan paid in
+   one pass), the duty-cycle baseline and leakage are drawn, the entries
+   ``app`` defers enter the backlog, and metrics rows are emitted.
+
+Flood arrival: every reception of one RREQ broadcast happens at the same
+arrival time, so the broadcast queues one ``rreq_arrive`` event carrying its
+``(receiver, rssi)`` pairs in fan-out order, and that event handles each
+reception in turn (``_on_rreq_rx``). The order is that of one event per
+reception: such events would have held consecutive places in the queue, and
+everything a reception schedules is queued after them.
 
 Energy accounting is split in two: application operations (sense, compute,
 storage, packet transmissions/receptions) are settled through the plan at
@@ -53,6 +63,8 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import NamedTuple
 
 from . import app, forecast, mac, routing
 from .energy import (
@@ -110,6 +122,16 @@ def deliver(rssi_dbm: float, channel: ChannelSettings, rng) -> bool:
     return rng.random() >= p
 
 
+class _Purpose(NamedTuple):
+    """How the engine sends and charges one unicast purpose."""
+
+    config: mac.MacConfig  # its frame length is the purpose's frame
+    paid_frame_ms: float  # the part of the sender's airtime the plan pays
+    tx_label: str
+    rx_label: str
+    rx_uj: float  # a delivered unicast's receiver cost
+
+
 @dataclass
 class Packet:
     pid: str
@@ -130,6 +152,9 @@ class NodeRuntime:
     wake_phase_ms: float
     rng_mac: random.Random
     policies: tuple[app.Policy, ...]
+    # The app.plan_terms of ``policies`` at the world's cost table, filled
+    # by app.plan_slot as (tx power, radio-dark) pairs first occur.
+    plan_terms: dict[tuple[int | None, bool], app.PlanTerms] = field(default_factory=dict)
     predictor_state: object | None = None
     next_prediction: float | None = None
     tx_power: int | None = None
@@ -232,8 +257,6 @@ class World:
         )
         self.thresholds = LevelThresholds(*cfg.energy.thresholds)
         self.floor = cfg.energy.floor_fraction * cfg.energy.capacity_uj
-        # Unicasts carry data frames (cfg.mac) or control-length frames (rrep).
-        self._control_mac = replace(cfg.mac, data_packet_ms=cfg.mac.control_packet_ms)
         self._sleep_ms_by_level = {
             level: mac.schedule_from_delta(delta, cfg.mac).sleep_ms
             for level, delta in mac.DELTA_BY_LEVEL.items()
@@ -244,13 +267,27 @@ class World:
             radio, tx_ms=control_ms, tx_power_dbm=routing.REFERENCE_TX_POWER_DBM
         )
         self._control_rx_uj = mac.radio_energy(radio, rx_ms=control_ms)
-        # A delivered unicast's receiver hears the preamble, plus the frame
-        # for rrep (the plan pays a data frame's rx128), and acks at 0 dBm.
+        # Unicasts carry data frames (cfg.mac) or control-length frames
+        # (rrep). The plan pays a data frame's tx128 and rx128, so its frame
+        # is no sender overhead; a delivered unicast's receiver hears the
+        # preamble, plus the frame for rrep, and acks at 0 dBm.
         preamble_ms = cfg.mac.preamble_packet_ms
         ack_uj = mac.radio_energy(radio, tx_ms=cfg.mac.ack_ms, tx_power_dbm=0)
-        self._unicast_rx_uj = {
-            "data": mac.radio_energy(radio, rx_ms=preamble_ms) + ack_uj,
-            "rrep": mac.radio_energy(radio, rx_ms=preamble_ms + control_ms) + ack_uj,
+        self._unicast_purposes = {
+            "data": _Purpose(
+                cfg.mac,
+                cfg.mac.data_packet_ms,
+                "mac:data-tx",
+                "mac:data-rx",
+                mac.radio_energy(radio, rx_ms=preamble_ms) + ack_uj,
+            ),
+            "rrep": _Purpose(
+                replace(cfg.mac, data_packet_ms=control_ms),
+                0.0,
+                "mac:rrep-tx",
+                "mac:rrep-rx",
+                mac.radio_energy(radio, rx_ms=preamble_ms + control_ms) + ack_uj,
+            ),
         }
         # An RREQ train spans the longest sleep a live receiver can have (E1).
         self._rreq_span_ms = self._sleep_ms_by_level[EnergyLevel.E1] + control_ms
@@ -258,12 +295,14 @@ class World:
             power: mac.radio_energy(radio, tx_ms=self._rreq_span_ms, tx_power_dbm=power)
             for power in radio.tx_ma
         }
-        # _on_send's worst-case single round, per (believed sleep, power);
-        # the always-on sink is believed to sleep 0 ms.
+        # Per believed sleep of a unicast receiver (the always-on sink is
+        # believed to sleep 0 ms): the preamble train spanning it, and
+        # _on_send's worst-case single round at each power.
         believed_sleeps = [0.0] + [
             self._sleep_ms_by_level[level]
             for level in (EnergyLevel.E1, EnergyLevel.E2, EnergyLevel.E3)
         ]
+        self._trains = {sleep: mac.preamble_train(sleep, cfg.mac) for sleep in believed_sleeps}
         self._send_estimate_uj = {
             (sleep, power): mac.radio_energy(
                 radio, tx_ms=sleep + cfg.mac.data_packet_ms, tx_power_dbm=power
@@ -273,6 +312,8 @@ class World:
         }
         self._link_means: dict[tuple[str, str, float], float] = {}
         self._fanouts: dict[tuple[str, float], tuple[tuple[NodeRuntime, float], ...]] = {}
+        # The mean-plus-shadowing RSSI of the unicast exchange in progress.
+        self._exchange_rssi = 0.0
 
         self.rng_channel = random.Random(f"{cfg.seed}:channel")
         self.metrics = Metrics(book=ChargeBook(keep_rows=collect_charges))
@@ -325,6 +366,17 @@ class World:
 
     # ------------------------------------------------------------------
     # infrastructure
+
+    @cached_property
+    def _visit_order(self) -> tuple[NodeRuntime, ...]:
+        """Every node, in ascending id order: the order each slot phase visits."""
+        return tuple(self.nodes[node_id] for node_id in sorted(self.nodes))
+
+    @cached_property
+    def _handlers(self) -> dict:
+        """Each event kind's handler, ``_on_<kind>``, looked up on this world
+        so that a subclass's override applies."""
+        return {name[4:]: getattr(self, name) for name in dir(self) if name.startswith("_on_")}
 
     def _push(self, t: float, kind: str, *payload) -> None:
         if t < self.now - 1e-9:
@@ -424,40 +476,40 @@ class World:
     # ------------------------------------------------------------------
     # unicast exchange
 
+    def _channel_power_dbm(self, at_ms: float) -> float:
+        """What carrier sense samples at ``at_ms``: busy until ``busy_until``."""
+        return 0.0 if at_ms / 1000.0 < self.busy_until else -120.0
+
+    def _attempt_delivers(self, _round: int) -> bool:
+        """Whether one data frame of the exchange in progress survives its link."""
+        return deliver(self._exchange_rssi, self.cfg.channel, self.rng_channel)
+
     def _unicast(
         self,
         t: float,
         sender: NodeRuntime,
         receiver: NodeRuntime,
         purpose: str,
+        believed_sleep: float,
     ):
-        """One LPL exchange; returns (delivered, elapsed_s, result)."""
+        """One LPL exchange, its train sized for the receiver's believed
+        sleep; returns (delivered, elapsed_s, result)."""
         tx_dbm = sender.tx_power
-        rssi = self._link_rssi(sender, receiver, tx_dbm)
-        believed_sleep = self._believed_sleep_ms(sender, receiver.node_id)
-        cfg = self.cfg.mac if purpose == "data" else self._control_mac
-        frame_ms = cfg.data_packet_ms
-        t_ms = t * 1000.0
-
-        def channel_power(at_ms: float) -> float:
-            return 0.0 if at_ms / 1000.0 < self.busy_until else -120.0
-
-        def attempt_delivers(_round: int) -> bool:
-            return deliver(rssi, self.cfg.channel, self.rng_channel)
-
+        rssi = self._exchange_rssi = self._link_rssi(sender, receiver, tx_dbm)
+        spec = self._unicast_purposes[purpose]
         # The train is sized by the sender's belief about the receiver's
         # level; rendezvous happens on the receiver's real schedule. An
         # undersized train simply misses that round and retries.
         try:
             result = mac.csma_send(
                 receiver.schedule,
-                cfg,
+                spec.config,
                 sender.rng_mac,
                 receiver_phase_ms=receiver.wake_phase_ms,
-                start_ms=t_ms,
-                channel_power_dbm=channel_power,
-                attempt_delivers=attempt_delivers,
-                train_sleep_ms=believed_sleep,
+                start_ms=t * 1000.0,
+                channel_power_dbm=self._channel_power_dbm,
+                attempt_delivers=self._attempt_delivers,
+                train=self._trains[believed_sleep],
             )
             delivered = True
         except (mac.ChannelSaturated, mac.NoAck) as exc:
@@ -466,16 +518,14 @@ class World:
         elapsed_s = result.elapsed_ms / 1000.0
         self.busy_until = max(self.busy_until, t + elapsed_s)
 
-        # Sender overhead: everything but the single plan-paid data frame.
-        tx_overhead_ms = result.sender_tx_ms - (frame_ms if purpose == "data" else 0.0)
-        tx_overhead_ms = max(tx_overhead_ms, 0.0)
+        # Sender overhead: everything but the frame the plan pays.
         overhead = mac.radio_energy(
             self.radio,
-            tx_ms=tx_overhead_ms,
+            tx_ms=max(result.sender_tx_ms - spec.paid_frame_ms, 0.0),
             tx_power_dbm=tx_dbm,
-            rx_ms=cfg.ack_ms,
+            rx_ms=spec.config.ack_ms,
         )
-        self._charge(sender, f"mac:{purpose}-tx", overhead)
+        self._charge(sender, spec.tx_label, overhead)
         if self.collect_mac_trace:
             self.metrics.mac_trace.append((
                 t,
@@ -485,17 +535,12 @@ class World:
                 f"attempts={result.attempts} preambles={result.preambles_sent}",
             ))
         if delivered:
-            self._charge(receiver, f"mac:{purpose}-rx", self._unicast_rx_uj[purpose])
+            self._charge(receiver, spec.rx_label, spec.rx_uj)
             self._hear(receiver, sender.node_id, rssi, is_beacon=False)
         return delivered, elapsed_s, result
 
     # ------------------------------------------------------------------
     # event handlers
-
-    def _handle_event(self, t: float, kind: str, payload: tuple) -> None:
-        self.now = t
-        handler = getattr(self, f"_on_{kind}")
-        handler(t, *payload)
 
     def _on_beacon(self, t: float, node_id: str) -> None:
         rt = self.nodes[node_id]
@@ -541,6 +586,7 @@ class World:
         self.busy_until = max(self.busy_until, arrival)
         rx = self._control_rx_uj
         sensitivity = self.cfg.channel.sensitivity_dbm
+        heard = []
         for other, mean in self._fanout(rt, rreq.tx_power_dbm):
             # Radio-off receivers are skipped before their shadowing draw.
             if other.tx_power is None:
@@ -552,7 +598,20 @@ class World:
                 continue
             if not self._charge(other, "mac:rreq-rx", rx):
                 continue
-            self._push(arrival, "rreq_rx", other.node_id, rreq, rssi)
+            heard.append((other.node_id, rssi))
+        if heard:
+            self._push(arrival, "rreq_arrive", rreq, tuple(heard))
+
+    def _on_rreq_arrive(self, t: float, rreq: routing.Rreq, heard: tuple) -> None:
+        """Every reception of one broadcast, in fan-out order.
+
+        One event stands for the receptions a broadcast once queued one by
+        one: they shared its arrival time and took consecutive queue places,
+        and whatever a reception schedules is queued after them, so handling
+        them here in order keeps the event order.
+        """
+        for node_id, rssi in heard:
+            self._on_rreq_rx(t, node_id, rreq, rssi)
 
     def _on_rreq_rx(self, t: float, node_id: str, rreq: routing.Rreq, rssi: float) -> None:
         rt = self.nodes[node_id]
@@ -585,7 +644,8 @@ class World:
         receiver = self.nodes[rrep.path[idx + 1]]
         if sender.tx_power is None:
             return
-        delivered, elapsed, _ = self._unicast(t, sender, receiver, "rrep")
+        sleep = self._believed_sleep_ms(sender, receiver.node_id)
+        delivered, elapsed, _ = self._unicast(t, sender, receiver, "rrep", sleep)
         if not delivered:
             self.metrics.route_log.append(
                 (t, sender.node_id, rrep.origin, "-", rrep.cost, rrep.seq, "rrep-lost")
@@ -655,11 +715,11 @@ class World:
             return
         receiver = self.nodes[entry.next_hop]
         # Worst-case single-round overhead must be affordable before keying up.
-        est = self._send_estimate_uj[self._believed_sleep_ms(rt, entry.next_hop), rt.tx_power]
-        if rt.store.stored - est < self.floor:
+        sleep = self._believed_sleep_ms(rt, entry.next_hop)
+        if rt.store.stored - self._send_estimate_uj[sleep, rt.tx_power] < self.floor:
             self._hold(rt, pkt, "no-energy")
             return
-        delivered, elapsed, _ = self._unicast(t, rt, receiver, "data")
+        delivered, elapsed, _ = self._unicast(t, rt, receiver, "data", sleep)
         if delivered:
             self._push(t + elapsed, "arrive", receiver.node_id, pkt)
             return
@@ -735,6 +795,7 @@ class World:
             tx_power_dbm=rt.tx_power,
             duty_energy=self.cfg.energy.duty_energy_uj,
             duty_weight=self.cfg.optimizer.duty_weight,
+            cache=rt.plan_terms,
         )
 
         tx_quota = sum(1 for _, kind in rt.plan.run_ops if kind == TX_OP_KIND)
@@ -831,18 +892,19 @@ class World:
         t0 = slot * self.cfg.slot_duration_s
         t_end = t0 + self.cfg.slot_duration_s
         self.now = max(self.now, t0)
-        for node_id in sorted(self.nodes):
-            rt = self.nodes[node_id]
+        visit = self._visit_order
+        for rt in visit:
             if rt.is_sink:
                 self._schedule_beacons(rt, t0)
                 continue
             self._plan_node(rt, slot, t0)
-        while self._events and self._events[0][0] < t_end:
-            t, _, kind, payload = heapq.heappop(self._events)
-            self._handle_event(t, kind, payload)
+        events, handlers = self._events, self._handlers
+        while events and events[0][0] < t_end:
+            t, _, kind, payload = heapq.heappop(events)
+            self.now = t
+            handlers[kind](t, *payload)
         self.now = t_end
-        for node_id in sorted(self.nodes):
-            rt = self.nodes[node_id]
+        for rt in visit:
             if not rt.is_sink:
                 self._settle_node(rt, slot)
         self.metrics.slots_run += 1

@@ -11,6 +11,7 @@ from harvestsim.app import (
     deferrals,
     execute_plan,
     plan_slot,
+    plan_terms,
     policy_cost,
     select_subset,
 )
@@ -134,7 +135,7 @@ def make_policies():
 SLOT = 7
 
 
-def plan(ctx, policies=None, budget=None, backlog=None, table=None, tx_power_dbm=0):
+def plan(ctx, policies=None, budget=None, backlog=None, table=None, tx_power_dbm=0, cache=None):
     policies = policies or make_policies()
     table = table or OperationCostTable()
     if budget is None:
@@ -148,6 +149,7 @@ def plan(ctx, policies=None, budget=None, backlog=None, table=None, tx_power_dbm
         slot=SLOT,
         tx_power_dbm=tx_power_dbm,
         duty_energy=10_000.0,
+        cache={} if cache is None else cache,
     )
 
 
@@ -212,6 +214,62 @@ class TestPlanSlot:
             budget = compute_budget(ctx, store, FLOOR)
             counts.append(len(plan(ctx, budget=budget / 20.0).run_ops))
         assert counts == sorted(counts, reverse=True)
+
+
+class TestPlanTermsCache:
+    """Plans from the per-node store of planning terms equal plans computed
+    afresh, at every (tx power, radio-dark) pair a node can plan at."""
+
+    # Own level E0 darkens the radio and leaves no power; otherwise the
+    # power follows the own level, and a network at E0 darkens the radio.
+    PAIRS = [
+        (EnergyLevel.E3, EnergyLevel.E3, 0),
+        (EnergyLevel.E2, EnergyLevel.E3, -5),
+        (EnergyLevel.E1, EnergyLevel.E3, -10),
+        (EnergyLevel.E3, EnergyLevel.E0, 0),
+        (EnergyLevel.E2, EnergyLevel.E0, -5),
+        (EnergyLevel.E1, EnergyLevel.E0, -10),
+        (EnergyLevel.E0, EnergyLevel.E3, None),
+    ]
+
+    @staticmethod
+    def policies():
+        return [
+            Policy("forward", (RX, TX), priority=1, repeat=4, weight=30.0),
+            Policy("log", (SENSE, AVG, WRITE), priority=2, repeat=2),
+            Policy("house", ("flash_read", AVG), priority=2),
+        ]
+
+    def test_cached_plan_equals_uncached_at_every_pair(self):
+        table = OperationCostTable(tx_costs={0: 341.0, -5: 304.0, -10: 271.0})
+        policies = self.policies()
+        cache = {}
+        for budget in (0.0, 150.0, 900.0, 2_500.0, 50_000.0):
+            for own, network, power in self.PAIRS:
+                ctx = EnergyContext(own, EnergyLevel.E3, network)
+                runs = []
+                for store in (cache, {}):  # the kept store, then a fresh one
+                    backlog = Backlog()
+                    backlog.push(BacklogEntry(SENSE, "log", 2, enqueued_slot=0))
+                    backlog.push(BacklogEntry(TX, "deferred-tx", 1, 1, packet_id="D-1-0"))
+                    runs.append((plan(ctx, policies, budget, backlog, table, power, store), backlog))
+                (cached, left), (fresh, fresh_left) = runs
+                assert cached == fresh
+                assert left.entries == fresh_left.entries
+                dark = EnergyLevel.E0 in (own, network)
+                assert cache[power, dark] == plan_terms(policies, table, power, dark)
+        assert len(cache) == len(self.PAIRS)
+
+    def test_terms_drop_network_policies_when_dark(self):
+        table = OperationCostTable()
+        policies = self.policies()
+        lit = plan_terms(policies, table, -5, False)
+        assert [p.name for p in lit.eligible] == ["forward", "log", "house"]
+        assert [p.name for p in lit.ranked] == ["forward", "house", "log"]
+        assert lit.weights == (240.0, 6.0, 2.0)
+        assert lit.costs == tuple(policy_cost(p, table, -5) for p in policies)
+        dark = plan_terms(policies, table, None, True)
+        assert [p.name for p in dark.eligible] == ["log", "house"]
 
 
 class TestDeferrals:

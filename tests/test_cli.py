@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib import resources
 from pathlib import Path
@@ -73,11 +74,68 @@ class TestRunCommand:
         code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "old, new, violation",
+        [
+            ("  schedule_mode: formula\n", "  schedule_mode: formula\n  cca_threshold_dbm: .nan\n",
+             "mac/cca_threshold_dbm: nan"),
+            ("duty_energy_uj: 10000.0", "duty_energy_uj: .inf", "energy/duty_energy_uj: inf"),
+            ("epsilon: 0.5", "epsilon: .nan", "predictor/epsilon: nan"),
+            ("amplitude_w: 0.008,", "amplitude_w: .inf,", "profiles/direct/amplitude_w: inf"),
+        ],
+        ids=["cca-threshold-nan", "duty-energy-inf", "epsilon-nan", "amplitude-inf"],
+    )
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, old, new, violation):
+        # A NaN CCA threshold would run with carrier sense never firing; the
+        # others would fail at slot 0 as runtime errors.
+        assert TREE.count(old) == 1
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(TREE.replace(old, new))
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(bad), "--slots", "30", "--out", str(out)])
+        assert code == 2
+        assert f"  - {violation} is not a finite number\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mac_trace_flag(self, tree_path, tmp_path):
         out = tmp_path / "out"
         main(["run", "--config", tree_path, "--slots", "5", "--out", str(out),
               "--mac-trace"])
         assert (out / "mac_trace.csv").exists()
+
+
+class TestPinnedOutputs:
+    """sha256 of each output of ``run`` on the shipped tree, seed 11, 300
+    slots. A change that alters an output on purpose updates the pin and
+    names the change; any other change must leave these bytes alone."""
+
+    PINNED = {
+        "modified": {
+            "summary.json": "192963f037aee8174c42ba523be390c52b8544ccfe165e4823d314aa70c2ea3a",
+            "slots.csv": "db65931a4285f1ecb04497e722cf307d2b70206f2c7e22bcf37d8087dfcf7d1b",
+            "ledger.csv": "976e59f9859c113762e9459243f3275c37b0cc4e98e4a0d727283bd7e4a76ff7",
+            "routes.csv": "e9a8966b2f4e9f9e5902e31e894ef438802980a18a2ecc88db01c0d83505cd7f",
+            "forecast.csv": "e7ed0235c5a9cc74c4d577c27134c419c9d472547338ac5d8fa37d96b2b2cddd",
+        },
+        "baseline": {
+            "summary.json": "9c8fc15d24012ab31c456f891403bc8c3bf4d1ebf1e3e06bd95a347da140df66",
+            "slots.csv": "a0ee4e1f58ad9ee2728e7d80094fa72583bb1c708d2ae6f4b1eefcedb82f1847",
+            "ledger.csv": "c67fd0a0d5c2775a16bf19dac9b26caca843cd2508421b08bc5c258e4b79a15d",
+            "routes.csv": "76c2b1ff7638ec1f1a2f84e14784c2795d74ea3a8f14ee2ed7f1599945cd59e9",
+            "forecast.csv": "e7ed0235c5a9cc74c4d577c27134c419c9d472547338ac5d8fa37d96b2b2cddd",
+        },
+    }
+
+    @pytest.mark.parametrize("mode", ["modified", "baseline"])
+    def test_run_outputs_match_pinned_digests(self, tree_path, tmp_path, mode):
+        out = tmp_path / mode
+        argv = ["run", "--config", tree_path, "--seed", "11", "--slots", "300", "--mode", mode,
+                "--out", str(out)]
+        assert main(argv) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.PINNED[mode]
+        }
+        assert digests == self.PINNED[mode]
 
 
 class TestTradeoffCommand:

@@ -144,6 +144,18 @@ nodes:
             "predictor/beta", "predictor/gamma"
         ]
 
+    def test_non_finite_numbers_reported_with_their_paths(self):
+        # Lists are walked too; the sections holding one are not checked again.
+        text = MINIMAL.replace("position: [10.0, 0.0]", "position: [.inf, 0.0]").replace(
+            "power_w: 0.001", "power_w: .nan"
+        )
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(text)
+        assert err.value.violations == [
+            "profiles/sun/power_w: nan is not a finite number",
+            "nodes/1/position/0: inf is not a finite number",
+        ]
+
     def test_unknown_keys_rejected(self):
         text = MINIMAL + "\ntypo_key: 1\n"
         with pytest.raises(SchemaError) as err:

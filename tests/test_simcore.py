@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import heapq
 import math
 import random
 from collections import Counter, defaultdict
@@ -671,6 +673,44 @@ class TestLinkTable:
         assert _outputs(table.metrics) == _outputs(scan)
 
 
+class _ArrivalLogWorld(World):
+    """Logs each flood reception as it is handled."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.handled = []
+
+    def _on_rreq_rx(self, t, node_id, rreq, rssi):
+        self.handled.append((node_id, rssi))
+        super()._on_rreq_rx(t, node_id, rreq, rssi)
+
+
+class TestFloodArrival:
+    def test_one_broadcast_is_one_queue_entry_handled_in_fan_out_order(self):
+        cfg = parse_scenario(lattice_yaml(sigma_db=4.0, predictor="ewma", slots=5))
+        world = _ArrivalLogWorld(cfg)
+        world.step_slot()  # plans every node: transmit powers and schedules
+        world._events.clear()
+        world.handled.clear()
+        sender = world.nodes["N05"]
+        assert sender.tx_power is not None
+        rreq = routing.Rreq(origin="N05", dest=world.sink_id, seq=9, tx_power_dbm=sender.tx_power)
+        world._broadcast_rreq(world.now, sender, rreq)
+
+        assert len(world._events) == 1
+        t, _, kind, payload = world._events[0]
+        assert kind == "rreq_arrive" and payload[0] is rreq
+        heard = list(payload[1])
+        fan_out = [other.node_id for other, _ in world._fanout(sender, sender.tx_power)]
+        ids = [node_id for node_id, _ in heard]
+        assert len(ids) > 2
+        assert ids == [n for n in fan_out if n in ids]  # fan-out order, each at most once
+
+        t, _, kind, payload = heapq.heappop(world._events)
+        world._handlers[kind](t, *payload)
+        assert world.handled == heard
+
+
 class TestSinkRouteChoice:
     """``routing``'s sink entry points reproduce the engine-held route choice."""
 
@@ -721,6 +761,46 @@ class TestStreamedCharges:
         plain = simcore.run(World(cfg), slots)
         assert plain.book == ChargeBook(by_slot=m.book.by_slot, by_label=m.book.by_label)
         assert plain.ledger == m.ledger and _outputs(plain)[2:] == _outputs(m)[2:]
+
+
+class TestPlanTermsPerWorld:
+    """Each world plans from terms priced at its own cost table."""
+
+    COSTS = {"sense": 80.0, "rx128": 520.0, "tx128": {0: 700.0, -5: 610.0, -10: 540.0}}
+
+    def test_worlds_with_other_costs_run_side_by_side_as_alone(self, tree_cfg):
+        slots = 60
+        alone = [
+            simcore.run(World(parse_scenario(TREE_YAML), collect_charges=True), slots),
+            simcore.run(World(dataclasses.replace(parse_scenario(TREE_YAML), costs=self.COSTS),
+                              collect_charges=True), slots),
+        ]
+        # Both worlds share the parsed policies and step in turn.
+        pair = [World(tree_cfg, collect_charges=True),
+                World(dataclasses.replace(tree_cfg, costs=self.COSTS), collect_charges=True)]
+        for _ in range(slots):
+            for world in pair:
+                world.step_slot()
+        assert pair[0].nodes["B"].policies is pair[1].nodes["B"].policies
+        assert _outputs(alone[0]) != _outputs(alone[1])
+        for world, expected in zip(pair, alone):
+            assert _outputs(world.metrics) == _outputs(expected)
+
+    # sha256 of the per-draw rows, one repr per line, of the shipped tree at
+    # seed 11 over 300 slots, as the engine drew them one withdrawal at a time.
+    ROWS_SHA256 = {
+        "modified": (25633, "11bf7da3fa4d7630f759500500e6624ce322d76203cc27adf8c301d4ad4556b0"),
+        "baseline": (24922, "948873456a623830b06d9433d180e1178089f3038ae9d1de508f03a0c487be8a"),
+    }
+
+    @pytest.mark.parametrize("mode", ["modified", "baseline"])
+    def test_charge_rows_match_pinned_digest(self, mode):
+        text = resources.files("harvestsim").joinpath("scenarios/four_node_tree.yaml").read_text()
+        cfg = parse_scenario(text)
+        cfg = dataclasses.replace(cfg, seed=11, routing=dataclasses.replace(cfg.routing, mode=mode))
+        rows = simcore.run(World(cfg, collect_charges=True), 300).charges
+        digest = hashlib.sha256("".join(f"{row!r}\n" for row in rows).encode()).hexdigest()
+        assert (len(rows), digest) == self.ROWS_SHA256[mode]
 
 
 class TestGridInvariants:
