@@ -27,7 +27,7 @@ from .energy import (
     op_cost,
     withdraw_prefix,
 )
-from .optimizer import build_opt, solve_for_v
+from .optimizer import PolicyLp, build_opt, solve_for_v
 
 
 @dataclass(frozen=True)
@@ -172,14 +172,19 @@ class Backlog:
         return len(self.entries)
 
     def push(self, entry: BacklogEntry) -> BacklogEntry | None:
-        self.entries.append(entry)
-        if len(self.entries) <= self.capacity:
+        entries = self.entries
+        entries.append(entry)
+        if len(entries) <= self.capacity:
             return None
-        victim = max(
-            range(len(self.entries)),
-            key=lambda i: (self.entries[i].priority, -self.entries[i].enqueued_slot, -i),
-        )
-        return self.entries.pop(victim)
+        # One pass: the lowest priority (largest number), then the oldest,
+        # then the first among equals.
+        victim, worst = 0, entries[0]
+        for i, e in enumerate(entries):
+            if e.priority > worst.priority or (
+                e.priority == worst.priority and e.enqueued_slot < worst.enqueued_slot
+            ):
+                victim, worst = i, e
+        return entries.pop(victim)
 
     def drain(self) -> list[BacklogEntry]:
         """Remove and return all entries, highest priority and oldest first."""
@@ -289,17 +294,20 @@ def policy_cost(policy: Policy, table: OperationCostTable, tx_power_dbm: int | N
 @dataclass(frozen=True)
 class PlanTerms:
     """What planning needs of a node's policies at one transmit power, with
-    the radio dark or not: the policies that may run, the LP's weight and
-    cost of each, and the same policies in priority order.
+    the radio dark or not: the policies that may run, the same policies in
+    priority order, and the LP over them (each one's utility weight and
+    cost, and the duty factor's), built and validated once at a zero
+    budget. Each slot solves that LP moved to its own budget by
+    :meth:`optimizer.PolicyLp.at_budget`.
 
-    The terms depend only on the policies, the cost table and that pair, so
-    a run computes them once per pair (see :func:`plan_slot`'s ``cache``).
+    The terms depend only on the policies, the cost table, the duty
+    settings and that pair, so a run computes them once per pair (see
+    :func:`plan_slot`'s ``cache``).
     """
 
     eligible: tuple[Policy, ...]
-    weights: tuple[float, ...]
-    costs: tuple[float, ...]
     ranked: tuple[Policy, ...]
+    lp: PolicyLp
 
 
 def plan_terms(
@@ -307,15 +315,23 @@ def plan_terms(
     table: OperationCostTable,
     tx_power_dbm: int | None,
     radio_dark: bool,
+    *,
+    duty_energy: float,
+    duty_weight: float | None = None,
 ) -> PlanTerms:
     """The :class:`PlanTerms` of ``policies``; a dark radio drops the network
-    policies."""
+    policies. ``duty_weight=None`` picks the optimizer's default rate."""
     eligible = tuple(p for p in policies if not (p.is_network and radio_dark))
     return PlanTerms(
         eligible=eligible,
-        weights=tuple(p.utility for p in eligible),
-        costs=tuple(policy_cost(p, table, tx_power_dbm) for p in eligible),
         ranked=tuple(sorted(eligible, key=_rank)),
+        lp=build_opt(
+            [p.utility for p in eligible],
+            [policy_cost(p, table, tx_power_dbm) for p in eligible],
+            duty_energy,
+            duty_weight,
+            0.0,
+        ),
     )
 
 
@@ -344,16 +360,23 @@ def plan_slot(
     defers the :func:`deferrals` of every step it leaves unrun.
 
     ``cache`` is the caller's store of :func:`plan_terms` for exactly these
-    ``policies`` and ``table``, keyed by ``(tx_power_dbm, radio_dark)``: a
-    missing entry is computed and kept there, so a caller that plans again
-    with the same store reuses it, and one that passes a fresh store plans
-    from terms computed afresh.
+    ``policies``, ``table`` and duty settings, keyed by ``(tx_power_dbm,
+    radio_dark)``: a missing entry is computed and kept there, so a caller
+    that plans again with the same store reuses it, and one that passes a
+    fresh store plans from terms computed afresh.
     """
     radio_dark = EnergyLevel.E0 in (context.network, context.own)
     key = (tx_power_dbm, radio_dark)
     terms = cache.get(key)
     if terms is None:
-        terms = cache[key] = plan_terms(policies, table, tx_power_dbm, radio_dark)
+        terms = cache[key] = plan_terms(
+            policies,
+            table,
+            tx_power_dbm,
+            radio_dark,
+            duty_energy=duty_energy,
+            duty_weight=duty_weight,
+        )
 
     v_target = RESIDUAL_FRACTIONS[context.own] * budget
     spend_cap = budget - v_target
@@ -375,7 +398,7 @@ def plan_slot(
                 kept.append(entry)
         backlog.entries = kept
 
-    lp = build_opt(terms.weights, terms.costs, duty_energy, duty_weight, budget)
+    lp = terms.lp.at_budget(budget)
     # Clamp the residual up so the LP spend never exceeds total capacity:
     # abundant slots simply saturate every variable instead of failing. The
     # clamp keeps the solve feasible, since ``budget - v_eff <= max_spend``.

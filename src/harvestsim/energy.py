@@ -5,7 +5,9 @@ when it is built and on every draw: deposit/withdraw validate the amount
 first, then update the store in place and return it, so a refused or invalid
 draw leaves it untouched. :func:`withdraw_prefix` pays a sequence of draws in
 one pass, with the same floor rule as :func:`withdraw`, which is built on it.
-:class:`ChargeBook` streams every draw into totals.
+A draw the floor refuses raises :class:`InsufficientEnergy` carrying its
+numbers; the message is formatted only when read. :class:`ChargeBook` streams
+every draw into totals.
 """
 
 from __future__ import annotations
@@ -27,7 +29,16 @@ class SlotOutOfRange(EnergyError):
 
 
 class InsufficientEnergy(EnergyError):
-    """A withdrawal would push the store below the survivability floor."""
+    """A withdrawal would push the store below the survivability floor.
+
+    Raised as ``InsufficientEnergy(amount, stored, floor)``: its ``args`` are
+    the refused amount, the balance and the floor, and its message is
+    formatted from them only when it is read.
+    """
+
+    def __str__(self) -> str:
+        amount, stored, floor = self.args
+        return f"withdraw {amount} from {stored} would leave {stored - amount} < floor {floor}"
 
 
 class UnknownOperation(EnergyError):
@@ -160,9 +171,7 @@ def withdraw(store: EnergyStore, e: float, floor: float) -> EnergyStore:
     """Spend energy in place, refusing any draw that would breach the
     survivability floor; returns the same store."""
     if not withdraw_prefix(store, (e,), floor):
-        raise InsufficientEnergy(
-            f"withdraw {e} from {store.stored} would leave {store.stored - e} < floor {floor}"
-        )
+        raise InsufficientEnergy(e, store.stored, floor)
     return store
 
 
@@ -182,7 +191,11 @@ class ChargeBook:
     rows: list[tuple[int, str, str, float]] = field(default_factory=list)
 
     def add(self, slot: int, node: str, label: str, amount: float) -> None:
-        self._total(slot, node, label, amount)
+        by_slot, by_label = self.by_slot, self.by_label
+        slot_key = (slot, node)
+        by_slot[slot_key] = by_slot.get(slot_key, 0.0) + amount
+        label_key = (node, label)
+        by_label[label_key] = by_label.get(label_key, 0.0) + amount
         if self.keep_rows:
             self.rows.append((slot, node, label, amount))
 
@@ -200,16 +213,15 @@ class ChargeBook:
         The totals take each distinct key once, at its price times its
         count; the rows, when kept, stay one per draw, in draw order.
         """
+        by_slot, by_label = self.by_slot, self.by_label
+        slot_key = (slot, node)
         for key, n in Counter(keys).items():
-            self._total(slot, node, labels[key], price[key] * n)
+            amount = price[key] * n
+            by_slot[slot_key] = by_slot.get(slot_key, 0.0) + amount
+            label_key = (node, labels[key])
+            by_label[label_key] = by_label.get(label_key, 0.0) + amount
         if self.keep_rows:
             self.rows.extend([(slot, node, labels[key], price[key]) for key in keys])
-
-    def _total(self, slot: int, node: str, label: str, amount: float) -> None:
-        key = (slot, node)
-        self.by_slot[key] = self.by_slot.get(key, 0.0) + amount
-        key = (node, label)
-        self.by_label[key] = self.by_label.get(key, 0.0) + amount
 
 
 @dataclass(frozen=True)

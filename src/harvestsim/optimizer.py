@@ -57,7 +57,10 @@ class PolicyLp:
     """One slot's optimization instance.
 
     Variables are ordered policies-first, duty factor last. ``budget_base``
-    is the slot budget X; a solve at residual ``v`` spends ``X - v``.
+    is the slot budget X; a solve at residual ``v`` spends ``X - v``. What
+    derives from the other fields alone (the objective and constraint rows,
+    the largest spend and the fill order) is computed when the instance is
+    built, and :meth:`at_budget` keeps it.
     """
 
     weights: tuple[float, ...]
@@ -65,6 +68,21 @@ class PolicyLp:
     duty_energy: float
     duty_weight: float
     budget_base: float
+    objective: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    row: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # Largest budget the instance can absorb (all variables at 1).
+    max_spend: float = field(init=False, repr=False, compare=False)
+    # Variable indices by descending utility per microjoule, lowest index
+    # first on ties.
+    fill_order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        c = self.weights + (self.duty_weight,)
+        a = self.costs + (self.duty_energy,)
+        derived = self.__dict__
+        derived["objective"], derived["row"] = c, a
+        derived["max_spend"] = sum(self.costs) + self.duty_energy
+        derived["fill_order"] = tuple(sorted(range(len(a)), key=lambda j: (-(c[j] / a[j]), j)))
 
     @property
     def n_policies(self) -> int:
@@ -74,18 +92,16 @@ class PolicyLp:
     def n_vars(self) -> int:
         return len(self.weights) + 1
 
-    @property
-    def objective(self) -> tuple[float, ...]:
-        return self.weights + (self.duty_weight,)
+    def at_budget(self, x_k: float) -> PolicyLp:
+        """This instance with budget base ``x_k``, which is checked here.
 
-    @property
-    def row(self) -> tuple[float, ...]:
-        return self.costs + (self.duty_energy,)
-
-    @property
-    def max_spend(self) -> float:
-        """Largest budget the instance can absorb (all variables at 1)."""
-        return sum(self.costs) + self.duty_energy
+        The other fields were validated when this instance was built, and
+        what derives from them is shared, not computed again.
+        """
+        _check_budget(x_k)
+        lp = object.__new__(PolicyLp)
+        lp.__dict__.update(self.__dict__, budget_base=float(x_k))
+        return lp
 
 
 def default_duty_weight(weights: tuple[float, ...], costs: tuple[float, ...], duty_energy: float) -> float:
@@ -99,6 +115,11 @@ def default_duty_weight(weights: tuple[float, ...], costs: tuple[float, ...], du
         return 1.0
     min_rate = min(w / c for w, c in zip(weights, costs))
     return 0.1 * min_rate * duty_energy
+
+
+def _check_budget(x_k: float) -> None:
+    if x_k < 0 or not math.isfinite(x_k):
+        raise ValueError(f"budget base must be >= 0, got {x_k}")
 
 
 def build_opt(
@@ -121,8 +142,7 @@ def build_opt(
         raise NonPositiveCost(f"duty energy must be > 0, got {e_dc}")
     if any(w < 0 or not math.isfinite(w) for w in weights):
         raise ValueError(f"weights must be >= 0, got {weights}")
-    if x_k < 0 or not math.isfinite(x_k):
-        raise ValueError(f"budget base must be >= 0, got {x_k}")
+    _check_budget(x_k)
     if w_delta is None:
         w_delta = default_duty_weight(weights, costs, e_dc)
     elif w_delta < 0 or not math.isfinite(w_delta):
@@ -160,12 +180,6 @@ def _snap(x: float, upper: float) -> float:
     return x
 
 
-def _fill_order(lp: PolicyLp) -> list[int]:
-    """Variable indices by descending utility per microjoule, lowest index first on ties."""
-    c, a = lp.objective, lp.row
-    return sorted(range(lp.n_vars), key=lambda j: (-(c[j] / a[j]), j))
-
-
 def solve_for_v(lp: PolicyLp, v: float) -> OptResult:
     """Optimal controls when the slot must leave residual ``v`` unspent.
 
@@ -183,7 +197,7 @@ def solve_for_v(lp: PolicyLp, v: float) -> OptResult:
             f"budget {budget} exceeds the instance's maximum spend {lp.max_spend}"
         )
     a = lp.row
-    order = _fill_order(lp)
+    order = lp.fill_order
     xs = [0.0] * lp.n_vars
     remaining = budget
     basic = order[-1]
@@ -249,7 +263,7 @@ def parametric_sweep(lp: PolicyLp, v_lo: float, v_hi: float) -> TradeoffCurve:
     a = lp.row
     cuts = []
     spent = 0.0
-    for j in _fill_order(lp):
+    for j in lp.fill_order:
         spent += a[j]
         cuts.append(lp.budget_base - spent)
     vs = [v_lo]

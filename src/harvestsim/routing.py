@@ -25,6 +25,7 @@ which energy level - the neighbour used.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 from .bounds import POS, enum, int_min
@@ -60,6 +61,12 @@ REFERENCE_SMOOTHING = 0.2
 _LEVEL_STEPS = tuple(
     (level, REFERENCE_TX_POWER_DBM - TX_POWER_BY_LEVEL[level]) for level in sorted(TX_POWER_BY_LEVEL)
 )
+# The same steps by ascending attenuation, and the midpoint between each
+# adjacent pair: an attenuation at or above a midpoint is nearer the larger
+# step (a tie is nearer neither and goes to the larger step's lower level).
+_BY_ATTENUATION = sorted(_LEVEL_STEPS, key=lambda ls: ls[1])
+_DECODED_LEVELS = tuple(level for level, _ in _BY_ATTENUATION)
+_STEP_MIDPOINTS = tuple((a + b) / 2 for (_, a), (_, b) in zip(_BY_ATTENUATION, _BY_ATTENUATION[1:]))
 
 
 @dataclass(frozen=True)
@@ -106,14 +113,7 @@ def infer_neighbor_level(observed_rssi: float, reference: float | None) -> Energ
     """
     if reference is None:
         raise Uncalibrated("no beacon reference for this neighbour")
-    delta = reference - observed_rssi
-    best_level = None
-    best_err = None
-    for level, step in _LEVEL_STEPS:  # ascending: lower level wins ties
-        err = abs(delta - step)
-        if best_err is None or err < best_err:
-            best_level, best_err = level, err
-    return best_level
+    return _DECODED_LEVELS[bisect_right(_STEP_MIDPOINTS, reference - observed_rssi)]
 
 
 def sink_route_cost(path_rssi: list[float], weights: list[float] | None = None) -> float:
@@ -224,12 +224,18 @@ def process_rreq(
         return None
     if own_tx_power is None:
         return None
-    if state.node_id == rreq.origin or state.node_id in rreq.hops():
+    me = state.node_id
+    if me == rreq.origin:
         return None
+    for hop, _ in rreq.path:
+        if hop == me:
+            return None
     state.forwarded.add(key)
-    return replace(
-        rreq,
-        path=rreq.path + ((state.node_id, observed_rssi),),
+    return Rreq(
+        origin=rreq.origin,
+        dest=rreq.dest,
+        seq=rreq.seq,
+        path=rreq.path + ((me, observed_rssi),),
         tx_power_dbm=own_tx_power,
     )
 

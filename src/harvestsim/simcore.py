@@ -312,6 +312,8 @@ class World:
         }
         self._link_means: dict[tuple[str, str, float], float] = {}
         self._fanouts: dict[tuple[str, float], tuple[tuple[NodeRuntime, float], ...]] = {}
+        # Read by every reception's shadowing draw, so looked up once.
+        self._sigma = cfg.channel.shadowing_sigma_db
         # The mean-plus-shadowing RSSI of the unicast exchange in progress.
         self._exchange_rssi = 0.0
 
@@ -434,7 +436,7 @@ class World:
 
     def _shadow(self, mean: float) -> float:
         """One reception at a link mean: adds the shadowing draw when it is on."""
-        sigma = self.cfg.channel.shadowing_sigma_db
+        sigma = self._sigma
         return mean + self.rng_channel.gauss(0.0, sigma) if sigma > 0.0 else mean
 
     def _link_rssi(self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float) -> float:
@@ -546,22 +548,21 @@ class World:
         rt = self.nodes[node_id]
         if rt.tx_power is None:
             return
-        if not self._charge(rt, "mac:beacon-tx", self._beacon_tx_uj):
+        charge = self._charge
+        if not charge(rt, "mac:beacon-tx", self._beacon_tx_uj):
             return
         self._trace_mac(t, node_id, "beacon-tx")
         rx = self._control_rx_uj
-        sensitivity = self.cfg.channel.sensitivity_dbm
+        channel = self.cfg.channel
+        sensitivity = channel.sensitivity_dbm
+        rng, shadow, hear = self.rng_channel, self._shadow, self._hear
         t_ms = t * 1000.0
         for other, mean in self._fanout(rt, routing.REFERENCE_TX_POWER_DBM):
-            rssi = self._shadow(mean)
-            if rssi < sensitivity:
+            rssi = shadow(mean)
+            if rssi < sensitivity or not other.awake_at(t_ms):
                 continue
-            if not other.awake_at(t_ms):
-                continue
-            if not deliver(rssi, self.cfg.channel, self.rng_channel):
-                continue
-            if self._charge(other, "mac:beacon-rx", rx):
-                self._hear(other, node_id, rssi, is_beacon=True)
+            if deliver(rssi, channel, rng) and charge(other, "mac:beacon-rx", rx):
+                hear(other, node_id, rssi, is_beacon=True)
 
     def _on_rreq_init(self, t: float, node_id: str) -> None:
         rt = self.nodes[node_id]
@@ -579,26 +580,26 @@ class World:
     def _broadcast_rreq(self, t: float, rt: NodeRuntime, rreq: routing.Rreq) -> None:
         if rt.tx_power is None:
             return
-        if not self._charge(rt, "mac:rreq-tx", self._rreq_tx_uj[rreq.tx_power_dbm]):
+        charge = self._charge
+        if not charge(rt, "mac:rreq-tx", self._rreq_tx_uj[rreq.tx_power_dbm]):
             return
         self._trace_mac(t, rt.node_id, "rreq-tx", f"seq={rreq.seq}")
         arrival = t + self._rreq_span_ms / 1000.0
         self.busy_until = max(self.busy_until, arrival)
         rx = self._control_rx_uj
-        sensitivity = self.cfg.channel.sensitivity_dbm
+        channel = self.cfg.channel
+        sensitivity = channel.sensitivity_dbm
+        rng, shadow = self.rng_channel, self._shadow
         heard = []
         for other, mean in self._fanout(rt, rreq.tx_power_dbm):
             # Radio-off receivers are skipped before their shadowing draw.
             if other.tx_power is None:
                 continue
-            rssi = self._shadow(mean)
-            if rssi < sensitivity:
+            rssi = shadow(mean)
+            if rssi < sensitivity or not deliver(rssi, channel, rng):
                 continue
-            if not deliver(rssi, self.cfg.channel, self.rng_channel):
-                continue
-            if not self._charge(other, "mac:rreq-rx", rx):
-                continue
-            heard.append((other.node_id, rssi))
+            if charge(other, "mac:rreq-rx", rx):
+                heard.append((other.node_id, rssi))
         if heard:
             self._push(arrival, "rreq_arrive", rreq, tuple(heard))
 
@@ -610,8 +611,9 @@ class World:
         and whatever a reception schedules is queued after them, so handling
         them here in order keeps the event order.
         """
+        on_rx = self._on_rreq_rx
         for node_id, rssi in heard:
-            self._on_rreq_rx(t, node_id, rreq, rssi)
+            on_rx(t, node_id, rreq, rssi)
 
     def _on_rreq_rx(self, t: float, node_id: str, rreq: routing.Rreq, rssi: float) -> None:
         rt = self.nodes[node_id]

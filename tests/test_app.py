@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harvestsim.app import (
     Backlog,
@@ -257,18 +258,20 @@ class TestPlanTermsCache:
                 assert cached == fresh
                 assert left.entries == fresh_left.entries
                 dark = EnergyLevel.E0 in (own, network)
-                assert cache[power, dark] == plan_terms(policies, table, power, dark)
+                assert cache[power, dark] == plan_terms(
+                    policies, table, power, dark, duty_energy=10_000.0
+                )
         assert len(cache) == len(self.PAIRS)
 
     def test_terms_drop_network_policies_when_dark(self):
         table = OperationCostTable()
         policies = self.policies()
-        lit = plan_terms(policies, table, -5, False)
+        lit = plan_terms(policies, table, -5, False, duty_energy=10_000.0)
         assert [p.name for p in lit.eligible] == ["forward", "log", "house"]
         assert [p.name for p in lit.ranked] == ["forward", "house", "log"]
-        assert lit.weights == (240.0, 6.0, 2.0)
-        assert lit.costs == tuple(policy_cost(p, table, -5) for p in policies)
-        dark = plan_terms(policies, table, None, True)
+        assert lit.lp.weights == (240.0, 6.0, 2.0)
+        assert lit.lp.costs == tuple(policy_cost(p, table, -5) for p in policies)
+        dark = plan_terms(policies, table, None, True, duty_energy=10_000.0)
         assert [p.name for p in dark.eligible] == ["log", "house"]
 
 
@@ -320,6 +323,31 @@ class TestBacklog:
         victim = b.push(BacklogEntry(WRITE, "c", 3, enqueued_slot=2))
         assert victim is not None
         assert victim.policy == "b"  # same low priority, older goes first
+
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.lists(
+            st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4)),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=200)
+    def test_eviction_equals_max_key_oracle(self, capacity, pushes):
+        # Push by push, the victim is the one max() picks by the key
+        # (priority, -enqueued_slot, -index); small ranges make ties common.
+        b, oracle = Backlog(capacity=capacity), []
+        for i, (priority, slot) in enumerate(pushes):
+            entry = BacklogEntry(SENSE, f"p{i}", priority, enqueued_slot=slot)
+            oracle.append(entry)
+            expected = None
+            if len(oracle) > capacity:
+                victim = max(
+                    range(len(oracle)),
+                    key=lambda j: (oracle[j].priority, -oracle[j].enqueued_slot, -j),
+                )
+                expected = oracle.pop(victim)
+            assert b.push(entry) == expected
+            assert b.entries == oracle
 
     def test_drain_orders_by_priority_then_age(self):
         b = Backlog()

@@ -76,6 +76,14 @@ class TestWithdraw:
         with pytest.raises(InsufficientEnergy):
             withdraw(make_store(50.0), 45.0, 10.0)
 
+    def test_refusal_carries_its_numbers_and_formats_the_message_on_reading(self):
+        with pytest.raises(InsufficientEnergy) as refused:
+            withdraw(make_store(50.0), 45.3, 10.1)
+        assert refused.value.args == (45.3, 50.0, 10.1)
+        assert str(refused.value) == (
+            f"withdraw {45.3} from {50.0} would leave {50.0 - 45.3} < floor {10.1}"
+        )
+
     def test_subtraction_above_floor(self):
         assert withdraw(make_store(50.0), 30.0, 10.0).stored == pytest.approx(20.0)
 

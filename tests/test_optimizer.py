@@ -236,6 +236,29 @@ instances = st.builds(
 )
 
 
+class TestAtBudget:
+    """An instance moved to another budget equals one built at that budget,
+    and solves to the same bits."""
+
+    @given(inst=instances)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_a_fresh_build(self, inst):
+        ws, cs, edc, wd, x_frac = inst
+        x = x_frac * (sum(cs) + edc)
+        moved = build_opt(ws, cs, edc, wd, 0.0).at_budget(x)
+        fresh = build_opt(ws, cs, edc, wd, x)
+        assert moved == fresh
+        derived = ("objective", "row", "max_spend", "fill_order")
+        assert [getattr(moved, a) for a in derived] == [getattr(fresh, a) for a in derived]
+        for v in (0.0, x / 3, x):
+            assert solve_for_v(moved, v) == solve_for_v(fresh, v)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_checks_the_budget(self, bad):
+        with pytest.raises(ValueError):
+            build_opt((1.0,), (10.0,), 5.0, 0.1, 0.0).at_budget(bad)
+
+
 class TestOracleEquivalence:
     @given(
         inst=instances,

@@ -1,8 +1,13 @@
+import dataclasses
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from harvestsim.energy import EnergyLevel
 from harvestsim.routing import (
+    REFERENCE_TX_POWER_DBM,
+    TX_POWER_BY_LEVEL,
     DimensionMismatch,
     NodeDormant,
     RoutingSettings,
@@ -69,6 +74,54 @@ class TestInference:
     def test_uncalibrated(self):
         with pytest.raises(Uncalibrated):
             infer_neighbor_level(-70.0, None)
+
+
+# (level, attenuation below the reference power), ascending by level.
+STEPS = [(level, REFERENCE_TX_POWER_DBM - TX_POWER_BY_LEVEL[level]) for level in sorted(TX_POWER_BY_LEVEL)]
+
+
+def nearest_step_level(observed_rssi, reference):
+    """The decoding as a loop over the steps: the nearest step's level, the
+    lower level on ties."""
+    delta = reference - observed_rssi
+    best_level = best_err = None
+    for level, step in STEPS:
+        err = abs(delta - step)
+        if best_err is None or err < best_err:
+            best_level, best_err = level, err
+    return best_level
+
+
+class TestInferenceOracle:
+    """The midpoint decoding equals the nearest-step loop."""
+
+    @given(
+        st.floats(min_value=-1e6, max_value=1e6),
+        st.floats(min_value=-1e6, max_value=1e6),
+    )
+    @settings(max_examples=500)
+    def test_any_reading(self, observed, reference):
+        assert infer_neighbor_level(observed, reference) is nearest_step_level(observed, reference)
+
+    @given(st.floats(min_value=-200.0, max_value=50.0), st.floats(min_value=-20.0, max_value=30.0))
+    @settings(max_examples=500)
+    def test_attenuations_around_the_steps(self, reference, delta):
+        observed = reference - delta
+        assert infer_neighbor_level(observed, reference) is nearest_step_level(observed, reference)
+
+    @pytest.mark.parametrize("reference", [0.0, -65.0, -93.7])
+    def test_sixty_ulps_around_each_midpoint(self, reference):
+        steps = sorted(step for _, step in STEPS)
+        for mid in ((a + b) / 2 for a, b in zip(steps, steps[1:])):
+            below = above = mid
+            deltas = [mid]
+            for _ in range(60):
+                below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+                deltas += [below, above]
+            for delta in deltas:
+                observed = reference - delta
+                expected = nearest_step_level(observed, reference)
+                assert infer_neighbor_level(observed, reference) is expected, delta
 
 
 class TestCalibration:
@@ -154,6 +207,40 @@ class TestProcessRreq:
         state = RoutingState("B")
         fwd = process_rreq(state, rreq_via("D", 1), -70.0, map_level_to_txpower(EnergyLevel.E1))
         assert fwd.tx_power_dbm == -10
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("ABCD"),  # origin
+                st.integers(min_value=1, max_value=3),  # seq
+                st.lists(st.sampled_from("ABCDE"), max_size=4),  # hops so far
+                st.sampled_from([None, -10, -5, 0]),  # the relay's power
+            ),
+            max_size=12,
+        )
+    )
+    def test_forwarded_request_equals_replace_oracle(self, requests):
+        # The relay's handling as it read with dataclasses.replace and the
+        # hops() list, fed the same sequence: duplicates, loops, the relay's
+        # own floods and dormant slots all occur.
+        state, oracle = RoutingState("B"), RoutingState("B")
+        for k, (origin, seq, hops, power) in enumerate(requests):
+            rreq = rreq_via(origin, seq, *((h, -60.0 - i) for i, h in enumerate(hops)))
+            rssi = -70.0 - k
+            expected = None
+            key = (origin, seq)
+            if not (
+                key in oracle.forwarded
+                or power is None
+                or oracle.node_id == origin
+                or oracle.node_id in rreq.hops()
+            ):
+                oracle.forwarded.add(key)
+                expected = dataclasses.replace(
+                    rreq, path=rreq.path + ((oracle.node_id, rssi),), tx_power_dbm=power
+                )
+            assert process_rreq(state, rreq, rssi, power) == expected
+            assert state.forwarded == oracle.forwarded
 
     def test_flood_forwards_at_most_once_per_relay(self):
         # Dedupe bound: a relay re-seeing its own or others' copies never

@@ -841,3 +841,39 @@ class TestGridInvariants:
         assert names == sorted(p.name for p in outs[1].iterdir())
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+class TestPinnedLatticeOutputs:
+    """sha256 of each output of ``run`` on the 3x4 lattice (4 dB shadowing,
+    Holt-Winters predictor), seed 8, 60 slots. Floods, beacons and backlog
+    evictions all run here, which the tree exercises little. A change that
+    alters an output on purpose updates the pin and names the change."""
+
+    PINNED = {
+        "modified": {
+            "summary.json": "9554789f080e1e1b3d623f2e1231ed6a01744743b16d31370ebd1c245ed524eb",
+            "slots.csv": "3230d9256563590bbb4a9b44a22f694e803ca1f5c57b25478899af20a71e7a37",
+            "ledger.csv": "9d0aca48c774cd3c89e0acdd7b14784affbf20c80e8e2a634301064ec6cf3cd8",
+            "routes.csv": "5db6c45c4011d4cfa764be0deba5f78e167550ffb1c4034a192f6aa1fc9293d6",
+            "forecast.csv": "750dbb38a7f159acef9c00161517cbe3cf94b98a5ac387542ddd56df03174fdf",
+        },
+        "baseline": {
+            "summary.json": "2e1de1ba669195c86f9ec48f0c491da056e6b9e5205af70851b3215f19cc965d",
+            "slots.csv": "7b8f6ee9496ea8ac2e919a0e7cddf80f6715699eb57bd698b0c01dc116133897",
+            "ledger.csv": "2a16ddb2e1da4514929e8d4a4c685772a1352dc6e6e630ffa4f036e960060e32",
+            "routes.csv": "2e4f4ef9849a699e3ed858489ad5a8754133e6d7b24a8da3143edceb2d6e7b9b",
+            "forecast.csv": "750dbb38a7f159acef9c00161517cbe3cf94b98a5ac387542ddd56df03174fdf",
+        },
+    }
+
+    @pytest.mark.parametrize("mode", ["modified", "baseline"])
+    def test_run_outputs_match_pinned_digests(self, tmp_path, mode):
+        config = tmp_path / "lattice.yaml"
+        config.write_text(lattice_yaml(sigma_db=4.0, predictor="hw", slots=60))
+        out = tmp_path / mode
+        argv = ["run", "--config", str(config), "--seed", "8", "--mode", mode, "--out", str(out)]
+        assert main(argv) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.PINNED[mode]
+        }
+        assert digests == self.PINNED[mode]
