@@ -10,7 +10,7 @@ backlog first; :func:`deferrals` alone decides what enters it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -126,11 +126,7 @@ def assess_slot(
     virtual = classify_level(
         max(min(forecasts), 0.0), store.capacity, store.thresholds
     )
-    levels = (
-        list(neighbor_levels.values())
-        if isinstance(neighbor_levels, dict)
-        else list(neighbor_levels)
-    )
+    levels = neighbor_levels.values() if isinstance(neighbor_levels, dict) else neighbor_levels
     network = min(levels) if levels else DEFAULT_NETWORK_LEVEL
     return EnergyContext(own=own, virtual=virtual, network=network)
 
@@ -194,7 +190,7 @@ class Backlog:
 
 
 def deferrals(
-    policies: Iterable[Policy], steps: Iterable[tuple[str, str]], slot: int
+    policies: Iterable[Policy], steps: Sequence[tuple[str, str]], slot: int
 ) -> list[BacklogEntry]:
     """Backlog entries, stamped with ``slot``, for unrun ``(policy, kind)`` steps.
 
@@ -202,15 +198,19 @@ def deferrals(
     A network policy's steps never do: the engine queues, defers or drops
     the packets they carry.
     """
+    if not steps:
+        return []
     priority = {p.name: p.priority for p in policies if not p.is_network}
     return [BacklogEntry(k, name, priority[name], slot) for name, k in steps if name in priority]
 
 
 def aborted_tail(
-    policies: Iterable[Policy], skipped: list[tuple[str, str]], slot: int
+    policies: Iterable[Policy], skipped: Sequence[tuple[str, str]], slot: int
 ) -> tuple[list[BacklogEntry], int]:
     """The :func:`deferrals` of an aborted plan's unrun tail, and how many
     network operations it lost."""
+    if not skipped:
+        return [], 0
     return deferrals(policies, skipped, slot), sum(k in RADIO_OPS for _, k in skipped)
 
 
@@ -226,8 +226,9 @@ def deferred_packet(packet_id: str, slot: int) -> BacklogEntry:
 @dataclass
 class ExecutionPlan:
     """One slot's commitment: the levels it was planned at, (policy, kind)
-    steps to run now, controls, the backlog entries it defers, and the
-    transmit power every ``tx128`` is charged at."""
+    steps to run now, controls, the backlog entries it defers, the
+    transmit power every ``tx128`` is charged at, and the price of each
+    kind it runs, from the cost table it was planned with."""
 
     context: EnergyContext
     run_ops: list[tuple[str, str]]
@@ -236,6 +237,7 @@ class ExecutionPlan:
     delta: float
     deferred: list[BacklogEntry]
     tx_power_dbm: int | None
+    price: Mapping[str, float]
 
 
 @dataclass
@@ -295,10 +297,10 @@ def policy_cost(policy: Policy, table: OperationCostTable, tx_power_dbm: int | N
 class PlanTerms:
     """What planning needs of a node's policies at one transmit power, with
     the radio dark or not: the policies that may run, the same policies in
-    priority order, and the LP over them (each one's utility weight and
-    cost, and the duty factor's), built and validated once at a zero
-    budget. Each slot solves that LP moved to its own budget by
-    :meth:`optimizer.PolicyLp.at_budget`.
+    priority order, the :func:`energy.op_cost` of each kind they list, and
+    the LP over them (each one's utility weight and cost, and the duty
+    factor's), built and validated once at a zero budget. Each slot solves
+    that LP moved to its own budget by :meth:`optimizer.PolicyLp.at_budget`.
 
     The terms depend only on the policies, the cost table, the duty
     settings and that pair, so a run computes them once per pair (see
@@ -307,6 +309,7 @@ class PlanTerms:
 
     eligible: tuple[Policy, ...]
     ranked: tuple[Policy, ...]
+    price: Mapping[str, float]
     lp: PolicyLp
 
 
@@ -325,6 +328,7 @@ def plan_terms(
     return PlanTerms(
         eligible=eligible,
         ranked=tuple(sorted(eligible, key=_rank)),
+        price={kind: op_cost(table, kind, tx_power_dbm) for p in eligible for kind in p.ops},
         lp=build_opt(
             [p.utility for p in eligible],
             [policy_cost(p, table, tx_power_dbm) for p in eligible],
@@ -357,7 +361,9 @@ def plan_slot(
     When both own and virtual levels are high the backlog is drained before
     fresh policy work is planned. Every ``tx128``, drained or fresh, is
     costed at ``tx_power_dbm``, the power this slot transmits at. The plan
-    defers the :func:`deferrals` of every step it leaves unrun.
+    carries the terms' prices, with any drained kind they lack priced from
+    ``table``, and defers the :func:`deferrals` of every step it leaves
+    unrun.
 
     ``cache`` is the caller's store of :func:`plan_terms` for exactly these
     ``policies``, ``table`` and duty settings, keyed by ``(tx_power_dbm,
@@ -383,14 +389,18 @@ def plan_slot(
 
     backlog_run: list[BacklogEntry] = []
     drained_cost = 0.0
+    price = terms.price
     if (
         context.own == EnergyLevel.E3
         and context.virtual == EnergyLevel.E3
-        and len(backlog)
+        and backlog.entries
     ):
         kept: list[BacklogEntry] = []
         for entry in backlog.drain():
-            cost = op_cost(table, entry.kind, tx_power_dbm)
+            kind = entry.kind
+            if kind not in price:  # priced for this plan alone; the terms keep theirs
+                price = {**price, kind: op_cost(table, kind, tx_power_dbm)}
+            cost = price[kind]
             if drained_cost + cost <= spend_cap:
                 backlog_run.append(entry)
                 drained_cost += cost
@@ -417,13 +427,13 @@ def plan_slot(
         delta=result.delta,
         deferred=deferrals(policies, unrun, slot),
         tx_power_dbm=tx_power_dbm,
+        price=price,
     )
 
 
 def execute_plan(
     plan: ExecutionPlan,
     store: EnergyStore,
-    table: OperationCostTable,
     floor: float,
     *,
     available: float | None = None,
@@ -431,28 +441,31 @@ def execute_plan(
     node: str = "",
     charges: ChargeBook | None = None,
 ) -> tuple[SlotReport, EnergyStore, list[tuple[str, str]]]:
-    """Charge the store for the plan's operations, in order, and enter the
-    paid ones in ``charges`` under their :data:`OP_LABELS` labels.
+    """Charge the store for the plan's operations, in order, at the plan's
+    prices, and enter the paid ones in ``charges`` under their
+    :data:`OP_LABELS` labels.
 
-    Backlogged work runs first, then the fresh subset. Each operation kind
-    is priced once, and :func:`energy.withdraw_prefix` pays the sequence in
-    one pass; a withdrawal refused by the floor aborts the remainder (the
+    Backlogged work runs first, then the fresh subset.
+    :func:`energy.withdraw_prefix` pays the sequence in one pass; a
+    withdrawal refused by the floor aborts the remainder (the
     harvest-forecast-error path). The unexecuted tail is returned whole, for
     :func:`aborted_tail` to settle. The report's residual is measured
     against ``available`` (defaults to the store's balance at entry).
     """
     if available is None:
         available = store.stored
-    sequence = [(e.policy, e.kind) for e in plan.backlog_run] + plan.run_ops
+    sequence = plan.run_ops
+    if plan.backlog_run:
+        sequence = [(e.policy, e.kind) for e in plan.backlog_run] + sequence
+    price = plan.price
     kinds = [kind for _, kind in sequence]
-    price = {kind: op_cost(table, kind, plan.tx_power_dbm) for kind in dict.fromkeys(kinds)}
-    paid = withdraw_prefix(store, [price[kind] for kind in kinds], floor)
+    amounts = [price[kind] for kind in kinds]
+    paid = withdraw_prefix(store, amounts, floor)
     ran = kinds[:paid]
     consumed = 0.0
-    ops_network = 0
-    for kind in ran:
-        consumed += price[kind]
-        ops_network += kind in RADIO_OPS
+    for amount in amounts[:paid]:
+        consumed += amount
+    ops_network = sum(map(ran.count, RADIO_OPS))
     if charges is not None:
         charges.add_draws(slot, node, ran, price, OP_LABELS)
     alphas = list(plan.alphas.values())

@@ -13,7 +13,6 @@ every draw into totals.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -215,8 +214,8 @@ class ChargeBook:
         """
         by_slot, by_label = self.by_slot, self.by_label
         slot_key = (slot, node)
-        for key, n in Counter(keys).items():
-            amount = price[key] * n
+        for key in dict.fromkeys(keys):
+            amount = price[key] * keys.count(key)
             by_slot[slot_key] = by_slot.get(slot_key, 0.0) + amount
             label_key = (node, labels[key])
             by_label[label_key] = by_label.get(label_key, 0.0) + amount

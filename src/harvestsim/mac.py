@@ -95,14 +95,22 @@ class RadioEnergyModel:
 
 @dataclass(frozen=True)
 class DutySchedule:
-    """Wake/sleep timing realizing one duty factor."""
+    """Wake/sleep timing realizing one duty factor.
+
+    The cycle's ``period_ms`` and whether the radio is off derive from the
+    two timings alone, so they are computed once, when the schedule is
+    built; equality, hashing and ``repr`` see only the two timings.
+    """
 
     wake_ms: float
     sleep_ms: float
+    period_ms: float = field(init=False, repr=False, compare=False)
+    radio_off: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def period_ms(self) -> float:
-        return self.wake_ms + self.sleep_ms
+    def __post_init__(self) -> None:
+        derived = self.__dict__
+        derived["period_ms"] = self.wake_ms + self.sleep_ms
+        derived["radio_off"] = self.wake_ms == 0.0
 
     @property
     def duty_fraction(self) -> float:
@@ -111,10 +119,6 @@ class DutySchedule:
         if self.sleep_ms == 0.0:
             return 1.0
         return self.wake_ms / self.period_ms
-
-    @property
-    def radio_off(self) -> bool:
-        return self.wake_ms == 0.0
 
 
 def schedule_from_delta(delta: float, config: MacConfig = MacConfig()) -> DutySchedule:
@@ -190,9 +194,10 @@ def radio_energy(
     rx_ms: float = 0.0,
 ) -> float:
     """Energy (uJ) of radio activity: sum of duration x current x voltage."""
-    for name, d in (("tx", tx_ms), ("rx", rx_ms)):
-        if d < 0:
-            raise ValueError(f"{name} duration must be >= 0")
+    if tx_ms < 0:
+        raise ValueError("tx duration must be >= 0")
+    if rx_ms < 0:
+        raise ValueError("rx duration must be >= 0")
     if tx_ms and tx_power_dbm not in model.tx_ma:
         raise ValueError(f"no tx current for {tx_power_dbm} dBm")
     tx_current = model.tx_ma.get(tx_power_dbm, 0.0)
@@ -260,6 +265,12 @@ def csma_send(
             else receiver_schedule.sleep_ms
         )
         train = preamble_train(sleep_ms, config)
+    # What stays fixed for the whole exchange, read once.
+    train_count, packet_ms = train.count, train.packet_ms
+    train_ms = train.duration_ms
+    backoff_attempts = config.backoff_max_attempts
+    rts_cts, control_ms = config.rts_cts, config.control_packet_ms
+    data_ms, ack_ms = config.data_packet_ms, config.ack_ms
     now = start_ms
     attempts = 0
     preambles_total = 0
@@ -270,7 +281,7 @@ def csma_send(
     for round_no in range(1, deliveries_allowed + 1):
         # CSMA: sample, back off while busy.
         cleared = False
-        for attempt in range(1, config.backoff_max_attempts + 1):
+        for attempt in range(1, backoff_attempts + 1):
             attempts += 1
             if not cca(sample(now), config):
                 cleared = True
@@ -279,28 +290,27 @@ def csma_send(
         if not cleared:
             saturated += 1
             continue
-        if config.rts_cts:
-            now += config.control_packet_ms  # rts
-            now += config.control_packet_ms  # cts
-            tx_ms_total += config.control_packet_ms
+        if rts_cts:
+            now += control_ms  # rts
+            now += control_ms  # cts
+            tx_ms_total += control_ms
         # Preamble until the receiver's wake lands inside the train.
         wake_at = _first_wake_at(receiver_schedule, receiver_phase_ms, now)
-        train_end = now + train.duration_ms
+        train_end = now + train_ms
         if wake_at > train_end:
-            sent = train.count
-            preambles_total += sent
-            tx_ms_total += sent * train.packet_ms
+            preambles_total += train_count
+            tx_ms_total += train_count * packet_ms
             now = train_end
             continue
-        sent = max(1, math.ceil(max(wake_at - now, 0.0) / train.packet_ms))
-        sent = min(sent, train.count)
+        sent = max(1, math.ceil(max(wake_at - now, 0.0) / packet_ms))
+        sent = min(sent, train_count)
         preambles_total += sent
-        tx_ms_total += sent * train.packet_ms
-        now = max(wake_at, now + sent * train.packet_ms)
-        now += config.data_packet_ms
-        tx_ms_total += config.data_packet_ms
+        tx_ms_total += sent * packet_ms
+        now = max(wake_at, now + sent * packet_ms)
+        now += data_ms
+        tx_ms_total += data_ms
+        now += ack_ms
         if decide(round_no):
-            now += config.ack_ms
             return SendResult(
                 delivered=True,
                 attempts=attempts,
@@ -308,7 +318,6 @@ def csma_send(
                 elapsed_ms=now - start_ms,
                 sender_tx_ms=tx_ms_total,
             )
-        now += config.ack_ms
 
     result = SendResult(
         delivered=False,

@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import mul
 
 FEAS_TOL = 1e-9
 
@@ -198,7 +200,7 @@ def solve_for_v(lp: PolicyLp, v: float) -> OptResult:
         )
     a = lp.row
     order = lp.fill_order
-    xs = [0.0] * lp.n_vars
+    xs = [0.0] * len(a)
     remaining = budget
     basic = order[-1]
     for j in order[:-1]:
@@ -210,12 +212,13 @@ def solve_for_v(lp: PolicyLp, v: float) -> OptResult:
     # Recompute the basic value from the budget, summing the full variables
     # in index order rather than reusing ``remaining``: that fixes the
     # rounding, so the result equals the test oracle's bit for bit.
-    full_spend = sum(a[j] for j in range(lp.n_vars) if xs[j])
+    full_spend = sum(compress(a, xs))
     xs[basic] = _snap((budget - full_spend) / a[basic], 1.0)
+    n = lp.n_policies
     return OptResult(
-        utility=sum(c * x for c, x in zip(lp.objective, xs)),
-        alphas=tuple(xs[: lp.n_policies]),
-        delta=xs[lp.n_policies],
+        utility=sum(map(mul, lp.objective, xs)),
+        alphas=tuple(xs[:n]),
+        delta=xs[n],
     )
 
 

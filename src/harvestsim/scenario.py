@@ -24,6 +24,7 @@ import math
 import random
 import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from pathlib import Path
 
 import jsonschema
 import yaml
@@ -425,16 +426,12 @@ def synth_trace(spec: ProfileSpec, n_slots: int) -> HarvestTrace:
     return HarvestTrace(powers=tuple(powers), scale=spec.scale)
 
 
-def build_profile_trace(
-    prof: ProfileSpec, n_slots: int, name: str, read_file=None
-) -> HarvestTrace:
+def build_profile_trace(prof: ProfileSpec, n_slots: int, name: str) -> HarvestTrace:
     """Materialize a profile into a trace covering ``n_slots`` slots."""
     if prof.kind == "constant":
         return HarvestTrace(powers=(prof.power_w,) * n_slots, scale=prof.scale)
     if prof.kind == "csv":
-        if read_file is None:
-            read_file = lambda p: open(p, encoding="utf-8").read()
-        trace = load_trace(read_file(prof.path), scale=prof.scale)
+        trace = load_trace(Path(prof.path).read_text(encoding="utf-8"), scale=prof.scale)
         if len(trace) < n_slots:
             raise ParseError(
                 f"profile {name}: trace has {len(trace)} slots, run needs {n_slots}"

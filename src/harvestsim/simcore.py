@@ -44,13 +44,16 @@ restarts its warm-up from the current sample instead of aborting the run.
 Link table: node positions never move, so the mean received power of a link
 at a given transmit power (path loss without shadowing) is computed once per
 (sender, receiver, power) on first use and memoised, and each broadcast walks
-a per-(sender, power) fan-out list of ``(receiver, mean)`` pairs in node-id
-order, also built on first use. A link is left out of a fan-out only when it
-can never draw from the channel stream: without shadowing a link below
+a per-(sender, power) fan-out list of ``(receiver, mean, loss)`` entries in
+node-id order, also built on first use. A link is left out of a fan-out only
+when it can never draw from the channel stream: without shadowing a link below
 sensitivity was always skipped before its delivery draw, so it is dropped;
 with shadowing every link keeps its per-reception draw, which can still lift
-it above sensitivity, so every link stays. Either way the channel stream is
-consumed in the same order as a full scan over all nodes.
+it above sensitivity, so every link stays. Without shadowing every reception
+of a link has its mean power, so the entry carries the link's loss
+probability, computed once; with it each reception computes its own. Either
+way the channel stream is consumed in the same order as a full scan over all
+nodes, and every delivery draw is :func:`survives`.
 
 Determinism: all randomness flows from named streams derived from the global
 seed, and the event queue orders ties by insertion sequence, so identical
@@ -112,14 +115,29 @@ def loss_probability(rssi_dbm: float, channel: ChannelSettings) -> float:
     return channel.loss_prob_at_zero * (1.0 - margin / channel.loss_margin_db)
 
 
+def survives(loss: float, rng) -> bool:
+    """Bernoulli frame delivery at loss probability ``loss``: a certain
+    outcome draws nothing, any other draws once from ``rng``."""
+    if loss >= 1.0:
+        return False
+    if loss <= 0.0:
+        return True
+    return rng.random() >= loss
+
+
 def deliver(rssi_dbm: float, channel: ChannelSettings, rng) -> bool:
     """Bernoulli frame delivery at the given received power."""
-    p = loss_probability(rssi_dbm, channel)
-    if p >= 1.0:
-        return False
-    if p <= 0.0:
-        return True
-    return rng.random() >= p
+    return survives(loss_probability(rssi_dbm, channel), rng)
+
+
+class _Link(NamedTuple):
+    """One fan-out entry: a receiver, the link's mean received power, and,
+    when that mean is every reception's power (no shadowing), its loss
+    probability; ``None`` when each reception draws its own power."""
+
+    receiver: NodeRuntime
+    mean: float
+    loss: float | None
 
 
 class _Purpose(NamedTuple):
@@ -257,9 +275,14 @@ class World:
         )
         self.thresholds = LevelThresholds(*cfg.energy.thresholds)
         self.floor = cfg.energy.floor_fraction * cfg.energy.capacity_uj
-        self._sleep_ms_by_level = {
-            level: mac.schedule_from_delta(delta, cfg.mac).sleep_ms
+        # The schedule each energy level runs, realized once; a node runs
+        # its own level's.
+        self._schedules = {
+            level: mac.schedule_from_delta(delta, cfg.mac)
             for level, delta in mac.DELTA_BY_LEVEL.items()
+        }
+        self._sleep_ms_by_level = {
+            level: schedule.sleep_ms for level, schedule in self._schedules.items()
         }
         # The radio energy of every fixed-length frame, computed once.
         control_ms = cfg.mac.control_packet_ms
@@ -311,7 +334,7 @@ class World:
             for power in radio.tx_ma
         }
         self._link_means: dict[tuple[str, str, float], float] = {}
-        self._fanouts: dict[tuple[str, float], tuple[tuple[NodeRuntime, float], ...]] = {}
+        self._fanouts: dict[tuple[str, float], tuple[_Link, ...]] = {}
         # Read by every reception's shadowing draw, so looked up once.
         self._sigma = cfg.channel.shadowing_sigma_db
         # The mean-plus-shadowing RSSI of the unicast exchange in progress.
@@ -414,23 +437,30 @@ class World:
             self._link_means[key] = mean
         return mean
 
-    def _fanout(self, sender: NodeRuntime, tx_dbm: float) -> tuple[tuple[NodeRuntime, float], ...]:
-        """Every ``(receiver, mean)`` a broadcast can reach, in node-id order.
+    def _fanout(self, sender: NodeRuntime, tx_dbm: float) -> tuple[_Link, ...]:
+        """Every :class:`_Link` a broadcast can reach, in node-id order.
 
         Without shadowing, links below sensitivity never reach a delivery
-        draw and are left out; with shadowing every link is kept.
+        draw and are left out, and each kept link carries its loss
+        probability; with shadowing every link is kept, without one.
         """
         key = (sender.node_id, tx_dbm)
         fan = self._fanouts.get(key)
         if fan is None:
-            keep_all = self.cfg.channel.shadowing_sigma_db > 0.0
-            sensitivity = self.cfg.channel.sensitivity_dbm
+            channel = self.cfg.channel
             links = (
                 (other, self._link_mean(sender, other, tx_dbm))
                 for other in self.nodes.values()
                 if other is not sender
             )
-            fan = tuple((other, mean) for other, mean in links if keep_all or mean >= sensitivity)
+            if self._sigma > 0.0:
+                fan = tuple(_Link(other, mean, None) for other, mean in links)
+            else:
+                fan = tuple(
+                    _Link(other, mean, loss_probability(mean, channel))
+                    for other, mean in links
+                    if mean >= channel.sensitivity_dbm
+                )
             self._fanouts[key] = fan
         return fan
 
@@ -557,11 +587,16 @@ class World:
         sensitivity = channel.sensitivity_dbm
         rng, shadow, hear = self.rng_channel, self._shadow, self._hear
         t_ms = t * 1000.0
-        for other, mean in self._fanout(rt, routing.REFERENCE_TX_POWER_DBM):
-            rssi = shadow(mean)
-            if rssi < sensitivity or not other.awake_at(t_ms):
+        for other, rssi, loss in self._fanout(rt, routing.REFERENCE_TX_POWER_DBM):
+            if loss is None:  # shadowed: this reception draws its own power
+                rssi = shadow(rssi)
+                if rssi < sensitivity:
+                    continue
+            if not other.awake_at(t_ms):
                 continue
-            if deliver(rssi, channel, rng) and charge(other, "mac:beacon-rx", rx):
+            if loss is None:
+                loss = loss_probability(rssi, channel)
+            if survives(loss, rng) and charge(other, "mac:beacon-rx", rx):
                 hear(other, node_id, rssi, is_beacon=True)
 
     def _on_rreq_init(self, t: float, node_id: str) -> None:
@@ -591,14 +626,16 @@ class World:
         sensitivity = channel.sensitivity_dbm
         rng, shadow = self.rng_channel, self._shadow
         heard = []
-        for other, mean in self._fanout(rt, rreq.tx_power_dbm):
+        for other, rssi, loss in self._fanout(rt, rreq.tx_power_dbm):
             # Radio-off receivers are skipped before their shadowing draw.
             if other.tx_power is None:
                 continue
-            rssi = shadow(mean)
-            if rssi < sensitivity or not deliver(rssi, channel, rng):
-                continue
-            if charge(other, "mac:rreq-rx", rx):
+            if loss is None:  # shadowed: this reception draws its own power
+                rssi = shadow(rssi)
+                if rssi < sensitivity:
+                    continue
+                loss = loss_probability(rssi, channel)
+            if survives(loss, rng) and charge(other, "mac:rreq-rx", rx):
                 heard.append((other.node_id, rssi))
         if heard:
             self._push(arrival, "rreq_arrive", rreq, tuple(heard))
@@ -773,11 +810,9 @@ class World:
         rt.next_prediction = pred
         forecasts = forecast.predict_horizon(rt.predictor_state, settings.horizon)
 
-        neighbor_levels = {
-            n: lvl
-            for n, (lvl, seen) in rt.neighbor_seen.items()
-            if slot - seen <= NEIGHBOR_TTL_SLOTS
-        }
+        neighbor_levels = [
+            lvl for lvl, seen in rt.neighbor_seen.values() if slot - seen <= NEIGHBOR_TTL_SLOTS
+        ]
         context = app.assess_slot(rt.store, forecasts, neighbor_levels)
         rt.available = e_a
         try:
@@ -785,7 +820,7 @@ class World:
         except routing.NodeDormant:
             rt.tx_power = None
         rt.delta_op = mac.DELTA_BY_LEVEL[context.own]
-        rt.schedule = mac.schedule_from_delta(rt.delta_op, self.cfg.mac)
+        rt.schedule = self._schedules[context.own]
 
         rt.plan = app.plan_slot(
             context,
@@ -800,8 +835,12 @@ class World:
             cache=rt.plan_terms,
         )
 
-        tx_quota = sum(1 for _, kind in rt.plan.run_ops if kind == TX_OP_KIND)
-        rx_quota = sum(1 for _, kind in rt.plan.run_ops if kind == RX_OP_KIND)
+        tx_quota = rx_quota = 0
+        for _, kind in rt.plan.run_ops:
+            if kind == TX_OP_KIND:
+                tx_quota += 1
+            elif kind == RX_OP_KIND:
+                rx_quota += 1
         rt.forwards_left = min(tx_quota, rx_quota) if rt.role == "relay" else 0
 
         if rt.role == "source":
@@ -858,7 +897,6 @@ class World:
         report, rt.store, skipped = app.execute_plan(
             rt.plan,
             rt.store,
-            self.table,
             self.floor,
             available=rt.available,
             slot=slot,

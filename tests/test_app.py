@@ -305,7 +305,7 @@ class TestDeferrals:
         assert len(p.backlog_run) == 2
         # The store covers nothing above the floor: the whole plan aborts.
         _, _, skipped = execute_plan(
-            p, store_at(FLOOR), OperationCostTable(), FLOOR
+            p, store_at(FLOOR), FLOOR
         )
         assert len(skipped) == 2 + 9
         requeued, lost = aborted_tail(policies, skipped, 9)
@@ -372,7 +372,7 @@ class TestExecutePlan:
         ctx = EnergyContext(EnergyLevel.E1, EnergyLevel.E1, EnergyLevel.E1)
         p = plan(ctx, budget=0.0)
         report, store, skipped = execute_plan(
-            p, store_at(50_000.0), OperationCostTable(), FLOOR
+            p, store_at(50_000.0), FLOOR
         )
         assert report.consumed_uj == 0.0
         assert report.ops_node == report.ops_network == 0
@@ -383,7 +383,7 @@ class TestExecutePlan:
         pol = Policy("one", (SENSE, TX))
         p = plan(ctx, policies=[pol], budget=50_000.0)
         report, store, _ = execute_plan(
-            p, store_at(50_000.0), OperationCostTable(), FLOOR
+            p, store_at(50_000.0), FLOOR
         )
         assert report.consumed_uj == pytest.approx(361.30)
         assert report.ops_node == 1 and report.ops_network == 1
@@ -393,7 +393,7 @@ class TestExecutePlan:
         ctx = EnergyContext(EnergyLevel.E1, EnergyLevel.E3, EnergyLevel.E3)
         p = plan(ctx, policies=[Policy("one", (TX,))], tx_power_dbm=-10)
         log = ChargeBook(keep_rows=True)
-        execute_plan(p, store_at(50_000.0), OperationCostTable(), FLOOR, charges=log)
+        execute_plan(p, store_at(50_000.0), FLOOR, charges=log)
         assert [amount for *_, amount in log.rows] == [271.0]
 
     def test_drained_backlog_transmit_charged_at_slot_power(self):
@@ -403,10 +403,12 @@ class TestExecutePlan:
         backlog = Backlog()
         backlog.push(BacklogEntry(TX, "deferred-tx", 1, enqueued_slot=0, packet_id="D-0-0"))
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
-        p = plan(ctx, policies=[Policy("log", (SENSE,))], backlog=backlog, tx_power_dbm=0)
+        p = plan(
+            ctx, policies=[Policy("log", (SENSE,))], backlog=backlog, table=table, tx_power_dbm=0
+        )
         assert [e.packet_id for e in p.backlog_run] == ["D-0-0"]
         log = ChargeBook(keep_rows=True)
-        execute_plan(p, store_at(50_000.0), table, FLOOR, charges=log)
+        execute_plan(p, store_at(50_000.0), FLOOR, charges=log)
         assert log.rows[0][2:] == ("op:tx128", table.tx_costs[0])
 
     def test_mid_slot_abort_backlogs_rest(self):
@@ -415,7 +417,7 @@ class TestExecutePlan:
         p = plan(ctx, policies=[pol], budget=50_000.0)
         # Store only covers one transmission above the floor.
         tight = EnergyStore(stored=FLOOR + 500.0, capacity=CAP)
-        report, store, skipped = execute_plan(p, tight, OperationCostTable(), FLOOR)
+        report, store, skipped = execute_plan(p, tight, FLOOR)
         assert report.aborted
         assert report.ops_network == 1
         assert len(skipped) == 2
@@ -426,16 +428,16 @@ class TestExecutePlan:
         table = OperationCostTable()
         for budget in (0.0, 500.0, 2_000.0, 10_000.0, 50_000.0):
             ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
-            p = plan(ctx, budget=budget)
-            report, _, _ = execute_plan(p, store_at(CAP), table, FLOOR)
+            p = plan(ctx, budget=budget, table=table)
+            report, _, _ = execute_plan(p, store_at(CAP), FLOOR)
             assert report.consumed_uj <= budget + 400.0 + 1e-9
 
     def test_charge_log_matches_table(self):
         table = OperationCostTable()
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
-        p = plan(ctx, budget=50_000.0)
+        p = plan(ctx, budget=50_000.0, table=table)
         log = ChargeBook(keep_rows=True)
-        execute_plan(p, store_at(CAP), table, FLOOR, charges=log, slot=3, node="D")
+        execute_plan(p, store_at(CAP), FLOOR, charges=log, slot=3, node="D")
         assert log.rows
         for slot, node, label, amount in log.rows:
             assert (slot, node) == (3, "D")

@@ -1,7 +1,11 @@
+import dataclasses
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import csma_oracle
 from harvestsim.energy import EnergyLevel
 from harvestsim.mac import (
     DELTA_BY_LEVEL,
@@ -9,6 +13,7 @@ from harvestsim.mac import (
     DutySchedule,
     MacConfig,
     NoAck,
+    PreambleTrain,
     RadioEnergyModel,
     backoff_window_ms,
     cca,
@@ -61,6 +66,40 @@ class TestSchedule:
         assert DELTA_BY_LEVEL[EnergyLevel.E0] == 0.0
         assert DELTA_BY_LEVEL[EnergyLevel.E1] == 0.05
         assert DELTA_BY_LEVEL[EnergyLevel.E3] == 0.25
+
+
+def every_schedule():
+    """Each level's schedule in both modes, then always-on and radio-off."""
+    out = [
+        schedule_from_delta(delta, MacConfig(schedule_mode=mode))
+        for mode in ("formula", "paper-table")
+        for delta in DELTA_BY_LEVEL.values()
+    ]
+    return out + [schedule_from_delta(1.0), DutySchedule(wake_ms=0.0, sleep_ms=math.inf)]
+
+
+class TestDerivedScheduleFields:
+    @pytest.mark.parametrize("sched", every_schedule(), ids=repr)
+    def test_period_and_radio_off_follow_the_timings(self, sched):
+        assert sched.period_ms == sched.wake_ms + sched.sleep_ms
+        assert sched.radio_off == (sched.wake_ms == 0.0)
+
+    @pytest.mark.parametrize("sched", every_schedule(), ids=repr)
+    def test_equality_hash_and_repr_see_only_the_timings(self, sched):
+        twin = DutySchedule(wake_ms=sched.wake_ms, sleep_ms=sched.sleep_ms)
+        assert twin == sched and hash(twin) == hash(sched)
+        assert hash(sched) == hash((sched.wake_ms, sched.sleep_ms))
+        assert repr(sched) == f"DutySchedule(wake_ms={sched.wake_ms!r}, sleep_ms={sched.sleep_ms!r})"
+        assert [f.name for f in dataclasses.fields(sched) if f.compare] == ["wake_ms", "sleep_ms"]
+        assert sched != DutySchedule(wake_ms=sched.wake_ms + 1.0, sleep_ms=sched.sleep_ms)
+
+    @pytest.mark.parametrize("sched", every_schedule(), ids=repr)
+    def test_replace_recomputes_both(self, sched):
+        off = dataclasses.replace(sched, wake_ms=0.0)
+        assert off.radio_off and off.period_ms == sched.sleep_ms
+        longer = dataclasses.replace(sched, wake_ms=7.0, sleep_ms=sched.sleep_ms + 3.0)
+        assert not longer.radio_off
+        assert longer.period_ms == 7.0 + (sched.sleep_ms + 3.0)
 
 
 class TestPreamble:
@@ -217,3 +256,99 @@ class TestCsmaSend:
         )
         assert res.delivered
         assert res.attempts == 2
+
+
+def _mac_outcome(sched, cfg, rng, **kwargs):
+    """``csma_send``'s outcome in the oracle's terms."""
+    try:
+        res, outcome = csma_send(sched, cfg, rng, **kwargs), csma_oracle.DELIVERED
+    except ChannelSaturated as exc:
+        res, outcome = exc.result, csma_oracle.SATURATED
+    except NoAck as exc:
+        res, outcome = exc.result, csma_oracle.NO_ACK
+    assert res.delivered == (outcome == csma_oracle.DELIVERED)
+    return csma_oracle.OracleSend(
+        outcome, res.attempts, res.preambles_sent, res.elapsed_ms, res.sender_tx_ms
+    )
+
+
+class TestCsmaOracle:
+    """``csma_send`` equals the exchange loop it was derived from, draw for draw."""
+
+    @given(
+        sched=st.sampled_from(every_schedule()),
+        rts_cts=st.booleans(),
+        mode=st.sampled_from(["formula", "paper-table"]),
+        arq_retries=st.integers(min_value=0, max_value=4),
+        backoff_attempts=st.integers(min_value=1, max_value=6),
+        packet_ms=st.sampled_from([1.0, 0.5, 1.7]),
+        train=st.none() | st.integers(min_value=1, max_value=130),
+        phase=st.floats(min_value=0.0, max_value=120.0),
+        start=st.floats(min_value=0.0, max_value=1e7),
+        busy_for=st.floats(min_value=-30.0, max_value=120.0),
+        loss=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_equals_oracle(
+        self, sched, rts_cts, mode, arq_retries, backoff_attempts, packet_ms, train,
+        phase, start, busy_for, loss, seed,
+    ):
+        cfg = MacConfig(
+            rts_cts=rts_cts, schedule_mode=mode, arq_retries=arq_retries,
+            backoff_max_attempts=backoff_attempts, preamble_packet_ms=packet_ms,
+        )
+        busy_until = start + busy_for
+
+        def channel(t):
+            return 0.0 if t < busy_until else -120.0
+
+        runs = []
+        for side in ("mac", "oracle"):
+            rng, link = random.Random(seed), random.Random(seed + 1)
+
+            def delivers(_round, link=link):
+                return link.random() >= loss
+
+            if side == "mac":
+                got = _mac_outcome(
+                    sched, cfg, rng, receiver_phase_ms=phase, start_ms=start,
+                    channel_power_dbm=channel, attempt_delivers=delivers,
+                    train=None if train is None else PreambleTrain(train, packet_ms),
+                )
+            else:
+                got = csma_oracle.csma_send(
+                    sched.wake_ms, sched.sleep_ms, cfg, rng, phase_ms=phase, start_ms=start,
+                    channel_power_dbm=channel, attempt_delivers=delivers,
+                    train=None if train is None else (train, packet_ms),
+                )
+            runs.append((got, rng.getstate(), link.getstate()))
+        assert runs[0] == runs[1]
+
+    def test_examples_reach_every_outcome(self):
+        # Saturated, unacknowledged and delivered exchanges, including an
+        # undersized train that misses the wake and retries.
+        cfg = MacConfig(arq_retries=2)
+        sleepy = schedule_from_delta(0.05)
+        cases = [
+            (awake_schedule(), dict(channel_power_dbm=lambda t: 0.0)),
+            (sleepy, dict(train=PreambleTrain(3, 1.0), receiver_phase_ms=50.0)),
+            (sleepy, dict(receiver_phase_ms=50.0, attempt_delivers=lambda k: k == 2)),
+        ]
+        outcomes = []
+        for sched, kwargs in cases:
+            got = _mac_outcome(sched, cfg, random.Random(7), **kwargs)
+            oracle_kwargs = {
+                "phase_ms": kwargs.get("receiver_phase_ms", 0.0),
+                "start_ms": 0.0,
+                "channel_power_dbm": kwargs.get("channel_power_dbm", lambda t: -120.0),
+                "attempt_delivers": kwargs.get("attempt_delivers", lambda k: True),
+            }
+            if "train" in kwargs:
+                oracle_kwargs["train"] = (kwargs["train"].count, kwargs["train"].packet_ms)
+            want = csma_oracle.csma_send(
+                sched.wake_ms, sched.sleep_ms, cfg, random.Random(7), **oracle_kwargs
+            )
+            assert got == want
+            outcomes.append(got.outcome)
+        assert outcomes == [csma_oracle.SATURATED, csma_oracle.NO_ACK, csma_oracle.DELIVERED]

@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -11,6 +13,7 @@ from harvestsim.scenario import (
     ParseError,
     ProfileSpec,
     SchemaError,
+    build_profile_trace,
     config_hash,
     load_trace,
     parse_scenario,
@@ -255,6 +258,19 @@ class TestLoadTrace:
         again = load_trace(trace_to_csv(trace))
         assert again.powers == trace.powers
         assert again.start_slot == 5
+
+
+class TestBuildProfileTrace:
+    def test_csv_profile_leaves_no_file_open(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("slot,power_watts\n0,0.001\n1,0.002\n", encoding="utf-8")
+        spec = ProfileSpec(kind="csv", path=str(path), scale=0.5)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            trace = build_profile_trace(spec, 2, "sun")
+            gc.collect()
+        assert (trace.powers, trace.scale) == ((0.001, 0.002), 0.5)
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestSynthTrace:

@@ -204,6 +204,31 @@ class TestRadioDormancy:
         assert (2, "D-1-9", "B", "dormant") in world.metrics.drops
 
 
+class TestLevelSchedules:
+    @pytest.mark.parametrize("mode", ["formula", "paper-table"])
+    def test_each_node_runs_the_worlds_schedule_for_its_level(self, tree_cfg, mode):
+        # Relay B gets no harvest, so its levels fall through E0 (radio off).
+        cfg = dataclasses.replace(
+            tree_cfg,
+            seed=7,
+            energy=dataclasses.replace(tree_cfg.energy, floor_fraction=0.02),
+            mac=dataclasses.replace(tree_cfg.mac, schedule_mode=mode),
+        )
+        world = World(cfg, traces={"B": HarvestTrace(powers=(0.0,) * 60)})
+        levels = set()
+        for _ in range(60):
+            world.step_slot()
+            for rt in world.nodes.values():
+                if rt.is_sink:
+                    continue
+                own = rt.plan.context.own
+                levels.add(own)
+                assert rt.schedule is world._schedules[own]
+                assert rt.schedule == mac.schedule_from_delta(mac.DELTA_BY_LEVEL[own], cfg.mac)
+        assert len(world._schedules) == len(mac.DELTA_BY_LEVEL)
+        assert EnergyLevel.E0 in levels and len(levels) > 2
+
+
 class TestDeferral:
     """``app`` decides what a slot defers, and at which priority."""
 
@@ -611,10 +636,10 @@ class TestLinkTable:
                     (x1, y1), (x2, y2) = sender.position, world.nodes[other_id].position
                     rssi = rssi_at(tx, math.hypot(x2 - x1, y2 - y1), cfg.channel)
                     if rssi >= cfg.channel.sensitivity_dbm:
-                        expected.append((other_id, rssi))
+                        expected.append((other_id, rssi, loss_probability(rssi, cfg.channel)))
                     else:
                         dropped += 1
-                got = [(other.node_id, mean) for other, mean in world._fanout(sender, tx)]
+                got = [(other.node_id, mean, loss) for other, mean, loss in world._fanout(sender, tx)]
                 assert got == expected
         assert dropped > 0  # the lattice has links below sensitivity at every power
 
@@ -701,7 +726,7 @@ class TestFloodArrival:
         t, _, kind, payload = world._events[0]
         assert kind == "rreq_arrive" and payload[0] is rreq
         heard = list(payload[1])
-        fan_out = [other.node_id for other, _ in world._fanout(sender, sender.tx_power)]
+        fan_out = [other.node_id for other, _, _ in world._fanout(sender, sender.tx_power)]
         ids = [node_id for node_id, _ in heard]
         assert len(ids) > 2
         assert ids == [n for n in fan_out if n in ids]  # fan-out order, each at most once
@@ -844,11 +869,20 @@ class TestGridInvariants:
 
 
 class TestPinnedLatticeOutputs:
-    """sha256 of each output of ``run`` on the 3x4 lattice (4 dB shadowing,
-    Holt-Winters predictor), seed 8, 60 slots. Floods, beacons and backlog
+    """sha256 of each output of ``run`` on the 3x4 lattice, seed 8, 60 slots:
+    with 4 dB shadowing and the Holt-Winters predictor, and without
+    shadowing under EWMA (the ``unshadowed-`` cases), where every broadcast
+    walks its fixed links' delivery terms. Floods, beacons and backlog
     evictions all run here, which the tree exercises little. A change that
     alters an output on purpose updates the pin and names the change."""
 
+    # Each case's (shadowing sigma in dB, predictor, routing mode).
+    CASES = {
+        "modified": (4.0, "hw", "modified"),
+        "baseline": (4.0, "hw", "baseline"),
+        "unshadowed-modified": (0.0, "ewma", "modified"),
+        "unshadowed-baseline": (0.0, "ewma", "baseline"),
+    }
     PINNED = {
         "modified": {
             "summary.json": "9554789f080e1e1b3d623f2e1231ed6a01744743b16d31370ebd1c245ed524eb",
@@ -864,16 +898,31 @@ class TestPinnedLatticeOutputs:
             "routes.csv": "2e4f4ef9849a699e3ed858489ad5a8754133e6d7b24a8da3143edceb2d6e7b9b",
             "forecast.csv": "750dbb38a7f159acef9c00161517cbe3cf94b98a5ac387542ddd56df03174fdf",
         },
+        "unshadowed-modified": {
+            "summary.json": "50e3362c15234c40ae7ac9dea80e3bab5fcddb4a05f1995ff65f201a392d7a36",
+            "slots.csv": "4726b7cdd408d7e51b6601631063d7d8ea909a58d75009e06133437936cf4f87",
+            "ledger.csv": "05e5e975e8bfd48b3ff01f02b03469d2b39b22836792280bae9f7b7682217745",
+            "routes.csv": "0e337134ae963598195661d6e5cff843bfb6cf6df3f974218e7daac6eb7510f0",
+            "forecast.csv": "8715eb5402d8d7f0141ea0a622f07674d38a9eca2548f914f9971b4107006a86",
+        },
+        "unshadowed-baseline": {
+            "summary.json": "f4b46b5b82d39740a56ee4e17ba0a2db15e6cb3be50ad532c987afb9652fa04f",
+            "slots.csv": "9f956891edef712c10129d7b66e50e4fdc3fefa23bc9ab056359e8eba2489671",
+            "ledger.csv": "b1bf48bd0c8d072d1c9c035729939326e8e75566ea9672ac847dc9af5afcd856",
+            "routes.csv": "75864046f32c351d6b318d394d9fbe7037146501bd46fa83cca474facacdf367",
+            "forecast.csv": "8715eb5402d8d7f0141ea0a622f07674d38a9eca2548f914f9971b4107006a86",
+        },
     }
 
-    @pytest.mark.parametrize("mode", ["modified", "baseline"])
-    def test_run_outputs_match_pinned_digests(self, tmp_path, mode):
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_run_outputs_match_pinned_digests(self, tmp_path, case):
+        sigma_db, predictor, mode = self.CASES[case]
         config = tmp_path / "lattice.yaml"
-        config.write_text(lattice_yaml(sigma_db=4.0, predictor="hw", slots=60))
+        config.write_text(lattice_yaml(sigma_db=sigma_db, predictor=predictor, slots=60))
         out = tmp_path / mode
         argv = ["run", "--config", str(config), "--seed", "8", "--mode", mode, "--out", str(out)]
         assert main(argv) == 0
         digests = {
-            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.PINNED[mode]
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.PINNED[case]
         }
-        assert digests == self.PINNED[mode]
+        assert digests == self.PINNED[case]
