@@ -9,6 +9,7 @@ backlog first; :func:`deferrals` alone decides what enters it.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -153,39 +154,55 @@ class BacklogEntry:
     packet_id: str | None = None
 
 
-@dataclass
 class Backlog:
     """Bounded deferred-operation queue.
 
-    Eviction removes the lowest-priority entry, oldest first among equals;
-    evicted entries are returned to the caller so nothing vanishes silently.
+    Eviction removes the lowest-priority entry, oldest first among equals,
+    and the first queued among entries equal in both; evicted entries are
+    returned to the caller so nothing vanishes silently.
+
+    The queue numbers its entries in queue order and keeps them by number,
+    with a heap of their eviction keys ``(-priority, enqueued_slot,
+    number)``, so a push past the capacity finds its victim at the top of
+    the heap. ``entries`` lists them in queue order; assigning it (as
+    :func:`plan_slot` does after a partial drain) numbers the new list
+    afresh, in its order.
     """
 
-    capacity: int = 64
-    entries: list[BacklogEntry] = field(default_factory=list)
+    def __init__(self, capacity: int = 64) -> None:
+        self.capacity = capacity
+        self.entries = []
+
+    @property
+    def entries(self) -> list[BacklogEntry]:
+        """A new list of the queued entries, in queue order."""
+        return list(self._queued.values())
+
+    @entries.setter
+    def entries(self, entries: list[BacklogEntry]) -> None:
+        self._queued = dict(enumerate(entries))
+        self._heap = [(-e.priority, e.enqueued_slot, n) for n, e in self._queued.items()]
+        heapq.heapify(self._heap)
+        self._next = len(self._queued)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._queued)
 
     def push(self, entry: BacklogEntry) -> BacklogEntry | None:
-        entries = self.entries
-        entries.append(entry)
-        if len(entries) <= self.capacity:
+        n = self._next
+        self._next = n + 1
+        queued = self._queued
+        queued[n] = entry
+        key = (-entry.priority, entry.enqueued_slot, n)
+        if len(queued) <= self.capacity:
+            heapq.heappush(self._heap, key)
             return None
-        # One pass: the lowest priority (largest number), then the oldest,
-        # then the first among equals.
-        victim, worst = 0, entries[0]
-        for i, e in enumerate(entries):
-            if e.priority > worst.priority or (
-                e.priority == worst.priority and e.enqueued_slot < worst.enqueued_slot
-            ):
-                victim, worst = i, e
-        return entries.pop(victim)
+        return queued.pop(heapq.heappushpop(self._heap, key)[2])
 
     def drain(self) -> list[BacklogEntry]:
         """Remove and return all entries, highest priority and oldest first."""
-        out = sorted(self.entries, key=lambda e: (e.priority, e.enqueued_slot))
-        self.entries.clear()
+        out = sorted(self._queued.values(), key=lambda e: (e.priority, e.enqueued_slot))
+        self.entries = []
         return out
 
 
@@ -393,7 +410,7 @@ def plan_slot(
     if (
         context.own == EnergyLevel.E3
         and context.virtual == EnergyLevel.E3
-        and backlog.entries
+        and len(backlog)
     ):
         kept: list[BacklogEntry] = []
         for entry in backlog.drain():

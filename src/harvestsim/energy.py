@@ -3,8 +3,9 @@
 All energy amounts are plain floats in microjoules (uJ). A store is checked
 when it is built and on every draw: deposit/withdraw validate the amount
 first, then update the store in place and return it, so a refused or invalid
-draw leaves it untouched. :func:`withdraw_prefix` pays a sequence of draws in
-one pass, with the same floor rule as :func:`withdraw`, which is built on it.
+draw leaves it untouched. :func:`withdraw` pays one draw and
+:func:`withdraw_prefix` pays a sequence of draws in one pass; both apply the
+same floor rule: a draw is paid when what it leaves is not below the floor.
 A draw the floor refuses raises :class:`InsufficientEnergy` carrying its
 numbers; the message is formatted only when read. :class:`ChargeBook` streams
 every draw into totals.
@@ -148,8 +149,9 @@ def withdraw_prefix(store: EnergyStore, amounts: Sequence[float], floor: float) 
     """Spend ``amounts`` in order, in place, up to the first one that would
     breach the survivability floor; returns how many were paid.
 
-    Each draw subtracts from what the previous ones left. An invalid amount
-    or floor raises and leaves the store untouched.
+    Each draw subtracts from what the previous ones left, under the floor
+    rule of :func:`withdraw`. An invalid amount or floor raises and leaves
+    the store untouched.
     """
     check_amount(floor, "floor")
     stored = store.stored
@@ -168,9 +170,19 @@ def withdraw_prefix(store: EnergyStore, amounts: Sequence[float], floor: float) 
 
 def withdraw(store: EnergyStore, e: float, floor: float) -> EnergyStore:
     """Spend energy in place, refusing any draw that would breach the
-    survivability floor; returns the same store."""
-    if not withdraw_prefix(store, (e,), floor):
-        raise InsufficientEnergy(e, store.stored, floor)
+    survivability floor; returns the same store.
+
+    The floor is validated before the amount, as :func:`withdraw_prefix`
+    does, so both raise the same error for the same invalid arguments.
+    """
+    if not 0.0 <= floor < math.inf:
+        check_amount(floor, "floor")  # raises, naming the fault
+    check_amount(e, "withdrawal")
+    stored = store.stored
+    remaining = stored - e
+    if remaining < floor:
+        raise InsufficientEnergy(e, stored, floor)
+    store.stored = remaining
     return store
 
 

@@ -26,7 +26,7 @@ which energy level - the neighbour used.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .bounds import POS, enum, int_min
 from .energy import EnergyLevel
@@ -270,13 +270,20 @@ def sink_receive(
     it is open, and after it closed answers a late copy only when it is
     strictly cheaper than the answered route, even mid-transfer.
     """
-    candidate = replace(rreq, path=rreq.path + ((state.node_id, observed_rssi),))
     answered = state.answered.get(rreq.origin, 0)
     if rreq.seq < answered:
         return None, False
-    if settings.mode == "baseline":
-        if rreq.seq == answered:
-            return None, False  # first copy already answered this flood
+    baseline = settings.mode == "baseline"
+    if baseline and rreq.seq == answered:
+        return None, False  # first copy already answered this flood
+    candidate = Rreq(
+        origin=rreq.origin,
+        dest=rreq.dest,
+        seq=rreq.seq,
+        path=rreq.path + ((state.node_id, observed_rssi),),
+        tx_power_dbm=rreq.tx_power_dbm,
+    )
+    if baseline:
         return _answer(state, candidate, candidate_cost(settings, candidate)), False
     key = (rreq.origin, rreq.seq)
     if key in state.windows:

@@ -16,24 +16,28 @@ Each slot runs three phases, nodes visited in ascending id order:
 
 Flood arrival: every reception of one RREQ broadcast happens at the same
 arrival time, so the broadcast queues one ``rreq_arrive`` event carrying its
-``(receiver, rssi)`` pairs in fan-out order, and that event handles each
-reception in turn (``_on_rreq_rx``). The order is that of one event per
-reception: such events would have held consecutive places in the queue, and
-everything a reception schedules is queued after them.
+``(receiver, rssi)`` pairs in fan-out order, each receiver a
+:class:`NodeRuntime`, and that event handles each reception in turn
+(``_on_rreq_rx``), with the hop they all heard and the routing settings
+looked up once. The order is that of one event per reception: such events
+would have held consecutive places in the queue, and everything a reception
+schedules is queued after them.
 
 Energy accounting is split in two: application operations (sense, compute,
 storage, packet transmissions/receptions) are settled through the plan at
 exact cost-table values, while MAC-layer overhead (preamble trains, acks,
 retries, beacons, flood frames) is charged per event from the radio current
-model. Every draw is streamed into two tables as it is made (an
-:class:`energy.ChargeBook`): sums per (slot, node), against which each
-per-slot ledger row closes, and totals per (node, label). Per-draw rows are
-kept only when asked for (``collect_charges``). The radio energies of
-fixed-length frames are computed once per world. Rarely, a slot's radio
-overhead can leave the store unable to cover the already-planned
-operations; settlement then aborts mid-plan (the forecast-error path):
-``app`` defers the tail's node-class steps, and each lost network operation
-is recorded as an ``aborted-op`` drop.
+model, each draw one :func:`energy.withdraw` call (through this module's
+``withdraw`` binding). Every draw is streamed into two tables as it is made
+(an :class:`energy.ChargeBook`, whose ``add`` each world looks up once):
+sums per (slot, node), against which each per-slot ledger row closes, and
+totals per (node, label). Per-draw rows are kept only when asked for
+(``collect_charges``). The radio energies of fixed-length frames are
+computed once per world. Rarely, a slot's radio overhead can leave the store
+unable to cover the already-planned operations; settlement then aborts
+mid-plan (the forecast-error path): ``app`` defers the tail's node-class
+steps, and each lost network operation is recorded as an ``aborted-op``
+drop.
 
 Forecasting: each node feeds its slot's harvest to :func:`forecast.step`
 under the scenario's predictor settings. When the seasonal model degenerates
@@ -342,6 +346,8 @@ class World:
 
         self.rng_channel = random.Random(f"{cfg.seed}:channel")
         self.metrics = Metrics(book=ChargeBook(keep_rows=collect_charges))
+        # Every overhead draw enters the book; its add is looked up once.
+        self._book_add = self.metrics.book.add
         self.now = 0.0
         self.slot = 0
         self.busy_until = 0.0
@@ -417,7 +423,7 @@ class World:
             withdraw(rt.store, amount, self.floor)
         except InsufficientEnergy:
             return False
-        self.metrics.book.add(self.slot, rt.node_id, label, amount)
+        self._book_add(self.slot, rt.node_id, label, amount)
         return True
 
     def _trace_mac(self, t: float, node: str, event: str, detail: str = "") -> None:
@@ -472,24 +478,22 @@ class World:
     def _link_rssi(self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float) -> float:
         return self._shadow(self._link_mean(sender, receiver, tx_dbm))
 
-    def _hear(
-        self, receiver: NodeRuntime, sender_id: str, rssi: float, is_beacon: bool
-    ) -> None:
-        state = receiver.routing
-        if is_beacon:
-            # Beacons ride the fixed reference power: they calibrate the
-            # per-neighbour reference and prove liveness, but carry no level
-            # information of their own.
-            state.references[sender_id] = routing.calibrate_reference(
-                state.references.get(sender_id), rssi
-            )
-            if sender_id == self.sink_id:
-                level = EnergyLevel.E3
-            else:
-                level = receiver.neighbor_seen.get(sender_id, (EnergyLevel.E1, 0))[0]
-            receiver.neighbor_seen[sender_id] = (level, self.slot)
-            return
-        ref = state.references.get(sender_id)
+    def _hear_beacon(self, receiver: NodeRuntime, sender_id: str, rssi: float) -> None:
+        """Beacons ride the fixed reference power: they calibrate the
+        per-neighbour reference and prove liveness, but carry no level
+        information of their own."""
+        references = receiver.routing.references
+        references[sender_id] = routing.calibrate_reference(references.get(sender_id), rssi)
+        if sender_id == self.sink_id:
+            level = EnergyLevel.E3
+        else:
+            level = receiver.neighbor_seen.get(sender_id, (EnergyLevel.E1, 0))[0]
+        receiver.neighbor_seen[sender_id] = (level, self.slot)
+
+    def _hear(self, receiver: NodeRuntime, sender_id: str, rssi: float) -> None:
+        """Any other frame, sent at its sender's level power: once a beacon
+        has calibrated the sender's reference, it tells the sender's level."""
+        ref = receiver.routing.references.get(sender_id)
         if ref is None:
             return
         level = routing.infer_neighbor_level(rssi, ref)
@@ -568,7 +572,7 @@ class World:
             ))
         if delivered:
             self._charge(receiver, spec.rx_label, spec.rx_uj)
-            self._hear(receiver, sender.node_id, rssi, is_beacon=False)
+            self._hear(receiver, sender.node_id, rssi)
         return delivered, elapsed_s, result
 
     # ------------------------------------------------------------------
@@ -585,7 +589,7 @@ class World:
         rx = self._control_rx_uj
         channel = self.cfg.channel
         sensitivity = channel.sensitivity_dbm
-        rng, shadow, hear = self.rng_channel, self._shadow, self._hear
+        rng, shadow, hear = self.rng_channel, self._shadow, self._hear_beacon
         t_ms = t * 1000.0
         for other, rssi, loss in self._fanout(rt, routing.REFERENCE_TX_POWER_DBM):
             if loss is None:  # shadowed: this reception draws its own power
@@ -597,7 +601,7 @@ class World:
             if loss is None:
                 loss = loss_probability(rssi, channel)
             if survives(loss, rng) and charge(other, "mac:beacon-rx", rx):
-                hear(other, node_id, rssi, is_beacon=True)
+                hear(other, node_id, rssi)
 
     def _on_rreq_init(self, t: float, node_id: str) -> None:
         rt = self.nodes[node_id]
@@ -618,7 +622,8 @@ class World:
         charge = self._charge
         if not charge(rt, "mac:rreq-tx", self._rreq_tx_uj[rreq.tx_power_dbm]):
             return
-        self._trace_mac(t, rt.node_id, "rreq-tx", f"seq={rreq.seq}")
+        if self.collect_mac_trace:  # format the detail only when it is kept
+            self._trace_mac(t, rt.node_id, "rreq-tx", f"seq={rreq.seq}")
         arrival = t + self._rreq_span_ms / 1000.0
         self.busy_until = max(self.busy_until, arrival)
         rx = self._control_rx_uj
@@ -636,7 +641,7 @@ class World:
                     continue
                 loss = loss_probability(rssi, channel)
             if survives(loss, rng) and charge(other, "mac:rreq-rx", rx):
-                heard.append((other.node_id, rssi))
+                heard.append((other, rssi))
         if heard:
             self._push(arrival, "rreq_arrive", rreq, tuple(heard))
 
@@ -646,22 +651,32 @@ class World:
         One event stands for the receptions a broadcast once queued one by
         one: they shared its arrival time and took consecutive queue places,
         and whatever a reception schedules is queued after them, so handling
-        them here in order keeps the event order.
+        them here in order keeps the event order. What every reception shares,
+        the hop it heard and the routing settings, is looked up once.
         """
-        on_rx = self._on_rreq_rx
-        for node_id, rssi in heard:
-            on_rx(t, node_id, rreq, rssi)
-
-    def _on_rreq_rx(self, t: float, node_id: str, rreq: routing.Rreq, rssi: float) -> None:
-        rt = self.nodes[node_id]
         last_hop = rreq.path[-1][0] if rreq.path else rreq.origin
-        self._hear(rt, last_hop, rssi, is_beacon=False)
+        settings = self.cfg.routing
+        on_rx = self._on_rreq_rx
+        for rt, rssi in heard:
+            on_rx(t, rt, rreq, rssi, last_hop, settings)
+
+    def _on_rreq_rx(
+        self,
+        t: float,
+        rt: NodeRuntime,
+        rreq: routing.Rreq,
+        rssi: float,
+        last_hop: str,
+        settings: routing.RoutingSettings,
+    ) -> None:
+        """One reception of ``rreq`` by ``rt``, heard from ``last_hop``."""
+        self._hear(rt, last_hop, rssi)
         if rt.is_sink:
-            rrep, opens_window = routing.sink_receive(rt.routing, self.cfg.routing, rreq, rssi)
+            rrep, opens_window = routing.sink_receive(rt.routing, settings, rreq, rssi)
             if rrep is not None:
                 self._push(t + PROCESSING_DELAY_S, "rrep_hop", rrep, 0)
             elif opens_window:
-                window = self.cfg.routing.collection_window_ms / 1000.0
+                window = settings.collection_window_ms / 1000.0
                 self._push(t + window, "rreq_window", rreq.origin, rreq.seq)
             return
         if rt.role != "relay":
@@ -670,7 +685,7 @@ class World:
         if fwd is None:
             return
         jitter = rt.rng_mac.uniform(0.0, RREQ_JITTER_MS) / 1000.0
-        self._push(t + PROCESSING_DELAY_S + jitter, "rreq_tx", node_id, fwd)
+        self._push(t + PROCESSING_DELAY_S + jitter, "rreq_tx", rt.node_id, fwd)
 
     def _on_rreq_window(self, t: float, origin: str, seq: int) -> None:
         sink = self.nodes[self.sink_id]
@@ -741,6 +756,22 @@ class World:
             victim = rt.pending.pop(0)
             self.metrics.drops.append(
                 (self.slot, victim.pid, rt.node_id, f"queue-overflow({reason})")
+            )
+
+    def _hold_all(self, rt: NodeRuntime, pkts: list[Packet], reason: str) -> None:
+        """:meth:`_hold` of each of ``pkts`` in turn, for a source whose
+        pending queue is empty, done as one slice: the newest
+        ``PENDING_QUEUE_CAP`` wait, and the older ones overflow, oldest first."""
+        if not pkts:
+            return
+        if reason == "no-route":
+            rt.need_route = True
+        rt.pending = pkts[-PENDING_QUEUE_CAP:]
+        overflow = pkts[:-PENDING_QUEUE_CAP]
+        if overflow:
+            why = f"queue-overflow({reason})"
+            self.metrics.drops.extend(
+                [(self.slot, pkt.pid, rt.node_id, why) for pkt in overflow]
             )
 
     def _on_send(self, t: float, node_id: str, pkt: Packet) -> None:
@@ -861,8 +892,7 @@ class World:
         to_send = rt.pending + drained + sendable
         rt.pending = []
         if rt.tx_power is None or self.sink_id not in rt.routing.table:
-            for pkt in to_send:
-                self._hold(rt, pkt, "dormant" if rt.tx_power is None else "no-route")
+            self._hold_all(rt, to_send, "dormant" if rt.tx_power is None else "no-route")
         else:
             for i, pkt in enumerate(to_send):
                 self._push(t0 + 0.2 + i * period, "send", rt.node_id, pkt)

@@ -367,6 +367,81 @@ class TestBacklog:
         assert len(b) + len(evicted) == 10
 
 
+class _ScanBacklog:
+    """The backlog as it was before it kept eviction keys: each push past
+    the capacity scans every entry once for its victim."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = []
+
+    def push(self, entry):
+        entries = self.entries
+        entries.append(entry)
+        if len(entries) <= self.capacity:
+            return None
+        victim, worst = 0, entries[0]
+        for i, e in enumerate(entries):
+            if e.priority > worst.priority or (
+                e.priority == worst.priority and e.enqueued_slot < worst.enqueued_slot
+            ):
+                victim, worst = i, e
+        return entries.pop(victim)
+
+    def drain(self):
+        out = sorted(self.entries, key=lambda e: (e.priority, e.enqueued_slot))
+        self.entries.clear()
+        return out
+
+
+# A push of (priority, enqueued slot), or a drain that keeps the entries its
+# mask marks and assigns them back in drain order, as plan_slot does.
+BACKLOG_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(min_value=1, max_value=3), st.integers(0, 4)),
+        st.tuples(st.just("drain"), st.lists(st.booleans(), min_size=1, max_size=8)),
+    ),
+    max_size=80,
+)
+
+
+class TestBacklogEqualsScan:
+    @given(st.integers(min_value=1, max_value=6), BACKLOG_OPS)
+    @settings(max_examples=300)
+    def test_same_victims_and_entries(self, capacity, ops):
+        b, scan = Backlog(capacity=capacity), _ScanBacklog(capacity)
+        for i, op in enumerate(ops):
+            if op[0] == "push":
+                entry = BacklogEntry(SENSE, f"p{i}", op[1], enqueued_slot=op[2])
+                victim, expected = b.push(entry), scan.push(entry)
+                assert victim is expected
+            else:
+                mask = op[1]
+                for queue in (b, scan):
+                    drained = queue.drain()
+                    queue.entries = [e for j, e in enumerate(drained) if mask[j % len(mask)]]
+            assert len(b) == len(scan.entries)
+            assert all(x is y for x, y in zip(b.entries, scan.entries))
+
+    def test_plan_slot_reassignment_keeps_the_victim_rule(self):
+        # A drain too dear to run whole keeps its tail; pushes after it
+        # still evict as the scan does.
+        ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
+        backlog, scan = Backlog(capacity=4), _ScanBacklog(4)
+        for i, priority in enumerate((2, 1, 2, 1)):
+            entry = BacklogEntry(TX, f"p{i}", priority, enqueued_slot=i, packet_id=f"D-{i}")
+            backlog.push(entry)
+            scan.push(entry)
+        p = plan(ctx, budget=900.0, backlog=backlog)
+        assert 0 < len(p.backlog_run) < 4 and len(backlog) == 4 - len(p.backlog_run)
+        scan.entries = [e for e in scan.drain() if e not in p.backlog_run]
+        assert backlog.entries == scan.entries
+        for i in range(4, 10):
+            entry = BacklogEntry(SENSE, f"p{i}", 1 + i % 2, enqueued_slot=i % 3)
+            assert backlog.push(entry) is scan.push(entry)
+            assert backlog.entries == scan.entries
+
+
 class TestExecutePlan:
     def test_empty_plan_all_zero(self):
         ctx = EnergyContext(EnergyLevel.E1, EnergyLevel.E1, EnergyLevel.E1)

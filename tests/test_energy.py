@@ -19,6 +19,7 @@ from harvestsim.energy import (
     harvest_in_slot,
     op_cost,
     withdraw,
+    withdraw_prefix,
 )
 
 
@@ -188,6 +189,40 @@ class TestOpCosts:
             op_cost(table, "tx128")  # missing power level
         with pytest.raises(UnknownOperation):
             op_cost(table, "tx128", 7)
+
+
+# Any float, with the ones a draw must reject (NaN, infinities, negatives)
+# common, and the range a 100 uJ store spends in.
+DRAW_ARGS = st.one_of(
+    st.floats(),
+    st.floats(min_value=-200.0, max_value=200.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0]),
+)
+
+
+class TestWithdrawEqualsOneDrawPrefix:
+    """``withdraw`` pays one draw itself; it must behave exactly as a
+    one-draw ``withdraw_prefix``."""
+
+    @given(stored=st.floats(min_value=0.0, max_value=100.0), e=DRAW_ARGS, floor=DRAW_ARGS)
+    def test_same_balance_refusal_and_error(self, stored, e, floor):
+        one, prefix = make_store(stored), make_store(stored)
+        try:
+            paid = withdraw_prefix(prefix, (e,), floor)
+        except ValueError as expected:
+            with pytest.raises(ValueError) as got:
+                withdraw(one, e, floor)
+            assert str(got.value) == str(expected)
+            assert one.stored == prefix.stored == stored
+            return
+        if paid:
+            assert withdraw(one, e, floor) is one
+        else:
+            with pytest.raises(InsufficientEnergy) as got:
+                withdraw(one, e, floor)
+            assert got.value.args == (e, stored, floor)
+            assert one.stored == prefix.stored == stored
+        assert one.stored == prefix.stored
 
 
 class TestLedgerProperties:

@@ -9,12 +9,13 @@ from importlib import resources
 import pytest
 import yaml
 
-from harvestsim import app, forecast, mac, routing, simcore
+from harvestsim import app, energy, forecast, mac, routing, simcore
 from harvestsim.cli import main
 from harvestsim.energy import (
     DEFAULT_TX_COSTS,
     ChargeBook,
     EnergyLevel,
+    EnergyStore,
     HarvestTrace,
     OperationCostTable,
     SlotOutOfRange,
@@ -486,7 +487,7 @@ class _FullScanWorld(World):
                 continue
             rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
             if self._charge(other, "mac:beacon-rx", rx):
-                self._hear(other, node_id, rssi, is_beacon=True)
+                self._hear_beacon(other, node_id, rssi)
 
     def _broadcast_rreq(self, t, rt, rreq):
         if rt.tx_power is None and not rt.is_sink:
@@ -513,7 +514,8 @@ class _FullScanWorld(World):
             rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
             if not self._charge(other, "mac:rreq-rx", rx):
                 continue
-            self._push(arrival, "rreq_rx", other.node_id, rreq, rssi)
+            last_hop = rreq.path[-1][0] if rreq.path else rreq.origin
+            self._push(arrival, "rreq_rx", other, rreq, rssi, last_hop, self.cfg.routing)
 
 
 def _sink_decide(state, settings, candidates):
@@ -556,11 +558,10 @@ class _EngineSinkWorld(World):
         self.active_sink_route = {}
         self.reanswers = 0
 
-    def _on_rreq_rx(self, t, node_id, rreq, rssi):
-        rt = self.nodes[node_id]
+    def _on_rreq_rx(self, t, rt, rreq, rssi, last_hop, settings):
         if not rt.is_sink:
-            return super()._on_rreq_rx(t, node_id, rreq, rssi)
-        self._hear(rt, rreq.path[-1][0] if rreq.path else rreq.origin, rssi, is_beacon=False)
+            return super()._on_rreq_rx(t, rt, rreq, rssi, last_hop, settings)
+        self._hear(rt, last_hop, rssi)
         self._sink_handle_rreq(t, rt, rreq, rssi)
 
     def _sink_handle_rreq(self, t, sink, rreq, rssi):
@@ -705,9 +706,9 @@ class _ArrivalLogWorld(World):
         super().__init__(*args, **kwargs)
         self.handled = []
 
-    def _on_rreq_rx(self, t, node_id, rreq, rssi):
-        self.handled.append((node_id, rssi))
-        super()._on_rreq_rx(t, node_id, rreq, rssi)
+    def _on_rreq_rx(self, t, rt, rreq, rssi, last_hop, settings):
+        self.handled.append((rt, rssi))
+        super()._on_rreq_rx(t, rt, rreq, rssi, last_hop, settings)
 
 
 class TestFloodArrival:
@@ -727,7 +728,8 @@ class TestFloodArrival:
         assert kind == "rreq_arrive" and payload[0] is rreq
         heard = list(payload[1])
         fan_out = [other.node_id for other, _, _ in world._fanout(sender, sender.tx_power)]
-        ids = [node_id for node_id, _ in heard]
+        assert all(world.nodes[rt.node_id] is rt for rt, _ in heard)
+        ids = [rt.node_id for rt, _ in heard]
         assert len(ids) > 2
         assert ids == [n for n in fan_out if n in ids]  # fan-out order, each at most once
 
@@ -786,6 +788,81 @@ class TestStreamedCharges:
         plain = simcore.run(World(cfg), slots)
         assert plain.book == ChargeBook(by_slot=m.book.by_slot, by_label=m.book.by_label)
         assert plain.ledger == m.ledger and _outputs(plain)[2:] == _outputs(m)[2:]
+
+
+class TestBenchmarkBindings:
+    """What the benchmark's tracer relies on, pinned from the program side:
+    it wraps ``simcore.withdraw`` as ``energy.withdraw``, times
+    ``energy.check_amount`` inside it, and expects every workload to draw
+    overhead through it."""
+
+    def test_simcore_withdraw_is_energy_withdraw(self):
+        assert simcore.withdraw is energy.withdraw
+
+    def test_withdraw_calls_check_amount(self, monkeypatch):
+        store = EnergyStore(stored=10.0, capacity=100.0)
+        checked = []
+        real = energy.check_amount
+
+        def counting(value, what="energy"):
+            checked.append(what)
+            return real(value, what)
+
+        monkeypatch.setattr(energy, "check_amount", counting)
+        energy.withdraw(store, 1.0, 0.0)
+        assert len(checked) >= 1
+
+    def test_lattice_run_draws_overhead_through_simcore_withdraw(self, monkeypatch):
+        paid = []
+        real = simcore.withdraw
+
+        def counting(store, e, floor):
+            real(store, e, floor)
+            paid.append(e)
+            return store
+
+        monkeypatch.setattr(simcore, "withdraw", counting)
+        cfg = parse_scenario(lattice_yaml(sigma_db=4.0, predictor="ewma", slots=5))
+        m = simcore.run(World(cfg, collect_charges=True), 5)
+        overhead = [amount for _, _, label, amount in m.charges if not label.startswith("op:")]
+        assert paid and paid == overhead
+
+
+def _hold_each(world, rt, pkts, reason):
+    """The per-packet rule a blocked source's queue once followed: each
+    packet joins the pending queue in turn, and past the cap the oldest
+    waiting one overflows."""
+    for pkt in pkts:
+        if reason == "no-route":
+            rt.need_route = True
+        rt.pending.append(pkt)
+        if len(rt.pending) > simcore.PENDING_QUEUE_CAP:
+            victim = rt.pending.pop(0)
+            world.metrics.drops.append(
+                (world.slot, victim.pid, rt.node_id, f"queue-overflow({reason})")
+            )
+
+
+class TestBlockedSourceQueue:
+    CAP = simcore.PENDING_QUEUE_CAP
+
+    @pytest.mark.parametrize("reason", ["dormant", "no-route"])
+    @pytest.mark.parametrize("n", [0, 1, CAP - 1, CAP, CAP + 1, 3 * CAP + 5])
+    @pytest.mark.parametrize("need_route", [False, True])
+    def test_one_slice_equals_per_packet_holds(self, tree_cfg, reason, n, need_route):
+        outcomes = []
+        for hold in (_hold_each, World._hold_all):
+            world = World(tree_cfg)
+            world.slot = 7
+            rt = world.nodes["D"]
+            rt.need_route = need_route
+            pkts = [simcore.Packet(f"D-{i}") for i in range(n)]
+            hold(world, rt, pkts, reason)
+            assert all(a is b for a, b in zip(rt.pending, pkts[-self.CAP:]))
+            outcomes.append(([p.pid for p in rt.pending], world.metrics.drops, rt.need_route))
+        assert outcomes[0] == outcomes[1]
+        pending, drops, _ = outcomes[1]
+        assert len(pending) == min(n, self.CAP) and len(drops) == max(n - self.CAP, 0)
 
 
 class TestPlanTermsPerWorld:
