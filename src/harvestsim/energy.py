@@ -251,9 +251,11 @@ class HarvestTrace:
     def __post_init__(self) -> None:
         if self.scale <= 0 or not math.isfinite(self.scale):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        for i, p in enumerate(self.powers):
-            if not math.isfinite(p) or p < 0:
-                raise ValueError(f"power sample {i} invalid: {p!r}")
+        # One chained comparison per sample, as in check_amount; NaN fails it too.
+        for p in self.powers:
+            if not 0.0 <= p < math.inf:
+                # Every earlier sample passed, so none equals p: index finds this one.
+                raise ValueError(f"power sample {self.powers.index(p)} invalid: {p!r}")
 
     def __len__(self) -> int:
         return len(self.powers)

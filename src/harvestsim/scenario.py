@@ -5,6 +5,14 @@ Validation collects *every* violation (schema and semantic) before failing,
 and unknown keys are rejected rather than silently absorbed. Parsed configs
 round-trip: ``parse(serialize(cfg)) == cfg``.
 
+Parsing goes through libyaml (``yaml.CSafeLoader``) where PyYAML was built
+with it, and through the pure-Python ``yaml.SafeLoader`` only where it was
+not. Both feed the same safe constructor, so they build the same document;
+only the wording of a malformed-YAML error differs (libyaml gives the line
+and column without the source snippet). The echo stays on the pure-Python
+``yaml.safe_dump``: libyaml's emitter folds long double-quoted strings at
+other points, so the echoed scenario would no longer be byte-identical.
+
 Each setting is declared once, as a field of the dataclass that owns it
 (``EnergySettings`` here, ``forecast.PredictorSettings``,
 ``routing.RoutingSettings``, ``mac.MacConfig``, ``NodeSpec``, ``app.Policy``
@@ -18,7 +26,6 @@ The operation kinds that ``costs`` and a policy's ``ops`` accept are
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import math
 import random
@@ -195,6 +202,9 @@ _VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
 # The settings sections, by key: each field whose default is a settings dataclass.
 _SECTIONS = {f.name: type(f.default) for f in fields(ScenarioConfig) if is_dataclass(f.default)}
 
+# libyaml's scanner and parser where PyYAML has them; the same document either way.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _DBM_KEY = re.compile(r"[+-]?\d+")
 
 
@@ -278,7 +288,7 @@ def _build(cls, data: dict):
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a YAML scenario, reporting all violations at once."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise SchemaError([f"not valid YAML: {exc}"]) from exc
     if not isinstance(doc, dict):
@@ -355,7 +365,7 @@ def load_trace(text: str, scale: float = 1.0) -> HarvestTrace:
     Slots must be contiguous and ascending; powers non-negative. Errors name
     the offending line.
     """
-    lines = [ln.strip() for ln in io.StringIO(text).read().splitlines()]
+    lines = [ln.strip() for ln in text.splitlines()]
     rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
     if not rows:
         raise ParseError("line 1: empty file")
@@ -409,21 +419,23 @@ def synth_trace(spec: ProfileSpec, n_slots: int) -> HarvestTrace:
         raise ValueError("need at least one slot")
     if not spec.has_daylight:
         raise ValueError("period_slots x day_fraction must exceed 1 for a synthetic day")
-    day_slots = spec.period_slots * spec.day_fraction
+    period = spec.period_slots
+    day_slots = period * spec.day_fraction
     rng = random.Random(f"synth:{spec.seed}")
-    n_days = n_slots // spec.period_slots + 2
+    n_days = n_slots // period + 2
     cloudy = [rng.random() < spec.switch_probability for _ in range(n_days)]
+    # A day's clear-sky shape is the same every day; weather and trend scale it.
+    shape = [
+        spec.amplitude_w * math.sin(math.pi * phase / day_slots) if phase < day_slots else 0.0
+        for phase in range(period)
+    ]
     powers = []
-    for slot in range(n_slots):
-        day, phase = divmod(slot, spec.period_slots)
-        if phase < day_slots:
-            base = spec.amplitude_w * math.sin(math.pi * phase / day_slots)
-        else:
-            base = 0.0
-        level = base * (spec.cloudy_attenuation if cloudy[day] else 1.0)
-        level *= 1.0 + spec.trend_per_day * day
-        powers.append(max(level, 0.0))
-    return HarvestTrace(powers=tuple(powers), scale=spec.scale)
+    for day in range(-(-n_slots // period)):
+        weather = spec.cloudy_attenuation if cloudy[day] else 1.0
+        growth = 1.0 + spec.trend_per_day * day
+        # (base * weather) * growth in this order keeps every sample's bits, -0.0 too.
+        powers += [max(base * weather * growth, 0.0) for base in shape]
+    return HarvestTrace(powers=tuple(powers[:n_slots]), scale=spec.scale)
 
 
 def build_profile_trace(prof: ProfileSpec, n_slots: int, name: str) -> HarvestTrace:

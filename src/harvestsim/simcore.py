@@ -360,6 +360,8 @@ class World:
         self.sink_id = sinks[0].id
 
         traces = traces or {}
+        # Traces are frozen, so the nodes that share a profile share its trace.
+        profile_traces: dict[str, HarvestTrace] = {}
         self.nodes: dict[str, NodeRuntime] = {}
         for spec in sorted(cfg.nodes, key=lambda n: n.id):
             trace = None
@@ -367,8 +369,10 @@ class World:
             if spec.role != "sink":
                 if spec.id in traces:
                     trace = traces[spec.id]
+                elif spec.profile in profile_traces:
+                    trace = profile_traces[spec.profile]
                 else:
-                    trace = build_profile_trace(
+                    trace = profile_traces[spec.profile] = build_profile_trace(
                         cfg.profiles[spec.profile], cfg.slots, spec.profile
                     )
                 store = EnergyStore(

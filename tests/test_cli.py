@@ -62,6 +62,17 @@ class TestRunCommand:
         assert code == 2
         assert "nodes/0: 1 is not of type 'object'" in capsys.readouterr().err
 
+    def test_malformed_yaml_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("name: x\nnodes: [\n")
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(bad), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "not valid YAML" in err
+        assert "line 3" in err  # the stream ends inside the flow list
+
     def test_zero_slots_is_a_usage_error(self, tree_path, tmp_path):
         out = tmp_path / "o"
         code = main(["run", "--config", tree_path, "--slots", "0", "--out", str(out)])

@@ -1,11 +1,19 @@
 import gc
 import json
+import math
+import random
+import struct
 import warnings
+from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+import yaml
 
+import synth_oracle
+from test_simcore import lattice_yaml
+from harvestsim import scenario
 from harvestsim.energy import SlotOutOfRange
 from harvestsim.scenario import (
     SCENARIO_SCHEMA,
@@ -184,8 +192,66 @@ nodes:
         assert any("profile" in v for v in err.value.violations)
 
     def test_not_yaml(self):
-        with pytest.raises(SchemaError):
-            parse_scenario("{{{{")
+        # Unclosed flows, a tab-indented key and a control character.
+        for text in ["{{{{", "nodes: [", "a:\n\tb: 1\n", "a: \x07"]:
+            with pytest.raises(SchemaError) as exc:
+                parse_scenario(text)
+            assert exc.value.violations[0].startswith("not valid YAML: "), text
+
+
+TREE = resources.files("harvestsim").joinpath("scenarios/four_node_tree.yaml").read_text()
+
+# YAML 1.1 scalars whose resolution a different parser could change.
+SCALARS = """\
+octal_1_2: 0o17
+octal_1_1: 017
+underscored: 1_000
+leading_dot: .5
+no_dot_exponent: 1e3
+dot_exponent: 1.0e+3
+hex: 0x1F
+sexagesimal: 1:30
+bools: [yes, No, on, OFF, true]
+nulls: [~, null, ]
+date: 2002-12-14
+timestamp: 2001-12-14t21:59:43.10-05:00
+infinities: [.inf, -.Inf]
+nan: .nan
+unicode: café
+quoted: "caf\\xE9 \\u2026"
+"""
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+class TestLoader:
+    """The production loader (libyaml) builds the pure-Python loader's document."""
+
+    @staticmethod
+    def both(text):
+        return yaml.load(text, Loader=scenario._LOADER), yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_loader_is_libyaml(self):
+        assert scenario._LOADER is yaml.CSafeLoader
+
+    @pytest.mark.parametrize("sigma_db", [0.0, 4.0])
+    @pytest.mark.parametrize("predictor", ["ewma", "hw"])
+    def test_lattice_documents_match(self, sigma_db, predictor):
+        fast, ref = self.both(lattice_yaml(sigma_db=sigma_db, predictor=predictor, slots=60))
+        assert fast == ref
+        assert repr(fast) == repr(ref)
+
+    def test_tree_document_matches(self):
+        fast, ref = self.both(TREE)
+        assert fast == ref
+        assert repr(fast) == repr(ref)
+
+    def test_yaml11_scalars_match(self):
+        fast, ref = self.both(SCALARS)
+        # repr tells 1 from 1.0 from True from "1", and prints NaN, which no
+        # NaN equals; the rest compare equal as well.
+        assert repr(fast) == repr(ref)
+        assert math.isnan(fast.pop("nan")) and math.isnan(ref.pop("nan"))
+        assert fast == ref
 
 
 class TestSchema:
@@ -338,3 +404,43 @@ class TestSynthTrace:
             trace.power_at(10)
         with pytest.raises(ValueError):
             synth_trace(spec, 0)
+
+
+def _synth_specs(n: int):
+    """Seeded profiles around the edges of the day shape: short and odd
+    periods, daylight just over one slot, falling trends that cross zero,
+    and runs shorter than a period or not a whole number of them."""
+    rng = random.Random(2014)
+    for k in range(n):
+        period = rng.randint(3, 50)
+        edge = (1 + rng.choice([1e-9, 1e-3, 0.5, 1.0])) / period
+        day_fraction = min(1.0, rng.choice([edge, rng.uniform(edge, 1.0), 1.0]))
+        spec = ProfileSpec(
+            amplitude_w=rng.choice([0.0, 1e-4, rng.uniform(0.0, 0.01)]),
+            period_slots=period,
+            day_fraction=day_fraction,
+            cloudy_attenuation=rng.choice([0.0, 0.35, rng.random()]),
+            switch_probability=rng.choice([0.0, 0.3, 1.0, rng.random()]),
+            trend_per_day=rng.choice([0.0, -0.5, -rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.3)]),
+            seed=k,
+        )
+        n_slots = rng.choice([rng.randint(1, period - 1), rng.randint(period + 1, 6 * period)])
+        yield spec, n_slots
+
+
+class TestSynthTraceOracle:
+    """``synth_trace`` against the slot-by-slot loop, bit for bit."""
+
+    @staticmethod
+    def bits(powers):
+        return [struct.pack("d", p) for p in powers]
+
+    def test_samples_match_bit_for_bit(self):
+        negative_zeros = 0
+        for spec, n_slots in _synth_specs(300):
+            expected = synth_oracle.synth_powers(spec, n_slots)
+            got = synth_trace(spec, n_slots).powers
+            assert self.bits(got) == self.bits(expected), (spec, n_slots)
+            negative_zeros += sum(math.copysign(1.0, p) < 0 for p in expected)
+        # The corpus reaches the clip, where -0.0 and 0.0 differ only in bits.
+        assert negative_zeros > 0

@@ -905,6 +905,40 @@ class TestPlanTermsPerWorld:
         assert (len(rows), digest) == self.ROWS_SHA256[mode]
 
 
+class TestTracePerProfile:
+    """A world builds each profile's trace once; the nodes that use it share it."""
+
+    def test_one_build_per_distinct_profile(self, monkeypatch):
+        cfg = parse_scenario(lattice_yaml(sigma_db=0.0, predictor="ewma", slots=30))
+        built = Counter()
+        build = simcore.build_profile_trace
+
+        def counting(prof, n_slots, name):
+            built[name] += 1
+            return build(prof, n_slots, name)
+
+        monkeypatch.setattr(simcore, "build_profile_trace", counting)
+        world = World(cfg)
+        assert built == {"direct": 1, "reflected": 1, "diffused": 1}
+        # Eleven nodes on three profiles: one trace object per profile.
+        by_profile = defaultdict(set)
+        for spec in cfg.nodes:
+            if spec.profile is not None:
+                by_profile[spec.profile].add(id(world.nodes[spec.id].trace))
+        assert {name: len(ids) for name, ids in by_profile.items()} == built
+        assert len(set.union(*by_profile.values())) == 3
+        assert world.nodes["N01"].trace == build(cfg.profiles["direct"], 30, "direct")
+
+    def test_given_traces_stay_per_node(self):
+        # N01, N04 and N07 all use the direct profile; only N01 is given a trace.
+        cfg = parse_scenario(lattice_yaml(sigma_db=0.0, predictor="ewma", slots=30))
+        dark = HarvestTrace(powers=(0.0,) * 30)
+        world = World(cfg, traces={"N01": dark})
+        assert world.nodes["N01"].trace is dark
+        assert world.nodes["N04"].trace is world.nodes["N07"].trace
+        assert world.nodes["N04"].trace.powers != dark.powers
+
+
 class TestGridInvariants:
     SLOTS = 60  # Holt-Winters leaves its warm-up after 2 x 24 slots
 
