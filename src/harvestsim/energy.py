@@ -7,7 +7,7 @@ draw leaves it untouched. :func:`withdraw` pays one draw and
 :func:`withdraw_prefix` pays a sequence of draws in one pass; both apply the
 same floor rule: a draw is paid when what it leaves is not below the floor.
 A draw the floor refuses raises :class:`InsufficientEnergy` carrying its
-numbers; the message is formatted only when read. :class:`ChargeBook` streams
+numbers; the message is formatted only when read. :class:`ChargeBook` sums
 every draw into totals.
 """
 
@@ -188,12 +188,14 @@ def withdraw(store: EnergyStore, e: float, floor: float) -> EnergyStore:
 
 @dataclass
 class ChargeBook:
-    """Every draw a run makes, summed as it is made.
+    """Every draw a run makes, summed in draw order.
 
     ``by_slot`` sums the draws per ``(slot, node)``, which is what each
     ledger row's consumption must equal; ``by_label`` totals them per
-    ``(node, label)``. The per-draw rows ``(slot, node, label, amount)`` are
-    kept, in draw order, only with ``keep_rows``.
+    ``(node, label)``. A world publishes each node's overhead accounts here
+    at settlement, before the plan's draws join them. The per-draw rows
+    ``(slot, node, label, amount)`` are kept, in draw order, only with
+    ``keep_rows``.
     """
 
     keep_rows: bool = False
@@ -202,11 +204,8 @@ class ChargeBook:
     rows: list[tuple[int, str, str, float]] = field(default_factory=list)
 
     def add(self, slot: int, node: str, label: str, amount: float) -> None:
-        by_slot, by_label = self.by_slot, self.by_label
-        slot_key = (slot, node)
-        by_slot[slot_key] = by_slot.get(slot_key, 0.0) + amount
-        label_key = (node, label)
-        by_label[label_key] = by_label.get(label_key, 0.0) + amount
+        self.by_slot[slot, node] = self.by_slot.get((slot, node), 0.0) + amount
+        self.by_label[node, label] = self.by_label.get((node, label), 0.0) + amount
         if self.keep_rows:
             self.rows.append((slot, node, label, amount))
 

@@ -28,16 +28,15 @@ storage, packet transmissions/receptions) are settled through the plan at
 exact cost-table values, while MAC-layer overhead (preamble trains, acks,
 retries, beacons, flood frames) is charged per event from the radio current
 model, each draw one :func:`energy.withdraw` call (through this module's
-``withdraw`` binding). Every draw is streamed into two tables as it is made
-(an :class:`energy.ChargeBook`, whose ``add`` each world looks up once):
-sums per (slot, node), against which each per-slot ledger row closes, and
-totals per (node, label). Per-draw rows are kept only when asked for
-(``collect_charges``). The radio energies of fixed-length frames are
-computed once per world. Rarely, a slot's radio overhead can leave the store
-unable to cover the already-planned operations; settlement then aborts
-mid-plan (the forecast-error path): ``app`` defers the tail's node-class
-steps, and each lost network operation is recorded as an ``aborted-op``
-drop.
+``withdraw`` binding). A paid draw adds to two plain totals on its node, and
+settlement publishes them into an :class:`energy.ChargeBook`: sums per (slot,
+node), against which each per-slot ledger row closes, and totals per (node,
+label). Per-draw rows are kept only when asked for (``collect_charges``). The
+radio energies of fixed-length frames are computed once per world. Rarely, a
+slot's radio overhead can leave the store unable to cover the already-planned
+operations; settlement then aborts mid-plan (the forecast-error path): ``app``
+defers the tail's node-class steps, and each lost network operation is
+recorded as an ``aborted-op`` drop.
 
 Forecasting: each node feeds its slot's harvest to :func:`forecast.step`
 under the scenario's predictor settings. When the seasonal model degenerates
@@ -190,6 +189,9 @@ class NodeRuntime:
     need_route: bool = False
     flood_initiated_slot: int = -1
     slot_ledger: tuple = (0.0, 0.0, 0.0)
+    # Paid overhead draws: this slot's sum, and the run's total per label.
+    slot_charged: float = 0.0
+    charged_by_label: dict[str, float] = field(default_factory=dict)
     is_sink: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -346,8 +348,7 @@ class World:
 
         self.rng_channel = random.Random(f"{cfg.seed}:channel")
         self.metrics = Metrics(book=ChargeBook(keep_rows=collect_charges))
-        # Every overhead draw enters the book; its add is looked up once.
-        self._book_add = self.metrics.book.add
+        self._rows = self.metrics.book.rows if collect_charges else None
         self.now = 0.0
         self.slot = 0
         self.busy_until = 0.0
@@ -427,12 +428,11 @@ class World:
             withdraw(rt.store, amount, self.floor)
         except InsufficientEnergy:
             return False
-        self._book_add(self.slot, rt.node_id, label, amount)
+        rt.slot_charged += amount
+        rt.charged_by_label[label] = rt.charged_by_label.get(label, 0.0) + amount
+        if self._rows is not None:
+            self._rows.append((self.slot, rt.node_id, label, amount))
         return True
-
-    def _trace_mac(self, t: float, node: str, event: str, detail: str = "") -> None:
-        if self.collect_mac_trace:
-            self.metrics.mac_trace.append((t, node, event, detail))
 
     def _distance(self, a: NodeRuntime, b: NodeRuntime) -> float:
         (x1, y1), (x2, y2) = a.position, b.position
@@ -475,9 +475,18 @@ class World:
         return fan
 
     def _shadow(self, mean: float) -> float:
-        """One reception at a link mean: adds the shadowing draw when it is on."""
+        """One reception at a link mean, plus the shadowing draw when it is on:
+        ``rng_channel.gauss(0.0, sigma)`` run in place, sharing its ``gauss_next``."""
         sigma = self._sigma
-        return mean + self.rng_channel.gauss(0.0, sigma) if sigma > 0.0 else mean
+        if sigma <= 0.0:
+            return mean
+        rng = self.rng_channel
+        z, rng.gauss_next = rng.gauss_next, None
+        if z is None:
+            x2pi = rng.random() * math.tau
+            g2rad = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
+            z, rng.gauss_next = math.cos(x2pi) * g2rad, math.sin(x2pi) * g2rad
+        return mean + (0.0 + z * sigma)
 
     def _link_rssi(self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float) -> float:
         return self._shadow(self._link_mean(sender, receiver, tx_dbm))
@@ -589,7 +598,8 @@ class World:
         charge = self._charge
         if not charge(rt, "mac:beacon-tx", self._beacon_tx_uj):
             return
-        self._trace_mac(t, node_id, "beacon-tx")
+        if self.collect_mac_trace:
+            self.metrics.mac_trace.append((t, node_id, "beacon-tx", ""))
         rx = self._control_rx_uj
         channel = self.cfg.channel
         sensitivity = channel.sensitivity_dbm
@@ -627,7 +637,7 @@ class World:
         if not charge(rt, "mac:rreq-tx", self._rreq_tx_uj[rreq.tx_power_dbm]):
             return
         if self.collect_mac_trace:  # format the detail only when it is kept
-            self._trace_mac(t, rt.node_id, "rreq-tx", f"seq={rreq.seq}")
+            self.metrics.mac_trace.append((t, rt.node_id, "rreq-tx", f"seq={rreq.seq}"))
         arrival = t + self._rreq_span_ms / 1000.0
         self.busy_until = max(self.busy_until, arrival)
         rx = self._control_rx_uj
@@ -926,8 +936,24 @@ class World:
         if victim.packet_id is not None:
             self.metrics.drops.append((self.slot, victim.packet_id, rt.node_id, "backlog-evicted"))
 
+    def _settle_draw(self, rt: NodeRuntime, label: str, amount: float) -> bool:
+        """:meth:`_charge` at settlement: the draw enters the book directly."""
+        if amount > 0.0:
+            try:
+                withdraw(rt.store, amount, self.floor)
+            except InsufficientEnergy:
+                return False
+            self.metrics.book.add(self.slot, rt.node_id, label, amount)
+        return True
+
     def _settle_node(self, rt: NodeRuntime, slot: int) -> None:
         stored_start, harvested, wasted = rt.slot_ledger
+        book = self.metrics.book
+        # The slot's overhead is published before the plan's draws join it.
+        if rt.slot_charged:
+            book.by_slot[slot, rt.node_id] = rt.slot_charged
+            rt.slot_charged = 0.0
+            book.by_label.update({(rt.node_id, k): uj for k, uj in rt.charged_by_label.items()})
         report, rt.store, skipped = app.execute_plan(
             rt.plan,
             rt.store,
@@ -935,20 +961,15 @@ class World:
             available=rt.available,
             slot=slot,
             node=rt.node_id,
-            charges=self.metrics.book,
+            charges=book,
         )
         # Duty-cycle baseline for the level-anchored schedule actually run.
-        if rt.delta_op > 0.0:
-            paid = self._charge(
-                rt, "duty", self.cfg.energy.duty_energy_uj * rt.delta_op
-            )
-            if paid:
-                self.metrics.duty_sum[rt.node_id] = (
-                    self.metrics.duty_sum.get(rt.node_id, 0.0) + rt.delta_op
-                )
+        duty, duty_sum = self.cfg.energy.duty_energy_uj * rt.delta_op, self.metrics.duty_sum
+        if rt.delta_op > 0.0 and self._settle_draw(rt, "duty", duty):
+            duty_sum[rt.node_id] = duty_sum.get(rt.node_id, 0.0) + rt.delta_op
         leak = self.cfg.energy.leakage_uj_per_slot
         if leak > 0.0 and rt.store.stored > self.floor:
-            self._charge(rt, "leakage", min(leak, rt.store.stored - self.floor))
+            self._settle_draw(rt, "leakage", min(leak, rt.store.stored - self.floor))
 
         requeued, lost = app.aborted_tail(rt.policies, skipped, slot)
         for entry in rt.plan.deferred + requeued:

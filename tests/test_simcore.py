@@ -3,11 +3,13 @@ import hashlib
 import heapq
 import math
 import random
+import struct
 from collections import Counter, defaultdict
 from importlib import resources
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from harvestsim import app, energy, forecast, mac, routing, simcore
 from harvestsim.cli import main
@@ -788,6 +790,89 @@ class TestStreamedCharges:
         plain = simcore.run(World(cfg), slots)
         assert plain.book == ChargeBook(by_slot=m.book.by_slot, by_label=m.book.by_label)
         assert plain.ledger == m.ledger and _outputs(plain)[2:] == _outputs(m)[2:]
+
+
+class _StreamedBookWorld(World):
+    """The engine while every overhead draw entered the book as it was made:
+    each paid draw goes straight through ``ChargeBook.add``, so no node
+    account is ever published. Counts the draws the floor refused."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.refusals = 0
+
+    def _charge(self, rt, label, amount):
+        if rt.is_sink or amount <= 0.0:
+            return True
+        try:
+            simcore.withdraw(rt.store, amount, self.floor)
+        except energy.InsufficientEnergy:
+            self.refusals += 1
+            return False
+        self.metrics.book.add(self.slot, rt.node_id, label, amount)
+        return True
+
+
+class TestChargeAccounts:
+    """Per-node accounts published at settlement give exactly the book that
+    streaming every draw gives: each sum adds the same draws in the same
+    order, the slot's overhead before the plan's draws, duty and leakage."""
+
+    @staticmethod
+    def both(cfg, slots):
+        streamed = _StreamedBookWorld(cfg)
+        expected = simcore.run(streamed, slots)
+        m = simcore.run(World(cfg), slots)
+        assert m.book.by_slot == expected.book.by_slot
+        assert m.book.by_label == expected.book.by_label
+        assert _outputs(m) == _outputs(expected)
+        return streamed, m
+
+    def test_tree(self, tree_cfg):
+        self.both(tree_cfg, 60)
+
+    def test_shadowed_lattice(self):
+        self.both(parse_scenario(lattice_yaml(sigma_db=4.0, predictor="ewma", slots=30)), 30)
+
+    def test_refusals_and_settlement_draws(self):
+        cfg = parse_scenario(lattice_yaml(sigma_db=4.0, predictor="ewma", slots=30))
+        # A small store, leaking, with the floor lowered from 0.10: overhead
+        # draws are refused and settlements abort.
+        energy_settings = dataclasses.replace(
+            cfg.energy, capacity_uj=50_000.0, leakage_uj_per_slot=500.0, floor_fraction=0.05
+        )
+        cfg = dataclasses.replace(cfg, energy=energy_settings, seed=5)
+        streamed, m = self.both(cfg, 30)
+        assert streamed.refusals > 0 and any(r.aborted for r in m.slot_reports)
+        families = {label.split(":")[0] for _, label in m.book.by_label}
+        assert families == {"op", "mac", "duty", "leakage"}
+
+
+class TestShadowDraw:
+    """``World._shadow`` is ``rng_channel.gauss(0.0, sigma)`` added to the
+    mean, bit for bit, and shares the stream's pending half with it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.sampled_from([5e-324, 1e-300, 0.5, 4.0, 12.0])
+        | st.floats(1e-3, 20.0, allow_nan=False),
+        mean=st.sampled_from([-0.0, 0.0]) | st.floats(-150.0, 20.0, allow_nan=False),
+        steps=st.lists(st.sampled_from(["shadow", "gauss", "random"]), min_size=1, max_size=40),
+    )
+    @example(seed=1, sigma=5e-324, mean=-0.0, steps=["shadow"] * 40)
+    def test_bit_equal_to_stdlib_gauss(self, tree_cfg, seed, sigma, mean, steps):
+        channel = ChannelSettings(shadowing_sigma_db=sigma)
+        world = World(dataclasses.replace(tree_cfg, channel=channel, seed=seed))
+        twin = random.Random(f"{seed}:channel")
+        bits = struct.Struct("d").pack
+        for step in steps:
+            if step == "shadow":
+                assert bits(world._shadow(mean)) == bits(mean + twin.gauss(0.0, sigma))
+            elif step == "gauss":
+                assert bits(world.rng_channel.gauss(0.0, sigma)) == bits(twin.gauss(0.0, sigma))
+            else:
+                assert world.rng_channel.random() == twin.random()
 
 
 class TestBenchmarkBindings:
