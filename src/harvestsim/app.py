@@ -23,10 +23,11 @@ from .energy import (
     ChargeBook,
     EnergyLevel,
     EnergyStore,
+    InsufficientEnergy,
     OperationCostTable,
     classify_level,
     op_cost,
-    withdraw_prefix,
+    withdraw,
 )
 from .optimizer import PolicyLp, build_opt, solve_for_v
 
@@ -462,12 +463,12 @@ def execute_plan(
     prices, and enter the paid ones in ``charges`` under their
     :data:`OP_LABELS` labels.
 
-    Backlogged work runs first, then the fresh subset.
-    :func:`energy.withdraw_prefix` pays the sequence in one pass; a
-    withdrawal refused by the floor aborts the remainder (the
-    harvest-forecast-error path). The unexecuted tail is returned whole, for
-    :func:`aborted_tail` to settle. The report's residual is measured
-    against ``available`` (defaults to the store's balance at entry).
+    Backlogged work runs first, then the fresh subset. Each draw is one
+    :func:`energy.withdraw`; the first one the floor refuses aborts the
+    remainder (the harvest-forecast-error path). The unexecuted tail is
+    returned whole, for :func:`aborted_tail` to settle. The report's residual
+    is measured against ``available`` (defaults to the store's balance at
+    entry).
     """
     if available is None:
         available = store.stored
@@ -476,12 +477,17 @@ def execute_plan(
         sequence = [(e.policy, e.kind) for e in plan.backlog_run] + sequence
     price = plan.price
     kinds = [kind for _, kind in sequence]
-    amounts = [price[kind] for kind in kinds]
-    paid = withdraw_prefix(store, amounts, floor)
-    ran = kinds[:paid]
+    paid = 0
     consumed = 0.0
-    for amount in amounts[:paid]:
-        consumed += amount
+    try:
+        for kind in kinds:
+            amount = price[kind]
+            withdraw(store, amount, floor)
+            paid += 1
+            consumed += amount
+    except InsufficientEnergy:
+        pass
+    ran = kinds[:paid]
     ops_network = sum(map(ran.count, RADIO_OPS))
     if charges is not None:
         charges.add_draws(slot, node, ran, price, OP_LABELS)

@@ -17,6 +17,9 @@ FRACTION = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 FRACTION_OR_ZERO = {"type": "number", "minimum": 0, "exclusiveMaximum": 1}
 PROBABILITY = {"type": "number", "minimum": 0, "maximum": 1}
 
+# The most beacons or packets one node may schedule in one slot.
+MAX_EVENTS_PER_NODE_SLOT = 10_000
+
 
 def int_min(lo: int) -> dict:
     return {"type": "integer", "minimum": lo}

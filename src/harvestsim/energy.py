@@ -3,12 +3,10 @@
 All energy amounts are plain floats in microjoules (uJ). A store is checked
 when it is built and on every draw: deposit/withdraw validate the amount
 first, then update the store in place and return it, so a refused or invalid
-draw leaves it untouched. :func:`withdraw` pays one draw and
-:func:`withdraw_prefix` pays a sequence of draws in one pass; both apply the
-same floor rule: a draw is paid when what it leaves is not below the floor.
-A draw the floor refuses raises :class:`InsufficientEnergy` carrying its
-numbers; the message is formatted only when read. :class:`ChargeBook` sums
-every draw into totals.
+draw leaves it untouched. :func:`withdraw` is the one floor rule: a draw is
+paid when what it leaves is not below the floor. A draw the floor refuses
+raises :class:`InsufficientEnergy` carrying its numbers; the message is
+formatted only when read. :class:`ChargeBook` sums every draw into totals.
 """
 
 from __future__ import annotations
@@ -145,35 +143,11 @@ def deposit(store: EnergyStore, e: float) -> tuple[EnergyStore, float]:
     return store, 0.0
 
 
-def withdraw_prefix(store: EnergyStore, amounts: Sequence[float], floor: float) -> int:
-    """Spend ``amounts`` in order, in place, up to the first one that would
-    breach the survivability floor; returns how many were paid.
-
-    Each draw subtracts from what the previous ones left, under the floor
-    rule of :func:`withdraw`. An invalid amount or floor raises and leaves
-    the store untouched.
-    """
-    check_amount(floor, "floor")
-    stored = store.stored
-    paid = 0
-    for e in amounts:
-        if not 0.0 <= e < math.inf:
-            check_amount(e, "withdrawal")  # raises, naming the fault
-        remaining = stored - e
-        if remaining < floor:
-            break
-        stored = remaining
-        paid += 1
-    store.stored = stored
-    return paid
-
-
 def withdraw(store: EnergyStore, e: float, floor: float) -> EnergyStore:
     """Spend energy in place, refusing any draw that would breach the
     survivability floor; returns the same store.
 
-    The floor is validated before the amount, as :func:`withdraw_prefix`
-    does, so both raise the same error for the same invalid arguments.
+    The floor is validated before the amount.
     """
     if not 0.0 <= floor < math.inf:
         check_amount(floor, "floor")  # raises, naming the fault

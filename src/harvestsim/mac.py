@@ -20,30 +20,29 @@ default and the table is kept for comparison runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .bounds import NUM, POS, enum, int_min
 from .energy import EnergyLevel
 
 
 class MacError(Exception):
-    """Base class for MAC errors."""
+    """Base class for MAC errors; ``result`` is the failed exchange's
+    :class:`SendResult`, when there was one."""
+
+    def __init__(self, msg: str, result=None):
+        super().__init__(msg)
+        self.result = result
 
 
 class ChannelSaturated(MacError):
     """Every CSMA attempt found the channel busy."""
 
-    def __init__(self, msg: str, result=None):
-        super().__init__(msg)
-        self.result = result
-
 
 class NoAck(MacError):
     """Retries exhausted without an acknowledgement."""
-
-    def __init__(self, msg: str, result=None):
-        super().__init__(msg)
-        self.result = result
 
 
 # Duty-factor anchors per energy level, used both to realize a node's own
@@ -202,6 +201,90 @@ def radio_energy(
         raise ValueError(f"no tx current for {tx_power_dbm} dBm")
     tx_current = model.tx_ma.get(tx_power_dbm, 0.0)
     return model.supply_v * (tx_ms * tx_current + rx_ms * model.rx_ma)
+
+
+class UnicastCost(NamedTuple):
+    """How the engine sends and charges one unicast purpose."""
+
+    config: MacConfig  # its frame length is the purpose's frame
+    paid_frame_ms: float  # the part of the sender's airtime the plan pays
+    tx_label: str
+    rx_label: str
+    rx_uj: float  # a delivered unicast's receiver cost
+
+
+@dataclass(frozen=True)
+class FrameCosts:
+    """What the frames of one world cost, computed once by :func:`frame_costs`.
+
+    ``trains`` and ``send_estimate_uj`` (a unicast's worst-case single round,
+    per transmit power) are keyed by the receiver's believed sleep: 0 ms for
+    the always-on sink, else the sleep of the E1, E2 or E3 schedule.
+    """
+
+    beacon_tx_uj: float  # one beacon, at the fixed beacon power
+    control_rx_uj: float  # hearing a beacon or an RREQ
+    rreq_span_ms: float  # an RREQ train spans the longest sleep a live receiver has
+    rreq_tx_uj: dict[int, float]  # per transmit power
+    unicasts: dict[str, UnicastCost]  # per purpose: data or rrep
+    trains: dict[float, PreambleTrain]
+    send_estimate_uj: dict[tuple[float, int], float]  # per (believed sleep, power)
+
+
+def frame_costs(
+    config: MacConfig,
+    radio: RadioEnergyModel,
+    schedules: Mapping[EnergyLevel, DutySchedule],
+    beacon_dbm: int,
+) -> FrameCosts:
+    """The radio energy of every fixed-length frame and the preamble trains,
+    from the MAC settings, the radio model and each level's schedule."""
+    control_ms = config.control_packet_ms
+    # Unicasts carry data frames (``config``) or control-length frames
+    # (rrep). The plan pays a data frame's tx128 and rx128, so its frame
+    # is no sender overhead; a delivered unicast's receiver hears the
+    # preamble, plus the frame for rrep, and acks at 0 dBm.
+    preamble_ms = config.preamble_packet_ms
+    ack_uj = radio_energy(radio, tx_ms=config.ack_ms, tx_power_dbm=0)
+    unicasts = {
+        "data": UnicastCost(
+            config,
+            config.data_packet_ms,
+            "mac:data-tx",
+            "mac:data-rx",
+            radio_energy(radio, rx_ms=preamble_ms) + ack_uj,
+        ),
+        "rrep": UnicastCost(
+            replace(config, data_packet_ms=control_ms),
+            0.0,
+            "mac:rrep-tx",
+            "mac:rrep-rx",
+            radio_energy(radio, rx_ms=preamble_ms + control_ms) + ack_uj,
+        ),
+    }
+    # E1 has the longest sleep of the levels whose radio is on.
+    rreq_span_ms = schedules[EnergyLevel.E1].sleep_ms + control_ms
+    believed_sleeps = [0.0] + [
+        schedules[level].sleep_ms for level in (EnergyLevel.E1, EnergyLevel.E2, EnergyLevel.E3)
+    ]
+    return FrameCosts(
+        beacon_tx_uj=radio_energy(radio, tx_ms=control_ms, tx_power_dbm=beacon_dbm),
+        control_rx_uj=radio_energy(radio, rx_ms=control_ms),
+        rreq_span_ms=rreq_span_ms,
+        rreq_tx_uj={
+            power: radio_energy(radio, tx_ms=rreq_span_ms, tx_power_dbm=power)
+            for power in radio.tx_ma
+        },
+        unicasts=unicasts,
+        trains={sleep: preamble_train(sleep, config) for sleep in believed_sleeps},
+        send_estimate_uj={
+            (sleep, power): radio_energy(
+                radio, tx_ms=sleep + config.data_packet_ms, tx_power_dbm=power
+            )
+            for sleep in believed_sleeps
+            for power in radio.tx_ma
+        },
+    )
 
 
 @dataclass

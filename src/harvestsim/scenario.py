@@ -15,8 +15,9 @@ other points, so the echoed scenario would no longer be byte-identical.
 
 Each setting is declared once, as a field of the dataclass that owns it
 (``EnergySettings`` here, ``forecast.PredictorSettings``,
-``routing.RoutingSettings``, ``mac.MacConfig``, ``NodeSpec``, ``app.Policy``
-...), with its default and its schema bound as field metadata.
+``routing.RoutingSettings``, ``mac.MacConfig``, ``channel.ChannelSettings``,
+``NodeSpec``, ``app.Policy`` ...), with its default and its schema bound as
+field metadata.
 ``SCENARIO_SCHEMA`` is built from those fields, and parsing builds every
 section from the keys it is given, so adding a setting is one field line.
 The operation kinds that ``costs`` and a policy's ``ops`` accept are
@@ -37,7 +38,10 @@ import jsonschema
 import yaml
 
 from .app import Policy
-from .bounds import FRACTION, NONNEG, NUM, POS, PROBABILITY, enum, int_min, section
+from .bounds import (
+    FRACTION, MAX_EVENTS_PER_NODE_SLOT, NONNEG, NUM, POS, PROBABILITY, enum, int_min, section
+)
+from .channel import ChannelSettings
 from .energy import DEFAULT_OP_COSTS, TX_OP_KIND, HarvestTrace
 from .forecast import PredictorSettings
 from .mac import MacConfig
@@ -81,19 +85,6 @@ class OptimizerSettings:
     duty_weight: float | None = field(
         default=None, metadata={"type": ["number", "null"], "minimum": 0}
     )
-
-
-@dataclass(frozen=True)
-class ChannelSettings:
-    """Log-distance path loss anchored at the beacon calibration point."""
-
-    path_loss_exponent: float = field(default=2.7, metadata=POS)
-    reference_loss_db: float = field(default=65.0, metadata=POS)
-    reference_distance_m: float = field(default=8.0, metadata=POS)
-    shadowing_sigma_db: float = field(default=0.0, metadata=NONNEG)
-    sensitivity_dbm: float = field(default=-95.0, metadata=NUM)
-    loss_margin_db: float = field(default=10.0, metadata=POS)
-    loss_prob_at_zero: float = field(default=0.5, metadata=PROBABILITY)
 
 
 @dataclass(frozen=True)
@@ -261,6 +252,21 @@ def _semantic_violations(doc: dict, rejected: set) -> list[str]:
         for power in tx_costs:
             if not _DBM_KEY.fullmatch(str(power)):
                 problems.append(f"costs/{TX_OP_KIND}: power {power!r} is not an integer dBm")
+    # Each node schedules this many beacons and packets per slot: past the
+    # cap, one slot's work has no practical end.
+    slot_s = doc.get("slot_duration_s", ScenarioConfig.slot_duration_s)
+    for name, cls, key in (
+        ("routing", RoutingSettings, "beacon_period_s"),
+        ("traffic", TrafficSettings, "packet_period_s"),
+    ):
+        if {name, "slot_duration_s"} & rejected:
+            continue
+        per_slot = slot_s / (_setting(doc, name, key) or getattr(cls, key))
+        if per_slot > MAX_EVENTS_PER_NODE_SLOT:
+            problems.append(
+                f"slot_duration_s / {name}/{key}: {per_slot:.6g} per node-slot "
+                f"exceeds {MAX_EVENTS_PER_NODE_SLOT}"
+            )
     return problems
 
 

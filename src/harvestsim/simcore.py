@@ -10,8 +10,8 @@ Each slot runs three phases, nodes visited in ascending id order:
    forwarding) advances to the slot boundary, each event going to its
    kind's ``_on_<kind>`` handler;
 3. settlement: the plan's operations are charged against the store at the
-   published per-operation costs (each kind priced once, the plan paid in
-   one pass), the duty-cycle baseline and leakage are drawn, the entries
+   published per-operation costs (each kind priced once, each operation one
+   withdrawal), the duty-cycle baseline and leakage are drawn, the entries
    ``app`` defers enter the backlog, and metrics rows are emitted.
 
 Flood arrival: every reception of one RREQ broadcast happens at the same
@@ -32,31 +32,20 @@ model, each draw one :func:`energy.withdraw` call (through this module's
 settlement publishes them into an :class:`energy.ChargeBook`: sums per (slot,
 node), against which each per-slot ledger row closes, and totals per (node,
 label). Per-draw rows are kept only when asked for (``collect_charges``). The
-radio energies of fixed-length frames are computed once per world. Rarely, a
-slot's radio overhead can leave the store unable to cover the already-planned
-operations; settlement then aborts mid-plan (the forecast-error path): ``app``
-defers the tail's node-class steps, and each lost network operation is
-recorded as an ``aborted-op`` drop.
+radio energies of fixed-length frames are the world's :class:`mac.FrameCosts`,
+computed once. Rarely, a slot's radio overhead can leave the store unable to
+cover the already-planned operations; settlement then aborts mid-plan (the
+forecast-error path): ``app`` defers the tail's node-class steps, and each
+lost network operation is recorded as an ``aborted-op`` drop.
+
+Each world's :class:`channel.Channel` decides every reception and frame
+delivery, and what carrier sense finds.
 
 Forecasting: each node feeds its slot's harvest to :func:`forecast.step`
 under the scenario's predictor settings. When the seasonal model degenerates
 on a node's samples (:class:`forecast.DivisionDegenerate`: a warm-up with no
 harvest at all, or a level that underflows after dawn moves), that node
 restarts its warm-up from the current sample instead of aborting the run.
-
-Link table: node positions never move, so the mean received power of a link
-at a given transmit power (path loss without shadowing) is computed once per
-(sender, receiver, power) on first use and memoised, and each broadcast walks
-a per-(sender, power) fan-out list of ``(receiver, mean, loss)`` entries in
-node-id order, also built on first use. A link is left out of a fan-out only
-when it can never draw from the channel stream: without shadowing a link below
-sensitivity was always skipped before its delivery draw, so it is dropped;
-with shadowing every link keeps its per-reception draw, which can still lift
-it above sensitivity, so every link stays. Without shadowing every reception
-of a link has its mean power, so the entry carries the link's loss
-probability, computed once; with it each reception computes its own. Either
-way the channel stream is consumed in the same order as a full scan over all
-nodes, and every delivery draw is :func:`survives`.
 
 Determinism: all randomness flows from named streams derived from the global
 seed, and the event queue orders ties by insertion sequence, so identical
@@ -68,11 +57,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 from . import app, forecast, mac, routing
+from .channel import Channel, loss_probability, survives
 from .energy import (
     DEFAULT_OP_COSTS,
     DEFAULT_TX_COSTS,
@@ -89,68 +78,13 @@ from .energy import (
     harvest_in_slot,
     withdraw,
 )
-from .scenario import ChannelSettings, ScenarioConfig, build_profile_trace
+from .scenario import ScenarioConfig, build_profile_trace
 
 PROCESSING_DELAY_S = 0.005
 RREQ_JITTER_MS = 20.0
 NEIGHBOR_TTL_SLOTS = 5
 MAX_PACKET_RETRIES = 3
 PENDING_QUEUE_CAP = 64
-
-
-def rssi_at(tx_dbm: float, distance_m: float, channel: ChannelSettings) -> float:
-    """Mean received power over one link: log-distance path loss, no shadowing."""
-    if distance_m <= 0:
-        raise ValueError("distance must be positive")
-    loss = channel.reference_loss_db + 10.0 * channel.path_loss_exponent * math.log10(
-        distance_m / channel.reference_distance_m
-    )
-    return tx_dbm - loss
-
-
-def loss_probability(rssi_dbm: float, channel: ChannelSettings) -> float:
-    """Frame loss probability from the link margin (linear ramp near the floor)."""
-    margin = rssi_dbm - channel.sensitivity_dbm
-    if margin < 0:
-        return 1.0
-    if margin >= channel.loss_margin_db:
-        return 0.0
-    return channel.loss_prob_at_zero * (1.0 - margin / channel.loss_margin_db)
-
-
-def survives(loss: float, rng) -> bool:
-    """Bernoulli frame delivery at loss probability ``loss``: a certain
-    outcome draws nothing, any other draws once from ``rng``."""
-    if loss >= 1.0:
-        return False
-    if loss <= 0.0:
-        return True
-    return rng.random() >= loss
-
-
-def deliver(rssi_dbm: float, channel: ChannelSettings, rng) -> bool:
-    """Bernoulli frame delivery at the given received power."""
-    return survives(loss_probability(rssi_dbm, channel), rng)
-
-
-class _Link(NamedTuple):
-    """One fan-out entry: a receiver, the link's mean received power, and,
-    when that mean is every reception's power (no shadowing), its loss
-    probability; ``None`` when each reception draws its own power."""
-
-    receiver: NodeRuntime
-    mean: float
-    loss: float | None
-
-
-class _Purpose(NamedTuple):
-    """How the engine sends and charges one unicast purpose."""
-
-    config: mac.MacConfig  # its frame length is the purpose's frame
-    paid_frame_ms: float  # the part of the sender's airtime the plan pays
-    tx_label: str
-    rx_label: str
-    rx_uj: float  # a delivered unicast's receiver cost
 
 
 @dataclass
@@ -272,7 +206,7 @@ class World:
     ):
         self.cfg = cfg
         self.collect_mac_trace = collect_mac_trace
-        self.radio = radio = mac.RadioEnergyModel()
+        self.radio = mac.RadioEnergyModel()
         costs = dict(cfg.costs)
         tx_costs = costs.pop(TX_OP_KIND, {})
         # Configured costs override the published ones entry by entry.
@@ -287,71 +221,13 @@ class World:
             level: mac.schedule_from_delta(delta, cfg.mac)
             for level, delta in mac.DELTA_BY_LEVEL.items()
         }
-        self._sleep_ms_by_level = {
-            level: schedule.sleep_ms for level, schedule in self._schedules.items()
-        }
-        # The radio energy of every fixed-length frame, computed once.
-        control_ms = cfg.mac.control_packet_ms
-        self._beacon_tx_uj = mac.radio_energy(
-            radio, tx_ms=control_ms, tx_power_dbm=routing.REFERENCE_TX_POWER_DBM
+        self.frames = mac.frame_costs(
+            cfg.mac, self.radio, self._schedules, routing.REFERENCE_TX_POWER_DBM
         )
-        self._control_rx_uj = mac.radio_energy(radio, rx_ms=control_ms)
-        # Unicasts carry data frames (cfg.mac) or control-length frames
-        # (rrep). The plan pays a data frame's tx128 and rx128, so its frame
-        # is no sender overhead; a delivered unicast's receiver hears the
-        # preamble, plus the frame for rrep, and acks at 0 dBm.
-        preamble_ms = cfg.mac.preamble_packet_ms
-        ack_uj = mac.radio_energy(radio, tx_ms=cfg.mac.ack_ms, tx_power_dbm=0)
-        self._unicast_purposes = {
-            "data": _Purpose(
-                cfg.mac,
-                cfg.mac.data_packet_ms,
-                "mac:data-tx",
-                "mac:data-rx",
-                mac.radio_energy(radio, rx_ms=preamble_ms) + ack_uj,
-            ),
-            "rrep": _Purpose(
-                replace(cfg.mac, data_packet_ms=control_ms),
-                0.0,
-                "mac:rrep-tx",
-                "mac:rrep-rx",
-                mac.radio_energy(radio, rx_ms=preamble_ms + control_ms) + ack_uj,
-            ),
-        }
-        # An RREQ train spans the longest sleep a live receiver can have (E1).
-        self._rreq_span_ms = self._sleep_ms_by_level[EnergyLevel.E1] + control_ms
-        self._rreq_tx_uj = {
-            power: mac.radio_energy(radio, tx_ms=self._rreq_span_ms, tx_power_dbm=power)
-            for power in radio.tx_ma
-        }
-        # Per believed sleep of a unicast receiver (the always-on sink is
-        # believed to sleep 0 ms): the preamble train spanning it, and
-        # _on_send's worst-case single round at each power.
-        believed_sleeps = [0.0] + [
-            self._sleep_ms_by_level[level]
-            for level in (EnergyLevel.E1, EnergyLevel.E2, EnergyLevel.E3)
-        ]
-        self._trains = {sleep: mac.preamble_train(sleep, cfg.mac) for sleep in believed_sleeps}
-        self._send_estimate_uj = {
-            (sleep, power): mac.radio_energy(
-                radio, tx_ms=sleep + cfg.mac.data_packet_ms, tx_power_dbm=power
-            )
-            for sleep in believed_sleeps
-            for power in radio.tx_ma
-        }
-        self._link_means: dict[tuple[str, str, float], float] = {}
-        self._fanouts: dict[tuple[str, float], tuple[_Link, ...]] = {}
-        # Read by every reception's shadowing draw, so looked up once.
-        self._sigma = cfg.channel.shadowing_sigma_db
-        # The mean-plus-shadowing RSSI of the unicast exchange in progress.
-        self._exchange_rssi = 0.0
-
-        self.rng_channel = random.Random(f"{cfg.seed}:channel")
         self.metrics = Metrics(book=ChargeBook(keep_rows=collect_charges))
         self._rows = self.metrics.book.rows if collect_charges else None
         self.now = 0.0
         self.slot = 0
-        self.busy_until = 0.0
         self._event_seq = 0
         self._events: list = []
 
@@ -399,6 +275,7 @@ class World:
                 rt.tx_power = routing.REFERENCE_TX_POWER_DBM
                 rt.schedule = mac.DutySchedule(wake_ms=self.cfg.mac.wake_window_ms, sleep_ms=0.0)
             self.nodes[spec.id] = rt
+        self.channel = Channel(cfg.channel, self.nodes, cfg.seed)
 
     # ------------------------------------------------------------------
     # infrastructure
@@ -434,63 +311,6 @@ class World:
             self._rows.append((self.slot, rt.node_id, label, amount))
         return True
 
-    def _distance(self, a: NodeRuntime, b: NodeRuntime) -> float:
-        (x1, y1), (x2, y2) = a.position, b.position
-        return math.hypot(x2 - x1, y2 - y1)
-
-    def _link_mean(self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float) -> float:
-        """Received power without shadowing, memoised per (sender, receiver, power)."""
-        key = (sender.node_id, receiver.node_id, tx_dbm)
-        mean = self._link_means.get(key)
-        if mean is None:
-            mean = rssi_at(tx_dbm, self._distance(sender, receiver), self.cfg.channel)
-            self._link_means[key] = mean
-        return mean
-
-    def _fanout(self, sender: NodeRuntime, tx_dbm: float) -> tuple[_Link, ...]:
-        """Every :class:`_Link` a broadcast can reach, in node-id order.
-
-        Without shadowing, links below sensitivity never reach a delivery
-        draw and are left out, and each kept link carries its loss
-        probability; with shadowing every link is kept, without one.
-        """
-        key = (sender.node_id, tx_dbm)
-        fan = self._fanouts.get(key)
-        if fan is None:
-            channel = self.cfg.channel
-            links = (
-                (other, self._link_mean(sender, other, tx_dbm))
-                for other in self.nodes.values()
-                if other is not sender
-            )
-            if self._sigma > 0.0:
-                fan = tuple(_Link(other, mean, None) for other, mean in links)
-            else:
-                fan = tuple(
-                    _Link(other, mean, loss_probability(mean, channel))
-                    for other, mean in links
-                    if mean >= channel.sensitivity_dbm
-                )
-            self._fanouts[key] = fan
-        return fan
-
-    def _shadow(self, mean: float) -> float:
-        """One reception at a link mean, plus the shadowing draw when it is on:
-        ``rng_channel.gauss(0.0, sigma)`` run in place, sharing its ``gauss_next``."""
-        sigma = self._sigma
-        if sigma <= 0.0:
-            return mean
-        rng = self.rng_channel
-        z, rng.gauss_next = rng.gauss_next, None
-        if z is None:
-            x2pi = rng.random() * math.tau
-            g2rad = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
-            z, rng.gauss_next = math.cos(x2pi) * g2rad, math.sin(x2pi) * g2rad
-        return mean + (0.0 + z * sigma)
-
-    def _link_rssi(self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float) -> float:
-        return self._shadow(self._link_mean(sender, receiver, tx_dbm))
-
     def _hear_beacon(self, receiver: NodeRuntime, sender_id: str, rssi: float) -> None:
         """Beacons ride the fixed reference power: they calibrate the
         per-neighbour reference and prove liveness, but carry no level
@@ -520,18 +340,10 @@ class World:
         level = seen[0] if seen else EnergyLevel.E1  # conservative default
         if level == EnergyLevel.E0:
             level = EnergyLevel.E1
-        return self._sleep_ms_by_level[level]
+        return self._schedules[level].sleep_ms
 
     # ------------------------------------------------------------------
     # unicast exchange
-
-    def _channel_power_dbm(self, at_ms: float) -> float:
-        """What carrier sense samples at ``at_ms``: busy until ``busy_until``."""
-        return 0.0 if at_ms / 1000.0 < self.busy_until else -120.0
-
-    def _attempt_delivers(self, _round: int) -> bool:
-        """Whether one data frame of the exchange in progress survives its link."""
-        return deliver(self._exchange_rssi, self.cfg.channel, self.rng_channel)
 
     def _unicast(
         self,
@@ -544,8 +356,9 @@ class World:
         """One LPL exchange, its train sized for the receiver's believed
         sleep; returns (delivered, elapsed_s, result)."""
         tx_dbm = sender.tx_power
-        rssi = self._exchange_rssi = self._link_rssi(sender, receiver, tx_dbm)
-        spec = self._unicast_purposes[purpose]
+        channel = self.channel
+        rssi = channel.open_exchange(sender, receiver, tx_dbm)
+        spec = self.frames.unicasts[purpose]
         # The train is sized by the sender's belief about the receiver's
         # level; rendezvous happens on the receiver's real schedule. An
         # undersized train simply misses that round and retries.
@@ -556,16 +369,16 @@ class World:
                 sender.rng_mac,
                 receiver_phase_ms=receiver.wake_phase_ms,
                 start_ms=t * 1000.0,
-                channel_power_dbm=self._channel_power_dbm,
-                attempt_delivers=self._attempt_delivers,
-                train=self._trains[believed_sleep],
+                channel_power_dbm=channel._power_dbm,
+                attempt_delivers=channel._attempt_delivers,
+                train=self.frames.trains[believed_sleep],
             )
             delivered = True
         except (mac.ChannelSaturated, mac.NoAck) as exc:
             result = exc.result
             delivered = False
         elapsed_s = result.elapsed_ms / 1000.0
-        self.busy_until = max(self.busy_until, t + elapsed_s)
+        channel.occupy(t + elapsed_s)
 
         # Sender overhead: everything but the frame the plan pays.
         overhead = mac.radio_energy(
@@ -595,17 +408,18 @@ class World:
         rt = self.nodes[node_id]
         if rt.tx_power is None:
             return
-        charge = self._charge
-        if not charge(rt, "mac:beacon-tx", self._beacon_tx_uj):
+        charge, frames = self._charge, self.frames
+        if not charge(rt, "mac:beacon-tx", frames.beacon_tx_uj):
             return
         if self.collect_mac_trace:
             self.metrics.mac_trace.append((t, node_id, "beacon-tx", ""))
-        rx = self._control_rx_uj
-        channel = self.cfg.channel
-        sensitivity = channel.sensitivity_dbm
-        rng, shadow, hear = self.rng_channel, self._shadow, self._hear_beacon
+        rx = frames.control_rx_uj
+        channel = self.channel
+        settings = channel.settings
+        sensitivity = settings.sensitivity_dbm
+        rng, shadow, hear = channel.rng, channel._shadow, self._hear_beacon
         t_ms = t * 1000.0
-        for other, rssi, loss in self._fanout(rt, routing.REFERENCE_TX_POWER_DBM):
+        for other, rssi, loss in channel.fanout(rt, routing.REFERENCE_TX_POWER_DBM):
             if loss is None:  # shadowed: this reception draws its own power
                 rssi = shadow(rssi)
                 if rssi < sensitivity:
@@ -613,7 +427,7 @@ class World:
             if not other.awake_at(t_ms):
                 continue
             if loss is None:
-                loss = loss_probability(rssi, channel)
+                loss = loss_probability(rssi, settings)
             if survives(loss, rng) and charge(other, "mac:beacon-rx", rx):
                 hear(other, node_id, rssi)
 
@@ -633,19 +447,20 @@ class World:
     def _broadcast_rreq(self, t: float, rt: NodeRuntime, rreq: routing.Rreq) -> None:
         if rt.tx_power is None:
             return
-        charge = self._charge
-        if not charge(rt, "mac:rreq-tx", self._rreq_tx_uj[rreq.tx_power_dbm]):
+        charge, frames = self._charge, self.frames
+        if not charge(rt, "mac:rreq-tx", frames.rreq_tx_uj[rreq.tx_power_dbm]):
             return
         if self.collect_mac_trace:  # format the detail only when it is kept
             self.metrics.mac_trace.append((t, rt.node_id, "rreq-tx", f"seq={rreq.seq}"))
-        arrival = t + self._rreq_span_ms / 1000.0
-        self.busy_until = max(self.busy_until, arrival)
-        rx = self._control_rx_uj
-        channel = self.cfg.channel
-        sensitivity = channel.sensitivity_dbm
-        rng, shadow = self.rng_channel, self._shadow
+        arrival = t + frames.rreq_span_ms / 1000.0
+        channel = self.channel
+        channel.occupy(arrival)
+        rx = frames.control_rx_uj
+        settings = channel.settings
+        sensitivity = settings.sensitivity_dbm
+        rng, shadow = channel.rng, channel._shadow
         heard = []
-        for other, rssi, loss in self._fanout(rt, rreq.tx_power_dbm):
+        for other, rssi, loss in channel.fanout(rt, rreq.tx_power_dbm):
             # Radio-off receivers are skipped before their shadowing draw.
             if other.tx_power is None:
                 continue
@@ -653,7 +468,7 @@ class World:
                 rssi = shadow(rssi)
                 if rssi < sensitivity:
                     continue
-                loss = loss_probability(rssi, channel)
+                loss = loss_probability(rssi, settings)
             if survives(loss, rng) and charge(other, "mac:rreq-rx", rx):
                 heard.append((other, rssi))
         if heard:
@@ -800,7 +615,7 @@ class World:
         receiver = self.nodes[entry.next_hop]
         # Worst-case single-round overhead must be affordable before keying up.
         sleep = self._believed_sleep_ms(rt, entry.next_hop)
-        if rt.store.stored - self._send_estimate_uj[sleep, rt.tx_power] < self.floor:
+        if rt.store.stored - self.frames.send_estimate_uj[sleep, rt.tx_power] < self.floor:
             self._hold(rt, pkt, "no-energy")
             return
         delivered, elapsed, _ = self._unicast(t, rt, receiver, "data", sleep)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from harvestsim.cli import main
-from harvestsim.scenario import parse_scenario
+from harvestsim.scenario import SchemaError, parse_scenario
 
 TREE = (
     resources.files("harvestsim").joinpath("scenarios/four_node_tree.yaml").read_text()
@@ -107,6 +107,33 @@ class TestRunCommand:
         assert code == 2
         assert f"  - {violation} is not a finite number\n" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, fields",
+        [
+            ("slot_duration_s: 60.0", "slot_duration_s: 1.0e+9",
+             ["routing/beacon_period_s", "traffic/packet_period_s"]),
+            ("beacon_period_s: 30.0", "beacon_period_s: 0.001", ["routing/beacon_period_s"]),
+            ("packet_period_s: 10.0", "packet_period_s: 0.001", ["traffic/packet_period_s"]),
+        ],
+        ids=["slot-duration-1e9", "beacon-period-1ms", "packet-period-1ms"],
+    )
+    def test_unbounded_per_slot_work_is_a_config_error(self, tmp_path, capsys, old, new, fields):
+        # Each would schedule 60,000 to 10^8 beacons or packets per node-slot.
+        assert TREE.count(old) == 1
+        text = TREE.replace(old, new)
+        with pytest.raises(SchemaError):  # checked first: a run of it would not end
+            parse_scenario(text)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        code = main(["run", "--config", str(bad), "--slots", "2", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        for name in fields:
+            assert f"  - slot_duration_s / {name}: " in err
+        assert err.count("per node-slot exceeds 10000") == len(fields)
 
     def test_mac_trace_flag(self, tree_path, tmp_path):
         out = tmp_path / "out"

@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from harvestsim.app import EnergyContext, ExecutionPlan, execute_plan
 from harvestsim.energy import (
+    OP_KINDS,
     ChargeBook,
     EnergyLevel,
     EnergyStore,
@@ -19,12 +21,34 @@ from harvestsim.energy import (
     harvest_in_slot,
     op_cost,
     withdraw,
-    withdraw_prefix,
 )
 
 
 def make_store(stored, capacity=100.0):
     return EnergyStore(stored=stored, capacity=capacity)
+
+
+def withdraw_prefix(store, amounts, floor):
+    """Spend ``amounts`` in order, in place, up to the first one that would
+    breach the survivability floor; returns how many were paid.
+
+    The oracle for the floor rule: each draw subtracts from what the
+    previous ones left and is paid when what it leaves is not below the
+    floor. An invalid amount or floor raises and leaves the store untouched.
+    """
+    check_amount(floor, "floor")
+    stored = store.stored
+    paid = 0
+    for e in amounts:
+        if not 0.0 <= e < math.inf:
+            check_amount(e, "withdrawal")  # raises, naming the fault
+        remaining = stored - e
+        if remaining < floor:
+            break
+        stored = remaining
+        paid += 1
+    store.stored = stored
+    return paid
 
 
 class TestHarvest:
@@ -223,6 +247,35 @@ class TestWithdrawEqualsOneDrawPrefix:
             assert got.value.args == (e, stored, floor)
             assert one.stored == prefix.stored == stored
         assert one.stored == prefix.stored
+
+
+class TestExecutePlanEqualsPrefix:
+    """``app.execute_plan`` pays a plan draw by draw through ``withdraw``
+    and stops at the first refusal; over any sequence of valid draws it pays
+    what the one-pass ``withdraw_prefix`` pays, to the same balance."""
+
+    @given(
+        stored=st.floats(min_value=0.0, max_value=100.0),
+        floor=st.floats(min_value=0.0, max_value=100.0),
+        prices=st.lists(st.floats(min_value=0.0, max_value=40.0), min_size=len(OP_KINDS),
+                        max_size=len(OP_KINDS)),
+        picks=st.lists(st.integers(0, len(OP_KINDS) - 1), max_size=30),
+    )
+    def test_same_paid_count_balance_and_refusal(self, stored, floor, prices, picks):
+        price = dict(zip(OP_KINDS, prices))
+        kinds = [list(OP_KINDS)[i] for i in picks]
+        run_ops = [(f"p{i % 3}", kind) for i, kind in enumerate(kinds)]
+        context = EnergyContext(EnergyLevel.E1, EnergyLevel.E1, EnergyLevel.E1)
+        plan = ExecutionPlan(context, run_ops, [], {}, 0.0, [], 0, price)
+        store, oracle = make_store(stored), make_store(stored)
+        book = ChargeBook(keep_rows=True)
+        report, got, skipped = execute_plan(plan, store, floor, charges=book)
+        paid = withdraw_prefix(oracle, [price[kind] for kind in kinds], floor)
+        assert got is store and store.stored == oracle.stored
+        assert report.ops_node + report.ops_network == paid
+        assert skipped == run_ops[paid:]
+        assert report.aborted == (paid < len(kinds))
+        assert [row[3] for row in book.rows] == [price[kind] for kind in kinds[:paid]]
 
 
 class TestLedgerProperties:

@@ -11,6 +11,7 @@ from harvestsim.mac import (
     DELTA_BY_LEVEL,
     ChannelSaturated,
     DutySchedule,
+    FrameCosts,
     MacConfig,
     NoAck,
     PreambleTrain,
@@ -18,6 +19,7 @@ from harvestsim.mac import (
     backoff_window_ms,
     cca,
     csma_send,
+    frame_costs,
     measure_duty,
     preamble_train,
     radio_energy,
@@ -158,6 +160,66 @@ class TestRadioEnergy:
 
 def awake_schedule():
     return DutySchedule(wake_ms=5.0, sleep_ms=0.0)
+
+
+class TestFrameCosts:
+    """Each field of a world's frame-cost table equals the direct
+    ``radio_energy`` or ``preamble_train`` call it stands for."""
+
+    # Frame times unlike the defaults and each other, so that a field
+    # computed from the wrong one differs.
+    CONFIG = MacConfig(
+        preamble_packet_ms=0.8, data_packet_ms=4.5, ack_ms=0.3, control_packet_ms=1.2
+    )
+
+    @pytest.mark.parametrize("mode", ["formula", "paper-table"])
+    @pytest.mark.parametrize("beacon_dbm", sorted(RadioEnergyModel().tx_ma))
+    def test_fields_equal_direct_calls(self, mode, beacon_dbm):
+        config = dataclasses.replace(self.CONFIG, schedule_mode=mode)
+        radio = RadioEnergyModel()
+        schedules = {
+            level: schedule_from_delta(delta, config) for level, delta in DELTA_BY_LEVEL.items()
+        }
+        costs = frame_costs(config, radio, schedules, beacon_dbm)
+        control, preamble = config.control_packet_ms, config.preamble_packet_ms
+        live = (EnergyLevel.E1, EnergyLevel.E2, EnergyLevel.E3)
+        sleeps = [0.0] + [schedules[level].sleep_ms for level in live]
+        assert len(set(sleeps)) == 4
+        span = schedules[EnergyLevel.E1].sleep_ms + control
+        ack = radio_energy(radio, tx_ms=config.ack_ms, tx_power_dbm=0)
+
+        assert costs.beacon_tx_uj == radio_energy(radio, tx_ms=control, tx_power_dbm=beacon_dbm)
+        assert costs.control_rx_uj == radio_energy(radio, rx_ms=control)
+        assert costs.rreq_span_ms == span == max(sleeps) + control
+        assert costs.rreq_tx_uj == {
+            power: radio_energy(radio, tx_ms=span, tx_power_dbm=power) for power in radio.tx_ma
+        }
+        assert costs.unicasts == {
+            "data": (
+                config, config.data_packet_ms, "mac:data-tx", "mac:data-rx",
+                radio_energy(radio, rx_ms=preamble) + ack,
+            ),
+            "rrep": (
+                dataclasses.replace(config, data_packet_ms=control), 0.0,
+                "mac:rrep-tx", "mac:rrep-rx",
+                radio_energy(radio, rx_ms=preamble + control) + ack,
+            ),
+        }
+        assert costs.trains == {sleep: preamble_train(sleep, config) for sleep in sleeps}
+        assert costs.send_estimate_uj == {
+            (sleep, power): radio_energy(
+                radio, tx_ms=sleep + config.data_packet_ms, tx_power_dbm=power
+            )
+            for sleep in sleeps
+            for power in radio.tx_ma
+        }
+
+    def test_frozen(self):
+        schedules = {level: schedule_from_delta(d) for level, d in DELTA_BY_LEVEL.items()}
+        costs = frame_costs(MacConfig(), RadioEnergyModel(), schedules, 0)
+        assert isinstance(costs, FrameCosts)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            costs.beacon_tx_uj = 0.0
 
 
 class TestCsmaSend:

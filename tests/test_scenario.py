@@ -13,7 +13,7 @@ import yaml
 
 import synth_oracle
 from test_simcore import lattice_yaml
-from harvestsim import scenario
+from harvestsim import bounds, scenario
 from harvestsim.energy import SlotOutOfRange
 from harvestsim.scenario import (
     SCENARIO_SCHEMA,
@@ -190,6 +190,28 @@ nodes:
         with pytest.raises(SchemaError) as err:
             parse_scenario(text)
         assert any("profile" in v for v in err.value.violations)
+
+    def test_per_slot_work_cap_is_inclusive(self):
+        cap = bounds.MAX_EVENTS_PER_NODE_SLOT
+        at_cap = MINIMAL + f"slot_duration_s: {float(cap)}\ntraffic: {{packet_period_s: 1.0}}\n"
+        assert parse_scenario(at_cap).slot_duration_s == cap
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(at_cap.replace("packet_period_s: 1.0", "packet_period_s: 0.999"))
+        assert err.value.violations == [
+            f"slot_duration_s / traffic/packet_period_s: 10010 per node-slot exceeds {cap}"
+        ]
+
+    @pytest.mark.parametrize(
+        "extra, section",
+        [("slot_duration_s: 0.0\n", "slot_duration_s"),
+         ("routing: {beacon_period_s: 0.0}\n", "routing"),
+         ("traffic: {packet_period_s: .nan}\n", "traffic")],
+        ids=["slot-duration-zero", "beacon-period-zero", "packet-period-nan"],
+    )
+    def test_per_slot_work_cap_skips_rejected_fields(self, extra, section):
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(MINIMAL + extra)
+        assert [v.split("/")[0].split(":")[0] for v in err.value.violations] == [section]
 
     def test_not_yaml(self):
         # Unclosed flows, a tab-indented key and a control character.

@@ -11,7 +11,8 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from harvestsim import app, energy, forecast, mac, routing, simcore
+from harvestsim import app, channel, energy, forecast, mac, routing, simcore
+from harvestsim.channel import Channel, deliver, loss_probability, rssi_at
 from harvestsim.cli import main
 from harvestsim.energy import (
     DEFAULT_TX_COSTS,
@@ -24,7 +25,7 @@ from harvestsim.energy import (
 )
 from harvestsim.routing import REFERENCE_TX_POWER_DBM, TX_POWER_BY_LEVEL
 from harvestsim.scenario import ChannelSettings, parse_scenario
-from harvestsim.simcore import World, deliver, loss_probability, rssi_at
+from harvestsim.simcore import World
 
 TREE_YAML = """
 name: test-tree
@@ -459,14 +460,33 @@ def lattice_yaml(*, sigma_db: float, predictor: str, slots: int) -> str:
     return yaml.safe_dump(doc, sort_keys=True)
 
 
+def _full_scan_rssi(medium, sender, receiver, tx_dbm):
+    """One reception's power, its path loss recomputed, shadowed through
+    the channel stream's own ``gauss``."""
+    (x1, y1), (x2, y2) = sender.position, receiver.position
+    rssi = rssi_at(tx_dbm, math.hypot(x2 - x1, y2 - y1), medium.settings)
+    sigma = medium.settings.shadowing_sigma_db
+    return rssi + medium.rng.gauss(0.0, sigma) if sigma > 0 else rssi
+
+
+class _FullScanChannel(Channel):
+    """A unicast exchange's power from :func:`_full_scan_rssi`."""
+
+    def open_exchange(self, sender, receiver, tx_dbm):
+        self._exchange_rssi = _full_scan_rssi(self, sender, receiver, tx_dbm)
+        return self._exchange_rssi
+
+
 class _FullScanWorld(World):
     """The engine before the link table: every reception recomputes its path
     loss, and every broadcast scans every other node in id order."""
 
+    def __init__(self, cfg, **kwargs):
+        super().__init__(cfg, **kwargs)
+        self.channel = _FullScanChannel(cfg.channel, self.nodes, cfg.seed)
+
     def _link_rssi(self, sender, receiver, tx_dbm):
-        rssi = rssi_at(tx_dbm, self._distance(sender, receiver), self.cfg.channel)
-        sigma = self.cfg.channel.shadowing_sigma_db
-        return rssi + self.rng_channel.gauss(0.0, sigma) if sigma > 0 else rssi
+        return _full_scan_rssi(self.channel, sender, receiver, tx_dbm)
 
     def _on_beacon(self, t, node_id):
         rt = self.nodes[node_id]
@@ -485,7 +505,7 @@ class _FullScanWorld(World):
                 continue
             if not other.awake_at(t * 1000.0):
                 continue
-            if not deliver(rssi, self.cfg.channel, self.rng_channel):
+            if not deliver(rssi, self.cfg.channel, self.channel.rng):
                 continue
             rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
             if self._charge(other, "mac:beacon-rx", rx):
@@ -502,7 +522,7 @@ class _FullScanWorld(World):
         if not self._charge(rt, "mac:rreq-tx", cost):
             return
         arrival = t + span_ms / 1000.0
-        self.busy_until = max(self.busy_until, arrival)
+        self.channel.occupy(arrival)
         for other in self.nodes.values():
             if other.node_id == rt.node_id:
                 continue
@@ -511,7 +531,7 @@ class _FullScanWorld(World):
             rssi = self._link_rssi(rt, other, rreq.tx_power_dbm)
             if rssi < self.cfg.channel.sensitivity_dbm:
                 continue
-            if not deliver(rssi, self.cfg.channel, self.rng_channel):
+            if not deliver(rssi, self.cfg.channel, self.channel.rng):
                 continue
             rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
             if not self._charge(other, "mac:rreq-rx", rx):
@@ -642,7 +662,8 @@ class TestLinkTable:
                         expected.append((other_id, rssi, loss_probability(rssi, cfg.channel)))
                     else:
                         dropped += 1
-                got = [(other.node_id, mean, loss) for other, mean, loss in world._fanout(sender, tx)]
+                fan = world.channel.fanout(sender, tx)
+                got = [(other.node_id, mean, loss) for other, mean, loss in fan]
                 assert got == expected
         assert dropped > 0  # the lattice has links below sensitivity at every power
 
@@ -650,18 +671,18 @@ class TestLinkTable:
         cfg = parse_scenario(lattice_yaml(sigma_db=0.0, predictor="ewma", slots=20))
         links = []
         last_pair = []
-        real_distance, real_rssi_at = World._distance, simcore.rssi_at
+        real_link_mean, real_rssi_at = Channel._link_mean, channel.rssi_at
 
-        def distance(self, a, b):
+        def link_mean(self, a, b, tx_dbm):
             last_pair[:] = [(a.node_id, b.node_id)]
-            return real_distance(self, a, b)
+            return real_link_mean(self, a, b, tx_dbm)
 
-        def counting_rssi_at(tx_dbm, distance_m, channel):
+        def counting_rssi_at(tx_dbm, distance_m, settings):
             links.append((*last_pair[0], tx_dbm))
-            return real_rssi_at(tx_dbm, distance_m, channel)
+            return real_rssi_at(tx_dbm, distance_m, settings)
 
-        monkeypatch.setattr(World, "_distance", distance)
-        monkeypatch.setattr(simcore, "rssi_at", counting_rssi_at)
+        monkeypatch.setattr(Channel, "_link_mean", link_mean)
+        monkeypatch.setattr(channel, "rssi_at", counting_rssi_at)
         world = World(cfg, collect_mac_trace=True)
         assert links == []  # the table is built on first use, not at set-up
         m = simcore.run(world, 20)
@@ -671,15 +692,15 @@ class TestLinkTable:
         assert links and not repeated
 
     def test_shadowed_link_rssi_follows_the_channel_stream(self, tree_cfg):
-        channel = ChannelSettings(shadowing_sigma_db=4.0)
-        cfg = dataclasses.replace(tree_cfg, channel=channel)
+        settings = ChannelSettings(shadowing_sigma_db=4.0)
+        cfg = dataclasses.replace(tree_cfg, channel=settings)
         world = World(dataclasses.replace(cfg, seed=23))
         twin = random.Random("23:channel")
         a, b, c, d = (world.nodes[n] for n in "ABCD")
         for sender, receiver, tx in [(a, b, 0), (b, d, -5), (a, b, 0), (d, c, -10), (b, d, -5)]:
-            distance = world._distance(sender, receiver)
-            expected = rssi_at(tx, distance, channel) + twin.gauss(0.0, 4.0)
-            assert world._link_rssi(sender, receiver, tx) == expected
+            (x1, y1), (x2, y2) = sender.position, receiver.position
+            expected = rssi_at(tx, math.hypot(x2 - x1, y2 - y1), settings) + twin.gauss(0.0, 4.0)
+            assert world.channel.open_exchange(sender, receiver, tx) == expected
 
     @pytest.mark.parametrize("sigma_db", [0.0, 4.0])
     def test_run_equals_full_scan(self, sigma_db):
@@ -729,7 +750,7 @@ class TestFloodArrival:
         t, _, kind, payload = world._events[0]
         assert kind == "rreq_arrive" and payload[0] is rreq
         heard = list(payload[1])
-        fan_out = [other.node_id for other, _, _ in world._fanout(sender, sender.tx_power)]
+        fan_out = [other.node_id for other, _, _ in world.channel.fanout(sender, sender.tx_power)]
         assert all(world.nodes[rt.node_id] is rt for rt, _ in heard)
         ids = [rt.node_id for rt, _ in heard]
         assert len(ids) > 2
@@ -849,8 +870,8 @@ class TestChargeAccounts:
 
 
 class TestShadowDraw:
-    """``World._shadow`` is ``rng_channel.gauss(0.0, sigma)`` added to the
-    mean, bit for bit, and shares the stream's pending half with it."""
+    """``Channel._shadow`` is ``rng.gauss(0.0, sigma)`` added to the mean,
+    bit for bit, and shares the stream's pending half with it."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -862,17 +883,17 @@ class TestShadowDraw:
     )
     @example(seed=1, sigma=5e-324, mean=-0.0, steps=["shadow"] * 40)
     def test_bit_equal_to_stdlib_gauss(self, tree_cfg, seed, sigma, mean, steps):
-        channel = ChannelSettings(shadowing_sigma_db=sigma)
-        world = World(dataclasses.replace(tree_cfg, channel=channel, seed=seed))
+        settings = ChannelSettings(shadowing_sigma_db=sigma)
+        medium = World(dataclasses.replace(tree_cfg, channel=settings, seed=seed)).channel
         twin = random.Random(f"{seed}:channel")
         bits = struct.Struct("d").pack
         for step in steps:
             if step == "shadow":
-                assert bits(world._shadow(mean)) == bits(mean + twin.gauss(0.0, sigma))
+                assert bits(medium._shadow(mean)) == bits(mean + twin.gauss(0.0, sigma))
             elif step == "gauss":
-                assert bits(world.rng_channel.gauss(0.0, sigma)) == bits(twin.gauss(0.0, sigma))
+                assert bits(medium.rng.gauss(0.0, sigma)) == bits(twin.gauss(0.0, sigma))
             else:
-                assert world.rng_channel.random() == twin.random()
+                assert medium.rng.random() == twin.random()
 
 
 class TestBenchmarkBindings:
