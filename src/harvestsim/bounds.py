@@ -1,9 +1,17 @@
-"""JSON-schema bounds declared on the settings dataclasses themselves.
+"""JSON-schema bounds declared on the settings dataclasses themselves, and
+the one checker that reads them.
 
 Every field of a settings dataclass carries its bound as field metadata,
 ``field(default=..., metadata=POS)``, so a setting's name, default and bound
 sit on one line. :func:`section` turns such a class into the schema object
 for its section of a scenario document.
+
+:class:`Checker` validates a value against such a schema. It implements the
+thirteen JSON-schema keywords in :data:`KEYWORDS`, each with jsonschema's
+meaning and message, and refuses a schema that uses any other keyword. A
+value's JSON type is read from its exact Python type, as YAML and click build
+them. One difference from JSON Schema is deliberate: ``integer`` means an
+``int``, so ``1.0`` is not an integer here.
 """
 
 from __future__ import annotations
@@ -41,3 +49,188 @@ def section(cls, **extra) -> dict:
         for f in fields(cls)
     }
     return {"type": "object", "additionalProperties": False, **extra, "properties": properties}
+
+
+# Each JSON type's Python types. ``bool`` is a type of its own, so a bool is
+# neither an integer nor a number.
+_TYPES = {
+    "array": {list},
+    "boolean": {bool},
+    "integer": {int},
+    "null": {type(None)},
+    "number": {int, float},
+    "object": {dict},
+    "string": {str},
+}
+_NUMBER = _TYPES["number"]
+
+
+# Each keyword's compiler: ``(argument, schema, where)`` to a check
+# ``(value, path, out)`` that appends ``(path, message)`` to ``out`` for each
+# violation, in jsonschema's wording, or to None where the keyword constrains
+# nothing. ``where`` locates the schema in errors.
+
+def _annotation(argument, schema, where):
+    return None
+
+
+def _type(types, schema, where):
+    names = [types] if isinstance(types, str) else list(types)
+    if not set(names) <= _TYPES.keys():
+        raise ValueError(f"schema at {where}: unknown type in {names}")
+    allowed = set().union(*(_TYPES[name] for name in names))
+    expected = ", ".join(map(repr, names))
+
+    def check(value, path, out):
+        if type(value) not in allowed:
+            out.append((path, f"{value!r} is not of type {expected}"))
+    return check
+
+
+def _enum(values, schema, where):
+    if not all(isinstance(v, str) for v in values):
+        raise ValueError(f"schema at {where}: enum members must be strings")
+
+    def check(value, path, out):
+        # Members are strings, so plain equality is jsonschema's equality.
+        if value not in values:
+            out.append((path, f"{value!r} is not one of {values!r}"))
+    return check
+
+
+def _bound(fails, wording):
+    """Compiler of a numeric bound that ``fails(value, bound)``; other
+    values pass."""
+    def compile_bound(bound, schema, where):
+        def check(value, path, out):
+            if type(value) in _NUMBER and fails(value, bound):
+                out.append((path, f"{value!r} is {wording} {bound!r}"))
+        return check
+    return compile_bound
+
+
+def _min_items(n, schema, where):
+    wording = "should be non-empty" if n == 1 else "is too short"
+
+    def check(value, path, out):
+        if isinstance(value, list) and len(value) < n:
+            out.append((path, f"{value!r} {wording}"))
+    return check
+
+
+def _max_items(n, schema, where):
+    wording = "is expected to be empty" if n == 0 else "is too long"
+
+    def check(value, path, out):
+        if isinstance(value, list) and len(value) > n:
+            out.append((path, f"{value!r} {wording}"))
+    return check
+
+
+def _items(item_schema, schema, where):
+    item = _compile(item_schema, f"{where}/items")
+
+    def check(value, path, out):
+        if isinstance(value, list):
+            for index, each in enumerate(value):
+                item(each, (*path, index), out)
+    return check
+
+
+def _properties(properties, schema, where):
+    known = [(key, _compile(sub, f"{where}/properties/{key}")) for key, sub in properties.items()]
+
+    def check(value, path, out):
+        if isinstance(value, dict):
+            for key, sub in known:
+                if key in value:
+                    sub(value[key], (*path, key), out)
+    return check
+
+
+def _additional_properties(extra, schema, where):
+    known = schema.get("properties", {})
+    if isinstance(extra, dict):
+        sub = _compile(extra, f"{where}/additionalProperties")
+
+        def check(value, path, out):
+            if isinstance(value, dict):
+                for key in value:
+                    if key not in known:
+                        sub(value[key], (*path, key), out)
+        return check
+    if extra is not False:
+        return None
+
+    def check(value, path, out):
+        if isinstance(value, dict):
+            extras = [key for key in value if key not in known]
+            if extras:
+                names = ", ".join(map(repr, sorted(extras, key=str)))
+                verb = "was" if len(extras) == 1 else "were"
+                message = f"Additional properties are not allowed ({names} {verb} unexpected)"
+                out.append((path, message))
+    return check
+
+
+def _required(names, schema, where):
+    def check(value, path, out):
+        if isinstance(value, dict):
+            for name in names:
+                if name not in value:
+                    out.append((path, f"{name!r} is a required property"))
+    return check
+
+
+_KEYWORDS = {
+    "$schema": _annotation,
+    "type": _type,
+    "enum": _enum,
+    "minimum": _bound(lambda v, b: v < b, "less than the minimum of"),
+    "exclusiveMinimum": _bound(lambda v, b: v <= b, "less than or equal to the minimum of"),
+    "maximum": _bound(lambda v, b: v > b, "greater than the maximum of"),
+    "exclusiveMaximum": _bound(lambda v, b: v >= b, "greater than or equal to the maximum of"),
+    "minItems": _min_items,
+    "maxItems": _max_items,
+    "items": _items,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+    "required": _required,
+}
+KEYWORDS = frozenset(_KEYWORDS)
+
+
+def _compile(schema: dict, where: str):
+    """One check for all of ``schema``'s keywords, run in the schema's order."""
+    unknown = sorted(set(schema) - KEYWORDS)
+    if unknown:
+        raise ValueError(f"schema at {where}: unsupported keywords {unknown}")
+    checks = [_KEYWORDS[k](arg, schema, where) for k, arg in schema.items()]
+    checks = [each for each in checks if each is not None]
+    if len(checks) == 1:
+        return checks[0]
+
+    def check(value, path, out):
+        for each in checks:
+            each(value, path, out)
+    return check
+
+
+class Checker:
+    """A schema in this module's vocabulary, compiled once.
+
+    Raises ``ValueError`` if the schema uses a keyword outside
+    :data:`KEYWORDS`, a type JSON Schema does not name, or a non-string enum
+    member.
+    """
+
+    def __init__(self, schema: dict):
+        self._check = _compile(schema, "#")
+
+    def violations(self, value) -> list[tuple[tuple, str]]:
+        """Every ``(path, message)`` violation of ``value``: keywords in the
+        schema's order, keys in the value's; a path is the keys and indices
+        from the root."""
+        out: list = []
+        self._check(value, (), out)
+        return out

@@ -17,9 +17,9 @@ import sys
 from pathlib import Path
 
 import click
-import jsonschema
 
 from . import forecast, mac, simcore
+from .bounds import Checker
 from .energy import EnergyError
 from .forecast import ForecastError
 from .mac import MacError
@@ -58,21 +58,22 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 class _Bounded(click.ParamType):
-    """A finite number checked against the bound settings field ``cls.name``
-    declares (a JSON-schema bound alone admits NaN and infinities)."""
+    """A finite number checked by ``bounds.Checker`` against the bound that
+    settings field ``cls.name`` declares, as a scenario document's value is
+    (a JSON-schema bound alone admits NaN and infinities)."""
 
     name = "number"
 
     def __init__(self, cls, name: str):
         bound = next(f.metadata for f in dataclasses.fields(cls) if f.name == name)
-        self.validator = jsonschema.Draft202012Validator(bound)
+        self.checker = Checker(bound)
 
     def convert(self, value, param, ctx):
         value = click.FLOAT.convert(value, param, ctx)
         if not math.isfinite(value):
             self.fail(f"{value!r} is not a finite number", param, ctx)
-        for err in self.validator.iter_errors(value):
-            self.fail(err.message, param, ctx)
+        for _, message in self.checker.violations(value):
+            self.fail(message, param, ctx)
         return value
 
 
@@ -182,9 +183,10 @@ def cli() -> None:
 def run_cmd(config_path, seed, slots, mode, outdir, mac_trace) -> None:
     """Full simulation: slot reports, ledger, routes, forecasts, summary."""
     cfg = _effective_config(_load_config(config_path), seed, slots, mode)
+    # Built first, so that a set-up failure (an unreadable trace) writes nothing.
+    world = simcore.World(cfg, collect_mac_trace=mac_trace)
     outdir = Path(outdir)
     digest = _echo_config(cfg, outdir)
-    world = simcore.World(cfg, collect_mac_trace=mac_trace)
     metrics = simcore.run(world, cfg.slots)
     write_metrics(
         metrics,

@@ -1,6 +1,10 @@
 """Scenario configuration: schema, parsing, and harvest-trace construction.
 
-Scenarios are YAML documents validated against a published JSON schema.
+Scenarios are YAML documents checked against a published JSON schema,
+``SCENARIO_SCHEMA`` (pinned in ``tests/scenario_schema.json``), by
+``bounds.Checker``, which reports jsonschema's paths and messages; jsonschema
+itself is only the tests' oracle. Integer fields take integers only, so
+``slots: 10.0`` is rejected although JSON Schema's ``integer`` admits it.
 Validation collects *every* violation (schema and semantic) before failing,
 and unknown keys are rejected rather than silently absorbed. Parsed configs
 round-trip: ``parse(serialize(cfg)) == cfg``.
@@ -34,12 +38,12 @@ import re
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-import jsonschema
 import yaml
 
 from .app import Policy
 from .bounds import (
-    FRACTION, MAX_EVENTS_PER_NODE_SLOT, NONNEG, NUM, POS, PROBABILITY, enum, int_min, section
+    FRACTION, MAX_EVENTS_PER_NODE_SLOT, NONNEG, NUM, POS, PROBABILITY, Checker, enum, int_min,
+    section,
 )
 from .channel import ChannelSettings
 from .energy import DEFAULT_OP_COSTS, TX_OP_KIND, HarvestTrace
@@ -188,7 +192,7 @@ SCENARIO_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     **section(ScenarioConfig, required=["name", "nodes"]),
 }
-_VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+_CHECKER = Checker(SCENARIO_SCHEMA)
 
 # The settings sections, by key: each field whose default is a settings dataclass.
 _SECTIONS = {f.name: type(f.default) for f in fields(ScenarioConfig) if is_dataclass(f.default)}
@@ -286,6 +290,20 @@ def _non_finite(container, path: tuple = ()):
             yield from _non_finite(item, (*path, key))
 
 
+def _path_order(violation: tuple) -> list:
+    """Sort key of a ``(path, message)`` violation: its path, in a total order.
+
+    At each depth numbers sort before strings, and any other key (a null, a
+    date) after both by its text, so an int key beside a str key sorts.
+    Numbers among numbers and strings among strings keep their own order.
+    """
+    return [
+        (0, p) if isinstance(p, (int, float)) else (1, p) if isinstance(p, str)
+        else (2, type(p).__name__, str(p))
+        for p in violation[0]
+    ]
+
+
 def _build(cls, data: dict):
     """``cls`` from the keys ``data`` has, lists as tuples; the rest keep their defaults."""
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
@@ -300,12 +318,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise SchemaError(["document must be a mapping"])
 
-    errors = sorted(_VALIDATOR.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    violations = [
-        f"{'/'.join(str(p) for p in err.absolute_path) or '<root>'}: {err.message}"
-        for err in errors
-    ]
-    rejected = {err.absolute_path[0] for err in errors if err.absolute_path}
+    errors = sorted(_CHECKER.violations(doc), key=_path_order)
+    violations = [f"{'/'.join(map(str, path)) or '<root>'}: {message}" for path, message in errors]
+    rejected = {path[0] for path, _ in errors if path}
     for path, value in _non_finite(doc):
         violations.append(f"{'/'.join(map(str, path))}: {value!r} is not a finite number")
         rejected.add(path[0])
@@ -449,7 +464,11 @@ def build_profile_trace(prof: ProfileSpec, n_slots: int, name: str) -> HarvestTr
     if prof.kind == "constant":
         return HarvestTrace(powers=(prof.power_w,) * n_slots, scale=prof.scale)
     if prof.kind == "csv":
-        trace = load_trace(Path(prof.path).read_text(encoding="utf-8"), scale=prof.scale)
+        try:
+            text = Path(prof.path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ParseError(f"profile {name}: cannot read {prof.path!r}: {exc.strerror}") from exc
+        trace = load_trace(text, scale=prof.scale)
         if len(trace) < n_slots:
             raise ParseError(
                 f"profile {name}: trace has {len(trace)} slots, run needs {n_slots}"

@@ -135,6 +135,43 @@ class TestRunCommand:
             assert f"  - slot_duration_s / {name}: " in err
         assert err.count("per node-slot exceeds 10000") == len(fields)
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("slots: 2000", "slots: 10.0"), ("seed: 11", "seed: 7.0"),
+         ("repeat: 6,", "repeat: 6.0,")],
+        ids=["slots", "seed", "repeat"],
+    )
+    def test_integer_valued_float_is_a_config_error(self, tmp_path, capsys, old, new):
+        assert TREE.count(old) == 1
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(TREE.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(bad), "--slots", "5", "--out", str(out)]) == 2
+        assert "is not of type 'integer'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_int_key_beside_str_key_is_a_config_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(TREE + "costs: {tx128: {0: -1.0, high: -2.0}}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        assert "  - costs/tx128/0: -1.0 is less than" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [None, 3], ids=["missing", "too-short"])
+    def test_csv_trace_set_up_failure_writes_nothing(self, tmp_path, capsys, rows):
+        trace = tmp_path / "trace.csv"
+        if rows is not None:
+            trace.write_text("slot,power_watts\n" + "".join(f"{i},0.001\n" for i in range(rows)))
+        direct = "direct:    {kind: synthetic, amplitude_w: 0.008,"
+        assert TREE.count(direct) == 1
+        config = tmp_path / "csv.yaml"
+        config.write_text(TREE.replace(direct, f"direct: {{kind: csv, path: '{trace}',"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--slots", "20", "--out", str(out)]) == 3
+        assert "runtime failure: profile direct: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mac_trace_flag(self, tree_path, tmp_path):
         out = tmp_path / "out"
         main(["run", "--config", tree_path, "--slots", "5", "--out", str(out),

@@ -213,6 +213,38 @@ nodes:
             parse_scenario(MINIMAL + extra)
         assert [v.split("/")[0].split(":")[0] for v in err.value.violations] == [section]
 
+    @pytest.mark.parametrize(
+        "old, new, violation",
+        [
+            ("slots: 2000", "slots: 10.0", "slots: 10.0 is not of type 'integer'"),
+            ("seed: 11", "seed: 7.0", "seed: 7.0 is not of type 'integer'"),
+            ("repeat: 6,", "repeat: 6.0,", "policies/source/0/repeat: 6.0 is not of type 'integer'"),
+        ],
+        ids=["slots", "seed", "repeat"],
+    )
+    def test_integer_fields_take_integers_only(self, old, new, violation):
+        # JSON Schema's integer admits 6.0; a float slot count fails in
+        # synth_trace and a float seed keys every stream "7.0:...".
+        assert TREE.count(old) == 1
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(TREE.replace(old, new))
+        assert err.value.violations == [violation]
+
+    def test_int_key_beside_str_key_sorts(self):
+        # Violations sort by path; 0 and 'high' are not comparable themselves.
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(MINIMAL + "costs: {tx128: {0: -1.0, high: -2.0}}\n")
+        assert err.value.violations == [
+            "costs/tx128/0: -1.0 is less than or equal to the minimum of 0",
+            "costs/tx128/high: -2.0 is less than or equal to the minimum of 0",
+            "costs/tx128: power 'high' is not an integer dBm",
+        ]
+        text = MINIMAL.replace(self.SUN_PROFILES, "profiles:\n  sun: {kind: x}\n  7: {kind: y}")
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(text)
+        assert [v.split(":")[0] for v in err.value.violations] == ["profiles/7/kind",
+                                                                   "profiles/sun/kind"]
+
     def test_not_yaml(self):
         # Unclosed flows, a tab-indented key and a control character.
         for text in ["{{{{", "nodes: [", "a:\n\tb: 1\n", "a: \x07"]:
@@ -349,6 +381,12 @@ class TestLoadTrace:
 
 
 class TestBuildProfileTrace:
+    def test_unreadable_csv_names_profile_and_path(self, tmp_path):
+        path = tmp_path / "does_not_exist.csv"
+        with pytest.raises(ParseError) as err:
+            build_profile_trace(ProfileSpec(kind="csv", path=str(path)), 2, "sun")
+        assert str(err.value).startswith(f"profile sun: cannot read {str(path)!r}")
+
     def test_csv_profile_leaves_no_file_open(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("slot,power_watts\n0,0.001\n1,0.002\n", encoding="utf-8")
