@@ -146,7 +146,7 @@ def compute_budget(context: EnergyContext, store: EnergyStore, floor: float) -> 
     return max(e_a - reserve - floor, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BacklogEntry:
     kind: str
     policy: str
@@ -258,7 +258,7 @@ class ExecutionPlan:
     price: Mapping[str, float]
 
 
-@dataclass
+@dataclass(slots=True)
 class SlotReport:
     """Per-slot settlement record (one CSV row of the slot log)."""
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config/schema rejection, 3 runtime infeasibility.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -300,19 +301,22 @@ def compare_predictors(series, ewma, seasonal) -> dict:
 def route_compare_cmd(config_path, seeds, slots, outdir) -> None:
     """PDR of modified versus baseline routing over a batch of seeds."""
     cfg = _effective_config(_load_config(config_path), None, slots, None)
+    runs = (
+        (seed, mode, simcore.World(_effective_config(cfg, seed, None, mode)))
+        for seed in range(cfg.seed, cfg.seed + seeds)
+        for mode in ("modified", "baseline")
+    )
+    # The first world is built first, so that a set-up failure (an
+    # unreadable trace) writes nothing.
+    first = next(runs)
     outdir = Path(outdir)
     digest = _echo_config(cfg, outdir)
     rows = []
     pdrs = {"modified": [], "baseline": []}
-    for i in range(seeds):
-        seed = cfg.seed + i
-        for mode in ("modified", "baseline"):
-            world = simcore.World(_effective_config(cfg, seed, None, mode))
-            metrics = simcore.run(world, cfg.slots)
-            rows.append(
-                (seed, mode, metrics.pdr(), metrics.delivered, metrics.generated)
-            )
-            pdrs[mode].append(metrics.pdr())
+    for seed, mode, world in itertools.chain([first], runs):
+        metrics = simcore.run(world, cfg.slots)
+        rows.append((seed, mode, metrics.pdr(), metrics.delivered, metrics.generated))
+        pdrs[mode].append(metrics.pdr())
     mean_mod = sum(pdrs["modified"]) / seeds
     mean_base = sum(pdrs["baseline"]) / seeds
     write_csv(

@@ -287,7 +287,7 @@ def frame_costs(
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class SendResult:
     """Outcome of a CSMA unicast exchange."""
 

@@ -2,7 +2,10 @@
 
 A reduced reactive protocol: sources flood route requests, only the sink
 replies, and the reply installs one next-hop entry per destination along the
-reverse path. Two sink behaviours are supported:
+reverse path. An origin numbers its floods in increasing order, so a relay
+forwards a request only when it is newer than the last flood it forwarded
+from that origin, and its flood memory is one number per origin however long
+the run. Two sink behaviours are supported:
 
 * ``baseline``: the first request of a flood wins (classic reduced-AODV);
 * ``modified``: the sink collects candidates for a short window, scores each
@@ -135,7 +138,7 @@ def sink_route_cost(path_rssi: list[float], weights: list[float] | None = None) 
     return sum(w * abs(r) for w, r in zip(weights, path_rssi))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rreq:
     """Route request: flood-identified by (origin, seq), accumulating per-hop RSSI."""
 
@@ -152,7 +155,7 @@ class Rreq:
         return [rssi for _, rssi in self.path]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rrep:
     """Route reply carrying the chosen reverse path and its cost."""
 
@@ -175,14 +178,16 @@ class RouteEntry:
 class RoutingState:
     """Per-node protocol state, mutated only by the owning simulator.
 
-    ``answered`` and ``answered_cost`` hold, per origin, the newest flood the
-    sink answered and that answer's cost; ``windows`` holds the candidates of
-    each open collection window by (origin, seq). Only the sink fills them.
+    ``forwarded`` holds, per origin, the newest flood this node forwarded as
+    a relay. ``answered`` and ``answered_cost`` hold, per origin, the newest
+    flood the sink answered and that answer's cost; ``windows`` holds the
+    candidates of each open collection window by (origin, seq). Only the
+    sink fills these three.
     """
 
     node_id: str
     table: dict[str, RouteEntry] = field(default_factory=dict)
-    forwarded: set[tuple[str, int]] = field(default_factory=set)
+    forwarded: dict[str, int] = field(default_factory=dict)
     answered: dict[str, int] = field(default_factory=dict)
     answered_cost: dict[str, float] = field(default_factory=dict)
     windows: dict[tuple[str, int], list[Rreq]] = field(default_factory=dict)
@@ -215,12 +220,11 @@ def process_rreq(
     """Relay handling of a request: dedupe, append own observation, re-send
     at the relay's transmit power.
 
-    Returns the forwarded request, or ``None`` when the flood was already
-    served, the node is dormant (``own_tx_power is None``), or forwarding
-    would loop.
+    Returns the forwarded request, or ``None`` when the relay already
+    forwarded this flood or a newer one from the same origin, the node is
+    dormant (``own_tx_power is None``), or forwarding would loop.
     """
-    key = (rreq.origin, rreq.seq)
-    if key in state.forwarded:
+    if rreq.seq <= state.forwarded.get(rreq.origin, 0):
         return None
     if own_tx_power is None:
         return None
@@ -230,7 +234,7 @@ def process_rreq(
     for hop, _ in rreq.path:
         if hop == me:
             return None
-    state.forwarded.add(key)
+    state.forwarded[rreq.origin] = rreq.seq
     return Rreq(
         origin=rreq.origin,
         dest=rreq.dest,

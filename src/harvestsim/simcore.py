@@ -87,7 +87,7 @@ MAX_PACKET_RETRIES = 3
 PENDING_QUEUE_CAP = 64
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     pid: str
     retries: int = 0

@@ -392,6 +392,18 @@ class TestRouteCompareCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_set_up_failure_writes_nothing(self, tmp_path, capsys):
+        direct = "direct:    {kind: synthetic, amplitude_w: 0.008,"
+        assert TREE.count(direct) == 1
+        config = tmp_path / "csv.yaml"
+        missing = tmp_path / "missing.csv"
+        config.write_text(TREE.replace(direct, f"direct: {{kind: csv, path: '{missing}',"))
+        out = tmp_path / "o"
+        argv = ["route-compare", "--config", str(config), "--seeds", "1", "--slots", "5"]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert "runtime failure: profile direct: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDutyCommand:
     def test_table_rows(self, tmp_path):

@@ -221,26 +221,39 @@ class TestProcessRreq:
     )
     def test_forwarded_request_equals_replace_oracle(self, requests):
         # The relay's handling as it read with dataclasses.replace and the
-        # hops() list, fed the same sequence: duplicates, loops, the relay's
-        # own floods and dormant slots all occur.
-        state, oracle = RoutingState("B"), RoutingState("B")
+        # hops() list, fed the same sequence: duplicates, out-of-order
+        # seqs, loops, the relay's own floods and dormant slots all occur.
+        # The oracle keeps every (origin, seq) it forwarded and forwards a
+        # flood only when it is newer than all of them.
+        state, served = RoutingState("B"), set()
         for k, (origin, seq, hops, power) in enumerate(requests):
             rreq = rreq_via(origin, seq, *((h, -60.0 - i) for i, h in enumerate(hops)))
             rssi = -70.0 - k
             expected = None
-            key = (origin, seq)
             if not (
-                key in oracle.forwarded
+                any(o == origin and s >= seq for o, s in served)
                 or power is None
-                or oracle.node_id == origin
-                or oracle.node_id in rreq.hops()
+                or state.node_id == origin
+                or state.node_id in rreq.hops()
             ):
-                oracle.forwarded.add(key)
+                served.add((origin, seq))
                 expected = dataclasses.replace(
-                    rreq, path=rreq.path + ((oracle.node_id, rssi),), tx_power_dbm=power
+                    rreq, path=rreq.path + ((state.node_id, rssi),), tx_power_dbm=power
                 )
             assert process_rreq(state, rreq, rssi, power) == expected
-            assert state.forwarded == oracle.forwarded
+            newest = {}
+            for o, s in served:
+                newest[o] = max(s, newest.get(o, 0))
+            assert state.forwarded == newest
+
+    def test_stale_flood_not_forwarded(self):
+        # Once a relay forwarded D's flood 2, a first copy of D's older
+        # flood 1 is stale; a newer flood from D is still forwarded.
+        state = RoutingState("B")
+        assert process_rreq(state, rreq_via("D", 2), -70.0, FULL_POWER) is not None
+        assert process_rreq(state, rreq_via("D", 1), -70.0, FULL_POWER) is None
+        assert process_rreq(state, rreq_via("D", 3), -70.0, FULL_POWER) is not None
+        assert state.forwarded == {"D": 3}
 
     def test_flood_forwards_at_most_once_per_relay(self):
         # Dedupe bound: a relay re-seeing its own or others' copies never

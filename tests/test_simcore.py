@@ -1085,6 +1085,26 @@ class TestGridInvariants:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+class TestFloodState:
+    def test_relays_keep_one_flood_per_origin(self):
+        # Origins flood again every refresh period, so in 60 slots one
+        # origin floods several times; a relay still holds only the newest
+        # flood it forwarded from each origin.
+        cfg = parse_scenario(lattice_yaml(sigma_db=0.0, predictor="ewma", slots=60))
+        world = World(cfg)
+        simcore.run(world, 60)
+        floods = {n: rt.routing.seq_counter for n, rt in world.nodes.items() if rt.routing.seq_counter}
+        assert max(floods.values()) >= 2
+        forwarded = 0
+        for node_id, rt in world.nodes.items():
+            held = rt.routing.forwarded
+            assert len(held) <= len(floods)
+            assert set(held) <= set(floods) - {node_id}
+            assert all(1 <= seq <= floods[origin] for origin, seq in held.items())
+            forwarded += len(held)
+        assert 0 < forwarded < sum(floods.values())
+
+
 class TestPinnedLatticeOutputs:
     """sha256 of each output of ``run`` on the 3x4 lattice, seed 8, 60 slots:
     with 4 dB shadowing and the Holt-Winters predictor, and without
