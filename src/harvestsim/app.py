@@ -15,7 +15,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .bounds import POS, enum, int_min
+from .bounds import POS, Bounded, enum, int_min
 from .energy import (
     OP_KINDS,
     RADIO_OPS,
@@ -33,7 +33,7 @@ from .optimizer import PolicyLp, build_opt, solve_for_v
 
 
 @dataclass(frozen=True)
-class Policy:
+class Policy(Bounded):
     """Named operation-kind sequence, run ``repeat`` times, with a priority
     rank (1 = highest).
 
@@ -49,14 +49,6 @@ class Policy:
     priority: int = field(default=1, metadata=int_min(1))
     repeat: int = field(default=1, metadata=int_min(1))
     weight: float = field(default=1.0, metadata=POS)
-
-    def __post_init__(self) -> None:
-        if not self.ops:
-            raise ValueError(f"policy {self.name!r} has no operations")
-        if self.repeat < 1:
-            raise ValueError(f"policy {self.name!r} repeat must be >= 1")
-        if self.weight <= 0:
-            raise ValueError(f"policy {self.name!r} weight must be positive")
 
     # A policy never changes, so what is derived from it is computed once.
 

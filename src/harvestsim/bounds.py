@@ -4,7 +4,8 @@ the one checker that reads them.
 Every field of a settings dataclass carries its bound as field metadata,
 ``field(default=..., metadata=POS)``, so a setting's name, default and bound
 sit on one line. :func:`section` turns such a class into the schema object
-for its section of a scenario document.
+for its section of a scenario document; a :class:`Bounded` settings class
+checks each field against the same bound when it is built.
 
 :class:`Checker` validates a value against such a schema. It implements the
 thirteen JSON-schema keywords in :data:`KEYWORDS`, each with jsonschema's
@@ -16,14 +17,18 @@ them. One difference from JSON Schema is deliberate: ``integer`` means an
 
 from __future__ import annotations
 
+import math
 from dataclasses import fields, is_dataclass
+from functools import cache
 
 NUM = {"type": "number"}
 POS = {"type": "number", "exclusiveMinimum": 0}
 NONNEG = {"type": "number", "minimum": 0}
 FRACTION = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 FRACTION_OR_ZERO = {"type": "number", "minimum": 0, "exclusiveMaximum": 1}
+FRACTION_OR_ONE = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
 PROBABILITY = {"type": "number", "minimum": 0, "maximum": 1}
+POS_TABLE = {"type": "object", "additionalProperties": POS}
 
 # The most beacons or packets one node may schedule in one slot.
 MAX_EVENTS_PER_NODE_SLOT = 10_000
@@ -234,3 +239,58 @@ class Checker:
         out: list = []
         self._check(value, (), out)
         return out
+
+
+def non_finite(value) -> list[tuple[tuple, str]]:
+    """``(path, message)`` of each NaN or infinite float in ``value``, its lists
+    and its dicts, in order. A JSON-schema ``number`` admits them, and YAML
+    spells them ``.nan`` and ``.inf``; no setting can use one."""
+    out: list = []
+    _non_finite(value, (), out)
+    return out
+
+
+def _non_finite(value, path, out):
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            out.append((path, f"{value!r} is not a finite number"))
+    elif isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            _non_finite(item, (*path, key), out)
+
+
+def _field_check(f):
+    """Field ``f``'s check: finite and within its bound, a tuple as an array.
+    ``None`` passes where it is the default: the field is unset."""
+    check, unset = _compile(dict(f.metadata), f.name), f.default is None
+
+    def field_check(value, path, out):
+        if value is None and unset:
+            return
+        value = list(value) if type(value) is tuple else value
+        _non_finite(value, path, out)
+        check(value, path, out)
+    return field_check
+
+
+@cache
+def field_checks(cls) -> dict:
+    """The check ``(value, path, out)`` of each bounded field of dataclass
+    ``cls``, by name, compiled once. A section field checks itself."""
+    return {
+        f.name: _field_check(f) for f in fields(cls) if f.metadata and not is_dataclass(f.default)
+    }
+
+
+class Bounded:
+    """Mixin of a settings dataclass: building one checks every field with
+    its own bound, and raises one ``ValueError`` naming each violation as
+    ``Class.field: message``."""
+
+    def __post_init__(self) -> None:
+        out: list = []
+        for name, check in field_checks(type(self)).items():
+            check(getattr(self, name), (name,), out)
+        if out:
+            cls = type(self).__name__
+            raise ValueError("; ".join(f"{cls}.{'/'.join(map(str, p))}: {m}" for p, m in out))

@@ -24,14 +24,14 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .bounds import NONNEG, NUM, POS, PROBABILITY
+from .bounds import NONNEG, NUM, POS, PROBABILITY, Bounded
 
 if TYPE_CHECKING:
     from .simcore import NodeRuntime
 
 
 @dataclass(frozen=True)
-class ChannelSettings:
+class ChannelSettings(Bounded):
     """Log-distance path loss anchored at the beacon calibration point."""
 
     path_loss_exponent: float = field(default=2.7, metadata=POS)

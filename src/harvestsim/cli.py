@@ -13,14 +13,13 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-import math
 import sys
 from pathlib import Path
 
 import click
 
 from . import forecast, mac, simcore
-from .bounds import Checker
+from .bounds import field_checks
 from .energy import EnergyError
 from .forecast import ForecastError
 from .mac import MacError
@@ -59,21 +58,19 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 class _Bounded(click.ParamType):
-    """A finite number checked by ``bounds.Checker`` against the bound that
-    settings field ``cls.name`` declares, as a scenario document's value is
-    (a JSON-schema bound alone admits NaN and infinities)."""
+    """A number checked by settings field ``cls.name``'s own check, as the
+    field's constructor checks it: finite and within the declared bound."""
 
     name = "number"
 
     def __init__(self, cls, name: str):
-        bound = next(f.metadata for f in dataclasses.fields(cls) if f.name == name)
-        self.checker = Checker(bound)
+        self.check = field_checks(cls)[name]
 
     def convert(self, value, param, ctx):
         value = click.FLOAT.convert(value, param, ctx)
-        if not math.isfinite(value):
-            self.fail(f"{value!r} is not a finite number", param, ctx)
-        for _, message in self.checker.violations(value):
+        out: list = []
+        self.check(value, (), out)
+        for _, message in out:
             self.fail(message, param, ctx)
         return value
 

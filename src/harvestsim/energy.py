@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
 
+from .bounds import POS_TABLE, Bounded
+
 
 class EnergyError(Exception):
     """Base class for ledger errors."""
@@ -281,19 +283,11 @@ RADIO_OPS = frozenset(kind for kind, op in OP_KINDS.items() if op.radio)
 
 
 @dataclass(frozen=True)
-class OperationCostTable:
+class OperationCostTable(Bounded):
     """Lookup from operation kind to energy cost (uJ)."""
 
-    costs: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_OP_COSTS))
-    tx_costs: dict[int, float] = field(default_factory=lambda: dict(DEFAULT_TX_COSTS))
-
-    def __post_init__(self) -> None:
-        for kind, cost in self.costs.items():
-            if cost <= 0 or not math.isfinite(cost):
-                raise ValueError(f"cost for {kind!r} must be > 0, got {cost}")
-        for power, cost in self.tx_costs.items():
-            if cost <= 0 or not math.isfinite(cost):
-                raise ValueError(f"tx cost at {power} dBm must be > 0, got {cost}")
+    costs: dict[str, float] = field(default_factory=DEFAULT_OP_COSTS.copy, metadata=POS_TABLE)
+    tx_costs: dict[int, float] = field(default_factory=DEFAULT_TX_COSTS.copy, metadata=POS_TABLE)
 
 
 def op_cost(table: OperationCostTable, kind: str, tx_power_dbm: int | None = None) -> float:

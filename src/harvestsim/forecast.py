@@ -34,7 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 
-from .bounds import FRACTION, FRACTION_OR_ZERO, enum, int_min
+from .bounds import FRACTION, FRACTION_OR_ZERO, Bounded, enum, int_min
 
 EPS_FLOOR = 1e-9
 
@@ -56,7 +56,7 @@ class DivisionDegenerate(ForecastError):
 
 
 @dataclass(frozen=True)
-class PredictorSettings:
+class PredictorSettings(Bounded):
     """A scenario's predictor: ``kind`` is ``ewma`` or ``hw`` (seasonal),
     ``horizon`` the number of slots planning looks ahead.
 
@@ -71,18 +71,6 @@ class PredictorSettings:
     gamma: float = field(default=0.650, metadata=FRACTION_OR_ZERO)
     period: int = field(default=24, metadata=int_min(2))
     horizon: int = field(default=2, metadata=int_min(2))
-
-    def __post_init__(self) -> None:
-        _check_weight(self.epsilon, "epsilon")
-        _check_weight(self.beta, "beta", allow_zero=True)
-        _check_weight(self.gamma, "gamma", allow_zero=True)
-
-
-def _check_weight(value: float, name: str, allow_zero: bool = False) -> None:
-    lo_ok = value >= 0.0 if allow_zero else value > 0.0
-    if not (lo_ok and value < 1.0):
-        bounds = "[0,1)" if allow_zero else "(0,1)"
-        raise ValueError(f"{name} must lie in {bounds}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .bounds import NUM, POS, enum, int_min
+from .bounds import NUM, POS, Bounded, enum, int_min
 from .energy import EnergyLevel
 
 
@@ -59,7 +59,7 @@ PAPER_TABLE_SLEEP_MS = {0.05: 100.0, 0.15: 35.0, 0.25: 20.0}
 
 
 @dataclass(frozen=True)
-class MacConfig:
+class MacConfig(Bounded):
     cca_threshold_dbm: float = field(default=-77.0, metadata=NUM)
     backoff_initial_ms: float = field(default=1.25, metadata=POS)
     backoff_max_attempts: int = field(default=5, metadata=int_min(1))
@@ -73,12 +73,6 @@ class MacConfig:
     ack_ms: float = field(default=0.35, metadata=POS)
     # Beacon, rts, cts, rreq and rrep frames.
     control_packet_ms: float = field(default=1.0, metadata=POS)
-
-    def __post_init__(self) -> None:
-        if self.backoff_max_attempts < 1 or self.arq_retries < 0:
-            raise ValueError("attempt counts must be positive")
-        if self.backoff_initial_ms <= 0 or self.preamble_packet_ms <= 0:
-            raise ValueError("windows and packet durations must be > 0")
 
 
 @dataclass(frozen=True)

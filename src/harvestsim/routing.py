@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .bounds import POS, enum, int_min
+from .bounds import FRACTION_OR_ONE, POS, Bounded, enum, int_min
 from .energy import EnergyLevel
 
 
@@ -73,7 +73,7 @@ _STEP_MIDPOINTS = tuple((a + b) / 2 for (_, a), (_, b) in zip(_BY_ATTENUATION, _
 
 
 @dataclass(frozen=True)
-class RoutingSettings:
+class RoutingSettings(Bounded):
     """A scenario's routing: the sink's route choice (``mode``, ``cost_mode``
     and per-hop weights ``mu``) and the beacon, flood-refresh and collection
     timing."""
@@ -82,11 +82,7 @@ class RoutingSettings:
     # "raw" maximizes the weighted RSSI sum.
     cost_mode: str = field(default="magnitude", metadata=enum("magnitude", "raw"))
     mu: tuple[float, ...] | None = field(
-        default=None,
-        metadata={
-            "type": ["array", "null"],
-            "items": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        },
+        default=None, metadata={"type": ["array", "null"], "items": FRACTION_OR_ONE}
     )
     beacon_period_s: float = field(default=30.0, metadata=POS)
     rreq_refresh_slots: int = field(default=10, metadata=int_min(1))

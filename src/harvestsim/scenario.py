@@ -18,14 +18,13 @@ and column without the source snippet). The echo stays on the pure-Python
 other points, so the echoed scenario would no longer be byte-identical.
 
 Each setting is declared once, as a field of the dataclass that owns it
-(``EnergySettings`` here, ``forecast.PredictorSettings``,
-``routing.RoutingSettings``, ``mac.MacConfig``, ``channel.ChannelSettings``,
+(``EnergySettings`` here, ``forecast.PredictorSettings``, ``mac.MacConfig``,
 ``NodeSpec``, ``app.Policy`` ...), with its default and its schema bound as
-field metadata.
-``SCENARIO_SCHEMA`` is built from those fields, and parsing builds every
-section from the keys it is given, so adding a setting is one field line.
-The operation kinds that ``costs`` and a policy's ``ops`` accept are
-``energy.OP_KINDS``.
+field metadata. ``SCENARIO_SCHEMA`` is built from those fields, and each of
+those classes is a ``bounds.Bounded``: its constructor checks the same bounds
+the schema publishes. Parsing builds every section from the keys it is
+given, so adding a setting is one field line. The operation kinds that
+``costs`` and a policy's ``ops`` accept are ``energy.OP_KINDS``.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ import yaml
 
 from .app import Policy
 from .bounds import (
-    FRACTION, MAX_EVENTS_PER_NODE_SLOT, NONNEG, NUM, POS, PROBABILITY, Checker, enum, int_min,
-    section,
+    FRACTION, FRACTION_OR_ONE, MAX_EVENTS_PER_NODE_SLOT, NONNEG, NUM, POS, POS_TABLE, PROBABILITY,
+    Bounded, Checker, enum, int_min, non_finite, section,
 )
 from .channel import ChannelSettings
 from .energy import DEFAULT_OP_COSTS, TX_OP_KIND, HarvestTrace
@@ -73,7 +72,7 @@ class NegativePower(ScenarioError):
 
 
 @dataclass(frozen=True)
-class EnergySettings:
+class EnergySettings(Bounded):
     capacity_uj: float = field(default=100_000.0, metadata=POS)
     thresholds: tuple[float, float, float] = field(
         default=(0.10, 0.40, 0.70),
@@ -85,19 +84,19 @@ class EnergySettings:
 
 
 @dataclass(frozen=True)
-class OptimizerSettings:
+class OptimizerSettings(Bounded):
     duty_weight: float | None = field(
         default=None, metadata={"type": ["number", "null"], "minimum": 0}
     )
 
 
 @dataclass(frozen=True)
-class TrafficSettings:
+class TrafficSettings(Bounded):
     packet_period_s: float = field(default=2.0, metadata=POS)
 
 
 @dataclass(frozen=True)
-class ProfileSpec:
+class ProfileSpec(Bounded):
     """A node's harvest source: a constant power, a CSV trace, or a synthetic
     diurnal trace (half-sine days with weather switching, see
     :func:`synth_trace`)."""
@@ -108,7 +107,7 @@ class ProfileSpec:
     power_w: float = field(default=0.0, metadata=NONNEG)
     amplitude_w: float = field(default=0.0003, metadata=NONNEG)
     period_slots: int = field(default=24, metadata=int_min(2))
-    day_fraction: float = field(default=0.5, metadata=FRACTION)
+    day_fraction: float = field(default=0.5, metadata=FRACTION_OR_ONE)
     cloudy_attenuation: float = field(default=0.35, metadata=PROBABILITY)
     switch_probability: float = field(default=0.3, metadata=PROBABILITY)
     trend_per_day: float = field(default=0.0, metadata=NUM)
@@ -122,7 +121,7 @@ class ProfileSpec:
 
 
 @dataclass(frozen=True)
-class NodeSpec:
+class NodeSpec(Bounded):
     id: str = field(metadata={"type": "string"})
     role: str = field(metadata=enum("source", "relay", "sink"))
     position: tuple[float, float] = field(
@@ -165,7 +164,7 @@ class ScenarioConfig:
             "additionalProperties": False,
             "properties": {
                 **{kind: POS for kind in DEFAULT_OP_COSTS},
-                TX_OP_KIND: {"type": "object", "additionalProperties": POS},
+                TX_OP_KIND: POS_TABLE,
             },
         },
     )
@@ -209,11 +208,10 @@ def _setting(doc: dict, section_name: str, key: str):
     return values.get(key) if isinstance(values, dict) else None
 
 
-def _semantic_violations(doc: dict, rejected: set) -> list[str]:
-    """Cross-field checks the schema cannot express; a section in ``rejected``
-    already failed the schema and is not checked again."""
+def _semantic_violations(doc: dict, rejected: set, profiles: dict) -> list[str]:
+    """Cross-field checks the schema cannot express, given the built ``profiles``;
+    a section in ``rejected`` already failed the schema and is not checked again."""
     problems = []
-    profiles = {} if "profiles" in rejected else doc.get("profiles", {})
     if "nodes" not in rejected:
         nodes = doc.get("nodes", [])
         sinks = [n.get("id") for n in nodes if n.get("role") == "sink"]
@@ -236,8 +234,7 @@ def _semantic_violations(doc: dict, rejected: set) -> list[str]:
                 problems.append(f"nodes[{n.get('id')}].profile: {prof!r} not defined in profiles")
             if n.get("role") != "sink" and prof is None:
                 problems.append(f"nodes[{n.get('id')}]: non-sink nodes need an energy profile")
-    for prof_name, prof in profiles.items():
-        spec = _build(ProfileSpec, prof)
+    for prof_name, spec in profiles.items():
         if spec.kind == "csv" and not spec.path:
             problems.append(f"profiles[{prof_name}]: csv profiles need a path")
         if spec.kind == "synthetic" and not spec.has_daylight:
@@ -274,22 +271,6 @@ def _semantic_violations(doc: dict, rejected: set) -> list[str]:
     return problems
 
 
-def _non_finite(container, path: tuple = ()):
-    """``(path, value)`` of every NaN or infinite number in a parsed document
-    (a mapping or list), in document order.
-
-    A JSON-schema ``number`` admits them, and YAML spells them ``.nan`` and
-    ``.inf``; no setting can use one.
-    """
-    items = container.items() if isinstance(container, dict) else enumerate(container)
-    for key, item in items:
-        if isinstance(item, float):
-            if not math.isfinite(item):
-                yield (*path, key), item
-        elif isinstance(item, (dict, list)):
-            yield from _non_finite(item, (*path, key))
-
-
 def _path_order(violation: tuple) -> list:
     """Sort key of a ``(path, message)`` violation: its path, in a total order.
 
@@ -318,13 +299,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise SchemaError(["document must be a mapping"])
 
-    errors = sorted(_CHECKER.violations(doc), key=_path_order)
+    errors = sorted(_CHECKER.violations(doc), key=_path_order) + non_finite(doc)
     violations = [f"{'/'.join(map(str, path)) or '<root>'}: {message}" for path, message in errors]
     rejected = {path[0] for path, _ in errors if path}
-    for path, value in _non_finite(doc):
-        violations.append(f"{'/'.join(map(str, path))}: {value!r} is not a finite number")
-        rejected.add(path[0])
-    violations += _semantic_violations(doc, rejected)
+    specs = {} if "profiles" in rejected else doc.get("profiles", {})
+    profiles = {name: _build(ProfileSpec, spec) for name, spec in specs.items()}
+    violations += _semantic_violations(doc, rejected, profiles)
     if violations:
         raise SchemaError(violations)
 
@@ -342,9 +322,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 )
                 for kind, value in doc.get("costs", {}).items()
             },
-            "profiles": {
-                name: _build(ProfileSpec, spec) for name, spec in doc.get("profiles", {}).items()
-            },
+            "profiles": profiles,
             "policies": {
                 key: tuple(_build(Policy, p) for p in plist)
                 for key, plist in doc.get("policies", {}).items()

@@ -42,10 +42,14 @@ def oracle_violations(doc: dict) -> list[str]:
         for err in errors
     ]
     rejected = {err.absolute_path[0] for err in errors if err.absolute_path}
-    for path, value in scenario._non_finite(doc):
-        violations.append(f"{'/'.join(map(str, path))}: {value!r} is not a finite number")
+    for path, message in bounds.non_finite(doc):
+        violations.append(f"{'/'.join(map(str, path))}: {message}")
         rejected.add(path[0])
-    return violations + scenario._semantic_violations(doc, rejected)
+    profiles = {} if "profiles" in rejected else {
+        name: scenario._build(scenario.ProfileSpec, spec)
+        for name, spec in doc.get("profiles", {}).items()
+    }
+    return violations + scenario._semantic_violations(doc, rejected, profiles)
 
 
 def checker_violations(text: str) -> list[str]:

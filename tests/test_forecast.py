@@ -45,16 +45,20 @@ class TestEwma:
             assert pred == pytest.approx(7.0)
 
     def test_weight_bounds(self):
-        with pytest.raises(ValueError, match=r"epsilon must lie in \(0,1\)"):
+        above = "is greater than or equal to the maximum of 1"
+        with pytest.raises(ValueError, match=f"^PredictorSettings.epsilon: 1.0 {above}$"):
             PredictorSettings(kind="ewma", epsilon=1.0)
-        with pytest.raises(ValueError, match=r"epsilon must lie in \(0,1\)"):
+        with pytest.raises(
+            ValueError,
+            match="^PredictorSettings.epsilon: 0.0 is less than or equal to the minimum of 0$",
+        ):
             PredictorSettings(kind="ewma", epsilon=0.0)
         # The seasonal weights may be 0 (freezing the ring or the trend) but not 1.
         zero = seasonal(0.5, 0.0, 0.0)
         assert (zero.beta, zero.gamma) == (0.0, 0.0)
-        with pytest.raises(ValueError, match=r"beta must lie in \[0,1\)"):
+        with pytest.raises(ValueError, match=f"^PredictorSettings.beta: 1.0 {above}$"):
             PredictorSettings(kind="hw", beta=1.0)
-        with pytest.raises(ValueError, match=r"gamma must lie in \[0,1\)"):
+        with pytest.raises(ValueError, match=f"^PredictorSettings.gamma: 1.0 {above}$"):
             PredictorSettings(kind="hw", gamma=1.0)
 
     @given(

@@ -13,7 +13,7 @@ import yaml
 
 import synth_oracle
 from test_simcore import lattice_yaml
-from harvestsim import bounds, scenario
+from harvestsim import bounds, scenario, simcore
 from harvestsim.energy import SlotOutOfRange
 from harvestsim.scenario import (
     SCENARIO_SCHEMA,
@@ -154,6 +154,21 @@ nodes:
         assert [v.split(":")[0] for v in err.value.violations] == [
             "predictor/beta", "predictor/gamma"
         ]
+
+    def test_whole_day_of_daylight_parses_and_runs(self):
+        # day_fraction 1: the half-sine spans the whole period, from sunrise to sunrise.
+        text = MINIMAL.replace(
+            "sun: {kind: constant, power_w: 0.001}",
+            "sun: {kind: synthetic, amplitude_w: 0.004, period_slots: 4, day_fraction: 1.0}",
+        )
+        cfg = parse_scenario(text)
+        assert cfg.profiles["sun"].day_fraction == 1.0
+        powers = build_profile_trace(cfg.profiles["sun"], 8, "sun").powers
+        assert powers[0] == powers[4] == 0.0
+        assert all(p > 0.0 for p in powers[1:4] + powers[5:8])
+        metrics = simcore.run(simcore.World(cfg), 8)
+        assert metrics.slots_run == 8
+        assert metrics.generated > 0
 
     def test_non_finite_numbers_reported_with_their_paths(self):
         # Lists are walked too; the sections holding one are not checked again.
