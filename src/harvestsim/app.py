@@ -107,7 +107,7 @@ RESIDUAL_FRACTIONS = {
 def assess_slot(
     store: EnergyStore,
     forecasts: list[float],
-    neighbor_levels: dict[str, EnergyLevel] | list[EnergyLevel],
+    neighbor_levels: list[EnergyLevel],
 ) -> EnergyContext:
     """Classify own, virtual and network energy for this slot.
 
@@ -120,8 +120,7 @@ def assess_slot(
     virtual = classify_level(
         max(min(forecasts), 0.0), store.capacity, store.thresholds
     )
-    levels = neighbor_levels.values() if isinstance(neighbor_levels, dict) else neighbor_levels
-    network = min(levels) if levels else DEFAULT_NETWORK_LEVEL
+    network = min(neighbor_levels) if neighbor_levels else DEFAULT_NETWORK_LEVEL
     return EnergyContext(own=own, virtual=virtual, network=network)
 
 
@@ -236,9 +235,9 @@ def deferred_packet(packet_id: str, slot: int) -> BacklogEntry:
 @dataclass
 class ExecutionPlan:
     """One slot's commitment: the levels it was planned at, (policy, kind)
-    steps to run now, controls, the backlog entries it defers, the
-    transmit power every ``tx128`` is charged at, and the price of each
-    kind it runs, from the cost table it was planned with."""
+    steps to run now, controls, the backlog entries it defers, and the
+    price of each kind it runs, from the cost table it was planned with
+    (every ``tx128`` at the slot's transmit power)."""
 
     context: EnergyContext
     run_ops: list[tuple[str, str]]
@@ -246,7 +245,6 @@ class ExecutionPlan:
     alphas: dict[str, float]
     delta: float
     deferred: list[BacklogEntry]
-    tx_power_dbm: int | None
     price: Mapping[str, float]
 
 
@@ -275,8 +273,10 @@ def _rank(policy: Policy) -> tuple[int, str]:
 def _prefixes(
     ranked: Iterable[Policy], alphas: dict[str, float]
 ) -> tuple[list[tuple[str, str]], dict[str, int]]:
-    """The prefix rule over policies already in priority order: the chosen
-    steps, and how many steps of each policy they hold."""
+    """The deterministic prefix rule: the first ``floor(alpha * len)`` steps
+    of each policy, visited in the given (priority) order so higher-ranked
+    work lands first in the slot; returns the chosen steps and how many of
+    each policy's steps they hold, by its name."""
     chosen: list[tuple[str, str]] = []
     ran: dict[str, int] = {}
     for pol in ranked:
@@ -286,17 +286,8 @@ def _prefixes(
         steps = pol.plan_steps
         count = math.floor(alpha * len(steps) + 1e-12)
         chosen += steps[:count]
-        ran[pol.name] = ran.get(pol.name, 0) + count
+        ran[pol.name] = count
     return chosen, ran
-
-
-def select_subset(policies: list[Policy], alphas: dict[str, float]) -> list[tuple[str, str]]:
-    """Deterministic prefix rule: run the first floor(alpha * len) steps of each policy.
-
-    Policies are visited in priority order so higher-ranked work lands first
-    in the slot.
-    """
-    return _prefixes(sorted(policies, key=_rank), alphas)[0]
 
 
 def policy_cost(policy: Policy, table: OperationCostTable, tx_power_dbm: int | None) -> float:
@@ -373,7 +364,8 @@ def plan_slot(
     costed at ``tx_power_dbm``, the power this slot transmits at. The plan
     carries the terms' prices, with any drained kind they lack priced from
     ``table``, and defers the :func:`deferrals` of every step it leaves
-    unrun.
+    unrun. The plan keys policies by name, so no two in ``policies`` may
+    share one (``scenario.parse_scenario`` rejects a repeated name).
 
     ``cache`` is the caller's store of :func:`plan_terms` for exactly these
     ``policies``, ``table`` and duty settings, keyed by ``(tx_power_dbm,
@@ -436,7 +428,6 @@ def plan_slot(
         alphas={p.name: alphas.get(p.name, 0.0) for p in policies},
         delta=result.delta,
         deferred=deferrals(policies, unrun, slot),
-        tx_power_dbm=tx_power_dbm,
         price=price,
     )
 

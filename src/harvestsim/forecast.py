@@ -14,8 +14,7 @@ The weights live only in :class:`PredictorSettings`, which checks their
 bounds once; a state holds just the values that evolve (the EWMA's
 prediction; the seasonal level, trend, index ring and ring position), and
 the kernels :func:`ewma_step` and :func:`hw_step` take the settings first.
-:func:`step` is the one online predictor that a scenario's settings drive,
-and :func:`lmse` scores its predictions.
+:func:`step` is the one online predictor that a scenario's settings drive.
 The EWMA seeds on its first sample and predicts it. The seasonal model warms
 up first: a :class:`Warmup` state predicts the mean of the samples so far,
 and at ``2 * period`` samples :func:`hw_init` bootstraps the model from them.
@@ -23,15 +22,11 @@ and at ``2 * period`` samples :func:`hw_init` bootstraps the model from them.
 Zero measurements (night slots) freeze the seasonal-model state: updating the
 level against a zero sample would geometrically collapse it within a handful
 of slots and poison the ratio updates at sunrise, so the ring position
-advances while level/trend/indices are retained. Parameter fitting treats
-state that still degenerates (negative trend driving the level below the
-epsilon floor) as an infinite-error candidate instead of aborting the search.
+advances while level/trend/indices are retained.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field, replace
 
 from .bounds import FRACTION, FRACTION_OR_ZERO, Bounded, enum, int_min
@@ -45,10 +40,6 @@ class ForecastError(Exception):
 
 class HistoryTooShort(ForecastError):
     """Initialization needs at least two full seasonal periods."""
-
-
-class EmptyInput(ForecastError):
-    """A series or parameter grid was empty."""
 
 
 class DivisionDegenerate(ForecastError):
@@ -189,11 +180,6 @@ class Warmup:
         return sum(self.history) / len(self.history)
 
 
-def _warmup_samples(settings: PredictorSettings) -> int:
-    """Samples consumed before the model's own first prediction."""
-    return 1 if settings.kind == "ewma" else 2 * settings.period
-
-
 def step(
     settings: PredictorSettings, state: EwmaState | Warmup | HwState | None, measured: float
 ) -> tuple[float, EwmaState | Warmup | HwState]:
@@ -209,7 +195,7 @@ def step(
         return ewma_step(settings, state, measured)
     if state is None or isinstance(state, Warmup):
         history = (state.history if state else ()) + (measured,)
-        if len(history) < _warmup_samples(settings):
+        if len(history) < 2 * settings.period:
             warm = Warmup(history)
             return warm.mean, warm
         hw = hw_init(history, settings.period)
@@ -235,94 +221,3 @@ def predict_horizon(state: EwmaState | Warmup | HwState, h: int) -> list[float]:
         (state.level + k * state.trend) * state.seasonal[(state.position + k - 1) % l]
         for k in range(1, h + 1)
     ]
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """Winning parameters of a grid search and the mean squared error achieved."""
-
-    parameters: tuple[float, ...]
-    lmse: float
-
-
-def lmse(settings: PredictorSettings, series: list[float]) -> float:
-    """Mean squared one-step error of :func:`step`'s predictions over a series.
-
-    Scoring starts once the predictor is running: at the second sample for
-    the EWMA, after the ``2 * period`` warm-up samples for the seasonal
-    model. Returns ``inf`` when the parameters degenerate on this series, so
-    grid searches can skip them.
-    """
-    start = _warmup_samples(settings)
-    if len(series) <= start:
-        raise EmptyInput(f"need more than {start} samples to score one-step errors")
-    state = None
-    total = 0.0
-    try:
-        for t, y in enumerate(series):
-            if t >= start:
-                err = pred - y
-                total += err * err
-            pred, state = step(settings, state, y)
-    except DivisionDegenerate:
-        return math.inf
-    return total / (len(series) - start)
-
-
-def default_grid(model: str, step: float = 0.05) -> list[tuple[float, ...]]:
-    """Uniform parameter grid over (0,1): 1-tuples for 'ewma', 3-tuples for 'hw'."""
-    values = []
-    v = step
-    while v < 1.0 - 1e-12:
-        values.append(round(v, 10))
-        v += step
-    if model == "ewma":
-        return [(e,) for e in values]
-    if model == "hw":
-        return [tuple(p) for p in itertools.product(values, repeat=3)]
-    raise ValueError(f"unknown model {model!r}")
-
-
-def fit_lmse(
-    model: str,
-    series: list[float] | tuple[float, ...],
-    grid: list[tuple[float, ...]] | None = None,
-    *,
-    period: int | None = None,
-) -> FitResult:
-    """Exhaustive grid search minimizing one-step-ahead mean squared error.
-
-    Ties are broken toward the lexicographically smallest parameter tuple.
-    For ``model='hw'`` the grid tuples are (epsilon, beta, gamma) and
-    ``period`` is required.
-    """
-    if not series:
-        raise EmptyInput("empty series")
-    if grid is None:
-        grid = default_grid(model)
-    grid = sorted(tuple(float(p) for p in g) for g in grid)
-    if not grid:
-        raise EmptyInput("empty parameter grid")
-
-    series = list(series)
-    best: tuple[float, ...] | None = None
-    best_err = math.inf
-    for params in grid:
-        if model == "ewma":
-            if len(params) != 1:
-                raise ValueError("ewma grid entries must be 1-tuples")
-            settings = PredictorSettings(kind="ewma", epsilon=params[0])
-        elif model == "hw":
-            if period is None:
-                raise ValueError("period is required for the seasonal model")
-            if len(params) != 3:
-                raise ValueError("hw grid entries must be (epsilon, beta, gamma)")
-            settings = PredictorSettings("hw", *params, period)
-        else:
-            raise ValueError(f"unknown model {model!r}")
-        err = lmse(settings, series)
-        if err < best_err:
-            best, best_err = params, err
-    if best is None or math.isinf(best_err):
-        raise DivisionDegenerate("every grid point degenerated on this series")
-    return FitResult(parameters=best, lmse=best_err)

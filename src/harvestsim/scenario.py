@@ -120,10 +120,13 @@ class ProfileSpec(Bounded):
         return self.period_slots * self.day_fraction > 1
 
 
+ROLES = ("source", "relay", "sink")
+
+
 @dataclass(frozen=True)
 class NodeSpec(Bounded):
     id: str = field(metadata={"type": "string"})
-    role: str = field(metadata=enum("source", "relay", "sink"))
+    role: str = field(metadata=enum(*ROLES))
     position: tuple[float, float] = field(
         default=(0.0, 0.0),
         metadata={"type": "array", "items": NUM, "minItems": 2, "maxItems": 2},
@@ -234,6 +237,17 @@ def _semantic_violations(doc: dict, rejected: set, profiles: dict) -> list[str]:
                 problems.append(f"nodes[{n.get('id')}].profile: {prof!r} not defined in profiles")
             if n.get("role") != "sink" and prof is None:
                 problems.append(f"nodes[{n.get('id')}]: non-sink nodes need an energy profile")
+    # A plan keys its policies by name, and a key that names no node and no
+    # role would leave its policies unused.
+    if "policies" not in rejected:
+        for key, plist in doc.get("policies", {}).items():
+            names = [p["name"] for p in plist]
+            if len(names) != len(set(names)):
+                problems.append(f"policies/{key}: duplicate policy names in {names}")
+            if "nodes" not in rejected and key not in ROLES and key not in ids:
+                problems.append(
+                    f"policies/{key}: {key!r} names no node id and no role ({', '.join(ROLES)})"
+                )
     for prof_name, spec in profiles.items():
         if spec.kind == "csv" and not spec.path:
             problems.append(f"profiles[{prof_name}]: csv profiles need a path")
@@ -397,13 +411,6 @@ def load_trace(text: str, scale: float = 1.0) -> HarvestTrace:
         expected += 1
         powers.append(power)
     return HarvestTrace(powers=tuple(powers), start_slot=start_slot, scale=scale)
-
-
-def trace_to_csv(trace: HarvestTrace) -> str:
-    out = ["slot,power_watts"]
-    for i, p in enumerate(trace.powers):
-        out.append(f"{trace.start_slot + i},{p!r}")
-    return "\n".join(out) + "\n"
 
 
 def synth_trace(spec: ProfileSpec, n_slots: int) -> HarvestTrace:

@@ -354,7 +354,7 @@ class World:
         believed_sleep: float,
     ):
         """One LPL exchange, its train sized for the receiver's believed
-        sleep; returns (delivered, elapsed_s, result)."""
+        sleep; returns (delivered, elapsed_s)."""
         tx_dbm = sender.tx_power
         channel = self.channel
         rssi = channel.open_exchange(sender, receiver, tx_dbm)
@@ -399,7 +399,7 @@ class World:
         if delivered:
             self._charge(receiver, spec.rx_label, spec.rx_uj)
             self._hear(receiver, sender.node_id, rssi)
-        return delivered, elapsed_s, result
+        return delivered, elapsed_s
 
     # ------------------------------------------------------------------
     # event handlers
@@ -528,7 +528,7 @@ class World:
         if sender.tx_power is None:
             return
         sleep = self._believed_sleep_ms(sender, receiver.node_id)
-        delivered, elapsed, _ = self._unicast(t, sender, receiver, "rrep", sleep)
+        delivered, elapsed = self._unicast(t, sender, receiver, "rrep", sleep)
         if not delivered:
             self.metrics.route_log.append(
                 (t, sender.node_id, rrep.origin, "-", rrep.cost, rrep.seq, "rrep-lost")
@@ -618,7 +618,7 @@ class World:
         if rt.store.stored - self.frames.send_estimate_uj[sleep, rt.tx_power] < self.floor:
             self._hold(rt, pkt, "no-energy")
             return
-        delivered, elapsed, _ = self._unicast(t, rt, receiver, "data", sleep)
+        delivered, elapsed = self._unicast(t, rt, receiver, "data", sleep)
         if delivered:
             self._push(t + elapsed, "arrive", receiver.node_id, pkt)
             return

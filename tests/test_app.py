@@ -14,12 +14,18 @@ from harvestsim.app import (
     plan_slot,
     plan_terms,
     policy_cost,
-    select_subset,
+    _prefixes,
+    _rank,
 )
 from harvestsim.energy import ChargeBook, EnergyLevel, EnergyStore, OperationCostTable
 
 CAP = 100_000.0  # 100 mJ
 FLOOR = 10_000.0  # E0/E1 boundary
+
+
+def prefix_steps(policies, alphas):
+    """The prefix rule ``plan_slot`` runs, over ``policies`` in priority order."""
+    return _prefixes(sorted(policies, key=_rank), alphas)[0]
 
 
 def store_at(stored):
@@ -94,7 +100,7 @@ class TestPolicy:
         pol = Policy("p", (SENSE, TX), repeat=3, weight=2.0)
         assert pol.steps == (SENSE, TX, SENSE, TX, SENSE, TX)
         assert pol.utility == 12.0
-        assert [kind for _, kind in select_subset([pol], {"p": 0.5})] == [SENSE, TX, SENSE]
+        assert [kind for _, kind in prefix_steps([pol], {"p": 0.5})] == [SENSE, TX, SENSE]
 
     def test_repeat_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -104,26 +110,26 @@ class TestPolicy:
 class TestSelectSubset:
     def test_full_alpha_runs_all(self):
         pol = Policy("p", (SENSE, AVG, WRITE))
-        assert len(select_subset([pol], {"p": 1.0})) == 3
+        assert len(prefix_steps([pol], {"p": 1.0})) == 3
 
     def test_half_alpha_floors(self):
         pol = Policy("p", (SENSE, AVG, WRITE))
-        assert len(select_subset([pol], {"p": 0.5})) == 1
+        assert len(prefix_steps([pol], {"p": 0.5})) == 1
 
     def test_zero_alpha_runs_none(self):
         pol = Policy("p", (SENSE, AVG, WRITE))
-        assert select_subset([pol], {"p": 0.0}) == []
+        assert prefix_steps([pol], {"p": 0.0}) == []
 
     def test_priority_order(self):
         low = Policy("low", (AVG,), priority=2)
         high = Policy("high", (SENSE,), priority=1)
-        chosen = select_subset([low, high], {"low": 1.0, "high": 1.0})
+        chosen = prefix_steps([low, high], {"low": 1.0, "high": 1.0})
         assert [name for name, _ in chosen] == ["high", "low"]
 
     def test_alpha_out_of_bounds_rejected(self):
         pol = Policy("p", (SENSE,))
         with pytest.raises(ValueError):
-            select_subset([pol], {"p": 1.2})
+            prefix_steps([pol], {"p": 1.2})
 
 
 def make_policies():

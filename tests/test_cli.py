@@ -88,6 +88,27 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "old, new, violation",
         [
+            ("    - {name: log,    priority: 2,", "    - {name: report, priority: 2,",
+             "policies/source: duplicate policy names in ['report', 'report']"),
+            ("  source:\n", "  sources:\n",
+             "policies/sources: 'sources' names no node id and no role (source, relay, sink)"),
+        ],
+        ids=["repeated-policy-name", "policy-key-names-nothing"],
+    )
+    def test_misread_policy_list_is_a_config_error(self, tmp_path, capsys, old, new, violation):
+        # Both ran before: the plan spent past its budget on the repeated
+        # name, and the source ran no policy under the misspelt key.
+        assert TREE.count(old) == 1
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(TREE.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(bad), "--slots", "30", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(f"  - {violation}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "old, new, violation",
+        [
             ("  schedule_mode: formula\n", "  schedule_mode: formula\n  cca_threshold_dbm: .nan\n",
              "mac/cca_threshold_dbm: nan"),
             ("duty_energy_uj: 10000.0", "duty_energy_uj: .inf", "energy/duty_energy_uj: inf"),

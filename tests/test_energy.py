@@ -266,7 +266,7 @@ class TestExecutePlanEqualsPrefix:
         kinds = [list(OP_KINDS)[i] for i in picks]
         run_ops = [(f"p{i % 3}", kind) for i, kind in enumerate(kinds)]
         context = EnergyContext(EnergyLevel.E1, EnergyLevel.E1, EnergyLevel.E1)
-        plan = ExecutionPlan(context, run_ops, [], {}, 0.0, [], 0, price)
+        plan = ExecutionPlan(context, run_ops, [], {}, 0.0, [], price)
         store, oracle = make_store(stored), make_store(stored)
         book = ChargeBook(keep_rows=True)
         report, got, skipped = execute_plan(plan, store, floor, charges=book)

@@ -6,19 +6,14 @@ from hypothesis import given, strategies as st
 
 from harvestsim.forecast import (
     DivisionDegenerate,
-    EmptyInput,
     EwmaState,
-    FitResult,
     HistoryTooShort,
     HwState,
     PredictorSettings,
     Warmup,
-    default_grid,
     ewma_step,
-    fit_lmse,
     hw_init,
     hw_step,
-    lmse,
     predict_horizon,
     step,
 )
@@ -183,31 +178,27 @@ class TestStep:
             step(self.SEASONAL, state, 0.0)
 
 
-class TestLmse:
+class TestWarmupHandover:
     def test_seasonal_matches_two_period_warm_start(self):
-        # Independent form: bootstrap from the first two periods, then score
-        # hw_step's one-step predictions over the rest.
+        # Independent form: the running mean until two full periods, then a
+        # bootstrap from the first two periods and hw_step's predictions.
         rng = random.Random(5)
         l = 4
         series = [rng.uniform(0.0, 10.0) for _ in range(7 * l)]
         settings = PredictorSettings("hw", 0.6, 0.2, 0.4, l)
-        state = hw_init(series[: 2 * l], l)
-        pred = predict_horizon(state, 1)[0]
-        total = 0.0
+        state = None
+        got = []
+        for y in series:
+            pred, state = step(settings, state, y)
+            got.append(pred)
+        expected = [sum(series[: t + 1]) / (t + 1) for t in range(2 * l - 1)]
+        hw = hw_init(series[: 2 * l], l)
+        expected.append(predict_horizon(hw, 1)[0])
         for y in series[2 * l :]:
-            total += (pred - y) * (pred - y)
-            pred, state = hw_step(settings, state, y)
-        got = lmse(settings, series)
-        assert got == total / (len(series) - 2 * l)
-
-    def test_too_short_series_rejected(self):
-        with pytest.raises(EmptyInput):
-            lmse(PredictorSettings(kind="ewma"), [1.0])
-        with pytest.raises(EmptyInput):
-            lmse(PredictorSettings(kind="hw", period=3), [1.0] * 6)
-
-    def test_degenerate_parameters_score_infinite(self):
-        assert lmse(PredictorSettings(kind="hw", period=3), [0.0] * 8) == math.inf
+            pred, hw = hw_step(settings, hw, y)
+            expected.append(pred)
+        assert got == expected
+        assert state == hw
 
 
 class TestReductionToEwma:
@@ -248,59 +239,3 @@ class TestReductionToEwma:
         settled = 3 * l
         assert max(hw_errs[settled:]) < 0.01
         assert max(ew_errs[settled:]) > 0.01
-
-
-class TestFit:
-    def test_constant_series_ties_break_low(self):
-        res = fit_lmse("ewma", [5.0] * 12, [(0.9,), (0.5,), (0.1,)])
-        assert res.parameters == (0.1,)
-        assert res.lmse == 0.0
-
-    def test_alternating_series_brute_force(self):
-        series = [10.0, 20.0] * 8
-        grid = [(0.1,), (0.5,), (0.9,)]
-        res = fit_lmse("ewma", series, grid)
-        # independent re-evaluation of each candidate
-        scores = {}
-        for (eps,) in grid:
-            pred = series[0]
-            total = 0.0
-            for y in series[1:]:
-                total += (pred - y) ** 2
-                pred = eps * y + (1 - eps) * pred
-            scores[eps] = total / (len(series) - 1)
-        best = min(scores, key=lambda e: (scores[e], e))
-        assert res.parameters == (best,)
-        assert res.lmse == pytest.approx(scores[best])
-
-    def test_fit_matches_oracle_on_every_grid_point(self):
-        rng = random.Random(3)
-        series = [rng.uniform(5, 50) for _ in range(40)]
-        grid = default_grid("ewma", step=0.1)
-        res = fit_lmse("ewma", series, grid)
-        oracle = min(
-            ((lmse(PredictorSettings(kind="ewma", epsilon=g[0]), series), g) for g in grid),
-            key=lambda t: (t[0], t[1]),
-        )
-        assert res.parameters == oracle[1]
-        assert res.lmse == pytest.approx(oracle[0])
-
-    def test_hw_fit_runs_and_beats_worst_candidate(self):
-        l = 6
-        s = [1.0 + 0.8 * math.sin(2 * math.pi * k / l) for k in range(l)]
-        series = [(30 + 0.5 * t) * s[t % l] for t in range(6 * l)]
-        grid = [(e, b, g) for e in (0.2, 0.8) for b in (0.2, 0.8) for g in (0.2, 0.8)]
-        res = fit_lmse("hw", series, grid, period=l)
-        worst = max(lmse(PredictorSettings("hw", *g, l), series) for g in grid)
-        assert res.lmse <= worst
-
-    def test_empty_inputs(self):
-        with pytest.raises(EmptyInput):
-            fit_lmse("ewma", [], [(0.5,)])
-        with pytest.raises(EmptyInput):
-            fit_lmse("ewma", [1.0, 2.0], [])
-
-    def test_result_type(self):
-        res = fit_lmse("ewma", [1.0, 2.0, 3.0], [(0.5,)])
-        assert isinstance(res, FitResult)
-        assert res.lmse >= 0.0

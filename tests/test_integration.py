@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from harvestsim import simcore
-from harvestsim.energy import HarvestTrace
 from harvestsim.optimizer import build_opt, parametric_sweep
-from harvestsim.scenario import parse_scenario, trace_to_csv
+from harvestsim.scenario import parse_scenario
 from harvestsim.simcore import Packet, World
 
 BASE_YAML = """
@@ -161,9 +160,8 @@ class TestConfigVariants:
         assert d_full and all(n == 6 for n in d_full)
 
     def test_csv_profile_via_file(self, tmp_path):
-        trace = HarvestTrace(powers=(0.003,) * 40)
         csv_path = tmp_path / "trace.csv"
-        csv_path.write_text(trace_to_csv(trace))
+        csv_path.write_text("slot,power_watts\n" + "".join(f"{t},0.003\n" for t in range(40)))
         text = BASE_YAML.replace(
             "diffused:  {kind: synthetic, amplitude_w: 0.0028, period_slots: 24, switch_probability: 0.3, seed: 3}",
             f"diffused:  {{kind: csv, path: '{csv_path}', scale: 1.0}}",

@@ -27,7 +27,6 @@ from harvestsim.scenario import (
     parse_scenario,
     serialize_scenario,
     synth_trace,
-    trace_to_csv,
 )
 
 MINIMAL = """
@@ -113,6 +112,7 @@ nodes:
         assert cfg.costs == {"tx128": {-5: 304.0, 0: 341.0}}
 
     SUN_PROFILES = "profiles:\n  sun: {kind: constant, power_w: 0.001}"
+    SOURCE_POLICIES = "  source:\n    - {name: report, ops: [sense, tx128]}"
 
     @pytest.mark.parametrize(
         "text, section",
@@ -121,9 +121,14 @@ nodes:
             ("name: x\nnodes: 5\n", "nodes"),
             (MINIMAL.replace(SUN_PROFILES, "profiles: 3"), "profiles"),
             (MINIMAL.replace(SUN_PROFILES, "profiles: {sun: 3}"), "profiles"),
+            ("name: x\nnodes: 5\npolicies: {nobody: [{name: p, ops: [sense]}]}\n", "nodes"),
+            (MINIMAL.replace(SOURCE_POLICIES, "  source: 3"), "policies"),
+            (MINIMAL.replace(SOURCE_POLICIES, "  source: [{ops: [sense]}, {ops: [sense]}]"),
+             "policies"),
         ],
         ids=["node-not-a-mapping", "nodes-not-a-list", "profiles-not-a-mapping",
-             "profile-not-a-mapping"],
+             "profile-not-a-mapping", "policy-key-beside-bad-nodes", "policies-not-a-list",
+             "policies-without-names"],
     )
     def test_sections_the_schema_rejects_are_not_checked_again(self, text, section):
         with pytest.raises(SchemaError) as err:
@@ -205,6 +210,36 @@ nodes:
         with pytest.raises(SchemaError) as err:
             parse_scenario(text)
         assert any("profile" in v for v in err.value.violations)
+
+    def test_repeated_policy_name_in_one_list_rejected(self):
+        # A plan keys its policies by name: two "report"s would share one
+        # alpha, and the plan would run every step of both.
+        text = MINIMAL + "    - {name: report, ops: [flash_read]}\n"
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(text)
+        assert err.value.violations == [
+            "policies/source: duplicate policy names in ['report', 'report']"
+        ]
+
+    def test_policy_names_repeat_across_lists(self):
+        text = MINIMAL + "  relay:\n    - {name: report, ops: [rx128, tx128]}\n"
+        assert parse_scenario(text).policies["relay"][0].name == "report"
+
+    def test_policy_key_naming_no_node_and_no_role_rejected(self):
+        # "sources" matches no node, so the source would run no policy at all.
+        text = MINIMAL.replace("  source:\n", "  sources:\n")
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(text)
+        assert err.value.violations == [
+            "policies/sources: 'sources' names no node id and no role (source, relay, sink)"
+        ]
+
+    def test_policy_keys_name_a_node_or_a_role(self):
+        # A role no node has stays valid, so one policy block serves many scenarios.
+        extra = "  relay:\n    - {name: f, ops: [rx128]}\n  D:\n    - {name: g, ops: [sense]}\n"
+        cfg = parse_scenario(MINIMAL + extra)
+        assert set(cfg.policies) == {"source", "relay", "D"}
+        assert [p.name for p in cfg.policies_for(cfg.nodes[1])] == ["g"]
 
     def test_per_slot_work_cap_is_inclusive(self):
         cap = bounds.MAX_EVENTS_PER_NODE_SLOT
@@ -390,7 +425,10 @@ class TestLoadTrace:
 
     def test_round_trip_csv(self):
         trace = load_trace("slot,power_watts\n5,0.001\n6,0.25\n")
-        again = load_trace(trace_to_csv(trace))
+        text = "slot,power_watts\n" + "".join(
+            f"{trace.start_slot + i},{p!r}\n" for i, p in enumerate(trace.powers)
+        )
+        again = load_trace(text)
         assert again.powers == trace.powers
         assert again.start_slot == 5
 

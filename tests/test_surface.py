@@ -1,0 +1,63 @@
+"""The program's public surface is what it uses: every public top-level
+function and class in ``src/harvestsim`` is referenced by the program's own
+code, not only by the tests."""
+
+import ast
+from pathlib import Path
+
+import harvestsim
+
+PACKAGE = Path(harvestsim.__file__).parent
+
+# Public names kept for a caller outside the program. Keep this list short:
+# a name belongs here only while an acceptance gate calls it.
+CALLED_ONLY_BY_GATES = {
+    "evaluate_curve",  # criterion 2 interpolates the trade-off curve with it
+}
+
+
+def _is_command(node: ast.FunctionDef | ast.ClassDef) -> bool:
+    """A function registered as a CLI command (``@cli.command(...)``)."""
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and d.func.attr == "command"
+        and isinstance(d.func.value, ast.Name)
+        and d.func.value.id == "cli"
+        for d in node.decorator_list
+    )
+
+
+def _referenced(node: ast.AST) -> set[str]:
+    """The names that code under ``node`` reads, as a name or an attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def _unused_public_definitions() -> list[str]:
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    # Each top-level statement with the names its code reads, so that a
+    # definition's references to itself are told apart from everyone else's.
+    statements = [(stmt, _referenced(stmt)) for tree in modules.values() for stmt in tree.body]
+    unused = []
+    for module, tree in modules.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = stmt.name
+            if name.startswith("_") or _is_command(stmt) or name in CALLED_ONLY_BY_GATES:
+                continue
+            if not any(name in refs for other, refs in statements if other is not stmt):
+                unused.append(f"{module}.{name}")
+    return unused
+
+
+class TestPublicSurface:
+    def test_every_public_definition_is_used_by_the_program(self):
+        assert _unused_public_definitions() == []
