@@ -20,7 +20,6 @@ from .energy import (
     OP_KINDS,
     RADIO_OPS,
     TX_OP_KIND,
-    ChargeBook,
     EnergyLevel,
     EnergyStore,
     InsufficientEnergy,
@@ -223,10 +222,6 @@ def aborted_tail(
     return deferrals(policies, skipped, slot), sum(k in RADIO_OPS for _, k in skipped)
 
 
-# The charge label of each operation kind.
-OP_LABELS = {kind: f"op:{kind}" for kind in OP_KINDS}
-
-
 def deferred_packet(packet_id: str, slot: int) -> BacklogEntry:
     """A fresh packet the slot cannot send waits at the top priority."""
     return BacklogEntry(TX_OP_KIND, "deferred-tx", 1, slot, packet_id=packet_id)
@@ -246,6 +241,14 @@ class ExecutionPlan:
     delta: float
     deferred: list[BacklogEntry]
     price: Mapping[str, float]
+
+    @property
+    def steps(self) -> list[tuple[str, str]]:
+        """The ``(policy, kind)`` steps in the order they are paid: the
+        drained backlog first, then the fresh subset."""
+        if not self.backlog_run:
+            return self.run_ops
+        return [(e.policy, e.kind) for e in self.backlog_run] + self.run_ops
 
 
 @dataclass(slots=True)
@@ -440,24 +443,20 @@ def execute_plan(
     available: float | None = None,
     slot: int = 0,
     node: str = "",
-    charges: ChargeBook | None = None,
 ) -> tuple[SlotReport, EnergyStore, list[tuple[str, str]]]:
-    """Charge the store for the plan's operations, in order, at the plan's
-    prices, and enter the paid ones in ``charges`` under their
-    :data:`OP_LABELS` labels.
+    """Charge the store for the plan's :attr:`~ExecutionPlan.steps`, in
+    order, at the plan's prices.
 
-    Backlogged work runs first, then the fresh subset. Each draw is one
-    :func:`energy.withdraw`; the first one the floor refuses aborts the
-    remainder (the harvest-forecast-error path). The unexecuted tail is
-    returned whole, for :func:`aborted_tail` to settle. The report's residual
-    is measured against ``available`` (defaults to the store's balance at
-    entry).
+    Each draw is one :func:`energy.withdraw`; the first one the floor
+    refuses aborts the remainder (the harvest-forecast-error path). The paid
+    steps are the first ``ops_node + ops_network`` of ``plan.steps``; the
+    caller books them. The unexecuted tail is returned whole, for
+    :func:`aborted_tail` to settle. The report's residual is measured against
+    ``available`` (defaults to the store's balance at entry).
     """
     if available is None:
         available = store.stored
-    sequence = plan.run_ops
-    if plan.backlog_run:
-        sequence = [(e.policy, e.kind) for e in plan.backlog_run] + sequence
+    sequence = plan.steps
     price = plan.price
     kinds = [kind for _, kind in sequence]
     paid = 0
@@ -470,10 +469,7 @@ def execute_plan(
             consumed += amount
     except InsufficientEnergy:
         pass
-    ran = kinds[:paid]
-    ops_network = sum(map(ran.count, RADIO_OPS))
-    if charges is not None:
-        charges.add_draws(slot, node, ran, price, OP_LABELS)
+    ops_network = sum(map(kinds[:paid].count, RADIO_OPS))
     alphas = list(plan.alphas.values())
     report = SlotReport(
         slot=slot,

@@ -6,13 +6,13 @@ first, then update the store in place and return it, so a refused or invalid
 draw leaves it untouched. :func:`withdraw` is the one floor rule: a draw is
 paid when what it leaves is not below the floor. A draw the floor refuses
 raises :class:`InsufficientEnergy` carrying its numbers; the message is
-formatted only when read. :class:`ChargeBook` sums every draw into totals.
+formatted only when read. :class:`ChargeBook` is the plain record of a
+run's paid draws, which the engine fills.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
@@ -164,63 +164,29 @@ def withdraw(store: EnergyStore, e: float, floor: float) -> EnergyStore:
 
 @dataclass
 class ChargeBook:
-    """Every draw a run makes, summed in draw order.
+    """Every paid draw of a run, summed in draw order.
 
     ``by_slot`` sums the draws per ``(slot, node)``, which is what each
     ledger row's consumption must equal; ``by_label`` totals them per
-    ``(node, label)``. A world publishes each node's overhead accounts here
-    at settlement, before the plan's draws join them. The per-draw rows
-    ``(slot, node, label, amount)`` are kept, in draw order, only with
-    ``keep_rows``.
+    ``(node, label)``; ``rows`` holds the per-draw ``(slot, node, label,
+    amount)`` rows, in draw order, when the run keeps them.
     """
 
-    keep_rows: bool = False
     by_slot: dict[tuple[int, str], float] = field(default_factory=dict)
     by_label: dict[tuple[str, str], float] = field(default_factory=dict)
     rows: list[tuple[int, str, str, float]] = field(default_factory=list)
-
-    def add(self, slot: int, node: str, label: str, amount: float) -> None:
-        self.by_slot[slot, node] = self.by_slot.get((slot, node), 0.0) + amount
-        self.by_label[node, label] = self.by_label.get((node, label), 0.0) + amount
-        if self.keep_rows:
-            self.rows.append((slot, node, label, amount))
-
-    def add_draws(
-        self,
-        slot: int,
-        node: str,
-        keys: Sequence[str],
-        price: Mapping[str, float],
-        labels: Mapping[str, str],
-    ) -> None:
-        """One draw of ``price[key]`` under ``labels[key]`` per entry of
-        ``keys``, made in that order.
-
-        The totals take each distinct key once, at its price times its
-        count; the rows, when kept, stay one per draw, in draw order.
-        """
-        by_slot, by_label = self.by_slot, self.by_label
-        slot_key = (slot, node)
-        for key in dict.fromkeys(keys):
-            amount = price[key] * keys.count(key)
-            by_slot[slot_key] = by_slot.get(slot_key, 0.0) + amount
-            label_key = (node, labels[key])
-            by_label[label_key] = by_label.get(label_key, 0.0) + amount
-        if self.keep_rows:
-            self.rows.extend([(slot, node, labels[key], price[key]) for key in keys])
 
 
 @dataclass(frozen=True)
 class HarvestTrace:
     """Per-slot harvested power samples (watts), with a lazy scale factor.
 
-    Slots are contiguous, starting at ``start_slot``. The scale factor models
+    Slots are contiguous, starting at 0. The scale factor models
     panels attenuated to lab scale and is applied at integration time, not to
     the stored samples.
     """
 
     powers: tuple[float, ...]
-    start_slot: int = 0
     scale: float = 1.0
 
     def __post_init__(self) -> None:
@@ -236,13 +202,9 @@ class HarvestTrace:
         return len(self.powers)
 
     def power_at(self, slot: int) -> float:
-        idx = slot - self.start_slot
-        if idx < 0 or idx >= len(self.powers):
-            raise SlotOutOfRange(
-                f"slot {slot} outside trace [{self.start_slot}, "
-                f"{self.start_slot + len(self.powers) - 1}]"
-            )
-        return self.powers[idx]
+        if slot < 0 or slot >= len(self.powers):
+            raise SlotOutOfRange(f"slot {slot} outside trace [0, {len(self.powers) - 1}]")
+        return self.powers[slot]
 
 
 def harvest_in_slot(trace: HarvestTrace, slot: int, slot_duration_s: float) -> float:

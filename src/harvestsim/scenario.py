@@ -375,8 +375,8 @@ def config_hash(cfg: ScenarioConfig) -> str:
 def load_trace(text: str, scale: float = 1.0) -> HarvestTrace:
     """Parse a ``slot,power_watts`` CSV into a trace.
 
-    Slots must be contiguous and ascending; powers non-negative. Errors name
-    the offending line.
+    Slots must run 0, 1, 2, ...; powers must be finite and non-negative.
+    Errors name the offending line.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln]
@@ -388,8 +388,6 @@ def load_trace(text: str, scale: float = 1.0) -> HarvestTrace:
     if len(rows) == 1:
         raise ParseError("line 2: no data rows")
     powers = []
-    start_slot = None
-    expected = None
     for line_no, ln in rows[1:]:
         parts = ln.split(",")
         if len(parts) != 2:
@@ -399,18 +397,16 @@ def load_trace(text: str, scale: float = 1.0) -> HarvestTrace:
             power = float(parts[1])
         except ValueError as exc:
             raise ParseError(f"line {line_no}: {exc}") from exc
+        if not math.isfinite(power):
+            raise ParseError(f"line {line_no}: power {power} is not a finite number")
         if power < 0:
             raise NegativePower(f"line {line_no}: power {power} < 0")
-        if start_slot is None:
-            start_slot = slot
-            expected = slot
-        if slot != expected:
+        if slot != len(powers):
             raise ParseError(
-                f"line {line_no}: slot {slot} out of order (expected {expected})"
+                f"line {line_no}: slot {slot} out of order (expected {len(powers)})"
             )
-        expected += 1
         powers.append(power)
-    return HarvestTrace(powers=tuple(powers), start_slot=start_slot, scale=scale)
+    return HarvestTrace(powers=tuple(powers), scale=scale)
 
 
 def synth_trace(spec: ProfileSpec, n_slots: int) -> HarvestTrace:
@@ -453,7 +449,10 @@ def build_profile_trace(prof: ProfileSpec, n_slots: int, name: str) -> HarvestTr
             text = Path(prof.path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ParseError(f"profile {name}: cannot read {prof.path!r}: {exc.strerror}") from exc
-        trace = load_trace(text, scale=prof.scale)
+        try:
+            trace = load_trace(text, scale=prof.scale)
+        except (ParseError, NegativePower) as exc:
+            raise type(exc)(f"profile {name}: {exc}") from None
         if len(trace) < n_slots:
             raise ParseError(
                 f"profile {name}: trace has {len(trace)} slots, run needs {n_slots}"

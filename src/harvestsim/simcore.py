@@ -11,8 +11,9 @@ Each slot runs three phases, nodes visited in ascending id order:
    kind's ``_on_<kind>`` handler;
 3. settlement: the plan's operations are charged against the store at the
    published per-operation costs (each kind priced once, each operation one
-   withdrawal), the duty-cycle baseline and leakage are drawn, the entries
-   ``app`` defers enter the backlog, and metrics rows are emitted.
+   withdrawal), the duty-cycle baseline and leakage are drawn, the node's
+   slot sum is published, the entries ``app`` defers enter the backlog, and
+   metrics rows are emitted.
 
 Flood arrival: every reception of one RREQ broadcast happens at the same
 arrival time, so the broadcast queues one ``rreq_arrive`` event carrying its
@@ -27,14 +28,18 @@ Energy accounting is split in two: application operations (sense, compute,
 storage, packet transmissions/receptions) are settled through the plan at
 exact cost-table values, while MAC-layer overhead (preamble trains, acks,
 retries, beacons, flood frames) is charged per event from the radio current
-model, each draw one :func:`energy.withdraw` call (through this module's
-``withdraw`` binding). A paid draw adds to two plain totals on its node, and
-settlement publishes them into an :class:`energy.ChargeBook`: sums per (slot,
-node), against which each per-slot ledger row closes, and totals per (node,
-label). Per-draw rows are kept only when asked for (``collect_charges``). The
-radio energies of fixed-length frames are the world's :class:`mac.FrameCosts`,
-computed once. Rarely, a slot's radio overhead can leave the store unable to
-cover the already-planned operations; settlement then aborts mid-plan (the
+model. ``app.execute_plan`` pays the plan; :meth:`World._charge` pays every
+other draw, duty and leakage too; each draw is one :func:`energy.withdraw`
+(through this module's ``withdraw`` binding). A node's two accounts, the
+slot's sum and the run's total per label, are the only running totals: a
+paid draw adds to them, the plan's paid prefix once per kind at price x
+count. Settlement publishes the slot's sum into the metrics'
+:class:`energy.ChargeBook` once per node-slot, and :func:`run` publishes the
+label totals as it returns. Per-draw rows are kept only when asked for
+(``collect_charges``). The radio energies of fixed-length
+frames are the world's :class:`mac.FrameCosts`, computed once. Rarely, a
+slot's radio overhead can leave the store unable to cover the
+already-planned operations; settlement then aborts mid-plan (the
 forecast-error path): ``app`` defers the tail's node-class steps, and each
 lost network operation is recorded as an ``aborted-op`` drop.
 
@@ -65,6 +70,7 @@ from .channel import Channel, loss_probability, survives
 from .energy import (
     DEFAULT_OP_COSTS,
     DEFAULT_TX_COSTS,
+    OP_KINDS,
     RX_OP_KIND,
     TX_OP_KIND,
     ChargeBook,
@@ -85,6 +91,10 @@ RREQ_JITTER_MS = 20.0
 NEIGHBOR_TTL_SLOTS = 5
 MAX_PACKET_RETRIES = 3
 PENDING_QUEUE_CAP = 64
+
+# The charge label of each operation kind. Overhead draws are labelled
+# ``mac:<purpose>-tx/rx``, duty and leakage ``duty`` and ``leakage``.
+OP_LABELS = {kind: f"op:{kind}" for kind in OP_KINDS}
 
 
 @dataclass(slots=True)
@@ -123,7 +133,7 @@ class NodeRuntime:
     need_route: bool = False
     flood_initiated_slot: int = -1
     slot_ledger: tuple = (0.0, 0.0, 0.0)
-    # Paid overhead draws: this slot's sum, and the run's total per label.
+    # Paid draws: this slot's sum, and the run's total per label.
     slot_charged: float = 0.0
     charged_by_label: dict[str, float] = field(default_factory=dict)
     is_sink: bool = field(init=False)
@@ -224,7 +234,7 @@ class World:
         self.frames = mac.frame_costs(
             cfg.mac, self.radio, self._schedules, routing.REFERENCE_TX_POWER_DBM
         )
-        self.metrics = Metrics(book=ChargeBook(keep_rows=collect_charges))
+        self.metrics = Metrics()
         self._rows = self.metrics.book.rows if collect_charges else None
         self.now = 0.0
         self.slot = 0
@@ -298,7 +308,8 @@ class World:
         heapq.heappush(self._events, (t, self._event_seq, kind, payload))
 
     def _charge(self, rt: NodeRuntime, label: str, amount: float) -> bool:
-        """Withdraw overhead energy; sinks are mains-powered and free."""
+        """Pay one draw into the node's accounts, or refuse it at the floor;
+        sinks are mains-powered and free."""
         if rt.is_sink or amount <= 0.0:
             return True
         try:
@@ -751,43 +762,36 @@ class World:
         if victim.packet_id is not None:
             self.metrics.drops.append((self.slot, victim.packet_id, rt.node_id, "backlog-evicted"))
 
-    def _settle_draw(self, rt: NodeRuntime, label: str, amount: float) -> bool:
-        """:meth:`_charge` at settlement: the draw enters the book directly."""
-        if amount > 0.0:
-            try:
-                withdraw(rt.store, amount, self.floor)
-            except InsufficientEnergy:
-                return False
-            self.metrics.book.add(self.slot, rt.node_id, label, amount)
-        return True
-
     def _settle_node(self, rt: NodeRuntime, slot: int) -> None:
         stored_start, harvested, wasted = rt.slot_ledger
-        book = self.metrics.book
-        # The slot's overhead is published before the plan's draws join it.
-        if rt.slot_charged:
-            book.by_slot[slot, rt.node_id] = rt.slot_charged
-            rt.slot_charged = 0.0
-            book.by_label.update({(rt.node_id, k): uj for k, uj in rt.charged_by_label.items()})
+        plan = rt.plan
         report, rt.store, skipped = app.execute_plan(
-            rt.plan,
-            rt.store,
-            self.floor,
-            available=rt.available,
-            slot=slot,
-            node=rt.node_id,
-            charges=book,
+            plan, rt.store, self.floor, available=rt.available, slot=slot, node=rt.node_id
         )
+        # The paid prefix joins the accounts once per kind, at price x count.
+        kinds = [kind for _, kind in plan.steps[: report.ops_node + report.ops_network]]
+        price, by_label = plan.price, rt.charged_by_label
+        for kind in dict.fromkeys(kinds):
+            amount = price[kind] * kinds.count(kind)
+            rt.slot_charged += amount
+            label = OP_LABELS[kind]
+            by_label[label] = by_label.get(label, 0.0) + amount
+        if self._rows is not None:
+            self._rows.extend([(slot, rt.node_id, OP_LABELS[k], price[k]) for k in kinds])
         # Duty-cycle baseline for the level-anchored schedule actually run.
         duty, duty_sum = self.cfg.energy.duty_energy_uj * rt.delta_op, self.metrics.duty_sum
-        if rt.delta_op > 0.0 and self._settle_draw(rt, "duty", duty):
+        if rt.delta_op > 0.0 and self._charge(rt, "duty", duty):
             duty_sum[rt.node_id] = duty_sum.get(rt.node_id, 0.0) + rt.delta_op
         leak = self.cfg.energy.leakage_uj_per_slot
         if leak > 0.0 and rt.store.stored > self.floor:
-            self._settle_draw(rt, "leakage", min(leak, rt.store.stored - self.floor))
+            self._charge(rt, "leakage", min(leak, rt.store.stored - self.floor))
+        # The slot's sum enters the book once, after every draw joined it.
+        if rt.slot_charged:
+            self.metrics.book.by_slot[slot, rt.node_id] = rt.slot_charged
+            rt.slot_charged = 0.0
 
         requeued, lost = app.aborted_tail(rt.policies, skipped, slot)
-        for entry in rt.plan.deferred + requeued:
+        for entry in plan.deferred + requeued:
             self._defer(rt, entry)
         self.metrics.drops.extend([(slot, "-", rt.node_id, "aborted-op")] * lost)
 
@@ -825,7 +829,9 @@ def run(world: World, n_slots: int) -> Metrics:
     """Advance the world ``n_slots`` slots and return the metrics.
 
     Raises :class:`SlotOutOfRange` before the first step when some node's
-    harvest trace does not cover every requested slot.
+    harvest trace does not cover every requested slot. The book's totals
+    per (node, label) are published as it returns, so they are the world's
+    totals so far.
     """
     if n_slots < 1:
         raise ValueError("need at least one slot")
@@ -836,4 +842,7 @@ def run(world: World, n_slots: int) -> Metrics:
             rt.trace.power_at(world.slot + n_slots - 1)
     for _ in range(n_slots):
         world.step_slot()
+    by_label = world.metrics.book.by_label
+    for rt in world.nodes.values():
+        by_label.update({(rt.node_id, k): uj for k, uj in rt.charged_by_label.items()})
     return world.metrics

@@ -17,7 +17,7 @@ from harvestsim.app import (
     _prefixes,
     _rank,
 )
-from harvestsim.energy import ChargeBook, EnergyLevel, EnergyStore, OperationCostTable
+from harvestsim.energy import EnergyLevel, EnergyStore, OperationCostTable
 
 CAP = 100_000.0  # 100 mJ
 FLOOR = 10_000.0  # E0/E1 boundary
@@ -473,9 +473,9 @@ class TestExecutePlan:
     def test_fresh_transmit_charged_at_plan_power(self):
         ctx = EnergyContext(EnergyLevel.E1, EnergyLevel.E3, EnergyLevel.E3)
         p = plan(ctx, policies=[Policy("one", (TX,))], tx_power_dbm=-10)
-        log = ChargeBook(keep_rows=True)
-        execute_plan(p, store_at(50_000.0), FLOOR, charges=log)
-        assert [amount for *_, amount in log.rows] == [271.0]
+        report, _, _ = execute_plan(p, store_at(50_000.0), FLOOR)
+        assert p.price[TX] == 271.0
+        assert report.ops_network == 1 and report.consumed_uj == 271.0
 
     def test_drained_backlog_transmit_charged_at_slot_power(self):
         # A packet deferred while the node sent at -10 dBm is sent, once
@@ -488,9 +488,10 @@ class TestExecutePlan:
             ctx, policies=[Policy("log", (SENSE,))], backlog=backlog, table=table, tx_power_dbm=0
         )
         assert [e.packet_id for e in p.backlog_run] == ["D-0-0"]
-        log = ChargeBook(keep_rows=True)
-        execute_plan(p, store_at(50_000.0), FLOOR, charges=log)
-        assert log.rows[0][2:] == ("op:tx128", table.tx_costs[0])
+        assert p.steps[0] == ("deferred-tx", TX) and p.price[TX] == table.tx_costs[0]
+        report, _, skipped = execute_plan(p, store_at(50_000.0), FLOOR)
+        assert skipped == []
+        assert report.consumed_uj == sum(p.price[kind] for _, kind in p.steps)
 
     def test_mid_slot_abort_backlogs_rest(self):
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
@@ -517,16 +518,16 @@ class TestExecutePlan:
         table = OperationCostTable()
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
         p = plan(ctx, budget=50_000.0, table=table)
-        log = ChargeBook(keep_rows=True)
-        execute_plan(p, store_at(CAP), FLOOR, charges=log, slot=3, node="D")
-        assert log.rows
-        for slot, node, label, amount in log.rows:
-            assert (slot, node) == (3, "D")
-            kind = label.removeprefix("op:")
+        report, _, skipped = execute_plan(p, store_at(CAP), FLOOR, slot=3, node="D")
+        assert p.steps and skipped == []
+        assert (report.slot, report.node) == (3, "D")
+        for kind, amount in p.price.items():
             expected = (
                 table.tx_costs[0] if kind == "tx128" else table.costs[kind]
             )
             assert amount == expected  # exact, no tolerance
+        # Paid draw by draw, in step order, at those prices.
+        assert report.consumed_uj == sum(p.price[kind] for _, kind in p.steps)
 
 
 class TestPolicyCost:

@@ -179,18 +179,29 @@ class TestRunCommand:
         assert "  - costs/tx128/0: -1.0 is less than" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("rows", [None, 3], ids=["missing", "too-short"])
-    def test_csv_trace_set_up_failure_writes_nothing(self, tmp_path, capsys, rows):
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (None, "cannot read"),
+            ("".join(f"{i},0.001\n" for i in range(3)), "trace has 3 slots, run needs 20"),
+            ("".join(f"{i},0.001\n" for i in range(5, 30)), "line 2: slot 5 out of order"),
+            ("0,0.001\n1,nan\n", "line 3: power nan is not a finite number"),
+            ("0,0.001\n1,-0.5\n", "line 3: power -0.5 < 0"),
+            ("", "line 2: no data rows"),
+        ],
+        ids=["missing", "too-short", "late-start", "nan", "negative", "no-rows"],
+    )
+    def test_csv_trace_set_up_failure_writes_nothing(self, tmp_path, capsys, rows, message):
         trace = tmp_path / "trace.csv"
         if rows is not None:
-            trace.write_text("slot,power_watts\n" + "".join(f"{i},0.001\n" for i in range(rows)))
+            trace.write_text("slot,power_watts\n" + rows)
         direct = "direct:    {kind: synthetic, amplitude_w: 0.008,"
         assert TREE.count(direct) == 1
         config = tmp_path / "csv.yaml"
         config.write_text(TREE.replace(direct, f"direct: {{kind: csv, path: '{trace}',"))
         out = tmp_path / "o"
         assert main(["run", "--config", str(config), "--slots", "20", "--out", str(out)]) == 3
-        assert "runtime failure: profile direct: " in capsys.readouterr().err
+        assert f"runtime failure: profile direct: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_mac_trace_flag(self, tree_path, tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from harvestsim.app import EnergyContext, ExecutionPlan, execute_plan
 from harvestsim.energy import (
     OP_KINDS,
-    ChargeBook,
     EnergyLevel,
     EnergyStore,
     HarvestTrace,
@@ -65,12 +64,12 @@ class TestHarvest:
         assert harvest_in_slot(trace, 0, 60.0) == pytest.approx(60_000.0)
 
     def test_slot_out_of_range(self):
-        trace = HarvestTrace(powers=(0.001, 0.002), start_slot=5)
-        assert trace.power_at(6) == 0.002
+        trace = HarvestTrace(powers=(0.001, 0.002))
+        assert trace.power_at(1) == 0.002
         with pytest.raises(SlotOutOfRange):
-            harvest_in_slot(trace, 7, 60.0)
+            harvest_in_slot(trace, 2, 60.0)
         with pytest.raises(SlotOutOfRange):
-            harvest_in_slot(trace, 4, 60.0)
+            harvest_in_slot(trace, -1, 60.0)
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
@@ -146,24 +145,6 @@ class TestInPlace:
         after, wasted = deposit(store, 25.0)
         assert after is store and store.stored == store.capacity
         assert wasted == pytest.approx(15.0)
-
-
-class TestChargeBook:
-    def test_streams_sums_without_rows(self):
-        book = ChargeBook()
-        for slot, node, label, amount in [
-            (0, "B", "duty", 2.0), (0, "B", "op:sense", 1.0), (1, "B", "duty", 4.0), (0, "C", "duty", 8.0),
-        ]:
-            book.add(slot, node, label, amount)
-        assert book.rows == []
-        assert book.by_slot == {(0, "B"): 3.0, (1, "B"): 4.0, (0, "C"): 8.0}
-        assert book.by_label == {("B", "duty"): 6.0, ("B", "op:sense"): 1.0, ("C", "duty"): 8.0}
-
-    def test_keeps_rows_in_draw_order_when_asked(self):
-        book = ChargeBook(keep_rows=True)
-        book.add(3, "D", "leakage", 0.5)
-        book.add(2, "B", "duty", 1.5)
-        assert book.rows == [(3, "D", "leakage", 0.5), (2, "B", "duty", 1.5)]
 
 
 class TestClassify:
@@ -268,14 +249,14 @@ class TestExecutePlanEqualsPrefix:
         context = EnergyContext(EnergyLevel.E1, EnergyLevel.E1, EnergyLevel.E1)
         plan = ExecutionPlan(context, run_ops, [], {}, 0.0, [], price)
         store, oracle = make_store(stored), make_store(stored)
-        book = ChargeBook(keep_rows=True)
-        report, got, skipped = execute_plan(plan, store, floor, charges=book)
+        report, got, skipped = execute_plan(plan, store, floor)
         paid = withdraw_prefix(oracle, [price[kind] for kind in kinds], floor)
         assert got is store and store.stored == oracle.stored
         assert report.ops_node + report.ops_network == paid
         assert skipped == run_ops[paid:]
         assert report.aborted == (paid < len(kinds))
-        assert [row[3] for row in book.rows] == [price[kind] for kind in kinds[:paid]]
+        assert plan.steps == run_ops
+        assert report.consumed_uj == sum(price[kind] for kind in kinds[:paid])
 
 
 class TestLedgerProperties:

@@ -424,13 +424,24 @@ class TestLoadTrace:
         assert harvest_in_slot(trace, 0, 60.0) == pytest.approx(60_000.0)
 
     def test_round_trip_csv(self):
-        trace = load_trace("slot,power_watts\n5,0.001\n6,0.25\n")
+        trace = load_trace("slot,power_watts\n0,0.001\n1,0.25\n")
         text = "slot,power_watts\n" + "".join(
-            f"{trace.start_slot + i},{p!r}\n" for i, p in enumerate(trace.powers)
+            f"{i},{p!r}\n" for i, p in enumerate(trace.powers)
         )
         again = load_trace(text)
         assert again.powers == trace.powers
-        assert again.start_slot == 5
+
+    def test_first_slot_must_be_zero(self):
+        # A run reads slots from 0, so a trace starting later could never run.
+        with pytest.raises(ParseError) as err:
+            load_trace("slot,power_watts\n5,0.001\n6,0.25\n")
+        assert str(err.value) == "line 2: slot 5 out of order (expected 0)"
+
+    @pytest.mark.parametrize("power", ["nan", "inf", "-inf"])
+    def test_non_finite_power_names_its_line(self, power):
+        with pytest.raises(ParseError) as err:
+            load_trace(f"slot,power_watts\n0,0.001\n1,{power}\n")
+        assert str(err.value) == f"line 3: power {float(power)} is not a finite number"
 
 
 class TestBuildProfileTrace:
@@ -439,6 +450,13 @@ class TestBuildProfileTrace:
         with pytest.raises(ParseError) as err:
             build_profile_trace(ProfileSpec(kind="csv", path=str(path)), 2, "sun")
         assert str(err.value).startswith(f"profile sun: cannot read {str(path)!r}")
+
+    def test_csv_content_error_keeps_its_type(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("slot,power_watts\n0,0.001\n1,-0.5\n", encoding="utf-8")
+        with pytest.raises(NegativePower) as err:
+            build_profile_trace(ProfileSpec(kind="csv", path=str(path)), 2, "sun")
+        assert str(err.value).startswith("profile sun: ")
 
     def test_csv_profile_leaves_no_file_open(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -715,7 +715,7 @@ class TestLinkTable:
         table = World(cfg, traces=traces, collect_charges=True)
         radio_off = 0
         for _ in range(30):
-            table.step_slot()
+            simcore.run(table, 1)
             radio_off += sum(1 for rt in table.nodes.values() if rt.schedule.radio_off)
         scan = simcore.run(_FullScanWorld(cfg, traces=traces, collect_charges=True), 30)
         assert radio_off > 0 and table.metrics.delivered > 0
@@ -813,41 +813,57 @@ class TestStreamedCharges:
         assert plain.ledger == m.ledger and _outputs(plain)[2:] == _outputs(m)[2:]
 
 
-class _StreamedBookWorld(World):
-    """The engine while every overhead draw entered the book as it was made:
-    each paid draw goes straight through ``ChargeBook.add``, so no node
-    account is ever published. Counts the draws the floor refused."""
+class _CountingWorld(World):
+    """The engine, counting the overhead draws the floor refused."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.refusals = 0
+    refusals = 0
 
     def _charge(self, rt, label, amount):
-        if rt.is_sink or amount <= 0.0:
-            return True
-        try:
-            simcore.withdraw(rt.store, amount, self.floor)
-        except energy.InsufficientEnergy:
-            self.refusals += 1
-            return False
-        self.metrics.book.add(self.slot, rt.node_id, label, amount)
-        return True
+        paid = super()._charge(rt, label, amount)
+        self.refusals += not paid and label.startswith("mac:")
+        return paid
+
+
+def _fold_rows(rows) -> tuple[dict, dict]:
+    """The book settlement should build from a collecting run's per-draw rows:
+    each draw summed as it was made, except one settlement's operation rows,
+    which join once per kind, at price x count, in first-seen order."""
+    by_slot, by_label, ops = {}, {}, {}
+
+    def add(slot, node, label, amount):
+        by_slot[slot, node] = by_slot.get((slot, node), 0.0) + amount
+        by_label[node, label] = by_label.get((node, label), 0.0) + amount
+
+    def add_ops():
+        for (slot, node, label), (price, count) in ops.items():
+            add(slot, node, label, price * count)
+        ops.clear()
+
+    for slot, node, label, amount in rows:
+        if label.startswith("op:"):
+            ops.setdefault((slot, node, label), [amount, 0])[1] += 1
+        else:
+            add_ops()  # a settlement's operations come before its duty and leakage
+            add(slot, node, label, amount)
+    add_ops()
+    return by_slot, by_label
 
 
 class TestChargeAccounts:
-    """Per-node accounts published at settlement give exactly the book that
-    streaming every draw gives: each sum adds the same draws in the same
-    order, the slot's overhead before the plan's draws, duty and leakage."""
+    """The per-node accounts the engine publishes give exactly the book that
+    folding the per-draw rows gives: each sum adds the same draws in the same
+    order, the slot's overhead, then each operation kind, duty and leakage."""
 
     @staticmethod
     def both(cfg, slots):
-        streamed = _StreamedBookWorld(cfg)
-        expected = simcore.run(streamed, slots)
+        collecting = _CountingWorld(cfg, collect_charges=True)
+        with_rows = simcore.run(collecting, slots)
+        by_slot, by_label = _fold_rows(with_rows.charges)
         m = simcore.run(World(cfg), slots)
-        assert m.book.by_slot == expected.book.by_slot
-        assert m.book.by_label == expected.book.by_label
-        assert _outputs(m) == _outputs(expected)
-        return streamed, m
+        assert m.book.by_slot == by_slot
+        assert m.book.by_label == by_label
+        assert m.ledger == with_rows.ledger and _outputs(m)[2:] == _outputs(with_rows)[2:]
+        return collecting, m
 
     def test_tree(self, tree_cfg):
         self.both(tree_cfg, 60)
@@ -863,8 +879,8 @@ class TestChargeAccounts:
             cfg.energy, capacity_uj=50_000.0, leakage_uj_per_slot=500.0, floor_fraction=0.05
         )
         cfg = dataclasses.replace(cfg, energy=energy_settings, seed=5)
-        streamed, m = self.both(cfg, 30)
-        assert streamed.refusals > 0 and any(r.aborted for r in m.slot_reports)
+        counted, m = self.both(cfg, 30)
+        assert counted.refusals > 0 and any(r.aborted for r in m.slot_reports)
         families = {label.split(":")[0] for _, label in m.book.by_label}
         assert families == {"op", "mac", "duty", "leakage"}
 
@@ -988,7 +1004,7 @@ class TestPlanTermsPerWorld:
                 World(dataclasses.replace(tree_cfg, costs=self.COSTS), collect_charges=True)]
         for _ in range(slots):
             for world in pair:
-                world.step_slot()
+                simcore.run(world, 1)
         assert pair[0].nodes["B"].policies is pair[1].nodes["B"].policies
         assert _outputs(alone[0]) != _outputs(alone[1])
         for world, expected in zip(pair, alone):

@@ -61,3 +61,32 @@ def _unused_public_definitions() -> list[str]:
 class TestPublicSurface:
     def test_every_public_definition_is_used_by_the_program(self):
         assert _unused_public_definitions() == []
+
+
+def _callers_of(name: str) -> list[str]:
+    """``module.Qualified.name`` of each function in ``src/harvestsim`` whose
+    own body calls ``name``, as a plain name or an attribute."""
+    callers = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    callers.append(scope)
+            visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return callers
+
+
+class TestOneChargePath:
+    def test_withdraw_is_called_only_by_the_two_payers(self):
+        # World._charge pays every single draw; execute_plan pays a plan's
+        # operations. A third caller would be a third charge rule.
+        assert sorted(_callers_of("withdraw")) == ["app.execute_plan", "simcore.World._charge"]
