@@ -70,7 +70,7 @@ class Policy(Bounded):
         return self.weight * len(self.steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyContext:
     """The three level readings steering the slot's plan."""
 

@@ -84,6 +84,11 @@ class Channel:
     ``busy_until`` (seconds), which :meth:`occupy` moves.
     """
 
+    __slots__ = (
+        "settings", "nodes", "rng", "_sigma", "_link_means", "_fanouts",
+        "busy_until", "_exchange_rssi",
+    )
+
     def __init__(self, settings: ChannelSettings, nodes: Mapping[str, NodeRuntime], seed: int):
         self.settings = settings
         self.nodes = nodes  # every node, in id order

@@ -4,9 +4,12 @@ All energy amounts are plain floats in microjoules (uJ). A store is checked
 when it is built and on every draw: deposit/withdraw validate the amount
 first, then update the store in place and return it, so a refused or invalid
 draw leaves it untouched. :func:`withdraw` is the one floor rule: a draw is
-paid when what it leaves is not below the floor. A draw the floor refuses
-raises :class:`InsufficientEnergy` carrying its numbers; the message is
-formatted only when read. :class:`ChargeBook` is the plain record of a
+paid when what it leaves is not below the floor, and every paid draw of a
+run goes through it. A draw the floor refuses raises
+:class:`InsufficientEnergy` carrying its numbers; the message is formatted
+only when read. The engine's per-event payer (``simcore.World._charge``)
+answers a refusal itself, by the same comparison, so only the plan's
+refusals raise. :class:`ChargeBook` is the plain record of a
 run's paid draws, which the engine fills.
 """
 

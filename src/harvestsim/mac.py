@@ -86,7 +86,7 @@ class RadioEnergyModel:
     supply_v: float = 3.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DutySchedule:
     """Wake/sleep timing realizing one duty factor.
 
@@ -101,9 +101,8 @@ class DutySchedule:
     radio_off: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        derived = self.__dict__
-        derived["period_ms"] = self.wake_ms + self.sleep_ms
-        derived["radio_off"] = self.wake_ms == 0.0
+        object.__setattr__(self, "period_ms", self.wake_ms + self.sleep_ms)
+        object.__setattr__(self, "radio_off", self.wake_ms == 0.0)
 
     @property
     def duty_fraction(self) -> float:
@@ -207,7 +206,7 @@ class UnicastCost(NamedTuple):
     rx_uj: float  # a delivered unicast's receiver cost
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameCosts:
     """What the frames of one world cost, computed once by :func:`frame_costs`.
 

@@ -162,7 +162,7 @@ class Rrep:
     cost: float
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteEntry:
     dest: str
     next_hop: str
@@ -170,7 +170,7 @@ class RouteEntry:
     seq: int
 
 
-@dataclass
+@dataclass(slots=True)
 class RoutingState:
     """Per-node protocol state, mutated only by the owning simulator.
 

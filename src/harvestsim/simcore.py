@@ -29,8 +29,10 @@ storage, packet transmissions/receptions) are settled through the plan at
 exact cost-table values, while MAC-layer overhead (preamble trains, acks,
 retries, beacons, flood frames) is charged per event from the radio current
 model. ``app.execute_plan`` pays the plan; :meth:`World._charge` pays every
-other draw, duty and leakage too; each draw is one :func:`energy.withdraw`
-(through this module's ``withdraw`` binding). A node's two accounts, the
+other draw, duty and leakage too; each paid draw is one
+:func:`energy.withdraw` (through this module's ``withdraw`` binding), and
+``_charge`` answers a refusal at the floor itself, by withdraw's own
+comparison, without raising. A node's two accounts, the
 slot's sum and the run's total per label, are the only running totals: a
 paid draw adds to them, the plan's paid prefix once per kind at price x
 count. Settlement publishes the slot's sum into the metrics'
@@ -63,7 +65,6 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import app, forecast, mac, routing
 from .channel import Channel, loss_probability, survives
@@ -77,7 +78,6 @@ from .energy import (
     EnergyLevel,
     EnergyStore,
     HarvestTrace,
-    InsufficientEnergy,
     LevelThresholds,
     OperationCostTable,
     deposit,
@@ -103,7 +103,7 @@ class Packet:
     retries: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeRuntime:
     """Everything the engine tracks per node."""
 
@@ -199,12 +199,30 @@ class Metrics:
         }
 
 
+def _handler_names(cls: type) -> dict[str, str]:
+    """Each event kind a world class handles, and its handler's name, ``_on_<kind>``."""
+    return {name[4:]: name for name in dir(cls) if name.startswith("_on_")}
+
+
 class World:
     """One simulation instance; deterministic under a fixed (config, seed).
 
     ``collect_mac_trace`` and ``collect_charges`` keep the per-event MAC
     rows and the per-draw charge rows in the metrics.
     """
+
+    __slots__ = (
+        "cfg", "collect_mac_trace", "radio", "table", "thresholds", "floor",
+        "_schedules", "frames", "metrics", "_rows", "now", "slot", "_event_seq",
+        "_events", "sink_id", "nodes", "channel", "_visit_order", "_handlers",
+    )
+
+    # Each class's event handlers are found once, as the class is made (for
+    # World itself, just below it), so that a subclass's override applies;
+    # each world binds its own class's.
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handler_kinds = _handler_names(cls)
 
     def __init__(
         self,
@@ -286,20 +304,13 @@ class World:
                 rt.schedule = mac.DutySchedule(wake_ms=self.cfg.mac.wake_window_ms, sleep_ms=0.0)
             self.nodes[spec.id] = rt
         self.channel = Channel(cfg.channel, self.nodes, cfg.seed)
+        # Every node, in ascending id order (as ``nodes`` was filled): the
+        # order each slot phase visits.
+        self._visit_order = tuple(self.nodes.values())
+        self._handlers = {kind: getattr(self, name) for kind, name in self._handler_kinds.items()}
 
     # ------------------------------------------------------------------
     # infrastructure
-
-    @cached_property
-    def _visit_order(self) -> tuple[NodeRuntime, ...]:
-        """Every node, in ascending id order: the order each slot phase visits."""
-        return tuple(self.nodes[node_id] for node_id in sorted(self.nodes))
-
-    @cached_property
-    def _handlers(self) -> dict:
-        """Each event kind's handler, ``_on_<kind>``, looked up on this world
-        so that a subclass's override applies."""
-        return {name[4:]: getattr(self, name) for name in dir(self) if name.startswith("_on_")}
 
     def _push(self, t: float, kind: str, *payload) -> None:
         if t < self.now - 1e-9:
@@ -308,14 +319,27 @@ class World:
         heapq.heappush(self._events, (t, self._event_seq, kind, payload))
 
     def _charge(self, rt: NodeRuntime, label: str, amount: float) -> bool:
-        """Pay one draw into the node's accounts, or refuse it at the floor;
-        sinks are mains-powered and free."""
-        if rt.is_sink or amount <= 0.0:
+        """Pay one draw into the node's accounts, or refuse it at the floor.
+
+        Sinks are mains-powered: their draws are free and unchecked. For any
+        other node a draw of exactly 0 is free, and a paid draw goes through
+        :func:`energy.withdraw`. A refusal is answered here, by withdraw's own
+        comparison (what the draw leaves is below the floor), without its
+        exception; a refused draw changes nothing. A negative amount raises
+        ``ValueError`` naming the label, and a NaN or infinite one reaches
+        withdraw, which rejects it.
+        """
+        if rt.is_sink:
             return True
-        try:
-            withdraw(rt.store, amount, self.floor)
-        except InsufficientEnergy:
-            return False
+        store, floor = rt.store, self.floor
+        if amount > 0.0:
+            if store.stored - amount < floor and amount < math.inf:
+                return False
+        elif amount == 0.0:
+            return True
+        elif amount < 0.0:
+            raise ValueError(f"draw {label!r} must be >= 0, got {amount!r}")
+        withdraw(store, amount, floor)
         rt.slot_charged += amount
         rt.charged_by_label[label] = rt.charged_by_label.get(label, 0.0) + amount
         if self._rows is not None:
@@ -823,6 +847,9 @@ class World:
                 self._settle_node(rt, slot)
         self.metrics.slots_run += 1
         self.slot += 1
+
+
+World._handler_kinds = _handler_names(World)
 
 
 def run(world: World, n_slots: int) -> Metrics:

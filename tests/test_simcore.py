@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import hashlib
 import heapq
@@ -915,8 +916,9 @@ class TestShadowDraw:
 class TestBenchmarkBindings:
     """What the benchmark's tracer relies on, pinned from the program side:
     it wraps ``simcore.withdraw`` as ``energy.withdraw``, times
-    ``energy.check_amount`` inside it, and expects every workload to draw
-    overhead through it."""
+    ``energy.check_amount`` inside it, and expects every paid overhead draw
+    of a workload to go through it (the engine answers a floor refusal
+    itself, by the same comparison)."""
 
     def test_simcore_withdraw_is_energy_withdraw(self):
         assert simcore.withdraw is energy.withdraw
@@ -948,6 +950,138 @@ class TestBenchmarkBindings:
         m = simcore.run(World(cfg, collect_charges=True), 5)
         overhead = [amount for _, _, label, amount in m.charges if not label.startswith("op:")]
         assert paid and paid == overhead
+
+
+class TestChargeRefusal:
+    """``World._charge`` refuses at the floor exactly the draws
+    ``energy.withdraw`` refuses, without raising, and pays the rest through
+    it; a refused draw changes nothing."""
+
+    LABEL = "mac:beacon-tx"
+
+    @staticmethod
+    def powered(tree_cfg, stored, floor):
+        world = World(tree_cfg, collect_charges=True)
+        world.floor = floor
+        rt = world.nodes["D"]
+        rt.store.stored = stored
+        return world, rt
+
+    @staticmethod
+    def accounts(world, rt):
+        return rt.store.stored, rt.slot_charged, dict(rt.charged_by_label), list(world.metrics.charges)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        stored=st.floats(0.0, 1e6),
+        floor=st.floats(0.0, 1e6),
+        amount=st.sampled_from([5e-324, 1e-9]) | st.floats(0.0, 2e6, exclude_min=True),
+        exact=st.booleans(),
+    )
+    @example(stored=10.0, floor=4.0, amount=6.0, exact=False)  # leaves exactly the floor: paid
+    @example(stored=10.0, floor=4.0, amount=6.000000000000001, exact=False)  # one ulp more: refused
+    def test_refuses_exactly_what_withdraw_refuses(self, tree_cfg, stored, floor, amount, exact):
+        if exact and stored > floor:
+            amount = stored - floor
+        twin = EnergyStore(stored=stored, capacity=max(stored, 1.0))
+        try:
+            energy.withdraw(twin, amount, floor)
+            refused = False
+        except energy.InsufficientEnergy:
+            refused = True
+        assert refused == (stored - amount < floor)  # what is left may equal the floor
+        world, rt = self.powered(tree_cfg, stored, floor)
+        before = self.accounts(world, rt)
+        assert world._charge(rt, self.LABEL, amount) is (not refused)
+        if refused:
+            assert self.accounts(world, rt) == before
+            return
+        assert rt.store.stored == twin.stored
+        assert rt.slot_charged == amount
+        assert rt.charged_by_label == {self.LABEL: amount}
+        assert world.metrics.charges == [(0, "D", self.LABEL, amount)]
+
+    @pytest.mark.parametrize("amount", [0.0, 1.0, 1e12])
+    def test_sink_pays_nothing(self, tree_cfg, amount):
+        world = World(tree_cfg, collect_charges=True)
+        sink = world.nodes[world.sink_id]
+        assert world._charge(sink, self.LABEL, amount)
+        assert sink.store is None and sink.slot_charged == 0.0
+        assert sink.charged_by_label == {} and world.metrics.charges == []
+
+    @pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf, -5e-324])
+    def test_invalid_amount_raises(self, tree_cfg, amount):
+        world, rt = self.powered(tree_cfg, 10.0, 4.0)
+        before = self.accounts(world, rt)
+        with pytest.raises(ValueError):
+            world._charge(rt, self.LABEL, amount)
+        assert self.accounts(world, rt) == before
+
+    def test_negative_draw_names_its_label(self, tree_cfg):
+        world, rt = self.powered(tree_cfg, 10.0, 4.0)
+        with pytest.raises(ValueError, match="'mac:beacon-tx' must be >= 0, got -1.0"):
+            world._charge(rt, self.LABEL, -1.0)
+        assert rt.store.stored == 10.0 and rt.charged_by_label == {}
+
+    @pytest.mark.parametrize("stored", [10.0, 4.0, 3.0])
+    def test_zero_draw_is_free_and_unlabelled(self, tree_cfg, stored):
+        # Free even on a store already below the floor, which withdraw refuses.
+        world, rt = self.powered(tree_cfg, stored, 4.0)
+        assert world._charge(rt, self.LABEL, 0.0)
+        assert self.accounts(world, rt) == (stored, 0.0, {}, [])
+
+
+class _BeaconLogWorld(World):
+    """Logs the beacons it handles, through its own ``_on_beacon``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.beacons = []
+
+    def _on_beacon(self, t, node_id):
+        self.beacons.append(node_id)
+        super()._on_beacon(t, node_id)
+
+
+class TestEngineRecords:
+    """The engine's per-event records carry no instance dict, and its event
+    dispatch is bound without a ``dir()`` walk per world."""
+
+    def test_hot_records_have_no_instance_dict(self, tree_cfg):
+        world = World(tree_cfg)
+        rt = world.nodes["D"]
+        records = [
+            rt,
+            rt.routing,
+            routing.RouteEntry(dest="A", next_hop="B", cost=1.0, seq=1),
+            app.EnergyContext(EnergyLevel.E1, EnergyLevel.E2, EnergyLevel.E3),
+            world.frames,
+            rt.schedule,
+            world.channel,
+            world,
+        ]
+        assert [type(r).__name__ for r in records if hasattr(r, "__dict__")] == []
+
+    def test_subclass_override_is_dispatched(self, tree_cfg):
+        world = _BeaconLogWorld(tree_cfg)
+        assert world._handlers["beacon"].__func__ is _BeaconLogWorld._on_beacon
+        assert world._handlers["send"].__func__ is World._on_send
+        world.step_slot()
+        assert world.beacons and set(world.beacons) <= set(world.nodes)
+
+    def test_set_up_and_first_slot_run_no_dir(self, tree_cfg, monkeypatch):
+        calls = []
+        real = builtins.dir
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(builtins, "dir", counting)
+        for cls in (World, _BeaconLogWorld):
+            world = cls(tree_cfg)
+            world.step_slot()
+        assert calls == []
 
 
 def _hold_each(world, rt, pkts, reason):
