@@ -16,6 +16,7 @@ run's paid draws, which the engine fills.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import NamedTuple
@@ -68,26 +69,13 @@ def check_amount(value: float, what: str = "energy") -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
-class LevelThresholds:
-    """Three ascending capacity fractions splitting [0, capacity] into four levels."""
-
-    t1: float = 0.10
-    t2: float = 0.40
-    t3: float = 0.70
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.t1 < self.t2 < self.t3 < 1.0):
-            raise ValueError(
-                f"thresholds must be strictly ascending in (0,1), got "
-                f"({self.t1}, {self.t2}, {self.t3})"
-            )
+# Three ascending capacity fractions splitting [0, capacity] into the four
+# levels; ``EnergySettings.thresholds`` defaults to them and checks the order.
+DEFAULT_THRESHOLDS = (0.10, 0.40, 0.70)
+_LEVELS = tuple(EnergyLevel)
 
 
-DEFAULT_THRESHOLDS = LevelThresholds()
-
-
-def classify_level(e: float, capacity: float, thresholds: LevelThresholds = DEFAULT_THRESHOLDS) -> EnergyLevel:
+def classify_level(e: float, capacity: float, thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS) -> EnergyLevel:
     """Map a stored/available amount to one of the four energy levels.
 
     Classification is total: every 0 <= e <= capacity maps to exactly one
@@ -97,14 +85,7 @@ def classify_level(e: float, capacity: float, thresholds: LevelThresholds = DEFA
     check_amount(capacity, "capacity")
     if capacity <= 0:
         raise ValueError("capacity must be positive")
-    frac = e / capacity
-    if frac < thresholds.t1:
-        return EnergyLevel.E0
-    if frac < thresholds.t2:
-        return EnergyLevel.E1
-    if frac < thresholds.t3:
-        return EnergyLevel.E2
-    return EnergyLevel.E3
+    return _LEVELS[bisect_right(thresholds, e / capacity)]
 
 
 @dataclass(slots=True)
@@ -116,7 +97,7 @@ class EnergyStore:
 
     stored: float
     capacity: float
-    thresholds: LevelThresholds = DEFAULT_THRESHOLDS
+    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
 
     def __post_init__(self) -> None:
         check_amount(self.stored, "stored")

@@ -21,9 +21,11 @@ and the replies these two ask for.
 
 Nodes signal their energy level implicitly through transmit power. Every
 node periodically beacons at a fixed reference power; listeners smooth those
-observations into a per-neighbour RSSI reference, and the attenuation of any
-later packet relative to the reference reveals which power step - hence
-which energy level - the neighbour used.
+observations into a per-neighbour RSSI reference (:func:`hear_beacon`), and
+the attenuation of any later frame relative to the reference reveals which
+power step - hence which energy level - the neighbour used (:func:`hear_frame`).
+The engine reads that belief back to size preamble trains and to judge the
+network's energy.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ class RoutingError(Exception):
     """Base class for routing errors."""
 
 
-class NodeDormant(RoutingError):
-    """A node at the lowest energy level cannot transmit."""
-
-
 class Uncalibrated(RoutingError):
     """No beacon reference available to decode a neighbour's power choice."""
 
@@ -51,8 +49,8 @@ class DimensionMismatch(RoutingError):
     """Path RSSI list and weight list differ in length."""
 
 
-# Three discrete transmit powers for the three live energy levels; the
-# reference (beacon) power equals the top level's.
+# Three discrete transmit powers for the three live energy levels (E0 sends
+# nothing); the reference (beacon) power equals the top level's.
 TX_POWER_BY_LEVEL = {
     EnergyLevel.E1: -10,
     EnergyLevel.E2: -5,
@@ -70,6 +68,9 @@ _LEVEL_STEPS = tuple(
 _BY_ATTENUATION = sorted(_LEVEL_STEPS, key=lambda ls: ls[1])
 _DECODED_LEVELS = tuple(level for level, _ in _BY_ATTENUATION)
 _STEP_MIDPOINTS = tuple((a + b) / 2 for (_, a), (_, b) in zip(_BY_ATTENUATION, _BY_ATTENUATION[1:]))
+# A neighbour last heard more than this many slots ago no longer counts
+# toward the network level.
+NEIGHBOR_TTL_SLOTS = 5
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,6 @@ class RoutingSettings(Bounded):
     beacon_period_s: float = field(default=30.0, metadata=POS)
     rreq_refresh_slots: int = field(default=10, metadata=int_min(1))
     collection_window_ms: float = field(default=200.0, metadata=POS)
-
-
-def map_level_to_txpower(level: EnergyLevel) -> int:
-    """Transmit power (dBm) for an energy level; E0 nodes stay silent."""
-    if level == EnergyLevel.E0:
-        raise NodeDormant("no energy for communication at E0")
-    return TX_POWER_BY_LEVEL[level]
 
 
 def calibrate_reference(existing: float | None, observed_dbm: float) -> float:
@@ -178,7 +172,8 @@ class RoutingState:
     a relay. ``answered`` and ``answered_cost`` hold, per origin, the newest
     flood the sink answered and that answer's cost; ``windows`` holds the
     candidates of each open collection window by (origin, seq). Only the
-    sink fills these three.
+    sink fills these three. ``neighbor_seen`` holds, per neighbour, its
+    believed level and the slot it was last heard in.
     """
 
     node_id: str
@@ -188,11 +183,42 @@ class RoutingState:
     answered_cost: dict[str, float] = field(default_factory=dict)
     windows: dict[tuple[str, int], list[Rreq]] = field(default_factory=dict)
     references: dict[str, float] = field(default_factory=dict)
+    neighbor_seen: dict[str, tuple[EnergyLevel, int]] = field(default_factory=dict)
     seq_counter: int = 0
 
     def next_seq(self) -> int:
         self.seq_counter += 1
         return self.seq_counter
+
+
+def hear_beacon(state: RoutingState, sender: str, rssi: float, slot: int, from_sink: bool) -> None:
+    """A beacon rides the fixed reference power: it calibrates the sender's
+    reference and proves it alive, but tells no level, so the sender keeps
+    its believed level; the mains-powered sink is always E3."""
+    references = state.references
+    references[sender] = calibrate_reference(references.get(sender), rssi)
+    level = EnergyLevel.E3 if from_sink else believed_level(state, sender)
+    state.neighbor_seen[sender] = (level, slot)
+
+
+def hear_frame(state: RoutingState, sender: str, rssi: float, slot: int) -> None:
+    """Any other frame, sent at its sender's level power: once a beacon has
+    calibrated the sender's reference, it tells the sender's level."""
+    reference = state.references.get(sender)
+    if reference is not None:
+        state.neighbor_seen[sender] = (infer_neighbor_level(rssi, reference), slot)
+
+
+def believed_level(state: RoutingState, neighbor: str) -> EnergyLevel:
+    """The level last inferred for ``neighbor``, however long ago, and E1
+    (the longest live sleep) before any; never E0, which sends nothing."""
+    seen = state.neighbor_seen.get(neighbor)
+    return seen[0] if seen else EnergyLevel.E1
+
+
+def neighbor_levels(state: RoutingState, slot: int) -> list[EnergyLevel]:
+    """The believed level of each neighbour heard within ``NEIGHBOR_TTL_SLOTS`` slots."""
+    return [lvl for lvl, seen in state.neighbor_seen.values() if slot - seen <= NEIGHBOR_TTL_SLOTS]
 
 
 def candidate_cost(settings: RoutingSettings, rreq: Rreq) -> float:

@@ -45,7 +45,7 @@ from .bounds import (
     Bounded, Checker, enum, int_min, non_finite, section,
 )
 from .channel import ChannelSettings
-from .energy import DEFAULT_OP_COSTS, TX_OP_KIND, HarvestTrace
+from .energy import DEFAULT_OP_COSTS, DEFAULT_THRESHOLDS, TX_OP_KIND, HarvestTrace
 from .forecast import PredictorSettings
 from .mac import MacConfig
 from .routing import RoutingSettings
@@ -75,12 +75,18 @@ class NegativePower(ScenarioError):
 class EnergySettings(Bounded):
     capacity_uj: float = field(default=100_000.0, metadata=POS)
     thresholds: tuple[float, float, float] = field(
-        default=(0.10, 0.40, 0.70),
+        default=DEFAULT_THRESHOLDS,
         metadata={"type": "array", "items": FRACTION, "minItems": 3, "maxItems": 3},
     )
     floor_fraction: float = field(default=0.10, metadata=FRACTION)
     duty_energy_uj: float = field(default=10_000.0, metadata=POS)
     leakage_uj_per_slot: float = field(default=0.0, metadata=NONNEG)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        t = self.thresholds
+        if not t[0] < t[1] < t[2]:
+            raise ValueError(f"EnergySettings.thresholds: must be strictly ascending, got {t}")
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import app, forecast, mac, routing
 from .channel import Channel, loss_probability, survives
@@ -75,10 +76,8 @@ from .energy import (
     RX_OP_KIND,
     TX_OP_KIND,
     ChargeBook,
-    EnergyLevel,
     EnergyStore,
     HarvestTrace,
-    LevelThresholds,
     OperationCostTable,
     deposit,
     harvest_in_slot,
@@ -88,13 +87,21 @@ from .scenario import ScenarioConfig, build_profile_trace
 
 PROCESSING_DELAY_S = 0.005
 RREQ_JITTER_MS = 20.0
-NEIGHBOR_TTL_SLOTS = 5
 MAX_PACKET_RETRIES = 3
 PENDING_QUEUE_CAP = 64
 
 # The charge label of each operation kind. Overhead draws are labelled
 # ``mac:<purpose>-tx/rx``, duty and leakage ``duty`` and ``leakage``.
 OP_LABELS = {kind: f"op:{kind}" for kind in OP_KINDS}
+
+
+class LevelRun(NamedTuple):
+    """What a node at one energy level runs: its transmit power (``None``:
+    dormant), its duty factor and the schedule that realizes it."""
+
+    tx_power: int | None
+    delta: float
+    schedule: mac.DutySchedule
 
 
 @dataclass(slots=True)
@@ -129,7 +136,6 @@ class NodeRuntime:
     available: float = 0.0
     forwards_left: int = 0
     pending: list[Packet] = field(default_factory=list)
-    neighbor_seen: dict[str, tuple[EnergyLevel, int]] = field(default_factory=dict)
     need_route: bool = False
     flood_initiated_slot: int = -1
     slot_ledger: tuple = (0.0, 0.0, 0.0)
@@ -212,8 +218,8 @@ class World:
     """
 
     __slots__ = (
-        "cfg", "collect_mac_trace", "radio", "table", "thresholds", "floor",
-        "_schedules", "frames", "metrics", "_rows", "now", "slot", "_event_seq",
+        "cfg", "collect_mac_trace", "radio", "table", "floor", "_levels", "frames",
+        "metrics", "_rows", "now", "slot", "_event_seq",
         "_events", "sink_id", "nodes", "channel", "_visit_order", "_handlers",
     )
 
@@ -241,16 +247,19 @@ class World:
         self.table = OperationCostTable(
             {**DEFAULT_OP_COSTS, **costs}, {**DEFAULT_TX_COSTS, **tx_costs}
         )
-        self.thresholds = LevelThresholds(*cfg.energy.thresholds)
         self.floor = cfg.energy.floor_fraction * cfg.energy.capacity_uj
-        # The schedule each energy level runs, realized once; a node runs
-        # its own level's.
-        self._schedules = {
+        schedules = {
             level: mac.schedule_from_delta(delta, cfg.mac)
             for level, delta in mac.DELTA_BY_LEVEL.items()
         }
+        # What each energy level runs, indexed by level; a node runs its own
+        # level's row.
+        self._levels = tuple(
+            LevelRun(routing.TX_POWER_BY_LEVEL.get(level), delta, schedules[level])
+            for level, delta in sorted(mac.DELTA_BY_LEVEL.items())
+        )
         self.frames = mac.frame_costs(
-            cfg.mac, self.radio, self._schedules, routing.REFERENCE_TX_POWER_DBM
+            cfg.mac, self.radio, schedules, routing.REFERENCE_TX_POWER_DBM
         )
         self.metrics = Metrics()
         self._rows = self.metrics.book.rows if collect_charges else None
@@ -283,7 +292,7 @@ class World:
                 store = EnergyStore(
                     stored=0.5 * cfg.energy.capacity_uj,
                     capacity=cfg.energy.capacity_uj,
-                    thresholds=self.thresholds,
+                    thresholds=cfg.energy.thresholds,
                 )
             rt = NodeRuntime(
                 node_id=spec.id,
@@ -346,36 +355,12 @@ class World:
             self._rows.append((self.slot, rt.node_id, label, amount))
         return True
 
-    def _hear_beacon(self, receiver: NodeRuntime, sender_id: str, rssi: float) -> None:
-        """Beacons ride the fixed reference power: they calibrate the
-        per-neighbour reference and prove liveness, but carry no level
-        information of their own."""
-        references = receiver.routing.references
-        references[sender_id] = routing.calibrate_reference(references.get(sender_id), rssi)
-        if sender_id == self.sink_id:
-            level = EnergyLevel.E3
-        else:
-            level = receiver.neighbor_seen.get(sender_id, (EnergyLevel.E1, 0))[0]
-        receiver.neighbor_seen[sender_id] = (level, self.slot)
-
-    def _hear(self, receiver: NodeRuntime, sender_id: str, rssi: float) -> None:
-        """Any other frame, sent at its sender's level power: once a beacon
-        has calibrated the sender's reference, it tells the sender's level."""
-        ref = receiver.routing.references.get(sender_id)
-        if ref is None:
-            return
-        level = routing.infer_neighbor_level(rssi, ref)
-        receiver.neighbor_seen[sender_id] = (level, self.slot)
-
     def _believed_sleep_ms(self, sender: NodeRuntime, receiver_id: str) -> float:
-        """Train sizing from the routing layer's inferred neighbour level."""
+        """Train sizing: the sink never sleeps, and any other receiver sleeps
+        as its level in the sender's routing belief does."""
         if receiver_id == self.sink_id:
             return 0.0
-        seen = sender.neighbor_seen.get(receiver_id)
-        level = seen[0] if seen else EnergyLevel.E1  # conservative default
-        if level == EnergyLevel.E0:
-            level = EnergyLevel.E1
-        return self._schedules[level].sleep_ms
+        return self._levels[routing.believed_level(sender.routing, receiver_id)].schedule.sleep_ms
 
     # ------------------------------------------------------------------
     # unicast exchange
@@ -433,7 +418,7 @@ class World:
             ))
         if delivered:
             self._charge(receiver, spec.rx_label, spec.rx_uj)
-            self._hear(receiver, sender.node_id, rssi)
+            routing.hear_frame(receiver.routing, sender.node_id, rssi, self.slot)
         return delivered, elapsed_s
 
     # ------------------------------------------------------------------
@@ -452,8 +437,8 @@ class World:
         channel = self.channel
         settings = channel.settings
         sensitivity = settings.sensitivity_dbm
-        rng, shadow, hear = channel.rng, channel._shadow, self._hear_beacon
-        t_ms = t * 1000.0
+        rng, shadow, hear = channel.rng, channel._shadow, routing.hear_beacon
+        t_ms, slot, from_sink = t * 1000.0, self.slot, rt.is_sink
         for other, rssi, loss in channel.fanout(rt, routing.REFERENCE_TX_POWER_DBM):
             if loss is None:  # shadowed: this reception draws its own power
                 rssi = shadow(rssi)
@@ -464,7 +449,7 @@ class World:
             if loss is None:
                 loss = loss_probability(rssi, settings)
             if survives(loss, rng) and charge(other, "mac:beacon-rx", rx):
-                hear(other, node_id, rssi)
+                hear(other.routing, node_id, rssi, slot, from_sink)
 
     def _on_rreq_init(self, t: float, node_id: str) -> None:
         rt = self.nodes[node_id]
@@ -534,7 +519,7 @@ class World:
         settings: routing.RoutingSettings,
     ) -> None:
         """One reception of ``rreq`` by ``rt``, heard from ``last_hop``."""
-        self._hear(rt, last_hop, rssi)
+        routing.hear_frame(rt.routing, last_hop, rssi, self.slot)
         if rt.is_sink:
             rrep, opens_window = routing.sink_receive(rt.routing, settings, rreq, rssi)
             if rrep is not None:
@@ -705,17 +690,9 @@ class World:
         rt.next_prediction = pred
         forecasts = forecast.predict_horizon(rt.predictor_state, settings.horizon)
 
-        neighbor_levels = [
-            lvl for lvl, seen in rt.neighbor_seen.values() if slot - seen <= NEIGHBOR_TTL_SLOTS
-        ]
-        context = app.assess_slot(rt.store, forecasts, neighbor_levels)
+        context = app.assess_slot(rt.store, forecasts, routing.neighbor_levels(rt.routing, slot))
         rt.available = e_a
-        try:
-            rt.tx_power = routing.map_level_to_txpower(context.own)
-        except routing.NodeDormant:
-            rt.tx_power = None
-        rt.delta_op = mac.DELTA_BY_LEVEL[context.own]
-        rt.schedule = self._schedules[context.own]
+        rt.tx_power, rt.delta_op, rt.schedule = self._levels[context.own]
 
         rt.plan = app.plan_slot(
             context,
@@ -807,8 +784,14 @@ class World:
         if rt.delta_op > 0.0 and self._charge(rt, "duty", duty):
             duty_sum[rt.node_id] = duty_sum.get(rt.node_id, 0.0) + rt.delta_op
         leak = self.cfg.energy.leakage_uj_per_slot
-        if leak > 0.0 and rt.store.stored > self.floor:
-            self._charge(rt, "leakage", min(leak, rt.store.stored - self.floor))
+        stored, floor = rt.store.stored, self.floor
+        if leak > 0.0 and stored > floor:
+            # Leakage drains at most to the floor: the largest amount the
+            # floor admits, which can be one ulp below ``stored - floor``.
+            leak = min(leak, stored - floor)
+            while stored - leak < floor:
+                leak = math.nextafter(leak, 0.0)
+            self._charge(rt, "leakage", leak)
         # The slot's sum enters the book once, after every draw joined it.
         if rt.slot_charged:
             self.metrics.book.by_slot[slot, rt.node_id] = rt.slot_charged

@@ -202,7 +202,13 @@ class TestBoundedSettings:
         meta = f.metadata
         if "array" in _types(meta):
             base = required.get(f.name) or _default(f) or _valid(meta)
-            values = [(edge, *base[1:]) for edge in _edges(meta["items"])]
+            # A low limit replaces the first item and a high one the last, so
+            # that an array its class keeps in order (the energy thresholds)
+            # stays in order.
+            values = [
+                (edge, *base[1:]) if edge <= base[0] else (*base[:-1], edge)
+                for edge in _edges(meta["items"])
+            ]
         elif "object" in _types(meta):
             base = _default(f)
             key = next(iter(base))

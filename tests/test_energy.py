@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from harvestsim.app import EnergyContext, ExecutionPlan, execute_plan
+from harvestsim.scenario import EnergySettings
 from harvestsim.energy import (
+    DEFAULT_THRESHOLDS,
     OP_KINDS,
     EnergyLevel,
     EnergyStore,
     HarvestTrace,
     InsufficientEnergy,
-    LevelThresholds,
     OperationCostTable,
     SlotOutOfRange,
     UnknownOperation,
@@ -158,9 +159,21 @@ class TestClassify:
         assert classify_level(25_000.0, 100_000.0) is EnergyLevel.E1
 
     def test_boundaries_belong_above(self):
-        t = LevelThresholds(0.10, 0.40, 0.70)
+        t = (0.10, 0.40, 0.70)
         assert classify_level(10.0, 100.0, t) is EnergyLevel.E1
+        assert classify_level(40.0, 100.0, t) is EnergyLevel.E2
         assert classify_level(70.0, 100.0, t) is EnergyLevel.E3
+
+    def test_reads_the_settings_thresholds(self):
+        t = (0.20, 0.50, 0.90)
+        levels = [classify_level(e, 100.0, t) for e in (19.0, 20.0, 49.0, 50.0, 89.0, 90.0)]
+        assert levels == [EnergyLevel.E0, EnergyLevel.E1, EnergyLevel.E1,
+                          EnergyLevel.E2, EnergyLevel.E2, EnergyLevel.E3]
+        assert EnergyStore(stored=89.0, capacity=100.0, thresholds=t).level is EnergyLevel.E2
+
+    def test_one_default(self):
+        assert EnergySettings().thresholds is DEFAULT_THRESHOLDS
+        assert EnergyStore(stored=1.0, capacity=2.0).thresholds is DEFAULT_THRESHOLDS
 
     @given(
         e1=st.floats(min_value=0, max_value=100),
@@ -170,9 +183,15 @@ class TestClassify:
         lo, hi = sorted((e1, e2))
         assert classify_level(lo, 100.0) <= classify_level(hi, 100.0)
 
-    def test_thresholds_must_ascend(self):
-        with pytest.raises(ValueError):
-            LevelThresholds(0.4, 0.4, 0.7)
+    @pytest.mark.parametrize("t", [(0.4, 0.4, 0.7), (0.1, 0.7, 0.4), (0.7, 0.4, 0.1)])
+    def test_thresholds_must_ascend(self, t):
+        with pytest.raises(ValueError, match="EnergySettings.thresholds: must be strictly ascending"):
+            EnergySettings(thresholds=t)
+
+    @pytest.mark.parametrize("t", [(0.0, 0.4, 0.7), (0.1, 0.4, 1.0)])
+    def test_thresholds_lie_inside_the_store(self, t):
+        with pytest.raises(ValueError, match="EnergySettings.thresholds/"):
+            EnergySettings(thresholds=t)
 
 
 class TestOpCosts:

@@ -8,17 +8,20 @@ from harvestsim.energy import EnergyLevel
 from harvestsim.routing import (
     REFERENCE_TX_POWER_DBM,
     TX_POWER_BY_LEVEL,
+    NEIGHBOR_TTL_SLOTS,
     DimensionMismatch,
-    NodeDormant,
     RoutingSettings,
     RoutingState,
     Rreq,
     Uncalibrated,
+    believed_level,
     calibrate_reference,
     candidate_cost,
+    hear_beacon,
+    hear_frame,
     infer_neighbor_level,
     install_route,
-    map_level_to_txpower,
+    neighbor_levels,
     process_rreq,
     sink_close_window,
     sink_receive,
@@ -27,26 +30,27 @@ from harvestsim.routing import (
 
 MODIFIED = RoutingSettings(mode="modified")
 BASELINE = RoutingSettings(mode="baseline")
-FULL_POWER = map_level_to_txpower(EnergyLevel.E3)
+FULL_POWER = TX_POWER_BY_LEVEL[EnergyLevel.E3]
 
 
 class TestTxPowerMapping:
     def test_high_gets_full_power(self):
-        assert map_level_to_txpower(EnergyLevel.E3) == 0
+        assert TX_POWER_BY_LEVEL[EnergyLevel.E3] == 0
 
     def test_minimum_gets_lowest_power(self):
-        assert map_level_to_txpower(EnergyLevel.E1) == -10
+        assert TX_POWER_BY_LEVEL[EnergyLevel.E1] == -10
 
     def test_intermediate(self):
-        assert map_level_to_txpower(EnergyLevel.E2) == -5
+        assert TX_POWER_BY_LEVEL[EnergyLevel.E2] == -5
 
     def test_dormant_nodes_cannot_transmit(self):
-        with pytest.raises(NodeDormant):
-            map_level_to_txpower(EnergyLevel.E0)
+        # E0 has no power: the engine's level table runs it dormant.
+        assert EnergyLevel.E0 not in TX_POWER_BY_LEVEL
+        assert TX_POWER_BY_LEVEL.get(EnergyLevel.E0) is None
 
     def test_monotone(self):
         powers = [
-            map_level_to_txpower(l)
+            TX_POWER_BY_LEVEL[l]
             for l in (EnergyLevel.E1, EnergyLevel.E2, EnergyLevel.E3)
         ]
         assert powers == sorted(powers)
@@ -138,6 +142,65 @@ class TestCalibration:
         assert ref == pytest.approx(-65.0, abs=0.01)
 
 
+class TestNeighborBelief:
+    """What a node believes of each neighbour's level: beacons calibrate and
+    prove liveness, other frames tell the level, and the belief ages out of
+    the network level after ``NEIGHBOR_TTL_SLOTS`` slots."""
+
+    def test_unheard_neighbour_is_believed_e1(self):
+        state = RoutingState("B")
+        assert believed_level(state, "C") is EnergyLevel.E1
+        assert neighbor_levels(state, 0) == []
+
+    def test_first_beacon_calibrates_and_believes_e1(self):
+        state = RoutingState("B")
+        hear_beacon(state, "C", -65.0, 4, from_sink=False)
+        assert state.references == {"C": -65.0}
+        assert state.neighbor_seen == {"C": (EnergyLevel.E1, 4)}
+
+    def test_beacon_from_the_sink_gives_e3(self):
+        state = RoutingState("B")
+        hear_beacon(state, "A", -80.0, 2, from_sink=True)
+        assert believed_level(state, "A") is EnergyLevel.E3
+        assert state.neighbor_seen == {"A": (EnergyLevel.E3, 2)}
+
+    def test_beacon_keeps_the_level_last_inferred(self):
+        state = RoutingState("B")
+        hear_beacon(state, "C", -65.0, 1, from_sink=False)
+        hear_frame(state, "C", -70.0, 2)  # 5 dB below the reference: E2
+        assert state.neighbor_seen["C"] == (EnergyLevel.E2, 2)
+        hear_beacon(state, "C", -65.0, 3, from_sink=False)
+        assert state.neighbor_seen["C"] == (EnergyLevel.E2, 3)
+        assert believed_level(state, "C") is EnergyLevel.E2
+
+    def test_frame_tells_the_level_against_the_reference(self):
+        state = RoutingState("B")
+        hear_beacon(state, "C", -65.0, 1, from_sink=False)
+        hear_frame(state, "C", -75.0, 1)
+        assert believed_level(state, "C") is EnergyLevel.E1
+        hear_frame(state, "C", -65.0, 2)
+        assert believed_level(state, "C") is EnergyLevel.E3
+        assert state.references == {"C": -65.0}  # only beacons calibrate
+
+    def test_frame_before_any_beacon_changes_nothing(self):
+        state = RoutingState("B")
+        hear_frame(state, "C", -70.0, 1)
+        assert state.references == {} and state.neighbor_seen == {}
+        assert believed_level(state, "C") is EnergyLevel.E1
+
+    def test_neighbour_counts_for_the_ttl_only(self):
+        assert NEIGHBOR_TTL_SLOTS == 5
+        state = RoutingState("B")
+        hear_beacon(state, "A", -60.0, 10, from_sink=True)
+        hear_beacon(state, "C", -65.0, 11, from_sink=False)
+        assert neighbor_levels(state, 15) == [EnergyLevel.E3, EnergyLevel.E1]
+        assert neighbor_levels(state, 16) == [EnergyLevel.E1]
+        assert neighbor_levels(state, 17) == []
+        # Aged out of the network level, the belief still sizes trains.
+        assert believed_level(state, "C") is EnergyLevel.E1
+        assert believed_level(state, "A") is EnergyLevel.E3
+
+
 class TestRouteCost:
     def test_single_hop(self):
         assert sink_route_cost([-65.0], [1.0]) == pytest.approx(65.0)
@@ -205,7 +268,7 @@ class TestProcessRreq:
 
     def test_power_follows_level(self):
         state = RoutingState("B")
-        fwd = process_rreq(state, rreq_via("D", 1), -70.0, map_level_to_txpower(EnergyLevel.E1))
+        fwd = process_rreq(state, rreq_via("D", 1), -70.0, TX_POWER_BY_LEVEL[EnergyLevel.E1])
         assert fwd.tx_power_dbm == -10
 
     @given(

@@ -228,10 +228,22 @@ class TestLevelSchedules:
                     continue
                 own = rt.plan.context.own
                 levels.add(own)
-                assert rt.schedule is world._schedules[own]
+                assert rt.schedule is world._levels[own].schedule
                 assert rt.schedule == mac.schedule_from_delta(mac.DELTA_BY_LEVEL[own], cfg.mac)
-        assert len(world._schedules) == len(mac.DELTA_BY_LEVEL)
+                assert (rt.tx_power, rt.delta_op) == world._levels[own][:2]
+        assert len(world._levels) == len(mac.DELTA_BY_LEVEL)
         assert EnergyLevel.E0 in levels and len(levels) > 2
+
+    def test_one_row_per_level(self, tree_cfg):
+        world = World(tree_cfg)
+        for level in EnergyLevel:
+            run = world._levels[level]
+            assert run.tx_power == TX_POWER_BY_LEVEL.get(level)
+            assert run.delta == mac.DELTA_BY_LEVEL[level]
+            assert run.schedule == mac.schedule_from_delta(run.delta, tree_cfg.mac)
+        # E0 is dormant: no transmit power, and its radio off.
+        dormant = world._levels[EnergyLevel.E0]
+        assert dormant.tx_power is None and dormant.schedule.radio_off
 
 
 class TestDeferral:
@@ -510,7 +522,7 @@ class _FullScanWorld(World):
                 continue
             rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
             if self._charge(other, "mac:beacon-rx", rx):
-                self._hear_beacon(other, node_id, rssi)
+                routing.hear_beacon(other.routing, node_id, rssi, self.slot, node_id == self.sink_id)
 
     def _broadcast_rreq(self, t, rt, rreq):
         if rt.tx_power is None and not rt.is_sink:
@@ -584,7 +596,7 @@ class _EngineSinkWorld(World):
     def _on_rreq_rx(self, t, rt, rreq, rssi, last_hop, settings):
         if not rt.is_sink:
             return super()._on_rreq_rx(t, rt, rreq, rssi, last_hop, settings)
-        self._hear(rt, last_hop, rssi)
+        routing.hear_frame(rt.routing, last_hop, rssi, self.slot)
         self._sink_handle_rreq(t, rt, rreq, rssi)
 
     def _sink_handle_rreq(self, t, sink, rreq, rssi):
@@ -884,6 +896,34 @@ class TestChargeAccounts:
         assert counted.refusals > 0 and any(r.aborted for r in m.slot_reports)
         families = {label.split(":")[0] for _, label in m.book.by_label}
         assert families == {"op", "mac", "duty", "leakage"}
+
+
+class TestLeakageToTheFloor:
+    """Leakage larger than what a store holds above the floor drains it to
+    the floor, even when ``stored - floor`` is not exactly representable and
+    paying it whole would leave one ulp below the floor."""
+
+    def test_each_leaking_node_slot_pays_and_ends_at_the_floor(self):
+        text = resources.files("harvestsim").joinpath("scenarios/four_node_tree.yaml").read_text()
+        cfg = parse_scenario(text)
+        energy_settings = dataclasses.replace(
+            cfg.energy, floor_fraction=0.07, leakage_uj_per_slot=500_000.0
+        )
+        cfg = dataclasses.replace(cfg, slots=50, energy=energy_settings)
+        world = World(cfg, collect_charges=True)
+        m = simcore.run(world, 50)
+        floor = world.floor
+        assert floor == 21000.000000000004  # 0.07 x 300000 is not exact
+        leaked = {(slot, node): uj for slot, node, label, uj in m.charges if label == "leakage"}
+        assert len(m.ledger) == 150 and len(leaked) > 50
+        for slot, node, *_, end in m.ledger:
+            # The leak exceeds any store, so a node-slot that pays none was
+            # already at the floor, and one that pays leaks all it may: one
+            # ulp more would leave it below the floor.
+            if (slot, node) not in leaked:
+                assert end == floor, (slot, node, end)
+                continue
+            assert floor <= end <= floor + math.ulp(leaked[slot, node]), (slot, node, end)
 
 
 class TestShadowDraw:

@@ -90,3 +90,12 @@ class TestOneChargePath:
         # World._charge pays every single draw; execute_plan pays a plan's
         # operations. A third caller would be a third charge rule.
         assert sorted(_callers_of("withdraw")) == ["app.execute_plan", "simcore.World._charge"]
+
+
+class TestOneLevelBelief:
+    def test_routing_alone_reads_levels_from_rssi(self):
+        # routing owns what a node believes of its neighbours' levels: a
+        # beacon calibrates the reference, any other frame is decoded
+        # against it. A caller elsewhere would be a second belief.
+        assert _callers_of("calibrate_reference") == ["routing.hear_beacon"]
+        assert _callers_of("infer_neighbor_level") == ["routing.hear_frame"]
