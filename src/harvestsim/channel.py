@@ -1,19 +1,20 @@
-"""The radio channel: log-distance path loss, optional shadowing, a loss ramp
-near sensitivity, and one shared medium. Each world has one :class:`Channel`.
+"""The radio channel: log-distance path loss, log-normal shadowing, a loss
+ramp near sensitivity, and one shared medium. Each world has one
+:class:`Channel`.
 
-Link table: node positions never move, so the mean received power of a link
-at a given transmit power (path loss without shadowing) is computed once per
-(sender, receiver, power) on first use and memoised, and each broadcast walks
-a per-(sender, power) fan-out list of ``(receiver, mean, loss)`` entries in
-node-id order, also built on first use. A link is left out of a fan-out only
-when it can never draw from the channel stream: without shadowing a link below
-sensitivity was always skipped before its delivery draw, so it is dropped;
-with shadowing every link keeps its per-reception draw, which can still lift
-it above sensitivity, so every link stays. Without shadowing every reception
-of a link has its mean power, so the entry carries the link's loss
-probability, computed once; with it each reception computes its own. Either
-way the channel stream is consumed in the same order as a full scan over all
-nodes, and every delivery draw is :func:`survives`.
+Shadowing stands for the obstacles along a link, and node positions never
+move, so each unordered link carries one constant offset, drawn once from a
+stream of its own: ``random.Random(f"{seed}:{a}:{b}:shadow").gauss(0.0,
+sigma)`` with the two node ids in sorted order. The offset is the same in
+both directions, and adding a node elsewhere changes no link. A link's
+mean received power at a given transmit power, :func:`rssi_at` plus that
+offset, is computed once per (sender, receiver, power) on first use and
+memoised. Each broadcast walks a per-(sender, power) fan-out of
+``(receiver, mean, loss)`` entries in node-id order, also built on first
+use, which leaves out the links below sensitivity and carries each kept
+link's loss probability. Per-frame randomness comes from the loss ramp
+alone: every delivery draw is :func:`survives`, from the world's channel
+stream.
 """
 
 from __future__ import annotations
@@ -73,11 +74,6 @@ def survives(loss: float, rng) -> bool:
     return rng.random() >= loss
 
 
-def deliver(rssi_dbm: float, channel: ChannelSettings, rng) -> bool:
-    """Bernoulli frame delivery at the given received power."""
-    return survives(loss_probability(rssi_dbm, channel), rng)
-
-
 class Channel:
     """One world's medium: every channel draw comes from ``rng``, in the
     order the engine asks, and carrier sense finds the medium busy before
@@ -85,41 +81,48 @@ class Channel:
     """
 
     __slots__ = (
-        "settings", "nodes", "rng", "_sigma", "_link_means", "_fanouts",
-        "busy_until", "_exchange_rssi",
+        "settings", "nodes", "rng", "_seed", "_offsets", "_link_means", "_fanouts",
+        "busy_until", "_exchange_loss",
     )
 
     def __init__(self, settings: ChannelSettings, nodes: Mapping[str, NodeRuntime], seed: int):
         self.settings = settings
         self.nodes = nodes  # every node, in id order
         self.rng = random.Random(f"{seed}:channel")
-        # Read by every reception's shadowing draw, so looked up once.
-        self._sigma = settings.shadowing_sigma_db
+        self._seed = seed
+        self._offsets: dict[tuple[str, str], float] = {}
         self._link_means: dict[tuple[str, str, float], float] = {}
         self._fanouts: dict[tuple[str, float], tuple[tuple, ...]] = {}
         self.busy_until = 0.0
-        # The mean-plus-shadowing RSSI of the unicast exchange in progress.
-        self._exchange_rssi = 0.0
+        # The loss probability of the unicast exchange in progress.
+        self._exchange_loss = 1.0
+
+    def _offset(self, a: str, b: str) -> float:
+        """The shadowing offset of the link between nodes ``a`` and ``b``,
+        drawn once from the link's own stream."""
+        pair = (a, b) if a < b else (b, a)
+        offset = self._offsets.get(pair)
+        if offset is None:
+            stream = random.Random(f"{self._seed}:{pair[0]}:{pair[1]}:shadow")
+            offset = self._offsets[pair] = stream.gauss(0.0, self.settings.shadowing_sigma_db)
+        return offset
 
     def _link_mean(self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float) -> float:
-        """Received power without shadowing, memoised per (sender, receiver, power)."""
+        """A link's mean received power at ``tx_dbm``, its shadowing offset
+        included, memoised per (sender, receiver, power)."""
         key = (sender.node_id, receiver.node_id, tx_dbm)
         mean = self._link_means.get(key)
         if mean is None:
             (x1, y1), (x2, y2) = sender.position, receiver.position
             mean = rssi_at(tx_dbm, math.hypot(x2 - x1, y2 - y1), self.settings)
+            if self.settings.shadowing_sigma_db > 0.0:
+                mean += self._offset(sender.node_id, receiver.node_id)
             self._link_means[key] = mean
         return mean
 
     def fanout(self, sender: NodeRuntime, tx_dbm: float) -> tuple[tuple, ...]:
         """Who can hear a broadcast: one ``(receiver, mean, loss)`` entry per
-        link, in node-id order.
-
-        Without shadowing, links below sensitivity never reach a delivery
-        draw and are left out, and each kept link carries its loss
-        probability; with shadowing every link is kept, with loss ``None``:
-        each reception draws its own power.
-        """
+        link at or above sensitivity, in node-id order."""
         key = (sender.node_id, tx_dbm)
         fan = self._fanouts.get(key)
         if fan is None:
@@ -129,41 +132,24 @@ class Channel:
                 for other in self.nodes.values()
                 if other is not sender
             )
-            if self._sigma > 0.0:
-                fan = tuple((other, mean, None) for other, mean in links)
-            else:
-                fan = tuple(
-                    (other, mean, loss_probability(mean, settings))
-                    for other, mean in links
-                    if mean >= settings.sensitivity_dbm
-                )
-            self._fanouts[key] = fan
+            fan = self._fanouts[key] = tuple(
+                (other, mean, loss_probability(mean, settings))
+                for other, mean in links
+                if mean >= settings.sensitivity_dbm
+            )
         return fan
-
-    def _shadow(self, mean: float) -> float:
-        """One reception at a link mean, plus the shadowing draw when it is on:
-        ``rng.gauss(0.0, sigma)`` run in place, sharing its ``gauss_next``."""
-        sigma = self._sigma
-        if sigma <= 0.0:
-            return mean
-        rng = self.rng
-        z, rng.gauss_next = rng.gauss_next, None
-        if z is None:
-            x2pi = rng.random() * math.tau
-            g2rad = math.sqrt(-2.0 * math.log(1.0 - rng.random()))
-            z, rng.gauss_next = math.cos(x2pi) * g2rad, math.sin(x2pi) * g2rad
-        return mean + (0.0 + z * sigma)
 
     def open_exchange(self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float) -> float:
         """The received power of a unicast exchange from ``sender`` to
-        ``receiver``: one reception's draw, which every frame of the exchange
-        then meets (:meth:`_attempt_delivers`)."""
-        rssi = self._exchange_rssi = self._shadow(self._link_mean(sender, receiver, tx_dbm))
+        ``receiver``: its link's mean, whose loss probability every frame of
+        the exchange then meets (:meth:`_attempt_delivers`)."""
+        rssi = self._link_mean(sender, receiver, tx_dbm)
+        self._exchange_loss = loss_probability(rssi, self.settings)
         return rssi
 
     def _attempt_delivers(self, _round: int) -> bool:
         """Whether one data frame of the exchange in progress survives its link."""
-        return deliver(self._exchange_rssi, self.settings, self.rng)
+        return survives(self._exchange_loss, self.rng)
 
     def _power_dbm(self, at_ms: float) -> float:
         """What carrier sense samples at ``at_ms``: busy until ``busy_until``."""

@@ -41,10 +41,6 @@ class RoutingError(Exception):
     """Base class for routing errors."""
 
 
-class Uncalibrated(RoutingError):
-    """No beacon reference available to decode a neighbour's power choice."""
-
-
 class DimensionMismatch(RoutingError):
     """Path RSSI list and weight list differ in length."""
 
@@ -98,14 +94,12 @@ def calibrate_reference(existing: float | None, observed_dbm: float) -> float:
     return existing + REFERENCE_SMOOTHING * (observed_dbm - existing)
 
 
-def infer_neighbor_level(observed_rssi: float, reference: float | None) -> EnergyLevel:
+def infer_neighbor_level(observed_rssi: float, reference: float) -> EnergyLevel:
     """Decode a neighbour's energy level from its received signal strength.
 
     The attenuation below the beacon reference is matched to the nearest
     power step; ties resolve to the lower (conservative) level.
     """
-    if reference is None:
-        raise Uncalibrated("no beacon reference for this neighbour")
     return _DECODED_LEVELS[bisect_right(_STEP_MIDPOINTS, reference - observed_rssi)]
 
 

@@ -45,8 +45,10 @@ already-planned operations; settlement then aborts mid-plan (the
 forecast-error path): ``app`` defers the tail's node-class steps, and each
 lost network operation is recorded as an ``aborted-op`` drop.
 
-Each world's :class:`channel.Channel` decides every reception and frame
-delivery, and what carrier sense finds.
+Each world's :class:`channel.Channel` holds every link's received power
+and loss probability, fixed for the run (a link's shadowing is one constant
+offset); it decides every reception and frame delivery, and what carrier
+sense finds.
 
 Forecasting: each node feeds its slot's harvest to :func:`forecast.step`
 under the scenario's predictor settings. When the seasonal model degenerates
@@ -68,7 +70,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import app, forecast, mac, routing
-from .channel import Channel, loss_probability, survives
+from .channel import Channel, survives
 from .energy import (
     DEFAULT_OP_COSTS,
     DEFAULT_TX_COSTS,
@@ -435,19 +437,11 @@ class World:
             self.metrics.mac_trace.append((t, node_id, "beacon-tx", ""))
         rx = frames.control_rx_uj
         channel = self.channel
-        settings = channel.settings
-        sensitivity = settings.sensitivity_dbm
-        rng, shadow, hear = channel.rng, channel._shadow, routing.hear_beacon
+        rng, hear = channel.rng, routing.hear_beacon
         t_ms, slot, from_sink = t * 1000.0, self.slot, rt.is_sink
         for other, rssi, loss in channel.fanout(rt, routing.REFERENCE_TX_POWER_DBM):
-            if loss is None:  # shadowed: this reception draws its own power
-                rssi = shadow(rssi)
-                if rssi < sensitivity:
-                    continue
             if not other.awake_at(t_ms):
                 continue
-            if loss is None:
-                loss = loss_probability(rssi, settings)
             if survives(loss, rng) and charge(other, "mac:beacon-rx", rx):
                 hear(other.routing, node_id, rssi, slot, from_sink)
 
@@ -476,19 +470,12 @@ class World:
         channel = self.channel
         channel.occupy(arrival)
         rx = frames.control_rx_uj
-        settings = channel.settings
-        sensitivity = settings.sensitivity_dbm
-        rng, shadow = channel.rng, channel._shadow
+        rng = channel.rng
         heard = []
         for other, rssi, loss in channel.fanout(rt, rreq.tx_power_dbm):
-            # Radio-off receivers are skipped before their shadowing draw.
+            # Radio-off receivers are skipped before their delivery draw.
             if other.tx_power is None:
                 continue
-            if loss is None:  # shadowed: this reception draws its own power
-                rssi = shadow(rssi)
-                if rssi < sensitivity:
-                    continue
-                loss = loss_probability(rssi, settings)
             if survives(loss, rng) and charge(other, "mac:rreq-rx", rx):
                 heard.append((other, rssi))
         if heard:

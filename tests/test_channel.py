@@ -1,13 +1,17 @@
 import dataclasses
+import itertools
 import random
 
 from hypothesis import given, strategies as st
 
 from harvestsim import mac, scenario
-from harvestsim.channel import Channel, ChannelSettings, deliver
+from harvestsim.channel import Channel, ChannelSettings, loss_probability, rssi_at, survives
+from harvestsim.routing import REFERENCE_TX_POWER_DBM, TX_POWER_BY_LEVEL
 from harvestsim.scenario import parse_scenario
 from harvestsim.simcore import World
-from test_simcore import TREE_YAML
+from test_simcore import TREE_YAML, lattice_yaml, link_offset
+
+POWERS = sorted(set(TX_POWER_BY_LEVEL.values()) | {REFERENCE_TX_POWER_DBM})
 
 
 class TestCarrierSense:
@@ -36,16 +40,56 @@ class TestCarrierSense:
 
 
 class TestExchange:
-    def test_every_frame_of_an_exchange_meets_its_one_draw(self):
+    def test_every_frame_of_an_exchange_meets_its_link_loss(self):
         settings = ChannelSettings(shadowing_sigma_db=4.0)
         world = World(dataclasses.replace(parse_scenario(TREE_YAML), channel=settings, seed=5))
         twin = random.Random("5:channel")
         medium = world.channel
         b, d = world.nodes["B"], world.nodes["D"]
         rssi = medium.open_exchange(d, b, -5)
-        assert rssi == medium._link_mean(d, b, -5) + twin.gauss(0.0, 4.0)
+        assert rssi == rssi_at(-5, 40.0, settings) + link_offset(5, "B", "D", 4.0)
+        assert medium.open_exchange(b, d, -5) == rssi  # one offset per link, both ways
+        loss = loss_probability(rssi, settings)
+        assert 0.0 < loss < 1.0  # so that every frame draws
         for attempt in range(1, 6):
-            assert medium._attempt_delivers(attempt) == deliver(rssi, settings, twin)
+            assert medium._attempt_delivers(attempt) == survives(loss, twin)
+        assert medium.rng.getstate() == twin.getstate()
 
     def test_scenario_reads_the_channel_settings_class(self):
         assert scenario.ChannelSettings is ChannelSettings
+
+
+class TestLinkModel:
+    """One shadowing offset per unordered link, fixed by the seed and the
+    two node ids alone."""
+
+    @staticmethod
+    def lattice():
+        cfg = parse_scenario(lattice_yaml(sigma_db=4.0, predictor="ewma", slots=10))
+        return World(dataclasses.replace(cfg, seed=8))
+
+    def test_offset_is_the_same_in_both_directions(self):
+        world = self.lattice()
+        medium = world.channel
+        offsets = set()
+        for a, b in itertools.combinations(world.nodes.values(), 2):
+            assert medium._offset(a.node_id, b.node_id) == medium._offset(b.node_id, a.node_id)
+            offsets.add(medium._offset(a.node_id, b.node_id))
+            for tx in POWERS:
+                assert medium._link_mean(a, b, tx) == medium._link_mean(b, a, tx)
+        assert len(offsets) == len(world.nodes) * (len(world.nodes) - 1) // 2
+
+    def test_a_superset_of_nodes_keeps_every_shared_link(self):
+        world = self.lattice()
+        nodes = world.nodes
+        subset = {n: rt for k, (n, rt) in enumerate(nodes.items()) if k % 3 != 1}
+        settings = world.cfg.channel
+        small, large = Channel(settings, subset, 8), Channel(settings, nodes, 8)
+        for a, b in itertools.permutations(subset.values(), 2):
+            for tx in POWERS:
+                assert small._link_mean(a, b, tx) == large._link_mean(a, b, tx)
+        for tx in POWERS:
+            # The superset's fan-out is the subset's with the added nodes' links.
+            for sender in subset.values():
+                shared = [e for e in large.fanout(sender, tx) if e[0].node_id in subset]
+                assert shared == list(small.fanout(sender, tx))

@@ -13,7 +13,6 @@ from harvestsim.routing import (
     RoutingSettings,
     RoutingState,
     Rreq,
-    Uncalibrated,
     believed_level,
     calibrate_reference,
     candidate_cost,
@@ -74,10 +73,6 @@ class TestInference:
         ref = -65.0
         # delta 7.5 is equidistant from steps 5 and 10
         assert infer_neighbor_level(-72.5, ref) is EnergyLevel.E1
-
-    def test_uncalibrated(self):
-        with pytest.raises(Uncalibrated):
-            infer_neighbor_level(-70.0, None)
 
 
 # (level, attenuation below the reference power), ascending by level.

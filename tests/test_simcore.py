@@ -3,17 +3,22 @@ import dataclasses
 import hashlib
 import heapq
 import math
+import os
 import random
 import struct
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
+import harvestsim
 from harvestsim import app, channel, energy, forecast, mac, routing, simcore
-from harvestsim.channel import Channel, deliver, loss_probability, rssi_at
+from harvestsim.channel import Channel, loss_probability, rssi_at, survives
 from harvestsim.cli import main
 from harvestsim.energy import (
     DEFAULT_TX_COSTS,
@@ -77,10 +82,10 @@ class TestChannel:
         assert values == sorted(values, reverse=True)
 
     def test_deliver_above_margin(self):
-        assert deliver(-60.0, ChannelSettings(), random.Random(1))
+        assert survives(loss_probability(-60.0, ChannelSettings()), random.Random(1))
 
     def test_deliver_below_sensitivity(self):
-        assert not deliver(-96.0, ChannelSettings(), random.Random(1))
+        assert not survives(loss_probability(-96.0, ChannelSettings()), random.Random(1))
 
     def test_loss_probability_midpoint(self):
         # 5 dB margin on the default curve: p = 0.25
@@ -90,7 +95,7 @@ class TestChannel:
         rng = random.Random(42)
         ch = ChannelSettings()
         n = 10_000
-        lost = sum(0 if deliver(-90.0, ch, rng) else 1 for _ in range(n))
+        lost = sum(0 if survives(loss_probability(-90.0, ch), rng) else 1 for _ in range(n))
         assert abs(lost / n - 0.25) <= 0.02
 
 
@@ -473,21 +478,33 @@ def lattice_yaml(*, sigma_db: float, predictor: str, slots: int) -> str:
     return yaml.safe_dump(doc, sort_keys=True)
 
 
-def _full_scan_rssi(medium, sender, receiver, tx_dbm):
-    """One reception's power, its path loss recomputed, shadowed through
-    the channel stream's own ``gauss``."""
+def link_offset(seed, a, b, sigma):
+    """A link's shadowing offset, derived here from the seed and the two
+    node ids in sorted order."""
+    lo, hi = sorted((a, b))
+    return random.Random(f"{seed}:{lo}:{hi}:shadow").gauss(0.0, sigma)
+
+
+def _full_scan_rssi(settings, seed, sender, receiver, tx_dbm):
+    """A link's power, its path loss recomputed and its shadowing offset
+    derived by :func:`link_offset`."""
     (x1, y1), (x2, y2) = sender.position, receiver.position
-    rssi = rssi_at(tx_dbm, math.hypot(x2 - x1, y2 - y1), medium.settings)
-    sigma = medium.settings.shadowing_sigma_db
-    return rssi + medium.rng.gauss(0.0, sigma) if sigma > 0 else rssi
+    rssi = rssi_at(tx_dbm, math.hypot(x2 - x1, y2 - y1), settings)
+    sigma = settings.shadowing_sigma_db
+    return rssi + link_offset(seed, sender.node_id, receiver.node_id, sigma) if sigma > 0 else rssi
 
 
 class _FullScanChannel(Channel):
-    """A unicast exchange's power from :func:`_full_scan_rssi`."""
+    """A unicast exchange's loss from :func:`_full_scan_rssi`."""
+
+    def __init__(self, settings, nodes, seed):
+        super().__init__(settings, nodes, seed)
+        self.seed = seed
 
     def open_exchange(self, sender, receiver, tx_dbm):
-        self._exchange_rssi = _full_scan_rssi(self, sender, receiver, tx_dbm)
-        return self._exchange_rssi
+        rssi = _full_scan_rssi(self.settings, self.seed, sender, receiver, tx_dbm)
+        self._exchange_loss = loss_probability(rssi, self.settings)
+        return rssi
 
 
 class _FullScanWorld(World):
@@ -499,7 +516,7 @@ class _FullScanWorld(World):
         self.channel = _FullScanChannel(cfg.channel, self.nodes, cfg.seed)
 
     def _link_rssi(self, sender, receiver, tx_dbm):
-        return _full_scan_rssi(self.channel, sender, receiver, tx_dbm)
+        return _full_scan_rssi(self.cfg.channel, self.cfg.seed, sender, receiver, tx_dbm)
 
     def _on_beacon(self, t, node_id):
         rt = self.nodes[node_id]
@@ -518,7 +535,7 @@ class _FullScanWorld(World):
                 continue
             if not other.awake_at(t * 1000.0):
                 continue
-            if not deliver(rssi, self.cfg.channel, self.channel.rng):
+            if not survives(loss_probability(rssi, self.cfg.channel), self.channel.rng):
                 continue
             rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
             if self._charge(other, "mac:beacon-rx", rx):
@@ -544,7 +561,7 @@ class _FullScanWorld(World):
             rssi = self._link_rssi(rt, other, rreq.tx_power_dbm)
             if rssi < self.cfg.channel.sensitivity_dbm:
                 continue
-            if not deliver(rssi, self.cfg.channel, self.channel.rng):
+            if not survives(loss_probability(rssi, self.cfg.channel), self.channel.rng):
                 continue
             rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
             if not self._charge(other, "mac:rreq-rx", rx):
@@ -657,8 +674,9 @@ def _outputs(m: simcore.Metrics) -> tuple:
 class TestLinkTable:
     POWERS = sorted(set(TX_POWER_BY_LEVEL.values()) | {REFERENCE_TX_POWER_DBM})
 
-    def test_fanout_equals_brute_force_filter(self):
-        cfg = parse_scenario(lattice_yaml(sigma_db=0.0, predictor="ewma", slots=10))
+    @pytest.mark.parametrize("sigma_db", [0.0, 4.0])
+    def test_fanout_equals_brute_force_filter(self, sigma_db):
+        cfg = parse_scenario(lattice_yaml(sigma_db=sigma_db, predictor="ewma", slots=10))
         world = World(cfg)
         ids = sorted(world.nodes)
         dropped = 0
@@ -671,6 +689,8 @@ class TestLinkTable:
                         continue
                     (x1, y1), (x2, y2) = sender.position, world.nodes[other_id].position
                     rssi = rssi_at(tx, math.hypot(x2 - x1, y2 - y1), cfg.channel)
+                    if sigma_db > 0:
+                        rssi += link_offset(cfg.seed, sender_id, other_id, sigma_db)
                     if rssi >= cfg.channel.sensitivity_dbm:
                         expected.append((other_id, rssi, loss_probability(rssi, cfg.channel)))
                     else:
@@ -704,22 +724,24 @@ class TestLinkTable:
         repeated = {link: n for link, n in Counter(links).items() if n > 1}
         assert links and not repeated
 
-    def test_shadowed_link_rssi_follows_the_channel_stream(self, tree_cfg):
+    def test_shadowed_link_rssi_is_its_path_loss_plus_its_offset(self, tree_cfg):
         settings = ChannelSettings(shadowing_sigma_db=4.0)
         cfg = dataclasses.replace(tree_cfg, channel=settings)
         world = World(dataclasses.replace(cfg, seed=23))
-        twin = random.Random("23:channel")
+        untouched = random.Random("23:channel").getstate()
         a, b, c, d = (world.nodes[n] for n in "ABCD")
-        for sender, receiver, tx in [(a, b, 0), (b, d, -5), (a, b, 0), (d, c, -10), (b, d, -5)]:
+        for sender, receiver, tx in [(a, b, 0), (b, d, -5), (a, b, 0), (d, c, -10), (d, b, -5)]:
             (x1, y1), (x2, y2) = sender.position, receiver.position
-            expected = rssi_at(tx, math.hypot(x2 - x1, y2 - y1), settings) + twin.gauss(0.0, 4.0)
+            offset = link_offset(23, sender.node_id, receiver.node_id, 4.0)
+            expected = rssi_at(tx, math.hypot(x2 - x1, y2 - y1), settings) + offset
             assert world.channel.open_exchange(sender, receiver, tx) == expected
+        assert world.channel.rng.getstate() == untouched  # no exchange draws from the channel stream
 
     @pytest.mark.parametrize("sigma_db", [0.0, 4.0])
     def test_run_equals_full_scan(self, sigma_db):
         # A floor below the E0 threshold and four dark nodes put radios off
         # mid-run, so floods pass receivers that must be skipped before
-        # their shadowing draw.
+        # their delivery draw.
         cfg = parse_scenario(lattice_yaml(sigma_db=sigma_db, predictor="ewma", slots=30))
         cfg = dataclasses.replace(cfg, energy=dataclasses.replace(cfg.energy, floor_fraction=0.02))
         dark = HarvestTrace(powers=(0.0,) * 30)
@@ -926,31 +948,42 @@ class TestLeakageToTheFloor:
             assert floor <= end <= floor + math.ulp(leaked[slot, node]), (slot, node, end)
 
 
-class TestShadowDraw:
-    """``Channel._shadow`` is ``rng.gauss(0.0, sigma)`` added to the mean,
-    bit for bit, and shares the stream's pending half with it."""
+class TestShadowOffset:
+    """A link's mean received power is its path loss plus its shadowing
+    offset, ``random.Random(f"{seed}:{a}:{b}:shadow").gauss(0.0, sigma)`` with
+    the two ids sorted, bit for bit; no link draws from the channel stream."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         sigma=st.sampled_from([5e-324, 1e-300, 0.5, 4.0, 12.0])
         | st.floats(1e-3, 20.0, allow_nan=False),
-        mean=st.sampled_from([-0.0, 0.0]) | st.floats(-150.0, 20.0, allow_nan=False),
-        steps=st.lists(st.sampled_from(["shadow", "gauss", "random"]), min_size=1, max_size=40),
+        links=st.lists(
+            st.tuples(st.permutations("ABCD"), st.sampled_from([-10, -5, 0])),
+            min_size=1, max_size=12,
+        ),
     )
-    @example(seed=1, sigma=5e-324, mean=-0.0, steps=["shadow"] * 40)
-    def test_bit_equal_to_stdlib_gauss(self, tree_cfg, seed, sigma, mean, steps):
+    def test_bit_equal_to_the_link_stream(self, tree_cfg, seed, sigma, links):
         settings = ChannelSettings(shadowing_sigma_db=sigma)
-        medium = World(dataclasses.replace(tree_cfg, channel=settings, seed=seed)).channel
-        twin = random.Random(f"{seed}:channel")
+        world = World(dataclasses.replace(tree_cfg, channel=settings, seed=seed))
+        medium = world.channel
+        untouched = medium.rng.getstate()
         bits = struct.Struct("d").pack
-        for step in steps:
-            if step == "shadow":
-                assert bits(medium._shadow(mean)) == bits(mean + twin.gauss(0.0, sigma))
-            elif step == "gauss":
-                assert bits(medium.rng.gauss(0.0, sigma)) == bits(twin.gauss(0.0, sigma))
-            else:
-                assert medium.rng.random() == twin.random()
+        for (a, b, *_), tx in links:
+            sender, receiver = world.nodes[a], world.nodes[b]
+            (x1, y1), (x2, y2) = sender.position, receiver.position
+            expected = rssi_at(tx, math.hypot(x2 - x1, y2 - y1), settings)
+            expected += link_offset(seed, a, b, sigma)
+            assert bits(medium._link_mean(sender, receiver, tx)) == bits(expected)
+        assert medium.rng.getstate() == untouched
+
+    def test_pinned_offsets(self):
+        # The stream's derivation itself: a change of the seed string or of
+        # the draw moves these values.
+        cfg = parse_scenario(lattice_yaml(sigma_db=4.0, predictor="ewma", slots=10))
+        medium = World(dataclasses.replace(cfg, seed=8)).channel
+        assert medium._offset("N01", "N00") == 4.136512342277901
+        assert medium._offset("N05", "N10") == -1.5294521707538344
 
 
 class TestBenchmarkBindings:
@@ -1274,6 +1307,27 @@ class TestGridInvariants:
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
+    def test_runs_byte_identical_across_hash_seeds(self, tmp_path):
+        # Every per-link stream is seeded from a string, and no output may
+        # depend on set or dict iteration over strings, so the interpreter's
+        # string hash seed changes no output byte.
+        config = tmp_path / "lattice.yaml"
+        config.write_text(lattice_yaml(sigma_db=4.0, predictor="ewma", slots=30))
+        src = Path(harvestsim.__file__).parent.parent
+        outs = []
+        for hash_seed in ("0", "12345"):
+            out = tmp_path / f"hash-{hash_seed}"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+            argv = ["run", "--config", str(config), "--seed", "8", "--out", str(out)]
+            done = subprocess.run([sys.executable, "-m", "harvestsim.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert "routes.csv" in names and names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
 
 class TestFloodState:
     def test_relays_keep_one_flood_per_origin(self):
@@ -1297,9 +1351,9 @@ class TestFloodState:
 
 class TestPinnedLatticeOutputs:
     """sha256 of each output of ``run`` on the 3x4 lattice, seed 8, 60 slots:
-    with 4 dB shadowing and the Holt-Winters predictor, and without
-    shadowing under EWMA (the ``unshadowed-`` cases), where every broadcast
-    walks its fixed links' delivery terms. Floods, beacons and backlog
+    with 4 dB shadowing (one offset per link) and the Holt-Winters
+    predictor, and without shadowing under EWMA (the ``unshadowed-``
+    cases). Floods, beacons and backlog
     evictions all run here, which the tree exercises little. A change that
     alters an output on purpose updates the pin and names the change."""
 
@@ -1312,17 +1366,17 @@ class TestPinnedLatticeOutputs:
     }
     PINNED = {
         "modified": {
-            "summary.json": "9554789f080e1e1b3d623f2e1231ed6a01744743b16d31370ebd1c245ed524eb",
-            "slots.csv": "3230d9256563590bbb4a9b44a22f694e803ca1f5c57b25478899af20a71e7a37",
-            "ledger.csv": "9d0aca48c774cd3c89e0acdd7b14784affbf20c80e8e2a634301064ec6cf3cd8",
-            "routes.csv": "5db6c45c4011d4cfa764be0deba5f78e167550ffb1c4034a192f6aa1fc9293d6",
+            "summary.json": "6641634fbc5261b252c2ab8d6937e38ccb5cda742b2f8d953c8518704c71f595",
+            "slots.csv": "35259b95ea5ac1ec9ed3ceecb681b940c092efeafff2f8a13eaa31ae636a0d85",
+            "ledger.csv": "cc3710da8a049eb89b415bf438affa802b887bdc8eb4eabf777a0d7232649fa4",
+            "routes.csv": "f46ef02f2a0f2b5492427a224d4c27180d1737d67e476b910a5a8a6708a670f1",
             "forecast.csv": "750dbb38a7f159acef9c00161517cbe3cf94b98a5ac387542ddd56df03174fdf",
         },
         "baseline": {
-            "summary.json": "2e1de1ba669195c86f9ec48f0c491da056e6b9e5205af70851b3215f19cc965d",
-            "slots.csv": "7b8f6ee9496ea8ac2e919a0e7cddf80f6715699eb57bd698b0c01dc116133897",
-            "ledger.csv": "2a16ddb2e1da4514929e8d4a4c685772a1352dc6e6e630ffa4f036e960060e32",
-            "routes.csv": "2e4f4ef9849a699e3ed858489ad5a8754133e6d7b24a8da3143edceb2d6e7b9b",
+            "summary.json": "fbe34bd5116fea654cfb5c52bfafa502b26e69cbbcd9729f8459188794412756",
+            "slots.csv": "fa3c0310db1bccde9b6d0e8193ced38120d8f5bdf0718970ae7e27abfdf71c49",
+            "ledger.csv": "89c3d03480789268113876ecdfdbcdb4417be5318d644a928f8cca1a96a93b81",
+            "routes.csv": "d36158885f2b252ce84a4b029b7c75b142180ed6a87c7bac64a8ece5faba5591",
             "forecast.csv": "750dbb38a7f159acef9c00161517cbe3cf94b98a5ac387542ddd56df03174fdf",
         },
         "unshadowed-modified": {
