@@ -4,8 +4,11 @@ ramp near sensitivity, and one shared medium. Each world has one
 
 Shadowing stands for the obstacles along a link, and node positions never
 move, so each unordered link carries one constant offset, drawn once from a
-stream of its own: ``random.Random(f"{seed}:{a}:{b}:shadow").gauss(0.0,
-sigma)`` with the two node ids in sorted order. The offset is the same in
+stream of its own: ``random.Random(f"{a}:{b}:shadow").gauss(0.0, sigma)``
+with the two node ids in sorted order. The obstacles belong to the
+deployment, not to a run, so the run seed does not enter the stream: every
+seed of a scenario runs over the same links, and the seed varies only the
+per-run draws (frame loss, backoff, wake phases). The offset is the same in
 both directions, and adding a node elsewhere changes no link. A link's
 mean received power at a given transmit power, :func:`rssi_at` plus that
 offset, is computed once per (sender, receiver, power) on first use and
@@ -81,7 +84,7 @@ class Channel:
     """
 
     __slots__ = (
-        "settings", "nodes", "rng", "_seed", "_offsets", "_link_means", "_fanouts",
+        "settings", "nodes", "rng", "_offsets", "_link_means", "_fanouts",
         "busy_until", "_exchange_loss",
     )
 
@@ -89,7 +92,6 @@ class Channel:
         self.settings = settings
         self.nodes = nodes  # every node, in id order
         self.rng = random.Random(f"{seed}:channel")
-        self._seed = seed
         self._offsets: dict[tuple[str, str], float] = {}
         self._link_means: dict[tuple[str, str, float], float] = {}
         self._fanouts: dict[tuple[str, float], tuple[tuple, ...]] = {}
@@ -99,11 +101,11 @@ class Channel:
 
     def _offset(self, a: str, b: str) -> float:
         """The shadowing offset of the link between nodes ``a`` and ``b``,
-        drawn once from the link's own stream."""
+        drawn once from the link's own stream, which no run seed enters."""
         pair = (a, b) if a < b else (b, a)
         offset = self._offsets.get(pair)
         if offset is None:
-            stream = random.Random(f"{self._seed}:{pair[0]}:{pair[1]}:shadow")
+            stream = random.Random(f"{pair[0]}:{pair[1]}:shadow")
             offset = self._offsets[pair] = stream.gauss(0.0, self.settings.shadowing_sigma_db)
         return offset
 

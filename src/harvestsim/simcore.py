@@ -57,8 +57,10 @@ harvest at all, or a level that underflows after dawn moves), that node
 restarts its warm-up from the current sample instead of aborting the run.
 
 Determinism: all randomness flows from named streams derived from the global
-seed, and the event queue orders ties by insertion sequence, so identical
-(config, seed) pairs reproduce runs bit-for-bit.
+seed, apart from each link's shadowing offset, which belongs to the deployment
+and is derived from the link's two node ids; the event queue orders ties by
+insertion sequence, so identical (config, seed) pairs reproduce runs
+bit-for-bit.
 """
 
 from __future__ import annotations
