@@ -1405,3 +1405,27 @@ class TestPinnedLatticeOutputs:
             name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.PINNED[case]
         }
         assert digests == self.PINNED[case]
+
+    # The Holt-Winters case run for 150 slots: the seasonal model steps for
+    # the 102 slots after its two-period warm-up, through nights whose dark
+    # slots freeze its ring.
+    LONG_HW_SLOTS = 150
+    LONG_HW_PINNED = {
+        "slots.csv": "30aa502c7997c8f632748bef67ad456352ec9171a679e65a5bfe4c1b6da1a405",
+        "forecast.csv": "ff6fc42b0fbee93c4ba0e5c819bf577ec3b919089f10120e97b961b63203b572",
+    }
+
+    def test_long_holt_winters_run_matches_pinned_digests(self, tmp_path):
+        config = tmp_path / "lattice.yaml"
+        config.write_text(lattice_yaml(sigma_db=4.0, predictor="hw", slots=self.LONG_HW_SLOTS))
+        out = tmp_path / "modified"
+        assert main(["run", "--config", str(config), "--seed", "8", "--out", str(out)]) == 0
+        rows = (out / "forecast.csv").read_text().splitlines()[1:]
+        warm = 2 * parse_scenario(config.read_text()).predictor.period
+        after_warmup = [row.split(",") for row in rows if int(row.split(",", 1)[0]) > warm]
+        assert any(float(actual) == 0.0 for *_, actual in after_warmup)
+        assert any(float(actual) > 0.0 for *_, actual in after_warmup)
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.LONG_HW_PINNED
+        }
+        assert digests == self.LONG_HW_PINNED
