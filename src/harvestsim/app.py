@@ -22,13 +22,11 @@ from .energy import (
     TX_OP_KIND,
     EnergyLevel,
     EnergyStore,
-    InsufficientEnergy,
     OperationCostTable,
     classify_level,
     op_cost,
-    withdraw,
 )
-from .optimizer import PolicyLp, build_opt, solve_for_v
+from .optimizer import PolicyLp, build_opt
 
 
 @dataclass(frozen=True)
@@ -241,6 +239,10 @@ class ExecutionPlan:
     delta: float
     deferred: list[BacklogEntry]
     price: Mapping[str, float]
+    kinds: list[str] = field(init=False, repr=False, compare=False)  # of steps, once
+
+    def __post_init__(self) -> None:
+        self.kinds = [kind for _, kind in self.steps]
 
     @property
     def steps(self) -> list[tuple[str, str]]:
@@ -303,8 +305,8 @@ class PlanTerms:
     the radio dark or not: the policies that may run, the same policies in
     priority order, the :func:`energy.op_cost` of each kind they list, and
     the LP over them (each one's utility weight and cost, and the duty
-    factor's), built and validated once at a zero budget. Each slot solves
-    that LP moved to its own budget by :meth:`optimizer.PolicyLp.at_budget`.
+    factor's), built and validated once at a zero budget. Each slot fills
+    that LP at the spend its budget leaves (:meth:`optimizer.PolicyLp.fill`).
 
     The terms depend only on the policies, the cost table, the duty
     settings and that pair, so a run computes them once per pair (see
@@ -366,9 +368,10 @@ def plan_slot(
     fresh policy work is planned. Every ``tx128``, drained or fresh, is
     costed at ``tx_power_dbm``, the power this slot transmits at. The plan
     carries the terms' prices, with any drained kind they lack priced from
-    ``table``, and defers the :func:`deferrals` of every step it leaves
-    unrun. The plan keys policies by name, so no two in ``policies`` may
-    share one (``scenario.parse_scenario`` rejects a repeated name).
+    ``table``, and defers the :func:`deferrals` of the steps it leaves
+    unrun, listing no network policy's. The plan keys policies by name, so
+    no two in ``policies`` may share one (``scenario.parse_scenario``
+    rejects a repeated name).
 
     ``cache`` is the caller's store of :func:`plan_terms` for exactly these
     ``policies``, ``table`` and duty settings, keyed by ``(tx_power_dbm,
@@ -413,23 +416,24 @@ def plan_slot(
                 kept.append(entry)
         backlog.entries = kept
 
-    lp = terms.lp.at_budget(budget)
     # Clamp the residual up so the LP spend never exceeds total capacity:
     # abundant slots simply saturate every variable instead of failing. The
-    # clamp keeps the solve feasible, since ``budget - v_eff <= max_spend``.
-    v_eff = max(v_target + drained_cost, budget - lp.max_spend)
+    # clamp keeps the fill within ``[0, max_spend]``, so it spends
+    # ``budget - v_eff`` as solve_for_v(terms.lp.at_budget(budget), v_eff).
+    v_eff = max(v_target + drained_cost, budget - terms.lp.max_spend)
     v_eff = min(v_eff, budget)
-    result = solve_for_v(lp, v_eff)
+    xs = terms.lp.fill(budget - v_eff)
 
-    alphas = {p.name: a for p, a in zip(terms.eligible, result.alphas)}
+    alphas = {p.name: a for p, a in zip(terms.eligible, xs)}
     run_ops, ran = _prefixes(terms.ranked, alphas)
-    unrun = [step for p in policies for step in p.plan_steps[ran.get(p.name, 0) :]]
+    # Only node-class policies' steps wait, and each of them is eligible.
+    unrun = [step for p in policies if not p.is_network for step in p.plan_steps[ran[p.name] :]]
     return ExecutionPlan(
         context=context,
         run_ops=run_ops,
         backlog_run=backlog_run,
         alphas={p.name: alphas.get(p.name, 0.0) for p in policies},
-        delta=result.delta,
+        delta=xs[-1],
         deferred=deferrals(policies, unrun, slot),
         price=price,
     )
@@ -447,29 +451,31 @@ def execute_plan(
     """Charge the store for the plan's :attr:`~ExecutionPlan.steps`, in
     order, at the plan's prices.
 
-    Each draw is one :func:`energy.withdraw`; the first one the floor
-    refuses aborts the remainder (the harvest-forecast-error path). The paid
-    steps are the first ``ops_node + ops_network`` of ``plan.steps``; the
-    caller books them. The unexecuted tail is returned whole, for
+    A draw of a table-checked price is :func:`energy.withdraw`'s comparison
+    alone: paid when what it leaves is not below ``floor``; the first one
+    refused aborts the remainder (the harvest-forecast-error path). The
+    caller books the paid steps, the first ``ops_node + ops_network`` of
+    ``plan.steps``. The unexecuted tail is returned whole, for
     :func:`aborted_tail` to settle. The report's residual is measured against
     ``available`` (defaults to the store's balance at entry).
     """
     if available is None:
         available = store.stored
-    sequence = plan.steps
+    kinds = plan.kinds
     price = plan.price
-    kinds = [kind for _, kind in sequence]
+    stored = store.stored
     paid = 0
     consumed = 0.0
-    try:
-        for kind in kinds:
-            amount = price[kind]
-            withdraw(store, amount, floor)
-            paid += 1
-            consumed += amount
-    except InsufficientEnergy:
-        pass
-    ops_network = sum(map(kinds[:paid].count, RADIO_OPS))
+    for kind in kinds:
+        amount = price[kind]
+        if stored - amount < floor:
+            break
+        stored -= amount
+        paid += 1
+        consumed += amount
+    store.stored = stored
+    skipped = plan.steps[paid:] if paid < len(kinds) else []
+    ops_network = sum(map((kinds[:paid] if skipped else kinds).count, RADIO_OPS))
     alphas = list(plan.alphas.values())
     report = SlotReport(
         slot=slot,
@@ -483,6 +489,6 @@ def execute_plan(
         ops_network=ops_network,
         consumed_uj=consumed,
         residual_uj=available - consumed,
-        aborted=paid < len(sequence),
+        aborted=bool(skipped),
     )
-    return report, store, sequence[paid:]
+    return report, store, skipped

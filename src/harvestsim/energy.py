@@ -3,14 +3,13 @@
 All energy amounts are plain floats in microjoules (uJ). A store is checked
 when it is built and on every draw: deposit/withdraw validate the amount
 first, then update the store in place and return it, so a refused or invalid
-draw leaves it untouched. :func:`withdraw` is the one floor rule: a draw is
-paid when what it leaves is not below the floor, and every paid draw of a
-run goes through it. A draw the floor refuses raises
-:class:`InsufficientEnergy` carrying its numbers; the message is formatted
-only when read. The engine's per-event payer (``simcore.World._charge``)
-answers a refusal itself, by the same comparison, so only the plan's
-refusals raise. :class:`ChargeBook` is the plain record of a
-run's paid draws, which the engine fills.
+draw leaves it untouched. :func:`withdraw` spells the floor rule: a draw is
+paid when what it leaves is not below the floor; a refusal raises
+:class:`InsufficientEnergy` carrying its numbers (its message formatted only
+when read). ``simcore.World._charge`` pays through it, answering a refusal
+by the same comparison without the exception; ``app.execute_plan`` pays
+table-checked prices by that comparison alone. :class:`ChargeBook` is the
+plain record of a run's paid draws, which the engine fills.
 """
 
 from __future__ import annotations
@@ -92,7 +91,8 @@ def classify_level(e: float, capacity: float, thresholds: tuple[float, ...] = DE
 class EnergyStore:
     """Supercapacitor ledger: stored amount, capacity clamp, level thresholds.
 
-    Only :func:`deposit` and :func:`withdraw` change ``stored``.
+    Only :func:`deposit`, :func:`withdraw` and ``app.execute_plan`` change
+    ``stored``, each keeping it valid, so :attr:`level` does not check it.
     """
 
     stored: float
@@ -111,7 +111,7 @@ class EnergyStore:
 
     @property
     def level(self) -> EnergyLevel:
-        return classify_level(self.stored, self.capacity, self.thresholds)
+        return _LEVELS[bisect_right(self.thresholds, self.stored / self.capacity)]
 
 
 def deposit(store: EnergyStore, e: float) -> tuple[EnergyStore, float]:

@@ -27,7 +27,7 @@ advances while level/trend/indices are retained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .bounds import FRACTION, FRACTION_OR_ZERO, Bounded, enum, int_min
 
@@ -145,13 +145,15 @@ def hw_step(
 
     The measurement belongs to ring slot ``state.position``. Zero (or
     negative) measurements advance the position but freeze level, trend and
-    the seasonal ring.
+    the seasonal ring. The new state skips :class:`HwState`'s checks, which
+    it passes: the updated index stays >= ``(1 - beta) * EPS_FLOOR > 0``.
     """
     l = state.period
     pos = state.position
     next_pos = (pos + 1) % l
     if measured <= 0.0:
-        new = replace(state, position=next_pos)
+        new = object.__new__(HwState)
+        new.__dict__.update(vars(state), position=next_pos)
         return (new.level + new.trend) * new.seasonal[next_pos], new
 
     eps, beta, gamma = settings.epsilon, settings.beta, settings.gamma
@@ -165,7 +167,8 @@ def hw_step(
     idx_new = beta * (measured / level_new) + (1.0 - beta) * idx_old
     seasonal = list(state.seasonal)
     seasonal[pos] = idx_new
-    new = HwState(level_new, trend_new, tuple(seasonal), next_pos)
+    new = object.__new__(HwState)
+    new.__dict__.update(level=level_new, trend=trend_new, seasonal=tuple(seasonal), position=next_pos)
     return (level_new + trend_new) * seasonal[next_pos], new
 
 

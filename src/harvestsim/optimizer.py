@@ -105,6 +105,27 @@ class PolicyLp:
         lp.__dict__.update(self.__dict__, budget_base=float(x_k))
         return lp
 
+    def fill(self, spend: float) -> list[float]:
+        """The knapsack fill's controls (policies, then duty) for a ``spend``
+        the caller keeps in ``[0, max_spend]``; :func:`solve_for_v` fills so."""
+        a = self.row
+        order = self.fill_order
+        xs = [0.0] * len(a)
+        remaining = spend
+        basic = order[-1]
+        for j in order[:-1]:
+            if a[j] > remaining + FEAS_TOL:
+                basic = j
+                break
+            xs[j] = 1.0
+            remaining -= a[j]
+        # Recompute the basic value from the spend, summing the full variables
+        # in index order rather than reusing ``remaining``: that fixes the
+        # rounding, so the result equals the test oracle's bit for bit.
+        full_spend = sum(compress(a, xs))
+        xs[basic] = _snap((spend - full_spend) / a[basic], 1.0)
+        return xs
+
 
 def default_duty_weight(weights: tuple[float, ...], costs: tuple[float, ...], duty_energy: float) -> float:
     """Duty utility priced at a tenth of the cheapest policy's utility rate.
@@ -198,27 +219,11 @@ def solve_for_v(lp: PolicyLp, v: float) -> OptResult:
         raise Infeasible(
             f"budget {budget} exceeds the instance's maximum spend {lp.max_spend}"
         )
-    a = lp.row
-    order = lp.fill_order
-    xs = [0.0] * len(a)
-    remaining = budget
-    basic = order[-1]
-    for j in order[:-1]:
-        if a[j] > remaining + FEAS_TOL:
-            basic = j
-            break
-        xs[j] = 1.0
-        remaining -= a[j]
-    # Recompute the basic value from the budget, summing the full variables
-    # in index order rather than reusing ``remaining``: that fixes the
-    # rounding, so the result equals the test oracle's bit for bit.
-    full_spend = sum(compress(a, xs))
-    xs[basic] = _snap((budget - full_spend) / a[basic], 1.0)
-    n = lp.n_policies
+    xs = lp.fill(budget)
     return OptResult(
         utility=sum(map(mul, lp.objective, xs)),
-        alphas=tuple(xs[:n]),
-        delta=xs[n],
+        alphas=tuple(xs[:-1]),
+        delta=xs[-1],
     )
 
 

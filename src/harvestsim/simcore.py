@@ -11,9 +11,9 @@ Each slot runs three phases, nodes visited in ascending id order:
    kind's ``_on_<kind>`` handler;
 3. settlement: the plan's operations are charged against the store at the
    published per-operation costs (each kind priced once, each operation one
-   withdrawal), the duty-cycle baseline and leakage are drawn, the node's
-   slot sum is published, the entries ``app`` defers enter the backlog, and
-   metrics rows are emitted.
+   floor comparison), the duty-cycle baseline and leakage are drawn, the
+   node's slot sum is published, the entries ``app`` defers enter the
+   backlog, and metrics rows are emitted.
 
 Flood arrival: every reception of one RREQ broadcast happens at the same
 arrival time, so the broadcast queues one ``rreq_arrive`` event carrying its
@@ -28,10 +28,10 @@ Energy accounting is split in two: application operations (sense, compute,
 storage, packet transmissions/receptions) are settled through the plan at
 exact cost-table values, while MAC-layer overhead (preamble trains, acks,
 retries, beacons, flood frames) is charged per event from the radio current
-model. ``app.execute_plan`` pays the plan; :meth:`World._charge` pays every
-other draw, duty and leakage too; each paid draw is one
-:func:`energy.withdraw` (through this module's ``withdraw`` binding), and
-``_charge`` answers a refusal at the floor itself, by withdraw's own
+model. ``app.execute_plan`` pays the plan by withdraw's floor comparison
+alone; :meth:`World._charge` pays every other draw, duty and leakage too,
+each one :func:`energy.withdraw` (through this module's ``withdraw``
+binding), and answers a refusal at the floor itself, by withdraw's own
 comparison, without raising. A node's two accounts, the
 slot's sum and the run's total per label, are the only running totals: a
 paid draw adds to them, the plan's paid prefix once per kind at price x
@@ -696,12 +696,8 @@ class World:
             cache=rt.plan_terms,
         )
 
-        tx_quota = rx_quota = 0
-        for _, kind in rt.plan.run_ops:
-            if kind == TX_OP_KIND:
-                tx_quota += 1
-            elif kind == RX_OP_KIND:
-                rx_quota += 1
+        run_kinds = rt.plan.kinds[len(rt.plan.backlog_run) :]  # the kinds of run_ops
+        tx_quota, rx_quota = run_kinds.count(TX_OP_KIND), run_kinds.count(RX_OP_KIND)
         rt.forwards_left = min(tx_quota, rx_quota) if rt.role == "relay" else 0
 
         if rt.role == "source":
@@ -759,7 +755,7 @@ class World:
             plan, rt.store, self.floor, available=rt.available, slot=slot, node=rt.node_id
         )
         # The paid prefix joins the accounts once per kind, at price x count.
-        kinds = [kind for _, kind in plan.steps[: report.ops_node + report.ops_network]]
+        kinds = plan.kinds[: len(plan.kinds) - len(skipped)]
         price, by_label = plan.price, rt.charged_by_label
         for kind in dict.fromkeys(kinds):
             amount = price[kind] * kinds.count(kind)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from harvestsim.app import EnergyContext, ExecutionPlan, execute_plan
 from harvestsim.scenario import EnergySettings
@@ -250,9 +250,10 @@ class TestWithdrawEqualsOneDrawPrefix:
 
 
 class TestExecutePlanEqualsPrefix:
-    """``app.execute_plan`` pays a plan draw by draw through ``withdraw``
-    and stops at the first refusal; over any sequence of valid draws it pays
-    what the one-pass ``withdraw_prefix`` pays, to the same balance."""
+    """``app.execute_plan`` pays a plan draw by draw, each by the floor
+    comparison ``withdraw`` makes, and stops at the first refusal; over any
+    sequence of valid draws it pays what the one-pass ``withdraw_prefix``
+    pays, to the same balance."""
 
     @given(
         stored=st.floats(min_value=0.0, max_value=100.0),
@@ -261,6 +262,10 @@ class TestExecutePlanEqualsPrefix:
                         max_size=len(OP_KINDS)),
         picks=st.lists(st.integers(0, len(OP_KINDS) - 1), max_size=30),
     )
+    # Leaves exactly the floor: paid.
+    @example(stored=10.0, floor=4.0, prices=[6.0] * len(OP_KINDS), picks=[0])
+    # One ulp more: refused.
+    @example(stored=10.0, floor=4.0, prices=[6.000000000000001] * len(OP_KINDS), picks=[0])
     def test_same_paid_count_balance_and_refusal(self, stored, floor, prices, picks):
         price = dict(zip(OP_KINDS, prices))
         kinds = [list(OP_KINDS)[i] for i in picks]

@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from harvestsim.forecast import (
+    EPS_FLOOR,
     DivisionDegenerate,
     EwmaState,
     HistoryTooShort,
@@ -102,6 +103,41 @@ class TestHwStep:
         state = HwState(level=10.0, trend=0.0, seasonal=(1e-10, 1.0))
         with pytest.raises(DivisionDegenerate):
             hw_step(seasonal(0.5, 0.1, 0.1), state, 5.0)
+
+    @given(
+        period=st.integers(min_value=2, max_value=5),
+        history=st.lists(st.floats(min_value=0.0, max_value=1e4), min_size=10, max_size=15),
+        series=st.lists(
+            st.just(0.0) | st.floats(min_value=0.0, max_value=1e-6) | st.floats(min_value=0.0, max_value=1e6),
+            max_size=40,
+        ),
+        eps=st.floats(min_value=0.01, max_value=0.99),
+        beta=st.floats(min_value=0.0, max_value=0.99),
+        gamma=st.floats(min_value=0.0, max_value=0.99),
+    )
+    # A crash after a sharp drop: the trend outruns the level, which underflows.
+    @example(period=2, history=[100.0, 100.0, 1.0, 1.0] * 3, series=[1e-9, 1e-9],
+             eps=0.99, beta=0.1, gamma=0.9)
+    @settings(max_examples=100, deadline=None)
+    def test_successors_pass_the_state_checks(self, period, history, series, eps, beta, gamma):
+        """hw_step builds its successors without HwState's checks: each one
+        passes them when rebuilt field by field, and DivisionDegenerate is
+        raised exactly where the step divides by an index or a level below
+        EPS_FLOOR."""
+        assume(sum(history) > 0.0)
+        weights = seasonal(eps, beta, gamma)
+        state = hw_init(history, period)
+        for y in series:
+            idx = state.seasonal[state.position]
+            degenerate = y > 0.0 and (
+                idx < EPS_FLOOR or eps * (y / idx) + (1.0 - eps) * (state.level + state.trend) < EPS_FLOOR
+            )
+            if degenerate:
+                with pytest.raises(DivisionDegenerate):
+                    hw_step(weights, state, y)
+                return
+            _, state = hw_step(weights, state, y)
+            assert HwState(state.level, state.trend, state.seasonal, state.position) == state
 
 
 class TestHwInit:

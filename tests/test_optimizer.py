@@ -259,6 +259,28 @@ class TestAtBudget:
             build_opt((1.0,), (10.0,), 5.0, 0.1, 0.0).at_budget(bad)
 
 
+class TestSlotFill:
+    """A slot plan fills the LP built at a zero budget directly at its spend;
+    that gives bit for bit the controls ``solve_for_v`` gives on the LP
+    built at the slot's budget, for any residual the plan's clamp admits."""
+
+    @given(
+        inst=instances,
+        over=st.floats(min_value=0, max_value=3),
+        v_frac=st.floats(min_value=0, max_value=1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_fill_equals_solve_at_the_budget(self, inst, over, v_frac):
+        ws, cs, edc, wd, _ = inst
+        terms = build_opt(ws, cs, edc, wd, 0.0)
+        budget = over * terms.max_spend
+        # plan_slot's clamp: the residual leaves no more than the LP absorbs.
+        v = min(max(v_frac * budget, budget - terms.max_spend), budget)
+        solved = solve_for_v(build_opt(ws, cs, edc, wd, budget), v)
+        filled = terms.fill(budget - v)
+        assert [x.hex() for x in filled] == [x.hex() for x in solved.alphas + (solved.delta,)]
+
+
 class TestOracleEquivalence:
     @given(
         inst=instances,

@@ -2,6 +2,7 @@ import builtins
 import dataclasses
 import hashlib
 import heapq
+import inspect
 import math
 import os
 import random
@@ -1021,6 +1022,55 @@ class TestBenchmarkBindings:
         m = simcore.run(World(cfg, collect_charges=True), 5)
         overhead = [amount for _, _, label, amount in m.charges if not label.startswith("op:")]
         assert paid and paid == overhead
+
+
+class TestBenchmarkObservers:
+    """What the benchmark's tracer relies on in planning and settlement: it
+    wraps ``forecast.hw_step`` at the module, so ``forecast.step`` must call
+    it through the module attribute; and its observer of
+    ``app.execute_plan`` reads the call's arguments, its returned
+    ``(report, store, skipped)`` triple and the plan's ``backlog_run`` and
+    ``run_ops``."""
+
+    def test_step_reaches_hw_step_through_the_module_attribute(self, monkeypatch):
+        real = forecast.hw_step
+        seen = []
+
+        def counting(settings, state, measured):
+            seen.append(measured)
+            return real(settings, state, measured)
+
+        monkeypatch.setattr(forecast, "hw_step", counting)
+        settings = forecast.PredictorSettings(kind="hw", period=2)
+        state = forecast.hw_init([1.0, 2.0, 1.0, 2.0], 2)
+        assert forecast.step(settings, state, 3.0) == real(settings, state, 3.0)
+        assert seen == [3.0]
+
+    def test_execute_plan_keeps_its_signature_and_triple(self):
+        p = inspect.Parameter
+        params = inspect.signature(app.execute_plan).parameters
+        assert [(name, param.kind) for name, param in params.items()] == [
+            ("plan", p.POSITIONAL_OR_KEYWORD),
+            ("store", p.POSITIONAL_OR_KEYWORD),
+            ("floor", p.POSITIONAL_OR_KEYWORD),
+            ("available", p.KEYWORD_ONLY),
+            ("slot", p.KEYWORD_ONLY),
+            ("node", p.KEYWORD_ONLY),
+        ]
+        context = app.EnergyContext(EnergyLevel.E1, EnergyLevel.E1, EnergyLevel.E1)
+        drained = [app.BacklogEntry("flash_write", "log", 2, 0)]
+        run_ops = [("report", "sense"), ("report", "tx128")]
+        price = {"flash_write": 1.23, "sense": 20.3, "tx128": 341.0}
+        plan = app.ExecutionPlan(context, run_ops, drained, {"report": 1.0}, 0.0, [], price)
+        store = EnergyStore(stored=100.0, capacity=1000.0)
+        result = app.execute_plan(plan, store, 50.0, available=100.0, slot=3, node="D")
+        assert type(result) is tuple and len(result) == 3
+        report, paid_from, skipped = result
+        assert isinstance(report, app.SlotReport) and (report.slot, report.node) == (3, "D")
+        assert paid_from is store and store.stored == 100.0 - 1.23 - 20.3
+        assert skipped == [("report", "tx128")]
+        assert (report.ops_node, report.ops_network, report.aborted) == (2, 0, True)
+        assert len(plan.backlog_run) + len(plan.run_ops) == 3
 
 
 class TestChargeRefusal:

@@ -86,10 +86,11 @@ def _callers_of(name: str) -> list[str]:
 
 
 class TestOneChargePath:
-    def test_withdraw_is_called_only_by_the_two_payers(self):
-        # World._charge pays every single draw; execute_plan pays a plan's
-        # operations. A third caller would be a third charge rule.
-        assert sorted(_callers_of("withdraw")) == ["app.execute_plan", "simcore.World._charge"]
+    def test_withdraw_is_called_only_by_the_engine_payer(self):
+        # World._charge pays every single draw through withdraw; execute_plan
+        # pays a plan's operations by withdraw's comparison alone. Another
+        # caller would be another charge rule.
+        assert _callers_of("withdraw") == ["simcore.World._charge"]
 
 
 class TestOneLevelBelief:
