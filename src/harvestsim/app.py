@@ -419,7 +419,7 @@ def plan_slot(
     # Clamp the residual up so the LP spend never exceeds total capacity:
     # abundant slots simply saturate every variable instead of failing. The
     # clamp keeps the fill within ``[0, max_spend]``, so it spends
-    # ``budget - v_eff`` as solve_for_v(terms.lp.at_budget(budget), v_eff).
+    # ``budget - v_eff`` as solve_for_v spends it on the LP built at ``budget``.
     v_eff = max(v_target + drained_cost, budget - terms.lp.max_spend)
     v_eff = min(v_eff, budget)
     xs = terms.lp.fill(budget - v_eff)

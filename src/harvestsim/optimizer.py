@@ -62,7 +62,7 @@ class PolicyLp:
     is the slot budget X; a solve at residual ``v`` spends ``X - v``. What
     derives from the other fields alone (the objective and constraint rows,
     the largest spend and the fill order) is computed when the instance is
-    built, and :meth:`at_budget` keeps it.
+    built.
     """
 
     weights: tuple[float, ...]
@@ -87,23 +87,8 @@ class PolicyLp:
         derived["fill_order"] = tuple(sorted(range(len(a)), key=lambda j: (-(c[j] / a[j]), j)))
 
     @property
-    def n_policies(self) -> int:
-        return len(self.weights)
-
-    @property
     def n_vars(self) -> int:
         return len(self.weights) + 1
-
-    def at_budget(self, x_k: float) -> PolicyLp:
-        """This instance with budget base ``x_k``, which is checked here.
-
-        The other fields were validated when this instance was built, and
-        what derives from them is shared, not computed again.
-        """
-        _check_budget(x_k)
-        lp = object.__new__(PolicyLp)
-        lp.__dict__.update(self.__dict__, budget_base=float(x_k))
-        return lp
 
     def fill(self, spend: float) -> list[float]:
         """The knapsack fill's controls (policies, then duty) for a ``spend``
@@ -140,11 +125,6 @@ def default_duty_weight(weights: tuple[float, ...], costs: tuple[float, ...], du
     return 0.1 * min_rate * duty_energy
 
 
-def _check_budget(x_k: float) -> None:
-    if x_k < 0 or not math.isfinite(x_k):
-        raise ValueError(f"budget base must be >= 0, got {x_k}")
-
-
 def build_opt(
     weights,
     costs,
@@ -165,7 +145,8 @@ def build_opt(
         raise NonPositiveCost(f"duty energy must be > 0, got {e_dc}")
     if any(w < 0 or not math.isfinite(w) for w in weights):
         raise ValueError(f"weights must be >= 0, got {weights}")
-    _check_budget(x_k)
+    if x_k < 0 or not math.isfinite(x_k):
+        raise ValueError(f"budget base must be >= 0, got {x_k}")
     if w_delta is None:
         w_delta = default_duty_weight(weights, costs, e_dc)
     elif w_delta < 0 or not math.isfinite(w_delta):

@@ -3,7 +3,7 @@
 Production solves the per-slot LP with a closed-form knapsack fill. This
 module solves the same LP by a different method and shares no code with
 ``harvestsim``: it reads only the instance's data (``row``, ``objective``,
-``budget_base``, ``n_policies``). The tests compare the two.
+``budget_base``, ``weights``). The tests compare the two.
 
 There is one equality constraint and every variable is box-bounded, so the
 basis is a single variable: all others sit at 0 or 1 and the basic one
@@ -160,6 +160,6 @@ def simplex_solve(lp, v: float) -> OracleResult:
     xs[t.basic] = _snap(xs[t.basic], t.upper[t.basic])
     return OracleResult(
         utility=sum(cj * xj for cj, xj in zip(c, xs)),
-        alphas=tuple(xs[: lp.n_policies]),
-        delta=xs[lp.n_policies],
+        alphas=tuple(xs[: len(lp.weights)]),
+        delta=xs[len(lp.weights)],
     )

@@ -453,8 +453,10 @@ class TestForecastMetrics:
             assert predicted >= 0.0 and actual >= 0.0
 
 
-def lattice_yaml(*, sigma_db: float, predictor: str, slots: int) -> str:
-    """A 3x4 lattice at a 30 m pitch, sink at the (0, 0) corner.
+def lattice_yaml(
+    *, sigma_db: float, predictor: str, slots: int, rows: int = 3, cols: int = 4
+) -> str:
+    """A ``rows x cols`` lattice at a 30 m pitch, sink at the (0, 0) corner.
 
     Every third non-sink node is a source, the rest relay, and the harvest
     profiles cycle; energy, MAC, routing, traffic, profile and policy
@@ -465,15 +467,15 @@ def lattice_yaml(*, sigma_db: float, predictor: str, slots: int) -> str:
     )
     profiles = ("direct", "reflected", "diffused")
     nodes = [{"id": "N00", "role": "sink", "position": [0.0, 0.0]}]
-    for k in range(1, 12):
-        r, c = divmod(k, 4)
+    for k in range(1, rows * cols):
+        r, c = divmod(k, cols)
         nodes.append({
             "id": f"N{k:02d}",
             "role": "source" if (k - 1) % 3 == 2 else "relay",
             "position": [30.0 * c, 30.0 * r],
             "profile": profiles[(k - 1) % 3],
         })
-    doc.update(name="lattice-3x4", slots=slots, nodes=nodes)
+    doc.update(name=f"lattice-{rows}x{cols}", slots=slots, nodes=nodes)
     doc["channel"] = {"shadowing_sigma_db": sigma_db}
     doc["predictor"]["kind"] = predictor
     return yaml.safe_dump(doc, sort_keys=True)

@@ -1,19 +1,15 @@
 """The program's public surface is what it uses: every public top-level
 function and class in ``src/harvestsim`` is referenced by the program's own
-code, not only by the tests."""
+code, not only by the tests. A name an acceptance gate alone calls is kept in
+``test_reach.KEPT``, with its reason."""
 
 import ast
 from pathlib import Path
 
 import harvestsim
+from test_reach import KEPT
 
 PACKAGE = Path(harvestsim.__file__).parent
-
-# Public names kept for a caller outside the program. Keep this list short:
-# a name belongs here only while an acceptance gate calls it.
-CALLED_ONLY_BY_GATES = {
-    "evaluate_curve",  # criterion 2 interpolates the trade-off curve with it
-}
 
 
 def _is_command(node: ast.FunctionDef | ast.ClassDef) -> bool:
@@ -51,7 +47,7 @@ def _unused_public_definitions() -> list[str]:
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 continue
             name = stmt.name
-            if name.startswith("_") or _is_command(stmt) or name in CALLED_ONLY_BY_GATES:
+            if name.startswith("_") or _is_command(stmt) or f"{module}.{name}" in KEPT:
                 continue
             if not any(name in refs for other, refs in statements if other is not stmt):
                 unused.append(f"{module}.{name}")
