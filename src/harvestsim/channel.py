@@ -5,19 +5,21 @@ ramp near sensitivity, and one shared medium. Each world has one
 Shadowing stands for the obstacles along a link, and node positions never
 move, so each unordered link carries one constant offset, drawn once from a
 stream of its own: ``random.Random(f"{a}:{b}:shadow").gauss(0.0, sigma)``
-with the two node ids in sorted order. The obstacles belong to the
+with the two node ids in sorted order (a scenario's node ids contain no
+``:``, so no two links share a stream). The obstacles belong to the
 deployment, not to a run, so the run seed does not enter the stream: every
 seed of a scenario runs over the same links, and the seed varies only the
 per-run draws (frame loss, backoff, wake phases). The offset is the same in
 both directions, and adding a node elsewhere changes no link. A link's
 mean received power at a given transmit power, :func:`rssi_at` plus that
 offset, is computed once per (sender, receiver, power) on first use and
-memoised. Each broadcast walks a per-(sender, power) fan-out of
-``(receiver, mean, loss)`` entries in node-id order, also built on first
-use, which leaves out the links below sensitivity and carries each kept
-link's loss probability. Per-frame randomness comes from the loss ramp
-alone: every delivery draw is :func:`survives`, from the world's channel
-stream.
+memoised (:meth:`Channel.link_mean`). Each broadcast walks a per-(sender,
+power) fan-out of ``(receiver, mean, loss)`` entries in node-id order, also
+built on first use, which leaves out the links below sensitivity and carries
+each kept link's loss probability. A unicast exchange reads its link's mean,
+and each of its data frames meets that link's loss. The channel keeps no
+per-exchange state. Per-frame randomness comes from the loss ramp alone:
+every delivery draw is :func:`survives`, from the world's channel stream.
 """
 
 from __future__ import annotations
@@ -84,8 +86,7 @@ class Channel:
     """
 
     __slots__ = (
-        "settings", "nodes", "rng", "_offsets", "_link_means", "_fanouts",
-        "busy_until", "_exchange_loss",
+        "settings", "nodes", "rng", "_offsets", "_link_means", "_fanouts", "busy_until",
     )
 
     def __init__(self, settings: ChannelSettings, nodes: Mapping[str, NodeRuntime], seed: int):
@@ -96,8 +97,6 @@ class Channel:
         self._link_means: dict[tuple[str, str, float], float] = {}
         self._fanouts: dict[tuple[str, float], tuple[tuple, ...]] = {}
         self.busy_until = 0.0
-        # The loss probability of the unicast exchange in progress.
-        self._exchange_loss = 1.0
 
     def _offset(self, a: str, b: str) -> float:
         """The shadowing offset of the link between nodes ``a`` and ``b``,
@@ -109,7 +108,7 @@ class Channel:
             offset = self._offsets[pair] = stream.gauss(0.0, self.settings.shadowing_sigma_db)
         return offset
 
-    def _link_mean(self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float) -> float:
+    def link_mean(self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float) -> float:
         """A link's mean received power at ``tx_dbm``, its shadowing offset
         included, memoised per (sender, receiver, power)."""
         key = (sender.node_id, receiver.node_id, tx_dbm)
@@ -130,7 +129,7 @@ class Channel:
         if fan is None:
             settings = self.settings
             links = (
-                (other, self._link_mean(sender, other, tx_dbm))
+                (other, self.link_mean(sender, other, tx_dbm))
                 for other in self.nodes.values()
                 if other is not sender
             )
@@ -140,18 +139,6 @@ class Channel:
                 if mean >= settings.sensitivity_dbm
             )
         return fan
-
-    def open_exchange(self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float) -> float:
-        """The received power of a unicast exchange from ``sender`` to
-        ``receiver``: its link's mean, whose loss probability every frame of
-        the exchange then meets (:meth:`_attempt_delivers`)."""
-        rssi = self._link_mean(sender, receiver, tx_dbm)
-        self._exchange_loss = loss_probability(rssi, self.settings)
-        return rssi
-
-    def _attempt_delivers(self, _round: int) -> bool:
-        """Whether one data frame of the exchange in progress survives its link."""
-        return survives(self._exchange_loss, self.rng)
 
     def _power_dbm(self, at_ms: float) -> float:
         """What carrier sense samples at ``at_ms``: busy until ``busy_until``."""

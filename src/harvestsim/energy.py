@@ -63,9 +63,7 @@ def check_amount(value: float, what: str = "energy") -> float:
         return float(value)
     if not math.isfinite(value):
         raise ValueError(f"{what} must be finite, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{what} must be >= 0, got {value!r}")
-    return float(value)
+    raise ValueError(f"{what} must be >= 0, got {value!r}")
 
 
 # Three ascending capacity fractions splitting [0, capacity] into the four

@@ -152,7 +152,6 @@ class Rrep:
 
 @dataclass(slots=True)
 class RouteEntry:
-    dest: str
     next_hop: str
     cost: float
     seq: int
@@ -348,7 +347,7 @@ def install_route(state: RoutingState, dest: str, next_hop: str, cost: float, se
             return False
         if seq == entry.seq and cost >= entry.cost:
             return False
-    state.table[dest] = RouteEntry(dest=dest, next_hop=next_hop, cost=cost, seq=seq)
+    state.table[dest] = RouteEntry(next_hop=next_hop, cost=cost, seq=seq)
     return True
 
 

@@ -238,6 +238,10 @@ def _semantic_violations(doc: dict, rejected: set, profiles: dict) -> list[str]:
             if len(shared) > 1:
                 problems.append(f"nodes: {shared} share position {list(pos)}")
         for n in nodes:
+            # A link's shadowing stream is keyed "a:b:shadow", so an id with a
+            # ':' could give two links one stream.
+            if ":" in n["id"]:
+                problems.append(f"nodes[{n['id']}].id: must not contain ':'")
             prof = n.get("profile")
             if prof is not None and "profiles" not in rejected and prof not in profiles:
                 problems.append(f"nodes[{n.get('id')}].profile: {prof!r} not defined in profiles")

@@ -15,6 +15,12 @@ Each slot runs three phases, nodes visited in ascending id order:
    node's slot sum is published, the entries ``app`` defers enter the
    backlog, and metrics rows are emitted.
 
+Floods: a source's flood is numbered and built when planning schedules it,
+with the slot's transmit power, so a flood start and a relay's forward are
+both one ``rreq_tx`` event. Blocked packets: every packet a node cannot send
+goes through :meth:`World._hold`, the one queue-or-drop rule and the one
+place the pending queue's cap is applied.
+
 Flood arrival: every reception of one RREQ broadcast happens at the same
 arrival time, so the broadcast queues one ``rreq_arrive`` event carrying its
 ``(receiver, rssi)`` pairs in fan-out order, each receiver a
@@ -47,8 +53,9 @@ lost network operation is recorded as an ``aborted-op`` drop.
 
 Each world's :class:`channel.Channel` holds every link's received power
 and loss probability, fixed for the run (a link's shadowing is one constant
-offset); it decides every reception and frame delivery, and what carrier
-sense finds.
+offset), and what carrier sense finds. Every reception and frame delivery is
+one :func:`channel.survives` draw over its link's loss, from the channel's
+stream; a unicast exchange hands ``mac.csma_send`` that test.
 
 Forecasting: each node feeds its slot's harvest to :func:`forecast.step`
 under the scenario's predictor settings. When the seasonal model degenerates
@@ -72,7 +79,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import app, forecast, mac, routing
-from .channel import Channel, survives
+from .channel import Channel, loss_probability, survives
 from .energy import (
     DEFAULT_OP_COSTS,
     DEFAULT_TX_COSTS,
@@ -314,7 +321,7 @@ class World:
             )
             if spec.role == "sink":
                 rt.tx_power = routing.REFERENCE_TX_POWER_DBM
-                rt.schedule = mac.DutySchedule(wake_ms=self.cfg.mac.wake_window_ms, sleep_ms=0.0)
+                rt.schedule = mac.schedule_from_delta(1.0, cfg.mac)
             self.nodes[spec.id] = rt
         self.channel = Channel(cfg.channel, self.nodes, cfg.seed)
         # Every node, in ascending id order (as ``nodes`` was filled): the
@@ -381,7 +388,9 @@ class World:
         sleep; returns (delivered, elapsed_s)."""
         tx_dbm = sender.tx_power
         channel = self.channel
-        rssi = channel.open_exchange(sender, receiver, tx_dbm)
+        rssi = channel.link_mean(sender, receiver, tx_dbm)
+        # Every data frame of the exchange meets its link's loss.
+        loss, rng = loss_probability(rssi, channel.settings), channel.rng
         spec = self.frames.unicasts[purpose]
         # The train is sized by the sender's belief about the receiver's
         # level; rendezvous happens on the receiver's real schedule. An
@@ -394,7 +403,7 @@ class World:
                 receiver_phase_ms=receiver.wake_phase_ms,
                 start_ms=t * 1000.0,
                 channel_power_dbm=channel._power_dbm,
-                attempt_delivers=channel._attempt_delivers,
+                attempt_delivers=lambda _round: survives(loss, rng),
                 train=self.frames.trains[believed_sleep],
             )
             delivered = True
@@ -447,27 +456,16 @@ class World:
             if survives(loss, rng) and charge(other, "mac:beacon-rx", rx):
                 hear(other.routing, node_id, rssi, slot, from_sink)
 
-    def _on_rreq_init(self, t: float, node_id: str) -> None:
-        rt = self.nodes[node_id]
-        if rt.tx_power is None:
-            return
-        seq = rt.routing.next_seq()
-        rreq = routing.Rreq(
-            origin=node_id, dest=self.sink_id, seq=seq, tx_power_dbm=rt.tx_power
-        )
-        self._broadcast_rreq(t, rt, rreq)
-
     def _on_rreq_tx(self, t: float, node_id: str, rreq: routing.Rreq) -> None:
-        self._broadcast_rreq(t, self.nodes[node_id], rreq)
-
-    def _broadcast_rreq(self, t: float, rt: NodeRuntime, rreq: routing.Rreq) -> None:
+        """One broadcast of ``rreq`` by ``node_id``: a flood start or a relay's forward."""
+        rt = self.nodes[node_id]
         if rt.tx_power is None:
             return
         charge, frames = self._charge, self.frames
         if not charge(rt, "mac:rreq-tx", frames.rreq_tx_uj[rreq.tx_power_dbm]):
             return
         if self.collect_mac_trace:  # format the detail only when it is kept
-            self.metrics.mac_trace.append((t, rt.node_id, "rreq-tx", f"seq={rreq.seq}"))
+            self.metrics.mac_trace.append((t, node_id, "rreq-tx", f"seq={rreq.seq}"))
         arrival = t + frames.rreq_span_ms / 1000.0
         channel = self.channel
         channel.occupy(arrival)
@@ -581,51 +579,39 @@ class World:
             else:
                 self._push(at, "send", rt.node_id, pkt)
 
-    def _hold(self, rt: NodeRuntime, pkt: Packet, reason: str) -> None:
-        """A packet ``rt`` cannot send now, for ``reason``: a source queues it
-        (asking for a route when it has none), a relay drops it."""
-        if rt.role != "source":
-            self.metrics.drops.append((self.slot, pkt.pid, rt.node_id, reason))
-            return
-        if reason == "no-route":
-            rt.need_route = True
-        rt.pending.append(pkt)
-        if len(rt.pending) > PENDING_QUEUE_CAP:
-            victim = rt.pending.pop(0)
-            self.metrics.drops.append(
-                (self.slot, victim.pid, rt.node_id, f"queue-overflow({reason})")
-            )
-
-    def _hold_all(self, rt: NodeRuntime, pkts: list[Packet], reason: str) -> None:
-        """:meth:`_hold` of each of ``pkts`` in turn, for a source whose
-        pending queue is empty, done as one slice: the newest
-        ``PENDING_QUEUE_CAP`` wait, and the older ones overflow, oldest first."""
+    def _hold(self, rt: NodeRuntime, pkts: list[Packet], reason: str) -> None:
+        """Packets ``rt`` cannot send now, for ``reason``: a relay drops them;
+        a source queues them, in order, asking for a route when it has none,
+        and past ``PENDING_QUEUE_CAP`` the oldest waiting ones overflow."""
         if not pkts:
             return
+        if rt.role != "source":
+            self.metrics.drops.extend([(self.slot, pkt.pid, rt.node_id, reason) for pkt in pkts])
+            return
         if reason == "no-route":
             rt.need_route = True
-        rt.pending = pkts[-PENDING_QUEUE_CAP:]
-        overflow = pkts[:-PENDING_QUEUE_CAP]
-        if overflow:
+        pending = rt.pending
+        pending += pkts
+        if len(pending) > PENDING_QUEUE_CAP:
             why = f"queue-overflow({reason})"
-            self.metrics.drops.extend(
-                [(self.slot, pkt.pid, rt.node_id, why) for pkt in overflow]
-            )
+            overflow = pending[:-PENDING_QUEUE_CAP]
+            del pending[:-PENDING_QUEUE_CAP]
+            self.metrics.drops.extend([(self.slot, p.pid, rt.node_id, why) for p in overflow])
 
     def _on_send(self, t: float, node_id: str, pkt: Packet) -> None:
         rt = self.nodes[node_id]
         entry = rt.routing.table.get(self.sink_id)
         if rt.tx_power is None:
-            self._hold(rt, pkt, "dormant")
+            self._hold(rt, [pkt], "dormant")
             return
         if entry is None:
-            self._hold(rt, pkt, "no-route")
+            self._hold(rt, [pkt], "no-route")
             return
         receiver = self.nodes[entry.next_hop]
         # Worst-case single-round overhead must be affordable before keying up.
         sleep = self._believed_sleep_ms(rt, entry.next_hop)
         if rt.store.stored - self.frames.send_estimate_uj[sleep, rt.tx_power] < self.floor:
-            self._hold(rt, pkt, "no-energy")
+            self._hold(rt, [pkt], "no-energy")
             return
         delivered, elapsed = self._unicast(t, rt, receiver, "data", sleep)
         if delivered:
@@ -641,7 +627,7 @@ class World:
             if pkt.retries > MAX_PACKET_RETRIES:
                 self.metrics.drops.append((self.slot, pkt.pid, node_id, "retries"))
                 return
-        self._hold(rt, pkt, "mac-fail")
+        self._hold(rt, [pkt], "mac-fail")
 
     def _on_arrive(self, t: float, node_id: str, pkt: Packet) -> None:
         rt = self.nodes[node_id]
@@ -715,10 +701,9 @@ class World:
         for pkt in fresh[tx_quota:]:
             self._defer(rt, app.deferred_packet(pkt.pid, slot))
 
-        to_send = rt.pending + drained + sendable
-        rt.pending = []
+        to_send, rt.pending = rt.pending + drained + sendable, []
         if rt.tx_power is None or self.sink_id not in rt.routing.table:
-            self._hold_all(rt, to_send, "dormant" if rt.tx_power is None else "no-route")
+            self._hold(rt, to_send, "dormant" if rt.tx_power is None else "no-route")
         else:
             for i, pkt in enumerate(to_send):
                 self._push(t0 + 0.2 + i * period, "send", rt.node_id, pkt)
@@ -728,7 +713,9 @@ class World:
             if rt.flood_initiated_slot != slot:
                 rt.flood_initiated_slot = slot
                 jitter = rt.rng_mac.uniform(0.0, 0.1)
-                self._push(t0 + jitter, "rreq_init", rt.node_id)
+                seq = rt.routing.next_seq()
+                rreq = routing.Rreq(rt.node_id, self.sink_id, seq, tx_power_dbm=rt.tx_power)
+                self._push(t0 + jitter, "rreq_tx", rt.node_id, rreq)
 
     def _schedule_beacons(self, rt: NodeRuntime, t0: float) -> None:
         period = self.cfg.routing.beacon_period_s

@@ -40,19 +40,37 @@ class TestCarrierSense:
 
 
 class TestExchange:
-    def test_every_frame_of_an_exchange_meets_its_link_loss(self):
+    def test_every_frame_of_an_exchange_meets_its_link_loss(self, monkeypatch):
         settings = ChannelSettings(shadowing_sigma_db=4.0)
-        world = World(dataclasses.replace(parse_scenario(TREE_YAML), channel=settings, seed=5))
+        cfg = dataclasses.replace(parse_scenario(TREE_YAML), channel=settings, seed=5)
+        world = World(cfg)
         twin = random.Random("5:channel")
         medium = world.channel
         b, d = world.nodes["B"], world.nodes["D"]
-        rssi = medium.open_exchange(d, b, -5)
-        assert rssi == rssi_at(-5, 40.0, settings) + link_offset("B", "D", 4.0)
-        assert medium.open_exchange(b, d, -5) == rssi  # one offset per link, both ways
+        rssi = medium.link_mean(d, b, -10)
+        assert rssi == rssi_at(-10, 40.0, settings) + link_offset("B", "D", 4.0)
+        assert medium.link_mean(b, d, -10) == rssi  # one offset per link, both ways
         loss = loss_probability(rssi, settings)
         assert 0.0 < loss < 1.0  # so that every frame draws
-        for attempt in range(1, 6):
-            assert medium._attempt_delivers(attempt) == survives(loss, twin)
+
+        # The engine's exchanges, each frame's delivery test recorded.
+        decided = []
+        real = mac.csma_send
+
+        def recording(*args, attempt_delivers, **kwargs):
+            def decide(round_no):
+                decided.append(attempt_delivers(round_no))
+                return decided[-1]
+
+            return real(*args, attempt_delivers=decide, **kwargs)
+
+        monkeypatch.setattr(mac, "csma_send", recording)
+        d.tx_power, b.schedule = -10, mac.schedule_from_delta(1.0, cfg.mac)
+        sleep = world._believed_sleep_ms(d, "B")
+        for k in range(8):
+            world._unicast(10.0 * k, d, b, "data", sleep)
+        assert len(decided) >= 8 and True in decided and False in decided
+        assert decided == [survives(loss, twin) for _ in decided]
         assert medium.rng.getstate() == twin.getstate()
 
     def test_scenario_reads_the_channel_settings_class(self):
@@ -76,7 +94,7 @@ class TestLinkModel:
             assert medium._offset(a.node_id, b.node_id) == medium._offset(b.node_id, a.node_id)
             offsets.add(medium._offset(a.node_id, b.node_id))
             for tx in POWERS:
-                assert medium._link_mean(a, b, tx) == medium._link_mean(b, a, tx)
+                assert medium.link_mean(a, b, tx) == medium.link_mean(b, a, tx)
         assert len(offsets) == len(world.nodes) * (len(world.nodes) - 1) // 2
 
     def test_every_seed_runs_over_the_same_links(self):
@@ -91,8 +109,8 @@ class TestLinkModel:
                 ]
                 assert fans[0] == fans[1]
             for a, b in itertools.permutations(world.nodes, 2):
-                assert world.channel._link_mean(world.nodes[a], world.nodes[b], tx) == (
-                    other.channel._link_mean(other.nodes[a], other.nodes[b], tx)
+                assert world.channel.link_mean(world.nodes[a], world.nodes[b], tx) == (
+                    other.channel.link_mean(other.nodes[a], other.nodes[b], tx)
                 )
 
     def test_a_superset_of_nodes_keeps_every_shared_link(self):
@@ -103,7 +121,7 @@ class TestLinkModel:
         small, large = Channel(settings, subset, 8), Channel(settings, nodes, 8)
         for a, b in itertools.permutations(subset.values(), 2):
             for tx in POWERS:
-                assert small._link_mean(a, b, tx) == large._link_mean(a, b, tx)
+                assert small.link_mean(a, b, tx) == large.link_mean(a, b, tx)
         for tx in POWERS:
             # The superset's fan-out is the subset's with the added nodes' links.
             for sender in subset.values():

@@ -12,9 +12,9 @@ import pytest
 import yaml
 
 import synth_oracle
-from test_simcore import lattice_yaml
+from test_simcore import lattice_yaml, link_offset
 from harvestsim import bounds, scenario, simcore
-from harvestsim.energy import SlotOutOfRange
+from harvestsim.energy import DEFAULT_OP_COSTS, DEFAULT_TX_COSTS, SlotOutOfRange
 from harvestsim.scenario import (
     SCENARIO_SCHEMA,
     NegativePower,
@@ -111,6 +111,31 @@ nodes:
         cfg = parse_scenario(text.replace("high: 300, ", ""))
         assert cfg.costs == {"tx128": {-5: 304.0, 0: 341.0}}
 
+    def test_scalar_costs_override_the_published_ones(self):
+        cfg = parse_scenario(MINIMAL + "costs: {sense: 25, rx128: 410}\n")
+        assert cfg.costs == {"sense": 25.0, "rx128": 410.0}
+        assert all(type(c) is float for c in cfg.costs.values())
+        table = simcore.World(cfg).table
+        assert (table.costs["sense"], table.costs["rx128"]) == (25.0, 410.0)
+        # Every other entry keeps its published cost.
+        assert table.costs == {**DEFAULT_OP_COSTS, "sense": 25.0, "rx128": 410.0}
+        assert table.tx_costs == DEFAULT_TX_COSTS
+
+    def test_node_id_with_a_colon_rejected(self):
+        # A link's shadowing stream is keyed "a:b:shadow": with a ':' in an
+        # id, the links (p:q, r) and (p, q:r) would draw one offset.
+        assert link_offset("p:q", "r", 4.0) == link_offset("p", "q:r", 4.0)
+        text = MINIMAL.replace("id: D,", "id: 'D:1',")
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(text)
+        assert err.value.violations == ["nodes[D:1].id: must not contain ':'"]
+
+    @pytest.mark.parametrize("text", ["", "- 1\n- 2\n", "just text\n", "7\n"])
+    def test_document_must_be_a_mapping(self, text):
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(text)
+        assert err.value.violations == ["document must be a mapping"]
+
     SUN_PROFILES = "profiles:\n  sun: {kind: constant, power_w: 0.001}"
     SOURCE_POLICIES = "  source:\n    - {name: report, ops: [sense, tx128]}"
 
@@ -135,6 +160,12 @@ nodes:
             parse_scenario(text)
         v = err.value.violations
         assert v and all(x.startswith(section) for x in v)
+
+    def test_csv_profile_without_a_path_rejected(self):
+        text = MINIMAL.replace(self.SUN_PROFILES, "profiles:\n  sun: {kind: csv}")
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(text)
+        assert err.value.violations == ["profiles[sun]: csv profiles need a path"]
 
     @pytest.mark.parametrize(
         "profile", ["period_slots: 2", "period_slots: 24, day_fraction: 0.04"]
@@ -436,6 +467,26 @@ class TestLoadTrace:
         with pytest.raises(ParseError) as err:
             load_trace("slot,power_watts\n5,0.001\n6,0.25\n")
         assert str(err.value) == "line 2: slot 5 out of order (expected 0)"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "line 1: empty file"),
+            ("\n  \n", "line 1: empty file"),
+            ("slot,power_watts\n0,0.1\n1,0.1,0.2\n", "line 3: expected 2 fields, got 3"),
+            ("slot,power_watts\n0\n", "line 2: expected 2 fields, got 1"),
+            ("slot,power_watts\nzero,0.1\n",
+             "line 2: invalid literal for int() with base 10: 'zero'"),
+            ("slot,power_watts\n0,0.1\n1,lots\n",
+             "line 3: could not convert string to float: 'lots'"),
+        ],
+        ids=["empty", "blank-lines", "three-fields", "one-field", "slot-not-int",
+             "power-not-float"],
+    )
+    def test_malformed_file_names_its_line(self, text, message):
+        with pytest.raises(ParseError) as err:
+            load_trace(text)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("power", ["nan", "inf", "-inf"])
     def test_non_finite_power_names_its_line(self, power):

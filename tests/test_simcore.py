@@ -498,12 +498,10 @@ def _full_scan_rssi(settings, sender, receiver, tx_dbm):
 
 
 class _FullScanChannel(Channel):
-    """A unicast exchange's loss from :func:`_full_scan_rssi`."""
+    """A unicast exchange's link mean, and so its loss, from :func:`_full_scan_rssi`."""
 
-    def open_exchange(self, sender, receiver, tx_dbm):
-        rssi = _full_scan_rssi(self.settings, sender, receiver, tx_dbm)
-        self._exchange_loss = loss_probability(rssi, self.settings)
-        return rssi
+    def link_mean(self, sender, receiver, tx_dbm):
+        return _full_scan_rssi(self.settings, sender, receiver, tx_dbm)
 
 
 class _FullScanWorld(World):
@@ -540,7 +538,8 @@ class _FullScanWorld(World):
             if self._charge(other, "mac:beacon-rx", rx):
                 routing.hear_beacon(other.routing, node_id, rssi, self.slot, node_id == self.sink_id)
 
-    def _broadcast_rreq(self, t, rt, rreq):
+    def _on_rreq_tx(self, t, node_id, rreq):
+        rt = self.nodes[node_id]
         if rt.tx_power is None and not rt.is_sink:
             return
         span_ms = (
@@ -658,7 +657,6 @@ class _EngineSinkWorld(World):
 
     def _install_sink_route(self, rrep):
         self.active_sink_route[rrep.origin] = routing.RouteEntry(
-            dest=rrep.origin,
             next_hop=rrep.path[1] if len(rrep.path) > 1 else rrep.origin,
             cost=rrep.cost,
             seq=rrep.seq,
@@ -703,7 +701,7 @@ class TestLinkTable:
         cfg = parse_scenario(lattice_yaml(sigma_db=0.0, predictor="ewma", slots=20))
         links = []
         last_pair = []
-        real_link_mean, real_rssi_at = Channel._link_mean, channel.rssi_at
+        real_link_mean, real_rssi_at = Channel.link_mean, channel.rssi_at
 
         def link_mean(self, a, b, tx_dbm):
             last_pair[:] = [(a.node_id, b.node_id)]
@@ -713,7 +711,7 @@ class TestLinkTable:
             links.append((*last_pair[0], tx_dbm))
             return real_rssi_at(tx_dbm, distance_m, settings)
 
-        monkeypatch.setattr(Channel, "_link_mean", link_mean)
+        monkeypatch.setattr(Channel, "link_mean", link_mean)
         monkeypatch.setattr(channel, "rssi_at", counting_rssi_at)
         world = World(cfg, collect_mac_trace=True)
         assert links == []  # the table is built on first use, not at set-up
@@ -733,7 +731,7 @@ class TestLinkTable:
             (x1, y1), (x2, y2) = sender.position, receiver.position
             offset = link_offset(sender.node_id, receiver.node_id, 4.0)
             expected = rssi_at(tx, math.hypot(x2 - x1, y2 - y1), settings) + offset
-            assert world.channel.open_exchange(sender, receiver, tx) == expected
+            assert world.channel.link_mean(sender, receiver, tx) == expected
         assert world.channel.rng.getstate() == untouched  # no exchange draws from the channel stream
 
     @pytest.mark.parametrize("sigma_db", [0.0, 4.0])
@@ -778,7 +776,7 @@ class TestFloodArrival:
         sender = world.nodes["N05"]
         assert sender.tx_power is not None
         rreq = routing.Rreq(origin="N05", dest=world.sink_id, seq=9, tx_power_dbm=sender.tx_power)
-        world._broadcast_rreq(world.now, sender, rreq)
+        world._on_rreq_tx(world.now, "N05", rreq)
 
         assert len(world._events) == 1
         t, _, kind, payload = world._events[0]
@@ -974,7 +972,7 @@ class TestShadowOffset:
             (x1, y1), (x2, y2) = sender.position, receiver.position
             expected = rssi_at(tx, math.hypot(x2 - x1, y2 - y1), settings)
             expected += link_offset(a, b, sigma)
-            assert bits(medium._link_mean(sender, receiver, tx)) == bits(expected)
+            assert bits(medium.link_mean(sender, receiver, tx)) == bits(expected)
         assert medium.rng.getstate() == untouched
 
     def test_pinned_offsets(self):
@@ -1176,7 +1174,7 @@ class TestEngineRecords:
         records = [
             rt,
             rt.routing,
-            routing.RouteEntry(dest="A", next_hop="B", cost=1.0, seq=1),
+            routing.RouteEntry(next_hop="B", cost=1.0, seq=1),
             app.EnergyContext(EnergyLevel.E1, EnergyLevel.E2, EnergyLevel.E3),
             world.frames,
             rt.schedule,
@@ -1208,10 +1206,13 @@ class TestEngineRecords:
 
 
 def _hold_each(world, rt, pkts, reason):
-    """The per-packet rule a blocked source's queue once followed: each
-    packet joins the pending queue in turn, and past the cap the oldest
-    waiting one overflows."""
+    """The per-packet rule blocked packets once followed: a relay drops each;
+    at a source each packet joins the pending queue in turn, and past the
+    cap the oldest waiting one overflows."""
     for pkt in pkts:
+        if rt.role != "source":
+            world.metrics.drops.append((world.slot, pkt.pid, rt.node_id, reason))
+            continue
         if reason == "no-route":
             rt.need_route = True
         rt.pending.append(pkt)
@@ -1223,25 +1224,84 @@ def _hold_each(world, rt, pkts, reason):
 
 
 class TestBlockedSourceQueue:
+    """``World._hold`` equals the per-packet rule, :func:`_hold_each`."""
+
     CAP = simcore.PENDING_QUEUE_CAP
 
+    @staticmethod
+    def blocked(tree_cfg, node_id, queued, need_route):
+        """A world at slot 7 whose ``node_id`` has ``queued`` packets pending."""
+        world = World(tree_cfg)
+        world.slot = 7
+        rt = world.nodes[node_id]
+        rt.need_route = need_route
+        rt.pending = [simcore.Packet(f"{node_id}-old-{i}") for i in range(queued)]
+        return world, rt
+
+    @staticmethod
+    def outcome(world, rt):
+        return [p.pid for p in rt.pending], world.metrics.drops, rt.need_route
+
+    # D is the tree's source, B a relay.
     @pytest.mark.parametrize("reason", ["dormant", "no-route"])
     @pytest.mark.parametrize("n", [0, 1, CAP - 1, CAP, CAP + 1, 3 * CAP + 5])
     @pytest.mark.parametrize("need_route", [False, True])
-    def test_one_slice_equals_per_packet_holds(self, tree_cfg, reason, n, need_route):
+    @pytest.mark.parametrize("node_id, queued", [("D", 0), ("D", 5), ("D", CAP), ("B", 0)])
+    def test_one_hold_equals_per_packet_holds(
+        self, tree_cfg, reason, n, need_route, node_id, queued
+    ):
         outcomes = []
-        for hold in (_hold_each, World._hold_all):
-            world = World(tree_cfg)
-            world.slot = 7
-            rt = world.nodes["D"]
-            rt.need_route = need_route
-            pkts = [simcore.Packet(f"D-{i}") for i in range(n)]
+        for hold in (_hold_each, World._hold):
+            world, rt = self.blocked(tree_cfg, node_id, queued, need_route)
+            pkts = [simcore.Packet(f"{node_id}-{i}") for i in range(n)]
+            waiting = rt.pending + pkts if rt.role == "source" else []
             hold(world, rt, pkts, reason)
-            assert all(a is b for a, b in zip(rt.pending, pkts[-self.CAP:]))
-            outcomes.append(([p.pid for p in rt.pending], world.metrics.drops, rt.need_route))
+            assert all(a is b for a, b in zip(rt.pending, waiting[-self.CAP:], strict=True))
+            outcomes.append(self.outcome(world, rt))
         assert outcomes[0] == outcomes[1]
         pending, drops, _ = outcomes[1]
-        assert len(pending) == min(n, self.CAP) and len(drops) == max(n - self.CAP, 0)
+        if node_id == "D":
+            assert len(pending) == min(queued + n, self.CAP)
+            assert len(drops) == max(queued + n - self.CAP, 0)
+        else:
+            assert pending == [] and len(drops) == n
+
+    @pytest.mark.parametrize("reason", ["dormant", "no-route", "no-energy"])
+    @pytest.mark.parametrize("node_id, queued", [("D", 0), ("D", CAP), ("B", 0)])
+    def test_a_blocked_send_holds_its_packet(self, tree_cfg, reason, node_id, queued):
+        outcomes = []
+        for via_send in (False, True):
+            world, rt = self.blocked(tree_cfg, node_id, queued, False)
+            rt.tx_power = None if reason == "dormant" else 0
+            if reason == "no-energy":
+                routing.install_route(rt.routing, dest="A", next_hop="A", cost=1.0, seq=1)
+                rt.store.stored = world.floor
+            pkt = simcore.Packet(f"{node_id}-new")
+            if via_send:
+                world._on_send(0.0, node_id, pkt)
+            else:
+                _hold_each(world, rt, [pkt], reason)
+            assert world._events == []
+            outcomes.append(self.outcome(world, rt))
+        assert outcomes[0] == outcomes[1]
+
+
+class TestFlushPending:
+    def test_a_send_that_would_fall_past_the_slot_end_stays_pending(self, tree_cfg):
+        world = World(tree_cfg)
+        world.slot = 3
+        rt = world.nodes["D"]
+        pkts = [simcore.Packet(f"D-{i}") for i in range(4)]
+        rt.pending = list(pkts)
+        slot_end = 4 * tree_cfg.slot_duration_s
+        world.now = slot_end - 0.15  # room for sends at +0 and +0.1 s
+        world._flush_pending(world.now, rt)
+        sends = sorted(world._events)
+        assert [(kind, payload) for _, _, kind, payload in sends] == [
+            ("send", ("D", pkts[0])), ("send", ("D", pkts[1]))
+        ]
+        assert all(t < slot_end for t, *_ in sends)
+        assert rt.pending == pkts[2:]
 
 
 class TestPlanTermsPerWorld:

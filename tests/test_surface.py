@@ -59,26 +59,44 @@ class TestPublicSurface:
         assert _unused_public_definitions() == []
 
 
-def _callers_of(name: str) -> list[str]:
-    """``module.Qualified.name`` of each function in ``src/harvestsim`` whose
-    own body calls ``name``, as a plain name or an attribute."""
-    callers = []
+def _functions_where(match) -> list[str]:
+    """``module.Qualified.name`` of each function in ``src/harvestsim``, once
+    per node of its own body that ``match`` accepts."""
+    found = []
 
     def visit(node: ast.AST, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{scope}.{child.name}")
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if called == name:
-                    callers.append(scope)
+            if match(child):
+                found.append(scope)
             visit(child, scope)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return callers
+    return found
+
+
+def _callers_of(name: str) -> list[str]:
+    """Each function whose own body calls ``name``, as a plain name or an
+    attribute, once per call."""
+
+    def calls(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name
+
+    return _functions_where(calls)
+
+
+def _readers_of(name: str) -> list[str]:
+    """Each function whose own body reads the plain name ``name``, once."""
+    return sorted(set(_functions_where(
+        lambda node: isinstance(node, ast.Name) and node.id == name
+        and isinstance(node.ctx, ast.Load)
+    )))
 
 
 class TestOneChargePath:
@@ -96,3 +114,15 @@ class TestOneLevelBelief:
         # against it. A caller elsewhere would be a second belief.
         assert _callers_of("calibrate_reference") == ["routing.hear_beacon"]
         assert _callers_of("infer_neighbor_level") == ["routing.hear_frame"]
+
+
+class TestOneEngineRule:
+    def test_floods_are_numbered_only_where_they_are_scheduled(self):
+        # A flood is built, with its sequence number, as planning schedules
+        # it; a second numbering site would be a second flood start.
+        assert _callers_of("next_seq") == ["simcore.World._schedule_traffic"]
+
+    def test_one_function_applies_the_pending_queue_cap(self):
+        # World._hold is the one queue-or-drop rule for blocked packets; any
+        # other function that reads the cap would be a second overflow rule.
+        assert _readers_of("PENDING_QUEUE_CAP") == ["simcore.World._hold"]
