@@ -20,7 +20,7 @@ import click
 
 from . import forecast, mac, simcore
 from .bounds import field_checks
-from .energy import EnergyError
+from .energy import EnergyError, EnergyLevel
 from .forecast import ForecastError
 from .mac import MacError
 from .optimizer import OptimizerError, build_opt, parametric_sweep
@@ -44,11 +44,11 @@ EXIT_RUNTIME = 3
 
 def write_csv(path: Path, header: list[str], rows) -> None:
     """One line per row, each value as ``str`` gives it (for a float that is
-    its ``repr``, the shortest text that reads back to the same float)."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(str, row)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    its ``repr``, the shortest text that reads back to the same float).
+    The lines are streamed to the file as the rows come."""
+    with path.open("w", encoding="utf-8") as f:
+        f.write(",".join(header) + "\n")
+        f.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -99,6 +99,7 @@ def _echo_config(cfg: ScenarioConfig, outdir: Path) -> str:
 
 
 def write_metrics(metrics: simcore.Metrics, outdir: Path, base: dict) -> None:
+    names = [level.name for level in EnergyLevel]  # each level's name, by value
     write_csv(
         outdir / "slots.csv",
         [
@@ -115,20 +116,10 @@ def write_metrics(metrics: simcore.Metrics, outdir: Path, base: dict) -> None:
             "residual_uJ",
         ],
         (
-            [
-                r.slot,
-                r.node,
-                r.own_level.name,
-                r.virtual_level.name,
-                r.network_level.name,
-                r.alpha_mean,
-                r.delta,
-                r.ops_node,
-                r.ops_network,
-                r.consumed_uj,
-                r.residual_uj,
-            ]
-            for r in metrics.slot_reports
+            (slot, node, names[own], names[virtual], names[network], alpha, delta,
+             ops_node, ops_network, consumed, residual)
+            for slot, node, own, virtual, network, alpha, delta, ops_node, ops_network,
+            consumed, residual, _ in metrics.slot_reports.tuples()
         ),
     )
     write_csv(

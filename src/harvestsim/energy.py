@@ -18,9 +18,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import POS_TABLE, Bounded
+
+if TYPE_CHECKING:
+    from .simcore import SlotSums
 
 
 class EnergyError(Exception):
@@ -98,8 +101,9 @@ class EnergyStore:
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
 
     def __post_init__(self) -> None:
-        check_amount(self.stored, "stored")
-        check_amount(self.capacity, "capacity")
+        # Kept as floats, so that a store clamped full holds a float too.
+        self.stored = check_amount(self.stored, "stored")
+        self.capacity = check_amount(self.capacity, "capacity")
         if self.capacity <= 0:
             raise ValueError("capacity must be positive")
         if self.stored > self.capacity:
@@ -149,12 +153,14 @@ class ChargeBook:
     """Every paid draw of a run, summed in draw order.
 
     ``by_slot`` sums the draws per ``(slot, node)``, which is what each
-    ledger row's consumption must equal; ``by_label`` totals them per
-    ``(node, label)``; ``rows`` holds the per-draw ``(slot, node, label,
-    amount)`` rows, in draw order, when the run keeps them.
+    ledger row's consumption must equal, read as ``by_slot.get((slot,
+    node), 0.0)`` (the engine's ``simcore.SlotSums``, a column aligned with
+    the ledger's rows); ``by_label`` totals them per ``(node, label)``;
+    ``rows`` holds the per-draw ``(slot, node, label, amount)`` rows, in
+    draw order, when the run keeps them.
     """
 
-    by_slot: dict[tuple[int, str], float] = field(default_factory=dict)
+    by_slot: SlotSums
     by_label: dict[tuple[str, str], float] = field(default_factory=dict)
     rows: list[tuple[int, str, str, float]] = field(default_factory=list)
 

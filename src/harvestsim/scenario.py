@@ -242,6 +242,12 @@ def _semantic_violations(doc: dict, rejected: set, profiles: dict) -> list[str]:
             # ':' could give two links one stream.
             if ":" in n["id"]:
                 problems.append(f"nodes[{n['id']}].id: must not contain ':'")
+            # Every output CSV writes ids unquoted, so a ',' or a line break
+            # would split a row.
+            breaks = [c for c in ",\r\n" if c in n["id"]]
+            if breaks:
+                problems.append(f"nodes[{n['id']!r}].id: must not contain "
+                                f"{', '.join(map(repr, breaks))} (CSV outputs)")
             prof = n.get("profile")
             if prof is not None and "profiles" not in rejected and prof not in profiles:
                 problems.append(f"nodes[{n.get('id')}].profile: {prof!r} not defined in profiles")

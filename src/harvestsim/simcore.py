@@ -12,8 +12,9 @@ Each slot runs three phases, nodes visited in ascending id order:
 3. settlement: the plan's operations are charged against the store at the
    published per-operation costs (each kind priced once, each operation one
    floor comparison), the duty-cycle baseline and leakage are drawn, the
-   node's slot sum is published, the entries ``app`` defers enter the
-   backlog, and metrics rows are emitted.
+   entries ``app`` defers enter the backlog, and the slot's report, ledger
+   row and paid sum are copied into the metrics' typed-column tables
+   (:class:`Rows`), one ``append`` or ``extend`` per column.
 
 Floods: a source's flood is numbered and built when planning schedules it,
 with the slot's transmit power, so a flood start and a relay's forward are
@@ -75,7 +76,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from . import app, forecast, mac, routing
@@ -87,6 +91,7 @@ from .energy import (
     RX_OP_KIND,
     TX_OP_KIND,
     ChargeBook,
+    EnergyLevel,
     EnergyStore,
     HarvestTrace,
     OperationCostTable,
@@ -167,14 +172,107 @@ class NodeRuntime:
         return into < self.schedule.wake_ms
 
 
+class Rows:
+    """A run's rows of one shape, kept in typed columns rather than as one
+    Python object per row and one per value.
+
+    A row is a slot, a node id and then one value per letter of ``layout``,
+    each letter the typecode of the column that holds it: ``q`` an integer,
+    ``d`` a float, ``b`` a small integer (an energy level, a flag). Row
+    after row, ``ints`` (``array('q')``) holds each row's slot and then its
+    ``q`` values, ``reals`` (``array('d')``) its ``d`` values and ``smalls``
+    (``array('b')``) its ``b`` values, in row order, while ``nodes`` holds a
+    reference to the node's shared id string. The engine adds a row with one
+    ``append`` or ``extend`` per column.
+
+    Iterating yields each row as the tuple ``(slot, node, *values)``;
+    ``len`` and truthiness count the rows, as a list's do.
+    """
+
+    __slots__ = ("ints", "nodes", "reals", "smalls", "layout")
+
+    def __init__(self, layout: str):
+        self.ints = array("q")
+        self.nodes: list[str] = []
+        self.reals = array("d")
+        self.smalls = array("b")
+        self.layout = layout
+
+    def tuples(self):
+        """The rows as tuples, zipped from the columns at C speed: ``zip``
+        draws from its arguments left to right, so each column's one
+        iterator, given once per value the column holds, hands out a row's
+        values in order."""
+        columns = {"q": iter(self.ints), "d": iter(self.reals), "b": iter(self.smalls)}
+        return zip(columns["q"], self.nodes, *[columns[code] for code in self.layout])
+
+    __iter__ = tuples
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+
+class SlotReports(Rows):
+    """The settled :class:`app.SlotReport` rows, iterated as reports.
+
+    :meth:`Rows.tuples` yields a report's fields in their order, the levels
+    and the ``aborted`` flag as their integer values.
+    """
+
+    __slots__ = ()
+
+    def __init__(self):
+        super().__init__("bbbddqqddb")
+
+    def __iter__(self):
+        return (
+            app.SlotReport(slot, node, EnergyLevel(own), EnergyLevel(virtual),
+                           EnergyLevel(network), *values, bool(aborted))
+            for slot, node, own, virtual, network, *values, aborted in self.tuples()
+        )
+
+
+class SlotSums:
+    """What each ledger row's node paid in that slot: a float column,
+    ``sums``, aligned with the ledger's rows (0.0 where nothing was paid).
+
+    ``get((slot, node), default)`` reads a row's sum, or ``default`` when
+    the ledger has no such row. The ledger's rows run in slot order, so the
+    slot's first row is found by bisection.
+    """
+
+    __slots__ = ("ledger", "sums")
+
+    def __init__(self, ledger: Rows):
+        self.ledger = ledger
+        self.sums = array("d")
+
+    def get(self, key: tuple[int, str], default=None):
+        slot, node = key
+        slots, nodes = self.ledger.ints, self.ledger.nodes
+        i = bisect_left(slots, slot)
+        while i < len(slots) and slots[i] == slot:
+            if nodes[i] == node:
+                return self.sums[i]
+            i += 1
+        return default
+
+
 @dataclass
 class Metrics:
-    """Collected run output; delivered can never exceed generated."""
+    """Collected run output; delivered can never exceed generated.
 
-    slot_reports: list[app.SlotReport] = field(default_factory=list)
-    ledger: list[tuple] = field(default_factory=list)
-    book: ChargeBook = field(default_factory=ChargeBook)
-    forecast_rows: list[tuple] = field(default_factory=list)
+    The per-node-slot rows are typed-column tables: ``ledger`` rows are
+    ``(slot, node, stored_start_uj, harvested_uj, wasted_uj, consumed_uj,
+    stored_end_uj)``, ``forecast_rows`` are ``(slot, node, predicted_uj,
+    actual_uj)``, ``slot_reports`` iterate as :class:`app.SlotReport`, and
+    ``book.by_slot`` is the paid sum of each ledger row.
+    """
+
+    slot_reports: SlotReports = field(default_factory=SlotReports)
+    ledger: Rows = field(default_factory=partial(Rows, "ddddd"))
+    book: ChargeBook = field(init=False)
+    forecast_rows: Rows = field(default_factory=partial(Rows, "dd"))
     route_log: list[tuple] = field(default_factory=list)
     mac_trace: list[tuple] = field(default_factory=list)
     drops: list[tuple] = field(default_factory=list)
@@ -183,6 +281,9 @@ class Metrics:
     delivered_ids: set = field(default_factory=set)
     duty_sum: dict[str, float] = field(default_factory=dict)
     slots_run: int = 0
+
+    def __post_init__(self) -> None:
+        self.book = ChargeBook(SlotSums(self.ledger))
 
     @property
     def charges(self) -> list[tuple]:
@@ -653,9 +754,10 @@ class World:
         rt.slot_ledger = (stored_start, harvested, wasted)
 
         if rt.next_prediction is not None:
-            self.metrics.forecast_rows.append(
-                (slot, rt.node_id, rt.next_prediction, harvested)
-            )
+            rows = self.metrics.forecast_rows
+            rows.ints.append(slot)
+            rows.nodes.append(rt.node_id)
+            rows.reals.extend((rt.next_prediction, harvested))
         settings = self.cfg.predictor
         try:
             pred, rt.predictor_state = forecast.step(settings, rt.predictor_state, harvested)
@@ -764,21 +866,31 @@ class World:
             while stored - leak < floor:
                 leak = math.nextafter(leak, 0.0)
             self._charge(rt, "leakage", leak)
-        # The slot's sum enters the book once, after every draw joined it.
-        if rt.slot_charged:
-            self.metrics.book.by_slot[slot, rt.node_id] = rt.slot_charged
-            rt.slot_charged = 0.0
 
         requeued, lost = app.aborted_tail(rt.policies, skipped, slot)
         for entry in plan.deferred + requeued:
             self._defer(rt, entry)
-        self.metrics.drops.extend([(slot, "-", rt.node_id, "aborted-op")] * lost)
+        metrics = self.metrics
+        metrics.drops.extend([(slot, "-", rt.node_id, "aborted-op")] * lost)
 
-        self.metrics.slot_reports.append(report)
-        consumed = stored_start + harvested - wasted - rt.store.stored
-        self.metrics.ledger.append(
-            (slot, rt.node_id, stored_start, harvested, wasted, consumed, rt.store.stored)
+        reports = metrics.slot_reports
+        reports.ints.extend((report.slot, report.ops_node, report.ops_network))
+        reports.nodes.append(report.node)
+        reports.reals.extend(
+            (report.alpha_mean, report.delta, report.consumed_uj, report.residual_uj)
         )
+        reports.smalls.extend(
+            (report.own_level, report.virtual_level, report.network_level, report.aborted)
+        )
+        stored_end = rt.store.stored
+        consumed = stored_start + harvested - wasted - stored_end
+        ledger = metrics.ledger
+        ledger.ints.append(slot)
+        ledger.nodes.append(rt.node_id)
+        ledger.reals.extend((stored_start, harvested, wasted, consumed, stored_end))
+        # The slot's sum enters the book once, after every draw joined it.
+        metrics.book.by_slot.sums.append(rt.slot_charged)
+        rt.slot_charged = 0.0
 
     def step_slot(self) -> None:
         slot = self.slot

@@ -85,6 +85,19 @@ class TestRunCommand:
         code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    def test_node_id_with_a_comma_is_a_config_error(self, tmp_path, capsys):
+        # It ran before, and every CSV with a node column had rows one field
+        # longer than its header.
+        old = "{id: B, role: relay,"
+        assert TREE.count(old) == 1
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(TREE.replace(old, "{id: 'B,x', role: relay,"))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(bad), "--slots", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("  - nodes['B,x'].id: must not contain ',' (CSV outputs)\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "old, new, violation",
         [

@@ -87,6 +87,13 @@ class TestDeposit:
         assert store.stored == 100.0
         assert wasted == pytest.approx(15.0)
 
+    def test_store_clamped_full_holds_a_float(self):
+        # A scenario may give an integer capacity; the ledger's stored
+        # columns are floats, so a store clamped full must hold one too.
+        store, wasted = deposit(EnergyStore(stored=500, capacity=1000), 600.0)
+        assert (store.stored, wasted) == (1000.0, 100.0)
+        assert type(store.stored) is float and type(store.capacity) is float
+
     def test_plain_addition(self):
         store, wasted = deposit(make_store(10.0), 25.0)
         assert store.stored == pytest.approx(35.0)

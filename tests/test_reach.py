@@ -51,6 +51,11 @@ KEPT = {
     "found once, when the class is made (test_set_up_and_first_slot_run_no_dir)",
     "app.Backlog.entries": "test seam: the backlog tests read the queue, in queue order, "
     "through it; the program only assigns it",
+    "simcore.Rows.__len__": "test seam: the tests count a metrics table's rows, and test "
+    "it for truth, through it, as they did the lists; the program only iterates the tables",
+    "simcore.SlotReports.__iter__": "gate: criterion 9 reads the slot reports as "
+    "app.SlotReport objects; the program writes them from Rows.tuples",
+    "simcore.SlotSums.get": "gate: criterion 8 reads each ledger row's paid sum through it",
 }
 
 # Runs in a fresh interpreter: argv[1] is a JSON list of [argv, exit code]

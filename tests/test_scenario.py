@@ -130,6 +130,23 @@ nodes:
             parse_scenario(text)
         assert err.value.violations == ["nodes[D:1].id: must not contain ':'"]
 
+    @pytest.mark.parametrize(
+        "quoted, violation",
+        [
+            ("'D,1'", "nodes['D,1'].id: must not contain ',' (CSV outputs)"),
+            ('"D\\r1"', "nodes['D\\r1'].id: must not contain '\\r' (CSV outputs)"),
+            ('"D\\n1"', "nodes['D\\n1'].id: must not contain '\\n' (CSV outputs)"),
+            ("'D:1,2'", "nodes[D:1,2].id: must not contain ':'"),
+        ],
+    )
+    def test_node_id_that_would_split_a_csv_row_rejected(self, quoted, violation):
+        # Every output CSV writes node ids unquoted: an id with a ',' wrote
+        # ledger rows of 8 fields under a 7-field header.
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(MINIMAL.replace("id: D,", f"id: {quoted},"))
+        assert violation in err.value.violations
+        assert len(err.value.violations) == 1 + quoted.startswith("'D:")
+
     @pytest.mark.parametrize("text", ["", "- 1\n- 2\n", "just text\n", "7\n"])
     def test_document_must_be_a_mapping(self, text):
         with pytest.raises(SchemaError) as err:

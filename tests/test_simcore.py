@@ -1,5 +1,6 @@
 import builtins
 import dataclasses
+import gc
 import hashlib
 import heapq
 import inspect
@@ -9,6 +10,7 @@ import random
 import struct
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter, defaultdict
 from importlib import resources
 from pathlib import Path
@@ -23,7 +25,6 @@ from harvestsim.channel import Channel, loss_probability, rssi_at, survives
 from harvestsim.cli import main
 from harvestsim.energy import (
     DEFAULT_TX_COSTS,
-    ChargeBook,
     EnergyLevel,
     EnergyStore,
     HarvestTrace,
@@ -104,9 +105,9 @@ class TestDeterminism:
     def test_same_seed_identical_metrics(self, tree_cfg):
         m1 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5), collect_charges=True), 40)
         m2 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5), collect_charges=True), 40)
-        assert m1.ledger == m2.ledger
+        assert list(m1.ledger) == list(m2.ledger)
         assert m1.charges == m2.charges
-        assert m1.slot_reports == m2.slot_reports
+        assert list(m1.slot_reports) == list(m2.slot_reports)
         assert m1.delivered_ids == m2.delivered_ids
         assert m1.route_log == m2.route_log
 
@@ -663,9 +664,16 @@ class _EngineSinkWorld(World):
         )
 
 
+def _by_slot(m: simcore.Metrics) -> dict:
+    """The book's paid sum per ``(slot, node)``, read through ``by_slot.get``
+    for each ledger row, with an entry for each sum above 0."""
+    sums = ((s, n, m.book.by_slot.get((s, n), 0.0)) for s, n, *_ in m.ledger)
+    return {(s, n): total for s, n, total in sums if total}
+
+
 def _outputs(m: simcore.Metrics) -> tuple:
-    return (m.ledger, m.book, m.slot_reports, m.route_log, m.drops, m.evictions,
-            m.delivered_ids, m.generated)
+    return (list(m.ledger), (_by_slot(m), m.book.by_label, m.book.rows), list(m.slot_reports),
+            m.route_log, m.drops, m.evictions, m.delivered_ids, m.generated)
 
 
 class TestLinkTable:
@@ -833,7 +841,7 @@ class TestStreamedCharges:
         for s, n, label, amount in m.charges:
             by_slot[s, n] += amount
             by_label[n, label] += amount
-        for streamed, summed in ((m.book.by_slot, by_slot), (m.book.by_label, by_label)):
+        for streamed, summed in ((_by_slot(m), by_slot), (m.book.by_label, by_label)):
             assert streamed.keys() == summed.keys()
             for key, total in summed.items():
                 assert streamed[key] == pytest.approx(total, rel=1e-9, abs=0.0)
@@ -841,8 +849,9 @@ class TestStreamedCharges:
         assert families == {"op", "mac", "duty"}
 
         plain = simcore.run(World(cfg), slots)
-        assert plain.book == ChargeBook(by_slot=m.book.by_slot, by_label=m.book.by_label)
-        assert plain.ledger == m.ledger and _outputs(plain)[2:] == _outputs(m)[2:]
+        assert (_by_slot(plain), plain.book.by_label, plain.book.rows) == (
+            _by_slot(m), m.book.by_label, [])
+        assert list(plain.ledger) == list(m.ledger) and _outputs(plain)[2:] == _outputs(m)[2:]
 
 
 class _CountingWorld(World):
@@ -892,9 +901,10 @@ class TestChargeAccounts:
         with_rows = simcore.run(collecting, slots)
         by_slot, by_label = _fold_rows(with_rows.charges)
         m = simcore.run(World(cfg), slots)
-        assert m.book.by_slot == by_slot
+        assert _by_slot(m) == by_slot
         assert m.book.by_label == by_label
-        assert m.ledger == with_rows.ledger and _outputs(m)[2:] == _outputs(with_rows)[2:]
+        assert list(m.ledger) == list(with_rows.ledger)
+        assert _outputs(m)[2:] == _outputs(with_rows)[2:]
         return collecting, m
 
     def test_tree(self, tree_cfg):
@@ -1541,3 +1551,130 @@ class TestPinnedLatticeOutputs:
             name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in self.LONG_HW_PINNED
         }
         assert digests == self.LONG_HW_PINNED
+
+
+SHIPPED_TREE = resources.files("harvestsim").joinpath("scenarios/four_node_tree.yaml").read_text()
+
+
+class _RowLogWorld(World):
+    """Records each ledger and forecast row as the engine makes them: the
+    forecast row from the prediction planning scores and the slot's harvest,
+    the ledger row from the node's slot account and its store after
+    settlement."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ledger, self.forecast_rows = [], []
+
+    def _plan_node(self, rt, slot, t0):
+        predicted = rt.next_prediction
+        super()._plan_node(rt, slot, t0)
+        if predicted is not None:
+            self.forecast_rows.append((slot, rt.node_id, predicted, rt.slot_ledger[1]))
+
+    def _settle_node(self, rt, slot):
+        start, harvested, wasted = rt.slot_ledger
+        super()._settle_node(rt, slot)
+        end = rt.store.stored
+        self.ledger.append(
+            (slot, rt.node_id, start, harvested, wasted, start + harvested - wasted - end, end)
+        )
+
+
+class TestMetricTables:
+    """The metrics keep their per-node-slot rows in typed columns, and each
+    table iterates as the rows the engine made, with the same values, types
+    and order, and counts them as a list does."""
+
+    @pytest.mark.parametrize("shape", ["tree", "lattice"])
+    def test_tables_iterate_the_rows_made(self, monkeypatch, shape):
+        if shape == "tree":
+            cfg, slots = parse_scenario(SHIPPED_TREE), 120
+        else:
+            cfg, slots = parse_scenario(lattice_yaml(sigma_db=4.0, predictor="hw", slots=60)), 60
+        reports = []
+        real = app.execute_plan
+
+        def recording(*args, **kwargs):
+            result = real(*args, **kwargs)
+            reports.append(result[0])
+            return result
+
+        monkeypatch.setattr(app, "execute_plan", recording)
+        world = _RowLogWorld(cfg)
+        m = simcore.run(world, slots)
+        # repr tells 1 from 1.0 and True, -0.0 from 0.0, and a level from its value.
+        for table, made in ((m.ledger, world.ledger), (m.forecast_rows, world.forecast_rows),
+                            (m.slot_reports, reports)):
+            assert [repr(row) for row in table] == [repr(row) for row in made]
+            assert list(table) == made
+            assert len(table) == len(made) and bool(table) is bool(made)
+        assert {type(r.own_level) for r in m.slot_reports} == {EnergyLevel}
+        assert {type(r.aborted) for r in m.slot_reports} == {bool}
+        # Settlement publishes one paid sum per ledger row.
+        powered = sum(n.role != "sink" for n in cfg.nodes)
+        assert len(m.book.by_slot.sums) == len(m.ledger) == powered * slots
+        assert m.forecast_rows and len(m.forecast_rows) < len(m.ledger)
+
+    def test_empty_tables_count_as_empty_lists(self):
+        m = simcore.Metrics()
+        for table in (m.ledger, m.forecast_rows, m.slot_reports):
+            assert list(table) == [] and len(table) == 0 and not table
+        assert m.book.by_slot.get((0, "B"), 0.0) == 0.0
+
+    def test_by_slot_reads_each_ledger_rows_sum(self):
+        m = simcore.run(World(parse_scenario(SHIPPED_TREE)), 30)
+        sums = list(m.book.by_slot.sums)
+        assert [m.book.by_slot.get((s, n)) for s, n, *_ in m.ledger] == sums
+        assert m.book.by_slot.get((30, "B"), -1.0) == -1.0
+        assert m.book.by_slot.get((3, "A"), -1.0) == -1.0  # the sink keeps no ledger row
+
+    def test_tables_retain_at_most_250_bytes_per_node_slot(self):
+        # Dropping the four tables frees what they retain. Lists of row tuples
+        # and report objects with a per-(slot, node) dict retained 617 B per
+        # node-slot on this run.
+        cfg = parse_scenario(SHIPPED_TREE)
+        world = World(cfg)
+        slots = 200
+        tracemalloc.start()
+        try:
+            m = simcore.run(world, slots)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            m.ledger = m.forecast_rows = m.slot_reports = m.book.by_slot = None
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        node_slots = sum(n.role != "sink" for n in cfg.nodes) * slots
+        assert freed / node_slots <= 250.0, f"{freed / node_slots:.0f} B per node-slot"
+        assert freed / node_slots >= 100.0  # the tables hold each row's values at all
+
+
+class _RepeatCountingWorld(World):
+    """Counts the packets that reach the sink after it already delivered them."""
+
+    repeats = 0
+
+    def _on_arrive(self, t, node_id, pkt):
+        self.repeats += self.nodes[node_id].is_sink and pkt.pid in self.metrics.delivered_ids
+        super()._on_arrive(t, node_id, pkt)
+
+
+class TestNoRepeatDelivery:
+    """No packet reaches the sink twice, so ``delivered_ids`` counts each
+    delivery once and could be bounded without changing ``delivered``."""
+
+    @pytest.mark.parametrize("mode", ["modified", "baseline"])
+    def test_tree(self, mode):
+        base = parse_scenario(SHIPPED_TREE)
+        cfg = dataclasses.replace(base, routing=dataclasses.replace(base.routing, mode=mode))
+        world = _RepeatCountingWorld(cfg)
+        m = simcore.run(world, 300)
+        assert m.delivered > 0 and world.repeats == 0
+
+    def test_shadowed_holt_winters_lattice(self):
+        cfg = parse_scenario(lattice_yaml(sigma_db=4.0, predictor="hw", slots=100))
+        world = _RepeatCountingWorld(cfg)
+        m = simcore.run(world, 100)
+        assert m.delivered > 0 and world.repeats == 0
