@@ -24,7 +24,6 @@ from .energy import EnergyError, EnergyLevel
 from .forecast import ForecastError
 from .mac import MacError
 from .optimizer import OptimizerError, build_opt, parametric_sweep
-from .routing import RoutingError
 from .scenario import (
     ParseError,
     ProfileSpec,
@@ -407,7 +406,6 @@ def main(argv=None) -> int:
         OptimizerError,
         EnergyError,
         ForecastError,
-        RoutingError,
         MacError,
         ParseError,
         ScenarioError,

@@ -323,17 +323,18 @@ def csma_send(
     """One unicast exchange: CCA, backoff, preamble train, data, ack, retries.
 
     ``channel_power_dbm`` samples the medium at a given time (default: always
-    idle); ``attempt_delivers`` decides whether a given attempt's data frame
-    survives the link (default: always). ``train`` overrides the train sized
-    for the receiver's sleep (a sender sizes it from its *belief* about the
-    receiver, which may be stale); rendezvous always follows the receiver's
-    real schedule, so an undersized train misses and the round is retried.
+    idle); ``attempt_delivers``, called with no argument once per data frame
+    sent, decides whether that frame survives the link (default: always).
+    ``train`` overrides the train sized for the receiver's sleep (a sender
+    sizes it from its *belief* about the receiver, which may be stale);
+    rendezvous always follows the receiver's real schedule, so an undersized
+    train misses and the round is retried.
     Raises :class:`ChannelSaturated` when every attempt finds the channel
     busy and :class:`NoAck` when the allowed retries are exhausted without a
     delivery.
     """
     sample = channel_power_dbm or (lambda t: -120.0)
-    decide = attempt_delivers or (lambda attempt: True)
+    decide = attempt_delivers or (lambda: True)
     if train is None:
         sleep_ms = (
             0.0
@@ -354,7 +355,7 @@ def csma_send(
     saturated = 0
     deliveries_allowed = config.arq_retries + 1
 
-    for round_no in range(1, deliveries_allowed + 1):
+    for _ in range(deliveries_allowed):
         # CSMA: sample, back off while busy.
         cleared = False
         for attempt in range(1, backoff_attempts + 1):
@@ -386,7 +387,7 @@ def csma_send(
         now += data_ms
         tx_ms_total += data_ms
         now += ack_ms
-        if decide(round_no):
+        if decide():
             return SendResult(
                 delivered=True,
                 attempts=attempts,

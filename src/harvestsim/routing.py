@@ -9,9 +9,9 @@ the run. Two sink behaviours are supported:
 
 * ``baseline``: the first request of a flood wins (classic reduced-AODV);
 * ``modified``: the sink collects candidates for a short window, scores each
-  path by a weighted sum of per-hop link qualities and answers the cheapest;
-  late requests that beat the answered route trigger a fresh reply even
-  mid-transfer.
+  path by a weighted sum of per-hop link qualities (:func:`candidate_cost`)
+  and answers the cheapest; late requests that beat the answered route
+  trigger a fresh reply even mid-transfer.
 
 The sink's route choice lives here whole: :func:`sink_receive` takes each
 request copy and :func:`sink_close_window` answers a closed collection
@@ -19,30 +19,25 @@ window; the sink's :class:`RoutingState` holds its open windows and each
 origin's answered flood and cost. The engine only schedules the window close
 and the replies these two ask for.
 
-Nodes signal their energy level implicitly through transmit power. Every
-node periodically beacons at a fixed reference power; listeners smooth those
-observations into a per-neighbour RSSI reference (:func:`hear_beacon`), and
-the attenuation of any later frame relative to the reference reveals which
-power step - hence which energy level - the neighbour used (:func:`hear_frame`).
-The engine reads that belief back to size preamble trains and to judge the
-network's energy.
+Nodes signal their energy level implicitly through transmit power: each
+live level sends at its own power (``TX_POWER_BY_LEVEL``), so a frame carries
+its sender's level, the level of the power it was sent at
+(:func:`hear_frame`). Every node periodically beacons at a fixed reference
+power. A beacon tells no level, but it proves its sender alive and enables
+belief: a frame from a sender whose beacon was never heard tells nothing
+(:func:`hear_beacon`). Every link's mean received power is fixed and linear
+in the transmit power, so decoding the level from a frame's attenuation below
+its sender's beacons gives this same level; only per-frame fading would make
+that decode a model again. The engine reads the belief back to size preamble
+trains and to judge the network's energy.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .bounds import FRACTION_OR_ONE, POS, Bounded, enum, int_min
 from .energy import EnergyLevel
-
-
-class RoutingError(Exception):
-    """Base class for routing errors."""
-
-
-class DimensionMismatch(RoutingError):
-    """Path RSSI list and weight list differ in length."""
 
 
 # Three discrete transmit powers for the three live energy levels (E0 sends
@@ -53,17 +48,7 @@ TX_POWER_BY_LEVEL = {
     EnergyLevel.E3: 0,
 }
 REFERENCE_TX_POWER_DBM = 0
-REFERENCE_SMOOTHING = 0.2
-# (level, attenuation below the reference power), ascending by level.
-_LEVEL_STEPS = tuple(
-    (level, REFERENCE_TX_POWER_DBM - TX_POWER_BY_LEVEL[level]) for level in sorted(TX_POWER_BY_LEVEL)
-)
-# The same steps by ascending attenuation, and the midpoint between each
-# adjacent pair: an attenuation at or above a midpoint is nearer the larger
-# step (a tie is nearer neither and goes to the larger step's lower level).
-_BY_ATTENUATION = sorted(_LEVEL_STEPS, key=lambda ls: ls[1])
-_DECODED_LEVELS = tuple(level for level, _ in _BY_ATTENUATION)
-_STEP_MIDPOINTS = tuple((a + b) / 2 for (_, a), (_, b) in zip(_BY_ATTENUATION, _BY_ATTENUATION[1:]))
+_LEVEL_BY_TX_POWER = {power: level for level, power in TX_POWER_BY_LEVEL.items()}
 # A neighbour last heard more than this many slots ago no longer counts
 # toward the network level.
 NEIGHBOR_TTL_SLOTS = 5
@@ -86,57 +71,17 @@ class RoutingSettings(Bounded):
     collection_window_ms: float = field(default=200.0, metadata=POS)
 
 
-def calibrate_reference(existing: float | None, observed_dbm: float) -> float:
-    """Fold a new beacon observation into the smoothed reference RSSI (dBm),
-    seeded by the first."""
-    if existing is None:
-        return float(observed_dbm)
-    return existing + REFERENCE_SMOOTHING * (observed_dbm - existing)
-
-
-def infer_neighbor_level(observed_rssi: float, reference: float) -> EnergyLevel:
-    """Decode a neighbour's energy level from its received signal strength.
-
-    The attenuation below the beacon reference is matched to the nearest
-    power step; ties resolve to the lower (conservative) level.
-    """
-    return _DECODED_LEVELS[bisect_right(_STEP_MIDPOINTS, reference - observed_rssi)]
-
-
-def sink_route_cost(path_rssi: list[float], weights: list[float] | None = None) -> float:
-    """Weighted sum of per-hop link quality magnitudes; lower is better.
-
-    Magnitudes (|dBm|) make "least cost" prefer strong links. ``weights``
-    default to uniform 1/n.
-    """
-    if not path_rssi:
-        raise DimensionMismatch("empty path")
-    if weights is None:
-        weights = [1.0 / len(path_rssi)] * len(path_rssi)
-    if len(weights) != len(path_rssi):
-        raise DimensionMismatch(
-            f"{len(path_rssi)} hops but {len(weights)} weights"
-        )
-    if any(not (0.0 < w <= 1.0) for w in weights):
-        raise ValueError(f"weights must lie in (0,1], got {weights}")
-    return sum(w * abs(r) for w, r in zip(weights, path_rssi))
-
-
 @dataclass(frozen=True, slots=True)
 class Rreq:
-    """Route request: flood-identified by (origin, seq), accumulating per-hop RSSI."""
+    """Route request to the sink: flood-identified by (origin, seq), accumulating per-hop RSSI."""
 
     origin: str
-    dest: str
     seq: int
     path: tuple[tuple[str, float], ...] = ()
     tx_power_dbm: int = 0
 
     def hops(self) -> list[str]:
         return [node for node, _ in self.path]
-
-    def rssi_values(self) -> list[float]:
-        return [rssi for _, rssi in self.path]
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,8 +110,9 @@ class RoutingState:
     a relay. ``answered`` and ``answered_cost`` hold, per origin, the newest
     flood the sink answered and that answer's cost; ``windows`` holds the
     candidates of each open collection window by (origin, seq). Only the
-    sink fills these three. ``neighbor_seen`` holds, per neighbour, its
-    believed level and the slot it was last heard in.
+    sink fills these three. ``beaconed`` holds the neighbours whose beacon
+    this node heard, and ``neighbor_seen``, per neighbour, its believed
+    level and the slot it was last heard in.
     """
 
     node_id: str
@@ -175,7 +121,7 @@ class RoutingState:
     answered: dict[str, int] = field(default_factory=dict)
     answered_cost: dict[str, float] = field(default_factory=dict)
     windows: dict[tuple[str, int], list[Rreq]] = field(default_factory=dict)
-    references: dict[str, float] = field(default_factory=dict)
+    beaconed: set[str] = field(default_factory=set)
     neighbor_seen: dict[str, tuple[EnergyLevel, int]] = field(default_factory=dict)
     seq_counter: int = 0
 
@@ -184,22 +130,20 @@ class RoutingState:
         return self.seq_counter
 
 
-def hear_beacon(state: RoutingState, sender: str, rssi: float, slot: int, from_sink: bool) -> None:
-    """A beacon rides the fixed reference power: it calibrates the sender's
-    reference and proves it alive, but tells no level, so the sender keeps
-    its believed level; the mains-powered sink is always E3."""
-    references = state.references
-    references[sender] = calibrate_reference(references.get(sender), rssi)
+def hear_beacon(state: RoutingState, sender: str, slot: int, from_sink: bool) -> None:
+    """A beacon rides the fixed reference power: it proves the sender alive
+    and lets its later frames tell its level, but tells no level itself, so
+    the sender keeps its believed level; the mains-powered sink is always E3."""
+    state.beaconed.add(sender)
     level = EnergyLevel.E3 if from_sink else believed_level(state, sender)
     state.neighbor_seen[sender] = (level, slot)
 
 
-def hear_frame(state: RoutingState, sender: str, rssi: float, slot: int) -> None:
-    """Any other frame, sent at its sender's level power: once a beacon has
-    calibrated the sender's reference, it tells the sender's level."""
-    reference = state.references.get(sender)
-    if reference is not None:
-        state.neighbor_seen[sender] = (infer_neighbor_level(rssi, reference), slot)
+def hear_frame(state: RoutingState, sender: str, tx_power_dbm: int, slot: int) -> None:
+    """Any other frame, sent at its sender's level power: once the sender's
+    beacon has been heard, the frame's power tells the sender's level."""
+    if sender in state.beaconed:
+        state.neighbor_seen[sender] = (_LEVEL_BY_TX_POWER[tx_power_dbm], slot)
 
 
 def believed_level(state: RoutingState, neighbor: str) -> EnergyLevel:
@@ -215,18 +159,20 @@ def neighbor_levels(state: RoutingState, slot: int) -> list[EnergyLevel]:
 
 
 def candidate_cost(settings: RoutingSettings, rreq: Rreq) -> float:
-    rssis = rreq.rssi_values()
+    """A candidate path's cost, lower is better, from its per-hop RSSI.
+
+    The weights are ``mu`` when it has one per hop, else uniform 1/n.
+    ``magnitude`` sums the weighted |dBm|, so least cost prefers strong links;
+    ``raw`` maximizes the weighted (negative-dBm) sum by minimizing its
+    negation, which for all-negative RSSI is the magnitude form.
+    """
+    rssis = [rssi for _, rssi in rreq.path]
     weights = settings.mu
-    if weights is not None and len(weights) != len(rssis):
-        weights = None  # per-hop weights only apply to matching path lengths
+    if weights is None or len(weights) != len(rssis):
+        weights = [1.0 / len(rssis)] * len(rssis)
     if settings.cost_mode == "raw":
-        if weights is None:
-            weights = [1.0 / len(rssis)] * len(rssis)
-        # Maximizing the weighted (negative-dBm) sum equals minimizing its
-        # negation; for all-negative RSSI this coincides with the magnitude
-        # form.
         return -sum(w * r for w, r in zip(weights, rssis))
-    return sink_route_cost(rssis, weights)
+    return sum(w * abs(r) for w, r in zip(weights, rssis))
 
 
 def process_rreq(
@@ -252,7 +198,6 @@ def process_rreq(
     state.forwarded[rreq.origin] = rreq.seq
     return Rreq(
         origin=rreq.origin,
-        dest=rreq.dest,
         seq=rreq.seq,
         path=rreq.path + ((me, observed_rssi),),
         tx_power_dbm=own_tx_power,
@@ -297,7 +242,6 @@ def sink_receive(
         return None, False  # first copy already answered this flood
     candidate = Rreq(
         origin=rreq.origin,
-        dest=rreq.dest,
         seq=rreq.seq,
         path=rreq.path + ((state.node_id, observed_rssi),),
         tx_power_dbm=rreq.tx_power_dbm,

@@ -504,7 +504,7 @@ class World:
                 receiver_phase_ms=receiver.wake_phase_ms,
                 start_ms=t * 1000.0,
                 channel_power_dbm=channel._power_dbm,
-                attempt_delivers=lambda _round: survives(loss, rng),
+                attempt_delivers=partial(survives, loss, rng),
                 train=self.frames.trains[believed_sleep],
             )
             delivered = True
@@ -532,7 +532,7 @@ class World:
             ))
         if delivered:
             self._charge(receiver, spec.rx_label, spec.rx_uj)
-            routing.hear_frame(receiver.routing, sender.node_id, rssi, self.slot)
+            routing.hear_frame(receiver.routing, sender.node_id, tx_dbm, self.slot)
         return delivered, elapsed_s
 
     # ------------------------------------------------------------------
@@ -551,11 +551,11 @@ class World:
         channel = self.channel
         rng, hear = channel.rng, routing.hear_beacon
         t_ms, slot, from_sink = t * 1000.0, self.slot, rt.is_sink
-        for other, rssi, loss in channel.fanout(rt, routing.REFERENCE_TX_POWER_DBM):
+        for other, _rssi, loss in channel.fanout(rt, routing.REFERENCE_TX_POWER_DBM):
             if not other.awake_at(t_ms):
                 continue
             if survives(loss, rng) and charge(other, "mac:beacon-rx", rx):
-                hear(other.routing, node_id, rssi, slot, from_sink)
+                hear(other.routing, node_id, slot, from_sink)
 
     def _on_rreq_tx(self, t: float, node_id: str, rreq: routing.Rreq) -> None:
         """One broadcast of ``rreq`` by ``node_id``: a flood start or a relay's forward."""
@@ -607,7 +607,7 @@ class World:
         settings: routing.RoutingSettings,
     ) -> None:
         """One reception of ``rreq`` by ``rt``, heard from ``last_hop``."""
-        routing.hear_frame(rt.routing, last_hop, rssi, self.slot)
+        routing.hear_frame(rt.routing, last_hop, rreq.tx_power_dbm, self.slot)
         if rt.is_sink:
             rrep, opens_window = routing.sink_receive(rt.routing, settings, rreq, rssi)
             if rrep is not None:
@@ -816,7 +816,7 @@ class World:
                 rt.flood_initiated_slot = slot
                 jitter = rt.rng_mac.uniform(0.0, 0.1)
                 seq = rt.routing.next_seq()
-                rreq = routing.Rreq(rt.node_id, self.sink_id, seq, tx_power_dbm=rt.tx_power)
+                rreq = routing.Rreq(rt.node_id, seq, tx_power_dbm=rt.tx_power)
                 self._push(t0 + jitter, "rreq_tx", rt.node_id, rreq)
 
     def _schedule_beacons(self, rt: NodeRuntime, t0: float) -> None:

@@ -58,7 +58,9 @@ def csma_send(
 ) -> OracleSend:
     """The exchange against a receiver waking ``wake_ms`` every
     ``wake_ms + sleep_ms`` from ``phase_ms``; ``train`` is ``(count,
-    packet_ms)``, or ``None`` for a train sized to span the real sleep."""
+    packet_ms)``, or ``None`` for a train sized to span the real sleep.
+    ``attempt_delivers()`` tells, once per data frame sent, whether that frame
+    survives."""
     if train is None:
         span = 0.0 if wake_ms == 0.0 or math.isinf(sleep_ms) else sleep_ms
         train = (max(1, math.ceil(span / settings.preamble_packet_ms)), settings.preamble_packet_ms)
@@ -69,7 +71,7 @@ def csma_send(
     tx_ms = 0.0
     saturated = 0
     rounds = settings.arq_retries + 1
-    for round_no in range(1, rounds + 1):
+    for _ in range(rounds):
         cleared = False
         for attempt in range(1, settings.backoff_max_attempts + 1):
             attempts += 1
@@ -98,7 +100,7 @@ def csma_send(
         now = max(wake_at, now + sent * packet_ms)
         now += settings.data_packet_ms
         tx_ms += settings.data_packet_ms
-        if attempt_delivers(round_no):
+        if attempt_delivers():
             now += settings.ack_ms
             return OracleSend(DELIVERED, attempts, preambles, now - start_ms, tx_ms)
         now += settings.ack_ms

@@ -1,8 +1,9 @@
 import dataclasses
 import itertools
 import random
+from types import SimpleNamespace
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from harvestsim import mac, scenario
 from harvestsim.channel import Channel, ChannelSettings, loss_probability, rssi_at, survives
@@ -58,8 +59,8 @@ class TestExchange:
         real = mac.csma_send
 
         def recording(*args, attempt_delivers, **kwargs):
-            def decide(round_no):
-                decided.append(attempt_delivers(round_no))
+            def decide():
+                decided.append(attempt_delivers())
                 return decided[-1]
 
             return real(*args, attempt_delivers=decide, **kwargs)
@@ -127,3 +128,31 @@ class TestLinkModel:
             for sender in subset.values():
                 shared = [e for e in large.fanout(sender, tx) if e[0].node_id in subset]
                 assert shared == list(small.fanout(sender, tx))
+
+
+class TestLevelSignalPrecondition:
+    """A frame's level is the level of its transmit power (``routing.hear_frame``)
+    only because a link's mean received power is linear in the transmit power
+    with no per-frame term: a frame at power p arrives exactly -p dB below the
+    reference-power beacon on the same link. Per-frame fading would break this,
+    and the RSSI decode (``tests/rssi_oracle.py``) would have to come back."""
+
+    @given(
+        exponent=st.floats(1.5, 6.0),
+        reference_loss=st.floats(20.0, 120.0),
+        distance=st.floats(0.5, 1000.0),
+        sigma=st.sampled_from([0.0, 4.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_every_level_power_arrives_its_own_step_below_the_beacon(
+        self, exponent, reference_loss, distance, sigma
+    ):
+        link_settings = ChannelSettings(
+            path_loss_exponent=exponent, reference_loss_db=reference_loss, shadowing_sigma_db=sigma
+        )
+        medium = Channel(link_settings, {}, seed=1)
+        s = SimpleNamespace(node_id="S", position=(0.0, 0.0))
+        r = SimpleNamespace(node_id="R", position=(distance, 0.0))
+        beacon = medium.link_mean(s, r, REFERENCE_TX_POWER_DBM)
+        for p in TX_POWER_BY_LEVEL.values():
+            assert abs((beacon - medium.link_mean(s, r, p)) - (REFERENCE_TX_POWER_DBM - p)) < 1e-9

@@ -245,7 +245,7 @@ class TestCsmaSend:
                 awake_schedule(),
                 cfg,
                 random.Random(1),
-                attempt_delivers=lambda k: False,
+                attempt_delivers=lambda: False,
             )
         assert err.value.result.preambles_sent == 4  # one per delivery round
 
@@ -369,7 +369,7 @@ class TestCsmaOracle:
         for side in ("mac", "oracle"):
             rng, link = random.Random(seed), random.Random(seed + 1)
 
-            def delivers(_round, link=link):
+            def delivers(link=link):
                 return link.random() >= loss
 
             if side == "mac":
@@ -392,19 +392,23 @@ class TestCsmaOracle:
         # undersized train that misses the wake and retries.
         cfg = MacConfig(arq_retries=2)
         sleepy = schedule_from_delta(0.05)
+        # Each case's data frames in turn survive or not (``None``: the default,
+        # every frame survives); the third case's second frame is its first to.
         cases = [
-            (awake_schedule(), dict(channel_power_dbm=lambda t: 0.0)),
-            (sleepy, dict(train=PreambleTrain(3, 1.0), receiver_phase_ms=50.0)),
-            (sleepy, dict(receiver_phase_ms=50.0, attempt_delivers=lambda k: k == 2)),
+            (awake_schedule(), dict(channel_power_dbm=lambda t: 0.0), None),
+            (sleepy, dict(train=PreambleTrain(3, 1.0), receiver_phase_ms=50.0), None),
+            (sleepy, dict(receiver_phase_ms=50.0), (False, True)),
         ]
         outcomes = []
-        for sched, kwargs in cases:
+        for sched, kwargs, frames in cases:
+            if frames is not None:
+                kwargs = dict(kwargs, attempt_delivers=iter(frames).__next__)
             got = _mac_outcome(sched, cfg, random.Random(7), **kwargs)
             oracle_kwargs = {
                 "phase_ms": kwargs.get("receiver_phase_ms", 0.0),
                 "start_ms": 0.0,
                 "channel_power_dbm": kwargs.get("channel_power_dbm", lambda t: -120.0),
-                "attempt_delivers": kwargs.get("attempt_delivers", lambda k: True),
+                "attempt_delivers": iter(frames).__next__ if frames else lambda: True,
             }
             if "train" in kwargs:
                 oracle_kwargs["train"] = (kwargs["train"].count, kwargs["train"].packet_ms)

@@ -1,30 +1,24 @@
 import dataclasses
-import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from harvestsim.energy import EnergyLevel
 from harvestsim.routing import (
-    REFERENCE_TX_POWER_DBM,
     TX_POWER_BY_LEVEL,
     NEIGHBOR_TTL_SLOTS,
-    DimensionMismatch,
     RoutingSettings,
     RoutingState,
     Rreq,
     believed_level,
-    calibrate_reference,
     candidate_cost,
     hear_beacon,
     hear_frame,
-    infer_neighbor_level,
     install_route,
     neighbor_levels,
     process_rreq,
     sink_close_window,
     sink_receive,
-    sink_route_cost,
 )
 
 MODIFIED = RoutingSettings(mode="modified")
@@ -55,139 +49,57 @@ class TestTxPowerMapping:
         assert powers == sorted(powers)
 
 
-class TestInference:
-    def test_calibration_point_is_high(self):
-        ref = -65.0
-        assert infer_neighbor_level(-65.0, ref) is EnergyLevel.E3
-
-    def test_ten_db_down_is_minimum(self):
-        ref = -65.0
-        assert infer_neighbor_level(-75.0, ref) is EnergyLevel.E1
-
-    def test_nearest_step_wins(self):
-        ref = -65.0
-        # delta 7.4: |7.4-5| = 2.4 beats |7.4-10| = 2.6
-        assert infer_neighbor_level(-72.4, ref) is EnergyLevel.E2
-
-    def test_tie_takes_lower_level(self):
-        ref = -65.0
-        # delta 7.5 is equidistant from steps 5 and 10
-        assert infer_neighbor_level(-72.5, ref) is EnergyLevel.E1
-
-
-# (level, attenuation below the reference power), ascending by level.
-STEPS = [(level, REFERENCE_TX_POWER_DBM - TX_POWER_BY_LEVEL[level]) for level in sorted(TX_POWER_BY_LEVEL)]
-
-
-def nearest_step_level(observed_rssi, reference):
-    """The decoding as a loop over the steps: the nearest step's level, the
-    lower level on ties."""
-    delta = reference - observed_rssi
-    best_level = best_err = None
-    for level, step in STEPS:
-        err = abs(delta - step)
-        if best_err is None or err < best_err:
-            best_level, best_err = level, err
-    return best_level
-
-
-class TestInferenceOracle:
-    """The midpoint decoding equals the nearest-step loop."""
-
-    @given(
-        st.floats(min_value=-1e6, max_value=1e6),
-        st.floats(min_value=-1e6, max_value=1e6),
-    )
-    @settings(max_examples=500)
-    def test_any_reading(self, observed, reference):
-        assert infer_neighbor_level(observed, reference) is nearest_step_level(observed, reference)
-
-    @given(st.floats(min_value=-200.0, max_value=50.0), st.floats(min_value=-20.0, max_value=30.0))
-    @settings(max_examples=500)
-    def test_attenuations_around_the_steps(self, reference, delta):
-        observed = reference - delta
-        assert infer_neighbor_level(observed, reference) is nearest_step_level(observed, reference)
-
-    @pytest.mark.parametrize("reference", [0.0, -65.0, -93.7])
-    def test_sixty_ulps_around_each_midpoint(self, reference):
-        steps = sorted(step for _, step in STEPS)
-        for mid in ((a + b) / 2 for a, b in zip(steps, steps[1:])):
-            below = above = mid
-            deltas = [mid]
-            for _ in range(60):
-                below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
-                deltas += [below, above]
-            for delta in deltas:
-                observed = reference - delta
-                expected = nearest_step_level(observed, reference)
-                assert infer_neighbor_level(observed, reference) is expected, delta
-
-
-class TestCalibration:
-    def test_first_beacon_seeds(self):
-        assert calibrate_reference(None, -65.0) == -65.0
-
-    def test_smoothing(self):
-        assert calibrate_reference(-65.0, -70.0) == pytest.approx(-66.0)
-
-    def test_converges_to_steady_observation(self):
-        ref = -80.0
-        for _ in range(60):
-            ref = calibrate_reference(ref, -65.0)
-        assert ref == pytest.approx(-65.0, abs=0.01)
-
-
 class TestNeighborBelief:
-    """What a node believes of each neighbour's level: beacons calibrate and
-    prove liveness, other frames tell the level, and the belief ages out of
-    the network level after ``NEIGHBOR_TTL_SLOTS`` slots."""
+    """What a node believes of each neighbour's level: beacons prove liveness
+    and enable belief, other frames tell the level of the power they were
+    sent at, and the belief ages out of the network level after
+    ``NEIGHBOR_TTL_SLOTS`` slots."""
 
     def test_unheard_neighbour_is_believed_e1(self):
         state = RoutingState("B")
         assert believed_level(state, "C") is EnergyLevel.E1
         assert neighbor_levels(state, 0) == []
 
-    def test_first_beacon_calibrates_and_believes_e1(self):
+    def test_first_beacon_enables_belief_and_believes_e1(self):
         state = RoutingState("B")
-        hear_beacon(state, "C", -65.0, 4, from_sink=False)
-        assert state.references == {"C": -65.0}
+        hear_beacon(state, "C", 4, from_sink=False)
+        assert state.beaconed == {"C"}
         assert state.neighbor_seen == {"C": (EnergyLevel.E1, 4)}
 
     def test_beacon_from_the_sink_gives_e3(self):
         state = RoutingState("B")
-        hear_beacon(state, "A", -80.0, 2, from_sink=True)
+        hear_beacon(state, "A", 2, from_sink=True)
         assert believed_level(state, "A") is EnergyLevel.E3
         assert state.neighbor_seen == {"A": (EnergyLevel.E3, 2)}
 
-    def test_beacon_keeps_the_level_last_inferred(self):
+    def test_beacon_keeps_the_level_last_told(self):
         state = RoutingState("B")
-        hear_beacon(state, "C", -65.0, 1, from_sink=False)
-        hear_frame(state, "C", -70.0, 2)  # 5 dB below the reference: E2
+        hear_beacon(state, "C", 1, from_sink=False)
+        hear_frame(state, "C", TX_POWER_BY_LEVEL[EnergyLevel.E2], 2)
         assert state.neighbor_seen["C"] == (EnergyLevel.E2, 2)
-        hear_beacon(state, "C", -65.0, 3, from_sink=False)
+        hear_beacon(state, "C", 3, from_sink=False)
         assert state.neighbor_seen["C"] == (EnergyLevel.E2, 3)
         assert believed_level(state, "C") is EnergyLevel.E2
 
-    def test_frame_tells_the_level_against_the_reference(self):
+    def test_frame_tells_the_level_of_its_power(self):
         state = RoutingState("B")
-        hear_beacon(state, "C", -65.0, 1, from_sink=False)
-        hear_frame(state, "C", -75.0, 1)
-        assert believed_level(state, "C") is EnergyLevel.E1
-        hear_frame(state, "C", -65.0, 2)
-        assert believed_level(state, "C") is EnergyLevel.E3
-        assert state.references == {"C": -65.0}  # only beacons calibrate
+        hear_beacon(state, "C", 1, from_sink=False)
+        for slot, (level, power) in enumerate(TX_POWER_BY_LEVEL.items(), start=2):
+            hear_frame(state, "C", power, slot)
+            assert state.neighbor_seen["C"] == (level, slot)
+        assert state.beaconed == {"C"}  # only beacons enable belief
 
     def test_frame_before_any_beacon_changes_nothing(self):
         state = RoutingState("B")
-        hear_frame(state, "C", -70.0, 1)
-        assert state.references == {} and state.neighbor_seen == {}
+        hear_frame(state, "C", TX_POWER_BY_LEVEL[EnergyLevel.E2], 1)
+        assert state.beaconed == set() and state.neighbor_seen == {}
         assert believed_level(state, "C") is EnergyLevel.E1
 
     def test_neighbour_counts_for_the_ttl_only(self):
         assert NEIGHBOR_TTL_SLOTS == 5
         state = RoutingState("B")
-        hear_beacon(state, "A", -60.0, 10, from_sink=True)
-        hear_beacon(state, "C", -65.0, 11, from_sink=False)
+        hear_beacon(state, "A", 10, from_sink=True)
+        hear_beacon(state, "C", 11, from_sink=False)
         assert neighbor_levels(state, 15) == [EnergyLevel.E3, EnergyLevel.E1]
         assert neighbor_levels(state, 16) == [EnergyLevel.E1]
         assert neighbor_levels(state, 17) == []
@@ -196,43 +108,52 @@ class TestNeighborBelief:
         assert believed_level(state, "A") is EnergyLevel.E3
 
 
+def path_of(*rssis):
+    """A candidate whose hops were heard at ``rssis``, the last at the sink."""
+    return Rreq("D", 1, path=tuple((f"H{k}", rssi) for k, rssi in enumerate(rssis)))
+
+
 class TestRouteCost:
     def test_single_hop(self):
-        assert sink_route_cost([-65.0], [1.0]) == pytest.approx(65.0)
+        assert candidate_cost(RoutingSettings(mu=(1.0,)), path_of(-65.0)) == pytest.approx(65.0)
 
     def test_two_hops_weighted(self):
-        assert sink_route_cost([-65.0, -70.0], [0.5, 0.5]) == pytest.approx(67.5)
+        weighted = RoutingSettings(mu=(0.5, 0.5))
+        assert candidate_cost(weighted, path_of(-65.0, -70.0)) == pytest.approx(67.5)
 
     def test_uniform_default(self):
-        assert sink_route_cost([-60.0, -80.0]) == pytest.approx(70.0)
+        assert candidate_cost(RoutingSettings(), path_of(-60.0, -80.0)) == pytest.approx(70.0)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            sink_route_cost([-65.0, -70.0], [1.0])
-        with pytest.raises(DimensionMismatch):
-            sink_route_cost([])
+    @pytest.mark.parametrize("mu", [(0.0,), (1.5, 0.5), (-0.1,)])
+    def test_weights_outside_zero_to_one_are_refused_when_set(self, mu):
+        with pytest.raises(ValueError, match="RoutingSettings.mu"):
+            RoutingSettings(mu=mu)
 
-    @given(st.lists(st.floats(min_value=-95, max_value=-30), min_size=1, max_size=6))
-    def test_stronger_paths_cost_less(self, rssis):
+    @given(
+        st.lists(st.floats(min_value=-95, max_value=-30), min_size=1, max_size=6),
+        st.sampled_from(["magnitude", "raw"]),
+    )
+    def test_stronger_paths_cost_less(self, rssis, cost_mode):
+        uniform = RoutingSettings(cost_mode=cost_mode)
         weaker = [r - 5.0 for r in rssis]
-        assert sink_route_cost(weaker) > sink_route_cost(rssis)
+        assert candidate_cost(uniform, path_of(*weaker)) > candidate_cost(uniform, path_of(*rssis))
 
     def test_raw_mode_matches_magnitude_for_negative_rssi(self):
         magnitude = RoutingSettings(cost_mode="magnitude")
         raw = RoutingSettings(cost_mode="raw")
-        rreq = Rreq("D", "A", 1, path=(("B", -61.0), ("A", -70.5)))
+        rreq = path_of(-61.0, -70.5)
         assert candidate_cost(magnitude, rreq) == pytest.approx(candidate_cost(raw, rreq))
 
-    def test_mu_weights_apply_only_to_matching_path_lengths(self):
-        weighted = RoutingSettings(mu=(0.9, 0.1))
-        two_hops = Rreq("D", "A", 1, path=(("B", -61.0), ("A", -70.5)))
-        one_hop = Rreq("D", "A", 1, path=(("A", -80.0),))
-        assert candidate_cost(weighted, two_hops) == pytest.approx(0.9 * 61.0 + 0.1 * 70.5)
-        assert candidate_cost(weighted, one_hop) == pytest.approx(80.0)
+    @pytest.mark.parametrize("cost_mode", ["magnitude", "raw"])
+    def test_mu_weights_apply_only_to_matching_path_lengths(self, cost_mode):
+        weighted = RoutingSettings(cost_mode=cost_mode, mu=(0.9, 0.1))
+        assert candidate_cost(weighted, path_of(-61.0, -70.5)) == pytest.approx(0.9 * 61.0 + 0.1 * 70.5)
+        assert candidate_cost(weighted, path_of(-80.0)) == pytest.approx(80.0)
+        assert candidate_cost(weighted, path_of(-60.0, -70.0, -80.0)) == pytest.approx(70.0)
 
 
 def rreq_via(origin="D", seq=1, *hops):
-    return Rreq(origin=origin, dest="A", seq=seq, path=tuple(hops))
+    return Rreq(origin=origin, seq=seq, path=tuple(hops))
 
 
 class TestProcessRreq:
@@ -448,7 +369,7 @@ class TestLoopFreedom:
     def test_installed_paths_never_repeat_nodes(self, n_relays):
         # Build a chain flood through n relays; the path record must stay
         # duplicate-free by construction.
-        rreq = Rreq(origin="S", dest="A", seq=1)
+        rreq = Rreq(origin="S", seq=1)
         states = [RoutingState(f"R{i}") for i in range(n_relays)]
         for st_ in states:
             fwd = process_rreq(st_, rreq, -70.0, FULL_POWER)

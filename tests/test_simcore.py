@@ -197,9 +197,7 @@ class TestRadioDormancy:
         # Forwarded late in slot 1, due in slot 2 at the power B had then.
         world, b = self._relay_b_dormant_from_slot_2(tree_cfg)
         t = 2 * tree_cfg.slot_duration_s + 0.01
-        fwd = routing.Rreq(
-            origin="D", dest="A", seq=99, path=(("B", -70.0),), tx_power_dbm=b.tx_power
-        )
+        fwd = routing.Rreq(origin="D", seq=99, path=(("B", -70.0),), tx_power_dbm=b.tx_power)
         world._push(t, "rreq_tx", "B", fwd)
         world.step_slot()
         assert b.plan.context.own == EnergyLevel.E0
@@ -537,7 +535,7 @@ class _FullScanWorld(World):
                 continue
             rx = mac.radio_energy(self.radio, rx_ms=self.cfg.mac.control_packet_ms)
             if self._charge(other, "mac:beacon-rx", rx):
-                routing.hear_beacon(other.routing, node_id, rssi, self.slot, node_id == self.sink_id)
+                routing.hear_beacon(other.routing, node_id, self.slot, node_id == self.sink_id)
 
     def _on_rreq_tx(self, t, node_id, rreq):
         rt = self.nodes[node_id]
@@ -612,7 +610,7 @@ class _EngineSinkWorld(World):
     def _on_rreq_rx(self, t, rt, rreq, rssi, last_hop, settings):
         if not rt.is_sink:
             return super()._on_rreq_rx(t, rt, rreq, rssi, last_hop, settings)
-        routing.hear_frame(rt.routing, last_hop, rssi, self.slot)
+        routing.hear_frame(rt.routing, last_hop, rreq.tx_power_dbm, self.slot)
         self._sink_handle_rreq(t, rt, rreq, rssi)
 
     def _sink_handle_rreq(self, t, sink, rreq, rssi):
@@ -783,7 +781,7 @@ class TestFloodArrival:
         world.handled.clear()
         sender = world.nodes["N05"]
         assert sender.tx_power is not None
-        rreq = routing.Rreq(origin="N05", dest=world.sink_id, seq=9, tx_power_dbm=sender.tx_power)
+        rreq = routing.Rreq(origin="N05", seq=9, tx_power_dbm=sender.tx_power)
         world._on_rreq_tx(world.now, "N05", rreq)
 
         assert len(world._events) == 1

@@ -108,12 +108,11 @@ class TestOneChargePath:
 
 
 class TestOneLevelBelief:
-    def test_routing_alone_reads_levels_from_rssi(self):
-        # routing owns what a node believes of its neighbours' levels: a
-        # beacon calibrates the reference, any other frame is decoded
-        # against it. A caller elsewhere would be a second belief.
-        assert _callers_of("calibrate_reference") == ["routing.hear_beacon"]
-        assert _callers_of("infer_neighbor_level") == ["routing.hear_frame"]
+    def test_frames_tell_levels_where_the_engine_receives_them(self):
+        # A frame tells its sender's level where the engine receives it:
+        # a flood copy and a unicast exchange's delivered frame. A caller
+        # elsewhere would be a second belief rule.
+        assert _callers_of("hear_frame") == ["simcore.World._unicast", "simcore.World._on_rreq_rx"]
 
 
 class TestOneEngineRule:
