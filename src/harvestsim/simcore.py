@@ -20,7 +20,7 @@ Floods: a source's flood is numbered and built when planning schedules it,
 with the slot's transmit power, so a flood start and a relay's forward are
 both one ``rreq_tx`` event. Blocked packets: every packet a node cannot send
 goes through :meth:`World._hold`, the one queue-or-drop rule and the one
-place the pending queue's cap is applied.
+place the pending queue's cap is applied; :meth:`World._drop` counts every loss.
 
 Flood arrival: every reception of one RREQ broadcast happens at the same
 arrival time, so the broadcast queues one ``rreq_arrive`` event carrying its
@@ -50,7 +50,7 @@ frames are the world's :class:`mac.FrameCosts`, computed once. Rarely, a
 slot's radio overhead can leave the store unable to cover the
 already-planned operations; settlement then aborts mid-plan (the
 forecast-error path): ``app`` defers the tail's node-class steps, and each
-lost network operation is recorded as an ``aborted-op`` drop.
+lost network operation is counted as an ``aborted-op`` drop.
 
 Each world's :class:`channel.Channel` holds every link's received power
 and loss probability, fixed for the run (a link's shadowing is one constant
@@ -78,6 +78,7 @@ import math
 import random
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -266,7 +267,8 @@ class Metrics:
     ``(slot, node, stored_start_uj, harvested_uj, wasted_uj, consumed_uj,
     stored_end_uj)``, ``forecast_rows`` are ``(slot, node, predicted_uj,
     actual_uj)``, ``slot_reports`` iterate as :class:`app.SlotReport`, and
-    ``book.by_slot`` is the paid sum of each ledger row.
+    ``book.by_slot`` is the paid sum of each ledger row. Packets are only
+    counted: no record is kept per packet.
     """
 
     slot_reports: SlotReports = field(default_factory=SlotReports)
@@ -275,10 +277,10 @@ class Metrics:
     forecast_rows: Rows = field(default_factory=partial(Rows, "dd"))
     route_log: list[tuple] = field(default_factory=list)
     mac_trace: list[tuple] = field(default_factory=list)
-    drops: list[tuple] = field(default_factory=list)
-    evictions: list[tuple] = field(default_factory=list)
+    drops: Counter = field(default_factory=Counter)  # per (node, reason)
+    evictions: Counter = field(default_factory=Counter)  # per (node, evicted kind)
     generated: int = 0
-    delivered_ids: set = field(default_factory=set)
+    delivered: int = 0
     duty_sum: dict[str, float] = field(default_factory=dict)
     slots_run: int = 0
 
@@ -289,10 +291,6 @@ class Metrics:
     def charges(self) -> list[tuple]:
         """The per-draw rows; empty unless the world collects them."""
         return self.book.rows
-
-    @property
-    def delivered(self) -> int:
-        return len(self.delivered_ids)
 
     def pdr(self) -> float:
         if self.generated == 0:
@@ -311,8 +309,8 @@ class Metrics:
             "pdr": self.pdr(),
             "slots": self.slots_run,
             "route_changes": len(self.route_log),
-            "drops": len(self.drops),
-            "evictions": len(self.evictions),
+            "drops": self.drops.total(),
+            "evictions": self.evictions.total(),
             "duty_fractions": self.duty_fractions(),
         }
 
@@ -680,6 +678,10 @@ class World:
             else:
                 self._push(at, "send", rt.node_id, pkt)
 
+    def _drop(self, node_id: str, reason: str, ids: list[str]) -> None:
+        """The one drop rule: count ``ids`` lost at ``node_id`` (``"-"``: an operation)."""
+        self.metrics.drops[node_id, reason] += len(ids)
+
     def _hold(self, rt: NodeRuntime, pkts: list[Packet], reason: str) -> None:
         """Packets ``rt`` cannot send now, for ``reason``: a relay drops them;
         a source queues them, in order, asking for a route when it has none,
@@ -687,26 +689,22 @@ class World:
         if not pkts:
             return
         if rt.role != "source":
-            self.metrics.drops.extend([(self.slot, pkt.pid, rt.node_id, reason) for pkt in pkts])
+            self._drop(rt.node_id, reason, [pkt.pid for pkt in pkts])
             return
         if reason == "no-route":
             rt.need_route = True
         pending = rt.pending
         pending += pkts
         if len(pending) > PENDING_QUEUE_CAP:
-            why = f"queue-overflow({reason})"
-            overflow = pending[:-PENDING_QUEUE_CAP]
+            overflow = [p.pid for p in pending[:-PENDING_QUEUE_CAP]]
             del pending[:-PENDING_QUEUE_CAP]
-            self.metrics.drops.extend([(self.slot, p.pid, rt.node_id, why) for p in overflow])
+            self._drop(rt.node_id, f"queue-overflow({reason})", overflow)
 
     def _on_send(self, t: float, node_id: str, pkt: Packet) -> None:
         rt = self.nodes[node_id]
         entry = rt.routing.table.get(self.sink_id)
-        if rt.tx_power is None:
-            self._hold(rt, [pkt], "dormant")
-            return
-        if entry is None:
-            self._hold(rt, [pkt], "no-route")
+        if rt.tx_power is None or entry is None:
+            self._hold(rt, [pkt], "dormant" if rt.tx_power is None else "no-route")
             return
         receiver = self.nodes[entry.next_hop]
         # Worst-case single-round overhead must be affordable before keying up.
@@ -726,19 +724,19 @@ class World:
             )
             rt.need_route = True
             if pkt.retries > MAX_PACKET_RETRIES:
-                self.metrics.drops.append((self.slot, pkt.pid, node_id, "retries"))
+                self._drop(node_id, "retries", [pkt.pid])
                 return
         self._hold(rt, [pkt], "mac-fail")
 
     def _on_arrive(self, t: float, node_id: str, pkt: Packet) -> None:
         rt = self.nodes[node_id]
         if rt.is_sink:
-            self.metrics.delivered_ids.add(pkt.pid)
+            self.metrics.delivered += 1
             return
         if rt.role != "relay":
             return
         if rt.forwards_left <= 0:
-            self.metrics.drops.append((self.slot, pkt.pid, node_id, "relay-quota"))
+            self._drop(node_id, "relay-quota", [pkt.pid])
             return
         rt.forwards_left -= 1
         self._push(t + PROCESSING_DELAY_S, "send", node_id, pkt)
@@ -829,13 +827,13 @@ class World:
             t_b += period
 
     def _defer(self, rt: NodeRuntime, entry: app.BacklogEntry) -> None:
-        """Backlog an entry, recording any eviction (and dropping an evicted packet)."""
+        """Backlog an entry, counting any eviction (and dropping an evicted packet)."""
         victim = rt.backlog.push(entry)
         if victim is None:
             return
-        self.metrics.evictions.append((self.slot, rt.node_id, victim.packet_id or victim.kind))
+        self.metrics.evictions[rt.node_id, victim.kind] += 1
         if victim.packet_id is not None:
-            self.metrics.drops.append((self.slot, victim.packet_id, rt.node_id, "backlog-evicted"))
+            self._drop(rt.node_id, "backlog-evicted", [victim.packet_id])
 
     def _settle_node(self, rt: NodeRuntime, slot: int) -> None:
         stored_start, harvested, wasted = rt.slot_ledger
@@ -870,8 +868,9 @@ class World:
         requeued, lost = app.aborted_tail(rt.policies, skipped, slot)
         for entry in plan.deferred + requeued:
             self._defer(rt, entry)
+        if lost:
+            self._drop(rt.node_id, "aborted-op", ["-"] * lost)
         metrics = self.metrics
-        metrics.drops.extend([(slot, "-", rt.node_id, "aborted-op")] * lost)
 
         reports = metrics.slot_reports
         reports.ints.extend((report.slot, report.ops_node, report.ops_network))

@@ -11,6 +11,7 @@ from harvestsim import simcore
 from harvestsim.optimizer import build_opt, parametric_sweep
 from harvestsim.scenario import parse_scenario
 from harvestsim.simcore import Packet, World
+from test_simcore import PacketLogWorld, lattice_yaml
 
 BASE_YAML = """
 name: variants
@@ -40,39 +41,60 @@ policies:
 """
 
 
-def run_world(yaml_text=BASE_YAML, slots=40, *, seed=None, mode=None, **world_kwargs):
+def run_world(yaml_text=BASE_YAML, slots=40, *, seed=None, mode=None, world_cls=World,
+              **world_kwargs):
     cfg = parse_scenario(yaml_text)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     if mode is not None:
         cfg = dataclasses.replace(cfg, routing=dataclasses.replace(cfg.routing, mode=mode))
-    world = World(cfg, **world_kwargs)
+    world = world_cls(cfg, **world_kwargs)
     metrics = simcore.run(world, slots)
     return world, metrics
 
 
-def leftover_packet_ids(world: World) -> set:
-    """Packets still alive at the end of a run: queues, backlog, event heap."""
-    alive = set()
+def leftover_packet_ids(world: World) -> list[str]:
+    """The ids of the packets still alive at the end of a run, one per
+    packet: pending queues, the backlog's packet entries and the event heap."""
+    alive = []
     for rt in world.nodes.values():
-        alive.update(p.pid for p in rt.pending)
-        alive.update(
-            e.packet_id for e in rt.backlog.entries if e.packet_id is not None
-        )
+        alive += [p.pid for p in rt.pending]
+        alive += [e.packet_id for e in rt.backlog.entries if e.packet_id is not None]
     for _, _, _, payload in world._events:
-        for item in payload:
-            if isinstance(item, Packet):
-                alive.add(item.pid)
+        alive += [item.pid for item in payload if isinstance(item, Packet)]
     return alive
 
 
 class TestPacketConservation:
+    """Every generated packet is delivered, dropped or still alive: the
+    run's counts close exactly, and so do its packet ids."""
+
+    # The tree in both modes, and short runs of grid48's shape (6 x 8 nodes,
+    # no shadowing, EWMA) and of a shadowed 3 x 4 Holt-Winters lattice.
+    RUNS = {
+        "tree-modified": (BASE_YAML, "modified", 40),
+        "tree-baseline": (BASE_YAML, "baseline", 40),
+        "lattice-6x8-ewma": (
+            lattice_yaml(sigma_db=0.0, predictor="ewma", slots=30, rows=6, cols=8), None, 30),
+        "lattice-3x4-shadow-hw": (lattice_yaml(sigma_db=4.0, predictor="hw", slots=60), None, 60),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RUNS))
+    def test_generated_is_delivered_plus_dropped_plus_alive(self, case):
+        text, mode, slots = self.RUNS[case]
+        world, metrics = run_world(text, slots, mode=mode)
+        # An aborted-op drop counts a lost operation, not a packet.
+        packet_drops = sum(n for (_, why), n in metrics.drops.items() if why != "aborted-op")
+        alive = leftover_packet_ids(world)
+        assert metrics.delivered > 0 and packet_drops > 0
+        assert metrics.generated == metrics.delivered + packet_drops + len(alive)
+
     @pytest.mark.parametrize("mode", ["modified", "baseline"])
     def test_every_packet_delivered_dropped_or_still_queued(self, mode):
-        world, metrics = run_world(mode=mode, slots=40)
-        dropped = {pid for _, pid, _, _ in metrics.drops if pid != "-"}
-        alive = leftover_packet_ids(world)
-        accounted = metrics.delivered_ids | dropped | alive
+        world, metrics = run_world(mode=mode, slots=40, world_cls=PacketLogWorld)
+        dropped = {pid for _, pid, _, _ in world.drop_rows if pid != "-"}
+        alive = set(leftover_packet_ids(world))
+        accounted = set(world.delivered_ids) | dropped | alive
         assert len(accounted) >= metrics.generated
         # No phantom ids outside the generated namespace.
         assert all(pid.startswith("D-") for pid in accounted)
@@ -85,7 +107,7 @@ class TestPacketConservation:
 
     def test_drop_records_carry_reasons(self):
         _, metrics = run_world(slots=40)
-        for slot, pid, node, reason in metrics.drops:
+        for node, reason in metrics.drops:
             assert reason
             assert node in {"A", "B", "C", "D"}
 
@@ -128,10 +150,10 @@ class TestConfigVariants:
             "traffic: {packet_period_s: 10.0}",
             "traffic: {packet_period_s: 10.0}\nchannel: {shadowing_sigma_db: 4.0}",
         )
-        _, m1 = run_world(text, slots=20, seed=9, collect_charges=True)
-        _, m2 = run_world(text, slots=20, seed=9, collect_charges=True)
+        w1, m1 = run_world(text, slots=20, seed=9, world_cls=PacketLogWorld, collect_charges=True)
+        w2, m2 = run_world(text, slots=20, seed=9, world_cls=PacketLogWorld, collect_charges=True)
         assert m1.charges == m2.charges
-        assert m1.delivered_ids == m2.delivered_ids
+        assert w1.delivered_ids == w2.delivered_ids
 
     def test_leakage_drains_and_ledger_still_closes(self):
         text = BASE_YAML.replace(

@@ -6,6 +6,7 @@ import heapq
 import inspect
 import math
 import os
+import pickle
 import random
 import struct
 import subprocess
@@ -68,6 +69,29 @@ def tree_cfg():
     return parse_scenario(TREE_YAML)
 
 
+class PacketLogWorld(World):
+    """The engine, keeping the per-packet records its metrics only count.
+
+    ``drop_rows`` holds one ``(slot, pid, node, reason)`` row per packet or
+    operation that :meth:`World._drop` counts (an operation's pid is
+    ``"-"``), in the order they are counted, and ``delivered_ids`` the id of
+    each packet the sink receives, in arrival order.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.drop_rows, self.delivered_ids = [], []
+
+    def _drop(self, node_id, reason, ids):
+        super()._drop(node_id, reason, ids)
+        self.drop_rows.extend((self.slot, pid, node_id, reason) for pid in ids)
+
+    def _on_arrive(self, t, node_id, pkt):
+        if self.nodes[node_id].is_sink:
+            self.delivered_ids.append(pkt.pid)
+        super()._on_arrive(t, node_id, pkt)
+
+
 class TestChannel:
     def test_reference_point(self):
         assert rssi_at(0.0, 8.0, ChannelSettings()) == pytest.approx(-65.0)
@@ -103,12 +127,13 @@ class TestChannel:
 
 class TestDeterminism:
     def test_same_seed_identical_metrics(self, tree_cfg):
-        m1 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5), collect_charges=True), 40)
-        m2 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5), collect_charges=True), 40)
+        w1, w2 = (PacketLogWorld(dataclasses.replace(tree_cfg, seed=5), collect_charges=True)
+                  for _ in range(2))
+        m1, m2 = simcore.run(w1, 40), simcore.run(w2, 40)
         assert list(m1.ledger) == list(m2.ledger)
         assert m1.charges == m2.charges
         assert list(m1.slot_reports) == list(m2.slot_reports)
-        assert m1.delivered_ids == m2.delivered_ids
+        assert w1.delivered_ids == w2.delivered_ids
         assert m1.route_log == m2.route_log
 
     def test_different_seed_differs(self, tree_cfg):
@@ -145,7 +170,7 @@ class TestConservation:
         )
         m = simcore.run(World(cfg), 100)
         assert not any(r.aborted for r in m.slot_reports)
-        assert not any(reason == "aborted-op" for *_, reason in m.drops)
+        assert not any(reason == "aborted-op" for _, reason in m.drops)
 
     def test_table_charges_exact(self, tree_cfg):
         m = simcore.run(World(dataclasses.replace(tree_cfg, seed=7), collect_charges=True), 30)
@@ -186,7 +211,8 @@ class TestRadioDormancy:
             tree_cfg, energy=dataclasses.replace(tree_cfg.energy, floor_fraction=0.02)
         )
         dark = HarvestTrace(powers=(0.0,) * 60)
-        world = World(cfg, traces={"B": dark}, collect_mac_trace=True, collect_charges=True)
+        world = PacketLogWorld(cfg, traces={"B": dark}, collect_mac_trace=True,
+                               collect_charges=True)
         simcore.run(world, 2)
         b = world.nodes["B"]
         assert b.tx_power is not None
@@ -211,7 +237,7 @@ class TestRadioDormancy:
         world._push(2 * tree_cfg.slot_duration_s + 0.01, "send", "B", simcore.Packet("D-1-9"))
         world.step_slot()
         assert b.plan.context.own == EnergyLevel.E0
-        assert (2, "D-1-9", "B", "dormant") in world.metrics.drops
+        assert (2, "D-1-9", "B", "dormant") in world.drop_rows
 
 
 class TestLevelSchedules:
@@ -280,7 +306,7 @@ class TestDeferral:
         b = world.nodes["B"]
         b.store = dataclasses.replace(b.store, stored=world.floor)
         m = simcore.run(world, 30)
-        evicted = Counter(kind for _, node, kind in m.evictions if node == "B")
+        evicted = Counter({kind: n for (node, kind), n in m.evictions.items() if node == "B"})
         assert sum(evicted.values()) == 30 * 4 - b.backlog.capacity
         assert set(evicted) == {"flash_read", "average50"}
         assert [e.policy for e in b.backlog.entries].count("audit") == 30 * 2
@@ -336,9 +362,10 @@ class TestDelivery:
         assert 0.0 <= m.pdr() <= 1.0
 
     def test_packets_flow_to_sink(self, tree_cfg):
-        m = simcore.run(World(dataclasses.replace(tree_cfg, seed=9)), 50)
+        world = PacketLogWorld(dataclasses.replace(tree_cfg, seed=9))
+        m = simcore.run(world, 50)
         assert m.delivered > 0
-        assert all(pid.startswith("D-") for pid in m.delivered_ids)
+        assert all(pid.startswith("D-") for pid in world.delivered_ids)
 
     def test_mode_changes_outcomes(self, tree_cfg):
         def at_mode(mode):
@@ -503,7 +530,7 @@ class _FullScanChannel(Channel):
         return _full_scan_rssi(self.settings, sender, receiver, tx_dbm)
 
 
-class _FullScanWorld(World):
+class _FullScanWorld(PacketLogWorld):
     """The engine before the link table: every reception recomputes its path
     loss, and every broadcast scans every other node in id order."""
 
@@ -596,7 +623,7 @@ def _reply(state, chosen, cost):
     return routing.Rrep(chosen.origin, state.node_id, chosen.seq, path, cost)
 
 
-class _EngineSinkWorld(World):
+class _EngineSinkWorld(PacketLogWorld):
     """The engine while it held the sink's route choice: it kept the open
     collection windows and the installed route per origin itself and branched
     on the routing mode. Counts the late copies it re-answered."""
@@ -669,9 +696,12 @@ def _by_slot(m: simcore.Metrics) -> dict:
     return {(s, n): total for s, n, total in sums if total}
 
 
-def _outputs(m: simcore.Metrics) -> tuple:
+def _outputs(world: PacketLogWorld) -> tuple:
+    """A run's outputs: its metrics and the per-packet records the world kept."""
+    m = world.metrics
     return (list(m.ledger), (_by_slot(m), m.book.by_label, m.book.rows), list(m.slot_reports),
-            m.route_log, m.drops, m.evictions, m.delivered_ids, m.generated)
+            m.route_log, m.drops, world.drop_rows, m.evictions, m.delivered, world.delivered_ids,
+            m.generated)
 
 
 class TestLinkTable:
@@ -750,14 +780,15 @@ class TestLinkTable:
         dark = HarvestTrace(powers=(0.0,) * 30)
         traces = {n: dark for n in ("N02", "N05", "N07", "N10")}
         cfg = dataclasses.replace(cfg, seed=5)
-        table = World(cfg, traces=traces, collect_charges=True)
+        table = PacketLogWorld(cfg, traces=traces, collect_charges=True)
         radio_off = 0
         for _ in range(30):
             simcore.run(table, 1)
             radio_off += sum(1 for rt in table.nodes.values() if rt.schedule.radio_off)
-        scan = simcore.run(_FullScanWorld(cfg, traces=traces, collect_charges=True), 30)
+        scan = _FullScanWorld(cfg, traces=traces, collect_charges=True)
+        simcore.run(scan, 30)
         assert radio_off > 0 and table.metrics.delivered > 0
-        assert _outputs(table.metrics) == _outputs(scan)
+        assert _outputs(table) == _outputs(scan)
 
 
 class _ArrivalLogWorld(World):
@@ -806,8 +837,10 @@ class TestSinkRouteChoice:
     def both(cfg, slots, mode):
         cfg = dataclasses.replace(cfg, routing=dataclasses.replace(cfg.routing, mode=mode))
         reference = _EngineSinkWorld(cfg, collect_charges=True)
-        expected = simcore.run(reference, slots)
-        assert _outputs(simcore.run(World(cfg, collect_charges=True), slots)) == _outputs(expected)
+        simcore.run(reference, slots)
+        world = PacketLogWorld(cfg, collect_charges=True)
+        simcore.run(world, slots)
+        assert _outputs(world) == _outputs(reference)
         return reference
 
     @pytest.mark.parametrize("mode", ["modified", "baseline"])
@@ -834,7 +867,8 @@ class TestStreamedCharges:
             cfg, slots = tree_cfg, 60
         else:
             cfg, slots = parse_scenario(lattice_yaml(sigma_db=4.0, predictor="ewma", slots=30)), 30
-        m = simcore.run(World(cfg, collect_charges=True), slots)
+        with_rows = PacketLogWorld(cfg, collect_charges=True)
+        m = simcore.run(with_rows, slots)
         by_slot, by_label = defaultdict(float), defaultdict(float)
         for s, n, label, amount in m.charges:
             by_slot[s, n] += amount
@@ -846,13 +880,15 @@ class TestStreamedCharges:
         families = {label.split(":")[0] for _, label in m.book.by_label}
         assert families == {"op", "mac", "duty"}
 
-        plain = simcore.run(World(cfg), slots)
+        plain_world = PacketLogWorld(cfg)
+        plain = simcore.run(plain_world, slots)
         assert (_by_slot(plain), plain.book.by_label, plain.book.rows) == (
             _by_slot(m), m.book.by_label, [])
-        assert list(plain.ledger) == list(m.ledger) and _outputs(plain)[2:] == _outputs(m)[2:]
+        assert list(plain.ledger) == list(m.ledger)
+        assert _outputs(plain_world)[2:] == _outputs(with_rows)[2:]
 
 
-class _CountingWorld(World):
+class _CountingWorld(PacketLogWorld):
     """The engine, counting the overhead draws the floor refused."""
 
     refusals = 0
@@ -898,11 +934,12 @@ class TestChargeAccounts:
         collecting = _CountingWorld(cfg, collect_charges=True)
         with_rows = simcore.run(collecting, slots)
         by_slot, by_label = _fold_rows(with_rows.charges)
-        m = simcore.run(World(cfg), slots)
+        plain = PacketLogWorld(cfg)
+        m = simcore.run(plain, slots)
         assert _by_slot(m) == by_slot
         assert m.book.by_label == by_label
         assert list(m.ledger) == list(with_rows.ledger)
-        assert _outputs(m)[2:] == _outputs(with_rows)[2:]
+        assert _outputs(plain)[2:] == _outputs(collecting)[2:]
         return collecting, m
 
     def test_tree(self, tree_cfg):
@@ -1216,19 +1253,18 @@ class TestEngineRecords:
 def _hold_each(world, rt, pkts, reason):
     """The per-packet rule blocked packets once followed: a relay drops each;
     at a source each packet joins the pending queue in turn, and past the
-    cap the oldest waiting one overflows."""
+    cap the oldest waiting one overflows, each packet through its own
+    :meth:`World._drop`."""
     for pkt in pkts:
         if rt.role != "source":
-            world.metrics.drops.append((world.slot, pkt.pid, rt.node_id, reason))
+            world._drop(rt.node_id, reason, [pkt.pid])
             continue
         if reason == "no-route":
             rt.need_route = True
         rt.pending.append(pkt)
         if len(rt.pending) > simcore.PENDING_QUEUE_CAP:
             victim = rt.pending.pop(0)
-            world.metrics.drops.append(
-                (world.slot, victim.pid, rt.node_id, f"queue-overflow({reason})")
-            )
+            world._drop(rt.node_id, f"queue-overflow({reason})", [victim.pid])
 
 
 class TestBlockedSourceQueue:
@@ -1239,7 +1275,7 @@ class TestBlockedSourceQueue:
     @staticmethod
     def blocked(tree_cfg, node_id, queued, need_route):
         """A world at slot 7 whose ``node_id`` has ``queued`` packets pending."""
-        world = World(tree_cfg)
+        world = PacketLogWorld(tree_cfg)
         world.slot = 7
         rt = world.nodes[node_id]
         rt.need_route = need_route
@@ -1248,7 +1284,7 @@ class TestBlockedSourceQueue:
 
     @staticmethod
     def outcome(world, rt):
-        return [p.pid for p in rt.pending], world.metrics.drops, rt.need_route
+        return [p.pid for p in rt.pending], world.drop_rows, world.metrics.drops, rt.need_route
 
     # D is the tree's source, B a relay.
     @pytest.mark.parametrize("reason", ["dormant", "no-route"])
@@ -1267,7 +1303,8 @@ class TestBlockedSourceQueue:
             assert all(a is b for a, b in zip(rt.pending, waiting[-self.CAP:], strict=True))
             outcomes.append(self.outcome(world, rt))
         assert outcomes[0] == outcomes[1]
-        pending, drops, _ = outcomes[1]
+        pending, drops, counts, _ = outcomes[1]
+        assert counts.total() == len(drops)
         if node_id == "D":
             assert len(pending) == min(queued + n, self.CAP)
             assert len(drops) == max(queued + n - self.CAP, 0)
@@ -1320,20 +1357,23 @@ class TestPlanTermsPerWorld:
     def test_worlds_with_other_costs_run_side_by_side_as_alone(self, tree_cfg):
         slots = 60
         alone = [
-            simcore.run(World(parse_scenario(TREE_YAML), collect_charges=True), slots),
-            simcore.run(World(dataclasses.replace(parse_scenario(TREE_YAML), costs=self.COSTS),
-                              collect_charges=True), slots),
+            PacketLogWorld(parse_scenario(TREE_YAML), collect_charges=True),
+            PacketLogWorld(dataclasses.replace(parse_scenario(TREE_YAML), costs=self.COSTS),
+                           collect_charges=True),
         ]
+        for world in alone:
+            simcore.run(world, slots)
         # Both worlds share the parsed policies and step in turn.
-        pair = [World(tree_cfg, collect_charges=True),
-                World(dataclasses.replace(tree_cfg, costs=self.COSTS), collect_charges=True)]
+        pair = [PacketLogWorld(tree_cfg, collect_charges=True),
+                PacketLogWorld(dataclasses.replace(tree_cfg, costs=self.COSTS),
+                               collect_charges=True)]
         for _ in range(slots):
             for world in pair:
                 simcore.run(world, 1)
         assert pair[0].nodes["B"].policies is pair[1].nodes["B"].policies
         assert _outputs(alone[0]) != _outputs(alone[1])
         for world, expected in zip(pair, alone):
-            assert _outputs(world.metrics) == _outputs(expected)
+            assert _outputs(world) == _outputs(expected)
 
     # sha256 of the per-draw rows, one repr per line, of the shipped tree at
     # seed 11 over 300 slots, as the engine drew them one withdrawal at a time.
@@ -1648,31 +1688,58 @@ class TestMetricTables:
         assert freed / node_slots <= 250.0, f"{freed / node_slots:.0f} B per node-slot"
         assert freed / node_slots >= 100.0  # the tables hold each row's values at all
 
+    @staticmethod
+    def retained_past_the_tables(slots):
+        """What the metrics of a tree run of ``slots`` slots keep besides the
+        per-node-slot tables and the route log, in bytes: the drop, eviction
+        and delivery counts and the per-node sums, measured as the memory an
+        equal copy of them (strings included) takes. Copying keeps the
+        run itself untraced."""
+        m = simcore.run(World(parse_scenario(SHIPPED_TREE)), slots)
+        m.ledger = m.forecast_rows = m.slot_reports = m.book.by_slot = m.route_log = None
+        kept = pickle.dumps(m)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            copy = pickle.loads(kept)  # bound, so alive as it is measured
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
 
-class _RepeatCountingWorld(World):
-    """Counts the packets that reach the sink after it already delivered them."""
-
-    repeats = 0
-
-    def _on_arrive(self, t, node_id, pkt):
-        self.repeats += self.nodes[node_id].is_sink and pkt.pid in self.metrics.delivered_ids
-        super()._on_arrive(t, node_id, pkt)
+    def test_packet_counts_do_not_grow_with_the_run(self):
+        # About 8 KB at both lengths. A set of delivered ids and one row per
+        # drop and per eviction kept 115 KB after 200 slots and 1.4 MB after
+        # 2,000.
+        short, long = self.retained_past_the_tables(200), self.retained_past_the_tables(2000)
+        assert short > 0
+        assert long <= short + 2048, f"{short} B after 200 slots, {long} B after 2,000"
 
 
 class TestNoRepeatDelivery:
-    """No packet reaches the sink twice, so ``delivered_ids`` counts each
-    delivery once and could be bounded without changing ``delivered``."""
+    """The precondition of the ``delivered`` count: no packet reaches the sink
+    twice, so counting each arrival at the sink counts distinct packets.
+    There is one live packet per id, and a delivered one is never retried."""
+
+    @staticmethod
+    def assert_each_arrival_is_a_new_packet(cfg, slots):
+        world = PacketLogWorld(cfg)
+        m = simcore.run(world, slots)
+        arrivals = world.delivered_ids
+        assert m.delivered == len(arrivals) > 0
+        assert len(set(arrivals)) == len(arrivals), "a packet reached the sink twice"
 
     @pytest.mark.parametrize("mode", ["modified", "baseline"])
     def test_tree(self, mode):
         base = parse_scenario(SHIPPED_TREE)
         cfg = dataclasses.replace(base, routing=dataclasses.replace(base.routing, mode=mode))
-        world = _RepeatCountingWorld(cfg)
-        m = simcore.run(world, 300)
-        assert m.delivered > 0 and world.repeats == 0
+        self.assert_each_arrival_is_a_new_packet(cfg, 300)
 
     def test_shadowed_holt_winters_lattice(self):
         cfg = parse_scenario(lattice_yaml(sigma_db=4.0, predictor="hw", slots=100))
-        world = _RepeatCountingWorld(cfg)
-        m = simcore.run(world, 100)
-        assert m.delivered > 0 and world.repeats == 0
+        self.assert_each_arrival_is_a_new_packet(cfg, 100)
+
+    def test_grid48_lattice(self):
+        # grid48's shape: 6 x 8 nodes, no shadowing, EWMA prediction.
+        cfg = parse_scenario(lattice_yaml(sigma_db=0.0, predictor="ewma", slots=100,
+                                          rows=6, cols=8))
+        self.assert_each_arrival_is_a_new_packet(cfg, 100)

@@ -125,3 +125,12 @@ class TestOneEngineRule:
         # World._hold is the one queue-or-drop rule for blocked packets; any
         # other function that reads the cap would be a second overflow rule.
         assert _readers_of("PENDING_QUEUE_CAP") == ["simcore.World._hold"]
+
+    def test_one_function_counts_drops(self):
+        # World._drop is the one drop rule and the only writer of the drop
+        # counts; Metrics.summary only totals them. Any other function that
+        # touches them would be a second drop rule.
+        touching = sorted(set(_functions_where(
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "drops"
+        )))
+        assert touching == ["simcore.Metrics.summary", "simcore.World._drop"]
