@@ -22,9 +22,7 @@ from .energy import (
     TX_OP_KIND,
     EnergyLevel,
     EnergyStore,
-    OperationCostTable,
     classify_level,
-    op_cost,
 )
 from .optimizer import PolicyLp, build_opt
 
@@ -105,18 +103,18 @@ def assess_slot(
     store: EnergyStore,
     forecasts: list[float],
     neighbor_levels: list[EnergyLevel],
+    thresholds: tuple[float, ...],
 ) -> EnergyContext:
     """Classify own, virtual and network energy for this slot.
 
-    The virtual level is the classification of the *worst* forecast over the
-    horizon (at least two slots).
+    Own and virtual level are :func:`energy.classify_level` of the store's
+    balance and of the *worst* forecast over the horizon (at least two
+    slots), at the scenario's ``thresholds``.
     """
     if len(forecasts) < 2:
         raise ValueError("forecast horizon must cover at least 2 slots")
-    own = store.level
-    virtual = classify_level(
-        max(min(forecasts), 0.0), store.capacity, store.thresholds
-    )
+    own = classify_level(store.stored, store.capacity, thresholds)
+    virtual = classify_level(max(min(forecasts), 0.0), store.capacity, thresholds)
     network = min(neighbor_levels) if neighbor_levels else DEFAULT_NETWORK_LEVEL
     return EnergyContext(own=own, virtual=virtual, network=network)
 
@@ -229,8 +227,7 @@ def deferred_packet(packet_id: str, slot: int) -> BacklogEntry:
 class ExecutionPlan:
     """One slot's commitment: the levels it was planned at, (policy, kind)
     steps to run now, controls, the backlog entries it defers, and the
-    price of each kind it runs, from the cost table it was planned with
-    (every ``tx128`` at the slot's transmit power)."""
+    price of every kind at the slot's transmit power."""
 
     context: EnergyContext
     run_ops: list[tuple[str, str]]
@@ -295,49 +292,43 @@ def _prefixes(
     return chosen, ran
 
 
-def policy_cost(policy: Policy, table: OperationCostTable, tx_power_dbm: int | None) -> float:
-    return sum(op_cost(table, kind, tx_power_dbm) for kind in policy.steps)
-
-
 @dataclass(frozen=True)
 class PlanTerms:
     """What planning needs of a node's policies at one transmit power, with
     the radio dark or not: the policies that may run, the same policies in
-    priority order, the :func:`energy.op_cost` of each kind they list, and
-    the LP over them (each one's utility weight and cost, and the duty
-    factor's), built and validated once at a zero budget. Each slot fills
-    that LP at the spend its budget leaves (:meth:`optimizer.PolicyLp.fill`).
+    priority order, and the LP over them (each one's utility weight and
+    cost, and the duty factor's), built and validated once at a zero budget.
+    Each slot fills that LP at the spend its budget leaves
+    (:meth:`optimizer.PolicyLp.fill`).
 
-    The terms depend only on the policies, the cost table, the duty
-    settings and that pair, so a run computes them once per pair (see
-    :func:`plan_slot`'s ``cache``).
+    The terms depend only on the policies, the prices, the duty settings and
+    that pair, so a run computes them once per pair (see :func:`plan_slot`'s
+    ``cache``).
     """
 
     eligible: tuple[Policy, ...]
     ranked: tuple[Policy, ...]
-    price: Mapping[str, float]
     lp: PolicyLp
 
 
 def plan_terms(
     policies: Iterable[Policy],
-    table: OperationCostTable,
-    tx_power_dbm: int | None,
+    price: Mapping[str, float],
     radio_dark: bool,
     *,
     duty_energy: float,
     duty_weight: float | None = None,
 ) -> PlanTerms:
-    """The :class:`PlanTerms` of ``policies``; a dark radio drops the network
-    policies. ``duty_weight=None`` picks the optimizer's default rate."""
+    """The :class:`PlanTerms` of ``policies``, each costing the sum of its
+    steps' ``price``; a dark radio drops the network policies.
+    ``duty_weight=None`` picks the optimizer's default rate."""
     eligible = tuple(p for p in policies if not (p.is_network and radio_dark))
     return PlanTerms(
         eligible=eligible,
         ranked=tuple(sorted(eligible, key=_rank)),
-        price={kind: op_cost(table, kind, tx_power_dbm) for p in eligible for kind in p.ops},
         lp=build_opt(
             [p.utility for p in eligible],
-            [policy_cost(p, table, tx_power_dbm) for p in eligible],
+            [sum(price[kind] for kind in p.steps) for p in eligible],
             duty_energy,
             duty_weight,
             0.0,
@@ -350,7 +341,7 @@ def plan_slot(
     policies: list[Policy],
     backlog: Backlog,
     budget: float,
-    table: OperationCostTable,
+    price: Mapping[str, float],
     *,
     slot: int,
     tx_power_dbm: int | None,
@@ -365,19 +356,18 @@ def plan_slot(
     the budget, raised just enough to keep the spend within what the
     variables can absorb; the optimizer then yields the morphing factors.
     When both own and virtual levels are high the backlog is drained before
-    fresh policy work is planned. Every ``tx128``, drained or fresh, is
-    costed at ``tx_power_dbm``, the power this slot transmits at. The plan
-    carries the terms' prices, with any drained kind they lack priced from
-    ``table``, and defers the :func:`deferrals` of the steps it leaves
-    unrun, listing no network policy's. The plan keys policies by name, so
-    no two in ``policies`` may share one (``scenario.parse_scenario``
-    rejects a repeated name).
+    fresh policy work is planned. ``price`` prices every kind at
+    ``tx_power_dbm``, the power this slot transmits at, so every step,
+    drained or fresh, is costed at it; the plan carries it. The plan defers
+    the :func:`deferrals` of the steps it leaves unrun, listing no network
+    policy's. The plan keys policies by name, so no two in ``policies`` may
+    share one (``scenario.parse_scenario`` rejects a repeated name).
 
     ``cache`` is the caller's store of :func:`plan_terms` for exactly these
-    ``policies``, ``table`` and duty settings, keyed by ``(tx_power_dbm,
-    radio_dark)``: a missing entry is computed and kept there, so a caller
-    that plans again with the same store reuses it, and one that passes a
-    fresh store plans from terms computed afresh.
+    ``policies``, each power's prices and the duty settings, keyed by
+    ``(tx_power_dbm, radio_dark)``: a missing entry is computed and kept
+    there, so a caller that plans again with the same store reuses it, and
+    one that passes a fresh store plans from terms computed afresh.
     """
     radio_dark = EnergyLevel.E0 in (context.network, context.own)
     key = (tx_power_dbm, radio_dark)
@@ -385,8 +375,7 @@ def plan_slot(
     if terms is None:
         terms = cache[key] = plan_terms(
             policies,
-            table,
-            tx_power_dbm,
+            price,
             radio_dark,
             duty_energy=duty_energy,
             duty_weight=duty_weight,
@@ -397,7 +386,6 @@ def plan_slot(
 
     backlog_run: list[BacklogEntry] = []
     drained_cost = 0.0
-    price = terms.price
     if (
         context.own == EnergyLevel.E3
         and context.virtual == EnergyLevel.E3
@@ -405,10 +393,7 @@ def plan_slot(
     ):
         kept: list[BacklogEntry] = []
         for entry in backlog.drain():
-            kind = entry.kind
-            if kind not in price:  # priced for this plan alone; the terms keep theirs
-                price = {**price, kind: op_cost(table, kind, tx_power_dbm)}
-            cost = price[kind]
+            cost = price[entry.kind]
             if drained_cost + cost <= spend_cap:
                 backlog_run.append(entry)
                 drained_cost += cost
@@ -451,7 +436,7 @@ def execute_plan(
     """Charge the store for the plan's :attr:`~ExecutionPlan.steps`, in
     order, at the plan's prices.
 
-    A draw of a table-checked price is :func:`energy.withdraw`'s comparison
+    A draw of a checked price is :func:`energy.withdraw`'s comparison
     alone: paid when what it leaves is not below ``floor``; the first one
     refused aborts the remainder (the harvest-forecast-error path). The
     caller books the paid steps, the first ``ops_node + ops_network`` of

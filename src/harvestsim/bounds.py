@@ -282,15 +282,22 @@ def field_checks(cls) -> dict:
     }
 
 
+def refuse(cls, out: list) -> None:
+    """Raise one ``ValueError`` naming each ``(path, message)`` violation in
+    ``out`` as ``Class.path: message``, the path's steps joined by ``/``;
+    return when there is none."""
+    if out:
+        name = cls.__name__
+        raise ValueError("; ".join(f"{name}.{'/'.join(map(str, p))}: {m}" for p, m in out))
+
+
 class Bounded:
     """Mixin of a settings dataclass: building one checks every field with
     its own bound, and raises one ``ValueError`` naming each violation as
-    ``Class.field: message``."""
+    :func:`refuse` does."""
 
     def __post_init__(self) -> None:
         out: list = []
         for name, check in field_checks(type(self)).items():
             check(getattr(self, name), (name,), out)
-        if out:
-            cls = type(self).__name__
-            raise ValueError("; ".join(f"{cls}.{'/'.join(map(str, p))}: {m}" for p, m in out))
+        refuse(type(self), out)

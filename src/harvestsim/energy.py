@@ -8,7 +8,7 @@ paid when what it leaves is not below the floor; a refusal raises
 :class:`InsufficientEnergy` carrying its numbers (its message formatted only
 when read). ``simcore.World._charge`` pays through it, answering a refusal
 by the same comparison without the exception; ``app.execute_plan`` pays
-table-checked prices by that comparison alone. :class:`ChargeBook` is the
+a plan's checked prices by that comparison alone. :class:`ChargeBook` is the
 plain record of a run's paid draws, which the engine fills.
 """
 
@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import TYPE_CHECKING, NamedTuple
-
-from .bounds import POS_TABLE, Bounded
 
 if TYPE_CHECKING:
     from .simcore import SlotSums
@@ -45,10 +44,6 @@ class InsufficientEnergy(EnergyError):
     def __str__(self) -> str:
         amount, stored, floor = self.args
         return f"withdraw {amount} from {stored} would leave {stored - amount} < floor {floor}"
-
-
-class UnknownOperation(EnergyError):
-    """No cost entry for the requested operation kind / power level."""
 
 
 class EnergyLevel(IntEnum):
@@ -90,15 +85,14 @@ def classify_level(e: float, capacity: float, thresholds: tuple[float, ...] = DE
 
 @dataclass(slots=True)
 class EnergyStore:
-    """Supercapacitor ledger: stored amount, capacity clamp, level thresholds.
+    """Supercapacitor ledger: stored amount and capacity clamp.
 
     Only :func:`deposit`, :func:`withdraw` and ``app.execute_plan`` change
-    ``stored``, each keeping it valid, so :attr:`level` does not check it.
+    ``stored``, each keeping it valid.
     """
 
     stored: float
     capacity: float
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
 
     def __post_init__(self) -> None:
         # Kept as floats, so that a store clamped full holds a float too.
@@ -110,10 +104,6 @@ class EnergyStore:
             raise ValueError(
                 f"stored ({self.stored}) exceeds capacity ({self.capacity})"
             )
-
-    @property
-    def level(self) -> EnergyLevel:
-        return _LEVELS[bisect_right(self.thresholds, self.stored / self.capacity)]
 
 
 def deposit(store: EnergyStore, e: float) -> tuple[EnergyStore, float]:
@@ -232,26 +222,13 @@ DEFAULT_OP_COSTS = {kind: op.cost_uj for kind, op in OP_KINDS.items() if kind !=
 RADIO_OPS = frozenset(kind for kind, op in OP_KINDS.items() if op.radio)
 
 
-@dataclass(frozen=True)
-class OperationCostTable(Bounded):
-    """Lookup from operation kind to energy cost (uJ)."""
+def price_tables(costs: Mapping) -> dict[int | None, dict[str, float]]:
+    """The price in uJ of every operation kind at each transmit power, and
+    with the radio dormant (``None``), where there is no ``tx128``.
 
-    costs: dict[str, float] = field(default_factory=DEFAULT_OP_COSTS.copy, metadata=POS_TABLE)
-    tx_costs: dict[int, float] = field(default_factory=DEFAULT_TX_COSTS.copy, metadata=POS_TABLE)
-
-
-def op_cost(table: OperationCostTable, kind: str, tx_power_dbm: int | None = None) -> float:
-    """Cost of one operation; transmit kinds additionally need a power level."""
-    if kind == TX_OP_KIND:
-        if tx_power_dbm is None:
-            raise UnknownOperation("transmit cost requires a tx power level")
-        try:
-            return table.tx_costs[tx_power_dbm]
-        except KeyError:
-            raise UnknownOperation(
-                f"no transmit cost configured for {tx_power_dbm} dBm"
-            ) from None
-    try:
-        return table.costs[kind]
-    except KeyError:
-        raise UnknownOperation(f"unknown operation kind {kind!r}") from None
+    A scenario's ``costs`` override the published ones entry by entry, its
+    ``tx128`` table those of :data:`DEFAULT_TX_COSTS`.
+    """
+    prices = {**DEFAULT_OP_COSTS, **costs}
+    tx_costs = {**DEFAULT_TX_COSTS, **prices.pop(TX_OP_KIND, {})}
+    return {None: prices, **{power: {**prices, TX_OP_KIND: c} for power, c in tx_costs.items()}}

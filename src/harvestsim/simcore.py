@@ -33,7 +33,7 @@ schedules is queued after them.
 
 Energy accounting is split in two: application operations (sense, compute,
 storage, packet transmissions/receptions) are settled through the plan at
-exact cost-table values, while MAC-layer overhead (preamble trains, acks,
+exact per-kind prices, while MAC-layer overhead (preamble trains, acks,
 retries, beacons, flood frames) is charged per event from the radio current
 model. ``app.execute_plan`` pays the plan by withdraw's floor comparison
 alone; :meth:`World._charge` pays every other draw, duty and leakage too,
@@ -84,10 +84,9 @@ from functools import partial
 from typing import NamedTuple
 
 from . import app, forecast, mac, routing
+from .bounds import field_checks, refuse
 from .channel import Channel, loss_probability, survives
 from .energy import (
-    DEFAULT_OP_COSTS,
-    DEFAULT_TX_COSTS,
     OP_KINDS,
     RX_OP_KIND,
     TX_OP_KIND,
@@ -95,9 +94,9 @@ from .energy import (
     EnergyLevel,
     EnergyStore,
     HarvestTrace,
-    OperationCostTable,
     deposit,
     harvest_in_slot,
+    price_tables,
     withdraw,
 )
 from .scenario import ScenarioConfig, build_profile_trace
@@ -141,8 +140,8 @@ class NodeRuntime:
     wake_phase_ms: float
     rng_mac: random.Random
     policies: tuple[app.Policy, ...]
-    # The app.plan_terms of ``policies`` at the world's cost table, filled
-    # by app.plan_slot as (tx power, radio-dark) pairs first occur.
+    # The app.plan_terms of ``policies`` at the world's prices, filled by
+    # app.plan_slot as (tx power, radio-dark) pairs first occur.
     plan_terms: dict[tuple[int | None, bool], app.PlanTerms] = field(default_factory=dict)
     predictor_state: object | None = None
     next_prediction: float | None = None
@@ -154,7 +153,6 @@ class NodeRuntime:
     forwards_left: int = 0
     pending: list[Packet] = field(default_factory=list)
     need_route: bool = False
-    flood_initiated_slot: int = -1
     slot_ledger: tuple = (0.0, 0.0, 0.0)
     # Paid draws: this slot's sum, and the run's total per label.
     slot_charged: float = 0.0
@@ -328,7 +326,7 @@ class World:
     """
 
     __slots__ = (
-        "cfg", "collect_mac_trace", "radio", "table", "floor", "_levels", "frames",
+        "cfg", "collect_mac_trace", "radio", "prices", "floor", "_levels", "frames",
         "metrics", "_rows", "now", "slot", "_event_seq",
         "_events", "sink_id", "nodes", "channel", "_visit_order", "_handlers",
     )
@@ -351,12 +349,12 @@ class World:
         self.cfg = cfg
         self.collect_mac_trace = collect_mac_trace
         self.radio = mac.RadioEnergyModel()
-        costs = dict(cfg.costs)
-        tx_costs = costs.pop(TX_OP_KIND, {})
-        # Configured costs override the published ones entry by entry.
-        self.table = OperationCostTable(
-            {**DEFAULT_OP_COSTS, **costs}, {**DEFAULT_TX_COSTS, **tx_costs}
-        )
+        # A parsed document's costs are checked already; a code-built
+        # config's are checked here, against the same bound.
+        out: list = []
+        field_checks(ScenarioConfig)["costs"](cfg.costs, ("costs",), out)
+        refuse(ScenarioConfig, out)
+        self.prices = price_tables(cfg.costs)
         self.floor = cfg.energy.floor_fraction * cfg.energy.capacity_uj
         schedules = {
             level: mac.schedule_from_delta(delta, cfg.mac)
@@ -400,9 +398,7 @@ class World:
                         cfg.profiles[spec.profile], cfg.slots, spec.profile
                     )
                 store = EnergyStore(
-                    stored=0.5 * cfg.energy.capacity_uj,
-                    capacity=cfg.energy.capacity_uj,
-                    thresholds=cfg.energy.thresholds,
+                    stored=0.5 * cfg.energy.capacity_uj, capacity=cfg.energy.capacity_uj
                 )
             rt = NodeRuntime(
                 node_id=spec.id,
@@ -765,7 +761,8 @@ class World:
         rt.next_prediction = pred
         forecasts = forecast.predict_horizon(rt.predictor_state, settings.horizon)
 
-        context = app.assess_slot(rt.store, forecasts, routing.neighbor_levels(rt.routing, slot))
+        neighbors = routing.neighbor_levels(rt.routing, slot)
+        context = app.assess_slot(rt.store, forecasts, neighbors, self.cfg.energy.thresholds)
         rt.available = e_a
         rt.tx_power, rt.delta_op, rt.schedule = self._levels[context.own]
 
@@ -774,7 +771,7 @@ class World:
             rt.policies,
             rt.backlog,
             app.compute_budget(context, rt.store, self.floor),
-            self.table,
+            self.prices[rt.tx_power],
             slot=slot,
             tx_power_dbm=rt.tx_power,
             duty_energy=self.cfg.energy.duty_energy_uj,
@@ -810,12 +807,10 @@ class World:
 
         refresh = slot % self.cfg.routing.rreq_refresh_slots == 0
         if rt.tx_power is not None and (rt.need_route or refresh):
-            if rt.flood_initiated_slot != slot:
-                rt.flood_initiated_slot = slot
-                jitter = rt.rng_mac.uniform(0.0, 0.1)
-                seq = rt.routing.next_seq()
-                rreq = routing.Rreq(rt.node_id, seq, tx_power_dbm=rt.tx_power)
-                self._push(t0 + jitter, "rreq_tx", rt.node_id, rreq)
+            jitter = rt.rng_mac.uniform(0.0, 0.1)
+            seq = rt.routing.next_seq()
+            rreq = routing.Rreq(rt.node_id, seq, tx_power_dbm=rt.tx_power)
+            self._push(t0 + jitter, "rreq_tx", rt.node_id, rreq)
 
     def _schedule_beacons(self, rt: NodeRuntime, t0: float) -> None:
         period = self.cfg.routing.beacon_period_s

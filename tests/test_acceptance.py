@@ -16,7 +16,7 @@ import pytest
 
 from harvestsim import forecast, mac, simcore
 from harvestsim.cli import compare_predictors, main
-from harvestsim.energy import EnergyLevel, HarvestTrace, OperationCostTable
+from harvestsim.energy import DEFAULT_OP_COSTS, DEFAULT_TX_COSTS, EnergyLevel, HarvestTrace
 from harvestsim.optimizer import (
     build_opt,
     evaluate_curve,
@@ -231,15 +231,14 @@ def test_criterion_8_ledger_conservation(route_compare_runs):
         )
         assert end >= floor - 1e-9
     assert worst < 1e-6
-    table = OperationCostTable()
     op_rows = 0
     for _, _, label, amount in metrics.charges:
         if label.startswith("op:"):
             kind = label[3:]
             if kind == "tx128":
-                assert amount in table.tx_costs.values()
+                assert amount in DEFAULT_TX_COSTS.values()
             else:
-                assert amount == table.costs[kind]
+                assert amount == DEFAULT_OP_COSTS[kind]
             op_rows += 1
     report(
         8,

@@ -13,11 +13,16 @@ from harvestsim.app import (
     execute_plan,
     plan_slot,
     plan_terms,
-    policy_cost,
     _prefixes,
     _rank,
 )
-from harvestsim.energy import EnergyLevel, EnergyStore, OperationCostTable
+from harvestsim.energy import (
+    DEFAULT_THRESHOLDS,
+    DEFAULT_TX_COSTS,
+    EnergyLevel,
+    EnergyStore,
+    price_tables,
+)
 
 CAP = 100_000.0  # 100 mJ
 FLOOR = 10_000.0  # E0/E1 boundary
@@ -32,6 +37,19 @@ def store_at(stored):
     return EnergyStore(stored=stored, capacity=CAP)
 
 
+def assess(store, forecasts, neighbor_levels, thresholds=DEFAULT_THRESHOLDS):
+    return assess_slot(store, forecasts, neighbor_levels, thresholds)
+
+
+# The published price of every kind at each transmit power, and dormant.
+PRICES = price_tables({})
+
+
+def cost_of(policy, price):
+    """A policy's LP cost: the sum of its steps' prices, in step order."""
+    return sum(price[kind] for kind in policy.steps)
+
+
 SENSE = "sense"
 AVG = "average50"
 WRITE = "flash_write"
@@ -41,7 +59,7 @@ RX = "rx128"
 
 class TestAssess:
     def test_all_high(self):
-        ctx = assess_slot(
+        ctx = assess(
             store_at(CAP), [90_000.0, 95_000.0], [EnergyLevel.E3, EnergyLevel.E3]
         )
         assert (ctx.own, ctx.virtual, ctx.network) == (
@@ -51,7 +69,7 @@ class TestAssess:
         )
 
     def test_mixed_levels(self):
-        ctx = assess_slot(
+        ctx = assess(
             store_at(25_000.0),
             [5_000.0, 30_000.0],
             [EnergyLevel.E2, EnergyLevel.E1],
@@ -63,16 +81,24 @@ class TestAssess:
         )
 
     def test_no_neighbors_defaults_e1(self):
-        ctx = assess_slot(store_at(CAP), [CAP, CAP], [])
+        ctx = assess(store_at(CAP), [CAP, CAP], [])
         assert ctx.network is EnergyLevel.E1
 
     def test_short_horizon_rejected(self):
         with pytest.raises(ValueError):
-            assess_slot(store_at(CAP), [CAP], [])
+            assess(store_at(CAP), [CAP], [])
 
     def test_virtual_uses_worst_forecast(self):
-        ctx = assess_slot(store_at(CAP), [80_000.0, 5_000.0], [])
+        ctx = assess(store_at(CAP), [80_000.0, 5_000.0], [])
         assert ctx.virtual is EnergyLevel.E0
+
+    def test_both_levels_read_the_given_thresholds(self):
+        # At the defaults 45% of the store is E2; at (0.2, 0.5, 0.9) it is E1.
+        store = store_at(45_000.0)
+        ctx = assess(store, [45_000.0, 95_000.0], [])
+        assert (ctx.own, ctx.virtual) == (EnergyLevel.E2, EnergyLevel.E2)
+        ctx = assess(store, [45_000.0, 95_000.0], [], (0.2, 0.5, 0.9))
+        assert (ctx.own, ctx.virtual) == (EnergyLevel.E1, EnergyLevel.E1)
 
 
 class TestBudget:
@@ -142,9 +168,8 @@ def make_policies():
 SLOT = 7
 
 
-def plan(ctx, policies=None, budget=None, backlog=None, table=None, tx_power_dbm=0, cache=None):
+def plan(ctx, policies=None, budget=None, backlog=None, prices=PRICES, tx_power_dbm=0, cache=None):
     policies = policies or make_policies()
-    table = table or OperationCostTable()
     if budget is None:
         budget = 50_000.0
     return plan_slot(
@@ -152,7 +177,7 @@ def plan(ctx, policies=None, budget=None, backlog=None, table=None, tx_power_dbm
         policies,
         backlog if backlog is not None else Backlog(),
         budget,
-        table,
+        prices[tx_power_dbm],
         slot=SLOT,
         tx_power_dbm=tx_power_dbm,
         duty_energy=10_000.0,
@@ -248,7 +273,7 @@ class TestPlanTermsCache:
         ]
 
     def test_cached_plan_equals_uncached_at_every_pair(self):
-        table = OperationCostTable(tx_costs={0: 341.0, -5: 304.0, -10: 271.0})
+        prices = price_tables({"tx128": {0: 341.0, -5: 304.0, -10: 271.0}})
         policies = self.policies()
         cache = {}
         for budget in (0.0, 150.0, 900.0, 2_500.0, 50_000.0):
@@ -259,25 +284,24 @@ class TestPlanTermsCache:
                     backlog = Backlog()
                     backlog.push(BacklogEntry(SENSE, "log", 2, enqueued_slot=0))
                     backlog.push(BacklogEntry(TX, "deferred-tx", 1, 1, packet_id="D-1-0"))
-                    runs.append((plan(ctx, policies, budget, backlog, table, power, store), backlog))
+                    runs.append((plan(ctx, policies, budget, backlog, prices, power, store), backlog))
                 (cached, left), (fresh, fresh_left) = runs
                 assert cached == fresh
                 assert left.entries == fresh_left.entries
                 dark = EnergyLevel.E0 in (own, network)
                 assert cache[power, dark] == plan_terms(
-                    policies, table, power, dark, duty_energy=10_000.0
+                    policies, prices[power], dark, duty_energy=10_000.0
                 )
         assert len(cache) == len(self.PAIRS)
 
     def test_terms_drop_network_policies_when_dark(self):
-        table = OperationCostTable()
         policies = self.policies()
-        lit = plan_terms(policies, table, -5, False, duty_energy=10_000.0)
+        lit = plan_terms(policies, PRICES[-5], False, duty_energy=10_000.0)
         assert [p.name for p in lit.eligible] == ["forward", "log", "house"]
         assert [p.name for p in lit.ranked] == ["forward", "house", "log"]
         assert lit.lp.weights == (240.0, 6.0, 2.0)
-        assert lit.lp.costs == tuple(policy_cost(p, table, -5) for p in policies)
-        dark = plan_terms(policies, table, None, True, duty_energy=10_000.0)
+        assert lit.lp.costs == tuple(cost_of(p, PRICES[-5]) for p in policies)
+        dark = plan_terms(policies, PRICES[None], True, duty_energy=10_000.0)
         assert [p.name for p in dark.eligible] == ["log", "house"]
 
 
@@ -295,7 +319,7 @@ class TestDeferrals:
         # the rest wait.
         log = Policy("log", (SENSE, AVG, WRITE), priority=3, repeat=2)
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
-        cost = policy_cost(log, OperationCostTable(), 0)
+        cost = cost_of(log, PRICES[0])
         p = plan(ctx, policies=[log], budget=cost / 4)
         ran = len(p.run_ops)
         assert 0 < ran < 6
@@ -477,21 +501,23 @@ class TestExecutePlan:
         assert p.price[TX] == 271.0
         assert report.ops_network == 1 and report.consumed_uj == 271.0
 
-    def test_drained_backlog_transmit_charged_at_slot_power(self):
-        # A packet deferred while the node sent at -10 dBm is sent, once
-        # drained, at the draining slot's power (0 dBm at own level E3).
-        table = OperationCostTable()
+    @pytest.mark.parametrize("power", [0, -5, -10])
+    def test_drained_backlog_transmit_charged_at_slot_power(self, power):
+        # A packet deferred while the node sent at another power is sent,
+        # once drained, at the draining slot's power. The only policy lists
+        # neither drained kind, so the slot's map alone prices them.
         backlog = Backlog()
         backlog.push(BacklogEntry(TX, "deferred-tx", 1, enqueued_slot=0, packet_id="D-0-0"))
+        backlog.push(BacklogEntry(WRITE, "log", 2, enqueued_slot=1))
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
-        p = plan(
-            ctx, policies=[Policy("log", (SENSE,))], backlog=backlog, table=table, tx_power_dbm=0
-        )
-        assert [e.packet_id for e in p.backlog_run] == ["D-0-0"]
-        assert p.steps[0] == ("deferred-tx", TX) and p.price[TX] == table.tx_costs[0]
+        house = Policy("house", ("flash_read",))
+        p = plan(ctx, policies=[house], backlog=backlog, tx_power_dbm=power)
+        assert [e.packet_id for e in p.backlog_run] == ["D-0-0", None]
+        assert p.steps == [("deferred-tx", TX), ("log", WRITE), ("house", "flash_read")]
+        assert (p.price[TX], p.price[WRITE]) == (DEFAULT_TX_COSTS[power], 1.23)
         report, _, skipped = execute_plan(p, store_at(50_000.0), FLOOR)
         assert skipped == []
-        assert report.consumed_uj == sum(p.price[kind] for _, kind in p.steps)
+        assert report.consumed_uj == DEFAULT_TX_COSTS[power] + 1.23 + 0.30
 
     def test_mid_slot_abort_backlogs_rest(self):
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
@@ -507,34 +533,29 @@ class TestExecutePlan:
 
     def test_budget_safety(self):
         # Consumed never exceeds the granted budget plus one op cost.
-        table = OperationCostTable()
         for budget in (0.0, 500.0, 2_000.0, 10_000.0, 50_000.0):
             ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
-            p = plan(ctx, budget=budget, table=table)
+            p = plan(ctx, budget=budget)
             report, _, _ = execute_plan(p, store_at(CAP), FLOOR)
             assert report.consumed_uj <= budget + 400.0 + 1e-9
 
     def test_charge_log_matches_table(self):
-        table = OperationCostTable()
         ctx = EnergyContext(EnergyLevel.E3, EnergyLevel.E3, EnergyLevel.E3)
-        p = plan(ctx, budget=50_000.0, table=table)
+        p = plan(ctx, budget=50_000.0)
         report, _, skipped = execute_plan(p, store_at(CAP), FLOOR, slot=3, node="D")
         assert p.steps and skipped == []
         assert (report.slot, report.node) == (3, "D")
-        for kind, amount in p.price.items():
-            expected = (
-                table.tx_costs[0] if kind == "tx128" else table.costs[kind]
-            )
-            assert amount == expected  # exact, no tolerance
+        assert p.price == PRICES[0]  # exact, no tolerance
         # Paid draw by draw, in step order, at those prices.
         assert report.consumed_uj == sum(p.price[kind] for _, kind in p.steps)
 
 
 class TestPolicyCost:
-    def test_sum_of_op_costs(self):
-        table = OperationCostTable()
-        pol = Policy("p", (SENSE, TX, AVG))
-        assert policy_cost(pol, table, 0) == pytest.approx(20.30 + 341.0 + 7.056)
+    def test_lp_cost_is_the_sum_of_step_prices(self):
+        pol = Policy("p", (SENSE, TX, AVG), repeat=2)
+        terms = plan_terms([pol], PRICES[0], False, duty_energy=10_000.0)
+        assert terms.lp.costs == pytest.approx((2 * (20.30 + 341.0 + 7.056),))
+        assert terms.lp.costs == (cost_of(pol, PRICES[0]),)
 
     def test_network_flag(self):
         assert Policy("p", (SENSE, TX)).is_network

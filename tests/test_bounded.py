@@ -173,7 +173,6 @@ class TestBoundedSettings:
         assert {cls.__name__ for cls in BOUNDED} == {
             "MacConfig", "PredictorSettings", "RoutingSettings", "ChannelSettings", "Policy",
             "EnergySettings", "OptimizerSettings", "TrafficSettings", "ProfileSpec", "NodeSpec",
-            "OperationCostTable",
         }
 
     @pytest.mark.parametrize("cls", BOUNDED, ids=lambda cls: cls.__name__)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -6,22 +7,23 @@ from hypothesis import example, given, strategies as st
 from harvestsim.app import EnergyContext, ExecutionPlan, execute_plan
 from harvestsim.scenario import EnergySettings
 from harvestsim.energy import (
+    DEFAULT_OP_COSTS,
     DEFAULT_THRESHOLDS,
+    DEFAULT_TX_COSTS,
     OP_KINDS,
     EnergyLevel,
     EnergyStore,
     HarvestTrace,
     InsufficientEnergy,
-    OperationCostTable,
     SlotOutOfRange,
-    UnknownOperation,
     check_amount,
     classify_level,
     deposit,
     harvest_in_slot,
-    op_cost,
+    price_tables,
     withdraw,
 )
+from harvestsim.routing import TX_POWER_BY_LEVEL
 
 
 def make_store(stored, capacity=100.0):
@@ -176,11 +178,11 @@ class TestClassify:
         levels = [classify_level(e, 100.0, t) for e in (19.0, 20.0, 49.0, 50.0, 89.0, 90.0)]
         assert levels == [EnergyLevel.E0, EnergyLevel.E1, EnergyLevel.E1,
                           EnergyLevel.E2, EnergyLevel.E2, EnergyLevel.E3]
-        assert EnergyStore(stored=89.0, capacity=100.0, thresholds=t).level is EnergyLevel.E2
 
     def test_one_default(self):
         assert EnergySettings().thresholds is DEFAULT_THRESHOLDS
-        assert EnergyStore(stored=1.0, capacity=2.0).thresholds is DEFAULT_THRESHOLDS
+        default = inspect.signature(classify_level).parameters["thresholds"].default
+        assert default is DEFAULT_THRESHOLDS
 
     @given(
         e1=st.floats(min_value=0, max_value=100),
@@ -201,25 +203,42 @@ class TestClassify:
             EnergySettings(thresholds=t)
 
 
-class TestOpCosts:
-    def test_table_values(self):
-        table = OperationCostTable()
-        assert op_cost(table, "tx128", 0) == 341.0
-        assert op_cost(table, "rx128") == 400.0
-        assert op_cost(table, "average50") == 7.056
-        assert op_cost(table, "sense") == 20.30
-        assert op_cost(table, "flash_write") == 1.23
-        assert op_cost(table, "flash_read") == 0.30
-        assert op_cost(table, "peak50") == 7.392
+class TestPriceTables:
+    PUBLISHED = {
+        "sense": 20.30, "average50": 7.056, "peak50": 7.392, "flash_write": 1.23,
+        "flash_read": 0.30, "rx128": 400.0,
+    }
 
-    def test_unknown_operation(self):
-        table = OperationCostTable()
-        with pytest.raises(UnknownOperation):
-            op_cost(table, "teleport")
-        with pytest.raises(UnknownOperation):
-            op_cost(table, "tx128")  # missing power level
-        with pytest.raises(UnknownOperation):
-            op_cost(table, "tx128", 7)
+    def test_published_value_of_every_kind(self):
+        prices = price_tables({})
+        assert prices[None] == self.PUBLISHED
+        for power, tx in {0: 341.0, -5: 304.0, -10: 271.0}.items():
+            assert prices[power] == {**self.PUBLISHED, "tx128": tx}
+        assert prices.keys() == {None, 0, -5, -10}
+
+    def test_configured_costs_override_entry_by_entry(self):
+        prices = price_tables({"sense": 25.0, "tx128": {0: 300.0, 3: 380.0}})
+        assert prices[None] == {**DEFAULT_OP_COSTS, "sense": 25.0}
+        assert prices[0] == {**DEFAULT_OP_COSTS, "sense": 25.0, "tx128": 300.0}
+        assert prices[3] == {**DEFAULT_OP_COSTS, "sense": 25.0, "tx128": 380.0}
+        # The partial tx128 table leaves the other powers at their published cost.
+        assert prices[-5]["tx128"] == DEFAULT_TX_COSTS[-5]
+        assert prices[-10]["tx128"] == DEFAULT_TX_COSTS[-10]
+
+    @pytest.mark.parametrize("costs", [{}, {"tx128": {0: 300.0}}], ids=["published", "partial"])
+    def test_every_level_power_priced_and_the_dormant_radio_has_no_transmit(self, costs):
+        prices = price_tables(costs)
+        for level, power in TX_POWER_BY_LEVEL.items():
+            assert prices[power].keys() == OP_KINDS.keys(), level
+        assert EnergyLevel.E0 not in TX_POWER_BY_LEVEL  # E0 is dormant: no power
+        assert prices[None].keys() == OP_KINDS.keys() - {"tx128"}
+
+    def test_the_published_tables_are_left_alone(self):
+        before = (dict(DEFAULT_OP_COSTS), dict(DEFAULT_TX_COSTS))
+        costs = {"sense": 1.0, "tx128": {0: 2.0}}
+        price_tables(costs)
+        assert (DEFAULT_OP_COSTS, DEFAULT_TX_COSTS) == before
+        assert costs == {"sense": 1.0, "tx128": {0: 2.0}}
 
 
 # Any float, with the ones a draw must reject (NaN, infinities, negatives)

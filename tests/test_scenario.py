@@ -115,11 +115,12 @@ nodes:
         cfg = parse_scenario(MINIMAL + "costs: {sense: 25, rx128: 410}\n")
         assert cfg.costs == {"sense": 25.0, "rx128": 410.0}
         assert all(type(c) is float for c in cfg.costs.values())
-        table = simcore.World(cfg).table
-        assert (table.costs["sense"], table.costs["rx128"]) == (25.0, 410.0)
+        prices = simcore.World(cfg).prices
+        assert (prices[None]["sense"], prices[None]["rx128"]) == (25.0, 410.0)
         # Every other entry keeps its published cost.
-        assert table.costs == {**DEFAULT_OP_COSTS, "sense": 25.0, "rx128": 410.0}
-        assert table.tx_costs == DEFAULT_TX_COSTS
+        assert prices[None] == {**DEFAULT_OP_COSTS, "sense": 25.0, "rx128": 410.0}
+        for power, tx in DEFAULT_TX_COSTS.items():
+            assert prices[power] == {**prices[None], "tx128": tx}
 
     def test_node_id_with_a_colon_rejected(self):
         # A link's shadowing stream is keyed "a:b:shadow": with a ':' in an

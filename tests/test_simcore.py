@@ -25,11 +25,11 @@ from harvestsim import app, channel, energy, forecast, mac, routing, simcore
 from harvestsim.channel import Channel, loss_probability, rssi_at, survives
 from harvestsim.cli import main
 from harvestsim.energy import (
+    DEFAULT_OP_COSTS,
     DEFAULT_TX_COSTS,
     EnergyLevel,
     EnergyStore,
     HarvestTrace,
-    OperationCostTable,
     SlotOutOfRange,
 )
 from harvestsim.routing import REFERENCE_TX_POWER_DBM, TX_POWER_BY_LEVEL
@@ -174,15 +174,14 @@ class TestConservation:
 
     def test_table_charges_exact(self, tree_cfg):
         m = simcore.run(World(dataclasses.replace(tree_cfg, seed=7), collect_charges=True), 30)
-        table = OperationCostTable()
         op_charges = [c for c in m.charges if c[2].startswith("op:")]
         assert op_charges
         for _, _, label, amount in op_charges:
             kind = label[3:]
             if kind == "tx128":
-                assert amount in table.tx_costs.values()
+                assert amount in DEFAULT_TX_COSTS.values()
             else:
-                assert amount == table.costs[kind]
+                assert amount == DEFAULT_OP_COSTS[kind]
 
 
 class TestRadioDormancy:
@@ -417,16 +416,29 @@ class TestDrainedBacklog:
         tx_charges = [c for c in world.metrics.charges if c[2] == "op:tx128"]
         assert tx_charges
         for slot, node, _, amount in tx_charges:
-            assert amount == world.table.tx_costs[TX_POWER_BY_LEVEL[own[slot, node]]]
+            assert amount == world.prices[TX_POWER_BY_LEVEL[own[slot, node]]]["tx128"]
 
 
 class TestCostTable:
     def test_partial_tx_table_merges_over_published_costs(self, tree_cfg):
         cfg = dataclasses.replace(tree_cfg, costs={"tx128": {0: 300.0}})
         world = World(cfg)
-        assert world.table.tx_costs == {**DEFAULT_TX_COSTS, 0: 300.0}
+        tx = {power: prices["tx128"] for power, prices in world.prices.items() if power is not None}
+        assert tx == {**DEFAULT_TX_COSTS, 0: 300.0}
         # Lower energy levels transmit at -5 and -10 dBm from slot 0 on.
         assert simcore.run(world, 3).slots_run == 3
+
+    @pytest.mark.parametrize("costs, where", [
+        ({"tx128": {0: -1.0}}, "costs/tx128/0"),
+        ({"sense": math.nan}, "costs/sense"),
+        ({"rx128": "400"}, "costs/rx128"),
+        ({"teleport": 1.0}, "costs"),
+    ], ids=["negative", "nan", "not-a-number", "unknown-kind"])
+    def test_code_built_costs_rejected_as_a_document_is(self, tree_cfg, costs, where):
+        # The same costs in a document fail to parse; built in code, they
+        # fail when the world is built, naming the same path.
+        with pytest.raises(ValueError, match=f"^ScenarioConfig.{where}: "):
+            World(dataclasses.replace(tree_cfg, costs=costs))
 
 
 class TestRunContract:
@@ -1350,7 +1362,7 @@ class TestFlushPending:
 
 
 class TestPlanTermsPerWorld:
-    """Each world plans from terms priced at its own cost table."""
+    """Each world plans from terms priced at its own costs."""
 
     COSTS = {"sense": 80.0, "rx128": 520.0, "tx128": {0: 700.0, -5: 610.0, -10: 540.0}}
 

@@ -134,3 +134,15 @@ class TestOneEngineRule:
             lambda node: isinstance(node, ast.Attribute) and node.attr == "drops"
         )))
         assert touching == ["simcore.Metrics.summary", "simcore.World._drop"]
+
+
+class TestOneSettingsReading:
+    def test_prices_are_built_once_per_world(self):
+        # Each world builds every power's prices from its settings once;
+        # another caller would be a second price table.
+        assert _callers_of("price_tables") == ["simcore.World.__init__"]
+
+    def test_levels_are_classified_only_where_a_slot_is_assessed(self):
+        # Own and virtual level both go through classify_level in
+        # assess_slot; a caller elsewhere would be a second level rule.
+        assert set(_callers_of("classify_level")) == {"app.assess_slot"}
