@@ -20,7 +20,7 @@ import click
 
 from . import forecast, mac, simcore
 from .bounds import field_checks
-from .energy import EnergyError, EnergyLevel
+from .energy import EnergyError, EnergyLevel, harvest_in_slot
 from .forecast import ForecastError
 from .mac import MacError
 from .optimizer import OptimizerError, build_opt, parametric_sweep
@@ -225,7 +225,7 @@ def forecast_compare_cmd(
             f"daylight slot"
         )
     trace = synth_trace(spec, days * seasonal.period)
-    series = [p * slot_duration * 1e6 for p in trace.powers]
+    series = [harvest_in_slot(trace, slot, slot_duration) for slot in range(len(trace))]
     result = compare_predictors(series, ewma, seasonal)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

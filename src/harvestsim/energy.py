@@ -8,8 +8,7 @@ paid when what it leaves is not below the floor; a refusal raises
 :class:`InsufficientEnergy` carrying its numbers (its message formatted only
 when read). ``simcore.World._charge`` pays through it, answering a refusal
 by the same comparison without the exception; ``app.execute_plan`` pays
-a plan's checked prices by that comparison alone. :class:`ChargeBook` is the
-plain record of a run's paid draws, which the engine fills.
+a plan's checked prices by that comparison alone.
 """
 
 from __future__ import annotations
@@ -17,12 +16,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    from .simcore import SlotSums
+from typing import NamedTuple
 
 
 class EnergyError(Exception):
@@ -138,23 +134,6 @@ def withdraw(store: EnergyStore, e: float, floor: float) -> EnergyStore:
     return store
 
 
-@dataclass
-class ChargeBook:
-    """Every paid draw of a run, summed in draw order.
-
-    ``by_slot`` sums the draws per ``(slot, node)``, which is what each
-    ledger row's consumption must equal, read as ``by_slot.get((slot,
-    node), 0.0)`` (the engine's ``simcore.SlotSums``, a column aligned with
-    the ledger's rows); ``by_label`` totals them per ``(node, label)``;
-    ``rows`` holds the per-draw ``(slot, node, label, amount)`` rows, in
-    draw order, when the run keeps them.
-    """
-
-    by_slot: SlotSums
-    by_label: dict[tuple[str, str], float] = field(default_factory=dict)
-    rows: list[tuple[int, str, str, float]] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class HarvestTrace:
     """Per-slot harvested power samples (watts), with a lazy scale factor.
@@ -222,13 +201,19 @@ DEFAULT_OP_COSTS = {kind: op.cost_uj for kind, op in OP_KINDS.items() if kind !=
 RADIO_OPS = frozenset(kind for kind, op in OP_KINDS.items() if op.radio)
 
 
+def by_dbm(tx_costs: Mapping) -> dict:
+    """A ``tx128`` table keyed by integer dBm: ``"0"`` and ``0`` both key 0 dBm."""
+    return {int(power): c for power, c in tx_costs.items()}
+
+
 def price_tables(costs: Mapping) -> dict[int | None, dict[str, float]]:
     """The price in uJ of every operation kind at each transmit power, and
     with the radio dormant (``None``), where there is no ``tx128``.
 
     A scenario's ``costs`` override the published ones entry by entry, its
-    ``tx128`` table those of :data:`DEFAULT_TX_COSTS`.
+    ``tx128`` table those of :data:`DEFAULT_TX_COSTS`, keyed :func:`by_dbm`
+    as a parsed document's is.
     """
     prices = {**DEFAULT_OP_COSTS, **costs}
-    tx_costs = {**DEFAULT_TX_COSTS, **prices.pop(TX_OP_KIND, {})}
+    tx_costs = {**DEFAULT_TX_COSTS, **by_dbm(prices.pop(TX_OP_KIND, {}))}
     return {None: prices, **{power: {**prices, TX_OP_KIND: c} for power, c in tx_costs.items()}}

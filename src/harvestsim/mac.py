@@ -112,6 +112,22 @@ class DutySchedule:
             return 1.0
         return self.wake_ms / self.period_ms
 
+    def wait_ms(self, phase_ms: float, t_ms: float) -> float:
+        """How long after ``t_ms`` the receiver next wakes: 0.0 while it is
+        awake, ``inf`` with its radio off.
+
+        ``phase_ms`` is the offset of the receiver's first wake within its cycle.
+        """
+        if self.radio_off:
+            return math.inf
+        if self.sleep_ms == 0.0:
+            return 0.0
+        period = self.period_ms
+        into = (t_ms - phase_ms) % period
+        if into < self.wake_ms:
+            return 0.0
+        return period - into
+
 
 def schedule_from_delta(delta: float, config: MacConfig = MacConfig()) -> DutySchedule:
     """Realize a duty factor as a wake/sleep cycle.
@@ -291,24 +307,6 @@ class SendResult:
     sender_tx_ms: float
 
 
-def _first_wake_at(
-    schedule: DutySchedule, phase_ms: float, t_ms: float
-) -> float:
-    """Earliest time >= t_ms at which the receiver is awake.
-
-    ``phase_ms`` is the offset of the receiver's first wake within its cycle.
-    """
-    if schedule.radio_off:
-        return math.inf
-    if schedule.sleep_ms == 0.0:
-        return t_ms
-    period = schedule.period_ms
-    into = (t_ms - phase_ms) % period
-    if into < schedule.wake_ms:
-        return t_ms
-    return t_ms + (period - into)
-
-
 def csma_send(
     receiver_schedule: DutySchedule,
     config: MacConfig,
@@ -353,6 +351,7 @@ def csma_send(
     preambles_total = 0
     tx_ms_total = 0.0
     saturated = 0
+    delivered = False
     deliveries_allowed = config.arq_retries + 1
 
     for _ in range(deliveries_allowed):
@@ -372,7 +371,7 @@ def csma_send(
             now += control_ms  # cts
             tx_ms_total += control_ms
         # Preamble until the receiver's wake lands inside the train.
-        wake_at = _first_wake_at(receiver_schedule, receiver_phase_ms, now)
+        wake_at = now + receiver_schedule.wait_ms(receiver_phase_ms, now)
         train_end = now + train_ms
         if wake_at > train_end:
             preambles_total += train_count
@@ -387,22 +386,19 @@ def csma_send(
         now += data_ms
         tx_ms_total += data_ms
         now += ack_ms
-        if decide():
-            return SendResult(
-                delivered=True,
-                attempts=attempts,
-                preambles_sent=preambles_total,
-                elapsed_ms=now - start_ms,
-                sender_tx_ms=tx_ms_total,
-            )
+        delivered = decide()
+        if delivered:
+            break
 
     result = SendResult(
-        delivered=False,
+        delivered=delivered,
         attempts=attempts,
         preambles_sent=preambles_total,
         elapsed_ms=now - start_ms,
         sender_tx_ms=tx_ms_total,
     )
+    if delivered:
+        return result
     if saturated == deliveries_allowed:
         raise ChannelSaturated(
             f"{attempts} attempts, channel never cleared", result

@@ -83,6 +83,11 @@ class Rreq:
     def hops(self) -> list[str]:
         return [node for node, _ in self.path]
 
+    def heard_by(self, node: str, rssi: float, tx_power_dbm: int) -> Rreq:
+        """This copy as ``node`` heard it at ``rssi``: the path record gains
+        that observation, and the copy goes on at ``tx_power_dbm``."""
+        return Rreq(self.origin, self.seq, self.path + ((node, rssi),), tx_power_dbm)
+
 
 @dataclass(frozen=True, slots=True)
 class Rrep:
@@ -196,12 +201,7 @@ def process_rreq(
         if hop == me:
             return None
     state.forwarded[rreq.origin] = rreq.seq
-    return Rreq(
-        origin=rreq.origin,
-        seq=rreq.seq,
-        path=rreq.path + ((me, observed_rssi),),
-        tx_power_dbm=own_tx_power,
-    )
+    return rreq.heard_by(me, observed_rssi, own_tx_power)
 
 
 def _answer(state: RoutingState, candidate: Rreq, cost: float) -> Rrep:
@@ -240,12 +240,7 @@ def sink_receive(
     baseline = settings.mode == "baseline"
     if baseline and rreq.seq == answered:
         return None, False  # first copy already answered this flood
-    candidate = Rreq(
-        origin=rreq.origin,
-        seq=rreq.seq,
-        path=rreq.path + ((state.node_id, observed_rssi),),
-        tx_power_dbm=rreq.tx_power_dbm,
-    )
+    candidate = rreq.heard_by(state.node_id, observed_rssi, rreq.tx_power_dbm)
     if baseline:
         return _answer(state, candidate, candidate_cost(settings, candidate)), False
     key = (rreq.origin, rreq.seq)

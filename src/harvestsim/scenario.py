@@ -45,7 +45,7 @@ from .bounds import (
     Bounded, Checker, enum, int_min, non_finite, section,
 )
 from .channel import ChannelSettings
-from .energy import DEFAULT_OP_COSTS, DEFAULT_THRESHOLDS, TX_OP_KIND, HarvestTrace
+from .energy import DEFAULT_OP_COSTS, DEFAULT_THRESHOLDS, TX_OP_KIND, HarvestTrace, by_dbm
 from .forecast import PredictorSettings
 from .mac import MacConfig
 from .routing import RoutingSettings
@@ -211,6 +211,17 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DBM_KEY = re.compile(r"[+-]?\d+")
 
 
+def dbm_key_violations(costs) -> list[tuple[tuple[str, str], str]]:
+    """A ``(path, message)`` violation for each key of the ``tx128`` table
+    of ``costs`` that is no integer dBm; none where either is no mapping,
+    which the schema reports."""
+    tx_costs = costs.get(TX_OP_KIND) if isinstance(costs, dict) else None
+    if not isinstance(tx_costs, dict):
+        return []
+    return [(("costs", TX_OP_KIND), f"power {power!r} is not an integer dBm")
+            for power in tx_costs if not _DBM_KEY.fullmatch(str(power))]
+
+
 def _setting(doc: dict, section_name: str, key: str):
     """``doc[section_name][key]``, or None where the document lacks that shape."""
     values = doc.get(section_name)
@@ -278,11 +289,8 @@ def _semantic_violations(doc: dict, rejected: set, profiles: dict) -> list[str]:
         and not t[0] < t[1] < t[2]
     ):
         problems.append("energy/thresholds: must be strictly ascending")
-    tx_costs = _setting(doc, "costs", TX_OP_KIND)
-    if isinstance(tx_costs, dict):
-        for power in tx_costs:
-            if not _DBM_KEY.fullmatch(str(power)):
-                problems.append(f"costs/{TX_OP_KIND}: power {power!r} is not an integer dBm")
+    problems += [f"{'/'.join(path)}: {message}"
+                 for path, message in dbm_key_violations(doc.get("costs"))]
     # Each node schedules this many beacons and packets per slot: past the
     # cap, one slot's work has no practical end.
     slot_s = doc.get("slot_duration_s", ScenarioConfig.slot_duration_s)
@@ -346,7 +354,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
             "nodes": [_build(NodeSpec, n) for n in doc["nodes"]],
             "costs": {
                 kind: (
-                    {int(power): float(c) for power, c in value.items()}
+                    {power: float(c) for power, c in by_dbm(value).items()}
                     if kind == TX_OP_KIND
                     else float(value)
                 )

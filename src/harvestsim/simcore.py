@@ -43,7 +43,7 @@ comparison, without raising. A node's two accounts, the
 slot's sum and the run's total per label, are the only running totals: a
 paid draw adds to them, the plan's paid prefix once per kind at price x
 count. Settlement publishes the slot's sum into the metrics'
-:class:`energy.ChargeBook` once per node-slot, and :func:`run` publishes the
+:class:`ChargeBook` once per node-slot, and :func:`run` publishes the
 label totals as it returns. Per-draw rows are kept only when asked for
 (``collect_charges``). The radio energies of fixed-length
 frames are the world's :class:`mac.FrameCosts`, computed once. Rarely, a
@@ -90,7 +90,6 @@ from .energy import (
     OP_KINDS,
     RX_OP_KIND,
     TX_OP_KIND,
-    ChargeBook,
     EnergyLevel,
     EnergyStore,
     HarvestTrace,
@@ -99,7 +98,7 @@ from .energy import (
     price_tables,
     withdraw,
 )
-from .scenario import ScenarioConfig, build_profile_trace
+from .scenario import ScenarioConfig, build_profile_trace, dbm_key_violations
 
 PROCESSING_DELAY_S = 0.005
 RREQ_JITTER_MS = 20.0
@@ -161,14 +160,6 @@ class NodeRuntime:
 
     def __post_init__(self) -> None:
         self.is_sink = self.role == "sink"
-
-    def awake_at(self, t_ms: float) -> bool:
-        if self.schedule.radio_off:
-            return False
-        if self.schedule.sleep_ms == 0.0:
-            return True
-        into = (t_ms - self.wake_phase_ms) % self.schedule.period_ms
-        return into < self.schedule.wake_ms
 
 
 class Rows:
@@ -255,6 +246,22 @@ class SlotSums:
                 return self.sums[i]
             i += 1
         return default
+
+
+@dataclass
+class ChargeBook:
+    """Every paid draw of a run, summed in draw order.
+
+    ``by_slot`` sums the draws per ``(slot, node)``, which is what each
+    ledger row's consumption must equal, read as ``by_slot.get((slot,
+    node), 0.0)``; ``by_label`` totals them per ``(node, label)``; ``rows``
+    holds the per-draw ``(slot, node, label, amount)`` rows, in draw order,
+    when the run keeps them.
+    """
+
+    by_slot: SlotSums
+    by_label: dict[tuple[str, str], float] = field(default_factory=dict)
+    rows: list[tuple[int, str, str, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -350,10 +357,10 @@ class World:
         self.collect_mac_trace = collect_mac_trace
         self.radio = mac.RadioEnergyModel()
         # A parsed document's costs are checked already; a code-built
-        # config's are checked here, against the same bound.
+        # config's are checked here, against the same bound and key rule.
         out: list = []
         field_checks(ScenarioConfig)["costs"](cfg.costs, ("costs",), out)
-        refuse(ScenarioConfig, out)
+        refuse(ScenarioConfig, out + dbm_key_violations(cfg.costs))
         self.prices = price_tables(cfg.costs)
         self.floor = cfg.energy.floor_fraction * cfg.energy.capacity_uj
         schedules = {
@@ -546,7 +553,7 @@ class World:
         rng, hear = channel.rng, routing.hear_beacon
         t_ms, slot, from_sink = t * 1000.0, self.slot, rt.is_sink
         for other, _rssi, loss in channel.fanout(rt, routing.REFERENCE_TX_POWER_DBM):
-            if not other.awake_at(t_ms):
+            if other.schedule.wait_ms(other.wake_phase_ms, t_ms) != 0.0:
                 continue
             if survives(loss, rng) and charge(other, "mac:beacon-rx", rx):
                 hear(other.routing, node_id, slot, from_sink)

@@ -104,6 +104,33 @@ class TestDerivedScheduleFields:
         assert longer.period_ms == 7.0 + (sched.sleep_ms + 3.0)
 
 
+class TestWaitMs:
+    def test_awake_asleep_always_on_and_off(self):
+        sched = DutySchedule(wake_ms=5.0, sleep_ms=15.0)
+        assert sched.wait_ms(2.0, 2.0) == 0.0  # the wake's first instant
+        assert sched.wait_ms(2.0, 6.9) == 0.0
+        assert sched.wait_ms(2.0, 7.0) == 15.0  # the sleep's first instant
+        assert sched.wait_ms(2.0, 20.0) == 2.0
+        assert schedule_from_delta(1.0).wait_ms(3.0, 11.0) == 0.0
+        assert schedule_from_delta(0.0).wait_ms(0.0, 0.0) == math.inf
+
+    def test_one_ulp_before_the_wake_is_awake(self):
+        # Here (t - phase) % period rounds up to the period itself, so no wait
+        # is left: beacon reception hears the receiver at this instant, as
+        # unicast rendezvous meets it.
+        sched = DutySchedule(wake_ms=5.0, sleep_ms=15.0)
+        t = math.nextafter(1.0, 0.0)
+        assert (t - 1.0) % sched.period_ms == sched.period_ms
+        assert sched.wait_ms(1.0, t) == 0.0
+
+    @pytest.mark.parametrize("sched", every_schedule(), ids=repr)
+    @settings(max_examples=50)
+    @given(phase=st.floats(0.0, 200.0), t=st.floats(0.0, 1e7))
+    def test_next_wake_is_the_oracle_rendezvous(self, sched, phase, t):
+        expected = csma_oracle.first_wake_at(sched.wake_ms, sched.sleep_ms, phase, t)
+        assert t + sched.wait_ms(phase, t) == expected
+
+
 class TestPreamble:
     def test_spans_20ms_sleep(self):
         train = preamble_train(20.0)

@@ -428,6 +428,18 @@ class TestCostTable:
         # Lower energy levels transmit at -5 and -10 dBm from slot 0 on.
         assert simcore.run(world, 3).slots_run == 3
 
+    def test_code_built_tx_keys_priced_as_parsed_keys(self, tree_cfg):
+        # A document's tx128 key "0" prices 0 dBm and "high" is refused;
+        # built in code, the same keys are priced and refused the same way.
+        costs = {"tx128": {"0": 300.0}}
+        parsed = parse_scenario(yaml.safe_dump({**yaml.safe_load(TREE_YAML), "costs": costs}))
+        world = World(dataclasses.replace(tree_cfg, costs=costs))
+        assert world.prices == World(parsed).prices
+        assert world.prices[0]["tx128"] == 300.0
+        with pytest.raises(ValueError) as err:
+            World(dataclasses.replace(tree_cfg, costs={"tx128": {"0": 300.0, "high": 5.0}}))
+        assert str(err.value) == "ScenarioConfig.costs/tx128: power 'high' is not an integer dBm"
+
     @pytest.mark.parametrize("costs, where", [
         ({"tx128": {0: -1.0}}, "costs/tx128/0"),
         ({"sense": math.nan}, "costs/sense"),
@@ -568,7 +580,7 @@ class _FullScanWorld(PacketLogWorld):
             rssi = self._link_rssi(rt, other, REFERENCE_TX_POWER_DBM)
             if rssi < self.cfg.channel.sensitivity_dbm:
                 continue
-            if not other.awake_at(t * 1000.0):
+            if other.schedule.wait_ms(other.wake_phase_ms, t * 1000.0) != 0.0:
                 continue
             if not survives(loss_probability(rssi, self.cfg.channel), self.channel.rng):
                 continue

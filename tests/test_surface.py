@@ -146,3 +146,30 @@ class TestOneSettingsReading:
         # Own and virtual level both go through classify_level in
         # assess_slot; a caller elsewhere would be a second level rule.
         assert set(_callers_of("classify_level")) == {"app.assess_slot"}
+
+
+class TestOneHomePerRule:
+    def test_only_the_duty_schedule_reads_its_period(self):
+        # DutySchedule.wait_ms is the one wake test, for beacon reception and
+        # unicast rendezvous alike; another reader of the period would be a
+        # second wake rule.
+        readers = sorted(set(_functions_where(
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "period_ms"
+            and isinstance(node.ctx, ast.Load)
+        )))
+        assert readers == ["mac.DutySchedule.duty_fraction", "mac.DutySchedule.wait_ms"]
+
+    def test_only_the_harvest_integral_converts_watt_seconds(self):
+        # harvest_in_slot is the one watts-to-uJ integral, for the engine and
+        # forecast-compare's series alike.
+        holders = _functions_where(lambda node: isinstance(node, ast.Constant) and node.value == 1e6)
+        assert holders == ["energy.harvest_in_slot"]
+
+    def test_flood_copies_are_built_where_they_are_heard_or_started(self):
+        # Rreq.heard_by extends the path record for the relay's forward and
+        # the sink's candidate alike; the flood start is the only other build.
+        assert _callers_of("Rreq") == ["routing.Rreq.heard_by", "simcore.World._schedule_traffic"]
+
+    def test_an_exchange_builds_its_result_once(self):
+        # csma_send returns its one result on delivery and raises it otherwise.
+        assert _callers_of("SendResult") == ["mac.csma_send"]
