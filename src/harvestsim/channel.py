@@ -3,23 +3,23 @@ ramp near sensitivity, and one shared medium. Each world has one
 :class:`Channel`.
 
 Shadowing stands for the obstacles along a link, and node positions never
-move, so each unordered link carries one constant offset, drawn once from a
-stream of its own: ``random.Random(f"{a}:{b}:shadow").gauss(0.0, sigma)``
+move, so each unordered link carries one constant offset, the first draw of
+a stream of its own: ``random.Random(f"{a}:{b}:shadow").gauss(0.0, sigma)``
 with the two node ids in sorted order (a scenario's node ids contain no
 ``:``, so no two links share a stream). The obstacles belong to the
 deployment, not to a run, so the run seed does not enter the stream: every
 seed of a scenario runs over the same links, and the seed varies only the
 per-run draws (frame loss, backoff, wake phases). The offset is the same in
-both directions, and adding a node elsewhere changes no link. A link's
-mean received power at a given transmit power, :func:`rssi_at` plus that
-offset, is computed once per (sender, receiver, power) on first use and
-memoised (:meth:`Channel.link_mean`). Each broadcast walks a per-(sender,
-power) fan-out of ``(receiver, mean, loss)`` entries in node-id order, also
-built on first use, which leaves out the links below sensitivity and carries
-each kept link's loss probability. A unicast exchange reads its link's mean,
-and each of its data frames meets that link's loss. The channel keeps no
-per-exchange state. Per-frame randomness comes from the loss ramp alone:
-every delivery draw is :func:`survives`, from the world's channel stream.
+both directions, and adding a node elsewhere changes no link. The channel
+keeps one link table (:meth:`Channel.link`), built on first use: one
+``(mean, loss)`` entry per unordered link and transmit power, the link's mean
+received power (:func:`rssi_at` plus its offset) and its loss probability.
+Each broadcast walks a per-(sender, power) fan-out of ``(receiver, mean,
+loss)`` entries in node-id order, read from the table, which leaves out the
+links below sensitivity. A unicast exchange reads its link's entry, and each
+of its data frames meets that loss. The channel keeps no per-exchange state.
+Per-frame randomness comes from the loss ramp alone: every delivery draw is
+:func:`survives`, from the world's channel stream.
 """
 
 from __future__ import annotations
@@ -85,41 +85,34 @@ class Channel:
     ``busy_until`` (seconds), which :meth:`occupy` moves.
     """
 
-    __slots__ = (
-        "settings", "nodes", "rng", "_offsets", "_link_means", "_fanouts", "busy_until",
-    )
+    __slots__ = ("settings", "nodes", "rng", "_links", "_fanouts", "busy_until")
 
     def __init__(self, settings: ChannelSettings, nodes: Mapping[str, NodeRuntime], seed: int):
         self.settings = settings
         self.nodes = nodes  # every node, in id order
         self.rng = random.Random(f"{seed}:channel")
-        self._offsets: dict[tuple[str, str], float] = {}
-        self._link_means: dict[tuple[str, str, float], float] = {}
+        self._links: dict[tuple[str, str, float], tuple[float, float]] = {}
         self._fanouts: dict[tuple[str, float], tuple[tuple, ...]] = {}
         self.busy_until = 0.0
 
-    def _offset(self, a: str, b: str) -> float:
-        """The shadowing offset of the link between nodes ``a`` and ``b``,
-        drawn once from the link's own stream, which no run seed enters."""
-        pair = (a, b) if a < b else (b, a)
-        offset = self._offsets.get(pair)
-        if offset is None:
-            stream = random.Random(f"{pair[0]}:{pair[1]}:shadow")
-            offset = self._offsets[pair] = stream.gauss(0.0, self.settings.shadowing_sigma_db)
-        return offset
-
-    def link_mean(self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float) -> float:
-        """A link's mean received power at ``tx_dbm``, its shadowing offset
-        included, memoised per (sender, receiver, power)."""
-        key = (sender.node_id, receiver.node_id, tx_dbm)
-        mean = self._link_means.get(key)
-        if mean is None:
+    def link(
+        self, sender: NodeRuntime, receiver: NodeRuntime, tx_dbm: float
+    ) -> tuple[float, float]:
+        """A link's ``(mean, loss)`` at ``tx_dbm``: its mean received power,
+        shadowing offset included, and its frame loss probability. One entry
+        per unordered link and power, built on first use."""
+        a, b = sender.node_id, receiver.node_id
+        key = (a, b, tx_dbm) if a < b else (b, a, tx_dbm)
+        entry = self._links.get(key)
+        if entry is None:
+            settings = self.settings
             (x1, y1), (x2, y2) = sender.position, receiver.position
-            mean = rssi_at(tx_dbm, math.hypot(x2 - x1, y2 - y1), self.settings)
-            if self.settings.shadowing_sigma_db > 0.0:
-                mean += self._offset(sender.node_id, receiver.node_id)
-            self._link_means[key] = mean
-        return mean
+            mean = rssi_at(tx_dbm, math.hypot(x2 - x1, y2 - y1), settings)
+            sigma = settings.shadowing_sigma_db
+            if sigma > 0.0:
+                mean += random.Random(f"{key[0]}:{key[1]}:shadow").gauss(0.0, sigma)
+            entry = self._links[key] = (mean, loss_probability(mean, settings))
+        return entry
 
     def fanout(self, sender: NodeRuntime, tx_dbm: float) -> tuple[tuple, ...]:
         """Who can hear a broadcast: one ``(receiver, mean, loss)`` entry per
@@ -127,17 +120,13 @@ class Channel:
         key = (sender.node_id, tx_dbm)
         fan = self._fanouts.get(key)
         if fan is None:
-            settings = self.settings
             links = (
-                (other, self.link_mean(sender, other, tx_dbm))
+                (other, *self.link(sender, other, tx_dbm))
                 for other in self.nodes.values()
                 if other is not sender
             )
-            fan = self._fanouts[key] = tuple(
-                (other, mean, loss_probability(mean, settings))
-                for other, mean in links
-                if mean >= settings.sensitivity_dbm
-            )
+            floor = self.settings.sensitivity_dbm
+            fan = self._fanouts[key] = tuple(entry for entry in links if entry[1] >= floor)
         return fan
 
     def _power_dbm(self, at_ms: float) -> float:

@@ -18,6 +18,9 @@ the kernels :func:`ewma_step` and :func:`hw_step` take the settings first.
 The EWMA seeds on its first sample and predicts it. The seasonal model warms
 up first: a :class:`Warmup` state predicts the mean of the samples so far,
 and at ``2 * period`` samples :func:`hw_init` bootstraps the model from them.
+Every seasonal prediction, one step or a horizon ahead, is one formula,
+``(level + k*trend) * seasonal[(position + k - 1) mod period]``, written in
+:func:`_ahead` alone.
 
 Zero measurements (night slots) freeze the seasonal-model state: updating the
 level against a zero sample would geometrically collapse it within a handful
@@ -138,6 +141,12 @@ def hw_init(history: list[float] | tuple[float, ...], period: int) -> HwState:
     )
 
 
+def _ahead(state: HwState, k: int) -> float:
+    """The seasonal model's forecast ``k`` slots past ``state``."""
+    period = state.period
+    return (state.level + k * state.trend) * state.seasonal[(state.position + k - 1) % period]
+
+
 def hw_step(
     settings: PredictorSettings, state: HwState, measured: float
 ) -> tuple[float, HwState]:
@@ -148,13 +157,12 @@ def hw_step(
     the seasonal ring. The new state skips :class:`HwState`'s checks, which
     it passes: the updated index stays >= ``(1 - beta) * EPS_FLOOR > 0``.
     """
-    l = state.period
     pos = state.position
-    next_pos = (pos + 1) % l
+    next_pos = (pos + 1) % state.period
+    new = object.__new__(HwState)
     if measured <= 0.0:
-        new = object.__new__(HwState)
         new.__dict__.update(vars(state), position=next_pos)
-        return (new.level + new.trend) * new.seasonal[next_pos], new
+        return _ahead(new, 1), new
 
     eps, beta, gamma = settings.epsilon, settings.beta, settings.gamma
     idx_old = state.seasonal[pos]
@@ -167,9 +175,8 @@ def hw_step(
     idx_new = beta * (measured / level_new) + (1.0 - beta) * idx_old
     seasonal = list(state.seasonal)
     seasonal[pos] = idx_new
-    new = object.__new__(HwState)
     new.__dict__.update(level=level_new, trend=trend_new, seasonal=tuple(seasonal), position=next_pos)
-    return (level_new + trend_new) * seasonal[next_pos], new
+    return _ahead(new, 1), new
 
 
 @dataclass(frozen=True)
@@ -202,7 +209,7 @@ def step(
             warm = Warmup(history)
             return warm.mean, warm
         hw = hw_init(history, settings.period)
-        return predict_horizon(hw, 1)[0], hw
+        return _ahead(hw, 1), hw
     return hw_step(settings, state, measured)
 
 
@@ -210,8 +217,8 @@ def predict_horizon(state: EwmaState | Warmup | HwState, h: int) -> list[float]:
     """Forecast the next ``h`` slots without mutating state.
 
     The EWMA has no trend or season, so it repeats its single prediction, as
-    a warm-up repeats its mean; the seasonal model extrapolates
-    ``(level + k*trend) * index(position+k)``.
+    a warm-up repeats its mean; the seasonal model extrapolates each slot
+    by the one-step formula (:func:`_ahead`).
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
@@ -219,8 +226,4 @@ def predict_horizon(state: EwmaState | Warmup | HwState, h: int) -> list[float]:
         return [state.prediction] * h
     if isinstance(state, Warmup):
         return [state.mean] * h
-    l = state.period
-    return [
-        (state.level + k * state.trend) * state.seasonal[(state.position + k - 1) % l]
-        for k in range(1, h + 1)
-    ]
+    return [_ahead(state, k) for k in range(1, h + 1)]

@@ -41,13 +41,13 @@ from .energy import EnergyLevel
 
 
 # Three discrete transmit powers for the three live energy levels (E0 sends
-# nothing); the reference (beacon) power equals the top level's.
+# nothing); the reference (beacon) power is the top level's.
 TX_POWER_BY_LEVEL = {
     EnergyLevel.E1: -10,
     EnergyLevel.E2: -5,
     EnergyLevel.E3: 0,
 }
-REFERENCE_TX_POWER_DBM = 0
+REFERENCE_TX_POWER_DBM = TX_POWER_BY_LEVEL[EnergyLevel.E3]
 _LEVEL_BY_TX_POWER = {power: level for level, power in TX_POWER_BY_LEVEL.items()}
 # A neighbour last heard more than this many slots ago no longer counts
 # toward the network level.

@@ -71,6 +71,11 @@ class NegativePower(ScenarioError):
     """Trace CSV contains a negative power sample."""
 
 
+def _ascending(t) -> bool:
+    """Whether the three level thresholds ``t`` are strictly ascending."""
+    return t[0] < t[1] < t[2]
+
+
 @dataclass(frozen=True)
 class EnergySettings(Bounded):
     capacity_uj: float = field(default=100_000.0, metadata=POS)
@@ -85,7 +90,7 @@ class EnergySettings(Bounded):
     def __post_init__(self) -> None:
         super().__post_init__()
         t = self.thresholds
-        if not t[0] < t[1] < t[2]:
+        if not _ascending(t):
             raise ValueError(f"EnergySettings.thresholds: must be strictly ascending, got {t}")
 
 
@@ -286,7 +291,7 @@ def _semantic_violations(doc: dict, rejected: set, profiles: dict) -> list[str]:
         isinstance(t, list)
         and len(t) == 3
         and all(isinstance(x, (int, float)) for x in t)
-        and not t[0] < t[1] < t[2]
+        and not _ascending(t)
     ):
         problems.append("energy/thresholds: must be strictly ascending")
     problems += [f"{'/'.join(path)}: {message}"

@@ -85,7 +85,7 @@ from typing import NamedTuple
 
 from . import app, forecast, mac, routing
 from .bounds import field_checks, refuse
-from .channel import Channel, loss_probability, survives
+from .channel import Channel, survives
 from .energy import (
     OP_KINDS,
     RX_OP_KIND,
@@ -490,9 +490,8 @@ class World:
         sleep; returns (delivered, elapsed_s)."""
         tx_dbm = sender.tx_power
         channel = self.channel
-        rssi = channel.link_mean(sender, receiver, tx_dbm)
         # Every data frame of the exchange meets its link's loss.
-        loss, rng = loss_probability(rssi, channel.settings), channel.rng
+        rssi, loss = channel.link(sender, receiver, tx_dbm)
         spec = self.frames.unicasts[purpose]
         # The train is sized by the sender's belief about the receiver's
         # level; rendezvous happens on the receiver's real schedule. An
@@ -505,7 +504,7 @@ class World:
                 receiver_phase_ms=receiver.wake_phase_ms,
                 start_ms=t * 1000.0,
                 channel_power_dbm=channel._power_dbm,
-                attempt_delivers=partial(survives, loss, rng),
+                attempt_delivers=partial(survives, loss, channel.rng),
                 train=self.frames.trains[believed_sleep],
             )
             delivered = True

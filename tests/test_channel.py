@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 from types import SimpleNamespace
 
@@ -48,9 +49,9 @@ class TestExchange:
         twin = random.Random("5:channel")
         medium = world.channel
         b, d = world.nodes["B"], world.nodes["D"]
-        rssi = medium.link_mean(d, b, -10)
+        rssi = medium.link(d, b, -10)[0]
         assert rssi == rssi_at(-10, 40.0, settings) + link_offset("B", "D", 4.0)
-        assert medium.link_mean(b, d, -10) == rssi  # one offset per link, both ways
+        assert medium.link(b, d, -10)[0] == rssi  # one offset per link, both ways
         loss = loss_probability(rssi, settings)
         assert 0.0 < loss < 1.0  # so that every frame draws
 
@@ -92,10 +93,11 @@ class TestLinkModel:
         medium = world.channel
         offsets = set()
         for a, b in itertools.combinations(world.nodes.values(), 2):
-            assert medium._offset(a.node_id, b.node_id) == medium._offset(b.node_id, a.node_id)
-            offsets.add(medium._offset(a.node_id, b.node_id))
+            (x1, y1), (x2, y2) = a.position, b.position
+            path_loss_only = rssi_at(0, math.hypot(x2 - x1, y2 - y1), world.cfg.channel)
+            offsets.add(medium.link(a, b, 0)[0] - path_loss_only)
             for tx in POWERS:
-                assert medium.link_mean(a, b, tx) == medium.link_mean(b, a, tx)
+                assert medium.link(a, b, tx) == medium.link(b, a, tx)
         assert len(offsets) == len(world.nodes) * (len(world.nodes) - 1) // 2
 
     def test_every_seed_runs_over_the_same_links(self):
@@ -110,8 +112,8 @@ class TestLinkModel:
                 ]
                 assert fans[0] == fans[1]
             for a, b in itertools.permutations(world.nodes, 2):
-                assert world.channel.link_mean(world.nodes[a], world.nodes[b], tx) == (
-                    other.channel.link_mean(other.nodes[a], other.nodes[b], tx)
+                assert world.channel.link(world.nodes[a], world.nodes[b], tx) == (
+                    other.channel.link(other.nodes[a], other.nodes[b], tx)
                 )
 
     def test_a_superset_of_nodes_keeps_every_shared_link(self):
@@ -122,7 +124,7 @@ class TestLinkModel:
         small, large = Channel(settings, subset, 8), Channel(settings, nodes, 8)
         for a, b in itertools.permutations(subset.values(), 2):
             for tx in POWERS:
-                assert small.link_mean(a, b, tx) == large.link_mean(a, b, tx)
+                assert small.link(a, b, tx) == large.link(a, b, tx)
         for tx in POWERS:
             # The superset's fan-out is the subset's with the added nodes' links.
             for sender in subset.values():
@@ -153,6 +155,6 @@ class TestLevelSignalPrecondition:
         medium = Channel(link_settings, {}, seed=1)
         s = SimpleNamespace(node_id="S", position=(0.0, 0.0))
         r = SimpleNamespace(node_id="R", position=(distance, 0.0))
-        beacon = medium.link_mean(s, r, REFERENCE_TX_POWER_DBM)
+        beacon = medium.link(s, r, REFERENCE_TX_POWER_DBM)[0]
         for p in TX_POWER_BY_LEVEL.values():
-            assert abs((beacon - medium.link_mean(s, r, p)) - (REFERENCE_TX_POWER_DBM - p)) < 1e-9
+            assert abs((beacon - medium.link(s, r, p)[0]) - (REFERENCE_TX_POWER_DBM - p)) < 1e-9

@@ -550,8 +550,9 @@ def _full_scan_rssi(settings, sender, receiver, tx_dbm):
 class _FullScanChannel(Channel):
     """A unicast exchange's link mean, and so its loss, from :func:`_full_scan_rssi`."""
 
-    def link_mean(self, sender, receiver, tx_dbm):
-        return _full_scan_rssi(self.settings, sender, receiver, tx_dbm)
+    def link(self, sender, receiver, tx_dbm):
+        rssi = _full_scan_rssi(self.settings, sender, receiver, tx_dbm)
+        return rssi, loss_probability(rssi, self.settings)
 
 
 class _FullScanWorld(PacketLogWorld):
@@ -761,17 +762,17 @@ class TestLinkTable:
         cfg = parse_scenario(lattice_yaml(sigma_db=0.0, predictor="ewma", slots=20))
         links = []
         last_pair = []
-        real_link_mean, real_rssi_at = Channel.link_mean, channel.rssi_at
+        real_link, real_rssi_at = Channel.link, channel.rssi_at
 
-        def link_mean(self, a, b, tx_dbm):
-            last_pair[:] = [(a.node_id, b.node_id)]
-            return real_link_mean(self, a, b, tx_dbm)
+        def link(self, a, b, tx_dbm):
+            last_pair[:] = [tuple(sorted((a.node_id, b.node_id)))]
+            return real_link(self, a, b, tx_dbm)
 
         def counting_rssi_at(tx_dbm, distance_m, settings):
             links.append((*last_pair[0], tx_dbm))
             return real_rssi_at(tx_dbm, distance_m, settings)
 
-        monkeypatch.setattr(Channel, "link_mean", link_mean)
+        monkeypatch.setattr(Channel, "link", link)
         monkeypatch.setattr(channel, "rssi_at", counting_rssi_at)
         world = World(cfg, collect_mac_trace=True)
         assert links == []  # the table is built on first use, not at set-up
@@ -791,7 +792,7 @@ class TestLinkTable:
             (x1, y1), (x2, y2) = sender.position, receiver.position
             offset = link_offset(sender.node_id, receiver.node_id, 4.0)
             expected = rssi_at(tx, math.hypot(x2 - x1, y2 - y1), settings) + offset
-            assert world.channel.link_mean(sender, receiver, tx) == expected
+            assert world.channel.link(sender, receiver, tx)[0] == expected
         assert world.channel.rng.getstate() == untouched  # no exchange draws from the channel stream
 
     @pytest.mark.parametrize("sigma_db", [0.0, 4.0])
@@ -1041,17 +1042,22 @@ class TestShadowOffset:
             (x1, y1), (x2, y2) = sender.position, receiver.position
             expected = rssi_at(tx, math.hypot(x2 - x1, y2 - y1), settings)
             expected += link_offset(a, b, sigma)
-            assert bits(medium.link_mean(sender, receiver, tx)) == bits(expected)
+            assert bits(medium.link(sender, receiver, tx)[0]) == bits(expected)
         assert medium.rng.getstate() == untouched
 
     def test_pinned_offsets(self):
         # The stream's derivation itself: a change of the seed string or of
         # the draw moves these values.
         cfg = parse_scenario(lattice_yaml(sigma_db=4.0, predictor="ewma", slots=10))
+        pinned = [("N01", "N00", 0.5025644435018144), ("N05", "N10", 5.289652090505074)]
         for seed in (8, 401):
-            medium = World(dataclasses.replace(cfg, seed=seed)).channel
-            assert medium._offset("N01", "N00") == 0.5025644435018144
-            assert medium._offset("N05", "N10") == 5.289652090505074
+            world = World(dataclasses.replace(cfg, seed=seed))
+            for a, b, offset in pinned:
+                sender, receiver = world.nodes[a], world.nodes[b]
+                (x1, y1), (x2, y2) = sender.position, receiver.position
+                path_loss = rssi_at(0, math.hypot(x2 - x1, y2 - y1), cfg.channel)
+                # A link's mean is built as its path loss plus its offset.
+                assert world.channel.link(sender, receiver, 0)[0] == path_loss + offset
 
 
 class TestBenchmarkBindings:
@@ -1453,10 +1459,30 @@ class TestTracePerProfile:
 class TestGridInvariants:
     SLOTS = 60  # Holt-Winters leaves its warm-up after 2 x 24 slots
 
-    @pytest.mark.parametrize("sigma_db", [0.0, 4.0])
-    @pytest.mark.parametrize("predictor", ["ewma", "hw"])
-    def test_invariants_hold(self, sigma_db, predictor):
-        cfg = parse_scenario(lattice_yaml(sigma_db=sigma_db, predictor=predictor, slots=self.SLOTS))
+    @pytest.mark.parametrize(
+        "sigma_db, predictor, csv",
+        [
+            pytest.param(0.0, "ewma", False, id="ewma-0.0"),
+            pytest.param(4.0, "ewma", False, id="ewma-4.0"),
+            pytest.param(0.0, "hw", False, id="hw-0.0"),
+            pytest.param(4.0, "hw", False, id="hw-4.0"),
+            pytest.param(4.0, "hw", True, id="hw-4.0-csv"),
+        ],
+    )
+    def test_invariants_hold(self, sigma_db, predictor, csv, tmp_path):
+        text = lattice_yaml(sigma_db=sigma_db, predictor=predictor, slots=self.SLOTS)
+        if csv:
+            # Every profile reads one recorded trace of half-sine days,
+            # scaled to the synthetic profile's amplitude it replaces.
+            trace = tmp_path / "trace.csv"
+            powers = [max(math.sin(2 * math.pi * t / 24), 0.0) for t in range(self.SLOTS)]
+            trace.write_text("slot,power_watts\n" + "".join(f"{t},{w!r}\n" for t, w in enumerate(powers)))
+            doc = yaml.safe_load(text)
+            for name, profile in doc["profiles"].items():
+                scale = profile["amplitude_w"]
+                doc["profiles"][name] = {"kind": "csv", "path": str(trace), "scale": scale}
+            text = yaml.safe_dump(doc)
+        cfg = parse_scenario(text)
         world = World(cfg)
         m = simcore.run(world, self.SLOTS)
         if predictor == "hw":

@@ -4,10 +4,17 @@ code, not only by the tests. A name an acceptance gate alone calls is kept in
 ``test_reach.KEPT``, with its reason."""
 
 import ast
+import itertools
+import struct
 from pathlib import Path
 
 import harvestsim
+from harvestsim.channel import Channel
+from harvestsim.routing import REFERENCE_TX_POWER_DBM, TX_POWER_BY_LEVEL
+from harvestsim.scenario import parse_scenario
+from harvestsim.simcore import World
 from test_reach import KEPT
+from test_simcore import lattice_yaml
 
 PACKAGE = Path(harvestsim.__file__).parent
 
@@ -173,3 +180,43 @@ class TestOneHomePerRule:
     def test_an_exchange_builds_its_result_once(self):
         # csma_send returns its one result on delivery and raises it otherwise.
         assert _callers_of("SendResult") == ["mac.csma_send"]
+
+
+class TestOneHomePerQuantity:
+    def test_links_are_computed_only_where_an_entry_is_built(self):
+        # Channel.link builds each link's one entry, its mean and its loss;
+        # a call elsewhere would compute a link a second time.
+        callers = {name: _callers_of(name) for name in ("rssi_at", "loss_probability")}
+        assert callers == {
+            "rssi_at": ["channel.Channel.link"],
+            "loss_probability": ["channel.Channel.link"],
+        }
+
+    def test_one_function_spells_the_seasonal_forecast(self):
+        # forecast._ahead multiplies by a seasonal index for hw_step, the
+        # warm-up's end and predict_horizon alike; another product with an
+        # index would be a second forecast formula.
+        def index(node: ast.AST) -> bool:
+            holder = getattr(node, "value", None)
+            name = getattr(holder, "attr", None) or getattr(holder, "id", None)
+            return isinstance(node, ast.Subscript) and name == "seasonal"
+
+        holders = _functions_where(
+            lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and (index(node.left) or index(node.right))
+        )
+        assert holders == ["forecast._ahead"]
+
+    def test_a_link_is_one_entry_bit_equal_both_ways(self):
+        # Built from either end, a link's mean is the same bits at every
+        # power, so one entry per unordered link and power serves both.
+        cfg = parse_scenario(lattice_yaml(sigma_db=4.0, predictor="hw", slots=10))
+        nodes = World(cfg).nodes
+        powers = sorted(set(TX_POWER_BY_LEVEL.values()) | {REFERENCE_TX_POWER_DBM})
+        forward, backward = (Channel(cfg.channel, nodes, cfg.seed) for _ in range(2))
+        bits = struct.Struct("d").pack
+        for a, b in itertools.combinations(nodes.values(), 2):
+            for tx in powers:
+                assert bits(forward.link(a, b, tx)[0]) == bits(backward.link(b, a, tx)[0])
+                assert forward.link(b, a, tx) is forward.link(a, b, tx)
+        assert len(forward._links) == len(nodes) * (len(nodes) - 1) // 2 * len(powers)
