@@ -19,6 +19,7 @@ from .bounds import POS, Bounded, enum, int_min
 from .energy import (
     OP_KINDS,
     RADIO_OPS,
+    RX_OP_KIND,
     TX_OP_KIND,
     EnergyLevel,
     EnergyStore,
@@ -75,6 +76,14 @@ class EnergyContext:
     network: EnergyLevel
 
 
+# Every context there is, built once; assess_slot returns one of them.
+_CONTEXTS = {
+    (own, virtual, network): EnergyContext(own, virtual, network)
+    for own in EnergyLevel
+    for virtual in EnergyLevel
+    for network in EnergyLevel
+}
+
 # Network level when no neighbour has been heard this epoch: conservative
 # but not paralyzing.
 DEFAULT_NETWORK_LEVEL = EnergyLevel.E1
@@ -116,7 +125,7 @@ def assess_slot(
     own = classify_level(store.stored, store.capacity, thresholds)
     virtual = classify_level(max(min(forecasts), 0.0), store.capacity, thresholds)
     network = min(neighbor_levels) if neighbor_levels else DEFAULT_NETWORK_LEVEL
-    return EnergyContext(own=own, virtual=virtual, network=network)
+    return _CONTEXTS[own, virtual, network]
 
 
 def compute_budget(context: EnergyContext, store: EnergyStore, floor: float) -> float:
@@ -223,11 +232,33 @@ def deferred_packet(packet_id: str, slot: int) -> BacklogEntry:
     return BacklogEntry(TX_OP_KIND, "deferred-tx", 1, slot, packet_id=packet_id)
 
 
+@dataclass(frozen=True, slots=True)
+class PlanShape:
+    """What a plan's per-policy prefix counts decide: the steps it runs, the
+    node-class steps it leaves unrun, the kinds of the run steps, and how
+    many of those are transmissions and receptions.
+
+    Built once per counts in each :class:`PlanTerms` entry's ``shapes`` and
+    shared by every plan of that shape, so nothing changes it: ``run_ops``
+    is each such plan's ``run_ops`` list, which no reader mutates.
+    """
+
+    run_ops: list[tuple[str, str]]
+    unrun: tuple[tuple[str, str], ...]
+    kinds: tuple[str, ...]
+    tx_quota: int
+    rx_quota: int
+
+
 @dataclass
 class ExecutionPlan:
     """One slot's commitment: the levels it was planned at, (policy, kind)
     steps to run now, controls, the backlog entries it defers, and the
-    price of every kind at the slot's transmit power."""
+    price of every kind at the slot's transmit power.
+
+    ``shape`` is the :class:`PlanShape` :func:`plan_slot` planned
+    ``run_ops`` from (``None`` for a plan built by hand); ``kinds`` lists
+    the kind of each of :attr:`steps`, once."""
 
     context: EnergyContext
     run_ops: list[tuple[str, str]]
@@ -236,10 +267,15 @@ class ExecutionPlan:
     delta: float
     deferred: list[BacklogEntry]
     price: Mapping[str, float]
-    kinds: list[str] = field(init=False, repr=False, compare=False)  # of steps, once
+    shape: PlanShape | None = field(default=None, repr=False, compare=False)
+    kinds: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.kinds = [kind for _, kind in self.steps]
+        shape = self.shape
+        kinds = shape.kinds if shape is not None else tuple(kind for _, kind in self.run_ops)
+        if self.backlog_run:
+            kinds = (*(e.kind for e in self.backlog_run), *kinds)
+        self.kinds = kinds
 
     @property
     def steps(self) -> list[tuple[str, str]]:
@@ -272,24 +308,34 @@ def _rank(policy: Policy) -> tuple[int, str]:
     return policy.priority, policy.name
 
 
-def _prefixes(
-    ranked: Iterable[Policy], alphas: dict[str, float]
-) -> tuple[list[tuple[str, str]], dict[str, int]]:
-    """The deterministic prefix rule: the first ``floor(alpha * len)`` steps
-    of each policy, visited in the given (priority) order so higher-ranked
-    work lands first in the slot; returns the chosen steps and how many of
-    each policy's steps they hold, by its name."""
-    chosen: list[tuple[str, str]] = []
-    ran: dict[str, int] = {}
+def _prefix_counts(ranked: Iterable[Policy], alphas: dict[str, float]) -> tuple[int, ...]:
+    """The deterministic prefix rule: each policy runs the first
+    ``floor(alpha * len)`` of its steps. Returns those counts in the given
+    (priority) order, which is the order the steps land in the slot."""
+    counts = []
     for pol in ranked:
         alpha = alphas.get(pol.name, 0.0)
         if not (0.0 <= alpha <= 1.0):
             raise ValueError(f"alpha for {pol.name!r} outside [0,1]: {alpha}")
-        steps = pol.plan_steps
-        count = math.floor(alpha * len(steps) + 1e-12)
-        chosen += steps[:count]
+        counts.append(math.floor(alpha * len(pol.plan_steps) + 1e-12))
+    return tuple(counts)
+
+
+def _plan_shape(
+    ranked: Sequence[Policy], eligible: Iterable[Policy], counts: Sequence[int]
+) -> PlanShape:
+    """The :class:`PlanShape` of running ``counts`` (:func:`_prefix_counts`)
+    of the ``ranked`` policies' steps; the unrun steps are those of the
+    node-class policies among ``eligible``, in its order."""
+    run_ops: list[tuple[str, str]] = []
+    ran: dict[str, int] = {}
+    for pol, count in zip(ranked, counts):
+        run_ops += pol.plan_steps[:count]
         ran[pol.name] = count
-    return chosen, ran
+    # Only node-class policies' steps wait, and each of them is eligible.
+    unrun = tuple(step for p in eligible if not p.is_network for step in p.plan_steps[ran[p.name] :])
+    kinds = tuple(kind for _, kind in run_ops)
+    return PlanShape(run_ops, unrun, kinds, kinds.count(TX_OP_KIND), kinds.count(RX_OP_KIND))
 
 
 @dataclass(frozen=True)
@@ -303,12 +349,19 @@ class PlanTerms:
 
     The terms depend only on the policies, the prices, the duty settings and
     that pair, so a run computes them once per pair (see :func:`plan_slot`'s
-    ``cache``).
+    ``cache``). ``shapes`` is their memo of plan shapes: the
+    :class:`PlanShape` of each tuple of prefix counts a slot has planned, so
+    each is built once. A policy runs 0 to ``len(plan_steps)`` steps, so the
+    memo holds at most the product of ``len(plan_steps) + 1`` over
+    ``ranked``.
     """
 
     eligible: tuple[Policy, ...]
     ranked: tuple[Policy, ...]
     lp: PolicyLp
+    shapes: dict[tuple[int, ...], PlanShape] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
 
 def plan_terms(
@@ -367,7 +420,11 @@ def plan_slot(
     ``policies``, each power's prices and the duty settings, keyed by
     ``(tx_power_dbm, radio_dark)``: a missing entry is computed and kept
     there, so a caller that plans again with the same store reuses it, and
-    one that passes a fresh store plans from terms computed afresh.
+    one that passes a fresh store plans from terms computed afresh. Each
+    slot computes its prefix counts (checking each alpha's range) and looks
+    them up in the terms' ``shapes`` memo: a miss builds the
+    :class:`PlanShape` and keeps it, and every plan of that shape shares
+    its ``run_ops``, unrun steps, kinds and tx/rx quotas.
     """
     radio_dark = EnergyLevel.E0 in (context.network, context.own)
     key = (tx_power_dbm, radio_dark)
@@ -410,17 +467,19 @@ def plan_slot(
     xs = terms.lp.fill(budget - v_eff)
 
     alphas = {p.name: a for p, a in zip(terms.eligible, xs)}
-    run_ops, ran = _prefixes(terms.ranked, alphas)
-    # Only node-class policies' steps wait, and each of them is eligible.
-    unrun = [step for p in policies if not p.is_network for step in p.plan_steps[ran[p.name] :]]
+    counts = _prefix_counts(terms.ranked, alphas)
+    shape = terms.shapes.get(counts)
+    if shape is None:
+        shape = terms.shapes[counts] = _plan_shape(terms.ranked, terms.eligible, counts)
     return ExecutionPlan(
-        context=context,
-        run_ops=run_ops,
-        backlog_run=backlog_run,
-        alphas={p.name: alphas.get(p.name, 0.0) for p in policies},
-        delta=xs[-1],
-        deferred=deferrals(policies, unrun, slot),
-        price=price,
+        context,
+        shape.run_ops,
+        backlog_run,
+        {p.name: alphas.get(p.name, 0.0) for p in policies},
+        xs[-1],
+        deferrals(policies, shape.unrun, slot),
+        price,
+        shape,
     )
 
 

@@ -378,8 +378,12 @@ def csma_send(
             tx_ms_total += train_count * packet_ms
             now = train_end
             continue
-        sent = max(1, math.ceil(max(wake_at - now, 0.0) / packet_ms))
-        sent = min(sent, train_count)
+        # The preambles sent until the wake, at least one, at most the train.
+        sent = math.ceil((wake_at - now) / packet_ms)
+        if sent < 1:
+            sent = 1
+        elif sent > train_count:
+            sent = train_count
         preambles_total += sent
         tx_ms_total += sent * packet_ms
         now = max(wake_at, now + sent * packet_ms)
@@ -390,13 +394,7 @@ def csma_send(
         if delivered:
             break
 
-    result = SendResult(
-        delivered=delivered,
-        attempts=attempts,
-        preambles_sent=preambles_total,
-        elapsed_ms=now - start_ms,
-        sender_tx_ms=tx_ms_total,
-    )
+    result = SendResult(delivered, attempts, preambles_total, now - start_ms, tx_ms_total)
     if delivered:
         return result
     if saturated == deliveries_allowed:

@@ -5,7 +5,10 @@ Each slot runs three phases, nodes visited in ascending id order:
 1. planning: harvest intake, forecast update, level assessment, budgeting,
    the LP plan (from the node's planning terms, which ``app.plan_slot``
    computes once per transmit power and radio state and keeps in the node's
-   ``plan_terms``), and scheduling of the slot's traffic/beacon/flood events;
+   ``plan_terms``; each terms entry also keeps the plan shape of every
+   tuple of prefix counts it has met, built once, whose tx and rx quotas
+   size the slot's sends and relay forwards), and scheduling of the slot's
+   traffic/beacon/flood events;
 2. event drain: the continuous-time queue (CSMA exchanges, floods, replies,
    forwarding) advances to the slot boundary, each event going to its
    kind's ``_on_<kind>`` handler;
@@ -88,8 +91,6 @@ from .bounds import field_checks, refuse
 from .channel import Channel, survives
 from .energy import (
     OP_KINDS,
-    RX_OP_KIND,
-    TX_OP_KIND,
     EnergyLevel,
     EnergyStore,
     HarvestTrace,
@@ -140,7 +141,8 @@ class NodeRuntime:
     rng_mac: random.Random
     policies: tuple[app.Policy, ...]
     # The app.plan_terms of ``policies`` at the world's prices, filled by
-    # app.plan_slot as (tx power, radio-dark) pairs first occur.
+    # app.plan_slot as (tx power, radio-dark) pairs first occur, each with
+    # its memo of plan shapes.
     plan_terms: dict[tuple[int | None, bool], app.PlanTerms] = field(default_factory=dict)
     predictor_state: object | None = None
     next_prediction: float | None = None
@@ -785,9 +787,9 @@ class World:
             cache=rt.plan_terms,
         )
 
-        run_kinds = rt.plan.kinds[len(rt.plan.backlog_run) :]  # the kinds of run_ops
-        tx_quota, rx_quota = run_kinds.count(TX_OP_KIND), run_kinds.count(RX_OP_KIND)
-        rt.forwards_left = min(tx_quota, rx_quota) if rt.role == "relay" else 0
+        shape = rt.plan.shape  # the fresh steps' quotas
+        tx_quota = shape.tx_quota
+        rt.forwards_left = min(tx_quota, shape.rx_quota) if rt.role == "relay" else 0
 
         if rt.role == "source":
             self._schedule_traffic(rt, slot, t0, tx_quota)

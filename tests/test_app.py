@@ -13,7 +13,8 @@ from harvestsim.app import (
     execute_plan,
     plan_slot,
     plan_terms,
-    _prefixes,
+    _plan_shape,
+    _prefix_counts,
     _rank,
 )
 from harvestsim.energy import (
@@ -30,7 +31,8 @@ FLOOR = 10_000.0  # E0/E1 boundary
 
 def prefix_steps(policies, alphas):
     """The prefix rule ``plan_slot`` runs, over ``policies`` in priority order."""
-    return _prefixes(sorted(policies, key=_rank), alphas)[0]
+    ranked = sorted(policies, key=_rank)
+    return _plan_shape(ranked, policies, _prefix_counts(ranked, alphas)).run_ops
 
 
 def store_at(stored):
@@ -280,14 +282,22 @@ class TestPlanTermsCache:
             for own, network, power in self.PAIRS:
                 ctx = EnergyContext(own, EnergyLevel.E3, network)
                 runs = []
-                for store in (cache, {}):  # the kept store, then a fresh one
+                # The kept store twice, the second plan a hit in its shape
+                # memo, then a fresh store.
+                for store in (cache, cache, {}):
                     backlog = Backlog()
                     backlog.push(BacklogEntry(SENSE, "log", 2, enqueued_slot=0))
                     backlog.push(BacklogEntry(TX, "deferred-tx", 1, 1, packet_id="D-1-0"))
                     runs.append((plan(ctx, policies, budget, backlog, prices, power, store), backlog))
-                (cached, left), (fresh, fresh_left) = runs
-                assert cached == fresh
-                assert left.entries == fresh_left.entries
+                *kept, (fresh, fresh_left) = runs
+                assert kept[1][0].shape is kept[0][0].shape
+                for cached, left in kept:
+                    assert cached == fresh
+                    assert left.entries == fresh_left.entries
+                    assert cached.kinds == fresh.kinds
+                    assert (cached.shape.tx_quota, cached.shape.rx_quota) == (
+                        fresh.shape.tx_quota, fresh.shape.rx_quota
+                    )
                 dark = EnergyLevel.E0 in (own, network)
                 assert cache[power, dark] == plan_terms(
                     policies, prices[power], dark, duty_energy=10_000.0

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import csma_oracle
 from harvestsim.energy import EnergyLevel
@@ -361,9 +361,44 @@ def _mac_outcome(sched, cfg, rng, **kwargs):
     )
 
 
+# Rendezvous boundaries: on the 5 ms / 95 ms cycle from phase 50, an idle
+# channel and a 1 ms packet, the receiver wakes exactly at ``now``, exactly
+# 3 packets after it, exactly at a 3-packet train's end, and one ulp past it.
+SLEEPY = schedule_from_delta(0.05)
+BOUNDARIES = {
+    "at now": dict(start=1050.0, phase=50.0, train=10),
+    "3 packets after now": dict(start=1047.0, phase=50.0, train=10),
+    "at the train's end": dict(start=1047.0, phase=50.0, train=3),
+    "one ulp past the train's end": dict(start=1047.0, phase=50.00000000000023, train=3),
+}
+
+
+def _boundary(case):
+    return example(
+        sched=SLEEPY, rts_cts=False, mode="formula", arq_retries=1, backoff_attempts=1,
+        packet_ms=1.0, busy_for=-30.0, loss=0.0, seed=3, **case,
+    )
+
+
 class TestCsmaOracle:
     """``csma_send`` equals the exchange loop it was derived from, draw for draw."""
 
+    def test_boundary_examples_wake_where_they_say(self):
+        wakes = {
+            name: case["start"] + SLEEPY.wait_ms(case["phase"], case["start"])
+            for name, case in BOUNDARIES.items()
+        }
+        assert wakes == {
+            "at now": 1050.0,
+            "3 packets after now": 1047.0 + 3 * 1.0,
+            "at the train's end": 1047.0 + 3 * 1.0,
+            "one ulp past the train's end": math.nextafter(1047.0 + 3 * 1.0, math.inf),
+        }
+
+    @_boundary(BOUNDARIES["at now"])
+    @_boundary(BOUNDARIES["3 packets after now"])
+    @_boundary(BOUNDARIES["at the train's end"])
+    @_boundary(BOUNDARIES["one ulp past the train's end"])
     @given(
         sched=st.sampled_from(every_schedule()),
         rts_cts=st.booleans(),

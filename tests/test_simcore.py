@@ -1422,6 +1422,38 @@ class TestPlanTermsPerWorld:
         assert (len(rows), digest) == self.ROWS_SHA256[mode]
 
 
+class TestPlanShapeMemo:
+    """Each planning-terms entry keeps one plan shape per tuple of prefix
+    counts, so what it retains is bounded by the policies, not the run."""
+
+    # Shapes retained over both routing modes of the shipped tree at seed 401.
+    RETAINED = {200: 52, 2000: 58}
+
+    def test_memo_stays_within_its_bound(self):
+        cfg = dataclasses.replace(parse_scenario(SHIPPED_TREE), seed=401)
+        worlds = [
+            World(dataclasses.replace(cfg, routing=dataclasses.replace(cfg.routing, mode=mode)))
+            for mode in ("modified", "baseline")
+        ]
+        done = 0
+        for slots, retained in self.RETAINED.items():
+            total = bound = 0
+            for world in worlds:
+                simcore.run(world, slots - done)
+                for rt in world.nodes.values():
+                    for terms in rt.plan_terms.values():
+                        most = math.prod(len(p.plan_steps) + 1 for p in terms.ranked)
+                        assert len(terms.shapes) <= most
+                        total += len(terms.shapes)
+                        bound += most
+                        # Every plan of a shape shared it, and none changed it.
+                        for counts, shape in terms.shapes.items():
+                            assert shape == app._plan_shape(terms.ranked, terms.eligible, counts)
+            done = slots
+            assert total == retained
+            assert total < bound
+
+
 class TestTracePerProfile:
     """A world builds each profile's trace once; the nodes that use it share it."""
 

@@ -9,12 +9,13 @@ import struct
 from pathlib import Path
 
 import harvestsim
+from harvestsim import app, simcore
 from harvestsim.channel import Channel
 from harvestsim.routing import REFERENCE_TX_POWER_DBM, TX_POWER_BY_LEVEL
 from harvestsim.scenario import parse_scenario
 from harvestsim.simcore import World
 from test_reach import KEPT
-from test_simcore import lattice_yaml
+from test_simcore import SHIPPED_TREE, lattice_yaml
 
 PACKAGE = Path(harvestsim.__file__).parent
 
@@ -220,3 +221,34 @@ class TestOneHomePerQuantity:
                 assert bits(forward.link(a, b, tx)[0]) == bits(backward.link(b, a, tx)[0])
                 assert forward.link(b, a, tx) is forward.link(a, b, tx)
         assert len(forward._links) == len(nodes) * (len(nodes) - 1) // 2 * len(powers)
+
+
+class TestOnePlanShapeBuild:
+    def test_prefix_rule_is_spelled_once(self):
+        # _prefix_counts alone applies floor(alpha * len + 1e-12), and only
+        # plan_slot calls it and builds shapes; another site would be a
+        # second prefix rule.
+        holders = _functions_where(
+            lambda node: isinstance(node, ast.Constant) and node.value == 1e-12
+        )
+        assert holders == ["app._prefix_counts"]
+        assert _callers_of("_prefix_counts") == ["app.plan_slot"]
+        assert _callers_of("_plan_shape") == ["app.plan_slot"]
+
+    def test_shapes_are_built_only_on_a_memo_miss(self, monkeypatch):
+        # Every build is kept, so over a run the builds equal what is retained.
+        builds = []
+        build = app._plan_shape
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(app, "_plan_shape", counting)
+        world = World(parse_scenario(SHIPPED_TREE))
+        simcore.run(world, 300)
+        retained = sum(
+            len(terms.shapes) for rt in world.nodes.values() for terms in rt.plan_terms.values()
+        )
+        assert retained > 0
+        assert len(builds) == retained
