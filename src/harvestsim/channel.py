@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .bounds import NONNEG, NUM, POS, PROBABILITY, Bounded
+from .mac import CCA_BUSY_DBM, CCA_IDLE_DBM
 
 if TYPE_CHECKING:
     from .simcore import NodeRuntime
@@ -131,7 +132,7 @@ class Channel:
 
     def _power_dbm(self, at_ms: float) -> float:
         """What carrier sense samples at ``at_ms``: busy until ``busy_until``."""
-        return 0.0 if at_ms / 1000.0 < self.busy_until else -120.0
+        return CCA_BUSY_DBM if at_ms / 1000.0 < self.busy_until else CCA_IDLE_DBM
 
     def occupy(self, until_s: float) -> None:
         """The medium is in use until ``until_s``, if that is later."""

@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .bounds import NUM, POS, Bounded, enum, int_min
+from .bounds import POS, Bounded, enum, int_min
 from .energy import EnergyLevel
 
 
@@ -57,10 +57,15 @@ DELTA_BY_LEVEL = {
 # Published duty-to-sleep calibration pairs (table mode).
 PAPER_TABLE_SLEEP_MS = {0.05: 100.0, 0.15: 35.0, 0.25: 20.0}
 
+# What carrier sense samples on a busy and an idle medium. A threshold outside
+# (idle, busy] would find an idle medium busy, or a busy one clear.
+CCA_BUSY_DBM, CCA_IDLE_DBM = 0.0, -120.0
+
 
 @dataclass(frozen=True)
 class MacConfig(Bounded):
-    cca_threshold_dbm: float = field(default=-77.0, metadata=NUM)
+    cca_threshold_dbm: float = field(default=-77.0, metadata={
+        "type": "number", "exclusiveMinimum": CCA_IDLE_DBM, "maximum": CCA_BUSY_DBM})
     backoff_initial_ms: float = field(default=1.25, metadata=POS)
     backoff_max_attempts: int = field(default=5, metadata=int_min(1))
     arq_retries: int = field(default=3, metadata=int_min(0))
@@ -220,6 +225,7 @@ class UnicastCost(NamedTuple):
     tx_label: str
     rx_label: str
     rx_uj: float  # a delivered unicast's receiver cost
+    ack_rx: float  # the sender's ack reception, ack_ms * rx_ma (mA ms)
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,6 +244,8 @@ class FrameCosts:
     unicasts: dict[str, UnicastCost]  # per purpose: data or rrep
     trains: dict[float, PreambleTrain]
     send_estimate_uj: dict[tuple[float, int], float]  # per (believed sleep, power)
+    supply_v: float  # a unicast's sender overhead: supply_v * (tx_ms * tx_ma[p] + ack_rx)
+    tx_ma: dict[int, float]  # per transmit power
 
 
 def frame_costs(
@@ -255,6 +263,7 @@ def frame_costs(
     # preamble, plus the frame for rrep, and acks at 0 dBm.
     preamble_ms = config.preamble_packet_ms
     ack_uj = radio_energy(radio, tx_ms=config.ack_ms, tx_power_dbm=0)
+    ack_rx = config.ack_ms * radio.rx_ma
     unicasts = {
         "data": UnicastCost(
             config,
@@ -262,6 +271,7 @@ def frame_costs(
             "mac:data-tx",
             "mac:data-rx",
             radio_energy(radio, rx_ms=preamble_ms) + ack_uj,
+            ack_rx,
         ),
         "rrep": UnicastCost(
             replace(config, data_packet_ms=control_ms),
@@ -269,6 +279,7 @@ def frame_costs(
             "mac:rrep-tx",
             "mac:rrep-rx",
             radio_energy(radio, rx_ms=preamble_ms + control_ms) + ack_uj,
+            ack_rx,
         ),
     }
     # E1 has the longest sleep of the levels whose radio is on.
@@ -293,6 +304,8 @@ def frame_costs(
             for sleep in believed_sleeps
             for power in radio.tx_ma
         },
+        supply_v=radio.supply_v,
+        tx_ma=dict(radio.tx_ma),
     )
 
 
@@ -331,7 +344,7 @@ def csma_send(
     busy and :class:`NoAck` when the allowed retries are exhausted without a
     delivery.
     """
-    sample = channel_power_dbm or (lambda t: -120.0)
+    sample = channel_power_dbm or (lambda t: CCA_IDLE_DBM)
     decide = attempt_delivers or (lambda: True)
     if train is None:
         sleep_ms = (

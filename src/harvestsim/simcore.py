@@ -21,9 +21,11 @@ Each slot runs three phases, nodes visited in ascending id order:
 
 Floods: a source's flood is numbered and built when planning schedules it,
 with the slot's transmit power, so a flood start and a relay's forward are
-both one ``rreq_tx`` event. Blocked packets: every packet a node cannot send
-goes through :meth:`World._hold`, the one queue-or-drop rule and the one
-place the pending queue's cap is applied; :meth:`World._drop` counts every loss.
+both one ``rreq_tx`` event. Sends: a slot's traffic stays in its slot, by
+:meth:`World._send_in_slot`, the one rule for a source's sends. Blocked
+packets: every packet a node cannot send now goes through :meth:`World._hold`,
+the one queue-or-drop rule and the one place the pending queue's cap is
+applied; :meth:`World._drop` counts every loss.
 
 Flood arrival: every reception of one RREQ broadcast happens at the same
 arrival time, so the broadcast queues one ``rreq_arrive`` event carrying its
@@ -324,7 +326,7 @@ class Metrics:
 
 def _handler_names(cls: type) -> dict[str, str]:
     """Each event kind a world class handles, and its handler's name, ``_on_<kind>``."""
-    return {name[4:]: name for name in dir(cls) if name.startswith("_on_")}
+    return {name[4:]: name for c in cls.__mro__ for name in vars(c) if name.startswith("_on_")}
 
 
 class World:
@@ -335,17 +337,10 @@ class World:
     """
 
     __slots__ = (
-        "cfg", "collect_mac_trace", "radio", "prices", "floor", "_levels", "frames",
+        "cfg", "collect_mac_trace", "prices", "floor", "_levels", "frames",
         "metrics", "_rows", "now", "slot", "_event_seq",
         "_events", "sink_id", "nodes", "channel", "_visit_order", "_handlers",
     )
-
-    # Each class's event handlers are found once, as the class is made (for
-    # World itself, just below it), so that a subclass's override applies;
-    # each world binds its own class's.
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        cls._handler_kinds = _handler_names(cls)
 
     def __init__(
         self,
@@ -357,7 +352,6 @@ class World:
     ):
         self.cfg = cfg
         self.collect_mac_trace = collect_mac_trace
-        self.radio = mac.RadioEnergyModel()
         # A parsed document's costs are checked already; a code-built
         # config's are checked here, against the same bound and key rule.
         out: list = []
@@ -376,7 +370,7 @@ class World:
             for level, delta in sorted(mac.DELTA_BY_LEVEL.items())
         )
         self.frames = mac.frame_costs(
-            cfg.mac, self.radio, schedules, routing.REFERENCE_TX_POWER_DBM
+            cfg.mac, mac.RadioEnergyModel(), schedules, routing.REFERENCE_TX_POWER_DBM
         )
         self.metrics = Metrics()
         self._rows = self.metrics.book.rows if collect_charges else None
@@ -431,7 +425,7 @@ class World:
         # Every node, in ascending id order (as ``nodes`` was filled): the
         # order each slot phase visits.
         self._visit_order = tuple(self.nodes.values())
-        self._handlers = {kind: getattr(self, name) for kind, name in self._handler_kinds.items()}
+        self._handlers = {k: getattr(self, name) for k, name in _handler_names(type(self)).items()}
 
     # ------------------------------------------------------------------
     # infrastructure
@@ -494,7 +488,8 @@ class World:
         channel = self.channel
         # Every data frame of the exchange meets its link's loss.
         rssi, loss = channel.link(sender, receiver, tx_dbm)
-        spec = self.frames.unicasts[purpose]
+        frames = self.frames
+        spec = frames.unicasts[purpose]
         # The train is sized by the sender's belief about the receiver's
         # level; rendezvous happens on the receiver's real schedule. An
         # undersized train simply misses that round and retries.
@@ -507,7 +502,7 @@ class World:
                 start_ms=t * 1000.0,
                 channel_power_dbm=channel._power_dbm,
                 attempt_delivers=partial(survives, loss, channel.rng),
-                train=self.frames.trains[believed_sleep],
+                train=frames.trains[believed_sleep],
             )
             delivered = True
         except (mac.ChannelSaturated, mac.NoAck) as exc:
@@ -516,13 +511,9 @@ class World:
         elapsed_s = result.elapsed_ms / 1000.0
         channel.occupy(t + elapsed_s)
 
-        # Sender overhead: everything but the frame the plan pays.
-        overhead = mac.radio_energy(
-            self.radio,
-            tx_ms=max(result.sender_tx_ms - spec.paid_frame_ms, 0.0),
-            tx_power_dbm=tx_dbm,
-            rx_ms=spec.config.ack_ms,
-        )
+        # Sender overhead: everything but the frame the plan pays, and the ack.
+        tx_ms = max(result.sender_tx_ms - spec.paid_frame_ms, 0.0)
+        overhead = frames.supply_v * (tx_ms * frames.tx_ma[tx_dbm] + spec.ack_rx)
         self._charge(sender, spec.tx_label, overhead)
         if self.collect_mac_trace:
             self.metrics.mac_trace.append((
@@ -665,22 +656,25 @@ class World:
             )
         if receiver.node_id == rrep.origin:
             receiver.need_route = False
-            self._flush_pending(t + elapsed, receiver)
+            self._send_in_slot(receiver, [], t + elapsed, 0.1)
         elif idx + 2 < len(rrep.path):
             self._push(t + elapsed + PROCESSING_DELAY_S, "rrep_hop", rrep, idx + 1)
 
-    def _flush_pending(self, t: float, rt: NodeRuntime) -> None:
-        if not rt.pending:
+    def _send_in_slot(self, rt: NodeRuntime, fresh: list[Packet], t: float, spacing: float) -> None:
+        """Send the pending packets, then ``fresh``, ``spacing`` apart from ``t``
+        while they start before the slot's end; :meth:`_hold` keeps the rest,
+        or all of them while the source is dormant or has no route."""
+        pkts, rt.pending = rt.pending + fresh, []
+        if rt.tx_power is None or self.sink_id not in rt.routing.table:
+            self._hold(rt, pkts, "dormant" if rt.tx_power is None else "no-route")
             return
-        spacing = 0.1
-        queued, rt.pending = rt.pending, []
-        slot_end = (self.slot + 1) * self.cfg.slot_duration_s
-        for i, pkt in enumerate(queued):
+        slot_end = (self.slot + 1) * self.cfg.slot_duration_s - 1e-9
+        for i, pkt in enumerate(pkts):
             at = t + i * spacing
-            if at >= slot_end - 1e-9:
-                rt.pending.append(pkt)
-            else:
-                self._push(at, "send", rt.node_id, pkt)
+            if at >= slot_end:
+                self._hold(rt, pkts[i:], "slot-end")
+                return
+            self._push(at, "send", rt.node_id, pkt)
 
     def _drop(self, node_id: str, reason: str, ids: list[str]) -> None:
         """The one drop rule: count ``ids`` lost at ``node_id`` (``"-"``: an operation)."""
@@ -798,20 +792,14 @@ class World:
     def _schedule_traffic(self, rt: NodeRuntime, slot: int, t0: float, tx_quota: int) -> None:
         period = self.cfg.traffic.packet_period_s
         n_gen = int(round(self.cfg.slot_duration_s / period))
-        fresh = [Packet(pid=f"{rt.node_id}-{slot}-{i}") for i in range(n_gen)]
         self.metrics.generated += n_gen
 
         drained = [Packet(pid=e.packet_id) for e in rt.plan.backlog_run if e.packet_id is not None]
-        sendable = fresh[:tx_quota]
-        for pkt in fresh[tx_quota:]:
-            self._defer(rt, app.deferred_packet(pkt.pid, slot))
+        sendable = [Packet(f"{rt.node_id}-{slot}-{i}") for i in range(min(tx_quota, n_gen))]
+        for i in range(tx_quota, n_gen):
+            self._defer(rt, app.deferred_packet(f"{rt.node_id}-{slot}-{i}", slot))
 
-        to_send, rt.pending = rt.pending + drained + sendable, []
-        if rt.tx_power is None or self.sink_id not in rt.routing.table:
-            self._hold(rt, to_send, "dormant" if rt.tx_power is None else "no-route")
-        else:
-            for i, pkt in enumerate(to_send):
-                self._push(t0 + 0.2 + i * period, "send", rt.node_id, pkt)
+        self._send_in_slot(rt, drained + sendable, t0 + 0.2, period)
 
         refresh = slot % self.cfg.routing.rreq_refresh_slots == 0
         if rt.tx_power is not None and (rt.need_route or refresh):
@@ -916,9 +904,6 @@ class World:
                 self._settle_node(rt, slot)
         self.metrics.slots_run += 1
         self.slot += 1
-
-
-World._handler_kinds = _handler_names(World)
 
 
 def run(world: World, n_slots: int) -> Metrics:

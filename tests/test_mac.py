@@ -221,15 +221,16 @@ class TestFrameCosts:
         assert costs.rreq_tx_uj == {
             power: radio_energy(radio, tx_ms=span, tx_power_dbm=power) for power in radio.tx_ma
         }
+        ack_rx = config.ack_ms * radio.rx_ma
         assert costs.unicasts == {
             "data": (
                 config, config.data_packet_ms, "mac:data-tx", "mac:data-rx",
-                radio_energy(radio, rx_ms=preamble) + ack,
+                radio_energy(radio, rx_ms=preamble) + ack, ack_rx,
             ),
             "rrep": (
                 dataclasses.replace(config, data_packet_ms=control), 0.0,
                 "mac:rrep-tx", "mac:rrep-rx",
-                radio_energy(radio, rx_ms=preamble + control) + ack,
+                radio_energy(radio, rx_ms=preamble + control) + ack, ack_rx,
             ),
         }
         assert costs.trains == {sleep: preamble_train(sleep, config) for sleep in sleeps}
@@ -240,6 +241,23 @@ class TestFrameCosts:
             for sleep in sleeps
             for power in radio.tx_ma
         }
+
+    @pytest.mark.parametrize("tx_ms", [0.0, 0.3, 1.0, 4.5, 17.3, 101.25])
+    def test_sender_overhead_is_radio_energy_bit_for_bit(self, tx_ms):
+        # What a unicast's sender pays beyond its planned frame: its extra
+        # airtime at its power and the ack it hears, priced from the table.
+        radio = RadioEnergyModel()
+        schedules = {
+            level: schedule_from_delta(delta, self.CONFIG) for level, delta in DELTA_BY_LEVEL.items()
+        }
+        costs = frame_costs(self.CONFIG, radio, schedules, 0)
+        for spec in costs.unicasts.values():
+            for power in radio.tx_ma:
+                priced = costs.supply_v * (tx_ms * costs.tx_ma[power] + spec.ack_rx)
+                direct = radio_energy(
+                    radio, tx_ms=tx_ms, tx_power_dbm=power, rx_ms=spec.config.ack_ms
+                )
+                assert priced.hex() == direct.hex()
 
     def test_frozen(self):
         schedules = {level: schedule_from_delta(d) for level, d in DELTA_BY_LEVEL.items()}

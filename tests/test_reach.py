@@ -47,8 +47,6 @@ KEPT = {
     "(ROADMAP item 10); criterion 8 reads them too",
     "energy.InsufficientEnergy.__str__": "perfbench: its withdraw observer counts refusals "
     "of this class (ROADMAP item 15); the message is formatted only when one is read",
-    "simcore.World.__init_subclass__": "test seam: a World subclass's handler override is "
-    "found once, when the class is made (test_set_up_and_first_slot_run_no_dir)",
     "app.Backlog.entries": "test seam: the backlog tests read the queue, in queue order, "
     "through it; the program only assigns it",
     "simcore.Rows.__len__": "test seam: the tests count a metrics table's rows, and test "

@@ -13,7 +13,7 @@ import yaml
 
 import synth_oracle
 from test_simcore import lattice_yaml, link_offset
-from harvestsim import bounds, scenario, simcore
+from harvestsim import bounds, mac, scenario, simcore
 from harvestsim.energy import DEFAULT_OP_COSTS, DEFAULT_TX_COSTS, SlotOutOfRange
 from harvestsim.scenario import (
     SCENARIO_SCHEMA,
@@ -328,6 +328,25 @@ nodes:
         with pytest.raises(SchemaError) as err:
             parse_scenario(TREE.replace(old, new))
         assert err.value.violations == [violation]
+
+    @pytest.mark.parametrize(
+        "threshold, violation",
+        [("-120", "mac/cca_threshold_dbm: -120 is less than or equal to the minimum of -120.0"),
+         ("-125.0", "mac/cca_threshold_dbm: -125.0 is less than or equal to the minimum of -120.0"),
+         ("1", "mac/cca_threshold_dbm: 1 is greater than the maximum of 0.0")],
+        ids=["idle", "below-idle", "above-busy"],
+    )
+    def test_cca_threshold_lies_between_the_idle_and_busy_samples(self, threshold, violation):
+        # Carrier sense samples CCA_IDLE_DBM on an idle medium and
+        # CCA_BUSY_DBM on a busy one: at or below the idle power every
+        # sample is busy, and above the busy power none is.
+        assert (mac.CCA_IDLE_DBM, mac.CCA_BUSY_DBM) == (-120.0, 0.0)
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(MINIMAL + f"mac: {{cca_threshold_dbm: {threshold}}}\n")
+        assert err.value.violations == [violation]
+        for edge in ("-119.99", "0"):
+            cfg = parse_scenario(MINIMAL + f"mac: {{cca_threshold_dbm: {edge}}}\n")
+            assert cfg.mac.cca_threshold_dbm == float(edge)
 
     def test_int_key_beside_str_key_sorts(self):
         # Violations sort by path; 0 and 'high' are not comparable themselves.

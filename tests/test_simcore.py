@@ -559,6 +559,8 @@ class _FullScanWorld(PacketLogWorld):
     """The engine before the link table: every reception recomputes its path
     loss, and every broadcast scans every other node in id order."""
 
+    radio = mac.RadioEnergyModel()  # prices each frame afresh
+
     def __init__(self, cfg, **kwargs):
         super().__init__(cfg, **kwargs)
         self.channel = _FullScanChannel(cfg.channel, self.nodes, cfg.seed)
@@ -1361,22 +1363,93 @@ class TestBlockedSourceQueue:
         assert outcomes[0] == outcomes[1]
 
 
-class TestFlushPending:
-    def test_a_send_that_would_fall_past_the_slot_end_stays_pending(self, tree_cfg):
-        world = World(tree_cfg)
+class _SendLogWorld(World):
+    """Records each send a source pushes: ``(slot, t)`` of every one, and
+    ``late`` those at or past the end of the slot that pushed them."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.source_sends, self.late = [], []
+
+    def _push(self, t, kind, *payload):
+        if kind == "send" and self.nodes[payload[0]].role == "source":
+            self.source_sends.append((self.slot, t))
+            if t >= (self.slot + 1) * self.cfg.slot_duration_s:
+                self.late.append((self.slot, t, payload[0]))
+        super()._push(t, kind, *payload)
+
+
+class TestSendInSlot:
+    """``World._send_in_slot`` is the one rule for a source's own sends: a
+    slot's traffic stays in its slot, and the rest waits through ``_hold``."""
+
+    @staticmethod
+    def routed_source(cfg, world_cls=World):
+        """A world at slot 3 whose source D is awake with a route to the sink A."""
+        world = world_cls(cfg)
         world.slot = 3
         rt = world.nodes["D"]
+        rt.tx_power = 0
+        routing.install_route(rt.routing, dest="A", next_hop="B", cost=1.0, seq=1)
+        return world, rt
+
+    def test_a_send_that_would_fall_past_the_slot_end_stays_pending(self, tree_cfg):
+        world, rt = self.routed_source(tree_cfg)
         pkts = [simcore.Packet(f"D-{i}") for i in range(4)]
         rt.pending = list(pkts)
         slot_end = 4 * tree_cfg.slot_duration_s
         world.now = slot_end - 0.15  # room for sends at +0 and +0.1 s
-        world._flush_pending(world.now, rt)
+        world._send_in_slot(rt, [], world.now, 0.1)  # as a route install does
         sends = sorted(world._events)
         assert [(kind, payload) for _, _, kind, payload in sends] == [
             ("send", ("D", pkts[0])), ("send", ("D", pkts[1]))
         ]
         assert all(t < slot_end for t, *_ in sends)
         assert rt.pending == pkts[2:]
+
+    def test_a_spill_past_the_cap_overflows_as_slot_end(self, tree_cfg):
+        world, rt = self.routed_source(tree_cfg, PacketLogWorld)
+        cap = simcore.PENDING_QUEUE_CAP
+        pkts = [simcore.Packet(f"D-{i}") for i in range(2 * cap + 10)]
+        slot_end = 4 * tree_cfg.slot_duration_s
+        world._send_in_slot(rt, pkts, slot_end - 0.25, 0.1)  # room for three sends
+        assert [payload for *_, payload in sorted(world._events)] == [("D", p) for p in pkts[:3]]
+        assert rt.pending == pkts[-cap:]
+        spilled = [p.pid for p in pkts[3:-cap]]
+        assert len(spilled) == cap + 7
+        assert world.drop_rows == [(3, pid, "D", "queue-overflow(slot-end)") for pid in spilled]
+        assert world.metrics.drops == Counter({("D", "queue-overflow(slot-end)"): cap + 7})
+        assert not rt.need_route
+
+    @pytest.mark.parametrize("reason", ["dormant", "no-route"])
+    def test_a_blocked_source_holds_the_whole_batch(self, tree_cfg, reason):
+        world, rt = self.routed_source(tree_cfg, PacketLogWorld)
+        if reason == "dormant":
+            rt.tx_power = None
+        else:
+            routing.invalidate_route(rt.routing, "A")
+        old = rt.pending = [simcore.Packet("D-old")]
+        pkts = [simcore.Packet(f"D-{i}") for i in range(5)]
+        world._send_in_slot(rt, pkts, 3 * tree_cfg.slot_duration_s, 0.1)
+        assert world._events == [] and world.drop_rows == []
+        assert rt.pending == old + pkts
+        assert rt.need_route == (reason == "no-route")
+
+    @pytest.mark.parametrize(
+        "shape",
+        [{"rows": 6, "cols": 8, "sigma_db": 0.0, "predictor": "ewma"},
+         {"sigma_db": 4.0, "predictor": "hw"}],
+        ids=["grid48", "lattice-hw-4.0"],
+    )
+    def test_no_source_sends_at_or_past_its_slot_end(self, shape):
+        # Before the one rule, a source with more than six packets spaced
+        # its sends into later slots: 297 on grid48's shape and 52 on the
+        # Holt-Winters lattice over these 100 slots.
+        cfg = dataclasses.replace(parse_scenario(lattice_yaml(slots=100, **shape)), seed=401)
+        world = _SendLogWorld(cfg)
+        simcore.run(world, cfg.slots)
+        assert len(world.source_sends) > 1000
+        assert world.late == []
 
 
 class TestPlanTermsPerWorld:
@@ -1595,7 +1668,12 @@ class TestPinnedLatticeOutputs:
     predictor, and without shadowing under EWMA (the ``unshadowed-``
     cases). Floods, beacons and backlog
     evictions all run here, which the tree exercises little. A change that
-    alters an output on purpose updates the pin and names the change."""
+    alters an output on purpose updates the pin and names the change.
+
+    Re-pinned when a source's sends were kept in their slot: sends that
+    would start past the slot's end now wait in the pending queue
+    (``World._send_in_slot``). ``unshadowed-baseline`` and every
+    ``forecast.csv`` kept their bytes."""
 
     # Each case's (shadowing sigma in dB, predictor, routing mode).
     CASES = {
@@ -1606,24 +1684,24 @@ class TestPinnedLatticeOutputs:
     }
     PINNED = {
         "modified": {
-            "summary.json": "0dc48d6295f6fa32643a988a37496edd919a84fda0749f5370e7eee77e0d67fb",
-            "slots.csv": "91f5af55e04ae1b4adbb2e898dbc444175f95363982fb280bfd35f892955f106",
-            "ledger.csv": "66cd98bf1d8da6a3c0af3d2e031b55b3249fdf579b836078c9fb5c8a5b80c024",
-            "routes.csv": "7cfaae34d4cec8072bd747304e292017ba8f19565b552367b59a52d7c1795cf3",
+            "summary.json": "470ae1632f9e79b3cda379e58c0b05c6539296f1671ddd8f10a598e527b95ece",
+            "slots.csv": "0542231ffca8c13958b992c00a6b135b40a08dc6de9cdcd8bdce865e8cd97e2e",
+            "ledger.csv": "2fab3de43833d8fb9df0881bfcb09eefbb87151063aaf56e1fc3940328b5ac52",
+            "routes.csv": "6cf8168e2120bcdd70b29d5ee81ac4dd7153f34045021c8963d0c7c72369fc68",
             "forecast.csv": "750dbb38a7f159acef9c00161517cbe3cf94b98a5ac387542ddd56df03174fdf",
         },
         "baseline": {
-            "summary.json": "ae2c6d083bdd3305609fa03202eae8566fed66f4f318ed684c1fa44df39d3860",
-            "slots.csv": "83cc914607bee265edee3ef1ee0699e3894899c5137cadab498dde08fd0e4545",
-            "ledger.csv": "ffb0903458ef2c5d4bc14bb1cb78be20cd0db2a3de6eb581e3c29e30e6de5615",
-            "routes.csv": "70509072996a04575b2d84436716a4f85d82b6507adecfade6fca17569b85a38",
+            "summary.json": "04ca6fcc13301c7ff74716b3ccc3e639969a2ed65ed38257a65ebf983c4fc478",
+            "slots.csv": "d3f0ce819f9931dcd187f019ffc9d3175390c7506d3c14871247ff486eb849e6",
+            "ledger.csv": "4dadf0eef3f77a247181c66322469f4a12def2e50364f861dc3b746cf17ca821",
+            "routes.csv": "32d9c1ceb793de40596e9a3b577b2fdeba52643614e545930eafc61738be723e",
             "forecast.csv": "750dbb38a7f159acef9c00161517cbe3cf94b98a5ac387542ddd56df03174fdf",
         },
         "unshadowed-modified": {
-            "summary.json": "50e3362c15234c40ae7ac9dea80e3bab5fcddb4a05f1995ff65f201a392d7a36",
-            "slots.csv": "4726b7cdd408d7e51b6601631063d7d8ea909a58d75009e06133437936cf4f87",
-            "ledger.csv": "05e5e975e8bfd48b3ff01f02b03469d2b39b22836792280bae9f7b7682217745",
-            "routes.csv": "0e337134ae963598195661d6e5cff843bfb6cf6df3f974218e7daac6eb7510f0",
+            "summary.json": "41dfe8a8bcf1f1621c927a4d92b51ac4a48d11472310a3b021f0c54be5649b65",
+            "slots.csv": "f02e3cdef48708e0c7429d4b80d575c9fba09d56fcb528d852e3c8d7099c527c",
+            "ledger.csv": "43964fd890bf1e466bc6867f82b7091b5beef0e218a93943495f150a96733d29",
+            "routes.csv": "238b472bbf650b27e056d0c8adaa9a1ea2e7839d08409303733cf2db39085c3f",
             "forecast.csv": "8715eb5402d8d7f0141ea0a622f07674d38a9eca2548f914f9971b4107006a86",
         },
         "unshadowed-baseline": {
@@ -1653,7 +1731,7 @@ class TestPinnedLatticeOutputs:
     # slots freeze its ring.
     LONG_HW_SLOTS = 150
     LONG_HW_PINNED = {
-        "slots.csv": "30aa502c7997c8f632748bef67ad456352ec9171a679e65a5bfe4c1b6da1a405",
+        "slots.csv": "c7f0c74f597e35d754e183d0031ecbfe6a2f231d27c1ef12762999dfa04cad10",
         "forecast.csv": "ff6fc42b0fbee93c4ba0e5c819bf577ec3b919089f10120e97b961b63203b572",
     }
 

@@ -134,6 +134,25 @@ class TestOneEngineRule:
         # other function that reads the cap would be a second overflow rule.
         assert _readers_of("PENDING_QUEUE_CAP") == ["simcore.World._hold"]
 
+    def test_a_source_s_sends_are_pushed_by_one_rule(self):
+        # World._send_in_slot pushes a source's own sends, a slot's planned
+        # traffic and the packets a route install releases, and holds what
+        # would fall past the slot's end; a relay's forward in _on_arrive is
+        # the one other send. Every push names its kind as a literal, so no
+        # push of a send hides behind a variable.
+        def is_push(node):
+            return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_push"
+
+        kinds = [call.args[1] for path in PACKAGE.glob("*.py")
+                 for call in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if is_push(call)]
+        assert kinds and all(isinstance(kind, ast.Constant) for kind in kinds)
+        assert _functions_where(lambda node: is_push(node) and node.args[1].value == "send") == [
+            "simcore.World._send_in_slot", "simcore.World._on_arrive"
+        ]
+        # The second slot-end rule is gone.
+        assert not hasattr(World, "_flush_pending") and _callers_of("_flush_pending") == []
+
     def test_one_function_counts_drops(self):
         # World._drop is the one drop rule and the only writer of the drop
         # counts; Metrics.summary only totals them. Any other function that
