@@ -172,7 +172,7 @@ def run_cmd(config_path, seed, slots, mode, outdir, mac_trace) -> None:
     """Full simulation: slot reports, ledger, routes, forecasts, summary."""
     cfg = _effective_config(_load_config(config_path), seed, slots, mode)
     # Built first, so that a set-up failure (an unreadable trace) writes nothing.
-    world = simcore.World(cfg, collect_mac_trace=mac_trace)
+    world = simcore.World(cfg, metrics=simcore.MacTrace() if mac_trace else None)
     outdir = Path(outdir)
     digest = _echo_config(cfg, outdir)
     metrics = simcore.run(world, cfg.slots)

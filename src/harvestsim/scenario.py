@@ -218,13 +218,19 @@ _DBM_KEY = re.compile(r"[+-]?\d+")
 
 def dbm_key_violations(costs) -> list[tuple[tuple[str, str], str]]:
     """A ``(path, message)`` violation for each key of the ``tx128`` table
-    of ``costs`` that is no integer dBm; none where either is no mapping,
+    of ``costs`` that is no integer dBm, or that names the power of an
+    earlier key (``0`` and ``"+0"``); none where either is no mapping,
     which the schema reports."""
     tx_costs = costs.get(TX_OP_KIND) if isinstance(costs, dict) else None
     if not isinstance(tx_costs, dict):
         return []
-    return [(("costs", TX_OP_KIND), f"power {power!r} is not an integer dBm")
-            for power in tx_costs if not _DBM_KEY.fullmatch(str(power))]
+    messages, named = [], {}
+    for power in tx_costs:
+        if not _DBM_KEY.fullmatch(str(power)):
+            messages.append(f"power {power!r} is not an integer dBm")
+        elif (first := named.setdefault(int(power), power)) != power:
+            messages.append(f"powers {first!r} and {power!r} both name {int(power)} dBm")
+    return [(("costs", TX_OP_KIND), message) for message in messages]
 
 
 def _setting(doc: dict, section_name: str, key: str):
@@ -259,8 +265,8 @@ def _semantic_violations(doc: dict, rejected: set, profiles: dict) -> list[str]:
             if ":" in n["id"]:
                 problems.append(f"nodes[{n['id']}].id: must not contain ':'")
             # Every output CSV writes ids unquoted, so a ',' or a line break
-            # would split a row.
-            breaks = [c for c in ",\r\n" if c in n["id"]]
+            # would split a row, and a '"' would open a quoted field.
+            breaks = [c for c in ',"\r\n' if c in n["id"]]
             if breaks:
                 problems.append(f"nodes[{n['id']!r}].id: must not contain "
                                 f"{', '.join(map(repr, breaks))} (CSV outputs)")

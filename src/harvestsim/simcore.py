@@ -16,8 +16,8 @@ Each slot runs three phases, nodes visited in ascending id order:
    published per-operation costs (each kind priced once, each operation one
    floor comparison), the duty-cycle baseline and leakage are drawn, the
    entries ``app`` defers enter the backlog, and the slot's report, ledger
-   row and paid sum are copied into the metrics' typed-column tables
-   (:class:`Rows`), one ``append`` or ``extend`` per column.
+   row and paid sum go to :meth:`Metrics.settled`, which copies them into
+   typed-column tables (:class:`Rows`), one ``append`` or ``extend`` per column.
 
 Floods: a source's flood is numbered and built when planning schedules it,
 with the slot's transmit power, so a flood start and a relay's forward are
@@ -25,7 +25,8 @@ both one ``rreq_tx`` event. Sends: a slot's traffic stays in its slot, by
 :meth:`World._send_in_slot`, the one rule for a source's sends. Blocked
 packets: every packet a node cannot send now goes through :meth:`World._hold`,
 the one queue-or-drop rule and the one place the pending queue's cap is
-applied; :meth:`World._drop` counts every loss.
+applied; :meth:`Metrics.dropped` counts every loss. Output: a world reports
+every record into the :class:`Metrics` it is handed, one method per kind.
 
 Flood arrival: every reception of one RREQ broadcast happens at the same
 arrival time, so the broadcast queues one ``rreq_arrive`` event carrying its
@@ -49,8 +50,8 @@ slot's sum and the run's total per label, are the only running totals: a
 paid draw adds to them, the plan's paid prefix once per kind at price x
 count. Settlement publishes the slot's sum into the metrics'
 :class:`ChargeBook` once per node-slot, and :func:`run` publishes the
-label totals as it returns. Per-draw rows are kept only when asked for
-(``collect_charges``). The radio energies of fixed-length
+label totals as it returns. Per-draw rows are built only for metrics that
+define ``draw``. The radio energies of fixed-length
 frames are the world's :class:`mac.FrameCosts`, computed once. Rarely, a
 slot's radio overhead can leave the store unable to cover the
 already-planned operations; settlement then aborts mid-plan (the
@@ -176,8 +177,8 @@ class Rows:
     after row, ``ints`` (``array('q')``) holds each row's slot and then its
     ``q`` values, ``reals`` (``array('d')``) its ``d`` values and ``smalls``
     (``array('b')``) its ``b`` values, in row order, while ``nodes`` holds a
-    reference to the node's shared id string. The engine adds a row with one
-    ``append`` or ``extend`` per column.
+    reference to the node's shared id string. :class:`Metrics` adds a row
+    with one ``append`` or ``extend`` per column.
 
     Iterating yields each row as the tuple ``(slot, node, *values)``;
     ``len`` and truthiness count the rows, as a list's do.
@@ -258,14 +259,11 @@ class ChargeBook:
 
     ``by_slot`` sums the draws per ``(slot, node)``, which is what each
     ledger row's consumption must equal, read as ``by_slot.get((slot,
-    node), 0.0)``; ``by_label`` totals them per ``(node, label)``; ``rows``
-    holds the per-draw ``(slot, node, label, amount)`` rows, in draw order,
-    when the run keeps them.
+    node), 0.0)``; ``by_label`` totals them per ``(node, label)``.
     """
 
     by_slot: SlotSums
     by_label: dict[tuple[str, str], float] = field(default_factory=dict)
-    rows: list[tuple[int, str, str, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -278,6 +276,10 @@ class Metrics:
     actual_uj)``, ``slot_reports`` iterate as :class:`app.SlotReport`, and
     ``book.by_slot`` is the paid sum of each ledger row. Packets are only
     counted: no record is kept per packet.
+
+    A world reports each record through one method per kind. The MAC and
+    per-draw rows are opt-in: metrics that keep them define ``mac(t, node,
+    event, detail)`` (:class:`MacTrace`) or ``draw(slot, node, label, amount)``.
     """
 
     slot_reports: SlotReports = field(default_factory=SlotReports)
@@ -286,20 +288,49 @@ class Metrics:
     forecast_rows: Rows = field(default_factory=partial(Rows, "dd"))
     route_log: list[tuple] = field(default_factory=list)
     mac_trace: list[tuple] = field(default_factory=list)
+    charges: list[tuple] = field(default_factory=list)
     drops: Counter = field(default_factory=Counter)  # per (node, reason)
     evictions: Counter = field(default_factory=Counter)  # per (node, evicted kind)
     generated: int = 0
     delivered: int = 0
     duty_sum: dict[str, float] = field(default_factory=dict)
     slots_run: int = 0
+    mac = draw = None  # not fields: unset recorders, which a world binds once
 
     def __post_init__(self) -> None:
         self.book = ChargeBook(SlotSums(self.ledger))
 
-    @property
-    def charges(self) -> list[tuple]:
-        """The per-draw rows; empty unless the world collects them."""
-        return self.book.rows
+    def settled(self, report: app.SlotReport, start: float, harvested: float, wasted: float,
+                end: float, paid: float) -> None:
+        """One settled node-slot: its report, its ledger row and the sum it paid."""
+        reports = self.slot_reports
+        reports.ints.extend((report.slot, report.ops_node, report.ops_network))
+        reports.nodes.append(report.node)
+        reports.reals.extend(
+            (report.alpha_mean, report.delta, report.consumed_uj, report.residual_uj)
+        )
+        reports.smalls.extend(
+            (report.own_level, report.virtual_level, report.network_level, report.aborted)
+        )
+        ledger = self.ledger
+        ledger.ints.append(report.slot)
+        ledger.nodes.append(report.node)
+        ledger.reals.extend((start, harvested, wasted, start + harvested - wasted - end, end))
+        self.book.by_slot.sums.append(paid)
+
+    def forecasted(self, slot: int, node: str, predicted: float, actual: float) -> None:
+        rows = self.forecast_rows
+        rows.ints.append(slot)
+        rows.nodes.append(node)
+        rows.reals.extend((predicted, actual))
+
+    def dropped(self, slot: int, node: str, reason: str, ids: list[str]) -> None:
+        """The one drop rule: count ``ids`` lost at ``node`` in ``slot`` (``"-"``: an operation)."""
+        self.drops[node, reason] += len(ids)
+
+    def arrived(self, pid: str) -> None:
+        """Packet ``pid`` reached the sink."""
+        self.delivered += 1
 
     def pdr(self) -> float:
         if self.generated == 0:
@@ -324,6 +355,13 @@ class Metrics:
         }
 
 
+class MacTrace(Metrics):
+    """Metrics that keep each MAC event as a ``(time, node, event, detail)`` row."""
+
+    def mac(self, t: float, node: str, event: str, detail: str) -> None:
+        self.mac_trace.append((t, node, event, detail))
+
+
 def _handler_names(cls: type) -> dict[str, str]:
     """Each event kind a world class handles, and its handler's name, ``_on_<kind>``."""
     return {name[4:]: name for c in cls.__mro__ for name in vars(c) if name.startswith("_on_")}
@@ -332,13 +370,13 @@ def _handler_names(cls: type) -> dict[str, str]:
 class World:
     """One simulation instance; deterministic under a fixed (config, seed).
 
-    ``collect_mac_trace`` and ``collect_charges`` keep the per-event MAC
-    rows and the per-draw charge rows in the metrics.
+    It reports every record into ``metrics``, a fresh :class:`Metrics` by
+    default.
     """
 
     __slots__ = (
-        "cfg", "collect_mac_trace", "prices", "floor", "_levels", "frames",
-        "metrics", "_rows", "now", "slot", "_event_seq",
+        "cfg", "prices", "floor", "_levels", "frames",
+        "metrics", "_mac", "_draw", "now", "slot", "_event_seq",
         "_events", "sink_id", "nodes", "channel", "_visit_order", "_handlers",
     )
 
@@ -347,11 +385,9 @@ class World:
         cfg: ScenarioConfig,
         *,
         traces: dict[str, HarvestTrace] | None = None,
-        collect_mac_trace: bool = False,
-        collect_charges: bool = False,
+        metrics: Metrics | None = None,
     ):
         self.cfg = cfg
-        self.collect_mac_trace = collect_mac_trace
         # A parsed document's costs are checked already; a code-built
         # config's are checked here, against the same bound and key rule.
         out: list = []
@@ -372,8 +408,8 @@ class World:
         self.frames = mac.frame_costs(
             cfg.mac, mac.RadioEnergyModel(), schedules, routing.REFERENCE_TX_POWER_DBM
         )
-        self.metrics = Metrics()
-        self._rows = self.metrics.book.rows if collect_charges else None
+        self.metrics = Metrics() if metrics is None else metrics
+        self._mac, self._draw = self.metrics.mac, self.metrics.draw
         self.now = 0.0
         self.slot = 0
         self._event_seq = 0
@@ -460,8 +496,8 @@ class World:
         withdraw(store, amount, floor)
         rt.slot_charged += amount
         rt.charged_by_label[label] = rt.charged_by_label.get(label, 0.0) + amount
-        if self._rows is not None:
-            self._rows.append((self.slot, rt.node_id, label, amount))
+        if self._draw is not None:
+            self._draw(self.slot, rt.node_id, label, amount)
         return True
 
     def _believed_sleep_ms(self, sender: NodeRuntime, receiver_id: str) -> float:
@@ -515,14 +551,10 @@ class World:
         tx_ms = max(result.sender_tx_ms - spec.paid_frame_ms, 0.0)
         overhead = frames.supply_v * (tx_ms * frames.tx_ma[tx_dbm] + spec.ack_rx)
         self._charge(sender, spec.tx_label, overhead)
-        if self.collect_mac_trace:
-            self.metrics.mac_trace.append((
-                t,
-                sender.node_id,
-                f"{purpose}-tx",
-                f"to={receiver.node_id} rssi={rssi:.1f} delivered={delivered} "
-                f"attempts={result.attempts} preambles={result.preambles_sent}",
-            ))
+        if self._mac is not None:
+            self._mac(t, sender.node_id, f"{purpose}-tx",
+                      f"to={receiver.node_id} rssi={rssi:.1f} delivered={delivered} "
+                      f"attempts={result.attempts} preambles={result.preambles_sent}")
         if delivered:
             self._charge(receiver, spec.rx_label, spec.rx_uj)
             routing.hear_frame(receiver.routing, sender.node_id, tx_dbm, self.slot)
@@ -538,8 +570,8 @@ class World:
         charge, frames = self._charge, self.frames
         if not charge(rt, "mac:beacon-tx", frames.beacon_tx_uj):
             return
-        if self.collect_mac_trace:
-            self.metrics.mac_trace.append((t, node_id, "beacon-tx", ""))
+        if self._mac is not None:
+            self._mac(t, node_id, "beacon-tx", "")
         rx = frames.control_rx_uj
         channel = self.channel
         rng, hear = channel.rng, routing.hear_beacon
@@ -558,8 +590,8 @@ class World:
         charge, frames = self._charge, self.frames
         if not charge(rt, "mac:rreq-tx", frames.rreq_tx_uj[rreq.tx_power_dbm]):
             return
-        if self.collect_mac_trace:  # format the detail only when it is kept
-            self.metrics.mac_trace.append((t, node_id, "rreq-tx", f"seq={rreq.seq}"))
+        if self._mac is not None:  # format the detail only when it is kept
+            self._mac(t, node_id, "rreq-tx", f"seq={rreq.seq}")
         arrival = t + frames.rreq_span_ms / 1000.0
         channel = self.channel
         channel.occupy(arrival)
@@ -676,10 +708,6 @@ class World:
                 return
             self._push(at, "send", rt.node_id, pkt)
 
-    def _drop(self, node_id: str, reason: str, ids: list[str]) -> None:
-        """The one drop rule: count ``ids`` lost at ``node_id`` (``"-"``: an operation)."""
-        self.metrics.drops[node_id, reason] += len(ids)
-
     def _hold(self, rt: NodeRuntime, pkts: list[Packet], reason: str) -> None:
         """Packets ``rt`` cannot send now, for ``reason``: a relay drops them;
         a source queues them, in order, asking for a route when it has none,
@@ -687,7 +715,7 @@ class World:
         if not pkts:
             return
         if rt.role != "source":
-            self._drop(rt.node_id, reason, [pkt.pid for pkt in pkts])
+            self.metrics.dropped(self.slot, rt.node_id, reason, [pkt.pid for pkt in pkts])
             return
         if reason == "no-route":
             rt.need_route = True
@@ -696,7 +724,7 @@ class World:
         if len(pending) > PENDING_QUEUE_CAP:
             overflow = [p.pid for p in pending[:-PENDING_QUEUE_CAP]]
             del pending[:-PENDING_QUEUE_CAP]
-            self._drop(rt.node_id, f"queue-overflow({reason})", overflow)
+            self.metrics.dropped(self.slot, rt.node_id, f"queue-overflow({reason})", overflow)
 
     def _on_send(self, t: float, node_id: str, pkt: Packet) -> None:
         rt = self.nodes[node_id]
@@ -722,19 +750,19 @@ class World:
             )
             rt.need_route = True
             if pkt.retries > MAX_PACKET_RETRIES:
-                self._drop(node_id, "retries", [pkt.pid])
+                self.metrics.dropped(self.slot, node_id, "retries", [pkt.pid])
                 return
         self._hold(rt, [pkt], "mac-fail")
 
     def _on_arrive(self, t: float, node_id: str, pkt: Packet) -> None:
         rt = self.nodes[node_id]
         if rt.is_sink:
-            self.metrics.delivered += 1
+            self.metrics.arrived(pkt.pid)
             return
         if rt.role != "relay":
             return
         if rt.forwards_left <= 0:
-            self._drop(node_id, "relay-quota", [pkt.pid])
+            self.metrics.dropped(self.slot, node_id, "relay-quota", [pkt.pid])
             return
         rt.forwards_left -= 1
         self._push(t + PROCESSING_DELAY_S, "send", node_id, pkt)
@@ -750,10 +778,7 @@ class World:
         rt.slot_ledger = (stored_start, harvested, wasted)
 
         if rt.next_prediction is not None:
-            rows = self.metrics.forecast_rows
-            rows.ints.append(slot)
-            rows.nodes.append(rt.node_id)
-            rows.reals.extend((rt.next_prediction, harvested))
+            self.metrics.forecasted(slot, rt.node_id, rt.next_prediction, harvested)
         settings = self.cfg.predictor
         try:
             pred, rt.predictor_state = forecast.step(settings, rt.predictor_state, harvested)
@@ -824,7 +849,7 @@ class World:
             return
         self.metrics.evictions[rt.node_id, victim.kind] += 1
         if victim.packet_id is not None:
-            self._drop(rt.node_id, "backlog-evicted", [victim.packet_id])
+            self.metrics.dropped(self.slot, rt.node_id, "backlog-evicted", [victim.packet_id])
 
     def _settle_node(self, rt: NodeRuntime, slot: int) -> None:
         stored_start, harvested, wasted = rt.slot_ledger
@@ -840,8 +865,9 @@ class World:
             rt.slot_charged += amount
             label = OP_LABELS[kind]
             by_label[label] = by_label.get(label, 0.0) + amount
-        if self._rows is not None:
-            self._rows.extend([(slot, rt.node_id, OP_LABELS[k], price[k]) for k in kinds])
+        if self._draw is not None:
+            for k in kinds:
+                self._draw(slot, rt.node_id, OP_LABELS[k], price[k])
         # Duty-cycle baseline for the level-anchored schedule actually run.
         duty, duty_sum = self.cfg.energy.duty_energy_uj * rt.delta_op, self.metrics.duty_sum
         if rt.delta_op > 0.0 and self._charge(rt, "duty", duty):
@@ -860,26 +886,10 @@ class World:
         for entry in plan.deferred + requeued:
             self._defer(rt, entry)
         if lost:
-            self._drop(rt.node_id, "aborted-op", ["-"] * lost)
-        metrics = self.metrics
-
-        reports = metrics.slot_reports
-        reports.ints.extend((report.slot, report.ops_node, report.ops_network))
-        reports.nodes.append(report.node)
-        reports.reals.extend(
-            (report.alpha_mean, report.delta, report.consumed_uj, report.residual_uj)
-        )
-        reports.smalls.extend(
-            (report.own_level, report.virtual_level, report.network_level, report.aborted)
-        )
-        stored_end = rt.store.stored
-        consumed = stored_start + harvested - wasted - stored_end
-        ledger = metrics.ledger
-        ledger.ints.append(slot)
-        ledger.nodes.append(rt.node_id)
-        ledger.reals.extend((stored_start, harvested, wasted, consumed, stored_end))
+            self.metrics.dropped(slot, rt.node_id, "aborted-op", ["-"] * lost)
         # The slot's sum enters the book once, after every draw joined it.
-        metrics.book.by_slot.sums.append(rt.slot_charged)
+        self.metrics.settled(report, stored_start, harvested, wasted, rt.store.stored,
+                             rt.slot_charged)
         rt.slot_charged = 0.0
 
     def step_slot(self) -> None:

@@ -25,6 +25,7 @@ from harvestsim.optimizer import (
 )
 from harvestsim.scenario import ProfileSpec, parse_scenario, synth_trace
 from simplex_oracle import simplex_solve
+from test_simcore import ChargeRows
 
 TREE_YAML = (
     resources.files("harvestsim").joinpath("scenarios/four_node_tree.yaml").read_text()
@@ -151,7 +152,7 @@ def route_compare_runs():
                 cfg, seed=seed, routing=dataclasses.replace(cfg.routing, mode=mode)
             )
             sample = i == 0 and mode == "modified"
-            world = simcore.World(run_cfg, collect_charges=sample)
+            world = simcore.World(run_cfg, metrics=ChargeRows() if sample else None)
             metrics = simcore.run(world, 2000)
             results[mode].append(metrics.pdr())
             if sample:

@@ -11,7 +11,7 @@ from harvestsim import simcore
 from harvestsim.optimizer import build_opt, parametric_sweep
 from harvestsim.scenario import parse_scenario
 from harvestsim.simcore import Packet, World
-from test_simcore import PacketLogWorld, lattice_yaml
+from test_simcore import PacketChargeLog, PacketLog, lattice_yaml
 
 BASE_YAML = """
 name: variants
@@ -41,14 +41,13 @@ policies:
 """
 
 
-def run_world(yaml_text=BASE_YAML, slots=40, *, seed=None, mode=None, world_cls=World,
-              **world_kwargs):
+def run_world(yaml_text=BASE_YAML, slots=40, *, seed=None, mode=None, **world_kwargs):
     cfg = parse_scenario(yaml_text)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     if mode is not None:
         cfg = dataclasses.replace(cfg, routing=dataclasses.replace(cfg.routing, mode=mode))
-    world = world_cls(cfg, **world_kwargs)
+    world = World(cfg, **world_kwargs)
     metrics = simcore.run(world, slots)
     return world, metrics
 
@@ -91,10 +90,10 @@ class TestPacketConservation:
 
     @pytest.mark.parametrize("mode", ["modified", "baseline"])
     def test_every_packet_delivered_dropped_or_still_queued(self, mode):
-        world, metrics = run_world(mode=mode, slots=40, world_cls=PacketLogWorld)
-        dropped = {pid for _, pid, _, _ in world.drop_rows if pid != "-"}
+        world, metrics = run_world(mode=mode, slots=40, metrics=PacketLog())
+        dropped = {pid for _, pid, _, _ in metrics.drop_rows if pid != "-"}
         alive = set(leftover_packet_ids(world))
-        accounted = set(world.delivered_ids) | dropped | alive
+        accounted = set(metrics.delivered_ids) | dropped | alive
         assert len(accounted) >= metrics.generated
         # No phantom ids outside the generated namespace.
         assert all(pid.startswith("D-") for pid in accounted)
@@ -133,7 +132,7 @@ class TestConfigVariants:
         text = BASE_YAML.replace(
             "mac: {arq_retries: 1}", "mac: {arq_retries: 1, rts_cts: true}"
         )
-        world, metrics = run_world(text, slots=20, collect_mac_trace=True)
+        world, metrics = run_world(text, slots=20, metrics=simcore.MacTrace())
         assert metrics.delivered > 0
 
     def test_hw_predictor_with_warmup(self):
@@ -150,10 +149,10 @@ class TestConfigVariants:
             "traffic: {packet_period_s: 10.0}",
             "traffic: {packet_period_s: 10.0}\nchannel: {shadowing_sigma_db: 4.0}",
         )
-        w1, m1 = run_world(text, slots=20, seed=9, world_cls=PacketLogWorld, collect_charges=True)
-        w2, m2 = run_world(text, slots=20, seed=9, world_cls=PacketLogWorld, collect_charges=True)
+        _, m1 = run_world(text, slots=20, seed=9, metrics=PacketChargeLog())
+        _, m2 = run_world(text, slots=20, seed=9, metrics=PacketChargeLog())
         assert m1.charges == m2.charges
-        assert w1.delivered_ids == w2.delivered_ids
+        assert m1.delivered_ids == m2.delivered_ids
 
     def test_leakage_drains_and_ledger_still_closes(self):
         text = BASE_YAML.replace(

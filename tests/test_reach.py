@@ -43,8 +43,6 @@ KEPT = {
     "optimizer.PolicyLp.n_vars": "gate: criterion 1 bounds the breakpoint count by it",
     "optimizer.TradeoffCurve.v_lo": "gate: criterion 2 reaches it through evaluate_curve",
     "optimizer.TradeoffCurve.v_hi": "gate: criterion 2 reaches it through evaluate_curve",
-    "simcore.Metrics.charges": "perfbench: its traced mode counts the per-draw rows "
-    "(ROADMAP item 10); criterion 8 reads them too",
     "energy.InsufficientEnergy.__str__": "perfbench: its withdraw observer counts refusals "
     "of this class (ROADMAP item 15); the message is formatted only when one is read",
     "app.Backlog.entries": "test seam: the backlog tests read the queue, in queue order, "

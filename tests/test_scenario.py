@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -111,6 +112,22 @@ nodes:
         cfg = parse_scenario(text.replace("high: 300, ", ""))
         assert cfg.costs == {"tx128": {-5: 304.0, 0: 341.0}}
 
+    @pytest.mark.parametrize("keys, message", [
+        ("{0: 341.0, '+0': 999.0}", "powers 0 and '+0' both name 0 dBm"),
+        ("{'-0': 1.0, 0: 2.0}", "powers '-0' and 0 both name 0 dBm"),
+        ("{'-5': 1.0, '-05': 2.0}", "powers '-5' and '-05' both name -5 dBm"),
+    ], ids=["0-and-plus-0", "minus-0-and-0", "minus-5-and-minus-05"])
+    def test_two_spellings_of_one_power_rejected(self, keys, message):
+        # Both keys parsed to one power, and the later key's cost silently won.
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(MINIMAL + f"costs: {{tx128: {keys}}}\n")
+        assert err.value.violations == [f"costs/tx128: {message}"]
+        # Built in code, the same table is refused by the same rule.
+        cfg = dataclasses.replace(parse_scenario(MINIMAL), costs={"tx128": yaml.safe_load(keys)})
+        with pytest.raises(ValueError) as err:
+            simcore.World(cfg)
+        assert str(err.value) == f"ScenarioConfig.costs/tx128: {message}"
+
     def test_scalar_costs_override_the_published_ones(self):
         cfg = parse_scenario(MINIMAL + "costs: {sense: 25, rx128: 410}\n")
         assert cfg.costs == {"sense": 25.0, "rx128": 410.0}
@@ -137,12 +154,14 @@ nodes:
             ("'D,1'", "nodes['D,1'].id: must not contain ',' (CSV outputs)"),
             ('"D\\r1"', "nodes['D\\r1'].id: must not contain '\\r' (CSV outputs)"),
             ('"D\\n1"', "nodes['D\\n1'].id: must not contain '\\n' (CSV outputs)"),
+            ("'\"D'", "nodes['\"D'].id: must not contain '\"' (CSV outputs)"),
             ("'D:1,2'", "nodes[D:1,2].id: must not contain ':'"),
         ],
     )
     def test_node_id_that_would_split_a_csv_row_rejected(self, quoted, violation):
         # Every output CSV writes node ids unquoted: an id with a ',' wrote
-        # ledger rows of 8 fields under a 7-field header.
+        # ledger rows of 8 fields under a 7-field header, and one that began
+        # with '"' opened a quoted field that swallowed the rows after it.
         with pytest.raises(SchemaError) as err:
             parse_scenario(MINIMAL.replace("id: D,", f"id: {quoted},"))
         assert violation in err.value.violations

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter, defaultdict
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from harvestsim.energy import (
 )
 from harvestsim.routing import REFERENCE_TX_POWER_DBM, TX_POWER_BY_LEVEL
 from harvestsim.scenario import ChannelSettings, parse_scenario
-from harvestsim.simcore import World
+from harvestsim.simcore import Metrics, World
 
 TREE_YAML = """
 name: test-tree
@@ -69,27 +70,42 @@ def tree_cfg():
     return parse_scenario(TREE_YAML)
 
 
-class PacketLogWorld(World):
-    """The engine, keeping the per-packet records its metrics only count.
+@dataclass
+class PacketLog(Metrics):
+    """Metrics that keep the per-packet records the base ones only count.
 
     ``drop_rows`` holds one ``(slot, pid, node, reason)`` row per packet or
-    operation that :meth:`World._drop` counts (an operation's pid is
+    operation that :meth:`Metrics.dropped` counts (an operation's pid is
     ``"-"``), in the order they are counted, and ``delivered_ids`` the id of
     each packet the sink receives, in arrival order.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.drop_rows, self.delivered_ids = [], []
+    drop_rows: list = field(default_factory=list)
+    delivered_ids: list = field(default_factory=list)
 
-    def _drop(self, node_id, reason, ids):
-        super()._drop(node_id, reason, ids)
-        self.drop_rows.extend((self.slot, pid, node_id, reason) for pid in ids)
+    def dropped(self, slot, node, reason, ids):
+        super().dropped(slot, node, reason, ids)
+        self.drop_rows.extend((slot, pid, node, reason) for pid in ids)
 
-    def _on_arrive(self, t, node_id, pkt):
-        if self.nodes[node_id].is_sink:
-            self.delivered_ids.append(pkt.pid)
-        super()._on_arrive(t, node_id, pkt)
+    def arrived(self, pid):
+        super().arrived(pid)
+        self.delivered_ids.append(pid)
+
+
+class ChargeRows(Metrics):
+    """Metrics that keep each paid draw as a ``(slot, node, label, amount)``
+    row in ``charges``, in draw order."""
+
+    def draw(self, slot, node, label, amount):
+        self.charges.append((slot, node, label, amount))
+
+
+class PacketChargeLog(PacketLog, ChargeRows):
+    """The per-packet records and the per-draw rows."""
+
+
+class FullLog(PacketChargeLog, simcore.MacTrace):
+    """Every opt-in record: per packet, per draw and per MAC event."""
 
 
 class TestChannel:
@@ -127,18 +143,18 @@ class TestChannel:
 
 class TestDeterminism:
     def test_same_seed_identical_metrics(self, tree_cfg):
-        w1, w2 = (PacketLogWorld(dataclasses.replace(tree_cfg, seed=5), collect_charges=True)
+        w1, w2 = (World(dataclasses.replace(tree_cfg, seed=5), metrics=PacketChargeLog())
                   for _ in range(2))
         m1, m2 = simcore.run(w1, 40), simcore.run(w2, 40)
         assert list(m1.ledger) == list(m2.ledger)
         assert m1.charges == m2.charges
         assert list(m1.slot_reports) == list(m2.slot_reports)
-        assert w1.delivered_ids == w2.delivered_ids
+        assert m1.delivered_ids == m2.delivered_ids
         assert m1.route_log == m2.route_log
 
     def test_different_seed_differs(self, tree_cfg):
-        m1 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5), collect_charges=True), 40)
-        m2 = simcore.run(World(dataclasses.replace(tree_cfg, seed=6), collect_charges=True), 40)
+        m1 = simcore.run(World(dataclasses.replace(tree_cfg, seed=5), metrics=ChargeRows()), 40)
+        m2 = simcore.run(World(dataclasses.replace(tree_cfg, seed=6), metrics=ChargeRows()), 40)
         assert m1.charges != m2.charges
 
 
@@ -173,7 +189,7 @@ class TestConservation:
         assert not any(reason == "aborted-op" for _, reason in m.drops)
 
     def test_table_charges_exact(self, tree_cfg):
-        m = simcore.run(World(dataclasses.replace(tree_cfg, seed=7), collect_charges=True), 30)
+        m = simcore.run(World(dataclasses.replace(tree_cfg, seed=7), metrics=ChargeRows()), 30)
         op_charges = [c for c in m.charges if c[2].startswith("op:")]
         assert op_charges
         for _, _, label, amount in op_charges:
@@ -192,7 +208,7 @@ class TestRadioDormancy:
             tree_cfg, seed=7, energy=dataclasses.replace(tree_cfg.energy, floor_fraction=0.02)
         )
         dark = HarvestTrace(powers=(0.0,) * 60)
-        world = World(cfg, traces={"B": dark}, collect_mac_trace=True)
+        world = World(cfg, traces={"B": dark}, metrics=simcore.MacTrace())
         m = simcore.run(world, 60)
         e0 = {(r.slot, r.node) for r in m.slot_reports if r.own_level == EnergyLevel.E0}
         assert e0
@@ -210,8 +226,7 @@ class TestRadioDormancy:
             tree_cfg, energy=dataclasses.replace(tree_cfg.energy, floor_fraction=0.02)
         )
         dark = HarvestTrace(powers=(0.0,) * 60)
-        world = PacketLogWorld(cfg, traces={"B": dark}, collect_mac_trace=True,
-                               collect_charges=True)
+        world = World(cfg, traces={"B": dark}, metrics=FullLog())
         simcore.run(world, 2)
         b = world.nodes["B"]
         assert b.tx_power is not None
@@ -236,7 +251,7 @@ class TestRadioDormancy:
         world._push(2 * tree_cfg.slot_duration_s + 0.01, "send", "B", simcore.Packet("D-1-9"))
         world.step_slot()
         assert b.plan.context.own == EnergyLevel.E0
-        assert (2, "D-1-9", "B", "dormant") in world.drop_rows
+        assert (2, "D-1-9", "B", "dormant") in world.metrics.drop_rows
 
 
 class TestLevelSchedules:
@@ -361,10 +376,9 @@ class TestDelivery:
         assert 0.0 <= m.pdr() <= 1.0
 
     def test_packets_flow_to_sink(self, tree_cfg):
-        world = PacketLogWorld(dataclasses.replace(tree_cfg, seed=9))
-        m = simcore.run(world, 50)
+        m = simcore.run(World(dataclasses.replace(tree_cfg, seed=9), metrics=PacketLog()), 50)
         assert m.delivered > 0
-        assert all(pid.startswith("D-") for pid in world.delivered_ids)
+        assert all(pid.startswith("D-") for pid in m.delivered_ids)
 
     def test_mode_changes_outcomes(self, tree_cfg):
         def at_mode(mode):
@@ -406,7 +420,7 @@ class TestDrainedBacklog:
         # reaches E3/E3, drains them and sends them at 0 dBm, so that is
         # what they cost.
         d = HarvestTrace(powers=(0.0,) * 20 + (0.004,) * 20)
-        world = World(dataclasses.replace(tree_cfg, seed=1), traces={"D": d}, collect_charges=True)
+        world = World(dataclasses.replace(tree_cfg, seed=1), traces={"D": d}, metrics=ChargeRows())
         drained = 0
         for _ in range(40):
             world.step_slot()
@@ -474,7 +488,7 @@ class TestRunContract:
         assert len({r.slot for r in m.slot_reports}) == 7
 
     def test_causality_event_times_monotone(self, tree_cfg):
-        world = World(dataclasses.replace(tree_cfg, seed=2), collect_mac_trace=True)
+        world = World(dataclasses.replace(tree_cfg, seed=2), metrics=simcore.MacTrace())
         m = simcore.run(world, 30)
         times = [t for t, *_ in m.mac_trace]
         assert times == sorted(times)
@@ -555,7 +569,7 @@ class _FullScanChannel(Channel):
         return rssi, loss_probability(rssi, self.settings)
 
 
-class _FullScanWorld(PacketLogWorld):
+class _FullScanWorld(World):
     """The engine before the link table: every reception recomputes its path
     loss, and every broadcast scans every other node in id order."""
 
@@ -650,7 +664,7 @@ def _reply(state, chosen, cost):
     return routing.Rrep(chosen.origin, state.node_id, chosen.seq, path, cost)
 
 
-class _EngineSinkWorld(PacketLogWorld):
+class _EngineSinkWorld(World):
     """The engine while it held the sink's route choice: it kept the open
     collection windows and the installed route per origin itself and branched
     on the routing mode. Counts the late copies it re-answered."""
@@ -723,11 +737,11 @@ def _by_slot(m: simcore.Metrics) -> dict:
     return {(s, n): total for s, n, total in sums if total}
 
 
-def _outputs(world: PacketLogWorld) -> tuple:
-    """A run's outputs: its metrics and the per-packet records the world kept."""
+def _outputs(world: World) -> tuple:
+    """A run's outputs: its metrics, with the per-packet records of a :class:`PacketLog`."""
     m = world.metrics
-    return (list(m.ledger), (_by_slot(m), m.book.by_label, m.book.rows), list(m.slot_reports),
-            m.route_log, m.drops, world.drop_rows, m.evictions, m.delivered, world.delivered_ids,
+    return (list(m.ledger), (_by_slot(m), m.book.by_label, m.charges), list(m.slot_reports),
+            m.route_log, m.drops, m.drop_rows, m.evictions, m.delivered, m.delivered_ids,
             m.generated)
 
 
@@ -776,7 +790,7 @@ class TestLinkTable:
 
         monkeypatch.setattr(Channel, "link", link)
         monkeypatch.setattr(channel, "rssi_at", counting_rssi_at)
-        world = World(cfg, collect_mac_trace=True)
+        world = World(cfg, metrics=simcore.MacTrace())
         assert links == []  # the table is built on first use, not at set-up
         m = simcore.run(world, 20)
         broadcasts = sum(1 for row in m.mac_trace if row[2] in ("beacon-tx", "rreq-tx"))
@@ -807,12 +821,12 @@ class TestLinkTable:
         dark = HarvestTrace(powers=(0.0,) * 30)
         traces = {n: dark for n in ("N02", "N05", "N07", "N10")}
         cfg = dataclasses.replace(cfg, seed=5)
-        table = PacketLogWorld(cfg, traces=traces, collect_charges=True)
+        table = World(cfg, traces=traces, metrics=PacketChargeLog())
         radio_off = 0
         for _ in range(30):
             simcore.run(table, 1)
             radio_off += sum(1 for rt in table.nodes.values() if rt.schedule.radio_off)
-        scan = _FullScanWorld(cfg, traces=traces, collect_charges=True)
+        scan = _FullScanWorld(cfg, traces=traces, metrics=PacketChargeLog())
         simcore.run(scan, 30)
         assert radio_off > 0 and table.metrics.delivered > 0
         assert _outputs(table) == _outputs(scan)
@@ -863,9 +877,9 @@ class TestSinkRouteChoice:
     @staticmethod
     def both(cfg, slots, mode):
         cfg = dataclasses.replace(cfg, routing=dataclasses.replace(cfg.routing, mode=mode))
-        reference = _EngineSinkWorld(cfg, collect_charges=True)
+        reference = _EngineSinkWorld(cfg, metrics=PacketChargeLog())
         simcore.run(reference, slots)
-        world = PacketLogWorld(cfg, collect_charges=True)
+        world = World(cfg, metrics=PacketChargeLog())
         simcore.run(world, slots)
         assert _outputs(world) == _outputs(reference)
         return reference
@@ -894,7 +908,7 @@ class TestStreamedCharges:
             cfg, slots = tree_cfg, 60
         else:
             cfg, slots = parse_scenario(lattice_yaml(sigma_db=4.0, predictor="ewma", slots=30)), 30
-        with_rows = PacketLogWorld(cfg, collect_charges=True)
+        with_rows = World(cfg, metrics=PacketChargeLog())
         m = simcore.run(with_rows, slots)
         by_slot, by_label = defaultdict(float), defaultdict(float)
         for s, n, label, amount in m.charges:
@@ -907,15 +921,15 @@ class TestStreamedCharges:
         families = {label.split(":")[0] for _, label in m.book.by_label}
         assert families == {"op", "mac", "duty"}
 
-        plain_world = PacketLogWorld(cfg)
+        plain_world = World(cfg, metrics=PacketLog())
         plain = simcore.run(plain_world, slots)
-        assert (_by_slot(plain), plain.book.by_label, plain.book.rows) == (
+        assert (_by_slot(plain), plain.book.by_label, plain.charges) == (
             _by_slot(m), m.book.by_label, [])
         assert list(plain.ledger) == list(m.ledger)
         assert _outputs(plain_world)[2:] == _outputs(with_rows)[2:]
 
 
-class _CountingWorld(PacketLogWorld):
+class _CountingWorld(World):
     """The engine, counting the overhead draws the floor refused."""
 
     refusals = 0
@@ -958,10 +972,10 @@ class TestChargeAccounts:
 
     @staticmethod
     def both(cfg, slots):
-        collecting = _CountingWorld(cfg, collect_charges=True)
+        collecting = _CountingWorld(cfg, metrics=PacketChargeLog())
         with_rows = simcore.run(collecting, slots)
         by_slot, by_label = _fold_rows(with_rows.charges)
-        plain = PacketLogWorld(cfg)
+        plain = World(cfg, metrics=PacketLog())
         m = simcore.run(plain, slots)
         assert _by_slot(m) == by_slot
         assert m.book.by_label == by_label
@@ -1001,7 +1015,7 @@ class TestLeakageToTheFloor:
             cfg.energy, floor_fraction=0.07, leakage_uj_per_slot=500_000.0
         )
         cfg = dataclasses.replace(cfg, slots=50, energy=energy_settings)
-        world = World(cfg, collect_charges=True)
+        world = World(cfg, metrics=ChargeRows())
         m = simcore.run(world, 50)
         floor = world.floor
         assert floor == 21000.000000000004  # 0.07 x 300000 is not exact
@@ -1096,7 +1110,7 @@ class TestBenchmarkBindings:
 
         monkeypatch.setattr(simcore, "withdraw", counting)
         cfg = parse_scenario(lattice_yaml(sigma_db=4.0, predictor="ewma", slots=5))
-        m = simcore.run(World(cfg, collect_charges=True), 5)
+        m = simcore.run(World(cfg, metrics=ChargeRows()), 5)
         overhead = [amount for _, _, label, amount in m.charges if not label.startswith("op:")]
         assert paid and paid == overhead
 
@@ -1159,7 +1173,7 @@ class TestChargeRefusal:
 
     @staticmethod
     def powered(tree_cfg, stored, floor):
-        world = World(tree_cfg, collect_charges=True)
+        world = World(tree_cfg, metrics=ChargeRows())
         world.floor = floor
         rt = world.nodes["D"]
         rt.store.stored = stored
@@ -1201,7 +1215,7 @@ class TestChargeRefusal:
 
     @pytest.mark.parametrize("amount", [0.0, 1.0, 1e12])
     def test_sink_pays_nothing(self, tree_cfg, amount):
-        world = World(tree_cfg, collect_charges=True)
+        world = World(tree_cfg, metrics=ChargeRows())
         sink = world.nodes[world.sink_id]
         assert world._charge(sink, self.LABEL, amount)
         assert sink.store is None and sink.slot_charged == 0.0
@@ -1286,17 +1300,17 @@ def _hold_each(world, rt, pkts, reason):
     """The per-packet rule blocked packets once followed: a relay drops each;
     at a source each packet joins the pending queue in turn, and past the
     cap the oldest waiting one overflows, each packet through its own
-    :meth:`World._drop`."""
+    :meth:`Metrics.dropped`."""
     for pkt in pkts:
         if rt.role != "source":
-            world._drop(rt.node_id, reason, [pkt.pid])
+            world.metrics.dropped(world.slot, rt.node_id, reason, [pkt.pid])
             continue
         if reason == "no-route":
             rt.need_route = True
         rt.pending.append(pkt)
         if len(rt.pending) > simcore.PENDING_QUEUE_CAP:
             victim = rt.pending.pop(0)
-            world._drop(rt.node_id, f"queue-overflow({reason})", [victim.pid])
+            world.metrics.dropped(world.slot, rt.node_id, f"queue-overflow({reason})", [victim.pid])
 
 
 class TestBlockedSourceQueue:
@@ -1307,7 +1321,7 @@ class TestBlockedSourceQueue:
     @staticmethod
     def blocked(tree_cfg, node_id, queued, need_route):
         """A world at slot 7 whose ``node_id`` has ``queued`` packets pending."""
-        world = PacketLogWorld(tree_cfg)
+        world = World(tree_cfg, metrics=PacketLog())
         world.slot = 7
         rt = world.nodes[node_id]
         rt.need_route = need_route
@@ -1316,7 +1330,8 @@ class TestBlockedSourceQueue:
 
     @staticmethod
     def outcome(world, rt):
-        return [p.pid for p in rt.pending], world.drop_rows, world.metrics.drops, rt.need_route
+        m = world.metrics
+        return [p.pid for p in rt.pending], m.drop_rows, m.drops, rt.need_route
 
     # D is the tree's source, B a relay.
     @pytest.mark.parametrize("reason", ["dormant", "no-route"])
@@ -1384,9 +1399,9 @@ class TestSendInSlot:
     slot's traffic stays in its slot, and the rest waits through ``_hold``."""
 
     @staticmethod
-    def routed_source(cfg, world_cls=World):
+    def routed_source(cfg, metrics=None):
         """A world at slot 3 whose source D is awake with a route to the sink A."""
-        world = world_cls(cfg)
+        world = World(cfg, metrics=metrics)
         world.slot = 3
         rt = world.nodes["D"]
         rt.tx_power = 0
@@ -1408,7 +1423,7 @@ class TestSendInSlot:
         assert rt.pending == pkts[2:]
 
     def test_a_spill_past_the_cap_overflows_as_slot_end(self, tree_cfg):
-        world, rt = self.routed_source(tree_cfg, PacketLogWorld)
+        world, rt = self.routed_source(tree_cfg, PacketLog())
         cap = simcore.PENDING_QUEUE_CAP
         pkts = [simcore.Packet(f"D-{i}") for i in range(2 * cap + 10)]
         slot_end = 4 * tree_cfg.slot_duration_s
@@ -1417,13 +1432,15 @@ class TestSendInSlot:
         assert rt.pending == pkts[-cap:]
         spilled = [p.pid for p in pkts[3:-cap]]
         assert len(spilled) == cap + 7
-        assert world.drop_rows == [(3, pid, "D", "queue-overflow(slot-end)") for pid in spilled]
+        assert world.metrics.drop_rows == [
+            (3, pid, "D", "queue-overflow(slot-end)") for pid in spilled
+        ]
         assert world.metrics.drops == Counter({("D", "queue-overflow(slot-end)"): cap + 7})
         assert not rt.need_route
 
     @pytest.mark.parametrize("reason", ["dormant", "no-route"])
     def test_a_blocked_source_holds_the_whole_batch(self, tree_cfg, reason):
-        world, rt = self.routed_source(tree_cfg, PacketLogWorld)
+        world, rt = self.routed_source(tree_cfg, PacketLog())
         if reason == "dormant":
             rt.tx_power = None
         else:
@@ -1431,7 +1448,7 @@ class TestSendInSlot:
         old = rt.pending = [simcore.Packet("D-old")]
         pkts = [simcore.Packet(f"D-{i}") for i in range(5)]
         world._send_in_slot(rt, pkts, 3 * tree_cfg.slot_duration_s, 0.1)
-        assert world._events == [] and world.drop_rows == []
+        assert world._events == [] and world.metrics.drop_rows == []
         assert rt.pending == old + pkts
         assert rt.need_route == (reason == "no-route")
 
@@ -1460,16 +1477,15 @@ class TestPlanTermsPerWorld:
     def test_worlds_with_other_costs_run_side_by_side_as_alone(self, tree_cfg):
         slots = 60
         alone = [
-            PacketLogWorld(parse_scenario(TREE_YAML), collect_charges=True),
-            PacketLogWorld(dataclasses.replace(parse_scenario(TREE_YAML), costs=self.COSTS),
-                           collect_charges=True),
+            World(parse_scenario(TREE_YAML), metrics=PacketChargeLog()),
+            World(dataclasses.replace(parse_scenario(TREE_YAML), costs=self.COSTS),
+                  metrics=PacketChargeLog()),
         ]
         for world in alone:
             simcore.run(world, slots)
         # Both worlds share the parsed policies and step in turn.
-        pair = [PacketLogWorld(tree_cfg, collect_charges=True),
-                PacketLogWorld(dataclasses.replace(tree_cfg, costs=self.COSTS),
-                               collect_charges=True)]
+        pair = [World(tree_cfg, metrics=PacketChargeLog()),
+                World(dataclasses.replace(tree_cfg, costs=self.COSTS), metrics=PacketChargeLog())]
         for _ in range(slots):
             for world in pair:
                 simcore.run(world, 1)
@@ -1490,7 +1506,7 @@ class TestPlanTermsPerWorld:
         text = resources.files("harvestsim").joinpath("scenarios/four_node_tree.yaml").read_text()
         cfg = parse_scenario(text)
         cfg = dataclasses.replace(cfg, seed=11, routing=dataclasses.replace(cfg.routing, mode=mode))
-        rows = simcore.run(World(cfg, collect_charges=True), 300).charges
+        rows = simcore.run(World(cfg, metrics=ChargeRows()), 300).charges
         digest = hashlib.sha256("".join(f"{row!r}\n" for row in rows).encode()).hexdigest()
         assert (len(rows), digest) == self.ROWS_SHA256[mode]
 
@@ -1882,9 +1898,8 @@ class TestNoRepeatDelivery:
 
     @staticmethod
     def assert_each_arrival_is_a_new_packet(cfg, slots):
-        world = PacketLogWorld(cfg)
-        m = simcore.run(world, slots)
-        arrivals = world.delivered_ids
+        m = simcore.run(World(cfg, metrics=PacketLog()), slots)
+        arrivals = m.delivered_ids
         assert m.delivered == len(arrivals) > 0
         assert len(set(arrivals)) == len(arrivals), "a packet reached the sink twice"
 

@@ -4,6 +4,7 @@ code, not only by the tests. A name an acceptance gate alone calls is kept in
 ``test_reach.KEPT``, with its reason."""
 
 import ast
+import inspect
 import itertools
 import struct
 from pathlib import Path
@@ -154,13 +155,37 @@ class TestOneEngineRule:
         assert not hasattr(World, "_flush_pending") and _callers_of("_flush_pending") == []
 
     def test_one_function_counts_drops(self):
-        # World._drop is the one drop rule and the only writer of the drop
+        # Metrics.dropped is the one drop rule and the only writer of the drop
         # counts; Metrics.summary only totals them. Any other function that
         # touches them would be a second drop rule.
         touching = sorted(set(_functions_where(
             lambda node: isinstance(node, ast.Attribute) and node.attr == "drops"
         )))
-        assert touching == ["simcore.Metrics.summary", "simcore.World._drop"]
+        assert touching == ["simcore.Metrics.dropped", "simcore.Metrics.summary"]
+
+
+class TestOneOutputSeam:
+    # The tables a world reports into through a Metrics method.
+    TABLES = {"slot_reports", "ledger", "forecast_rows", "book", "mac_trace", "charges"}
+
+    def test_the_engine_writes_no_metrics_table(self):
+        # A world hands each record to its metrics, which alone write their
+        # tables. World names none of them, so no append, extend or += of
+        # its reaches them, directly or through a local name.
+        source = (PACKAGE / "simcore.py").read_text(encoding="utf-8")
+        world = next(node for node in ast.parse(source).body
+                     if isinstance(node, ast.ClassDef) and node.name == "World")
+        named = sorted({node.attr for node in ast.walk(world)
+                        if isinstance(node, ast.Attribute) and node.attr in self.TABLES})
+        assert named == []
+
+    def test_metrics_are_handed_in_not_switched_on(self):
+        # The metrics a world is handed ask for the opt-in rows; no flag does.
+        assert list(inspect.signature(World.__init__).parameters) == [
+            "self", "cfg", "traces", "metrics"
+        ]
+        assert (simcore.Metrics.mac, simcore.Metrics.draw) == (None, None)
+        assert not hasattr(simcore.ChargeBook(None), "rows")
 
 
 class TestOneSettingsReading:
