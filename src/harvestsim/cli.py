@@ -144,7 +144,7 @@ def write_metrics(metrics: simcore.Metrics, outdir: Path, base: dict) -> None:
         ["slot", "node", "predicted_uj", "actual_uj"],
         metrics.forecast_rows,
     )
-    if metrics.mac_trace:
+    if isinstance(metrics, simcore.MacTrace) and metrics.mac_trace:
         write_csv(
             outdir / "mac_trace.csv",
             ["time", "node", "event", "detail"],

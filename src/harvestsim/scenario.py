@@ -233,6 +233,23 @@ def dbm_key_violations(costs) -> list[tuple[tuple[str, str], str]]:
     return [(("costs", TX_OP_KIND), message) for message in messages]
 
 
+def node_id_violations(node_id: str) -> list[tuple[tuple[str], str]]:
+    """A ``(path, message)`` violation for each rule node id ``node_id``
+    breaks, its path the one step ``nodes[<id>].id``."""
+    out = []
+    # A link's shadowing stream is keyed "a:b:shadow", so an id with a ':'
+    # could give two links one stream.
+    if ":" in node_id:
+        out.append(((f"nodes[{node_id}].id",), "must not contain ':'"))
+    # Every output CSV writes ids unquoted, so a ',' or a line break would
+    # split a row, and a '"' would open a quoted field.
+    breaks = [c for c in ',"\r\n' if c in node_id]
+    if breaks:
+        out.append(((f"nodes[{node_id!r}].id",),
+                    f"must not contain {', '.join(map(repr, breaks))} (CSV outputs)"))
+    return out
+
+
 def _setting(doc: dict, section_name: str, key: str):
     """``doc[section_name][key]``, or None where the document lacks that shape."""
     values = doc.get(section_name)
@@ -260,16 +277,7 @@ def _semantic_violations(doc: dict, rejected: set, profiles: dict) -> list[str]:
             if len(shared) > 1:
                 problems.append(f"nodes: {shared} share position {list(pos)}")
         for n in nodes:
-            # A link's shadowing stream is keyed "a:b:shadow", so an id with a
-            # ':' could give two links one stream.
-            if ":" in n["id"]:
-                problems.append(f"nodes[{n['id']}].id: must not contain ':'")
-            # Every output CSV writes ids unquoted, so a ',' or a line break
-            # would split a row, and a '"' would open a quoted field.
-            breaks = [c for c in ',"\r\n' if c in n["id"]]
-            if breaks:
-                problems.append(f"nodes[{n['id']!r}].id: must not contain "
-                                f"{', '.join(map(repr, breaks))} (CSV outputs)")
+            problems += [f"{path}: {message}" for (path,), message in node_id_violations(n["id"])]
             prof = n.get("profile")
             if prof is not None and "profiles" not in rejected and prof not in profiles:
                 problems.append(f"nodes[{n.get('id')}].profile: {prof!r} not defined in profiles")

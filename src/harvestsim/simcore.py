@@ -26,7 +26,13 @@ both one ``rreq_tx`` event. Sends: a slot's traffic stays in its slot, by
 packets: every packet a node cannot send now goes through :meth:`World._hold`,
 the one queue-or-drop rule and the one place the pending queue's cap is
 applied; :meth:`Metrics.dropped` counts every loss. Output: a world reports
-every record into the :class:`Metrics` it is handed, one method per kind.
+every record into the :class:`Metrics` it is handed, one method per kind:
+``settled`` (a node-slot's report, ledger row, paid sum and paid duty
+factor), ``forecasted``, ``dropped``, ``arrived``, ``offered`` (the packets
+a source generates), ``routed`` (a route-log row), ``evicted`` (a backlog
+eviction, whose packet ``evicted`` drops), ``stepped`` (a slot done) and, as
+:func:`run` returns, ``totalled`` (a node's paid totals per label). Neither
+the world nor ``run`` names a field of :class:`Metrics`.
 
 Flood arrival: every reception of one RREQ broadcast happens at the same
 arrival time, so the broadcast queues one ``rreq_arrive`` event carrying its
@@ -102,7 +108,7 @@ from .energy import (
     price_tables,
     withdraw,
 )
-from .scenario import ScenarioConfig, build_profile_trace, dbm_key_violations
+from .scenario import ScenarioConfig, build_profile_trace, dbm_key_violations, node_id_violations
 
 PROCESSING_DELAY_S = 0.005
 RREQ_JITTER_MS = 20.0
@@ -277,9 +283,11 @@ class Metrics:
     ``book.by_slot`` is the paid sum of each ledger row. Packets are only
     counted: no record is kept per packet.
 
-    A world reports each record through one method per kind. The MAC and
-    per-draw rows are opt-in: metrics that keep them define ``mac(t, node,
-    event, detail)`` (:class:`MacTrace`) or ``draw(slot, node, label, amount)``.
+    A world and :func:`run` report each record through one method per kind
+    and name none of these fields, so a subclass that overrides the record
+    methods sees every record of a run. The MAC and per-draw rows are
+    opt-in: metrics that keep them define ``mac(t, node, event, detail)``
+    (:class:`MacTrace`) or ``draw(slot, node, label, amount)``.
     """
 
     slot_reports: SlotReports = field(default_factory=SlotReports)
@@ -287,7 +295,6 @@ class Metrics:
     book: ChargeBook = field(init=False)
     forecast_rows: Rows = field(default_factory=partial(Rows, "dd"))
     route_log: list[tuple] = field(default_factory=list)
-    mac_trace: list[tuple] = field(default_factory=list)
     charges: list[tuple] = field(default_factory=list)
     drops: Counter = field(default_factory=Counter)  # per (node, reason)
     evictions: Counter = field(default_factory=Counter)  # per (node, evicted kind)
@@ -301,8 +308,9 @@ class Metrics:
         self.book = ChargeBook(SlotSums(self.ledger))
 
     def settled(self, report: app.SlotReport, start: float, harvested: float, wasted: float,
-                end: float, paid: float) -> None:
-        """One settled node-slot: its report, its ledger row and the sum it paid."""
+                end: float, paid: float, duty: float) -> None:
+        """One settled node-slot: its report, its ledger row, the sum it paid
+        and the duty factor it paid for (0.0: none)."""
         reports = self.slot_reports
         reports.ints.extend((report.slot, report.ops_node, report.ops_network))
         reports.nodes.append(report.node)
@@ -317,6 +325,8 @@ class Metrics:
         ledger.nodes.append(report.node)
         ledger.reals.extend((start, harvested, wasted, start + harvested - wasted - end, end))
         self.book.by_slot.sums.append(paid)
+        if duty > 0.0:
+            self.duty_sum[report.node] = self.duty_sum.get(report.node, 0.0) + duty
 
     def forecasted(self, slot: int, node: str, predicted: float, actual: float) -> None:
         rows = self.forecast_rows
@@ -331,6 +341,30 @@ class Metrics:
     def arrived(self, pid: str) -> None:
         """Packet ``pid`` reached the sink."""
         self.delivered += 1
+
+    def offered(self, slot: int, node: str, n: int) -> None:
+        """Source ``node`` generated ``n`` packets in ``slot``."""
+        self.generated += n
+
+    def routed(self, t: float, node: str, dest: str, next_hop: str, cost: float, seq: int,
+               reason: str) -> None:
+        """A route change at ``node`` toward ``dest``: ``"installed"`` through
+        ``next_hop``, or lost (``next_hop`` ``"-"``) for ``reason``."""
+        self.route_log.append((t, node, dest, next_hop, cost, seq, reason))
+
+    def evicted(self, slot: int, node: str, entry: app.BacklogEntry) -> None:
+        """``entry`` left ``node``'s full backlog; an evicted packet is dropped."""
+        self.evictions[node, entry.kind] += 1
+        if entry.packet_id is not None:
+            self.dropped(slot, node, "backlog-evicted", [entry.packet_id])
+
+    def stepped(self, slot: int) -> None:
+        """Slot ``slot`` is done."""
+        self.slots_run += 1
+
+    def totalled(self, node: str, by_label: dict[str, float]) -> None:
+        """``node``'s paid total per label so far."""
+        self.book.by_label.update({(node, label): uj for label, uj in by_label.items()})
 
     def pdr(self) -> float:
         if self.generated == 0:
@@ -356,7 +390,12 @@ class Metrics:
 
 
 class MacTrace(Metrics):
-    """Metrics that keep each MAC event as a ``(time, node, event, detail)`` row."""
+    """Metrics that keep each MAC event as a ``(time, node, event, detail)``
+    row in ``mac_trace``."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.mac_trace: list[tuple] = []
 
     def mac(self, t: float, node: str, event: str, detail: str) -> None:
         self.mac_trace.append((t, node, event, detail))
@@ -388,11 +427,14 @@ class World:
         metrics: Metrics | None = None,
     ):
         self.cfg = cfg
-        # A parsed document's costs are checked already; a code-built
-        # config's are checked here, against the same bound and key rule.
+        # A parsed document's costs and node ids are checked already; a
+        # code-built config's are checked here, against the same rules.
         out: list = []
         field_checks(ScenarioConfig)["costs"](cfg.costs, ("costs",), out)
-        refuse(ScenarioConfig, out + dbm_key_violations(cfg.costs))
+        out += dbm_key_violations(cfg.costs)
+        for node in cfg.nodes:
+            out += node_id_violations(node.id)
+        refuse(ScenarioConfig, out)
         self.prices = price_tables(cfg.costs)
         self.floor = cfg.energy.floor_fraction * cfg.energy.capacity_uj
         schedules = {
@@ -663,29 +705,13 @@ class World:
         sleep = self._believed_sleep_ms(sender, receiver.node_id)
         delivered, elapsed = self._unicast(t, sender, receiver, "rrep", sleep)
         if not delivered:
-            self.metrics.route_log.append(
-                (t, sender.node_id, rrep.origin, "-", rrep.cost, rrep.seq, "rrep-lost")
-            )
+            self.metrics.routed(t, sender.node_id, rrep.origin, "-", rrep.cost, rrep.seq,
+                                "rrep-lost")
             return
-        changed = routing.install_route(
-            receiver.routing,
-            dest=rrep.dest,
-            next_hop=sender.node_id,
-            cost=rrep.cost,
-            seq=rrep.seq,
-        )
-        if changed:
-            self.metrics.route_log.append(
-                (
-                    t + elapsed,
-                    receiver.node_id,
-                    rrep.dest,
-                    sender.node_id,
-                    rrep.cost,
-                    rrep.seq,
-                    "installed",
-                )
-            )
+        if routing.install_route(receiver.routing, dest=rrep.dest, next_hop=sender.node_id,
+                                 cost=rrep.cost, seq=rrep.seq):
+            self.metrics.routed(t + elapsed, receiver.node_id, rrep.dest, sender.node_id,
+                                rrep.cost, rrep.seq, "installed")
         if receiver.node_id == rrep.origin:
             receiver.need_route = False
             self._send_in_slot(receiver, [], t + elapsed, 0.1)
@@ -745,9 +771,7 @@ class World:
         pkt.retries += 1
         if rt.role == "source":
             routing.invalidate_route(rt.routing, self.sink_id)
-            self.metrics.route_log.append(
-                (t, node_id, self.sink_id, "-", entry.cost, entry.seq, "mac-fail")
-            )
+            self.metrics.routed(t, node_id, self.sink_id, "-", entry.cost, entry.seq, "mac-fail")
             rt.need_route = True
             if pkt.retries > MAX_PACKET_RETRIES:
                 self.metrics.dropped(self.slot, node_id, "retries", [pkt.pid])
@@ -817,7 +841,7 @@ class World:
     def _schedule_traffic(self, rt: NodeRuntime, slot: int, t0: float, tx_quota: int) -> None:
         period = self.cfg.traffic.packet_period_s
         n_gen = int(round(self.cfg.slot_duration_s / period))
-        self.metrics.generated += n_gen
+        self.metrics.offered(slot, rt.node_id, n_gen)
 
         drained = [Packet(pid=e.packet_id) for e in rt.plan.backlog_run if e.packet_id is not None]
         sendable = [Packet(f"{rt.node_id}-{slot}-{i}") for i in range(min(tx_quota, n_gen))]
@@ -843,13 +867,10 @@ class World:
             t_b += period
 
     def _defer(self, rt: NodeRuntime, entry: app.BacklogEntry) -> None:
-        """Backlog an entry, counting any eviction (and dropping an evicted packet)."""
+        """Backlog an entry, reporting any entry it evicts."""
         victim = rt.backlog.push(entry)
-        if victim is None:
-            return
-        self.metrics.evictions[rt.node_id, victim.kind] += 1
-        if victim.packet_id is not None:
-            self.metrics.dropped(self.slot, rt.node_id, "backlog-evicted", [victim.packet_id])
+        if victim is not None:
+            self.metrics.evicted(self.slot, rt.node_id, victim)
 
     def _settle_node(self, rt: NodeRuntime, slot: int) -> None:
         stored_start, harvested, wasted = rt.slot_ledger
@@ -869,9 +890,9 @@ class World:
             for k in kinds:
                 self._draw(slot, rt.node_id, OP_LABELS[k], price[k])
         # Duty-cycle baseline for the level-anchored schedule actually run.
-        duty, duty_sum = self.cfg.energy.duty_energy_uj * rt.delta_op, self.metrics.duty_sum
-        if rt.delta_op > 0.0 and self._charge(rt, "duty", duty):
-            duty_sum[rt.node_id] = duty_sum.get(rt.node_id, 0.0) + rt.delta_op
+        duty = rt.delta_op
+        if duty > 0.0 and not self._charge(rt, "duty", self.cfg.energy.duty_energy_uj * duty):
+            duty = 0.0
         leak = self.cfg.energy.leakage_uj_per_slot
         stored, floor = rt.store.stored, self.floor
         if leak > 0.0 and stored > floor:
@@ -889,7 +910,7 @@ class World:
             self.metrics.dropped(slot, rt.node_id, "aborted-op", ["-"] * lost)
         # The slot's sum enters the book once, after every draw joined it.
         self.metrics.settled(report, stored_start, harvested, wasted, rt.store.stored,
-                             rt.slot_charged)
+                             rt.slot_charged, duty)
         rt.slot_charged = 0.0
 
     def step_slot(self) -> None:
@@ -912,7 +933,7 @@ class World:
         for rt in visit:
             if not rt.is_sink:
                 self._settle_node(rt, slot)
-        self.metrics.slots_run += 1
+        self.metrics.stepped(slot)
         self.slot += 1
 
 
@@ -933,7 +954,6 @@ def run(world: World, n_slots: int) -> Metrics:
             rt.trace.power_at(world.slot + n_slots - 1)
     for _ in range(n_slots):
         world.step_slot()
-    by_label = world.metrics.book.by_label
     for rt in world.nodes.values():
-        by_label.update({(rt.node_id, k): uj for k, uj in rt.charged_by_label.items()})
+        world.metrics.totalled(rt.node_id, rt.charged_by_label)
     return world.metrics

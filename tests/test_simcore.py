@@ -34,7 +34,7 @@ from harvestsim.energy import (
     SlotOutOfRange,
 )
 from harvestsim.routing import REFERENCE_TX_POWER_DBM, TX_POWER_BY_LEVEL
-from harvestsim.scenario import ChannelSettings, parse_scenario
+from harvestsim.scenario import ChannelSettings, SchemaError, parse_scenario
 from harvestsim.simcore import Metrics, World
 
 TREE_YAML = """
@@ -505,6 +505,20 @@ class TestRunContract:
         )
         with pytest.raises(ValueError):
             World(bad)
+
+    @pytest.mark.parametrize("node_id", ['"D', "D:1", "D,1", "D\n1"])
+    def test_code_built_node_ids_rejected_as_a_document_is(self, tree_cfg, node_id):
+        # The parser refuses these ids. Built in code, they are refused when
+        # the world is built, before slot 0, with the parser's messages.
+        doc = yaml.safe_load(TREE_YAML)
+        doc["nodes"][3]["id"] = node_id
+        with pytest.raises(SchemaError) as parsed:
+            parse_scenario(yaml.safe_dump(doc))
+        nodes = tuple(dataclasses.replace(n, id=node_id) if n.id == "D" else n
+                      for n in tree_cfg.nodes)
+        with pytest.raises(ValueError) as built:
+            World(dataclasses.replace(tree_cfg, nodes=nodes))
+        assert str(built.value) == "; ".join(f"ScenarioConfig.{v}" for v in parsed.value.violations)
 
 
 class TestForecastMetrics:
@@ -1918,3 +1932,65 @@ class TestNoRepeatDelivery:
         cfg = parse_scenario(lattice_yaml(sigma_db=0.0, predictor="ewma", slots=100,
                                           rows=6, cols=8))
         self.assert_each_arrival_is_a_new_packet(cfg, 100)
+
+
+# Metrics' record methods: every record a run makes goes through one of them.
+RECORDS = ("settled", "forecasted", "dropped", "arrived", "offered", "routed", "evicted",
+           "stepped", "totalled")
+
+
+class RecordLog(Metrics):
+    """Metrics that log each record-method call a run makes as ``(name,
+    args)``. A call one record method makes to another (``evicted`` drops
+    an evicted packet) is part of the outer call and is not logged again."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.calls, self.depth = [], 0
+
+
+def _logged(name):
+    def record(self, *args):
+        if self.depth == 0:
+            self.calls.append((name, args))
+        self.depth += 1
+        try:
+            getattr(super(RecordLog, self), name)(*args)
+        finally:
+            self.depth -= 1
+    return record
+
+
+for _name in RECORDS:
+    setattr(RecordLog, _name, _logged(_name))
+
+
+class TestRecordReplay:
+    """The record methods carry everything a run's metrics hold: replaying
+    their logged calls into fresh metrics rebuilds every table and counter."""
+
+    @staticmethod
+    def held(m):
+        return (m.summary(), m.route_log, m.drops, m.evictions, m.duty_sum, m.book.by_label,
+                list(m.slot_reports), list(m.ledger), list(m.forecast_rows),
+                list(m.book.by_slot.sums))
+
+    def test_every_record_method_is_logged(self):
+        readers = {"pdr", "duty_fractions", "summary"}
+        public = {name for name, value in vars(Metrics).items()
+                  if callable(value) and not name.startswith("_")}
+        assert public - readers == set(RECORDS)
+
+    @pytest.mark.parametrize("text, slots", [
+        (SHIPPED_TREE, 300),
+        (lattice_yaml(sigma_db=4.0, predictor="hw", slots=100), 100),
+    ], ids=["tree", "lattice-3x4-shadow-hw"])
+    def test_replay_rebuilds_the_metrics(self, text, slots):
+        logged = simcore.run(World(parse_scenario(text), metrics=RecordLog()), slots)
+        # Routes are installed and lost, and backlogs evict.
+        assert {row[-1] for row in logged.route_log} == {"installed", "mac-fail", "rrep-lost"}
+        assert logged.evictions
+        replayed = Metrics()
+        for name, args in logged.calls:
+            getattr(replayed, name)(*args)
+        assert self.held(replayed) == self.held(logged)

@@ -165,17 +165,22 @@ class TestOneEngineRule:
 
 
 class TestOneOutputSeam:
-    # The tables a world reports into through a Metrics method.
-    TABLES = {"slot_reports", "ledger", "forecast_rows", "book", "mac_trace", "charges"}
+    # The tables and counters a world reports into through a Metrics method.
+    TABLES = {"slot_reports", "ledger", "forecast_rows", "book", "mac_trace", "charges",
+              "route_log", "evictions", "generated", "duty_sum", "slots_run", "drops",
+              "delivered"}
 
     def test_the_engine_writes_no_metrics_table(self):
-        # A world hands each record to its metrics, which alone write their
-        # tables. World names none of them, so no append, extend or += of
-        # its reaches them, directly or through a local name.
+        # A world, and run as it returns, hand each record to their metrics,
+        # which alone write their tables and counters. Neither names one, so
+        # no append, extend or += of theirs reaches them, directly or through
+        # a local name.
         source = (PACKAGE / "simcore.py").read_text(encoding="utf-8")
-        world = next(node for node in ast.parse(source).body
-                     if isinstance(node, ast.ClassDef) and node.name == "World")
-        named = sorted({node.attr for node in ast.walk(world)
+        writers = [node for node in ast.parse(source).body
+                   if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                   and node.name in ("World", "run")]
+        assert len(writers) == 2
+        named = sorted({node.attr for writer in writers for node in ast.walk(writer)
                         if isinstance(node, ast.Attribute) and node.attr in self.TABLES})
         assert named == []
 
@@ -185,6 +190,7 @@ class TestOneOutputSeam:
             "self", "cfg", "traces", "metrics"
         ]
         assert (simcore.Metrics.mac, simcore.Metrics.draw) == (None, None)
+        assert not hasattr(simcore.Metrics(), "mac_trace")
         assert not hasattr(simcore.ChargeBook(None), "rows")
 
 
