@@ -291,10 +291,23 @@ def refuse(cls, out: list) -> None:
         raise ValueError("; ".join(f"{name}.{'/'.join(map(str, p))}: {m}" for p, m in out))
 
 
+def trusted(cls, values: dict):
+    """Dataclass ``cls`` holding ``values``, each other field at its default,
+    built without ``__post_init__``: for values that passed their checks
+    already, so that none is checked twice. A field with a default factory
+    must be given."""
+    obj = object.__new__(cls)
+    # Field by field, in order, as the dataclass's own __init__ sets them:
+    # the instance keeps the compact layout that makes reading a field fast.
+    for f in fields(cls):
+        object.__setattr__(obj, f.name, values.get(f.name, f.default))
+    return obj
+
+
 class Bounded:
     """Mixin of a settings dataclass: building one checks every field with
     its own bound, and raises one ``ValueError`` naming each violation as
-    :func:`refuse` does."""
+    :func:`refuse` does. :func:`trusted` builds one without the check."""
 
     def __post_init__(self) -> None:
         out: list = []

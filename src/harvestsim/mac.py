@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .bounds import POS, Bounded, enum, int_min
+from .bounds import POS, Bounded, enum, int_min, trusted
 from .energy import EnergyLevel
 
 
@@ -257,10 +257,11 @@ def frame_costs(
     """The radio energy of every fixed-length frame and the preamble trains,
     from the MAC settings, the radio model and each level's schedule."""
     control_ms = config.control_packet_ms
-    # Unicasts carry data frames (``config``) or control-length frames
-    # (rrep). The plan pays a data frame's tx128 and rx128, so its frame
-    # is no sender overhead; a delivered unicast's receiver hears the
-    # preamble, plus the frame for rrep, and acks at 0 dBm.
+    # Unicasts carry data frames (``config``) or control-length frames (rrep,
+    # a copy of ``config``: both lengths have one bound, so no new check).
+    # The plan pays a data frame's tx128 and rx128, so its frame is no
+    # sender overhead; a delivered unicast's receiver hears the preamble,
+    # plus the frame for rrep, and acks at 0 dBm.
     preamble_ms = config.preamble_packet_ms
     ack_uj = radio_energy(radio, tx_ms=config.ack_ms, tx_power_dbm=0)
     ack_rx = config.ack_ms * radio.rx_ma
@@ -274,7 +275,7 @@ def frame_costs(
             ack_rx,
         ),
         "rrep": UnicastCost(
-            replace(config, data_packet_ms=control_ms),
+            trusted(MacConfig, {**vars(config), "data_packet_ms": control_ms}),
             0.0,
             "mac:rrep-tx",
             "mac:rrep-rx",

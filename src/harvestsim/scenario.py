@@ -23,8 +23,10 @@ Each setting is declared once, as a field of the dataclass that owns it
 field metadata. ``SCENARIO_SCHEMA`` is built from those fields, and each of
 those classes is a ``bounds.Bounded``: its constructor checks the same bounds
 the schema publishes. Parsing builds every section from the keys it is
-given, so adding a setting is one field line. The operation kinds that
-``costs`` and a policy's ``ops`` accept are ``energy.OP_KINDS``.
+given, so adding a setting is one field line; it builds them with
+``bounds.trusted``, so the document check is a parsed value's one check.
+The operation kinds that ``costs`` and a policy's ``ops`` accept are
+``energy.OP_KINDS``.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import yaml
 from .app import Policy
 from .bounds import (
     FRACTION, FRACTION_OR_ONE, MAX_EVENTS_PER_NODE_SLOT, NONNEG, NUM, POS, POS_TABLE, PROBABILITY,
-    Bounded, Checker, enum, int_min, non_finite, section,
+    Bounded, Checker, enum, int_min, non_finite, section, trusted,
 )
 from .channel import ChannelSettings
 from .energy import DEFAULT_OP_COSTS, DEFAULT_THRESHOLDS, TX_OP_KIND, HarvestTrace, by_dbm
@@ -250,6 +252,11 @@ def node_id_violations(node_id: str) -> list[tuple[tuple[str], str]]:
     return out
 
 
+def duplicate_id_violations(ids: list[str]) -> list[tuple[tuple[str], str]]:
+    """The ``(path, message)`` violation of node ids ``ids`` where one repeats."""
+    return [] if len(ids) == len(set(ids)) else [(("nodes",), f"duplicate ids in {ids}")]
+
+
 def _setting(doc: dict, section_name: str, key: str):
     """``doc[section_name][key]``, or None where the document lacks that shape."""
     values = doc.get(section_name)
@@ -266,8 +273,7 @@ def _semantic_violations(doc: dict, rejected: set, profiles: dict) -> list[str]:
         if len(sinks) != 1:
             problems.append(f"nodes: exactly one sink required, found {len(sinks)} ({sinks})")
         ids = [n.get("id") for n in nodes]
-        if len(ids) != len(set(ids)):
-            problems.append(f"nodes: duplicate ids in {ids}")
+        problems += [f"nodes: {message}" for _, message in duplicate_id_violations(ids)]
         # Path loss needs a positive distance, so no two nodes may share a spot.
         at_position: dict[tuple, list] = {}
         for n in nodes:
@@ -343,8 +349,9 @@ def _path_order(violation: tuple) -> list:
 
 
 def _build(cls, data: dict):
-    """``cls`` from the keys ``data`` has, lists as tuples; the rest keep their defaults."""
-    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+    """``cls`` from the keys ``data`` has, lists as tuples; the rest keep their
+    defaults. The document check has passed them, so they are not checked again."""
+    return trusted(cls, {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -458,7 +465,8 @@ def synth_trace(spec: ProfileSpec, n_slots: int) -> HarvestTrace:
     Each day is a half-sine of ``amplitude_w`` over the daylight fraction of
     the period, attenuated on (independently drawn) cloudy days and drifted
     by the per-day trend; clipped at zero. The profile's ``scale`` is carried
-    on the trace.
+    on the trace. Each distinct (weather, growth) day is computed once per
+    call, and the days equal to it share its sample objects.
     """
     if n_slots < 1:
         raise ValueError("need at least one slot")
@@ -474,12 +482,17 @@ def synth_trace(spec: ProfileSpec, n_slots: int) -> HarvestTrace:
         spec.amplitude_w * math.sin(math.pi * phase / day_slots) if phase < day_slots else 0.0
         for phase in range(period)
     ]
+    days: dict[tuple[float, float], list[float]] = {}
     powers = []
     for day in range(-(-n_slots // period)):
         weather = spec.cloudy_attenuation if cloudy[day] else 1.0
+        # Never -0.0, so two growths that compare equal have the same bits.
         growth = 1.0 + spec.trend_per_day * day
-        # (base * weather) * growth in this order keeps every sample's bits, -0.0 too.
-        powers += [max(base * weather * growth, 0.0) for base in shape]
+        samples = days.get((weather, growth))
+        if samples is None:
+            # (base * weather) * growth in this order keeps every sample's bits, -0.0 too.
+            samples = days[weather, growth] = [max(base * weather * growth, 0.0) for base in shape]
+        powers += samples
     return HarvestTrace(powers=tuple(powers[:n_slots]), scale=spec.scale)
 
 

@@ -108,7 +108,10 @@ from .energy import (
     price_tables,
     withdraw,
 )
-from .scenario import ScenarioConfig, build_profile_trace, dbm_key_violations, node_id_violations
+from .scenario import (
+    ScenarioConfig, build_profile_trace, dbm_key_violations, duplicate_id_violations,
+    node_id_violations,
+)
 
 PROCESSING_DELAY_S = 0.005
 RREQ_JITTER_MS = 20.0
@@ -432,6 +435,7 @@ class World:
         out: list = []
         field_checks(ScenarioConfig)["costs"](cfg.costs, ("costs",), out)
         out += dbm_key_violations(cfg.costs)
+        out += duplicate_id_violations([node.id for node in cfg.nodes])
         for node in cfg.nodes:
             out += node_id_violations(node.id)
         refuse(ScenarioConfig, out)

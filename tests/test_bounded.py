@@ -14,18 +14,22 @@ import inspect
 import math
 import pkgutil
 import re
+from collections import Counter
 
 import pytest
+import yaml
 
 import harvestsim
-from harvestsim import bounds
+from harvestsim import bounds, scenario
 from harvestsim.app import Policy
 from harvestsim.bounds import POS, Bounded, field_checks
 from harvestsim.channel import ChannelSettings
 from harvestsim.forecast import PredictorSettings
 from harvestsim.mac import MacConfig
 from harvestsim.routing import RoutingSettings
-from harvestsim.scenario import EnergySettings, ProfileSpec
+from harvestsim.scenario import EnergySettings, ProfileSpec, parse_scenario
+from harvestsim.simcore import World
+from test_simcore import lattice_yaml
 
 MODULES = [
     importlib.import_module(f"harvestsim.{info.name}")
@@ -272,3 +276,58 @@ class TestBoundedSettings:
         assert list(field_checks(Outer)) == ["y"]
         with pytest.raises(ValueError, match=r"^Inner\.x: "):
             Outer(inner=Inner(x=0.0))
+
+
+def _paths(value, path=()):
+    """The path of ``value`` and of each item of its lists and dicts."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _paths(item, (*path, key))
+
+
+@pytest.fixture
+def counted_checks(monkeypatch):
+    """How often a compiled check ran at each path: every check compiled
+    from here on, the document checker and each class's field checks
+    included, counts its calls."""
+    calls = Counter()
+    compile_schema = bounds._compile
+
+    def counting_compile(schema, where):
+        check = compile_schema(schema, where)
+
+        def counting(value, path, out):
+            calls[path] += 1
+            check(value, path, out)
+        return counting
+
+    monkeypatch.setattr(bounds, "_compile", counting_compile)
+    bounds.field_checks.cache_clear()
+    monkeypatch.setattr(scenario, "_CHECKER", bounds.Checker(scenario.SCENARIO_SCHEMA))
+    yield calls
+    monkeypatch.undo()
+    bounds.field_checks.cache_clear()
+
+
+class TestEachParsedValueCheckedOnce:
+    def test_grid48_set_up(self, counted_checks):
+        text = lattice_yaml(rows=6, cols=8, sigma_db=0.0, predictor="ewma", slots=100)
+        cfg = parse_scenario(text)
+        assert counted_checks == Counter(_paths(yaml.safe_load(text)))
+        counted_checks.clear()
+        world = World(cfg)
+        # The world checks the costs table a config built in code may bring
+        # (this document sets none), and builds its rrep frame's settings
+        # without checking them again.
+        assert counted_checks == Counter({("costs",): 1})
+        rrep = world.frames.unicasts["rrep"].config
+        assert rrep == dataclasses.replace(cfg.mac, data_packet_ms=cfg.mac.control_packet_ms)
+
+    def test_parsed_sections_equal_checked_ones(self):
+        cfg = parse_scenario(lattice_yaml(rows=3, cols=4, sigma_db=4.0, predictor="hw", slots=5))
+        policies = [p for plist in cfg.policies.values() for p in plist]
+        built = [cfg.energy, cfg.predictor, cfg.routing, cfg.mac, cfg.channel, cfg.traffic,
+                 *cfg.nodes, *cfg.profiles.values(), *policies]
+        for each in built:
+            assert dataclasses.replace(each) == each

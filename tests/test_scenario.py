@@ -682,3 +682,48 @@ class TestSynthTraceOracle:
             negative_zeros += sum(math.copysign(1.0, p) < 0 for p in expected)
         # The corpus reaches the clip, where -0.0 and 0.0 differ only in bits.
         assert negative_zeros > 0
+
+
+class TestSynthTraceDayMemo:
+    """``synth_trace`` computes each distinct (weather, growth) day once; the
+    days that share one keep every sample's bits."""
+
+    @pytest.mark.parametrize(
+        "settings, n_slots",
+        [
+            # Both weathers scale by 1.0, so cloudy and clear days share one key.
+            ({"cloudy_attenuation": 1.0, "switch_probability": 0.5}, 24 * 6),
+            # Growth is exactly 0.0 on day 4 and negative after, where the
+            # night samples are -0.0.
+            ({"trend_per_day": -0.25, "switch_probability": 0.5}, 24 * 8),
+            # A run that ends inside a day.
+            ({"switch_probability": 0.5}, 24 * 5 + 7),
+        ],
+        ids=["attenuation-1", "trend-through-zero", "partial-day"],
+    )
+    def test_matches_oracle_bit_for_bit(self, settings, n_slots):
+        spec = ProfileSpec(amplitude_w=0.002, period_slots=24, seed=4, **settings)
+        expected = synth_oracle.synth_powers(spec, n_slots)
+        got = synth_trace(spec, n_slots).powers
+        assert TestSynthTraceOracle.bits(got) == TestSynthTraceOracle.bits(expected)
+        assert len(got) == n_slots
+
+    def test_trend_through_zero_reaches_negative_zero(self):
+        spec = ProfileSpec(amplitude_w=0.002, period_slots=24, trend_per_day=-0.25)
+        powers = synth_trace(spec, 24 * 8).powers
+        signs = [math.copysign(1.0, p) for p in powers]
+        assert all(p == 0.0 for p in powers[24 * 4:])
+        assert signs[24 * 4:24 * 5] == [1.0] * 24
+        assert -1.0 in signs[24 * 5:]
+
+    def test_three_year_trace_shares_its_days(self):
+        # With no trend a day is clear or cloudy, so a three-year trace holds
+        # at most two days' worth of distinct sample objects.
+        tree = parse_scenario(
+            resources.files("harvestsim").joinpath("scenarios/four_node_tree.yaml").read_text()
+        )
+        spec = tree.profiles["direct"]
+        assert spec.trend_per_day == 0.0
+        powers = synth_trace(spec, 26_280).powers
+        assert len(powers) == 26_280
+        assert len({id(p) for p in powers}) <= 2 * spec.period_slots

@@ -520,6 +520,20 @@ class TestRunContract:
             World(dataclasses.replace(tree_cfg, nodes=nodes))
         assert str(built.value) == "; ".join(f"ScenarioConfig.{v}" for v in parsed.value.violations)
 
+    def test_code_built_duplicate_ids_rejected_as_a_document_is(self, tree_cfg):
+        # Source D renamed C: the parser refuses it, and in code it would
+        # silently replace relay C in a world of three nodes.
+        doc = yaml.safe_load(TREE_YAML)
+        doc["nodes"][3]["id"] = "C"
+        with pytest.raises(SchemaError) as parsed:
+            parse_scenario(yaml.safe_dump(doc))
+        nodes = tuple(dataclasses.replace(n, id="C") if n.id == "D" else n
+                      for n in tree_cfg.nodes)
+        with pytest.raises(ValueError) as built:
+            World(dataclasses.replace(tree_cfg, nodes=nodes))
+        assert str(built.value) == "ScenarioConfig.nodes: duplicate ids in ['A', 'B', 'C', 'C']"
+        assert str(built.value) == "; ".join(f"ScenarioConfig.{v}" for v in parsed.value.violations)
+
 
 class TestForecastMetrics:
     def test_prediction_rows_recorded(self, tree_cfg):
