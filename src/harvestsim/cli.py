@@ -18,8 +18,8 @@ from pathlib import Path
 
 import click
 
-from . import forecast, mac, simcore
-from .bounds import field_checks
+from . import forecast, mac, routing, simcore
+from .bounds import field_checks, trusted
 from .energy import EnergyError, EnergyLevel, harvest_in_slot
 from .forecast import ForecastError
 from .mac import MacError
@@ -85,9 +85,9 @@ def _effective_config(cfg, seed, slots, mode) -> ScenarioConfig:
     if slots is not None:
         cfg = dataclasses.replace(cfg, slots=slots)
     if mode is not None:
-        cfg = dataclasses.replace(
-            cfg, routing=dataclasses.replace(cfg.routing, mode=mode)
-        )
+        # One of routing.MODES, as click checks --mode, so not checked again.
+        routing_settings = trusted(routing.RoutingSettings, {**vars(cfg.routing), "mode": mode})
+        cfg = dataclasses.replace(cfg, routing=routing_settings)
     return cfg
 
 
@@ -165,7 +165,7 @@ def cli() -> None:
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", type=int, default=None)
 @click.option("--slots", type=click.IntRange(min=1), default=None)
-@click.option("--mode", type=click.Choice(["modified", "baseline"]), default=None)
+@click.option("--mode", type=click.Choice(routing.MODES), default=None)
 @click.option("--out", "outdir", required=True, type=click.Path())
 @click.option("--mac-trace", is_flag=True, default=False)
 def run_cmd(config_path, seed, slots, mode, outdir, mac_trace) -> None:
@@ -291,7 +291,7 @@ def route_compare_cmd(config_path, seeds, slots, outdir) -> None:
     runs = (
         (seed, mode, simcore.World(_effective_config(cfg, seed, None, mode)))
         for seed in range(cfg.seed, cfg.seed + seeds)
-        for mode in ("modified", "baseline")
+        for mode in routing.MODES
     )
     # The first world is built first, so that a set-up failure (an
     # unreadable trace) writes nothing.
@@ -299,7 +299,7 @@ def route_compare_cmd(config_path, seeds, slots, outdir) -> None:
     outdir = Path(outdir)
     digest = _echo_config(cfg, outdir)
     rows = []
-    pdrs = {"modified": [], "baseline": []}
+    pdrs = {mode: [] for mode in routing.MODES}
     for seed, mode, world in itertools.chain([first], runs):
         metrics = simcore.run(world, cfg.slots)
         rows.append((seed, mode, metrics.pdr(), metrics.delivered, metrics.generated))

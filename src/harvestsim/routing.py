@@ -54,13 +54,17 @@ _LEVEL_BY_TX_POWER = {power: level for level, power in TX_POWER_BY_LEVEL.items()
 NEIGHBOR_TTL_SLOTS = 5
 
 
+# The sink's route choices, as a scenario and ``harvestsim run --mode`` name them.
+MODES = ("modified", "baseline")
+
+
 @dataclass(frozen=True)
 class RoutingSettings(Bounded):
     """A scenario's routing: the sink's route choice (``mode``, ``cost_mode``
     and per-hop weights ``mu``) and the beacon, flood-refresh and collection
     timing."""
 
-    mode: str = field(default="modified", metadata=enum("modified", "baseline"))
+    mode: str = field(default="modified", metadata=enum(*MODES))
     # "raw" maximizes the weighted RSSI sum.
     cost_mode: str = field(default="magnitude", metadata=enum("magnitude", "raw"))
     mu: tuple[float, ...] | None = field(

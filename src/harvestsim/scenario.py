@@ -9,6 +9,12 @@ Validation collects *every* violation (schema and semantic) before failing,
 and unknown keys are rejected rather than silently absorbed. Parsed configs
 round-trip: ``parse(serialize(cfg)) == cfg``.
 
+The rules across fields that the schema cannot express are one function,
+:func:`config_violations`, over a built config. The parser runs it on the
+config it builds from the document, skipping the rules that read a section
+the schema rejected, and ``simcore.World`` runs it on every config, so a
+config built in code is refused with the parser's messages.
+
 Parsing goes through libyaml (``yaml.CSafeLoader``) where PyYAML was built
 with it, and through the pure-Python ``yaml.SafeLoader`` only where it was
 not. Both feed the same safe constructor, so they build the same document;
@@ -36,7 +42,7 @@ import json
 import math
 import random
 import re
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import yaml
@@ -218,120 +224,82 @@ _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _DBM_KEY = re.compile(r"[+-]?\d+")
 
 
-def dbm_key_violations(costs) -> list[tuple[tuple[str, str], str]]:
-    """A ``(path, message)`` violation for each key of the ``tx128`` table
-    of ``costs`` that is no integer dBm, or that names the power of an
-    earlier key (``0`` and ``"+0"``); none where either is no mapping,
-    which the schema reports."""
-    tx_costs = costs.get(TX_OP_KIND) if isinstance(costs, dict) else None
-    if not isinstance(tx_costs, dict):
-        return []
-    messages, named = [], {}
-    for power in tx_costs:
-        if not _DBM_KEY.fullmatch(str(power)):
-            messages.append(f"power {power!r} is not an integer dBm")
-        elif (first := named.setdefault(int(power), power)) != power:
-            messages.append(f"powers {first!r} and {power!r} both name {int(power)} dBm")
-    return [(("costs", TX_OP_KIND), message) for message in messages]
-
-
-def node_id_violations(node_id: str) -> list[tuple[tuple[str], str]]:
-    """A ``(path, message)`` violation for each rule node id ``node_id``
-    breaks, its path the one step ``nodes[<id>].id``."""
+def config_violations(cfg: ScenarioConfig, skip=frozenset()) -> list[tuple[tuple, str]]:
+    """Every ``(path, message)`` violation of the rules across fields that the
+    schema cannot express, in built config ``cfg``: the parser's rules for a
+    document and ``simcore.World``'s for a config built in code. The rules
+    that read a top-level key in ``skip``, one the schema rejected, are not
+    run; the threshold order and the ``tx128`` keys are reported wherever
+    their values have the shape they compare."""
     out = []
-    # A link's shadowing stream is keyed "a:b:shadow", so an id with a ':'
-    # could give two links one stream.
-    if ":" in node_id:
-        out.append(((f"nodes[{node_id}].id",), "must not contain ':'"))
-    # Every output CSV writes ids unquoted, so a ',' or a line break would
-    # split a row, and a '"' would open a quoted field.
-    breaks = [c for c in ',"\r\n' if c in node_id]
-    if breaks:
-        out.append(((f"nodes[{node_id!r}].id",),
-                    f"must not contain {', '.join(map(repr, breaks))} (CSV outputs)"))
-    return out
-
-
-def duplicate_id_violations(ids: list[str]) -> list[tuple[tuple[str], str]]:
-    """The ``(path, message)`` violation of node ids ``ids`` where one repeats."""
-    return [] if len(ids) == len(set(ids)) else [(("nodes",), f"duplicate ids in {ids}")]
-
-
-def _setting(doc: dict, section_name: str, key: str):
-    """``doc[section_name][key]``, or None where the document lacks that shape."""
-    values = doc.get(section_name)
-    return values.get(key) if isinstance(values, dict) else None
-
-
-def _semantic_violations(doc: dict, rejected: set, profiles: dict) -> list[str]:
-    """Cross-field checks the schema cannot express, given the built ``profiles``;
-    a section in ``rejected`` already failed the schema and is not checked again."""
-    problems = []
-    if "nodes" not in rejected:
-        nodes = doc.get("nodes", [])
-        sinks = [n.get("id") for n in nodes if n.get("role") == "sink"]
+    if "nodes" not in skip:
+        sinks, ids, at_position, per_node = [], [], {}, []
+        for n in cfg.nodes:
+            ids.append(n.id)
+            if n.role == "sink":
+                sinks.append(n.id)
+            # Path loss needs a positive distance, so no two nodes may share a spot.
+            at_position.setdefault(tuple(n.position), []).append(n.id)
+            # A link's shadowing stream is keyed "a:b:shadow", so an id with a
+            # ':' could give two links one stream.
+            if ":" in n.id:
+                per_node.append(((f"nodes[{n.id}].id",), "must not contain ':'"))
+            # Every output CSV writes ids unquoted, so a ',' or a line break
+            # would split a row, and a '"' would open a quoted field.
+            breaks = [c for c in ',"\r\n' if c in n.id]
+            if breaks:
+                per_node.append(((f"nodes[{n.id!r}].id",),
+                                 f"must not contain {', '.join(map(repr, breaks))} (CSV outputs)"))
+            if n.profile is not None and "profiles" not in skip and n.profile not in cfg.profiles:
+                per_node.append(((f"nodes[{n.id}].profile",),
+                                 f"{n.profile!r} not defined in profiles"))
+            if n.role != "sink" and n.profile is None:
+                per_node.append(((f"nodes[{n.id}]",), "non-sink nodes need an energy profile"))
         if len(sinks) != 1:
-            problems.append(f"nodes: exactly one sink required, found {len(sinks)} ({sinks})")
-        ids = [n.get("id") for n in nodes]
-        problems += [f"nodes: {message}" for _, message in duplicate_id_violations(ids)]
-        # Path loss needs a positive distance, so no two nodes may share a spot.
-        at_position: dict[tuple, list] = {}
-        for n in nodes:
-            pos = tuple(n.get("position", NodeSpec.position))
-            at_position.setdefault(pos, []).append(n.get("id"))
-        for pos, shared in at_position.items():
-            if len(shared) > 1:
-                problems.append(f"nodes: {shared} share position {list(pos)}")
-        for n in nodes:
-            problems += [f"{path}: {message}" for (path,), message in node_id_violations(n["id"])]
-            prof = n.get("profile")
-            if prof is not None and "profiles" not in rejected and prof not in profiles:
-                problems.append(f"nodes[{n.get('id')}].profile: {prof!r} not defined in profiles")
-            if n.get("role") != "sink" and prof is None:
-                problems.append(f"nodes[{n.get('id')}]: non-sink nodes need an energy profile")
+            out.append((("nodes",), f"exactly one sink required, found {len(sinks)} ({sinks})"))
+        known = set(ids)
+        if len(known) != len(ids):
+            out.append((("nodes",), f"duplicate ids in {ids}"))
+        out += [(("nodes",), f"{shared} share position {list(pos)}")
+                for pos, shared in at_position.items() if len(shared) > 1]
+        out += per_node
     # A plan keys its policies by name, and a key that names no node and no
     # role would leave its policies unused.
-    if "policies" not in rejected:
-        for key, plist in doc.get("policies", {}).items():
-            names = [p["name"] for p in plist]
-            if len(names) != len(set(names)):
-                problems.append(f"policies/{key}: duplicate policy names in {names}")
-            if "nodes" not in rejected and key not in ROLES and key not in ids:
-                problems.append(
-                    f"policies/{key}: {key!r} names no node id and no role ({', '.join(ROLES)})"
-                )
-    for prof_name, spec in profiles.items():
+    for key, plist in cfg.policies.items():
+        names = [p.name for p in plist]
+        if len(names) != len(set(names)):
+            out.append((("policies", key), f"duplicate policy names in {names}"))
+        if "nodes" not in skip and key not in ROLES and key not in known:
+            out.append((("policies", key),
+                        f"{key!r} names no node id and no role ({', '.join(ROLES)})"))
+    for name, spec in cfg.profiles.items():
         if spec.kind == "csv" and not spec.path:
-            problems.append(f"profiles[{prof_name}]: csv profiles need a path")
+            out.append(((f"profiles[{name}]",), "csv profiles need a path"))
         if spec.kind == "synthetic" and not spec.has_daylight:
-            problems.append(f"profiles[{prof_name}]: period_slots x day_fraction must exceed 1")
-    # Only well-formed threshold lists are compared; the schema reports the rest.
-    t = _setting(doc, "energy", "thresholds")
-    if (
-        isinstance(t, list)
-        and len(t) == 3
-        and all(isinstance(x, (int, float)) for x in t)
-        and not _ascending(t)
-    ):
-        problems.append("energy/thresholds: must be strictly ascending")
-    problems += [f"{'/'.join(path)}: {message}"
-                 for path, message in dbm_key_violations(doc.get("costs"))]
+            out.append(((f"profiles[{name}]",), "period_slots x day_fraction must exceed 1"))
+    t = cfg.energy.thresholds
+    if (isinstance(t, (list, tuple)) and len(t) == 3
+            and all(isinstance(x, (int, float)) for x in t) and not _ascending(t)):
+        out.append((("energy", "thresholds"), "must be strictly ascending"))
+    tx_costs = cfg.costs.get(TX_OP_KIND) if isinstance(cfg.costs, dict) else None
+    if isinstance(tx_costs, dict):
+        # Keys as written: 0 and "+0" both name 0 dBm.
+        named = {}
+        for power in tx_costs:
+            if not _DBM_KEY.fullmatch(str(power)):
+                out.append((("costs", TX_OP_KIND), f"power {power!r} is not an integer dBm"))
+            elif (first := named.setdefault(int(power), power)) != power:
+                out.append((("costs", TX_OP_KIND),
+                            f"powers {first!r} and {power!r} both name {int(power)} dBm"))
     # Each node schedules this many beacons and packets per slot: past the
     # cap, one slot's work has no practical end.
-    slot_s = doc.get("slot_duration_s", ScenarioConfig.slot_duration_s)
-    for name, cls, key in (
-        ("routing", RoutingSettings, "beacon_period_s"),
-        ("traffic", TrafficSettings, "packet_period_s"),
-    ):
-        if {name, "slot_duration_s"} & rejected:
-            continue
-        per_slot = slot_s / (_setting(doc, name, key) or getattr(cls, key))
-        if per_slot > MAX_EVENTS_PER_NODE_SLOT:
-            problems.append(
-                f"slot_duration_s / {name}/{key}: {per_slot:.6g} per node-slot "
-                f"exceeds {MAX_EVENTS_PER_NODE_SLOT}"
-            )
-    return problems
+    for name, key in (("routing", "beacon_period_s"), ("traffic", "packet_period_s")):
+        if not {name, "slot_duration_s"} & skip:
+            per_slot = cfg.slot_duration_s / getattr(getattr(cfg, name), key)
+            if per_slot > MAX_EVENTS_PER_NODE_SLOT:
+                out.append(((f"slot_duration_s / {name}", key),
+                            f"{per_slot:.6g} per node-slot exceeds {MAX_EVENTS_PER_NODE_SLOT}"))
+    return out
 
 
 def _path_order(violation: tuple) -> list:
@@ -350,8 +318,30 @@ def _path_order(violation: tuple) -> list:
 
 def _build(cls, data: dict):
     """``cls`` from the keys ``data`` has, lists as tuples; the rest keep their
-    defaults. The document check has passed them, so they are not checked again."""
+    defaults. The document check reports on them, so they are not checked again."""
     return trusted(cls, {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
+
+
+def _document_config(doc: dict, skip) -> ScenarioConfig:
+    """The config document ``doc`` builds, each part from the keys it gives.
+    A value under a key in ``skip``, one the schema rejected, keeps its default
+    (nodes, profiles and policies are left empty), apart from a settings
+    section that is a mapping and the ``costs``: those are built as written,
+    so that the threshold order and the ``tx128`` keys are reported beside a
+    bound their section breaks."""
+    def kept(key, empty):
+        return empty if key in skip else doc.get(key, empty)
+
+    return _build(ScenarioConfig, {
+        **{key: value for key, value in doc.items() if key not in skip},
+        **{name: _build(cls, doc[name])
+           for name, cls in _SECTIONS.items() if isinstance(doc.get(name), dict)},
+        "nodes": tuple(_build(NodeSpec, n) for n in kept("nodes", ())),
+        "costs": doc.get("costs", {}),
+        "profiles": {name: _build(ProfileSpec, spec) for name, spec in kept("profiles", {}).items()},
+        "policies": {key: tuple(_build(Policy, p) for p in plist)
+                     for key, plist in kept("policies", {}).items()},
+    })
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -364,35 +354,19 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise SchemaError(["document must be a mapping"])
 
     errors = sorted(_CHECKER.violations(doc), key=_path_order) + non_finite(doc)
-    violations = [f"{'/'.join(map(str, path)) or '<root>'}: {message}" for path, message in errors]
-    rejected = {path[0] for path, _ in errors if path}
-    specs = {} if "profiles" in rejected else doc.get("profiles", {})
-    profiles = {name: _build(ProfileSpec, spec) for name, spec in specs.items()}
-    violations += _semantic_violations(doc, rejected, profiles)
-    if violations:
-        raise SchemaError(violations)
-
-    return _build(
-        ScenarioConfig,
-        {
-            **doc,
-            **{name: _build(cls, doc[name]) for name, cls in _SECTIONS.items() if name in doc},
-            "nodes": [_build(NodeSpec, n) for n in doc["nodes"]],
-            "costs": {
-                kind: (
-                    {power: float(c) for power, c in by_dbm(value).items()}
-                    if kind == TX_OP_KIND
-                    else float(value)
-                )
-                for kind, value in doc.get("costs", {}).items()
-            },
-            "profiles": profiles,
-            "policies": {
-                key: tuple(_build(Policy, p) for p in plist)
-                for key, plist in doc.get("policies", {}).items()
-            },
-        },
-    )
+    skip = frozenset(path[0] for path, _ in errors if path)
+    cfg = _document_config(doc, skip)
+    errors += config_violations(cfg, skip)
+    if errors:
+        raise SchemaError(
+            [f"{'/'.join(map(str, path)) or '<root>'}: {message}" for path, message in errors]
+        )
+    # The tx128 keys are read as powers only now, once their spellings passed.
+    return replace(cfg, costs={
+        kind: {power: float(c) for power, c in by_dbm(value).items()}
+        if kind == TX_OP_KIND else float(value)
+        for kind, value in cfg.costs.items()
+    })
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:

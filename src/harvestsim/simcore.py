@@ -108,10 +108,7 @@ from .energy import (
     price_tables,
     withdraw,
 )
-from .scenario import (
-    ScenarioConfig, build_profile_trace, dbm_key_violations, duplicate_id_violations,
-    node_id_violations,
-)
+from .scenario import ScenarioConfig, build_profile_trace, config_violations
 
 PROCESSING_DELAY_S = 0.005
 RREQ_JITTER_MS = 20.0
@@ -430,15 +427,12 @@ class World:
         metrics: Metrics | None = None,
     ):
         self.cfg = cfg
-        # A parsed document's costs and node ids are checked already; a
-        # code-built config's are checked here, against the same rules.
+        # A config built in code is refused before slot 0 as its document
+        # would be: its costs by the field's own bound, and its fields
+        # together by the parser's one rule set.
         out: list = []
         field_checks(ScenarioConfig)["costs"](cfg.costs, ("costs",), out)
-        out += dbm_key_violations(cfg.costs)
-        out += duplicate_id_violations([node.id for node in cfg.nodes])
-        for node in cfg.nodes:
-            out += node_id_violations(node.id)
-        refuse(ScenarioConfig, out)
+        refuse(ScenarioConfig, out + config_violations(cfg))
         self.prices = price_tables(cfg.costs)
         self.floor = cfg.energy.floor_fraction * cfg.energy.capacity_uj
         schedules = {
@@ -461,10 +455,7 @@ class World:
         self._event_seq = 0
         self._events: list = []
 
-        sinks = [n for n in cfg.nodes if n.role == "sink"]
-        if len(sinks) != 1:
-            raise ValueError(f"exactly one sink required, found {len(sinks)}")
-        self.sink_id = sinks[0].id
+        self.sink_id = next(n.id for n in cfg.nodes if n.role == "sink")
 
         traces = traces or {}
         # Traces are frozen, so the nodes that share a profile share its trace.

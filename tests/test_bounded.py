@@ -24,6 +24,7 @@ from harvestsim import bounds, scenario
 from harvestsim.app import Policy
 from harvestsim.bounds import POS, Bounded, field_checks
 from harvestsim.channel import ChannelSettings
+from harvestsim.cli import _effective_config
 from harvestsim.forecast import PredictorSettings
 from harvestsim.mac import MacConfig
 from harvestsim.routing import RoutingSettings
@@ -323,6 +324,15 @@ class TestEachParsedValueCheckedOnce:
         assert counted_checks == Counter({("costs",): 1})
         rrep = world.frames.unicasts["rrep"].config
         assert rrep == dataclasses.replace(cfg.mac, data_packet_ms=cfg.mac.control_packet_ms)
+
+    def test_mode_override_checked_once(self, counted_checks):
+        # Click checks --mode against routing.MODES; the config that carries
+        # it runs no routing field check again.
+        cfg = parse_scenario(lattice_yaml(rows=2, cols=2, sigma_db=0.0, predictor="ewma", slots=5))
+        counted_checks.clear()
+        effective = _effective_config(cfg, None, None, "baseline")
+        assert counted_checks == Counter()
+        assert effective.routing == dataclasses.replace(cfg.routing, mode="baseline")
 
     def test_parsed_sections_equal_checked_ones(self):
         cfg = parse_scenario(lattice_yaml(rows=3, cols=4, sigma_db=4.0, predictor="hw", slots=5))

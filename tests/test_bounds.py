@@ -45,11 +45,9 @@ def oracle_violations(doc: dict) -> list[str]:
     for path, message in bounds.non_finite(doc):
         violations.append(f"{'/'.join(map(str, path))}: {message}")
         rejected.add(path[0])
-    profiles = {} if "profiles" in rejected else {
-        name: scenario._build(scenario.ProfileSpec, spec)
-        for name, spec in doc.get("profiles", {}).items()
-    }
-    return violations + scenario._semantic_violations(doc, rejected, profiles)
+    cfg = scenario._document_config(doc, rejected)
+    return violations + [f"{'/'.join(map(str, path))}: {message}"
+                         for path, message in scenario.config_violations(cfg, rejected)]
 
 
 def checker_violations(text: str) -> list[str]:

@@ -382,6 +382,23 @@ nodes:
         assert [v.split(":")[0] for v in err.value.violations] == ["profiles/7/kind",
                                                                    "profiles/sun/kind"]
 
+    @pytest.mark.parametrize("extra, violations", [
+        ("energy: {thresholds: [0.5, 0.2, 1.5]}\n", [
+            "energy/thresholds/2: 1.5 is greater than or equal to the maximum of 1",
+            "energy/thresholds: must be strictly ascending",
+        ]),
+        ("costs: {sense: 0, tx128: {high: 300}}\n", [
+            "costs/sense: 0 is less than or equal to the minimum of 0",
+            "costs/tx128: power 'high' is not an integer dBm",
+        ]),
+    ], ids=["threshold-order-beside-a-bound", "tx-key-beside-a-cost"])
+    def test_order_and_key_rules_report_inside_a_rejected_section(self, extra, violations):
+        # The schema rejects the section, and the threshold order and the
+        # tx128 keys are still reported beside its bound.
+        with pytest.raises(SchemaError) as err:
+            parse_scenario(MINIMAL + extra)
+        assert err.value.violations == violations
+
     def test_not_yaml(self):
         # Unclosed flows, a tab-indented key and a control character.
         for text in ["{{{{", "nodes: [", "a:\n\tb: 1\n", "a: \x07"]:

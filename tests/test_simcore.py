@@ -22,7 +22,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import harvestsim
-from harvestsim import app, channel, energy, forecast, mac, routing, simcore
+from harvestsim import app, channel, energy, forecast, mac, routing, scenario, simcore
 from harvestsim.channel import Channel, loss_probability, rssi_at, survives
 from harvestsim.cli import main
 from harvestsim.energy import (
@@ -34,7 +34,7 @@ from harvestsim.energy import (
     SlotOutOfRange,
 )
 from harvestsim.routing import REFERENCE_TX_POWER_DBM, TX_POWER_BY_LEVEL
-from harvestsim.scenario import ChannelSettings, SchemaError, parse_scenario
+from harvestsim.scenario import ChannelSettings, SchemaError, parse_scenario, serialize_scenario
 from harvestsim.simcore import Metrics, World
 
 TREE_YAML = """
@@ -533,6 +533,41 @@ class TestRunContract:
             World(dataclasses.replace(tree_cfg, nodes=nodes))
         assert str(built.value) == "ScenarioConfig.nodes: duplicate ids in ['A', 'B', 'C', 'C']"
         assert str(built.value) == "; ".join(f"ScenarioConfig.{v}" for v in parsed.value.violations)
+
+    @pytest.mark.parametrize("change", [
+        lambda cfg: dataclasses.replace(
+            cfg, policies={**cfg.policies, "sources": cfg.policies["source"]}),
+        lambda cfg: dataclasses.replace(
+            cfg, policies={**cfg.policies, "source": cfg.policies["source"] * 2}),
+        lambda cfg: dataclasses.replace(cfg, slot_duration_s=1e7),
+        lambda cfg: _with_node(cfg, "D", profile="nope"),
+        lambda cfg: _with_node(cfg, "D", profile=None),
+        lambda cfg: dataclasses.replace(
+            cfg, profiles={**cfg.profiles, "diffused": scenario.ProfileSpec(kind="csv")}),
+        lambda cfg: _with_node(cfg, "D", position=(40.0, 28.0)),
+        lambda cfg: _with_node(cfg, "B", role="sink"),
+        lambda cfg: dataclasses.replace(cfg, profiles={
+            **cfg.profiles, "diffused": dataclasses.replace(cfg.profiles["diffused"], period_slots=2)
+        }),
+    ], ids=["policy-key", "repeated-policy-names", "event-cap", "undefined-profile",
+            "missing-profile", "csv-without-path", "shared-position", "two-sinks", "no-daylight"])
+    def test_code_built_config_refused_as_its_document_is(self, tree_cfg, change):
+        # Each config breaks one rule across fields. Its document is refused by
+        # the parser, and the config itself by the world, before slot 0, with
+        # the parser's messages.
+        bad = change(tree_cfg)
+        with pytest.raises(SchemaError) as parsed:
+            parse_scenario(serialize_scenario(bad))
+        with pytest.raises(ValueError) as built:
+            World(bad)
+        assert str(built.value) == "; ".join(f"ScenarioConfig.{v}" for v in parsed.value.violations)
+
+
+def _with_node(cfg, node_id, **changes):
+    """``cfg`` with the node ``node_id`` given ``changes``."""
+    return dataclasses.replace(cfg, nodes=tuple(
+        dataclasses.replace(n, **changes) if n.id == node_id else n for n in cfg.nodes
+    ))
 
 
 class TestForecastMetrics:

@@ -10,7 +10,7 @@ import struct
 from pathlib import Path
 
 import harvestsim
-from harvestsim import app, simcore
+from harvestsim import app, scenario, simcore
 from harvestsim.channel import Channel
 from harvestsim.routing import REFERENCE_TX_POWER_DBM, TX_POWER_BY_LEVEL
 from harvestsim.scenario import parse_scenario
@@ -192,6 +192,26 @@ class TestOneOutputSeam:
         assert (simcore.Metrics.mac, simcore.Metrics.draw) == (None, None)
         assert not hasattr(simcore.Metrics(), "mac_trace")
         assert not hasattr(simcore.ChargeBook(None), "rows")
+
+
+class TestOneConfigCheck:
+    def test_the_world_refuses_a_config_by_the_parser_s_rule_set(self):
+        # scenario.config_violations is the one set of rules across fields,
+        # for the parser and the world alike; a rule the world called on its
+        # own, or a refusal it raised itself, would be a second rule.
+        source = (PACKAGE / "simcore.py").read_text(encoding="utf-8")
+        world = next(node for node in ast.parse(source).body
+                     if isinstance(node, ast.ClassDef) and node.name == "World")
+        init = next(node for node in world.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+        names = _referenced(init)
+        assert "config_violations" in names
+        rules = {"dbm_key_violations", "node_id_violations", "duplicate_id_violations"}
+        assert names & rules == set()
+        raised = [node.exc for node in ast.walk(init) if isinstance(node, ast.Raise)]
+        assert [exc for exc in raised if "ValueError" in _referenced(exc)] == []
+        assert not hasattr(scenario, "_semantic_violations")
+        assert not hasattr(scenario, "_setting")
 
 
 class TestOneSettingsReading:
